@@ -19,30 +19,21 @@ open Toolkit
    a no-op network, pre-loaded with a log of the given length.          *)
 (* ------------------------------------------------------------------ *)
 
-let dummy_ctx ~pid ~n : _ Protocol.ctx =
-  {
-    Protocol.pid;
-    n;
-    now = (fun () -> 0.0);
-    send = (fun ~dst:_ _ -> ());
-    broadcast = (fun _ -> ());
-    broadcast_batch = (fun _ -> ());
-    set_timer = (fun ~delay:_ _ -> ());
-    count_replay = (fun _ -> ());
-    obs = None;
-  }
+let dummy_ctx = Throughput.dummy_ctx
 
 module Uni_set = Generic.Make (Set_spec)
 module Uni_list = Generic_ref.Make (Set_spec)
 
-(* A second runtime instance of the same functor: its own
-   [checkpoint_interval] cell, set to 0 below, isolates the oplog's
+(* The array core with checkpointing off isolates the oplog's
    binary-search insert from its checkpoint cache in the C2 rows. *)
-module Uni_nockpt = Generic.Make (Set_spec)
+module Uni_nockpt =
+  Generic.Configured
+    (struct
+      let config = { Generic.default with checkpoint_interval = 0 }
+    end)
+    (Set_spec)
 
-let () = Uni_nockpt.checkpoint_interval := 0
-
-module Memo_set = Memo.Make (Set_spec)
+module Memo_set = Generic.Configured (struct let config = Generic.memo end) (Set_spec)
 module Undo_set = Undo.Make (Undoable.Set)
 
 (* Every benchmarked result flows through [Sys.opaque_identity]: the

@@ -29,27 +29,19 @@ let obs =
   if Array.exists (( = ) "--obs") Sys.argv then Some (Obs.create ()) else None
 
 let dummy_ctx ~pid ~n : _ Protocol.ctx =
-  {
-    Protocol.pid;
-    n;
-    now = (fun () -> 0.0);
-    send = (fun ~dst:_ _ -> ());
-    broadcast = (fun _ -> ());
-    broadcast_batch = (fun _ -> ());
-    set_timer = (fun ~delay:_ _ -> ());
-    count_replay = (fun _ -> ());
-    obs = Option.map (fun o -> Obs.replica o pid) obs;
-  }
+  { (Throughput.dummy_ctx ~pid ~n) with obs = Option.map (fun o -> Obs.replica o pid) obs }
 
 module L = Generic_ref.Make (Set_spec)
 
-(* Two runtime instances of the array-core functor so each keeps its own
-   [checkpoint_interval] cell. *)
-module A0 = Generic.Make (Set_spec)
-module A32 = Generic.Make (Set_spec)
+(* The array core with checkpointing off, and at its default interval. *)
+module A0 =
+  Generic.Configured
+    (struct
+      let config = { Generic.default with checkpoint_interval = 0 }
+    end)
+    (Set_spec)
 
-let () = A0.checkpoint_interval := 0
-let () = A32.checkpoint_interval := 32
+module A32 = Generic.Make (Set_spec)
 
 type cell = {
   core : string;

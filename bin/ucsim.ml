@@ -41,7 +41,7 @@ type run_params = {
       (* op-log substrate for the universal protocols: the seed's cons
          list or the array-backed Oplog (the default) *)
   checkpoint_interval : int option;
-      (* override for Generic's interval-checkpoint cadence; only
+      (* override for the universal core's checkpoint interval; only
          meaningful with [log_core = `Array] *)
   batch_window : float option;
   obs_on : bool;
@@ -62,8 +62,8 @@ type run_params = {
   obs : Obs.t option;
       (* pre-built telemetry bundle. `soak` (and a soak replay) builds
          it up front so the streaming sampler can snapshot its registry
-         every tick; everyone else leaves it None and lets
-         [obs_of_params] decide *)
+         every tick, and `sharded` so its shard map can report into it;
+         everyone else leaves it None and lets [obs_of_params] decide *)
   sample_interval : float option;
       (* soak sampler cadence in simulated time; Some marks the journal
          header as a soak run *)
@@ -75,67 +75,90 @@ type run_params = {
          None (the default everywhere but `soak`) samples nothing *)
 }
 
+(* `run`'s flag defaults: `soak`, `modelcheck` and a replayed journal
+   header override them field by field. *)
+let default_params =
+  {
+    protocol = "universal";
+    seed = 42;
+    n = 4;
+    ops = 100;
+    shards = 1;
+    keys = 64;
+    rebalance = None;
+    mean_delay = 10.0;
+    fifo = false;
+    crashes = [];
+    check = false;
+    spacetime = false;
+    log_core = `Array;
+    checkpoint_interval = None;
+    batch_window = None;
+    obs_on = false;
+    trace_out = None;
+    registry_out = None;
+    span_dump = false;
+    probe_interval = None;
+    partitions = [];
+    churn = [];
+    scripts = None;
+    journal_out = None;
+    journal = None;
+    monitors = [];
+    obs = None;
+    sample_interval = None;
+    duration = None;
+    rules = [];
+    sampler = None;
+  }
+
 let log_core_name = function `List -> "list" | `Array -> "array"
 
 (* The journal's self-description: everything `replay` needs to rebuild
    this run_params record and re-execute the identical schedule. *)
 let journal_header p =
   let num i = Obs.Json.Num (float_of_int i) in
+  let real f = Obs.Json.Num f in
+  let str s = Obs.Json.Str s in
+  let arr f xs = Obs.Json.Arr (List.map f xs) in
   let opt f = function None -> Obs.Json.Null | Some v -> f v in
   [
-    ("protocol", Obs.Json.Str p.protocol);
+    ("protocol", str p.protocol);
     ("seed", num p.seed);
     ("n", num p.n);
     ("ops", num p.ops);
-    ("mean_delay", Obs.Json.Num p.mean_delay);
+    ("mean_delay", real p.mean_delay);
     ("fifo", Obs.Json.Bool p.fifo);
     ( "crashes",
-      Obs.Json.Arr
-        (List.map
-           (fun (time, pid) ->
-             Obs.Json.Obj [ ("t", Obs.Json.Num time); ("pid", num pid) ])
-           p.crashes) );
-    ("log_core", Obs.Json.Str (log_core_name p.log_core));
+      arr
+        (fun (time, pid) -> Obs.Json.Obj [ ("t", real time); ("pid", num pid) ])
+        p.crashes );
+    ("log_core", str (log_core_name p.log_core));
     ("checkpoint_interval", opt num p.checkpoint_interval);
-    ("batch_window", opt (fun w -> Obs.Json.Num w) p.batch_window);
-    ("probe_interval", opt (fun w -> Obs.Json.Num w) p.probe_interval);
-    ( "monitors",
-      Obs.Json.Arr
-        (List.map
-           (fun c -> Obs.Json.Str (Obs.Monitor.criterion_name c))
-           p.monitors) );
+    ("batch_window", opt real p.batch_window);
+    ("probe_interval", opt real p.probe_interval);
+    ("monitors", arr (fun c -> str (Obs.Monitor.criterion_name c)) p.monitors);
     ( "partitions",
-      Obs.Json.Arr
-        (List.map
-           (fun (pa : Network.partition) ->
-             Obs.Json.Obj
-               [
-                 ("from", Obs.Json.Num pa.Network.from_time);
-                 ("to", Obs.Json.Num pa.Network.to_time);
-                 ("group", Obs.Json.Arr (List.map num pa.Network.group));
-               ])
-           p.partitions) );
+      arr
+        (fun (pa : Network.partition) ->
+          Obs.Json.Obj
+            [
+              ("from", real pa.Network.from_time);
+              ("to", real pa.Network.to_time);
+              ("group", arr num pa.Network.group);
+            ])
+        p.partitions );
     ( "churn",
-      Obs.Json.Arr
-        (List.map
-           (fun (ce : Network.churn_event) ->
-             Obs.Json.Obj
-               [
-                 ("t", Obs.Json.Num ce.Network.time);
-                 ("pid", num ce.Network.pid);
-                 ( "action",
-                   Obs.Json.Str (Network.churn_action_name ce.Network.action) );
-               ])
-           p.churn) );
-    ( "scripts",
-      opt
-        (fun ss ->
-          Obs.Json.Arr
-            (List.map
-               (fun s ->
-                 Obs.Json.Arr (List.map (fun op -> Obs.Json.Str op) s))
-               ss))
-        p.scripts );
+      arr
+        (fun (ce : Network.churn_event) ->
+          Obs.Json.Obj
+            [
+              ("t", real ce.Network.time);
+              ("pid", num ce.Network.pid);
+              ("action", str (Network.churn_action_name ce.Network.action));
+            ])
+        p.churn );
+    ("scripts", opt (arr (arr str)) p.scripts);
   ]
   (* Shard fields appear only on sharded runs, so single-object journal
      headers — and the seeded fingerprint pins over them — stay
@@ -144,7 +167,7 @@ let journal_header p =
        [
          ("shards", num p.shards);
          ("keys", num p.keys);
-         ("rebalance", opt (fun w -> Obs.Json.Num w) p.rebalance);
+         ("rebalance", opt real p.rebalance);
        ]
      else [])
   (* Soak fields likewise appear only on soak runs: `replay` rebuilds
@@ -154,13 +177,9 @@ let journal_header p =
     | None -> []
     | Some dt ->
       [
-        ("sample_interval", Obs.Json.Num dt);
-        ("duration", opt (fun d -> Obs.Json.Num d) p.duration);
-        ( "rules",
-          Obs.Json.Arr
-            (List.map
-               (fun r -> Obs.Json.Str (Obs.Alert.rule_to_string r))
-               p.rules) );
+        ("sample_interval", real dt);
+        ("duration", opt real p.duration);
+        ("rules", arr (fun r -> str (Obs.Alert.rule_to_string r)) p.rules);
       ])
 
 (* Inverse of [journal_header]: rebuild the run_params a journal was
@@ -185,60 +204,46 @@ let params_of_header ~journal header =
     | "array" -> `Array
     | s -> failwith (Printf.sprintf "journal header: unknown log core %S" s)
   in
-  let monitors =
-    match get "monitors" with
-    | Some (Obs.Json.Arr xs) ->
-      List.map
-        (function
-          | Obs.Json.Str s -> (
-            match Obs.Monitor.criterion_of_name s with
-            | Some c -> c
-            | None -> failwith (Printf.sprintf "journal header: unknown criterion %S" s))
-          | _ -> missing "monitors")
-        xs
+  (* An array field, each element read by [f]; absent reads as []. *)
+  let list k f =
+    match get k with
+    | Some (Obs.Json.Arr xs) -> List.map f xs
     | None -> []
-    | _ -> missing "monitors"
+    | _ -> missing k
+  in
+  (* The fields of an object element of array [k]. *)
+  let obj k = function
+    | Obs.Json.Obj fields -> fun f -> List.assoc_opt f fields
+    | _ -> missing k
+  in
+  let monitors =
+    list "monitors" (function
+      | Obs.Json.Str s -> (
+        match Obs.Monitor.criterion_of_name s with
+        | Some c -> c
+        | None -> failwith (Printf.sprintf "journal header: unknown criterion %S" s))
+      | _ -> missing "monitors")
   in
   let partitions =
-    match get "partitions" with
-    | Some (Obs.Json.Arr xs) ->
-      List.map
-        (function
-          | Obs.Json.Obj fields -> (
-            let fget k = List.assoc_opt k fields in
-            match (fget "from", fget "to", fget "group") with
-            | ( Some (Obs.Json.Num from_time),
-                Some (Obs.Json.Num to_time),
-                Some (Obs.Json.Arr group) ) ->
-              {
-                Network.from_time;
-                to_time;
-                group =
-                  List.map
-                    (function
-                      | Obs.Json.Num f -> int_of_float f
-                      | _ -> missing "partitions")
-                    group;
-              }
-            | _ -> missing "partitions")
-          | _ -> missing "partitions")
-        xs
-    | None -> []
-    | _ -> missing "partitions"
+    list "partitions" (fun x ->
+        let fget = obj "partitions" x in
+        match (fget "from", fget "to", fget "group") with
+        | ( Some (Obs.Json.Num from_time),
+            Some (Obs.Json.Num to_time),
+            Some (Obs.Json.Arr group) ) ->
+          {
+            Network.from_time;
+            to_time;
+            group =
+              List.map
+                (function
+                  | Obs.Json.Num f -> int_of_float f | _ -> missing "partitions")
+                group;
+          }
+        | _ -> missing "partitions")
   in
   let crashes =
     match get "crashes" with
-    | Some (Obs.Json.Arr xs) ->
-      List.map
-        (function
-          | Obs.Json.Obj fields -> (
-            let fget k = List.assoc_opt k fields in
-            match (fget "t", fget "pid") with
-            | Some (Obs.Json.Num time), Some (Obs.Json.Num pid) ->
-              (time, int_of_float pid)
-            | _ -> missing "crashes")
-          | _ -> missing "crashes")
-        xs
     | None -> (
       (* journals from before the explicit crash schedule carry the old
          one-crash flag *)
@@ -246,91 +251,69 @@ let params_of_header ~journal header =
       | Some (Obs.Json.Bool true) -> [ (50.0, int "n" - 1) ]
       | Some (Obs.Json.Bool false) | None -> []
       | _ -> missing "crash")
-    | _ -> missing "crashes"
+    | Some _ ->
+      list "crashes" (fun x ->
+          let fget = obj "crashes" x in
+          match (fget "t", fget "pid") with
+          | Some (Obs.Json.Num time), Some (Obs.Json.Num pid) ->
+            (time, int_of_float pid)
+          | _ -> missing "crashes")
   in
   let churn =
-    match get "churn" with
-    | Some (Obs.Json.Arr xs) ->
-      List.map
-        (function
-          | Obs.Json.Obj fields -> (
-            let fget k = List.assoc_opt k fields in
-            match (fget "t", fget "pid", fget "action") with
-            | ( Some (Obs.Json.Num time),
-                Some (Obs.Json.Num pid),
-                Some (Obs.Json.Str a) ) -> (
-              match Network.churn_action_of_name a with
-              | Some action -> { Network.time; pid = int_of_float pid; action }
-              | None ->
-                failwith (Printf.sprintf "journal header: unknown churn action %S" a))
-            | _ -> missing "churn")
-          | _ -> missing "churn")
-        xs
-    | None -> []
-    | _ -> missing "churn"
+    list "churn" (fun x ->
+        let fget = obj "churn" x in
+        match (fget "t", fget "pid", fget "action") with
+        | Some (Obs.Json.Num time), Some (Obs.Json.Num pid), Some (Obs.Json.Str a)
+          -> (
+          match Network.churn_action_of_name a with
+          | Some action -> { Network.time; pid = int_of_float pid; action }
+          | None ->
+            failwith (Printf.sprintf "journal header: unknown churn action %S" a))
+        | _ -> missing "churn")
   in
   let scripts =
     match get "scripts" with
-    | Some (Obs.Json.Arr xs) ->
-      Some
-        (List.map
-           (function
-             | Obs.Json.Arr ops ->
-               List.map
-                 (function Obs.Json.Str s -> s | _ -> missing "scripts")
-                 ops
-             | _ -> missing "scripts")
-           xs)
     | None | Some Obs.Json.Null -> None
-    | _ -> missing "scripts"
+    | Some _ ->
+      Some
+        (list "scripts" (function
+          | Obs.Json.Arr ops ->
+            List.map (function Obs.Json.Str s -> s | _ -> missing "scripts") ops
+          | _ -> missing "scripts"))
   in
   let rules =
-    match get "rules" with
-    | Some (Obs.Json.Arr xs) ->
-      List.map
-        (function
-          | Obs.Json.Str s -> (
-            match Obs.Alert.rule_of_string s with
-            | r -> r
-            | exception Invalid_argument msg -> failwith msg)
-          | _ -> missing "rules")
-        xs
-    | None -> []
-    | _ -> missing "rules"
+    list "rules" (function
+      | Obs.Json.Str s -> (
+        match Obs.Alert.rule_of_string s with
+        | r -> r
+        | exception Invalid_argument msg -> failwith msg)
+      | _ -> missing "rules")
   in
   let opt_int k = Option.map int_of_float (opt_num k) in
   {
+    default_params with
     protocol = str "protocol";
     seed = int "seed";
     n = int "n";
     ops = int "ops";
-    shards = Option.value ~default:1 (opt_int "shards");
-    keys = Option.value ~default:64 (opt_int "keys");
+    shards = Option.value ~default:default_params.shards (opt_int "shards");
+    keys = Option.value ~default:default_params.keys (opt_int "keys");
     rebalance = opt_num "rebalance";
     mean_delay = num "mean_delay";
     fifo = bool "fifo";
     crashes;
-    check = false;
-    spacetime = false;
     log_core;
-    checkpoint_interval = Option.map int_of_float (opt_num "checkpoint_interval");
+    checkpoint_interval = opt_int "checkpoint_interval";
     batch_window = opt_num "batch_window";
-    obs_on = false;
-    trace_out = None;
-    registry_out = None;
-    span_dump = false;
     probe_interval = opt_num "probe_interval";
     partitions;
     churn;
     scripts;
-    journal_out = None;
     journal = Some journal;
     monitors;
-    obs = None;
     sample_interval = opt_num "sample_interval";
     duration = opt_num "duration";
     rules;
-    sampler = None;
   }
 
 (* Telemetry is on as soon as any output that needs it was requested. *)
@@ -338,7 +321,8 @@ let obs_of_params p =
   match p.obs with
   | Some o ->
     (* Pre-built by `soak` (or a soak replay) so its sampler could take
-       the registry; only the header is still ours to stamp. *)
+       the registry, or by `sharded` for its shard map; only the header
+       is still ours to stamp. *)
     Option.iter (fun j -> Obs.Journal.set_header j (journal_header p)) o.Obs.journal;
     Some o
   | None ->
@@ -439,11 +423,19 @@ let print_monitor_report ~criteria ~events violations =
           events)
     criteria
 
-(* [interval] is the instance's effective cadence, read back from the
-   functor instance after any --checkpoint-interval override. *)
-let describe_log_core ~interval = function
+(* The array core's configuration: the default, with any
+   --checkpoint-interval override. *)
+let core_config p =
+  match p.checkpoint_interval with
+  | None -> Generic.default
+  | Some k -> { Generic.default with Generic.checkpoint_interval = k }
+
+let describe_log_core p =
+  match p.log_core with
   | `List -> "list"
-  | `Array -> Printf.sprintf "array (checkpoint interval %d)" interval
+  | `Array ->
+    Printf.sprintf "array (checkpoint interval %d)"
+      (core_config p).Generic.checkpoint_interval
 
 let describe_metrics (m : Metrics.t) =
   Printf.printf
@@ -451,40 +443,179 @@ let describe_metrics (m : Metrics.t) =
     m.Metrics.messages_sent m.Metrics.bytes_sent m.Metrics.updates_invoked
     m.Metrics.queries_invoked m.Metrics.ops_incomplete m.Metrics.replay_steps
 
+(* Algorithm 1 on [A], on the op-log core the params ask for: the seed's
+   list core or the configured array core. {!Persist.Catchup} gives
+   either one real churn catch-up (the bare cores carry the PROTOCOL
+   stub [snapshot]/[absorb]). *)
+let universal (type u q o s) p
+    (module A : Registry.SPEC
+      with type update = u
+       and type query = q
+       and type output = o
+       and type state = s) :
+    (module Generic.S
+       with type update = u
+        and type query = q
+        and type output = o
+        and type state = s) =
+  match p.log_core with
+  | `List -> (module Persist.Catchup (Generic_ref.Make (A)) (A.Codec))
+  | `Array ->
+    let module C = struct
+      let config = core_config p
+    end in
+    (module Persist.Catchup (Generic.Configured (C) (A)) (A.Codec))
+
+(* The object side of a run: the spec the history is checked against,
+   the workload and final read generated from the params, and the
+   report lines the object adds to the common ones. *)
+module type OBJECT = sig
+  include Uqadt.S
+
+  val workload : run_params -> (update, query) Protocol.invocation list array
+
+  val final_read : run_params -> query
+
+  val latency : bool
+  (* an "op latency" line (the register protocols) *)
+
+  val final_reads : bool
+  (* one "final read" line per replica (all but lwwmemory) *)
+end
+
 module type SET_PROTOCOL =
   Protocol.PROTOCOL
     with type update = Set_spec.update
      and type query = Set_spec.query
      and type output = Set_spec.output
 
-(* The set drivers' workload: the explicit printed scripts when the
-   params carry them (a replayed `shrink` journal), the generated
-   conflict workload otherwise. *)
-let set_workload_of_params p =
-  match p.scripts with
-  | Some printed ->
-    if List.length printed <> p.n then
-      failwith
-        (Printf.sprintf "run: %d explicit scripts for n=%d processes"
-           (List.length printed) p.n);
-    Array.of_list
-      (List.map
-         (fun script ->
-           List.map
-             (fun tok ->
-               match Workload.For_set.parse_op tok with
-               | Some op -> op
-               | None -> failwith (Printf.sprintf "run: bad script op %S" tok))
-             script)
-         printed)
-  | None ->
-    let rng = Prng.create p.seed in
-    Workload.For_set.conflict ~rng ~n:p.n ~ops_per_process:p.ops ~domain:16
-      ~skew:1.0 ~delete_ratio:0.3
+module Set_object = struct
+  include Set_spec
+  module Codec = Update_codec.For_set
 
-let run_set ?note (module P : SET_PROTOCOL) p =
+  (* The explicit printed scripts when the params carry them (a
+     replayed `shrink` journal), the generated conflict workload
+     otherwise. *)
+  let workload p =
+    match p.scripts with
+    | Some printed ->
+      if List.length printed <> p.n then
+        failwith
+          (Printf.sprintf "run: %d explicit scripts for n=%d processes"
+             (List.length printed) p.n);
+      Array.of_list
+        (List.map
+           (fun script ->
+             List.map
+               (fun tok ->
+                 match Workload.For_set.parse_op tok with
+                 | Some op -> op
+                 | None -> failwith (Printf.sprintf "run: bad script op %S" tok))
+               script)
+           printed)
+    | None ->
+      let rng = Prng.create p.seed in
+      Workload.For_set.conflict ~rng ~n:p.n ~ops_per_process:p.ops ~domain:16
+        ~skew:1.0 ~delete_ratio:0.3
+
+  let final_read _ = Read
+  let latency = false
+  let final_reads = true
+end
+
+module Counter_object = struct
+  include Counter_spec
+  module Codec = Update_codec.For_counter
+
+  let workload p =
+    Workload.For_counter.deposits_and_withdrawals ~rng:(Prng.create p.seed)
+      ~n:p.n ~ops_per_process:p.ops ~max_amount:100
+
+  let final_read _ = Value
+  let latency = false
+  let final_reads = true
+end
+
+module Register_object = struct
+  include Register_spec
+  module Codec = Update_codec.For_register
+  module G = Workload.Make (Register_spec)
+
+  let workload p =
+    G.mixed ~rng:(Prng.create p.seed) ~n:p.n ~ops_per_process:p.ops
+      ~query_ratio:0.4
+
+  let final_read _ = Read
+  let latency = true
+  let final_reads = true
+end
+
+module Memory_object = struct
+  include Memory_spec
+
+  let workload p =
+    Workload.For_memory.random_writes ~rng:(Prng.create p.seed) ~n:p.n
+      ~ops_per_process:p.ops ~registers:8 ~read_ratio:0.4
+
+  let final_read _ = Read 0
+  let latency = false
+  let final_reads = false
+end
+
+(* Any registered object: one query for every three updates, drawn from
+   the spec's own generators. *)
+module Spec_object (A : Registry.SPEC) = struct
+  include A
+
+  let workload p =
+    let rng = Prng.create p.seed in
+    Array.init p.n (fun _ ->
+        List.init p.ops (fun _ ->
+            if Prng.int rng 4 = 0 then Protocol.Invoke_query (A.random_query rng)
+            else Protocol.Invoke_update (A.random_update rng)))
+
+  let final_read p = A.random_query (Prng.create p.seed)
+  let latency = false
+  let final_reads = true
+end
+
+module Sharded_set = Space.Make (Set_spec) (Update_codec.For_set)
+
+(* The sharded object space on the set: one Algorithm 1 core per shard
+   behind a consistent-hash ring, fed a Zipf-skewed multi-key stream. *)
+module Sharded_object = struct
+  include Sharded_set.K
+
+  let workload p =
+    let rng = Prng.create p.seed in
+    let elem = Zipf.create ~n:16 ~s:1.0 in
+    Workload.For_space.zipf_scripts ~rng ~n:p.n ~ops_per_process:p.ops
+      ~keys:p.keys ~skew:1.1 ~fanout:3 ~query_ratio:0.25
+      ~update:(fun g ->
+        let v = Zipf.sample elem g in
+        if Prng.float g 1.0 < 0.3 then Set_spec.Delete v else Set_spec.Insert v)
+      ~query:(fun _ -> Set_spec.Read)
+      ~read:(fun k q -> Read (k, q))
+
+  let final_read _ = Sweep
+  let latency = false
+  let final_reads = true
+end
+
+(* Simulate protocol [P] replicating object [O] under every fault,
+   channel, telemetry and report option in [p]. [note] tops a --trace;
+   [lines] are printed after the protocol line. *)
+let drive (type u q o) ?note ?(lines = fun () -> [])
+    (module P : Protocol.PROTOCOL
+      with type update = u
+       and type query = q
+       and type output = o)
+    (module O : OBJECT
+      with type update = u
+       and type query = q
+       and type output = o) p =
   let module R = Runner.Make (P) in
-  let workload = set_workload_of_params p in
+  let workload = O.workload p in
   let obs = obs_of_params p in
   let monitor =
     if p.monitors = [] then None
@@ -499,7 +630,7 @@ let run_set ?note (module P : SET_PROTOCOL) p =
       partitions = p.partitions;
       crashes = p.crashes;
       churn = p.churn;
-      final_read = Some Set_spec.Read;
+      final_read = Some (O.final_read p);
       deadline = Option.value ~default:base.R.deadline p.duration;
       trace = p.spacetime;
       batch_window = p.batch_window;
@@ -516,15 +647,21 @@ let run_set ?note (module P : SET_PROTOCOL) p =
     Option.iter (fun text -> Trace.record_note tr ~time:0.0 text) note;
     print_string (Trace.render tr ~n:p.n)
   | None -> ());
-  Printf.printf "protocol           %s (object: set)\n" P.protocol_name;
+  Printf.printf "protocol           %s (object: %s)\n" P.protocol_name O.name;
+  List.iter print_endline (lines ());
   describe_metrics r.R.metrics;
   Printf.printf "converged          %b\n" r.R.converged;
-  List.iter
-    (fun (pid, o) ->
-      Format.printf "final read p%d      %a@." pid Set_spec.pp_output o)
-    r.R.final_outputs;
+  (match r.R.op_latencies with
+  | _ :: _ as ls when O.latency ->
+    let s = Stats.summarize ls in
+    Printf.printf "op latency         mean=%.2f p99=%.2f\n" s.Stats.mean s.Stats.p99
+  | _ -> ());
+  if O.final_reads then
+    List.iter
+      (fun (pid, o) -> Format.printf "final read p%d      %a@." pid O.pp_output o)
+      r.R.final_outputs;
   if p.check then begin
-    let module C = Criteria.Make (Set_spec) in
+    let module C = Criteria.Make (O) in
     Printf.printf "history UC         %b\nhistory EC         %b\n"
       (C.holds Criteria.UC r.R.history)
       (C.holds Criteria.EC r.R.history)
@@ -536,171 +673,36 @@ let run_set ?note (module P : SET_PROTOCOL) p =
     monitor;
   emit_obs p obs
 
-let run_counter (module P : Protocol.PROTOCOL
-                  with type update = Counter_spec.update
-                   and type query = Counter_spec.query
-                   and type output = Counter_spec.output) p =
-  let module R = Runner.Make (P) in
-  let rng = Prng.create p.seed in
-  let workload =
-    Workload.For_counter.deposits_and_withdrawals ~rng ~n:p.n ~ops_per_process:p.ops
-      ~max_amount:100
-  in
-  let obs = obs_of_params p in
-  let monitor =
-    if p.monitors = [] then None
-    else Some (R.Mon.create ~n:p.n ~criteria:p.monitors)
-  in
-  let base = R.default_config ~n:p.n ~seed:p.seed in
-  let config =
-    {
-      base with
-      R.delay = Network.Exponential { mean = p.mean_delay };
-      fifo = p.fifo;
-      partitions = p.partitions;
-      churn = p.churn;
-      final_read = Some Counter_spec.Value;
-      deadline = Option.value ~default:base.R.deadline p.duration;
-      batch_window = p.batch_window;
-      obs;
-      probe_interval = p.probe_interval;
-      monitor;
-      sampler = p.sampler;
-    }
-  in
-  let r = R.run config ~workload in
-  Printf.printf "protocol           %s (object: counter)\n" P.protocol_name;
-  describe_metrics r.R.metrics;
-  Printf.printf "converged          %b\n" r.R.converged;
-  List.iter (fun (pid, o) -> Printf.printf "final read p%d      %d\n" pid o) r.R.final_outputs;
-  Option.iter
-    (fun m ->
-      print_monitor_report ~criteria:p.monitors ~events:(R.Mon.events_seen m)
-        (R.Mon.violations m))
-    monitor;
-  emit_obs p obs
+(* An object that carries its update codec, so Algorithm 1 can run on
+   it with churn catch-up. *)
+module type CODEC_OBJECT = sig
+  include OBJECT
 
-let run_register (module P : Protocol.PROTOCOL
-                   with type update = Register_spec.update
-                    and type query = Register_spec.query
-                    and type output = Register_spec.output) p =
-  let module R = Runner.Make (P) in
-  let rng = Prng.create p.seed in
-  let module G = Workload.Make (Register_spec) in
-  let workload = G.mixed ~rng ~n:p.n ~ops_per_process:p.ops ~query_ratio:0.4 in
-  let obs = obs_of_params p in
-  let monitor =
-    if p.monitors = [] then None
-    else Some (R.Mon.create ~n:p.n ~criteria:p.monitors)
-  in
-  let base = R.default_config ~n:p.n ~seed:p.seed in
-  let config =
-    {
-      base with
-      R.delay = Network.Exponential { mean = p.mean_delay };
-      fifo = p.fifo;
-      partitions = p.partitions;
-      churn = p.churn;
-      final_read = Some Register_spec.Read;
-      deadline = Option.value ~default:base.R.deadline p.duration;
-      batch_window = p.batch_window;
-      obs;
-      probe_interval = p.probe_interval;
-      monitor;
-      sampler = p.sampler;
-    }
-  in
-  let r = R.run config ~workload in
-  Printf.printf "protocol           %s (object: register)\n" P.protocol_name;
-  describe_metrics r.R.metrics;
-  Printf.printf "converged          %b\n" r.R.converged;
-  (match r.R.op_latencies with
-  | [] -> ()
-  | ls ->
-    let s = Stats.summarize ls in
-    Printf.printf "op latency         mean=%.2f p99=%.2f\n" s.Stats.mean s.Stats.p99);
-  List.iter (fun (pid, o) -> Printf.printf "final read p%d      %d\n" pid o) r.R.final_outputs;
-  Option.iter
-    (fun m ->
-      print_monitor_report ~criteria:p.monitors ~events:(R.Mon.events_seen m)
-        (R.Mon.violations m))
-    monitor;
-  emit_obs p obs
+  module Codec : Update_codec.S with type update = update
+end
 
-let run_memory p =
-  let module R = Runner.Make (Lww_memory) in
-  let rng = Prng.create p.seed in
-  let workload =
-    Workload.For_memory.random_writes ~rng ~n:p.n ~ops_per_process:p.ops ~registers:8
-      ~read_ratio:0.4
-  in
-  let obs = obs_of_params p in
-  let monitor =
-    if p.monitors = [] then None
-    else Some (R.Mon.create ~n:p.n ~criteria:p.monitors)
-  in
-  let base = R.default_config ~n:p.n ~seed:p.seed in
-  let config =
-    {
-      base with
-      R.delay = Network.Exponential { mean = p.mean_delay };
-      partitions = p.partitions;
-      churn = p.churn;
-      final_read = Some (Memory_spec.Read 0);
-      deadline = Option.value ~default:base.R.deadline p.duration;
-      batch_window = p.batch_window;
-      obs;
-      probe_interval = p.probe_interval;
-      monitor;
-      sampler = p.sampler;
-    }
-  in
-  let r = R.run config ~workload in
-  Printf.printf "protocol           lww-memory (object: memory)\n";
-  describe_metrics r.R.metrics;
-  Printf.printf "converged          %b\n" r.R.converged;
-  Option.iter
-    (fun m ->
-      print_monitor_report ~criteria:p.monitors ~events:(R.Mon.events_seen m)
-        (R.Mon.violations m))
-    monitor;
-  emit_obs p obs
+let algorithm1 (type u q o s) ?note ?lines
+    (module O : CODEC_OBJECT
+      with type update = u
+       and type query = q
+       and type output = o
+       and type state = s) p =
+  drive ?note ?lines (module (val universal p (module O))) (module O) p
 
-(* The universal protocols are wrapped in {!Persist.Catchup} so a
-   joining or rejoining replica really absorbs a donor snapshot (the
-   bare functors carry the PROTOCOL stub [snapshot]/[absorb]). *)
-module Uni_set_core = Generic.Make (Set_spec)
-module Uni_set = Persist.Catchup (Uni_set_core) (Update_codec.For_set)
-module Uni_list =
-  Persist.Catchup (Generic_ref.Make (Set_spec)) (Update_codec.For_set)
-module Memo_set = Memo.Make (Set_spec)
-module Gc_set = Gc.Make (Set_spec)
-module Undo_set = Undo.Make (Undoable.Set)
-module Pipe_set = Pipelined.Make (Set_spec)
-module Uni_counter_core = Generic.Make (Counter_spec)
-module Uni_counter = Persist.Catchup (Uni_counter_core) (Update_codec.For_counter)
-module Fast_counter = Commutative.Make (Counter_spec)
-module Uni_reg =
-  Persist.Catchup (Generic.Make (Register_spec)) (Update_codec.For_register)
-module Sharded_set = Space.Make (Set_spec) (Update_codec.For_set)
+(* Algorithm 1 on a registered object, naming its log core after the
+   protocol line. *)
+let run_universal_on (module A : Registry.SPEC) p =
+  let core = describe_log_core p in
+  algorithm1 ~note:("log core: " ^ core)
+    ~lines:(fun () -> [ "log core           " ^ core ])
+    (module Spec_object (A))
+    p
 
-(* The sharded object space on the set: one Algorithm 1 core per shard
-   behind a consistent-hash ring, fed a Zipf-skewed multi-key stream.
-   --shards 1 degenerates to a single core holding every key;
-   --rebalance arms the hot-shard split policy. *)
-let sharded_workload p =
-  let rng = Prng.create p.seed in
-  let elem = Zipf.create ~n:16 ~s:1.0 in
-  Workload.For_space.zipf_scripts ~rng ~n:p.n ~ops_per_process:p.ops
-    ~keys:p.keys ~skew:1.1 ~fanout:3 ~query_ratio:0.25
-    ~update:(fun g ->
-      let v = Zipf.sample elem g in
-      if Prng.float g 1.0 < 0.3 then Set_spec.Delete v else Set_spec.Insert v)
-    ~query:(fun _ -> Set_spec.Read)
-    ~read:(fun k q -> Sharded_set.K.Read (k, q))
-
+(* The sharded object space: --shards 1 degenerates to a single core
+   holding every key; --rebalance arms the hot-shard split policy. The
+   telemetry bundle is built up front because the shard map reports
+   into it. *)
 let run_sharded p =
-  let module R = Runner.Make (Sharded_set) in
   let obs = obs_of_params p in
   let policy =
     Option.map
@@ -718,168 +720,115 @@ let run_sharded p =
   Option.iter
     (fun s -> Obs.Series.add_probe s (Sharded_set.series_probe map))
     p.sampler;
-  let workload = sharded_workload p in
-  let monitor =
-    if p.monitors = [] then None
-    else Some (R.Mon.create ~n:p.n ~criteria:p.monitors)
-  in
-  let base = R.default_config ~n:p.n ~seed:p.seed in
-  let config =
-    {
-      base with
-      R.delay = Network.Exponential { mean = p.mean_delay };
-      fifo = p.fifo;
-      partitions = p.partitions;
-      crashes = p.crashes;
-      churn = p.churn;
-      final_read = Some Sharded_set.K.Sweep;
-      deadline = Option.value ~default:base.R.deadline p.duration;
-      batch_window = p.batch_window;
-      obs;
-      probe_interval = p.probe_interval;
-      monitor;
-      sampler = p.sampler;
-    }
-  in
-  let r = R.run config ~workload in
-  Printf.printf "protocol           %s (object: %s)\n"
-    Sharded_set.protocol_name Sharded_set.name;
-  Printf.printf "shards             %d initial, %d final (%d rebalances, %d \
-                 entries re-homed)\n"
-    p.shards
-    (Ring.shards (Sharded_set.ring map))
-    (Sharded_set.rebalances map)
-    (Sharded_set.moved_entries map);
-  Printf.printf "shard ops          %s\n"
-    (String.concat " "
-       (List.map
-          (fun (s, ops) -> Printf.sprintf "s%d:%d" s ops)
-          (Sharded_set.shard_ops map)));
-  describe_metrics r.R.metrics;
-  Printf.printf "converged          %b\n" r.R.converged;
-  List.iter
-    (fun (pid, o) ->
-      Format.printf "final read p%d      %a@." pid Sharded_set.pp_output o)
-    r.R.final_outputs;
-  Option.iter
-    (fun m ->
-      print_monitor_report ~criteria:p.monitors ~events:(R.Mon.events_seen m)
-        (R.Mon.violations m))
-    monitor;
-  emit_obs p obs
+  drive
+    ~lines:(fun () ->
+      [
+        Printf.sprintf
+          "shards             %d initial, %d final (%d rebalances, %d \
+           entries re-homed)"
+          p.shards
+          (Ring.shards (Sharded_set.ring map))
+          (Sharded_set.rebalances map)
+          (Sharded_set.moved_entries map);
+        Printf.sprintf "shard ops          %s"
+          (String.concat " "
+             (List.map
+                (fun (s, ops) -> Printf.sprintf "s%d:%d" s ops)
+                (Sharded_set.shard_ops map)));
+      ])
+    (module Sharded_set) (module Sharded_object) { p with obs }
 
-(* The set-object universal protocol, on whichever log core was asked
-   for. Both cores exchange byte-identical messages, so the same seed
-   replays the same schedule and only the query cost differs. *)
-let run_universal_set p =
-  let interval =
-    match p.checkpoint_interval with
-    | Some k ->
-      Uni_set_core.checkpoint_interval := k;
-      k
-    | None -> !Uni_set_core.checkpoint_interval
-  in
-  let core = describe_log_core ~interval p.log_core in
-  Printf.printf "log core           %s\n" core;
-  let note = "log core: " ^ core in
-  match p.log_core with
-  | `Array -> run_set ~note (module Uni_set) p
-  | `List -> run_set ~note (module Uni_list) p
+(* One row per protocol name. `run`, `soak` and `replay` drive [run];
+   the set protocols also carry the module `nemesis`, `storm` and
+   `shrink` build their engines over. *)
+type entry = {
+  name : string;
+  doc : string;
+  fifo : bool;  (* needs FIFO channels (the stability GC) *)
+  run : run_params -> unit;
+  set : (run_params -> (module SET_PROTOCOL)) option;
+}
 
-(* Algorithm 1 on any registered object: generic over the packed ADT
-   plus its wire codec, so every instance gets real churn catch-up. *)
-let run_universal_on (module A : Registry.SPEC) p =
-  let module G = Generic.Make (A) in
-  let module P =
-    (val (match p.log_core with
-         | `Array ->
-           Option.iter (fun k -> G.checkpoint_interval := k) p.checkpoint_interval;
-           (module Persist.Catchup (G) (A.Codec) : Generic.S
-             with type update = A.update
-              and type query = A.query
-              and type output = A.output
-              and type state = A.state)
-         | `List -> (module Persist.Catchup (Generic_ref.Make (A)) (A.Codec))))
-  in
-  let module R = Runner.Make (P) in
-  let rng = Prng.create p.seed in
-  let workload =
-    Array.init p.n (fun _ ->
-        List.init p.ops (fun _ ->
-            if Prng.int rng 4 = 0 then Protocol.Invoke_query (A.random_query rng)
-            else Protocol.Invoke_update (A.random_update rng)))
-  in
-  let obs = obs_of_params p in
-  let monitor =
-    if p.monitors = [] then None
-    else Some (R.Mon.create ~n:p.n ~criteria:p.monitors)
-  in
-  let base = R.default_config ~n:p.n ~seed:p.seed in
-  let config =
-    {
-      base with
-      R.delay = Network.Exponential { mean = p.mean_delay };
-      fifo = p.fifo;
-      partitions = p.partitions;
-      crashes = p.crashes;
-      churn = p.churn;
-      final_read = Some (A.random_query (Prng.create p.seed));
-      deadline = Option.value ~default:base.R.deadline p.duration;
-      batch_window = p.batch_window;
-      obs;
-      probe_interval = p.probe_interval;
-      monitor;
-      sampler = p.sampler;
-    }
-  in
-  let r = R.run config ~workload in
-  Printf.printf "protocol           universal (object: %s)\n" A.name;
-  Printf.printf "log core           %s\n"
-    (describe_log_core ~interval:!G.checkpoint_interval p.log_core);
-  describe_metrics r.R.metrics;
-  Printf.printf "converged          %b\n" r.R.converged;
-  List.iter
-    (fun (pid, o) -> Format.printf "final read p%d      %a@." pid A.pp_output o)
-    r.R.final_outputs;
-  Option.iter
-    (fun m ->
-      print_monitor_report ~criteria:p.monitors ~events:(R.Mon.events_seen m)
-        (R.Mon.violations m))
-    monitor;
-  emit_obs p obs
+let set_entry ?(fifo = false) name doc set =
+  {
+    name;
+    doc;
+    fifo;
+    run = (fun p -> drive (set p) (module Set_object) p);
+    set = Some set;
+  }
 
-let registry_protocols : (string * string * (run_params -> unit)) list =
+let entry name doc run = { name; doc; fifo = false; run; set = None }
+
+let universal_set p : (module SET_PROTOCOL) =
+  (module (val universal p (module Set_object)))
+
+module Memo_set = Generic.Configured (struct let config = Generic.memo end) (Set_spec)
+
+let protocols : entry list =
   List.map
     (fun (name, spec) ->
-      ( "universal-" ^ name,
-        "Algorithm 1 on the " ^ name ^ " object",
-        run_universal_on spec ))
+      entry ("universal-" ^ name)
+        ("Algorithm 1 on the " ^ name ^ " object")
+        (run_universal_on spec))
     Registry.all_specs
-
-let protocols : (string * string * (run_params -> unit)) list =
-  registry_protocols
   @ [
-    ("universal", "Algorithm 1 on the set", run_universal_set);
-    ("memo", "Algorithm 1 + snapshot cache, set", run_set (module Memo_set));
-    ("gc", "Algorithm 1 + stability GC, set (needs --fifo)", run_set (module Gc_set));
-    ("undo", "undo-based construction, set", run_set (module Undo_set));
-    ("pipelined", "naive FIFO apply-on-receive, set", run_set (module Pipe_set));
-    ("orset", "OR-set CRDT", run_set (module Orset_crdt));
-    ("2pset", "two-phase set CRDT", run_set (module Twopset_crdt.Protocol_impl));
-    ("lwwset", "LWW-element-set CRDT", run_set (module Lwwset_crdt));
-    ("pnset", "counting set CRDT", run_set (module Pnset_crdt));
-    ("counter", "Algorithm 1 on the counter", run_counter (module Uni_counter));
-    ("fastcounter", "CRDT fast path counter", run_counter (module Fast_counter));
-    ("pncounter", "PN-counter CRDT", run_counter (module Counters.Pncounter));
-    ("register", "Algorithm 1 on the register", run_register (module Uni_reg));
-    ("lwwreg", "LWW-register CRDT", run_register (module Registers.Lwwreg));
-    ("abd", "ABD linearizable register (baseline)", run_register (module Abd));
-    ("lwwmemory", "Algorithm 2 shared memory", run_memory);
-    ( "sharded",
-      "Algorithm 1 per shard behind a consistent-hash ring, set \
-       (--shards/--keys/--rebalance)",
-      run_sharded );
-  ]
+      {
+        (set_entry "universal" "Algorithm 1 on the set" universal_set) with
+        run =
+          (fun p ->
+            (* Both cores exchange byte-identical messages, so the same
+               seed replays the same schedule and only the query cost
+               differs. *)
+            let core = describe_log_core p in
+            Printf.printf "log core           %s\n" core;
+            algorithm1 ~note:("log core: " ^ core) (module Set_object) p);
+      };
+      set_entry "memo" "Algorithm 1 + snapshot cache, set" (fun _ ->
+          (module Memo_set));
+      set_entry ~fifo:true "gc" "Algorithm 1 + stability GC, set (needs --fifo)"
+        (fun _ -> (module Gc.Make (Set_spec)));
+      set_entry "undo" "undo-based construction, set" (fun _ ->
+          (module Undo.Make (Undoable.Set)));
+      set_entry "pipelined" "naive FIFO apply-on-receive, set" (fun _ ->
+          (module Pipelined.Make (Set_spec)));
+      set_entry "orset" "OR-set CRDT" (fun _ -> (module Orset_crdt));
+      set_entry "2pset" "two-phase set CRDT" (fun _ ->
+          (module Twopset_crdt.Protocol_impl));
+      set_entry "lwwset" "LWW-element-set CRDT" (fun _ -> (module Lwwset_crdt));
+      set_entry "pnset" "counting set CRDT" (fun _ -> (module Pnset_crdt));
+      entry "counter" "Algorithm 1 on the counter"
+        (algorithm1 (module Counter_object));
+      entry "fastcounter" "CRDT fast path counter" (fun p ->
+          drive (module Commutative.Make (Counter_spec)) (module Counter_object) p);
+      entry "pncounter" "PN-counter CRDT" (fun p ->
+          drive (module Counters.Pncounter) (module Counter_object) p);
+      entry "register" "Algorithm 1 on the register"
+        (algorithm1 (module Register_object));
+      entry "lwwreg" "LWW-register CRDT" (fun p ->
+          drive (module Registers.Lwwreg) (module Register_object) p);
+      entry "abd" "ABD linearizable register (baseline)" (fun p ->
+          drive (module Abd) (module Register_object) p);
+      entry "lwwmemory" "Algorithm 2 shared memory" (fun p ->
+          drive (module Lww_memory) (module Memory_object) p);
+      entry "sharded"
+        "Algorithm 1 per shard behind a consistent-hash ring, set \
+         (--shards/--keys/--rebalance)"
+        run_sharded;
+    ]
+
+(* The entry [name] names, refused on non-FIFO channels when it needs
+   them. [cmd] prefixes the one-line error. *)
+let find_protocol ~cmd ~fifo name =
+  match List.find_opt (fun e -> e.name = name) protocols with
+  | None ->
+    Printf.eprintf "%s: unknown protocol %S\n" cmd name;
+    exit 1
+  | Some e when e.fifo && not fifo ->
+    Printf.eprintf "%s: %s needs FIFO channels (--fifo)\n" cmd name;
+    exit 1
+  | Some e -> e
+
 
 (* ------------------------------------------------------------------ *)
 (* Commands                                                            *)
@@ -941,49 +890,112 @@ let experiments_cmd =
   in
   Cmd.v (Cmd.info "experiments" ~doc) Term.(const run $ seed_arg $ markdown_arg $ ids)
 
+(* Flags `run` and `soak` share. *)
+
+let protocol_arg =
+  Arg.(
+    required
+    & pos 0 (some (enum (List.map (fun e -> (e.name, e.name)) protocols))) None
+    & info [] ~docv:"PROTOCOL" ~doc:"One of the names shown by `ucsim list`.")
+
+let n_arg =
+  Arg.(value & opt int default_params.n & info [ "n" ] ~docv:"N" ~doc:"Processes.")
+
+let ops_arg default =
+  Arg.(value & opt int default & info [ "ops" ] ~docv:"OPS" ~doc:"Operations per process.")
+
+let delay_arg =
+  Arg.(
+    value
+    & opt float default_params.mean_delay
+    & info [ "delay" ] ~docv:"D" ~doc:"Mean message delay.")
+
+let shards_arg =
+  Arg.(
+    value
+    & opt int default_params.shards
+    & info [ "shards" ] ~docv:"S"
+        ~doc:
+          "Initial shard count for the $(b,sharded) protocol: one \
+           Algorithm 1 core per shard behind a consistent-hash ring. 1 \
+           (the default) keeps every key in a single core.")
+
+let keys_arg =
+  Arg.(
+    value
+    & opt int default_params.keys
+    & info [ "keys" ] ~docv:"K"
+        ~doc:
+          "Key domain of the sharded workload (Zipf-skewed; key 0 is the \
+           hottest).")
+
+let rebalance_arg =
+  Arg.(
+    value
+    & opt (some float) None
+    & info [ "rebalance" ] ~docv:"DT"
+        ~doc:
+          "Arm the hot-shard policy: every $(docv) simulated time units, \
+           split the hottest shard when its op rate exceeds 2x the \
+           per-shard mean (sharded protocol only).")
+
+let fifo_arg =
+  Arg.(
+    value & flag
+    & info [ "fifo" ] ~doc:"FIFO channels (required by $(b,gc)).")
+
+let churn_arg =
+  let parse s =
+    match String.split_on_char ':' s with
+    | [ t_s; action_s; pid_s ] -> (
+      match
+        ( float_of_string_opt t_s,
+          Network.churn_action_of_name action_s,
+          int_of_string_opt pid_s )
+      with
+      | Some time, Some action, Some pid -> Ok { Network.time; pid; action }
+      | _ -> Error (`Msg "churn: expected TIME:join|leave|rejoin:PID"))
+    | _ -> Error (`Msg "churn: expected TIME:ACTION:PID")
+  in
+  let print ppf (ce : Network.churn_event) =
+    Format.fprintf ppf "%g:%s:%d" ce.Network.time
+      (Network.churn_action_name ce.Network.action)
+      ce.Network.pid
+  in
+  Arg.(
+    value
+    & opt_all (conv (parse, print)) []
+    & info [ "churn" ] ~docv:"TIME:ACTION:PID"
+        ~doc:
+          "Membership change at simulated time TIME: $(b,leave) detaches the \
+           replica (its script parks, frames to and from it drop), \
+           $(b,rejoin) re-attaches it with its crash-time state, and \
+           $(b,join) declares a process that starts the run absent and \
+           joins fresh — joiners and rejoiners catch up from a present \
+           peer's snapshot when the protocol supports one. Repeatable.")
+
+let journal_out_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "journal-out" ] ~docv:"FILE"
+        ~doc:
+          "Record every invocation, wire frame, delivery, fault, probe and \
+           alert into a self-describing JSONL event journal at $(docv), \
+           sealed with the run's history fingerprint (turns the telemetry \
+           layer on). Re-execute it with `ucsim replay`.")
+
+let registry_out_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "registry-out" ] ~docv:"FILE"
+        ~doc:
+          "Write the metric registry dump as JSON to $(docv) (turns the \
+           telemetry layer on). Render it later with `ucsim report`.")
+
 let run_cmd =
   let doc = "Simulate one protocol on a generated conflict workload." in
-  let protocol =
-    Arg.(
-      required
-      & pos 0 (some (enum (List.map (fun (n, _, f) -> (n, (n, f))) protocols))) None
-      & info [] ~docv:"PROTOCOL" ~doc:"One of the names shown by `ucsim list`.")
-  in
-  let n_arg = Arg.(value & opt int 4 & info [ "n" ] ~docv:"N" ~doc:"Processes.") in
-  let ops_arg =
-    Arg.(value & opt int 100 & info [ "ops" ] ~docv:"OPS" ~doc:"Operations per process.")
-  in
-  let delay_arg =
-    Arg.(value & opt float 10.0 & info [ "delay" ] ~docv:"D" ~doc:"Mean message delay.")
-  in
-  let shards_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"S"
-          ~doc:
-            "Initial shard count for the $(b,sharded) protocol: one \
-             Algorithm 1 core per shard behind a consistent-hash ring. 1 \
-             (the default) keeps every key in a single core.")
-  in
-  let keys_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "keys" ] ~docv:"K"
-          ~doc:
-            "Key domain of the sharded workload (Zipf-skewed; key 0 is the \
-             hottest).")
-  in
-  let rebalance_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "rebalance" ] ~docv:"DT"
-          ~doc:
-            "Arm the hot-shard policy: every $(docv) simulated time units, \
-             split the hottest shard when its op rate exceeds 2x the \
-             per-shard mean (sharded protocol only).")
-  in
-  let fifo_arg = Arg.(value & flag & info [ "fifo" ] ~doc:"FIFO channels.") in
   let crash_arg =
     Arg.(value & flag & info [ "crash" ] ~doc:"Crash the last process at t=50.")
   in
@@ -991,21 +1003,24 @@ let run_cmd =
     Arg.(
       value & flag
       & info [ "check" ]
-          ~doc:"Run the UC/EC checkers on the extracted history (small runs only).")
+          ~doc:
+            "Run the UC/EC checkers on the extracted history, against the \
+             object's sequential specification (small runs only).")
   in
   let trace_arg =
     Arg.(
       value & flag
-      & info [ "trace" ] ~doc:"Print a space-time trace of the run (set protocols only).")
+      & info [ "trace" ] ~doc:"Print a space-time trace of the run.")
   in
   let log_core_arg =
     Arg.(
       value
-      & opt (enum [ ("list", `List); ("array", `Array) ]) `Array
+      & opt (enum [ ("list", `List); ("array", `Array) ]) default_params.log_core
       & info [ "log-core" ] ~docv:"CORE"
           ~doc:
-            "Op-log substrate for the universal protocols: the seed's cons-list \
-             core or the array-backed oplog with interval checkpoints (default).")
+            "Op-log substrate for Algorithm 1 (universal, counter, register \
+             and every universal-<object>): the seed's cons-list core or \
+             the array-backed oplog with interval checkpoints (default).")
   in
   let checkpoint_interval_arg =
     Arg.(
@@ -1013,8 +1028,9 @@ let run_cmd =
       & opt (some int) None
       & info [ "checkpoint-interval" ] ~docv:"K"
           ~doc:
-            "Record an oplog state checkpoint every K entries (universal \
-             protocols on the array core; 0 disables checkpointing).")
+            "Record an oplog state checkpoint every K entries (Algorithm 1 \
+             on the array core; 0 disables checkpointing). memo keeps its \
+             fixed configuration.")
   in
   let obs_arg =
     Arg.(
@@ -1033,15 +1049,6 @@ let run_cmd =
           ~doc:
             "Write the span trace as Chrome/Perfetto trace-event JSON to \
              $(docv) (implies --obs). Load it in ui.perfetto.dev.")
-  in
-  let registry_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "registry-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the metric registry dump as JSON to $(docv) (implies \
-             --obs). Render it later with `ucsim report`.")
   in
   let span_dump_arg =
     Arg.(
@@ -1089,39 +1096,6 @@ let run_cmd =
              simulated times FROM and TO (messages are delayed, not lost; the \
              partition heals at TO). Repeatable.")
   in
-  let churn_conv =
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ t_s; action_s; pid_s ] -> (
-        match
-          ( float_of_string_opt t_s,
-            Network.churn_action_of_name action_s,
-            int_of_string_opt pid_s )
-        with
-        | Some time, Some action, Some pid -> Ok { Network.time; pid; action }
-        | _ -> Error (`Msg "churn: expected TIME:join|leave|rejoin:PID"))
-      | _ -> Error (`Msg "churn: expected TIME:ACTION:PID")
-    in
-    let print ppf (ce : Network.churn_event) =
-      Format.fprintf ppf "%g:%s:%d" ce.Network.time
-        (Network.churn_action_name ce.Network.action)
-        ce.Network.pid
-    in
-    Arg.conv (parse, print)
-  in
-  let churn_arg =
-    Arg.(
-      value
-      & opt_all churn_conv []
-      & info [ "churn" ] ~docv:"TIME:ACTION:PID"
-          ~doc:
-            "Membership change at simulated time TIME: $(b,leave) detaches the \
-             replica (its script parks, frames to and from it drop), \
-             $(b,rejoin) re-attaches it with its crash-time state, and \
-             $(b,join) declares a process that starts the run absent and \
-             joins fresh — joiners and rejoiners catch up from a present \
-             peer's snapshot when the protocol supports one. Repeatable.")
-  in
   let batch_window_arg =
     Arg.(
       value
@@ -1130,17 +1104,6 @@ let run_cmd =
           ~doc:
             "Buffer each process's broadcasts and flush them as one frame per \
              destination $(docv) time units after the window opens.")
-  in
-  let journal_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal-out" ] ~docv:"FILE"
-          ~doc:
-            "Record every invocation, wire frame, delivery, fault and probe \
-             into a self-describing JSONL event journal at $(docv), sealed \
-             with the run's history fingerprint (implies --obs). Re-execute \
-             it with `ucsim replay`.")
   in
   let monitors_arg =
     Arg.(
@@ -1152,13 +1115,15 @@ let run_cmd =
              online as the run progresses; the first violating event is \
              reported with its journal index and span id (implies --obs).")
   in
-  let run (name, f) seed n ops shards keys rebalance mean_delay fifo crash_one
+  let run protocol seed n ops shards keys rebalance mean_delay fifo crash
       check spacetime log_core checkpoint_interval batch_window obs_on
       trace_out registry_out span_dump probe_interval partitions churn
       journal_out monitors =
-    f
+    let e = find_protocol ~cmd:"run" ~fifo protocol in
+    e.run
       {
-        protocol = name;
+        default_params with
+        protocol;
         seed;
         n;
         ops;
@@ -1167,7 +1132,7 @@ let run_cmd =
         rebalance;
         mean_delay;
         fifo;
-        crashes = (if crash_one then [ (50.0, n - 1) ] else []);
+        crashes = (if crash then [ (50.0, n - 1) ] else []);
         check;
         spacetime;
         log_core;
@@ -1180,25 +1145,18 @@ let run_cmd =
         probe_interval;
         partitions;
         churn;
-        scripts = None;
         journal_out;
-        journal = None;
         monitors;
-        obs = None;
-        sample_interval = None;
-        duration = None;
-        rules = [];
-        sampler = None;
       }
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ protocol $ seed_arg $ n_arg $ ops_arg $ shards_arg $ keys_arg
-      $ rebalance_arg $ delay_arg $ fifo_arg $ crash_arg
-      $ check_arg $ trace_arg $ log_core_arg $ checkpoint_interval_arg
-      $ batch_window_arg $ obs_arg $ trace_out_arg $ registry_out_arg
-      $ span_dump_arg $ probe_interval_arg $ partitions_arg $ churn_arg
-      $ journal_out_arg $ monitors_arg)
+      const run $ protocol_arg $ seed_arg $ n_arg $ ops_arg default_params.ops
+      $ shards_arg $ keys_arg $ rebalance_arg $ delay_arg $ fifo_arg
+      $ crash_arg $ check_arg $ trace_arg $ log_core_arg
+      $ checkpoint_interval_arg $ batch_window_arg $ obs_arg $ trace_out_arg
+      $ registry_out_arg $ span_dump_arg $ probe_interval_arg $ partitions_arg
+      $ churn_arg $ journal_out_arg $ monitors_arg)
 
 let modelcheck_cmd =
   let doc =
@@ -1311,104 +1269,61 @@ let modelcheck_cmd =
         firsts
     in
     let checkpoint_every = if checkpoint > 0 then checkpoint else 4 in
+    (* Algorithm 1 on [A], on the core --log-core and
+       --checkpoint-interval ask for. *)
+    let explore_universal (type u q o s)
+        (module A : Registry.SPEC
+          with type update = u
+           and type query = q
+           and type output = o
+           and type state = s) ~label ~scripts ~final_read =
+      let p = { default_params with log_core; checkpoint_interval } in
+      let module G = (val universal p (module A)) in
+      let module M = Model_check.Make (G) in
+      let module S = Snapshot.For_replica (A) (A.Codec) (G) in
+      let snapshot = if checkpoint > 0 || dedup then Some S.snapshotter else None in
+      (* Timestamp-blind state keys are sound only for commutative specs. *)
+      let blind = dedup && A.commutative in
+      let state_key = if blind then Some S.commutative_key else None in
+      let message_key = if blind then Some S.commutative_message_key else None in
+      let r =
+        M.explore ~limit ~max_crashes ~por ~dedup ~checkpoint_every ?snapshot
+          ?state_key ?message_key ~deliveries_commute:S.deliveries_commute
+          ~domains ~scripts ~final_read ()
+      in
+      print_report
+        (Printf.sprintf "%s [log core: %s]" label (describe_log_core p))
+        r.M.executions r.M.exhaustive r.M.failures r.M.distinct_failures
+        r.M.first_failures r.M.stats
+    in
+    let explore_set (module P : SET_PROTOCOL) label =
+      if dedup then begin
+        Printf.eprintf "modelcheck: --dedup needs a replica snapshot (universal/counter only)\n";
+        exit 1
+      end;
+      let module M = Model_check.Make (P) in
+      let r =
+        M.explore ~limit ~max_crashes ~por ~domains ~scripts:race
+          ~final_read:Set_spec.Read ()
+      in
+      print_report label r.M.executions r.M.exhaustive r.M.failures
+        r.M.distinct_failures r.M.first_failures r.M.stats
+    in
     match which with
-    | `Universal -> (
-      match log_core with
-      | `Array ->
-        Option.iter (fun k -> Uni_set_core.checkpoint_interval := k) checkpoint_interval;
-        let module M = Model_check.Make (Uni_set) in
-        let module S = Snapshot.For_generic (Set_spec) (Update_codec.For_set) in
-        let snapshot = if checkpoint > 0 || dedup then Some S.snapshotter else None in
-        let r =
-          M.explore ~limit ~max_crashes ~por ~dedup ~checkpoint_every ?snapshot
-            ~deliveries_commute:S.deliveries_commute ~domains ~scripts:race
-            ~final_read:Set_spec.Read ()
-        in
-        print_report
-          (Printf.sprintf "universal [log core: %s]"
-             (describe_log_core ~interval:!Uni_set_core.checkpoint_interval `Array))
-          r.M.executions r.M.exhaustive r.M.failures r.M.distinct_failures
-          r.M.first_failures r.M.stats
-      | `List ->
-        let module M = Model_check.Make (Uni_list) in
-        let module S =
-          Snapshot.For_replica (Set_spec) (Update_codec.For_set) (Uni_list)
-        in
-        let snapshot = if checkpoint > 0 || dedup then Some S.snapshotter else None in
-        let r =
-          M.explore ~limit ~max_crashes ~por ~dedup ~checkpoint_every ?snapshot
-            ~deliveries_commute:S.deliveries_commute ~domains ~scripts:race
-            ~final_read:Set_spec.Read ()
-        in
-        print_report "universal [log core: list]" r.M.executions r.M.exhaustive
-          r.M.failures r.M.distinct_failures r.M.first_failures r.M.stats)
-    | `Pipelined ->
-      if dedup then begin
-        Printf.eprintf "modelcheck: --dedup needs a replica snapshot (universal/counter only)\n";
-        exit 1
-      end;
-      let module M = Model_check.Make (Pipe_set) in
-      let r =
-        M.explore ~limit ~max_crashes ~por ~domains ~scripts:race
-          ~final_read:Set_spec.Read ()
-      in
-      print_report "pipelined" r.M.executions r.M.exhaustive r.M.failures
-        r.M.distinct_failures r.M.first_failures r.M.stats
-    | `Orset ->
-      if dedup then begin
-        Printf.eprintf "modelcheck: --dedup needs a replica snapshot (universal/counter only)\n";
-        exit 1
-      end;
-      let module M = Model_check.Make (Orset_crdt) in
-      let r =
-        M.explore ~limit ~max_crashes ~por ~domains ~scripts:race
-          ~final_read:Set_spec.Read ()
-      in
-      print_report "or-set" r.M.executions r.M.exhaustive r.M.failures
-        r.M.distinct_failures r.M.first_failures r.M.stats
+    | `Universal ->
+      explore_universal (module Set_object) ~label:"universal" ~scripts:race
+        ~final_read:Set_spec.Read
+    | `Pipelined -> explore_set (module Pipelined.Make (Set_spec)) "pipelined"
+    | `Orset -> explore_set (module Orset_crdt) "or-set"
     | `Counter ->
       let scripts =
         Array.init n (fun pid ->
             List.init ops (fun i ->
                 Protocol.Invoke_update (Counter_spec.Add ((pid * ops) + i + 1))))
       in
-      let explore_counter (type t m)
-          (module G : Generic.S
-            with type update = Counter_spec.update
-             and type query = Counter_spec.query
-             and type output = Counter_spec.output
-             and type state = Counter_spec.state
-             and type t = t
-             and type message = m) core_label =
-        let module M = Model_check.Make (G) in
-        let module S =
-          Snapshot.For_replica (Counter_spec) (Update_codec.For_counter) (G)
-        in
-        let snapshot = if checkpoint > 0 || dedup then Some S.snapshotter else None in
-        let state_key = if dedup then Some S.commutative_key else None in
-        let message_key = if dedup then Some S.commutative_message_key else None in
-        let r =
-          M.explore ~limit ~max_crashes ~por ~dedup ~checkpoint_every ?snapshot
-            ?state_key ?message_key ~deliveries_commute:S.deliveries_commute
-            ~domains ~scripts ~final_read:Counter_spec.Value ()
-        in
-        print_report
-          (Printf.sprintf "universal counter (n=%d, ops=%d) [log core: %s]" n ops
-             core_label)
-          r.M.executions r.M.exhaustive r.M.failures r.M.distinct_failures
-          r.M.first_failures r.M.stats
-      in
-      (match log_core with
-      | `Array ->
-        Option.iter
-          (fun k -> Uni_counter_core.checkpoint_interval := k)
-          checkpoint_interval;
-        explore_counter
-          (module Uni_counter)
-          (describe_log_core ~interval:!Uni_counter_core.checkpoint_interval `Array)
-      | `List ->
-        let module L = Generic_ref.Make (Counter_spec) in
-        explore_counter (module L) "list")
+      explore_universal (module Counter_object)
+        ~label:(Printf.sprintf "universal counter (n=%d, ops=%d)" n ops)
+        ~scripts ~final_read:Counter_spec.Value
   in
   Cmd.v (Cmd.info "modelcheck" ~doc)
     Term.(
@@ -1416,21 +1331,20 @@ let modelcheck_cmd =
       $ crashes_arg $ limit_arg $ n_arg $ ops_arg $ log_core_arg
       $ checkpoint_interval_arg)
 
+(* `nemesis` and `storm`: any set protocol of the table. *)
+let set_protocol_arg =
+  let choices =
+    List.filter_map
+      (fun e -> Option.map (fun set -> (e.name, (e, set))) e.set)
+      protocols
+  in
+  Arg.(
+    value
+    & pos 0 (enum choices) (List.assoc "universal" choices)
+    & info [] ~docv:"PROTOCOL" ~doc:"A set protocol shown by `ucsim list`.")
+
 let nemesis_cmd =
   let doc = "Run a randomized fault campaign (crashes + healing partitions)." in
-  let which =
-    let choices =
-      [
-        ("universal", `Universal);
-        ("memo", `Memo);
-        ("gc", `Gc);
-        ("undo", `Undo);
-        ("orset", `Orset);
-        ("pipelined", `Pipelined);
-      ]
-    in
-    Arg.(value & pos 0 (enum choices) `Universal & info [] ~docv:"PROTOCOL")
-  in
   let runs_arg =
     Arg.(value & opt int 50 & info [ "runs" ] ~docv:"N" ~doc:"Campaign size.")
   in
@@ -1455,16 +1369,12 @@ let nemesis_cmd =
       Printf.printf "failing seeds: %s\n"
         (String.concat ", " (List.map string_of_int v.N.failing_seeds))
   in
-  let run which seed runs =
-    match which with
-    | `Universal -> campaign_of (module Uni_set) ~fifo:false ~runs ~seed
-    | `Memo -> campaign_of (module Memo_set) ~fifo:false ~runs ~seed
-    | `Gc -> campaign_of (module Gc_set) ~fifo:true ~runs ~seed
-    | `Undo -> campaign_of (module Undo_set) ~fifo:false ~runs ~seed
-    | `Orset -> campaign_of (module Orset_crdt) ~fifo:false ~runs ~seed
-    | `Pipelined -> campaign_of (module Pipe_set) ~fifo:false ~runs ~seed
+  let run (e, set) seed runs =
+    (* A FIFO-only protocol gets its FIFO channels. *)
+    campaign_of (set default_params) ~fifo:e.fifo ~runs ~seed
   in
-  Cmd.v (Cmd.info "nemesis" ~doc) Term.(const run $ which $ seed_arg $ runs_arg)
+  Cmd.v (Cmd.info "nemesis" ~doc)
+    Term.(const run $ set_protocol_arg $ seed_arg $ runs_arg)
 
 let read_file file =
   let ic = open_in_bin file in
@@ -1490,18 +1400,6 @@ let storm_cmd =
     "Drive a flash crowd at a replicated set: open-loop arrivals (warm-up, \
      spike, cool-down) on top of the closed-loop clients, with per-operation \
      latency judged against an SLO target."
-  in
-  let which =
-    let choices =
-      [
-        ("universal", `Universal);
-        ("memo", `Memo);
-        ("orset", `Orset);
-        ("pipelined", `Pipelined);
-        ("lwwset", `Lwwset);
-      ]
-    in
-    Arg.(value & pos 0 (enum choices) `Universal & info [] ~docv:"PROTOCOL")
   in
   let n_arg = Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Replicas.") in
   let clients_arg =
@@ -1566,93 +1464,71 @@ let storm_cmd =
             "Write the metric registry (including the open-loop latency \
              histogram) as JSON to $(docv).")
   in
-  let run which seed n clients ops delay base peak warm spike cool slo
+  let run (e, set) seed n clients ops delay base peak warm spike cool slo
       query_ratio registry_out =
-    let go (module P : SET_PROTOCOL) =
-      let module C = Clients.Make (P) in
-      let rng = Prng.create seed in
-      let workload =
-        Workload.For_set.conflict ~rng ~n:clients ~ops_per_process:ops
-          ~domain:16 ~skew:1.0 ~delete_ratio:0.3
-      in
-      let obs = if registry_out <> None then Some (Obs.create ()) else None in
-      let plan = Workload.Flash_crowd.plan ~base ~peak ~warm ~spike ~cool in
-      let config =
-        {
-          (C.default_config ~n_replicas:n ~n_clients:clients ~seed) with
-          C.replica_delay = Network.Exponential { mean = delay };
-          final_read = Some Set_spec.Read;
-          open_loop =
-            Some
-              {
-                C.plan;
-                mix =
-                  (let one =
-                     Workload.Flash_crowd.set_mix ~domain:16 ~skew:1.0
-                       ~delete_ratio:0.3 ~query_ratio
-                   in
-                   fun g -> [ one g ]);
-              };
-          obs;
-        }
-      in
-      let r = C.run config ~workload in
-      Printf.printf "protocol           %s (object: set)\n" P.protocol_name;
-      Printf.printf "replicas/clients   %d/%d\n" n clients;
-      Printf.printf "arrival plan       %s\n"
-        (String.concat " | "
-           (List.map
-              (fun (ph : Clients.phase) ->
-                Printf.sprintf "%g/t for %g" ph.Clients.rate ph.Clients.duration)
-              plan));
-      Printf.printf "closed loop        %d completed, %d retried, %d failovers\n"
-        r.C.ops_completed r.C.ops_abandoned r.C.failovers;
-      Printf.printf "open loop          %d completed, %d abandoned\n"
-        r.C.open_completed r.C.open_abandoned;
-      Printf.printf "converged          %b\n" r.C.converged;
-      (match r.C.open_latencies with
-      | [] -> print_endline "open-loop SLO      no arrivals"
-      | ls ->
-        Format.printf "open-loop SLO      %a@." Stats.pp_slo (Stats.slo ~target:slo ls));
-      match (obs, registry_out) with
-      | Some o, Some file ->
-        Obs.finalize o ~live:[];
-        write_json file (Obs.Registry.to_json o.Obs.registry);
-        Printf.printf "registry written   %s\n" file
-      | _ -> ()
+    if e.fifo then begin
+      Printf.eprintf "storm: %s needs FIFO channels, which the client engine \
+                      does not provide\n" e.name;
+      exit 1
+    end;
+    let (module P : SET_PROTOCOL) = set default_params in
+    let module C = Clients.Make (P) in
+    let rng = Prng.create seed in
+    let workload =
+      Workload.For_set.conflict ~rng ~n:clients ~ops_per_process:ops
+        ~domain:16 ~skew:1.0 ~delete_ratio:0.3
     in
-    match which with
-    | `Universal -> go (module Uni_set)
-    | `Memo -> go (module Memo_set)
-    | `Orset -> go (module Orset_crdt)
-    | `Pipelined -> go (module Pipe_set)
-    | `Lwwset -> go (module Lwwset_crdt)
+    let obs = if registry_out <> None then Some (Obs.create ()) else None in
+    let plan = Workload.Flash_crowd.plan ~base ~peak ~warm ~spike ~cool in
+    let config =
+      {
+        (C.default_config ~n_replicas:n ~n_clients:clients ~seed) with
+        C.replica_delay = Network.Exponential { mean = delay };
+        final_read = Some Set_spec.Read;
+        open_loop =
+          Some
+            {
+              C.plan;
+              mix =
+                (let one =
+                   Workload.Flash_crowd.set_mix ~domain:16 ~skew:1.0
+                     ~delete_ratio:0.3 ~query_ratio
+                 in
+                 fun g -> [ one g ]);
+            };
+        obs;
+      }
+    in
+    let r = C.run config ~workload in
+    Printf.printf "protocol           %s (object: set)\n" P.protocol_name;
+    Printf.printf "replicas/clients   %d/%d\n" n clients;
+    Printf.printf "arrival plan       %s\n"
+      (String.concat " | "
+         (List.map
+            (fun (ph : Clients.phase) ->
+              Printf.sprintf "%g/t for %g" ph.Clients.rate ph.Clients.duration)
+            plan));
+    Printf.printf "closed loop        %d completed, %d retried, %d failovers\n"
+      r.C.ops_completed r.C.ops_abandoned r.C.failovers;
+    Printf.printf "open loop          %d completed, %d abandoned\n"
+      r.C.open_completed r.C.open_abandoned;
+    Printf.printf "converged          %b\n" r.C.converged;
+    (match r.C.open_latencies with
+    | [] -> print_endline "open-loop SLO      no arrivals"
+    | ls ->
+      Format.printf "open-loop SLO      %a@." Stats.pp_slo (Stats.slo ~target:slo ls));
+    match (obs, registry_out) with
+    | Some o, Some file ->
+      Obs.finalize o ~live:[];
+      write_json file (Obs.Registry.to_json o.Obs.registry);
+      Printf.printf "registry written   %s\n" file
+    | _ -> ()
   in
   Cmd.v (Cmd.info "storm" ~doc)
     Term.(
-      const run $ which $ seed_arg $ n_arg $ clients_arg $ ops_arg $ delay_arg
-      $ base_arg $ peak_arg $ warm_arg $ spike_arg $ cool_arg $ slo_arg
+      const run $ set_protocol_arg $ seed_arg $ n_arg $ clients_arg $ ops_arg
+      $ delay_arg $ base_arg $ peak_arg $ warm_arg $ spike_arg $ cool_arg $ slo_arg
       $ query_ratio_arg $ registry_out_arg)
-
-(* The protocols `shrink` can rebuild a Scenario for: the set protocols
-   whose `run` driver goes through {!run_set}, so a minimized journal's
-   explicit scripts replay through the stock driver. *)
-let set_scenario_protocol p : (module SET_PROTOCOL) option =
-  match p.protocol with
-  | "universal" -> (
-    Option.iter (fun k -> Uni_set_core.checkpoint_interval := k) p.checkpoint_interval;
-    match p.log_core with
-    | `Array -> Some (module Uni_set)
-    | `List -> Some (module Uni_list))
-  | "memo" -> Some (module Memo_set)
-  | "gc" -> Some (module Gc_set)
-  | "undo" -> Some (module Undo_set)
-  | "pipelined" -> Some (module Pipe_set)
-  | "orset" -> Some (module Orset_crdt)
-  | "2pset" -> Some (module Twopset_crdt.Protocol_impl)
-  | "lwwset" -> Some (module Lwwset_crdt)
-  | "pnset" -> Some (module Pnset_crdt)
-  | _ -> None
 
 let shrink_cmd =
   let doc =
@@ -1697,10 +1573,13 @@ let shrink_cmd =
          not shrinkable (the scenario engine re-executes without them)\n";
       exit 1
     end;
+    (* The set protocols: their `run` workload is the scripts a
+       minimized journal carries, so it replays through the stock
+       driver. *)
     let (module P : SET_PROTOCOL) =
-      match set_scenario_protocol p with
-      | Some m -> m
-      | None ->
+      match List.find_opt (fun e -> e.name = p.protocol) protocols with
+      | Some { set = Some set; _ } -> set p
+      | _ ->
         Printf.eprintf
           "shrink: protocol %S has no scenario engine (set protocols only)\n"
           p.protocol;
@@ -1708,7 +1587,7 @@ let shrink_cmd =
     in
     let module S = Scenario.Make (P) in
     let scripts =
-      match set_workload_of_params p with
+      match Set_object.workload p with
       | exception Failure msg ->
         Printf.eprintf "shrink: %s\n" msg;
         exit 1
@@ -1846,68 +1725,6 @@ let soak_cmd =
      simulated-time cadence, evaluate declarative alert rules over the \
      series each tick, and exit non-zero if any rule fires."
   in
-  let protocol =
-    Arg.(
-      required
-      & pos 0 (some (enum (List.map (fun (n, _, f) -> (n, (n, f))) protocols))) None
-      & info [] ~docv:"PROTOCOL" ~doc:"One of the names shown by `ucsim list`.")
-  in
-  let n_arg = Arg.(value & opt int 4 & info [ "n" ] ~docv:"N" ~doc:"Processes.") in
-  let ops_arg =
-    Arg.(
-      value & opt int 500
-      & info [ "ops" ] ~docv:"OPS" ~doc:"Operations per process.")
-  in
-  let delay_arg =
-    Arg.(value & opt float 10.0 & info [ "delay" ] ~docv:"D" ~doc:"Mean message delay.")
-  in
-  let fifo_arg = Arg.(value & flag & info [ "fifo" ] ~doc:"FIFO channels.") in
-  let shards_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"S"
-          ~doc:"Initial shard count (sharded protocol only).")
-  in
-  let keys_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "keys" ] ~docv:"K"
-          ~doc:"Key domain of the sharded workload.")
-  in
-  let rebalance_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "rebalance" ] ~docv:"DT"
-          ~doc:"Arm the hot-shard split policy (sharded protocol only).")
-  in
-  let churn_conv =
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ t_s; action_s; pid_s ] -> (
-        match
-          ( float_of_string_opt t_s,
-            Network.churn_action_of_name action_s,
-            int_of_string_opt pid_s )
-        with
-        | Some time, Some action, Some pid -> Ok { Network.time; pid; action }
-        | _ -> Error (`Msg "churn: expected TIME:join|leave|rejoin:PID"))
-      | _ -> Error (`Msg "churn: expected TIME:ACTION:PID")
-    in
-    let print ppf (ce : Network.churn_event) =
-      Format.fprintf ppf "%g:%s:%d" ce.Network.time
-        (Network.churn_action_name ce.Network.action)
-        ce.Network.pid
-    in
-    Arg.conv (parse, print)
-  in
-  let churn_arg =
-    Arg.(
-      value
-      & opt_all churn_conv []
-      & info [ "churn" ] ~docv:"TIME:ACTION:PID"
-          ~doc:"Membership change schedule, as in `ucsim run`. Repeatable.")
-  in
   let duration_arg =
     Arg.(
       value
@@ -1958,24 +1775,9 @@ let soak_cmd =
              of that name, fires at most once, and is journaled as an Alert \
              event. Repeatable.")
   in
-  let journal_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal-out" ] ~docv:"FILE"
-          ~doc:
-            "Record the run (with its soak header and Alert events) as a \
-             JSONL journal; `ucsim replay` reproduces the alert stream.")
-  in
-  let registry_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "registry-out" ] ~docv:"FILE"
-          ~doc:"Write the end-of-run metric registry dump as JSON.")
-  in
-  let run (name, f) seed n ops shards keys rebalance mean_delay fifo churn
+  let run protocol seed n ops shards keys rebalance mean_delay fifo churn
       duration sample_interval series_out rules journal_out registry_out =
+    let e = find_protocol ~cmd:"soak" ~fifo protocol in
     let journal = Option.map (fun _ -> Obs.Journal.create ()) journal_out in
     (* The bundle exists up front (unlike `run`, where obs_of_params
        decides) so the sampler can snapshot its registry every tick. *)
@@ -1991,7 +1793,7 @@ let soak_cmd =
             Obs.Series.writer oc
               ~meta:
                 [
-                  ("protocol", Obs.Json.Str name);
+                  ("protocol", Obs.Json.Str protocol);
                   ("seed", Obs.Json.Num (float_of_int seed));
                   ("n", Obs.Json.Num (float_of_int n));
                   ("sample_interval", Obs.Json.Num sample_interval);
@@ -2024,9 +1826,10 @@ let soak_cmd =
             Obs.Series.write_alert w ~time:fr.Obs.Alert.time ~rule
               ~series:fr.Obs.Alert.series ~value:fr.Obs.Alert.value)
           writer);
-    f
+    e.run
       {
-        protocol = name;
+        default_params with
+        protocol;
         seed;
         n;
         ops;
@@ -2035,23 +1838,10 @@ let soak_cmd =
         rebalance;
         mean_delay;
         fifo;
-        crashes = [];
-        check = false;
-        spacetime = false;
-        log_core = `Array;
-        checkpoint_interval = None;
-        batch_window = None;
-        obs_on = false;
-        trace_out = None;
-        registry_out;
-        span_dump = false;
-        probe_interval = None;
-        partitions = [];
         churn;
-        scripts = None;
+        registry_out;
         journal_out;
         journal;
-        monitors = [];
         obs = Some o;
         sample_interval = Some sample_interval;
         duration;
@@ -2078,7 +1868,7 @@ let soak_cmd =
   in
   Cmd.v (Cmd.info "soak" ~doc)
     Term.(
-      const run $ protocol $ seed_arg $ n_arg $ ops_arg $ shards_arg $ keys_arg
+      const run $ protocol_arg $ seed_arg $ n_arg $ ops_arg 500 $ shards_arg $ keys_arg
       $ rebalance_arg $ delay_arg $ fifo_arg $ churn_arg $ duration_arg
       $ sample_interval_arg $ series_out_arg $ rules_arg $ journal_out_arg
       $ registry_out_arg)
@@ -2130,14 +1920,7 @@ let report_cmd =
     end
     else begin
       let load file =
-        let contents =
-          let ic = open_in_bin file in
-          let len = in_channel_length ic in
-          let s = really_input_string ic len in
-          close_in ic;
-          s
-        in
-        match Obs.Registry.rows_of_json (Obs.Json.of_string contents) with
+        match Obs.Registry.rows_of_json (Obs.Json.of_string (read_file file)) with
         | exception Obs.Json.Parse_error msg ->
           Printf.eprintf "report: %s is not JSON: %s\n" file msg;
           exit 1
@@ -2159,6 +1942,17 @@ let report_cmd =
   in
   Cmd.v (Cmd.info "report" ~doc)
     Term.(const run $ files_arg $ json_arg $ series_arg)
+
+(* The `replay --until K` verdict: event K of the recorded journal. *)
+let print_replayed_through recorded k =
+  if k < 0 || k >= Obs.Journal.length recorded then begin
+    Printf.eprintf "replay: --until %d out of range (journal has %d events)\n"
+      k (Obs.Journal.length recorded);
+    exit 1
+  end;
+  Format.printf "replay OK through event %d@.event %d          %a@." k k
+    Obs.Journal.pp_event
+    (Obs.Journal.event recorded k)
 
 (* Replay a flight-recorder journal (from `bench --journal-out`): the
    header names the spec and the workload seed, the scripts are
@@ -2220,16 +2014,7 @@ let replay_parallel_journal ~file recorded until =
     exit 1
   | Ok fp -> (
     match until with
-    | Some k ->
-      if k < 0 || k >= Obs.Journal.length recorded then begin
-        Printf.eprintf
-          "replay: --until %d out of range (journal has %d events)\n" k
-          (Obs.Journal.length recorded);
-        exit 1
-      end;
-      Format.printf "replay OK through event %d@.event %d          %a@." k k
-        Obs.Journal.pp_event
-        (Obs.Journal.event recorded k)
+    | Some k -> print_replayed_through recorded k
     | None ->
       Printf.printf "replay OK          %d events, fingerprint %s\n"
         (Obs.Journal.length recorded)
@@ -2294,17 +2079,11 @@ let replay_cmd =
                  }));
         { p with obs = Some o; sampler = Some s }
     in
-    let driver =
-      match List.find_opt (fun (n, _, _) -> n = p.protocol) protocols with
-      | Some (_, _, f) -> f
-      | None ->
-        Printf.eprintf "replay: %s: unknown protocol %S\n" file p.protocol;
-        exit 1
-    in
+    let e = find_protocol ~cmd:("replay: " ^ file) ~fifo:p.fifo p.protocol in
     Printf.printf "replaying          %s (seed %d, %d events recorded)\n"
       p.protocol p.seed
       (Obs.Journal.length recorded);
-    driver p;
+    e.run p;
     let first_diff = Obs.Journal.diff recorded capture in
     let within i = match until with None -> true | Some k -> i <= k in
     (match first_diff with
@@ -2314,16 +2093,7 @@ let replay_cmd =
       exit 1
     | _ -> ());
     match until with
-    | Some k ->
-      if k < 0 || k >= Obs.Journal.length recorded then begin
-        Printf.eprintf "replay: --until %d out of range (journal has %d events)\n"
-          k
-          (Obs.Journal.length recorded);
-        exit 1
-      end;
-      Format.printf "replay OK through event %d@.event %d          %a@." k k
-        Obs.Journal.pp_event
-        (Obs.Journal.event recorded k)
+    | Some k -> print_replayed_through recorded k
     | None ->
       let fp_rec = Obs.Journal.fingerprint recorded in
       let fp_new = Obs.Journal.fingerprint capture in
@@ -2740,7 +2510,7 @@ let list_cmd =
   let doc = "List protocols and experiments." in
   let run () =
     Printf.printf "protocols:\n";
-    List.iter (fun (name, desc, _) -> Printf.printf "  %-12s %s\n" name desc) protocols;
+    List.iter (fun e -> Printf.printf "  %-12s %s\n" e.name e.doc) protocols;
     Printf.printf "experiments: %s\n" (String.concat " " experiment_ids);
     Printf.printf "objects:     %s\n" (String.concat " " Registry.names)
   in

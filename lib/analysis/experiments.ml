@@ -71,7 +71,7 @@ let fig2 () =
 
 module Uni_set = Generic.Make (Set_spec)
 module Uni_list = Generic_ref.Make (Set_spec)
-module Memo_set = Memo.Make (Set_spec)
+module Memo_set = Generic.Configured (struct let config = Generic.memo end) (Set_spec)
 module Gc_set = Gc.Make (Set_spec)
 module Undo_set = Undo.Make (Undoable.Set)
 module Pipe_set = Pipelined.Make (Set_spec)

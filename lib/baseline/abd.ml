@@ -135,6 +135,4 @@ let metadata_bytes t = Timestamp.wire_size t.current_ts + Wire.varint_size (abs 
 
 let certificate _t = None
 
-let snapshot _t = None
-
-let absorb _t _s = false
+include Protocol.No_catchup

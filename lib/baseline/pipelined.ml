@@ -30,9 +30,7 @@ module Make (A : Uqadt.S) = struct
 
   let certificate _t = None
 
-  let snapshot _t = None
-
-  let absorb _t _s = false
+  include Protocol.No_catchup
 
   let current_state t = t.state
 end

@@ -115,7 +115,5 @@ module Make (A : Uqadt.S) = struct
 
   let stable_prefix_length t = t.applied_len
 
-  let snapshot _t = None
-
-  let absorb _t _s = false
+  include Protocol.No_catchup
 end

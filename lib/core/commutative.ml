@@ -7,10 +7,8 @@ module Make (A : Uqadt.S) = struct
 
   let protocol_name = "crdt-fastpath"
 
-  let unchecked = ref false
-
   let create ctx =
-    if (not A.commutative) && not !unchecked then
+    if not A.commutative then
       invalid_arg
         (Printf.sprintf
            "Commutative.Make: %s is not a commutative type; apply-on-receive would \
@@ -42,7 +40,5 @@ module Make (A : Uqadt.S) = struct
 
   let certificate _t = None
 
-  let snapshot _t = None
-
-  let absorb _t _s = false
+  include Protocol.No_catchup
 end

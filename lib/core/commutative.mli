@@ -7,18 +7,12 @@
     No timestamps, no log, no replay: an update is applied locally,
     broadcast, and applied at each receiver on arrival. Only sound when
     [A.commutative] — the functor refuses other types at replica
-    creation, and the negative test (a plain set under this protocol
-    diverging) is part of the suite. *)
+    creation, and the negative test (a set spec that falsely claims to
+    commute, diverging under this protocol) is part of the suite. *)
 
-module Make (A : Uqadt.S) : sig
-  include
-    Protocol.PROTOCOL
-      with type state = A.state
-       and type update = A.update
-       and type query = A.query
-       and type output = A.output
-
-  val unchecked : bool ref
-  (** Test hook: set to [true] to skip the commutativity guard and
-      observe divergence on non-commutative types. *)
-end
+module Make (A : Uqadt.S) :
+  Protocol.PROTOCOL
+    with type state = A.state
+     and type update = A.update
+     and type query = A.query
+     and type output = A.output

@@ -119,9 +119,7 @@ module Make (A : Uqadt.S) = struct
      certificate can be produced. *)
   let certificate _t = None
 
-  let snapshot _t = None
-
-  let absorb _t _s = false
+  include Protocol.No_catchup
 
   let compacted t = t.compacted
 end

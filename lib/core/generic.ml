@@ -15,7 +15,17 @@ module type S = sig
   val advance_clock : t -> int -> unit
 end
 
-module Make (A : Uqadt.S) = struct
+type config = { name : string; checkpoint_interval : int; query_cache : bool }
+
+let default = { name = "universal"; checkpoint_interval = 32; query_cache = true }
+
+let memo = { name = "universal-memo"; checkpoint_interval = 32; query_cache = false }
+
+module type CONFIG = sig
+  val config : config
+end
+
+module Configured (C : CONFIG) (A : Uqadt.S) = struct
   include A
 
   type message = { ts : Timestamp.t; update : A.update }
@@ -26,18 +36,18 @@ module Make (A : Uqadt.S) = struct
     log : (A.update, A.state) Oplog.t;
   }
 
-  let protocol_name = "universal"
+  let protocol_name = C.config.name
 
-  let checkpoint_interval = ref 32
+  let checkpoint_interval = max 0 C.config.checkpoint_interval
+
+  let query_cache = C.config.query_cache
 
   let create ctx =
     let t =
       {
         ctx;
         clock = Lamport.create ();
-        log =
-          Oplog.create ~checkpoint_interval:(max 0 !checkpoint_interval)
-            ~query_cache:true ();
+        log = Oplog.create ~checkpoint_interval ~query_cache ();
       }
     in
     Option.iter
@@ -104,9 +114,7 @@ module Make (A : Uqadt.S) = struct
   (* Snapshot transfer needs an update codec the universal construction
      is parametric over; {!Persist.Catchup} supplies real implementations
      on top of the log/clock view below. *)
-  let snapshot _t = None
-
-  let absorb _t _s = false
+  include Protocol.No_catchup
 
   let message_update { update = u; _ } = u
 
@@ -122,6 +130,6 @@ module Make (A : Uqadt.S) = struct
   let restore_log t entries =
     Oplog.load t.log entries;
     List.iter (fun (ts, _, _) -> Lamport.merge t.clock ts.Timestamp.clock) entries
-
-  let checkpoints_live t = Oplog.checkpoints_live t.log
 end
+
+module Make (A : Uqadt.S) = Configured (struct let config = default end) (A)

@@ -12,11 +12,13 @@
     Since the oplog refactor this replica is no longer naive: insertion
     is a binary-search locate plus blit, and queries replay from
     {!Oplog} interval checkpoints (Section VII.C's "effective
-    implementation"), on by default every [!checkpoint_interval]
-    entries. The seed cons-list implementation survives as
+    implementation"). How much state a replica caches is a {!config}
+    value fixed when the functor is applied ({!Configured}): {!Make}
+    takes {!default}, and {!memo} is the fixed-interval variant without
+    the query cache that the C2/A1 experiment narrative is written
+    against. The seed cons-list implementation survives as
     {!Generic_ref} for differential testing and as the paper-faithful
-    naive baseline; {!Memo} remains the fixed-interval variant the
-    C2/A1 experiment narrative is written against. *)
+    naive baseline. *)
 
 (** What every Algorithm 1-shaped replica exposes beyond
     {!Protocol.PROTOCOL}: the log/clock view {!Persist} serialises and
@@ -65,21 +67,47 @@ module type S = sig
       the snapshotted one when restoring into a fresh replica. *)
 end
 
-module Make (A : Uqadt.S) : sig
-  include
-    S
-      with type state = A.state
-       and type update = A.update
-       and type query = A.query
-       and type output = A.output
+(** The op-log configuration of one instance: Section VII.C's cached
+    intermediate states, as a value. *)
+type config = {
+  name : string;  (** the instance's [protocol_name] *)
+  checkpoint_interval : int;
+      (** entries between replay checkpoints; [0] (or less) disables
+          checkpointing — pure full replay over the array core *)
+  query_cache : bool;
+      (** memoise the fold at the end of every replay, so a query after
+          a run of appends folds only the new suffix ({!Oplog.create}) *)
+}
 
-  val checkpoint_interval : int ref
-  (** Entries between replay checkpoints for replicas created {e after}
-      the assignment; [0] disables checkpointing (pure full replay over
-      the array core). Default [32]. Per functor instantiation — the
-      [ucsim --checkpoint-interval] flag sets it before building
-      replicas. *)
+val default : config
+(** [{ name = "universal"; checkpoint_interval = 32; query_cache = true }]. *)
 
-  val checkpoints_live : t -> int
-  (** Currently valid {!Oplog} checkpoints (diagnostics). *)
+val memo : config
+(** [{ name = "universal-memo"; checkpoint_interval = 32; query_cache =
+    false }]: a query replays from the last checkpoint below the log's
+    end (O(interval) amortised instead of O(log length)), and a late
+    arrival at position [k] invalidates just the checkpoints above
+    [k]. Answers are those of {!default} (same total order); only
+    [replay_steps] differ — which is exactly experiment C2/A1. *)
+
+module type CONFIG = sig
+  val config : config
 end
+
+module Configured (C : CONFIG) (A : Uqadt.S) :
+  S
+    with type state = A.state
+     and type update = A.update
+     and type query = A.query
+     and type output = A.output
+(** Algorithm 1 on [A] with the op-log configuration [C.config]. Each
+    application is its own protocol, so two configurations can run side
+    by side in one process (or one domain each). *)
+
+module Make (A : Uqadt.S) :
+  S
+    with type state = A.state
+     and type update = A.update
+     and type query = A.query
+     and type output = A.output
+(** [Configured] at {!default}. *)

@@ -78,9 +78,7 @@ module Make (A : Uqadt.S) = struct
 
   let certificate t = Some (List.map (fun (_, origin, u) -> (origin, u)) t.log)
 
-  let snapshot _t = None
-
-  let absorb _t _s = false
+  include Protocol.No_catchup
 
   let message_update { update = u; _ } = u
 

@@ -54,8 +54,6 @@ let metadata_bytes t =
 
 let certificate _t = None
 
-let snapshot _t = None
-
-let absorb _t _s = false
+include Protocol.No_catchup
 
 let register_count t = Support.Int_map.cardinal t.mem

@@ -3,10 +3,10 @@
     Algorithm 1's replica state is "the set of timestamped updates
     received so far, sorted by timestamp". The seed implementations
     each kept a private copy of that machinery — {!Generic} a sorted
-    cons-list with O(n) scan insertion, {!Memo} an array with linear
-    insert-position search plus its own checkpoint cache, {!Gc} another
-    sorted list plus a stability bound, {!Undo} a reversed list. This
-    module is the single substrate they now share:
+    cons-list with O(n) scan insertion, its snapshot-cache variant an
+    array with linear insert-position search plus its own checkpoint
+    cache, {!Gc} another sorted list plus a stability bound, {!Undo} a
+    reversed list. This module is the single substrate they now share:
 
     {ul
     {- {b Storage}: a growable array of [(timestamp, origin, payload)]
@@ -18,7 +18,7 @@
        cons-scan. Fresh updates land at the end (locate terminates
        immediately); late arrivals land mid-log and shift the suffix.}
     {- {b Checkpoints}: the Section VII.C memoised-replay cache,
-       generalising [Memo.snapshot_interval]. {!replay} records the
+       generalising the seed's fixed snapshot interval. {!replay} records the
        folded state every [checkpoint_interval] entries and starts the
        next replay from the deepest checkpoint still valid; an insert
        at position [pos] invalidates exactly the checkpoints strictly

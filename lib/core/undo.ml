@@ -99,7 +99,5 @@ module Make (A : Undoable.S) = struct
 
   let repairs t = t.repairs
 
-  let snapshot _t = None
-
-  let absorb _t _s = false
+  include Protocol.No_catchup
 end

@@ -76,6 +76,4 @@ let metadata_bytes t =
 
 let certificate _t = None
 
-let snapshot _t = None
-
-let absorb _t _s = false
+include Protocol.No_catchup

@@ -92,8 +92,6 @@ let metadata_bytes t =
 
 let certificate _t = None
 
-let snapshot _t = None
-
-let absorb _t _s = false
+include Protocol.No_catchup
 
 let live_tags t = Support.Int_map.fold (fun _ s acc -> acc + Tag_set.cardinal s) t.tags 0

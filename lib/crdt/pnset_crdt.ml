@@ -47,8 +47,6 @@ let metadata_bytes t =
 
 let certificate _t = None
 
-let snapshot _t = None
-
-let absorb _t _s = false
+include Protocol.No_catchup
 
 let count t element = Option.value ~default:0 (Support.Int_map.find_opt element t.counts)

@@ -45,9 +45,7 @@ module Lwwreg = struct
 
   let certificate _t = None
 
-  let snapshot _t = None
-
-  let absorb _t _s = false
+  include Protocol.No_catchup
 end
 
 module Mvreg_spec = struct

@@ -48,9 +48,7 @@ module Make (L : LATTICE) = struct
 
   let certificate _t = None
 
-  let snapshot _t = None
-
-  let absorb _t _s = false
+  include Protocol.No_catchup
 
   let payload t = t.payload
 end

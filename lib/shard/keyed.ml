@@ -59,10 +59,10 @@ module One (A : Uqadt.S) = struct
   let satisfiable pairs =
     Support.all_outputs_equal C.equal_state pairs
 
-  let key_domain = ref 16
+  let key_domain = 16
 
   let random_update g =
-    let k = Prng.int g !key_domain in
+    let k = Prng.int g key_domain in
     (k, A.random_update g)
 
   let random_query _ = ()
@@ -182,13 +182,13 @@ module Batch (A : Uqadt.S) = struct
         reads;
       Hashtbl.fold (fun _ qos acc -> acc && A.satisfiable qos) by_key true
 
-  let key_domain = ref 16
+  let key_domain = 16
 
   let random_update g =
-    let k = Prng.int g !key_domain in
+    let k = Prng.int g key_domain in
     [ (k, A.random_update g) ]
 
-  let random_query g = Read (Prng.int g !key_domain, A.random_query g)
+  let random_query g = Read (Prng.int g key_domain, A.random_query g)
 end
 
 let encode_keyed encode w (k, u) =

@@ -25,9 +25,8 @@ module One (A : Uqadt.S) : sig
        and type query = unit
        and type output = A.state Support.Int_map.t
 
-  val key_domain : int ref
-  (** Support of {!random_update} keys (default 16); per functor
-      instantiation, like [Generic.checkpoint_interval]. *)
+  val key_domain : int
+  (** Support of {!random_update} keys: 16. *)
 end
 
 module Batch (A : Uqadt.S) : sig
@@ -42,8 +41,8 @@ module Batch (A : Uqadt.S) : sig
        and type query = read
        and type output = answer
 
-  val key_domain : int ref
-  (** Support of {!random_update} / {!random_query} keys (default 16). *)
+  val key_domain : int
+  (** Support of {!random_update} / {!random_query} keys: 16. *)
 
   val eval_key : state -> int -> A.query -> A.output
   (** [A.eval] on the key's state ([A.initial] when absent). *)

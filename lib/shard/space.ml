@@ -164,8 +164,10 @@ struct
   let trigger_split m ~now ~hot = split_hot m ~now ~hot
 
   (* The shared map every [create] consults, set per run by
-     [configure] — the [Generic.checkpoint_interval] idiom for
-     plumbing run-scoped knobs through a functor-fixed signature. *)
+     [configure]. The map is run state, not configuration, and
+     [Protocol.PROTOCOL.create] receives only its context, so a
+     process-wide cell is the one way in; it is the last module-level
+     ref under lib/. *)
   let current_map : map option ref = ref None
 
   let configure m = current_map := Some m

@@ -53,7 +53,8 @@ module Make
 
   val configure : map -> unit
   (** Set the map {!create} consults; call once per run, before
-      building replicas (the [Generic.checkpoint_interval] idiom). *)
+      building replicas. Process-wide: [create] receives only the
+      {!Protocol.ctx}, which has no slot for a map. *)
 
   val ring : map -> Ring.t
 

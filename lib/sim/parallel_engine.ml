@@ -25,10 +25,12 @@
      stream; generators are never shared across domains.
    - [Oplog]/protocol state: strictly domain-private; published to the
      coordinating domain only through [Domain.join].
-   - [Generic.Make.checkpoint_interval]: a per-functor ref read at
-     [create] time — replicas are created inside their domains but the
-     ref is only written before [run] starts, on the main domain, and
-     the spawn itself is a synchronisation point.
+   - Op-log configuration: an immutable [Generic.config] value fixed
+     when the core's functor is applied, so replicas created inside
+     their domains read no shared knob.
+   - [Space.configure]'s shard map: a process-wide ref read at
+     [create] time — written only before [run] starts, on the main
+     domain, and the spawn itself is a synchronisation point.
    - [Obs]: [Obs.replica] mutates a shared list, so each domain builds
      a detached handle with [Obs.make_replica] and writes its metrics
      into a private [Registry.shard]; the coordinating domain adopts

@@ -56,3 +56,9 @@ module type PROTOCOL = sig
       state (a rejoiner's crash-time log survives the merge). Returns
       [false] when unsupported or the payload does not decode. *)
 end
+
+module No_catchup = struct
+  let snapshot _t = None
+
+  let absorb _t _s = false
+end

@@ -97,3 +97,12 @@ module type PROTOCOL = sig
       requires. Returns [false] when the protocol does not support
       snapshots or the payload fails to decode. *)
 end
+
+(** The {!PROTOCOL} catch-up pair for a protocol without a persistence
+    codec: [snapshot] is [None] and [absorb] refuses every payload.
+    [include] it in the protocol's structure. *)
+module No_catchup : sig
+  val snapshot : 't -> string option
+
+  val absorb : 't -> string -> bool
+end

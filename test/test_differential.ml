@@ -147,12 +147,12 @@ let run_mesh (type u q o m t)
 
 module G_set = Generic.Make (Set_spec)
 module Gref_set = Generic_ref.Make (Set_spec)
-module Memo_set = Memo.Make (Set_spec)
+module Memo_set = Generic.Configured (struct let config = Generic.memo end) (Set_spec)
 module Gc_set = Gc.Make (Set_spec)
 module Undo_set = Undo.Make (Undoable.Set)
 module G_counter = Generic.Make (Counter_spec)
 module Gref_counter = Generic_ref.Make (Counter_spec)
-module Memo_counter = Memo.Make (Counter_spec)
+module Memo_counter = Generic.Configured (struct let config = Generic.memo end) (Counter_spec)
 module Fast_counter = Commutative.Make (Counter_spec)
 
 (* Gc only matches Generic exactly while no heartbeat fires: a replica

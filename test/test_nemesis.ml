@@ -24,7 +24,9 @@ let campaign_test name (module P : Protocol.PROTOCOL
 let tests =
   [
     campaign_test "universal survives the nemesis" (module Generic.Make (Set_spec)) ~fifo:false;
-    campaign_test "memo survives the nemesis" (module Memo.Make (Set_spec)) ~fifo:false;
+    campaign_test "memo survives the nemesis"
+      (module Generic.Configured (struct let config = Generic.memo end) (Set_spec))
+      ~fifo:false;
     campaign_test "undo survives the nemesis" (module Undo.Make (Undoable.Set)) ~fifo:false;
     campaign_test "gc survives the nemesis (fifo)" (module Gc.Make (Set_spec)) ~fifo:true;
     campaign_test "or-set survives the nemesis" (module Orset_crdt) ~fifo:false;

@@ -5,7 +5,7 @@
 open Helpers
 
 module Uni = Generic.Make (Set_spec)
-module Memo_set = Memo.Make (Set_spec)
+module Memo_set = Generic.Configured (struct let config = Generic.memo end) (Set_spec)
 module Gc_set = Gc.Make (Set_spec)
 module Undo_set = Undo.Make (Undoable.Set)
 
@@ -151,7 +151,7 @@ let memo_gc_internals =
         counted := 0;
         Memo_set.query r Set_spec.Read ~on_result:ignore;
         Memo_set.query r Set_spec.Read ~on_result:ignore;
-        Alcotest.(check bool) "bounded" true (!counted <= 2 * Memo_set.snapshot_interval));
+        Alcotest.(check bool) "bounded" true (!counted <= 2 * Generic.memo.checkpoint_interval));
     Alcotest.test_case "gc compacts a quiescent log to near-empty" `Quick (fun () ->
         let module R = Runner.Make (Gc_set) in
         let workload =
@@ -285,24 +285,27 @@ let guard_tests =
              false
            with Invalid_argument _ -> true));
     Alcotest.test_case "unchecked fast path on a set diverges" `Quick (fun () ->
-        let module F = Commutative.Make (Set_spec) in
-        F.unchecked := true;
-        Fun.protect
-          ~finally:(fun () -> F.unchecked := false)
-          (fun () ->
-            let module R = Runner.Make (F) in
-            let config =
-              {
-                (R.default_config ~n:2 ~seed:3) with
-                R.delay = Network.Constant 50.0;
-                think = Network.Constant 1.0;
-                final_read = Some Set_spec.Read;
-              }
-            in
-            let r =
-              R.run config ~workload:(Workload.For_set.insert_delete_race ~n:2)
-            in
-            Alcotest.(check bool) "diverged" false r.R.converged));
+        (* The guard trusts the spec's flag, so a set that claims to
+           commute gets the fast path — and diverges. *)
+        let module F =
+          Commutative.Make
+            (struct
+              include Set_spec
+
+              let commutative = true
+            end)
+        in
+        let module R = Runner.Make (F) in
+        let config =
+          {
+            (R.default_config ~n:2 ~seed:3) with
+            R.delay = Network.Constant 50.0;
+            think = Network.Constant 1.0;
+            final_read = Some Set_spec.Read;
+          }
+        in
+        let r = R.run config ~workload:(Workload.For_set.insert_delete_race ~n:2) in
+        Alcotest.(check bool) "diverged" false r.R.converged);
     Alcotest.test_case "G-counter rejects negative increments" `Quick (fun () ->
         let dummy : _ Protocol.ctx =
           {

@@ -21,326 +21,46 @@ let experiment_ids =
    object type and a driver that simulates a conflict workload on it.  *)
 (* ------------------------------------------------------------------ *)
 
-type run_params = {
-  protocol : string;  (* registry name, recorded in the journal header *)
-  seed : int;
-  n : int;
-  ops : int;
-  shards : int;
-      (* shard count for the sharded object space ("sharded" protocol);
-         1 everywhere else *)
-  keys : int;  (* key domain of the sharded workload *)
-  rebalance : float option;
-      (* hot-shard policy check interval; None = static ring *)
-  mean_delay : float;
-  fifo : bool;
-  crashes : (float * int) list;  (* (time, pid) crash schedule *)
-  check : bool;
-  spacetime : bool;
-  log_core : [ `List | `Array ];
-      (* op-log substrate for the universal protocols: the seed's cons
-         list or the array-backed Oplog (the default) *)
-  checkpoint_interval : int option;
-      (* override for the universal core's checkpoint interval; only
-         meaningful with [log_core = `Array] *)
-  batch_window : float option;
+(* What a run prints and writes besides its report; what it does is a
+   Run_spec.sequential. *)
+type sinks = {
   obs_on : bool;
   trace_out : string option;
   registry_out : string option;
   span_dump : bool;
-  probe_interval : float option;
-  partitions : Network.partition list;
-  churn : Network.churn_event list;
-  scripts : string list list option;
-      (* explicit per-process set scripts (printed ops) overriding the
-         generated workload — how a minimized journal from `shrink`
-         replays from the file alone *)
   journal_out : string option;
-  journal : Obs.Journal.t option;
-      (* in-memory capture used by `replay` instead of a file *)
-  monitors : Obs.Monitor.criterion list;
-  obs : Obs.t option;
-      (* pre-built telemetry bundle. `soak` (and a soak replay) builds
-         it up front so the streaming sampler can snapshot its registry
-         every tick, and `sharded` so its shard map can report into it;
-         everyone else leaves it None and lets [obs_of_params] decide *)
-  sample_interval : float option;
-      (* soak sampler cadence in simulated time; Some marks the journal
-         header as a soak run *)
-  duration : float option;
-      (* soak horizon: overrides the runner deadline (simulated time) *)
-  rules : Obs.Alert.rule list;  (* soak alert rules, header-recorded *)
-  sampler : Obs.Series.sampler option;
-      (* pre-built streaming sampler, threaded into every runner config;
-         None (the default everywhere but `soak`) samples nothing *)
+  check : bool;
+  trace : bool;  (* print a space-time trace *)
 }
 
-(* `run`'s flag defaults: `soak`, `modelcheck` and a replayed journal
-   header override them field by field. *)
-let default_params =
+let no_sinks =
   {
-    protocol = "universal";
-    seed = 42;
-    n = 4;
-    ops = 100;
-    shards = 1;
-    keys = 64;
-    rebalance = None;
-    mean_delay = 10.0;
-    fifo = false;
-    crashes = [];
-    check = false;
-    spacetime = false;
-    log_core = `Array;
-    checkpoint_interval = None;
-    batch_window = None;
     obs_on = false;
     trace_out = None;
     registry_out = None;
     span_dump = false;
-    probe_interval = None;
-    partitions = [];
-    churn = [];
-    scripts = None;
     journal_out = None;
-    journal = None;
-    monitors = [];
-    obs = None;
-    sample_interval = None;
-    duration = None;
-    rules = [];
-    sampler = None;
+    check = false;
+    trace = false;
   }
 
-let log_core_name = function `List -> "list" | `Array -> "array"
+(* The telemetry bundle a run with these sinks needs: one is built as
+   soon as any output that reads it was requested. *)
+let observe ?on_alert sinks spec =
+  Run_spec.observe ?on_alert
+    ~telemetry:
+      (sinks.obs_on || sinks.trace_out <> None || sinks.registry_out <> None
+     || sinks.span_dump)
+    ?journal:(Option.map (fun _ -> Obs.Journal.create ()) sinks.journal_out)
+    spec
 
-(* The journal's self-description: everything `replay` needs to rebuild
-   this run_params record and re-execute the identical schedule. *)
-let journal_header p =
-  let num i = Obs.Json.Num (float_of_int i) in
-  let real f = Obs.Json.Num f in
-  let str s = Obs.Json.Str s in
-  let arr f xs = Obs.Json.Arr (List.map f xs) in
-  let opt f = function None -> Obs.Json.Null | Some v -> f v in
-  [
-    ("protocol", str p.protocol);
-    ("seed", num p.seed);
-    ("n", num p.n);
-    ("ops", num p.ops);
-    ("mean_delay", real p.mean_delay);
-    ("fifo", Obs.Json.Bool p.fifo);
-    ( "crashes",
-      arr
-        (fun (time, pid) -> Obs.Json.Obj [ ("t", real time); ("pid", num pid) ])
-        p.crashes );
-    ("log_core", str (log_core_name p.log_core));
-    ("checkpoint_interval", opt num p.checkpoint_interval);
-    ("batch_window", opt real p.batch_window);
-    ("probe_interval", opt real p.probe_interval);
-    ("monitors", arr (fun c -> str (Obs.Monitor.criterion_name c)) p.monitors);
-    ( "partitions",
-      arr
-        (fun (pa : Network.partition) ->
-          Obs.Json.Obj
-            [
-              ("from", real pa.Network.from_time);
-              ("to", real pa.Network.to_time);
-              ("group", arr num pa.Network.group);
-            ])
-        p.partitions );
-    ( "churn",
-      arr
-        (fun (ce : Network.churn_event) ->
-          Obs.Json.Obj
-            [
-              ("t", real ce.Network.time);
-              ("pid", num ce.Network.pid);
-              ("action", str (Network.churn_action_name ce.Network.action));
-            ])
-        p.churn );
-    ("scripts", opt (arr (arr str)) p.scripts);
-  ]
-  (* Shard fields appear only on sharded runs, so single-object journal
-     headers — and the seeded fingerprint pins over them — stay
-     byte-identical to the seed's. *)
-  @ (if p.shards > 1 then
-       [
-         ("shards", num p.shards);
-         ("keys", num p.keys);
-         ("rebalance", opt real p.rebalance);
-       ]
-     else [])
-  (* Soak fields likewise appear only on soak runs: `replay` rebuilds
-     the sampler and alert rules from them so a soak journal's Alert
-     events reproduce, while plain-run headers stay byte-identical. *)
-  @ (match p.sample_interval with
-    | None -> []
-    | Some dt ->
-      [
-        ("sample_interval", real dt);
-        ("duration", opt real p.duration);
-        ("rules", arr (fun r -> str (Obs.Alert.rule_to_string r)) p.rules);
-      ])
-
-(* Inverse of [journal_header]: rebuild the run_params a journal was
-   recorded under, attaching [journal] as the replay's capture journal.
-   Raises [Failure] on a header that does not describe a run. *)
-let params_of_header ~journal header =
-  let get k = List.assoc_opt k header in
-  let missing k = failwith (Printf.sprintf "journal header: bad or missing field %S" k) in
-  let num k = match get k with Some (Obs.Json.Num f) -> f | _ -> missing k in
-  let int k = int_of_float (num k) in
-  let bool k = match get k with Some (Obs.Json.Bool b) -> b | _ -> missing k in
-  let str k = match get k with Some (Obs.Json.Str s) -> s | _ -> missing k in
-  let opt_num k =
-    match get k with
-    | Some (Obs.Json.Num f) -> Some f
-    | Some Obs.Json.Null | None -> None
-    | _ -> missing k
-  in
-  let log_core =
-    match str "log_core" with
-    | "list" -> `List
-    | "array" -> `Array
-    | s -> failwith (Printf.sprintf "journal header: unknown log core %S" s)
-  in
-  (* An array field, each element read by [f]; absent reads as []. *)
-  let list k f =
-    match get k with
-    | Some (Obs.Json.Arr xs) -> List.map f xs
-    | None -> []
-    | _ -> missing k
-  in
-  (* The fields of an object element of array [k]. *)
-  let obj k = function
-    | Obs.Json.Obj fields -> fun f -> List.assoc_opt f fields
-    | _ -> missing k
-  in
-  let monitors =
-    list "monitors" (function
-      | Obs.Json.Str s -> (
-        match Obs.Monitor.criterion_of_name s with
-        | Some c -> c
-        | None -> failwith (Printf.sprintf "journal header: unknown criterion %S" s))
-      | _ -> missing "monitors")
-  in
-  let partitions =
-    list "partitions" (fun x ->
-        let fget = obj "partitions" x in
-        match (fget "from", fget "to", fget "group") with
-        | ( Some (Obs.Json.Num from_time),
-            Some (Obs.Json.Num to_time),
-            Some (Obs.Json.Arr group) ) ->
-          {
-            Network.from_time;
-            to_time;
-            group =
-              List.map
-                (function
-                  | Obs.Json.Num f -> int_of_float f | _ -> missing "partitions")
-                group;
-          }
-        | _ -> missing "partitions")
-  in
-  let crashes =
-    match get "crashes" with
-    | None -> (
-      (* journals from before the explicit crash schedule carry the old
-         one-crash flag *)
-      match get "crash" with
-      | Some (Obs.Json.Bool true) -> [ (50.0, int "n" - 1) ]
-      | Some (Obs.Json.Bool false) | None -> []
-      | _ -> missing "crash")
-    | Some _ ->
-      list "crashes" (fun x ->
-          let fget = obj "crashes" x in
-          match (fget "t", fget "pid") with
-          | Some (Obs.Json.Num time), Some (Obs.Json.Num pid) ->
-            (time, int_of_float pid)
-          | _ -> missing "crashes")
-  in
-  let churn =
-    list "churn" (fun x ->
-        let fget = obj "churn" x in
-        match (fget "t", fget "pid", fget "action") with
-        | Some (Obs.Json.Num time), Some (Obs.Json.Num pid), Some (Obs.Json.Str a)
-          -> (
-          match Network.churn_action_of_name a with
-          | Some action -> { Network.time; pid = int_of_float pid; action }
-          | None ->
-            failwith (Printf.sprintf "journal header: unknown churn action %S" a))
-        | _ -> missing "churn")
-  in
-  let scripts =
-    match get "scripts" with
-    | None | Some Obs.Json.Null -> None
-    | Some _ ->
-      Some
-        (list "scripts" (function
-          | Obs.Json.Arr ops ->
-            List.map (function Obs.Json.Str s -> s | _ -> missing "scripts") ops
-          | _ -> missing "scripts"))
-  in
-  let rules =
-    list "rules" (function
-      | Obs.Json.Str s -> (
-        match Obs.Alert.rule_of_string s with
-        | r -> r
-        | exception Invalid_argument msg -> failwith msg)
-      | _ -> missing "rules")
-  in
-  let opt_int k = Option.map int_of_float (opt_num k) in
-  {
-    default_params with
-    protocol = str "protocol";
-    seed = int "seed";
-    n = int "n";
-    ops = int "ops";
-    shards = Option.value ~default:default_params.shards (opt_int "shards");
-    keys = Option.value ~default:default_params.keys (opt_int "keys");
-    rebalance = opt_num "rebalance";
-    mean_delay = num "mean_delay";
-    fifo = bool "fifo";
-    crashes;
-    log_core;
-    checkpoint_interval = opt_int "checkpoint_interval";
-    batch_window = opt_num "batch_window";
-    probe_interval = opt_num "probe_interval";
-    partitions;
-    churn;
-    scripts;
-    journal = Some journal;
-    monitors;
-    sample_interval = opt_num "sample_interval";
-    duration = opt_num "duration";
-    rules;
-  }
-
-(* Telemetry is on as soon as any output that needs it was requested. *)
-let obs_of_params p =
-  match p.obs with
-  | Some o ->
-    (* Pre-built by `soak` (or a soak replay) so its sampler could take
-       the registry, or by `sharded` for its shard map; only the header
-       is still ours to stamp. *)
-    Option.iter (fun j -> Obs.Journal.set_header j (journal_header p)) o.Obs.journal;
-    Some o
-  | None ->
-  let journal =
-    if p.journal_out <> None || p.journal <> None then begin
-      let j =
-        match p.journal with Some j -> j | None -> Obs.Journal.create ()
-      in
-      Obs.Journal.set_header j (journal_header p);
-      Some j
-    end
-    else None
-  in
-  if
-    p.obs_on || p.trace_out <> None || p.registry_out <> None || p.span_dump
-    || p.probe_interval <> None || journal <> None || p.monitors <> []
-  then Some (Obs.create ?journal ())
-  else None
+(* A spec from flags, or the command's one-line error. *)
+let check_spec ~cmd spec =
+  match Run_spec.validate spec with
+  | Ok _ -> ()
+  | Error msg ->
+    Printf.eprintf "%s: %s\n" cmd msg;
+    exit 1
 
 let write_json file json =
   let oc = open_out file in
@@ -348,17 +68,20 @@ let write_json file json =
   output_char oc '\n';
   close_out oc
 
-let trace_meta p =
-  let opt f = function None -> Obs.Json.Null | Some v -> f v in
+(* The run's configuration stamped on a Perfetto trace: header fields,
+   plus the replica count. *)
+let trace_meta (spec : Run_spec.sequential) =
+  let header = Run_spec.to_header (Sequential spec) in
+  let field k = (k, List.assoc k header) in
   [
-    ("seed", Obs.Json.Num (float_of_int p.seed));
-    ("replicas", Obs.Json.Num (float_of_int p.n));
-    ("protocol", Obs.Json.Str p.protocol);
-    ("log_core", Obs.Json.Str (log_core_name p.log_core));
-    ("batch_window", opt (fun w -> Obs.Json.Num w) p.batch_window);
+    field "seed";
+    ("replicas", Obs.Json.Num (float_of_int spec.n));
+    field "protocol";
+    field "log_core";
+    field "batch_window";
   ]
 
-let emit_obs p obs =
+let emit_obs sinks (spec : Run_spec.sequential) obs =
   match obs with
   | None -> ()
   | Some (o : Obs.t) ->
@@ -376,19 +99,20 @@ let emit_obs p obs =
     Obs.Registry.set
       (Obs.Registry.gauge o.registry "gc_top_heap_words")
       (float_of_int q.Stdlib.Gc.top_heap_words);
-    (match p.trace_out with
+    (match sinks.trace_out with
     | Some file ->
       write_json file
-        (Obs.Trace_export.to_json ~meta:(trace_meta p) ~replicas:p.n o.spans);
+        (Obs.Trace_export.to_json ~meta:(trace_meta spec) ~replicas:spec.n
+           o.spans);
       Printf.printf "trace written      %s (%d spans)\n" file
         (Obs.Span.count o.spans)
     | None -> ());
-    (match p.registry_out with
+    (match sinks.registry_out with
     | Some file ->
       write_json file (Obs.Registry.to_json o.registry);
       Printf.printf "registry written   %s\n" file
     | None -> ());
-    (match (o.journal, p.journal_out) with
+    (match (o.journal, sinks.journal_out) with
     | Some j, Some file ->
       let oc = open_out file in
       output_string oc (Obs.Journal.to_jsonl j);
@@ -396,7 +120,7 @@ let emit_obs p obs =
       Printf.printf "journal written    %s (%d events)\n" file
         (Obs.Journal.length j)
     | _ -> ());
-    if p.span_dump then Format.printf "%a" Obs.Trace_export.pp_span_dump o.spans;
+    if sinks.span_dump then Format.printf "%a" Obs.Trace_export.pp_span_dump o.spans;
     (match Obs.divergence_series o with
     | [] -> ()
     | series ->
@@ -425,17 +149,17 @@ let print_monitor_report ~criteria ~events violations =
 
 (* The array core's configuration: the default, with any
    --checkpoint-interval override. *)
-let core_config p =
-  match p.checkpoint_interval with
+let core_config (spec : Run_spec.sequential) =
+  match spec.checkpoint_interval with
   | None -> Generic.default
   | Some k -> { Generic.default with Generic.checkpoint_interval = k }
 
-let describe_log_core p =
-  match p.log_core with
+let describe_log_core (spec : Run_spec.sequential) =
+  match spec.log_core with
   | `List -> "list"
   | `Array ->
     Printf.sprintf "array (checkpoint interval %d)"
-      (core_config p).Generic.checkpoint_interval
+      (core_config spec).Generic.checkpoint_interval
 
 let describe_metrics (m : Metrics.t) =
   Printf.printf
@@ -443,11 +167,11 @@ let describe_metrics (m : Metrics.t) =
     m.Metrics.messages_sent m.Metrics.bytes_sent m.Metrics.updates_invoked
     m.Metrics.queries_invoked m.Metrics.ops_incomplete m.Metrics.replay_steps
 
-(* Algorithm 1 on [A], on the op-log core the params ask for: the seed's
+(* Algorithm 1 on [A], on the op-log core the spec asks for: the seed's
    list core or the configured array core. {!Persist.Catchup} gives
    either one real churn catch-up (the bare cores carry the PROTOCOL
    stub [snapshot]/[absorb]). *)
-let universal (type u q o s) p
+let universal (type u q o s) (spec : Run_spec.sequential)
     (module A : Registry.SPEC
       with type update = u
        and type query = q
@@ -458,23 +182,24 @@ let universal (type u q o s) p
         and type query = q
         and type output = o
         and type state = s) =
-  match p.log_core with
+  match spec.log_core with
   | `List -> (module Persist.Catchup (Generic_ref.Make (A)) (A.Codec))
   | `Array ->
     let module C = struct
-      let config = core_config p
+      let config = core_config spec
     end in
     (module Persist.Catchup (Generic.Configured (C) (A)) (A.Codec))
 
 (* The object side of a run: the spec the history is checked against,
-   the workload and final read generated from the params, and the
+   the workload and final read generated from the run spec, and the
    report lines the object adds to the common ones. *)
 module type OBJECT = sig
   include Uqadt.S
 
-  val workload : run_params -> (update, query) Protocol.invocation list array
+  val workload :
+    Run_spec.sequential -> (update, query) Protocol.invocation list array
 
-  val final_read : run_params -> query
+  val final_read : Run_spec.sequential -> query
 
   val latency : bool
   (* an "op latency" line (the register protocols) *)
@@ -493,30 +218,15 @@ module Set_object = struct
   include Set_spec
   module Codec = Update_codec.For_set
 
-  (* The explicit printed scripts when the params carry them (a
-     replayed `shrink` journal), the generated conflict workload
-     otherwise. *)
-  let workload p =
-    match p.scripts with
-    | Some printed ->
-      if List.length printed <> p.n then
-        failwith
-          (Printf.sprintf "run: %d explicit scripts for n=%d processes"
-             (List.length printed) p.n);
-      Array.of_list
-        (List.map
-           (fun script ->
-             List.map
-               (fun tok ->
-                 match Workload.For_set.parse_op tok with
-                 | Some op -> op
-                 | None -> failwith (Printf.sprintf "run: bad script op %S" tok))
-               script)
-           printed)
+  (* The spec's explicit scripts when it carries them (a replayed
+     `shrink` journal), the generated conflict workload otherwise. *)
+  let workload (spec : Run_spec.sequential) =
+    match Run_spec.set_scripts spec with
+    | Some scripts -> scripts
     | None ->
-      let rng = Prng.create p.seed in
-      Workload.For_set.conflict ~rng ~n:p.n ~ops_per_process:p.ops ~domain:16
-        ~skew:1.0 ~delete_ratio:0.3
+      let rng = Prng.create spec.seed in
+      Workload.For_set.conflict ~rng ~n:spec.n ~ops_per_process:spec.ops
+        ~domain:16 ~skew:1.0 ~delete_ratio:0.3
 
   let final_read _ = Read
   let latency = false
@@ -527,9 +237,9 @@ module Counter_object = struct
   include Counter_spec
   module Codec = Update_codec.For_counter
 
-  let workload p =
-    Workload.For_counter.deposits_and_withdrawals ~rng:(Prng.create p.seed)
-      ~n:p.n ~ops_per_process:p.ops ~max_amount:100
+  let workload (spec : Run_spec.sequential) =
+    Workload.For_counter.deposits_and_withdrawals ~rng:(Prng.create spec.seed)
+      ~n:spec.n ~ops_per_process:spec.ops ~max_amount:100
 
   let final_read _ = Value
   let latency = false
@@ -541,8 +251,8 @@ module Register_object = struct
   module Codec = Update_codec.For_register
   module G = Workload.Make (Register_spec)
 
-  let workload p =
-    G.mixed ~rng:(Prng.create p.seed) ~n:p.n ~ops_per_process:p.ops
+  let workload (spec : Run_spec.sequential) =
+    G.mixed ~rng:(Prng.create spec.seed) ~n:spec.n ~ops_per_process:spec.ops
       ~query_ratio:0.4
 
   let final_read _ = Read
@@ -553,9 +263,9 @@ end
 module Memory_object = struct
   include Memory_spec
 
-  let workload p =
-    Workload.For_memory.random_writes ~rng:(Prng.create p.seed) ~n:p.n
-      ~ops_per_process:p.ops ~registers:8 ~read_ratio:0.4
+  let workload (spec : Run_spec.sequential) =
+    Workload.For_memory.random_writes ~rng:(Prng.create spec.seed) ~n:spec.n
+      ~ops_per_process:spec.ops ~registers:8 ~read_ratio:0.4
 
   let final_read _ = Read 0
   let latency = false
@@ -567,14 +277,16 @@ end
 module Spec_object (A : Registry.SPEC) = struct
   include A
 
-  let workload p =
-    let rng = Prng.create p.seed in
-    Array.init p.n (fun _ ->
-        List.init p.ops (fun _ ->
+  let workload (spec : Run_spec.sequential) =
+    let rng = Prng.create spec.seed in
+    Array.init spec.n (fun _ ->
+        List.init spec.ops (fun _ ->
             if Prng.int rng 4 = 0 then Protocol.Invoke_query (A.random_query rng)
             else Protocol.Invoke_update (A.random_update rng)))
 
-  let final_read p = A.random_query (Prng.create p.seed)
+  let final_read (spec : Run_spec.sequential) =
+    A.random_query (Prng.create spec.seed)
+
   let latency = false
   let final_reads = true
 end
@@ -586,11 +298,11 @@ module Sharded_set = Space.Make (Set_spec) (Update_codec.For_set)
 module Sharded_object = struct
   include Sharded_set.K
 
-  let workload p =
-    let rng = Prng.create p.seed in
+  let workload (spec : Run_spec.sequential) =
+    let rng = Prng.create spec.seed in
     let elem = Zipf.create ~n:16 ~s:1.0 in
-    Workload.For_space.zipf_scripts ~rng ~n:p.n ~ops_per_process:p.ops
-      ~keys:p.keys ~skew:1.1 ~fanout:3 ~query_ratio:0.25
+    Workload.For_space.zipf_scripts ~rng ~n:spec.n ~ops_per_process:spec.ops
+      ~keys:spec.keys ~skew:1.1 ~fanout:3 ~query_ratio:0.25
       ~update:(fun g ->
         let v = Zipf.sample elem g in
         if Prng.float g 1.0 < 0.3 then Set_spec.Delete v else Set_spec.Insert v)
@@ -602,8 +314,8 @@ module Sharded_object = struct
   let final_reads = true
 end
 
-(* Simulate protocol [P] replicating object [O] under every fault,
-   channel, telemetry and report option in [p]. [note] tops a --trace;
+(* Simulate protocol [P] replicating object [O] as [spec] describes,
+   observed by [ob], reporting to [sinks]. [note] tops a --trace;
    [lines] are printed after the protocol line. *)
 let drive (type u q o) ?note ?(lines = fun () -> [])
     (module P : Protocol.PROTOCOL
@@ -613,39 +325,20 @@ let drive (type u q o) ?note ?(lines = fun () -> [])
     (module O : OBJECT
       with type update = u
        and type query = q
-       and type output = o) p =
+       and type output = o) sinks (ob : Run_spec.observers)
+    (spec : Run_spec.sequential) =
   let module R = Runner.Make (P) in
-  let workload = O.workload p in
-  let obs = obs_of_params p in
-  let monitor =
-    if p.monitors = [] then None
-    else Some (R.Mon.create ~n:p.n ~criteria:p.monitors)
-  in
-  let base = R.default_config ~n:p.n ~seed:p.seed in
+  let workload = O.workload spec in
   let config =
-    {
-      base with
-      R.delay = Network.Exponential { mean = p.mean_delay };
-      fifo = p.fifo;
-      partitions = p.partitions;
-      crashes = p.crashes;
-      churn = p.churn;
-      final_read = Some (O.final_read p);
-      deadline = Option.value ~default:base.R.deadline p.duration;
-      trace = p.spacetime;
-      batch_window = p.batch_window;
-      obs;
-      probe_interval = p.probe_interval;
-      monitor;
-      sampler = p.sampler;
-    }
+    R.config_of_spec ~trace:sinks.trace ~final_read:(Some (O.final_read spec)) ob
+      spec
   in
   let r = R.run config ~workload in
   (match r.R.trace with
   | Some tr ->
     (* Configuration notes sort to the top of the rendered chronology. *)
     Option.iter (fun text -> Trace.record_note tr ~time:0.0 text) note;
-    print_string (Trace.render tr ~n:p.n)
+    print_string (Trace.render tr ~n:spec.n)
   | None -> ());
   Printf.printf "protocol           %s (object: %s)\n" P.protocol_name O.name;
   List.iter print_endline (lines ());
@@ -660,7 +353,7 @@ let drive (type u q o) ?note ?(lines = fun () -> [])
     List.iter
       (fun (pid, o) -> Format.printf "final read p%d      %a@." pid O.pp_output o)
       r.R.final_outputs;
-  if p.check then begin
+  if sinks.check then begin
     let module C = Criteria.Make (O) in
     Printf.printf "history UC         %b\nhistory EC         %b\n"
       (C.holds Criteria.UC r.R.history)
@@ -668,10 +361,10 @@ let drive (type u q o) ?note ?(lines = fun () -> [])
   end;
   Option.iter
     (fun m ->
-      print_monitor_report ~criteria:p.monitors ~events:(R.Mon.events_seen m)
+      print_monitor_report ~criteria:spec.monitors ~events:(R.Mon.events_seen m)
         (R.Mon.violations m))
-    monitor;
-  emit_obs p obs
+    config.R.monitor;
+  emit_obs sinks spec ob.obs
 
 (* An object that carries its update codec, so Algorithm 1 can run on
    it with churn catch-up. *)
@@ -686,24 +379,25 @@ let algorithm1 (type u q o s) ?note ?lines
       with type update = u
        and type query = q
        and type output = o
-       and type state = s) p =
-  drive ?note ?lines (module (val universal p (module O))) (module O) p
+       and type state = s) sinks ob spec =
+  drive ?note ?lines (module (val universal spec (module O))) (module O) sinks ob
+    spec
 
 (* Algorithm 1 on a registered object, naming its log core after the
    protocol line. *)
-let run_universal_on (module A : Registry.SPEC) p =
-  let core = describe_log_core p in
+let run_universal_on (module A : Registry.SPEC) sinks ob spec =
+  let core = describe_log_core spec in
   algorithm1 ~note:("log core: " ^ core)
     ~lines:(fun () -> [ "log core           " ^ core ])
     (module Spec_object (A))
-    p
+    sinks ob spec
 
 (* The sharded object space: --shards 1 degenerates to a single core
    holding every key; --rebalance arms the hot-shard split policy. The
-   telemetry bundle is built up front because the shard map reports
-   into it. *)
-let run_sharded p =
-  let obs = obs_of_params p in
+   shard map reports into the telemetry bundle, and a soak's sampler
+   watches the ring: cumulative and per-tick op rates for every shard,
+   so a hot-shard split shows up in the series. *)
+let run_sharded sinks (ob : Run_spec.observers) (spec : Run_spec.sequential) =
   let policy =
     Option.map
       (fun interval ->
@@ -711,22 +405,20 @@ let run_sharded p =
            two shards the hottest can never exceed 2x the mean, so a
            factor of 2 would never fire. *)
         { Sharded_set.interval; hot_factor = 1.5; max_shards = 64 })
-      p.rebalance
+      spec.rebalance
   in
-  let map = Sharded_set.create_map ?policy ?obs ~shards:p.shards () in
+  let map = Sharded_set.create_map ?policy ?obs:ob.obs ~shards:spec.shards () in
   Sharded_set.configure map;
-  (* Soak runs also watch the ring: cumulative and per-tick op rates
-     for every shard, so a hot-shard split shows up in the series. *)
   Option.iter
     (fun s -> Obs.Series.add_probe s (Sharded_set.series_probe map))
-    p.sampler;
+    ob.sampler;
   drive
     ~lines:(fun () ->
       [
         Printf.sprintf
           "shards             %d initial, %d final (%d rebalances, %d \
            entries re-homed)"
-          p.shards
+          spec.shards
           (Ring.shards (Sharded_set.ring map))
           (Sharded_set.rebalances map)
           (Sharded_set.moved_entries map);
@@ -736,7 +428,7 @@ let run_sharded p =
                 (fun (s, ops) -> Printf.sprintf "s%d:%d" s ops)
                 (Sharded_set.shard_ops map)));
       ])
-    (module Sharded_set) (module Sharded_object) { p with obs }
+    (module Sharded_set) (module Sharded_object) sinks ob spec
 
 (* One row per protocol name. `run`, `soak` and `replay` drive [run];
    the set protocols also carry the module `nemesis`, `storm` and
@@ -745,8 +437,8 @@ type entry = {
   name : string;
   doc : string;
   fifo : bool;  (* needs FIFO channels (the stability GC) *)
-  run : run_params -> unit;
-  set : (run_params -> (module SET_PROTOCOL)) option;
+  run : sinks -> Run_spec.observers -> Run_spec.sequential -> unit;
+  set : (Run_spec.sequential -> (module SET_PROTOCOL)) option;
 }
 
 let set_entry ?(fifo = false) name doc set =
@@ -754,14 +446,14 @@ let set_entry ?(fifo = false) name doc set =
     name;
     doc;
     fifo;
-    run = (fun p -> drive (set p) (module Set_object) p);
+    run = (fun sinks ob spec -> drive (set spec) (module Set_object) sinks ob spec);
     set = Some set;
   }
 
 let entry name doc run = { name; doc; fifo = false; run; set = None }
 
-let universal_set p : (module SET_PROTOCOL) =
-  (module (val universal p (module Set_object)))
+let universal_set spec : (module SET_PROTOCOL) =
+  (module (val universal spec (module Set_object)))
 
 module Memo_set = Generic.Configured (struct let config = Generic.memo end) (Set_spec)
 
@@ -776,13 +468,14 @@ let protocols : entry list =
       {
         (set_entry "universal" "Algorithm 1 on the set" universal_set) with
         run =
-          (fun p ->
+          (fun sinks ob spec ->
             (* Both cores exchange byte-identical messages, so the same
                seed replays the same schedule and only the query cost
                differs. *)
-            let core = describe_log_core p in
+            let core = describe_log_core spec in
             Printf.printf "log core           %s\n" core;
-            algorithm1 ~note:("log core: " ^ core) (module Set_object) p);
+            algorithm1 ~note:("log core: " ^ core) (module Set_object) sinks ob
+              spec);
       };
       set_entry "memo" "Algorithm 1 + snapshot cache, set" (fun _ ->
           (module Memo_set));
@@ -799,18 +492,19 @@ let protocols : entry list =
       set_entry "pnset" "counting set CRDT" (fun _ -> (module Pnset_crdt));
       entry "counter" "Algorithm 1 on the counter"
         (algorithm1 (module Counter_object));
-      entry "fastcounter" "CRDT fast path counter" (fun p ->
-          drive (module Commutative.Make (Counter_spec)) (module Counter_object) p);
-      entry "pncounter" "PN-counter CRDT" (fun p ->
-          drive (module Counters.Pncounter) (module Counter_object) p);
+      entry "fastcounter" "CRDT fast path counter" (fun sinks ob spec ->
+          drive (module Commutative.Make (Counter_spec)) (module Counter_object)
+            sinks ob spec);
+      entry "pncounter" "PN-counter CRDT" (fun sinks ob spec ->
+          drive (module Counters.Pncounter) (module Counter_object) sinks ob spec);
       entry "register" "Algorithm 1 on the register"
         (algorithm1 (module Register_object));
-      entry "lwwreg" "LWW-register CRDT" (fun p ->
-          drive (module Registers.Lwwreg) (module Register_object) p);
-      entry "abd" "ABD linearizable register (baseline)" (fun p ->
-          drive (module Abd) (module Register_object) p);
-      entry "lwwmemory" "Algorithm 2 shared memory" (fun p ->
-          drive (module Lww_memory) (module Memory_object) p);
+      entry "lwwreg" "LWW-register CRDT" (fun sinks ob spec ->
+          drive (module Registers.Lwwreg) (module Register_object) sinks ob spec);
+      entry "abd" "ABD linearizable register (baseline)" (fun sinks ob spec ->
+          drive (module Abd) (module Register_object) sinks ob spec);
+      entry "lwwmemory" "Algorithm 2 shared memory" (fun sinks ob spec ->
+          drive (module Lww_memory) (module Memory_object) sinks ob spec);
       entry "sharded"
         "Algorithm 1 per shard behind a consistent-hash ring, set \
          (--shards/--keys/--rebalance)"
@@ -899,7 +593,7 @@ let protocol_arg =
     & info [] ~docv:"PROTOCOL" ~doc:"One of the names shown by `ucsim list`.")
 
 let n_arg =
-  Arg.(value & opt int default_params.n & info [ "n" ] ~docv:"N" ~doc:"Processes.")
+  Arg.(value & opt int Run_spec.default.n & info [ "n" ] ~docv:"N" ~doc:"Processes.")
 
 let ops_arg default =
   Arg.(value & opt int default & info [ "ops" ] ~docv:"OPS" ~doc:"Operations per process.")
@@ -907,13 +601,13 @@ let ops_arg default =
 let delay_arg =
   Arg.(
     value
-    & opt float default_params.mean_delay
+    & opt float Run_spec.default.mean_delay
     & info [ "delay" ] ~docv:"D" ~doc:"Mean message delay.")
 
 let shards_arg =
   Arg.(
     value
-    & opt int default_params.shards
+    & opt int Run_spec.default.shards
     & info [ "shards" ] ~docv:"S"
         ~doc:
           "Initial shard count for the $(b,sharded) protocol: one \
@@ -923,7 +617,7 @@ let shards_arg =
 let keys_arg =
   Arg.(
     value
-    & opt int default_params.keys
+    & opt int Run_spec.default.keys
     & info [ "keys" ] ~docv:"K"
         ~doc:
           "Key domain of the sharded workload (Zipf-skewed; key 0 is the \
@@ -1015,7 +709,7 @@ let run_cmd =
   let log_core_arg =
     Arg.(
       value
-      & opt (enum [ ("list", `List); ("array", `Array) ]) default_params.log_core
+      & opt (enum [ ("list", `List); ("array", `Array) ]) Run_spec.default.log_core
       & info [ "log-core" ] ~docv:"CORE"
           ~doc:
             "Op-log substrate for Algorithm 1 (universal, counter, register \
@@ -1116,13 +810,12 @@ let run_cmd =
              reported with its journal index and span id (implies --obs).")
   in
   let run protocol seed n ops shards keys rebalance mean_delay fifo crash
-      check spacetime log_core checkpoint_interval batch_window obs_on
-      trace_out registry_out span_dump probe_interval partitions churn
-      journal_out monitors =
-    let e = find_protocol ~cmd:"run" ~fifo protocol in
-    e.run
+      check trace log_core checkpoint_interval batch_window obs_on trace_out
+      registry_out span_dump probe_interval partitions churn journal_out
+      monitors =
+    let spec =
       {
-        default_params with
+        Run_spec.default with
         protocol;
         seed;
         n;
@@ -1133,25 +826,25 @@ let run_cmd =
         mean_delay;
         fifo;
         crashes = (if crash then [ (50.0, n - 1) ] else []);
-        check;
-        spacetime;
         log_core;
         checkpoint_interval;
         batch_window;
-        obs_on;
-        trace_out;
-        registry_out;
-        span_dump;
         probe_interval;
         partitions;
         churn;
-        journal_out;
         monitors;
       }
+    in
+    check_spec ~cmd:"run" (Sequential spec);
+    let e = find_protocol ~cmd:"run" ~fifo protocol in
+    let sinks =
+      { obs_on; trace_out; registry_out; span_dump; journal_out; check; trace }
+    in
+    e.run sinks (observe sinks spec) spec
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ protocol_arg $ seed_arg $ n_arg $ ops_arg default_params.ops
+      const run $ protocol_arg $ seed_arg $ n_arg $ ops_arg Run_spec.default.ops
       $ shards_arg $ keys_arg $ rebalance_arg $ delay_arg $ fifo_arg
       $ crash_arg $ check_arg $ trace_arg $ log_core_arg
       $ checkpoint_interval_arg $ batch_window_arg $ obs_arg $ trace_out_arg
@@ -1277,8 +970,9 @@ let modelcheck_cmd =
            and type query = q
            and type output = o
            and type state = s) ~label ~scripts ~final_read =
-      let p = { default_params with log_core; checkpoint_interval } in
-      let module G = (val universal p (module A)) in
+      let spec = { Run_spec.default with log_core; checkpoint_interval } in
+      check_spec ~cmd:"modelcheck" (Sequential spec);
+      let module G = (val universal spec (module A)) in
       let module M = Model_check.Make (G) in
       let module S = Snapshot.For_replica (A) (A.Codec) (G) in
       let snapshot = if checkpoint > 0 || dedup then Some S.snapshotter else None in
@@ -1292,7 +986,7 @@ let modelcheck_cmd =
           ~domains ~scripts ~final_read ()
       in
       print_report
-        (Printf.sprintf "%s [log core: %s]" label (describe_log_core p))
+        (Printf.sprintf "%s [log core: %s]" label (describe_log_core spec))
         r.M.executions r.M.exhaustive r.M.failures r.M.distinct_failures
         r.M.first_failures r.M.stats
     in
@@ -1371,7 +1065,7 @@ let nemesis_cmd =
   in
   let run (e, set) seed runs =
     (* A FIFO-only protocol gets its FIFO channels. *)
-    campaign_of (set default_params) ~fifo:e.fifo ~runs ~seed
+    campaign_of (set Run_spec.default) ~fifo:e.fifo ~runs ~seed
   in
   Cmd.v (Cmd.info "nemesis" ~doc)
     Term.(const run $ set_protocol_arg $ seed_arg $ runs_arg)
@@ -1394,6 +1088,15 @@ let load_journal ~cmd file =
     Printf.eprintf "%s: %s: %s\n" cmd file msg;
     exit 1
   | j -> j
+
+(* The run a journal's header describes, or the command's one-line
+   error naming the offending field. *)
+let decode_header ~cmd file recorded =
+  match Run_spec.of_header (Obs.Journal.header recorded) with
+  | Ok spec -> spec
+  | Error msg ->
+    Printf.eprintf "%s: %s: %s\n" cmd file msg;
+    exit 1
 
 let storm_cmd =
   let doc =
@@ -1471,7 +1174,7 @@ let storm_cmd =
                       does not provide\n" e.name;
       exit 1
     end;
-    let (module P : SET_PROTOCOL) = set default_params in
+    let (module P : SET_PROTOCOL) = set Run_spec.default in
     let module C = Clients.Make (P) in
     let rng = Prng.create seed in
     let workload =
@@ -1532,9 +1235,11 @@ let storm_cmd =
 
 let shrink_cmd =
   let doc =
-    "Minimize a monitor-flagged journaled run (from `run --journal-out`) to \
-     a smallest scenario that still violates the same criterion, and write \
-     the minimized journal — itself replayable with `ucsim replay`."
+    "Minimize a monitor-flagged journaled run of a set protocol (from `run` \
+     or `soak --journal-out`) to a smallest scenario that still violates \
+     the same criterion, and write the minimized journal — itself \
+     replayable with `ucsim replay`. A journal its header does not \
+     reproduce is refused."
   in
   let in_arg =
     Arg.(
@@ -1557,66 +1262,52 @@ let shrink_cmd =
   in
   let run file out max_runs =
     let recorded = load_journal ~cmd:"shrink" file in
-    let p =
-      match
-        params_of_header ~journal:(Obs.Journal.create ())
-          (Obs.Journal.header recorded)
-      with
-      | exception Failure msg ->
-        Printf.eprintf "shrink: %s: %s\n" file msg;
-        exit 1
-      | p -> { p with journal = None }
+    let fail fmt =
+      Printf.ksprintf
+        (fun msg ->
+          Printf.eprintf "shrink: %s\n" msg;
+          exit 1)
+        fmt
     in
-    if p.batch_window <> None || p.probe_interval <> None then begin
-      Printf.eprintf
-        "shrink: runs recorded with --batch-window or --probe-interval are \
-         not shrinkable (the scenario engine re-executes without them)\n";
-      exit 1
-    end;
+    let spec =
+      match decode_header ~cmd:"shrink" file recorded with
+      | Sequential spec -> spec
+      | Parallel _ -> fail "%s: a parallel run has no scenario engine" file
+    in
     (* The set protocols: their `run` workload is the scripts a
        minimized journal carries, so it replays through the stock
        driver. *)
     let (module P : SET_PROTOCOL) =
-      match List.find_opt (fun e -> e.name = p.protocol) protocols with
-      | Some { set = Some set; _ } -> set p
+      match List.find_opt (fun e -> e.name = spec.protocol) protocols with
+      | Some { set = Some set; _ } -> set spec
       | _ ->
-        Printf.eprintf
-          "shrink: protocol %S has no scenario engine (set protocols only)\n"
-          p.protocol;
-        exit 1
+        fail "protocol %S has no scenario engine (set protocols only)"
+          spec.protocol
     in
     let module S = Scenario.Make (P) in
-    let scripts =
-      match Set_object.workload p with
-      | exception Failure msg ->
-        Printf.eprintf "shrink: %s\n" msg;
-        exit 1
-      | w -> w
-    in
     let scenario =
       {
-        S.seed = p.seed;
-        n = p.n;
-        mean_delay = p.mean_delay;
-        fifo = p.fifo;
-        scripts;
-        partitions = p.partitions;
-        crashes = p.crashes;
-        churn = p.churn;
+        S.spec;
+        scripts = Set_object.workload spec;
         final_read = Some Set_spec.Read;
       }
     in
     let criteria =
-      if p.monitors = [] then [ Obs.Monitor.Uc; Obs.Monitor.Ec; Obs.Monitor.Pc ]
-      else p.monitors
+      if spec.monitors = [] then [ Obs.Monitor.Uc; Obs.Monitor.Ec; Obs.Monitor.Pc ]
+      else spec.monitors
     in
+    (* Shrink only the run the journal recorded: the header must
+       re-execute to the same events, as `replay` requires. *)
+    (match Obs.Journal.diff recorded (S.run ~criteria scenario).S.journal with
+    | Some (i, _, _) ->
+      fail "%s: re-executing the header diverges from the journal at event %d"
+        file i
+    | None -> ());
     Format.printf "scenario           %a@." S.pp scenario;
     match S.shrink ~max_runs ~criteria scenario with
     | None ->
-      Printf.eprintf
-        "shrink: run is clean — no %s violation to minimize\n"
-        (String.concat "/" (List.map Obs.Monitor.criterion_name criteria));
-      exit 1
+      fail "run is clean — no %s violation to minimize"
+        (String.concat "/" (List.map Obs.Monitor.criterion_name criteria))
     | Some { S.scenario = m; outcome; runs } ->
       let v =
         match outcome.S.violation with Some v -> v | None -> assert false
@@ -1626,32 +1317,25 @@ let shrink_cmd =
         (Obs.Journal.length recorded)
         outcome.S.events runs;
       Format.printf "scenario (min)     %a@." S.pp m;
-      (match out with
-      | None -> ()
-      | Some out_file ->
-        let printed =
-          Array.to_list (Array.map (List.map Workload.For_set.print_op) m.S.scripts)
-        in
-        let min_params =
-          {
-            p with
-            n = m.S.n;
-            mean_delay = m.S.mean_delay;
-            fifo = m.S.fifo;
-            crashes = m.S.crashes;
-            partitions = m.S.partitions;
-            churn = m.S.churn;
-            scripts = Some printed;
-            monitors = [ v.Obs.Monitor.criterion ];
-            journal_out = Some out_file;
-          }
-        in
-        Obs.Journal.set_header outcome.S.journal (journal_header min_params);
-        let oc = open_out out_file in
-        output_string oc (Obs.Journal.to_jsonl outcome.S.journal);
-        close_out oc;
-        Printf.printf "journal written    %s (%d events)\n" out_file
-          outcome.S.events)
+      Option.iter
+        (fun out_file ->
+          let scripts =
+            Array.to_list (Array.map (List.map Run_spec.print_op) m.S.scripts)
+          in
+          Obs.Journal.set_header outcome.S.journal
+            (Run_spec.to_header
+               (Sequential
+                  {
+                    m.S.spec with
+                    scripts = Some scripts;
+                    monitors = [ v.Obs.Monitor.criterion ];
+                  }));
+          let oc = open_out out_file in
+          output_string oc (Obs.Journal.to_jsonl outcome.S.journal);
+          close_out oc;
+          Printf.printf "journal written    %s (%d events)\n" out_file
+            outcome.S.events)
+        out
   in
   Cmd.v (Cmd.info "shrink" ~doc) Term.(const run $ in_arg $ out_arg $ max_runs_arg)
 
@@ -1777,14 +1461,24 @@ let soak_cmd =
   in
   let run protocol seed n ops shards keys rebalance mean_delay fifo churn
       duration sample_interval series_out rules journal_out registry_out =
-    let e = find_protocol ~cmd:"soak" ~fifo protocol in
-    let journal = Option.map (fun _ -> Obs.Journal.create ()) journal_out in
-    (* The bundle exists up front (unlike `run`, where obs_of_params
-       decides) so the sampler can snapshot its registry every tick. *)
-    let o = Obs.create ?journal () in
-    let sampler =
-      Obs.Series.sampler ~interval:sample_interval ~registry:o.Obs.registry ()
+    let spec =
+      {
+        Run_spec.default with
+        protocol;
+        seed;
+        n;
+        ops;
+        shards;
+        keys;
+        rebalance;
+        mean_delay;
+        fifo;
+        churn;
+        soak = Some { sample_interval; duration; rules };
+      }
     in
+    check_spec ~cmd:"soak" (Sequential spec);
+    let e = find_protocol ~cmd:"soak" ~fifo protocol in
     let writer =
       Option.map
         (fun file ->
@@ -1802,52 +1496,24 @@ let soak_cmd =
           (file, oc, w))
         series_out
     in
+    let sinks = { no_sinks with registry_out; journal_out } in
+    let ob =
+      observe sinks spec ~on_alert:(fun fr ->
+          let rule = Obs.Alert.rule_to_string fr.Obs.Alert.rule in
+          Printf.printf "ALERT              %s at t=%g on %s (value %g)\n" rule
+            fr.Obs.Alert.time fr.Obs.Alert.series fr.Obs.Alert.value;
+          Option.iter
+            (fun (_, _, w) ->
+              Obs.Series.write_alert w ~time:fr.Obs.Alert.time ~rule
+                ~series:fr.Obs.Alert.series ~value:fr.Obs.Alert.value)
+            writer)
+    in
+    (* A soak spec always gets its sampler and alert rules. *)
+    let sampler = Option.get ob.sampler and alerts = Option.get ob.alerts in
     Option.iter
       (fun (_, _, w) -> Obs.Series.set_sink sampler (Obs.Series.write_point w))
       writer;
-    let alerts = Obs.Alert.create rules in
-    Obs.Alert.attach alerts sampler ~on_fire:(fun fr ->
-        let rule = Obs.Alert.rule_to_string fr.Obs.Alert.rule in
-        Printf.printf "ALERT              %s at t=%g on %s (value %g)\n" rule
-          fr.Obs.Alert.time fr.Obs.Alert.series fr.Obs.Alert.value;
-        Option.iter
-          (fun j ->
-            Obs.Journal.record j
-              (Obs.Journal.Alert
-                 {
-                   time = fr.Obs.Alert.time;
-                   rule;
-                   series = fr.Obs.Alert.series;
-                   value = fr.Obs.Alert.value;
-                 }))
-          journal;
-        Option.iter
-          (fun (_, _, w) ->
-            Obs.Series.write_alert w ~time:fr.Obs.Alert.time ~rule
-              ~series:fr.Obs.Alert.series ~value:fr.Obs.Alert.value)
-          writer);
-    e.run
-      {
-        default_params with
-        protocol;
-        seed;
-        n;
-        ops;
-        shards;
-        keys;
-        rebalance;
-        mean_delay;
-        fifo;
-        churn;
-        registry_out;
-        journal_out;
-        journal;
-        obs = Some o;
-        sample_interval = Some sample_interval;
-        duration;
-        rules;
-        sampler = Some sampler;
-      };
+    e.run sinks ob spec;
     Printf.printf "samples            %d ticks, %d series\n"
       (Obs.Series.ticks sampler)
       (List.length (Obs.Series.list (Obs.Series.store sampler)));
@@ -1954,61 +1620,55 @@ let print_replayed_through recorded k =
     Obs.Journal.pp_event
     (Obs.Journal.event recorded k)
 
+(* The workload a parallel spec describes: the contended set+zipf
+   scripts, or uniform scripts over any registered object. `bench` runs
+   it, and `replay` regenerates it from the header (the scripts are pure
+   functions of the seed). *)
+module type PARALLEL_WORKLOAD = sig
+  module A : Uqadt.S
+
+  val scripts : (A.update, A.query) Protocol.invocation list array
+  val final_read : A.query
+end
+
+let parallel_workload (ps : Run_spec.parallel) : (module PARALLEL_WORKLOAD) =
+  if ps.spec = "set" && ps.zipf > 0.0 then
+    (module struct
+      module A = Set_spec
+
+      let scripts =
+        Throughput.set_zipf_scripts ~seed:ps.seed ~domains:ps.domains
+          ~ops:ps.ops ~skew:ps.zipf ~delete_ratio:0.3
+
+      let final_read = Set_spec.Read
+    end)
+  else
+    (* a validated spec names a registered object *)
+    let (module O : Uqadt.S) = Option.get (Registry.find ps.spec) in
+    (module struct
+      module A = O
+      module B = Throughput.Bench (O)
+
+      let scripts =
+        B.uniform_scripts ~seed:ps.seed ~domains:ps.domains ~ops:ps.ops
+          ~query_ratio:ps.query_ratio
+
+      let final_read = O.random_query (Prng.create ps.seed)
+    end)
+
 (* Replay a flight-recorder journal (from `bench --journal-out`): the
-   header names the spec and the workload seed, the scripts are
-   regenerated (they are pure functions of the seed), and the recorded
+   workload is regenerated from the header, and the recorded
    per-replica delivery order is re-executed on the sequential core —
    fingerprint equality is Proposition 4 checked end to end. Always a
    full replay; --until then prints the named event. *)
-let replay_parallel_journal ~file recorded until =
-  let header = Obs.Journal.header recorded in
-  let str k =
-    match List.assoc_opt k header with
-    | Some (Obs.Json.Str s) -> s
-    | _ ->
-      Printf.eprintf "replay: %s: parallel journal header lacks %S\n" file k;
-      exit 1
-  in
-  let num k =
-    match List.assoc_opt k header with
-    | Some (Obs.Json.Num f) -> f
-    | _ ->
-      Printf.eprintf "replay: %s: parallel journal header lacks %S\n" file k;
-      exit 1
-  in
-  let spec = str "spec" in
-  let seed = int_of_float (num "seed") in
-  let domains = int_of_float (num "domains") in
-  let ops = int_of_float (num "ops") in
-  let query_ratio = num "query_ratio" in
-  let zipf = num "zipf" in
+let replay_parallel_journal recorded (ps : Run_spec.parallel) until =
   Printf.printf
     "replaying          parallel %s (seed %d, %d domains, %d events recorded)\n"
-    spec seed domains
+    ps.spec ps.seed ps.domains
     (Obs.Journal.length recorded);
-  let outcome =
-    if spec = "set" && zipf > 0.0 then begin
-      let module B = Throughput.Bench (Set_spec) in
-      let scripts =
-        Throughput.set_zipf_scripts ~seed ~domains ~ops ~skew:zipf
-          ~delete_ratio:0.3
-      in
-      B.replay_journal ~scripts ~final_read:Set_spec.Read recorded
-    end
-    else
-      match Registry.find spec with
-      | None ->
-        Printf.eprintf "replay: %s: unknown spec %S\n" file spec;
-        exit 1
-      | Some packed ->
-        let module A = (val packed : Uqadt.S) in
-        let module B = Throughput.Bench (A) in
-        let scripts = B.uniform_scripts ~seed ~domains ~ops ~query_ratio in
-        B.replay_journal ~scripts
-          ~final_read:(A.random_query (Prng.create seed))
-          recorded
-  in
-  match outcome with
+  let (module W) = parallel_workload ps in
+  let module B = Throughput.Bench (W.A) in
+  match B.replay_journal ~scripts:W.scripts ~final_read:W.final_read recorded with
   | Error msg ->
     Printf.printf "replay FAILED: %s\n" msg;
     exit 1
@@ -2044,46 +1704,15 @@ let replay_cmd =
   in
   let run file until =
     let recorded = load_journal ~cmd:"replay" file in
-    match List.assoc_opt "engine" (Obs.Journal.header recorded) with
-    | Some (Obs.Json.Str "parallel") ->
-      replay_parallel_journal ~file recorded until
-    | _ ->
+    match decode_header ~cmd:"replay" file recorded with
+    | Parallel ps -> replay_parallel_journal recorded ps until
+    | Sequential spec ->
     let capture = Obs.Journal.create () in
-    let p =
-      match params_of_header ~journal:capture (Obs.Journal.header recorded) with
-      | exception Failure msg ->
-        Printf.eprintf "replay: %s: %s\n" file msg;
-        exit 1
-      | p -> p
-    in
-    let p =
-      match p.sample_interval with
-      | None -> p
-      | Some dt ->
-        (* A soak journal carries Alert events. Rebuild the sampler and
-           alert engine its header describes — over a fresh registry in
-           the capture bundle — so the replay fires, and journals, the
-           identical alert stream (the sampler schedules no engine
-           events, so the rest of the schedule is untouched). *)
-        let o = Obs.create ~journal:capture () in
-        let s = Obs.Series.sampler ~interval:dt ~registry:o.Obs.registry () in
-        let a = Obs.Alert.create p.rules in
-        Obs.Alert.attach a s ~on_fire:(fun fr ->
-            Obs.Journal.record capture
-              (Obs.Journal.Alert
-                 {
-                   time = fr.Obs.Alert.time;
-                   rule = Obs.Alert.rule_to_string fr.Obs.Alert.rule;
-                   series = fr.Obs.Alert.series;
-                   value = fr.Obs.Alert.value;
-                 }));
-        { p with obs = Some o; sampler = Some s }
-    in
-    let e = find_protocol ~cmd:("replay: " ^ file) ~fifo:p.fifo p.protocol in
+    let e = find_protocol ~cmd:("replay: " ^ file) ~fifo:spec.fifo spec.protocol in
     Printf.printf "replaying          %s (seed %d, %d events recorded)\n"
-      p.protocol p.seed
+      spec.protocol spec.seed
       (Obs.Journal.length recorded);
-    e.run p;
+    e.run no_sinks (Run_spec.observe ~journal:capture spec) spec;
     let first_diff = Obs.Journal.diff recorded capture in
     let within i = match until with None -> true | Some k -> i <= k in
     (match first_diff with
@@ -2150,105 +1779,89 @@ let diff_cmd =
   in
   Cmd.v (Cmd.info "diff" ~doc) Term.(const run $ file_a $ file_b)
 
-(* One bench execution with optional flight recording, shared by the
-   generic-spec and set+zipf workload paths of `bench`. The recorder is
-   attached iff any of --journal-out / --series-out / --monitor was
-   given; the rebuilt journal's header carries everything `ucsim
-   replay` needs to regenerate the scripts. *)
-module Bench_drive (A : Uqadt.S) = struct
-  module B = Throughput.Bench (A)
-
-  let exec ~spec_name ~seed ~domains ~ops ~query_ratio ~zipf ~mailbox ~batch
-      ~flush_window ~obs ~journal_out ~series_out ~monitors ~sample_interval
-      ~scripts ~final_read ~describe =
-    let recording =
-      journal_out <> None || series_out <> None || monitors <> []
-    in
-    let recorder =
-      if recording then Some (Obs.Recorder.create ~domains ()) else None
-    in
-    let journal_header =
-      if not recording then None
-      else
-        Some
-          [
-            ("engine", Obs.Json.Str "parallel");
-            ("spec", Obs.Json.Str spec_name);
-            ("seed", Obs.Json.Num (float_of_int seed));
-            ("domains", Obs.Json.Num (float_of_int domains));
-            ("ops", Obs.Json.Num (float_of_int ops));
-            ("query_ratio", Obs.Json.Num query_ratio);
-            ("zipf", Obs.Json.Num zipf);
-            ("batch", Obs.Json.Num (float_of_int batch));
-            ("flush_window", Obs.Json.Num (float_of_int flush_window));
-            ("mailbox", Obs.Json.Num (float_of_int mailbox));
-          ]
-    in
-    let v =
-      B.measure ~mailbox_capacity:mailbox ~batch_every:batch ~flush_window ?obs
-        ?recorder
-        ?monitor:(if monitors = [] then None else Some monitors)
-        ?journal_header ~domains ~final_read ~scripts ()
-    in
-    let r = B.row ~batch ~flush_window ~ops_per_domain:ops v in
-    let checks =
-      [
-        ("logs agree", string_of_bool v.B.logs_agree);
-        ("omega = ts-fold", string_of_bool v.B.omega_matches_fold);
-        ("replay = ts-fold", string_of_bool v.B.replay_matches_fold);
-        ("updates conserved", string_of_bool v.B.updates_conserved);
-        ( "sequential runner",
-          match v.B.runner_matches with
-          | None -> "n/a (non-commutative)"
-          | Some b -> string_of_bool b );
-      ]
-      @
-      match v.B.journal_replay with
-      | None -> []
-      | Some b -> [ ("journal replay", string_of_bool b) ]
-    in
-    describe r ~state:v.B.state_repr ~checks;
-    (match v.B.recording with
+(* One bench execution of [ps] with optional flight recording. The
+   recorder is attached iff any of --journal-out / --series-out /
+   --monitor was given; the rebuilt journal's header is the spec, all
+   `ucsim replay` needs to regenerate the scripts. *)
+let bench_exec (ps : Run_spec.parallel) ~obs ~journal_out ~series_out ~monitors
+    ~sample_interval ~describe =
+  let (module W) = parallel_workload ps in
+  let module B = Throughput.Bench (W.A) in
+  let recording =
+    journal_out <> None || series_out <> None || monitors <> []
+  in
+  let recorder =
+    if recording then Some (Obs.Recorder.create ~domains:ps.domains ()) else None
+  in
+  let journal_header =
+    if recording then Some (Run_spec.to_header (Parallel ps)) else None
+  in
+  let v =
+    B.measure ~mailbox_capacity:ps.mailbox ~batch_every:ps.batch
+      ~flush_window:ps.flush_window ?obs ?recorder
+      ?monitor:(if monitors = [] then None else Some monitors)
+      ?journal_header ~domains:ps.domains ~final_read:W.final_read
+      ~scripts:W.scripts ()
+  in
+  let r =
+    B.row ~batch:ps.batch ~flush_window:ps.flush_window ~ops_per_domain:ps.ops v
+  in
+  let checks =
+    [
+      ("logs agree", string_of_bool v.B.logs_agree);
+      ("omega = ts-fold", string_of_bool v.B.omega_matches_fold);
+      ("replay = ts-fold", string_of_bool v.B.replay_matches_fold);
+      ("updates conserved", string_of_bool v.B.updates_conserved);
+      ( "sequential runner",
+        match v.B.runner_matches with
+        | None -> "n/a (non-commutative)"
+        | Some b -> string_of_bool b );
+    ]
+    @
+    match v.B.journal_replay with
+    | None -> []
+    | Some b -> [ ("journal replay", string_of_bool b) ]
+  in
+  describe r ~state:v.B.state_repr ~checks;
+  (match v.B.recording with
+  | None -> ()
+  | Some rc ->
+    (match rc.B.replay with
+    | Ok fp ->
+      Printf.printf "flight recorder    %d events, fingerprint %s\n"
+        (Obs.Journal.length rc.B.journal)
+        fp
+    | Error msg -> Printf.printf "flight recorder    REPLAY FAILED: %s\n" msg);
+    (match journal_out with
     | None -> ()
-    | Some rc ->
-      (match rc.B.replay with
-      | Ok fp ->
-        Printf.printf "flight recorder    %d events, fingerprint %s\n"
-          (Obs.Journal.length rc.B.journal)
-          fp
-      | Error msg -> Printf.printf "flight recorder    REPLAY FAILED: %s\n" msg);
-      (match journal_out with
-      | None -> ()
-      | Some file ->
-        let oc = open_out file in
-        output_string oc (Obs.Journal.to_jsonl rc.B.journal);
-        close_out oc;
-        Printf.printf "journal written    %s (%d events)\n" file
-          (Obs.Journal.length rc.B.journal));
-      (match series_out with
-      | None -> ()
-      | Some file ->
-        let oc = open_out file in
-        let w =
-          Obs.Series.writer oc
-            ~meta:(Option.value ~default:[] journal_header)
-        in
-        let store =
-          Throughput.series_of_events ~interval:sample_interval
-            ~sink:(Obs.Series.write_point w) rc.B.events
-        in
-        Obs.Series.close_writer w;
-        close_out oc;
-        Printf.printf "series written     %s (%d series)\n" file
-          (List.length (Obs.Series.list store)));
-      match rc.B.monitor with
-      | None -> ()
-      | Some mon ->
-        print_monitor_report ~criteria:monitors
-          ~events:(B.Mon.events_seen mon)
-          (B.Mon.violations mon));
-    r
-end
+    | Some file ->
+      let oc = open_out file in
+      output_string oc (Obs.Journal.to_jsonl rc.B.journal);
+      close_out oc;
+      Printf.printf "journal written    %s (%d events)\n" file
+        (Obs.Journal.length rc.B.journal));
+    (match series_out with
+    | None -> ()
+    | Some file ->
+      let oc = open_out file in
+      let w =
+        Obs.Series.writer oc ~meta:(Option.value ~default:[] journal_header)
+      in
+      let store =
+        Throughput.series_of_events ~interval:sample_interval
+          ~sink:(Obs.Series.write_point w) rc.B.events
+      in
+      Obs.Series.close_writer w;
+      close_out oc;
+      Printf.printf "series written     %s (%d series)\n" file
+        (List.length (Obs.Series.list store)));
+    match rc.B.monitor with
+    | None -> ()
+    | Some mon ->
+      print_monitor_report ~criteria:monitors
+        ~events:(B.Mon.events_seen mon)
+        (B.Mon.violations mon));
+  r
 
 let bench_cmd =
   let doc =
@@ -2384,6 +1997,22 @@ let bench_cmd =
   let run spec domains ops zipf seed query_ratio shards keys fanout mailbox
       batch flush_window json obs_flag journal_out series_out monitors
       sample_interval =
+    let ps =
+      {
+        Run_spec.spec;
+        seed;
+        domains;
+        ops;
+        query_ratio;
+        (* the Zipf skew selects the contended set workload; any other
+           workload is uniform *)
+        zipf = (if spec = "set" && zipf > 0.0 then zipf else 0.0);
+        batch;
+        flush_window;
+        mailbox;
+      }
+    in
+    check_spec ~cmd:"bench" (Parallel ps);
     let obs = if obs_flag then Some (Obs.create ()) else None in
     let clip s =
       if String.length s <= 96 then s else String.sub s 0 93 ^ "..."
@@ -2464,31 +2093,8 @@ let bench_cmd =
         (if r.Throughput.ok then "PASS" else "FAIL")
     in
     let row =
-      if spec = "set" && zipf > 0.0 then begin
-        let module D = Bench_drive (Set_spec) in
-        let scripts =
-          Throughput.set_zipf_scripts ~seed ~domains ~ops ~skew:zipf
-            ~delete_ratio:0.3
-        in
-        D.exec ~spec_name:"set" ~seed ~domains ~ops ~query_ratio ~zipf
-          ~mailbox ~batch ~flush_window ~obs ~journal_out ~series_out
-          ~monitors ~sample_interval ~scripts ~final_read:Set_spec.Read
-          ~describe
-      end
-      else begin
-        let packed =
-          match Registry.find spec with
-          | Some p -> p
-          | None -> assert false (* enum converter already validated *)
-        in
-        let module A = (val packed : Uqadt.S) in
-        let module D = Bench_drive (A) in
-        let scripts = D.B.uniform_scripts ~seed ~domains ~ops ~query_ratio in
-        let final_read = A.random_query (Prng.create seed) in
-        D.exec ~spec_name:spec ~seed ~domains ~ops ~query_ratio ~zipf:0.0
-          ~mailbox ~batch ~flush_window ~obs ~journal_out ~series_out
-          ~monitors ~sample_interval ~scripts ~final_read ~describe
-      end
+      bench_exec ps ~obs ~journal_out ~series_out ~monitors ~sample_interval
+        ~describe
     in
     Option.iter (fun path -> Throughput.emit_json path [ row ]) json;
     Option.iter

@@ -1,23 +1,18 @@
-(* Property-driven scenario engine: a full run description — scripts,
-   delays, partitions, crashes, churn — as one generatable, shrinkable
-   value. A scenario executes through {!Runner} with the online
-   monitors attached; when a run is flagged, the shrinker greedily
-   re-runs structurally smaller candidates (everything is seeded, so
-   every re-run is deterministic) until no smaller scenario still trips
-   the same criterion — yielding a smallest violating journal. *)
+(* Property-driven scenario engine: a run spec plus the typed scripts
+   it runs, as one generatable, shrinkable value. A scenario executes
+   through {!Runner} configured from its spec — the same configuration
+   `ucsim replay` builds — with the online monitors attached; when a
+   run is flagged, the shrinker greedily re-runs structurally smaller
+   candidates (everything is seeded, so every re-run is deterministic)
+   until no smaller scenario still trips the same criterion — yielding
+   a smallest violating journal. *)
 
 module Make (P : Protocol.PROTOCOL) = struct
   module R = Runner.Make (P)
 
   type t = {
-    seed : int;
-    n : int;
-    mean_delay : float;
-    fifo : bool;
+    spec : Run_spec.sequential;
     scripts : R.action list array;
-    partitions : Network.partition list;
-    crashes : (float * int) list;
-    churn : Network.churn_event list;
     final_read : P.query option;
   }
 
@@ -29,42 +24,35 @@ module Make (P : Protocol.PROTOCOL) = struct
   }
 
   let size t =
+    let s = t.spec in
     Array.fold_left (fun acc s -> acc + List.length s) 0 t.scripts
-    + List.length t.partitions
-    + List.length t.crashes + List.length t.churn + t.n
+    + List.length s.partitions
+    + List.length s.crashes + List.length s.churn + s.n
 
   let pp ppf t =
+    let s = t.spec in
     Format.fprintf ppf
       "seed=%d n=%d ops=%d delay=%g%s partitions=%d crashes=%d churn=%d"
-      t.seed t.n
+      s.seed s.n
       (Array.fold_left (fun acc s -> acc + List.length s) 0 t.scripts)
-      t.mean_delay
-      (if t.fifo then " fifo" else "")
-      (List.length t.partitions)
-      (List.length t.crashes) (List.length t.churn)
+      s.mean_delay
+      (if s.fifo then " fifo" else "")
+      (List.length s.partitions)
+      (List.length s.crashes) (List.length s.churn)
 
   let run ?(criteria = [ Obs.Monitor.Uc; Obs.Monitor.Ec; Obs.Monitor.Pc ]) t =
-    if Array.length t.scripts <> t.n then
+    if Array.length t.scripts <> t.spec.n then
       invalid_arg "Scenario.run: scripts width must match n";
     let journal = Obs.Journal.create () in
-    let obs = Obs.create ~journal () in
-    let monitor = R.Mon.create ~n:t.n ~criteria in
+    let spec = { t.spec with monitors = criteria } in
     let config =
-      {
-        (R.default_config ~n:t.n ~seed:t.seed) with
-        R.delay = Network.Exponential { mean = t.mean_delay };
-        fifo = t.fifo;
-        partitions = t.partitions;
-        crashes = t.crashes;
-        churn = t.churn;
-        final_read = t.final_read;
-        obs = Some obs;
-        monitor = Some monitor;
-      }
+      R.config_of_spec ~final_read:t.final_read
+        (Run_spec.observe ~journal spec)
+        spec
     in
     let result = R.run config ~workload:t.scripts in
     {
-      violation = R.Mon.first_violation monitor;
+      violation = Option.bind config.R.monitor R.Mon.first_violation;
       journal;
       events = Obs.Journal.length journal;
       converged = result.R.converged;
@@ -79,6 +67,7 @@ module Make (P : Protocol.PROTOCOL) = struct
      than dropping one op, so try it first. Every candidate is strictly
      smaller under {!size}, which makes the greedy loop terminate. *)
   let candidates t =
+    let s = t.spec in
     let acc = ref [] in
     let push c = acc := c :: !acc in
     (* Single-op removals, finest last (pushed first, reversed below). *)
@@ -118,7 +107,7 @@ module Make (P : Protocol.PROTOCOL) = struct
       t.scripts;
     (* Removing an empty process shrinks [n]; remaining pids shift down
        and every fault referencing the removed pid goes with it. *)
-    if t.n > 1 then
+    if s.n > 1 then
       Array.iteri
         (fun k script ->
           if script = [] then begin
@@ -126,48 +115,48 @@ module Make (P : Protocol.PROTOCOL) = struct
             push
               {
                 t with
-                n = t.n - 1;
                 scripts =
                   Array.of_list
                     (List.filteri
                        (fun i _ -> i <> k)
                        (Array.to_list t.scripts));
-                partitions =
-                  List.filter_map
-                    (fun (p : Network.partition) ->
-                      let group =
-                        List.filter_map
-                          (fun pid ->
-                            if pid = k then None else Some (remap pid))
-                          p.Network.group
-                      in
-                      if group = [] then None
-                      else Some { p with Network.group })
-                    t.partitions;
-                crashes =
-                  List.filter_map
-                    (fun (tm, pid) ->
-                      if pid = k then None else Some (tm, remap pid))
-                    t.crashes;
-                churn =
-                  List.filter_map
-                    (fun (ce : Network.churn_event) ->
-                      if ce.Network.pid = k then None
-                      else Some { ce with Network.pid = remap ce.Network.pid })
-                    t.churn;
+                spec =
+                  {
+                    s with
+                    n = s.n - 1;
+                    partitions =
+                      List.filter_map
+                        (fun (p : Network.partition) ->
+                          let group =
+                            List.filter_map
+                              (fun pid ->
+                                if pid = k then None else Some (remap pid))
+                              p.group
+                          in
+                          if group = [] then None else Some { p with group })
+                        s.partitions;
+                    crashes =
+                      List.filter_map
+                        (fun (tm, pid) ->
+                          if pid = k then None else Some (tm, remap pid))
+                        s.crashes;
+                    churn =
+                      List.filter_map
+                        (fun (ce : Network.churn_event) ->
+                          if ce.pid = k then None
+                          else Some { ce with pid = remap ce.pid })
+                        s.churn;
+                  };
               }
           end)
         t.scripts;
     (* Fault-schedule thinning. *)
-    List.iteri
-      (fun i _ -> push { t with partitions = remove_nth i t.partitions })
-      t.partitions;
-    List.iteri
-      (fun i _ -> push { t with crashes = remove_nth i t.crashes })
-      t.crashes;
-    List.iteri
-      (fun i _ -> push { t with churn = remove_nth i t.churn })
-      t.churn;
+    let thin edit l =
+      List.iteri (fun i _ -> push { t with spec = edit (remove_nth i l) }) l
+    in
+    thin (fun partitions -> { s with partitions }) s.partitions;
+    thin (fun crashes -> { s with crashes }) s.crashes;
+    thin (fun churn -> { s with churn }) s.churn;
     (* Whole-script removal, coarsest of all. *)
     Array.iteri
       (fun p script ->
@@ -283,14 +272,18 @@ module Make (P : Protocol.PROTOCOL) = struct
     let* churn = map List.concat (list_size (int_bound 2) gen_churn) in
     return
       {
-        seed;
-        n;
-        mean_delay;
-        fifo;
+        spec =
+          {
+            Run_spec.default with
+            seed;
+            n;
+            mean_delay;
+            fifo;
+            partitions;
+            crashes;
+            churn;
+          };
         scripts;
-        partitions;
-        crashes;
-        churn;
         final_read = Some (P.random_query (Prng.create (script_seed + 2)));
       }
 end

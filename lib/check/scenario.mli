@@ -1,9 +1,11 @@
 (** Property-driven scenario engine.
 
-    A {e scenario} packages a complete adversarial run description —
-    per-process scripts, delay model, FIFO-ness, partitions, crashes,
-    churn — as one first-class value that can be generated (QCheck),
-    executed (through {!Runner} with the online {!Obs.Monitor}s
+    A {e scenario} is a {!Run_spec.sequential} — seed, delays,
+    FIFO-ness, partitions, crashes, churn, batching, probes, soak
+    sampler — plus the typed per-process scripts it runs and the final
+    read. It can be generated (QCheck), executed (through {!Runner},
+    configured by {!Runner.Make.config_of_spec} exactly as [ucsim run]
+    and [ucsim replay] configure it, with the online {!Obs.Monitor}s
     attached and a journal recording), and {e shrunk}: when a run is
     flagged by a monitor, {!Make.shrink} greedily re-runs structurally
     smaller candidates — every re-run deterministic, since everything
@@ -15,14 +17,10 @@ module Make (P : Protocol.PROTOCOL) : sig
   module R : module type of Runner.Make (P)
 
   type t = {
-    seed : int;
-    n : int;
-    mean_delay : float;  (** exponential replica-mesh delay mean *)
-    fifo : bool;
-    scripts : R.action list array;  (** width must equal [n] *)
-    partitions : Network.partition list;
-    crashes : (float * int) list;
-    churn : Network.churn_event list;
+    spec : Run_spec.sequential;
+        (** everything but the scripts; its own [scripts] and
+            [monitors] are not read *)
+    scripts : R.action list array;  (** width must equal [spec.n] *)
     final_read : P.query option;
   }
 
@@ -42,7 +40,8 @@ module Make (P : Protocol.PROTOCOL) : sig
 
   val run : ?criteria:Obs.Monitor.criterion list -> t -> outcome
   (** Execute deterministically with the monitors attached (all three
-      criteria by default) and a journal recording. *)
+      criteria by default) and a journal recording. The journal's
+      header is the spec's, with [criteria] as its monitors. *)
 
   type shrunk = {
     scenario : t;
@@ -56,14 +55,16 @@ module Make (P : Protocol.PROTOCOL) : sig
       [criteria] monitors (all three by default).
       Otherwise greedy descent to a local minimum that still trips the
       {e same criterion} as the original violation: drop whole scripts,
-      then churn/crash/partition entries, then empty processes (pids
-      remapped), then script halves, then single ops — restarting from
-      the first candidate that reproduces, within [max_runs] (default
-      400) re-executions. Deterministic end to end. *)
+      then churn/crash/partition entries of the spec, then empty
+      processes (the spec's n shrinks, its fault pids are remapped),
+      then script halves, then single ops — restarting from the first
+      candidate that reproduces, within [max_runs] (default 400)
+      re-executions. Deterministic end to end. *)
 
   val gen : ?n_max:int -> ?ops_max:int -> unit -> t QCheck2.Gen.t
-  (** Scenario generator for property tests: scripts from the spec's
-      own [random_update]/[random_query], minority crash schedules,
+  (** Scenario generator for property tests: {!Run_spec.default} with
+      a generated seed, n, delay and FIFO-ness, scripts from the
+      object's own [random_update]/[random_query], minority crash schedules,
       single-pid partition windows, leave/rejoin churn. All structure
       derives from small integer primitives, so QCheck's integrated
       shrinking reduces it; follow with {!shrink} for semantic

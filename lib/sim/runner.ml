@@ -46,6 +46,31 @@ module Make (P : Protocol.PROTOCOL) = struct
       sampler = None;
     }
 
+  let config_of_spec ?(trace = false) ~final_read (ob : Run_spec.observers)
+      (s : Run_spec.sequential) =
+    let base = default_config ~n:s.n ~seed:s.seed in
+    {
+      base with
+      delay = Network.Exponential { mean = s.mean_delay };
+      fifo = s.fifo;
+      partitions = s.partitions;
+      crashes = s.crashes;
+      churn = s.churn;
+      final_read;
+      deadline =
+        (match s.soak with
+        | Some { duration = Some d; _ } -> d
+        | _ -> base.deadline);
+      trace;
+      batch_window = s.batch_window;
+      obs = ob.obs;
+      probe_interval = s.probe_interval;
+      monitor =
+        (if s.monitors = [] then None
+         else Some (Mon.create ~n:s.n ~criteria:s.monitors));
+      sampler = ob.sampler;
+    }
+
   (* Replica state fingerprint for the divergence probe when the caller
      supplies none: the certificate if the protocol keeps one, the log
      length otherwise (coarse, but monotone under convergence). *)

@@ -91,6 +91,19 @@ module Make (P : Protocol.PROTOCOL) : sig
       final read for none (set it per ADT), deadline 1e7, no batching,
       zero envelope, no telemetry. *)
 
+  val config_of_spec :
+    ?trace:bool ->
+    final_read:P.query option ->
+    Run_spec.observers ->
+    Run_spec.sequential ->
+    config
+  (** The run a spec describes, on {!default_config}'s think times:
+      exponential delays of the spec's mean, its channels, faults,
+      batch window and probe interval, the soak horizon as the
+      deadline, the observers' telemetry bundle and sampler, and a
+      monitor for the spec's criteria (none when it names none).
+      [trace] (default [false]) records a space-time trace. *)
+
   type result = {
     history : (P.update, P.query, P.output) History.t;
     metrics : Metrics.t;

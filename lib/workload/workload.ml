@@ -40,24 +40,6 @@ module For_set = struct
              (List.init n Fun.id)
         @ [ Protocol.Invoke_query Set_spec.Read ])
 
-  (* Compact one-op-per-token script codec, used to embed explicit
-     scripts in journal headers so a minimized scenario replays from
-     the file alone: "I(3)" insert, "D(3)" delete, "R" read. *)
-  let print_op = function
-    | Protocol.Invoke_update (Set_spec.Insert v) -> Printf.sprintf "I(%d)" v
-    | Protocol.Invoke_update (Set_spec.Delete v) -> Printf.sprintf "D(%d)" v
-    | Protocol.Invoke_query Set_spec.Read -> "R"
-
-  let parse_op s =
-    match s with
-    | "R" -> Some (Protocol.Invoke_query Set_spec.Read)
-    | _ -> (
-      let scan fmt k = try Some (Scanf.sscanf s fmt k) with _ -> None in
-      match scan "I(%d)%!" (fun v -> Protocol.Invoke_update (Set_spec.Insert v)) with
-      | Some _ as op -> op
-      | None ->
-        scan "D(%d)%!" (fun v -> Protocol.Invoke_update (Set_spec.Delete v)))
-
   let fig2_program () =
     [|
       [

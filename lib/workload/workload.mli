@@ -43,15 +43,6 @@ module For_set : sig
 
   val fig2_program : unit -> (Set_spec.update, Set_spec.query) t
   (** The two-process program of Figure 2 (drives Proposition 1). *)
-
-  val print_op : (Set_spec.update, Set_spec.query) Protocol.invocation -> string
-  (** One-token script codec: ["I(3)"], ["D(3)"], ["R"]. Used to embed
-      explicit scripts in journal headers so a minimized scenario
-      replays from the file alone. *)
-
-  val parse_op :
-    string -> (Set_spec.update, Set_spec.query) Protocol.invocation option
-  (** Inverse of {!print_op}; [None] on anything else. *)
 end
 
 (** Flash-crowd load shapes for the open-loop client driver (C8). *)

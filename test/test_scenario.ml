@@ -13,16 +13,22 @@ module SGen =
 
 let planted =
   {
-    SPipe.seed = 3;
-    n = 2;
-    mean_delay = 10.0;
-    fifo = false;
+    SPipe.spec =
+      {
+        Run_spec.default with
+        protocol = "pipelined";
+        seed = 3;
+        n = 2;
+        ops = 1;
+        mean_delay = 10.0;
+        fifo = false;
+        partitions = [];
+        crashes = [];
+        churn = [ { Network.time = 30.0; pid = 1; action = Network.Join } ];
+      };
     scripts =
       Workload.For_set.conflict ~rng:(Prng.create 3) ~n:2 ~ops_per_process:1
         ~domain:16 ~skew:1.0 ~delete_ratio:0.3;
-    partitions = [];
-    crashes = [];
-    churn = [ { Network.time = 30.0; pid = 1; action = Network.Join } ];
     final_read = Some Set_spec.Read;
   }
 

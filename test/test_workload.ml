@@ -126,12 +126,12 @@ let tests =
         in
         List.for_all
           (fun op ->
-            Workload.For_set.parse_op (Workload.For_set.print_op op) = Some op)
+            Run_spec.parse_op (Run_spec.print_op op) = Some op)
           ops);
     Alcotest.test_case "the codec rejects garbage" `Quick (fun () ->
         List.iter
           (fun s ->
-            match Workload.For_set.parse_op s with
+            match Run_spec.parse_op s with
             | None -> ()
             | Some _ -> Alcotest.failf "parsed %S" s)
           [ ""; "X(3)"; "I()"; "I(x)"; "I(3"; "R(1)"; "insert 3"; "D" ]);

@@ -1,7 +1,7 @@
 (* One description of a run and its one codec, the journal header. The
    encoder fixes the key order every journal written so far uses; the
-   decoder is total (an [Error] naming the field, never an exception)
-   and ends in the same [validate] the command line applies. *)
+   decoder ends in the same [validate] the command line applies, and
+   both report the first offending field as an [Error]. *)
 
 module Json = Obs.Json
 
@@ -90,133 +90,102 @@ let parse_op s =
 let set_scripts s =
   Option.map
     (fun printed ->
-      Array.of_list
-        (List.map
-           (List.map (fun tok ->
-                match parse_op tok with
-                | Some op -> op
-                | None -> invalid_arg ("Run_spec.set_scripts: bad op " ^ tok)))
-           printed))
+      let parse tok = Option.get (parse_op tok) in
+      Array.of_list (List.map (List.map parse) printed))
     s.scripts
 
 (* ------------------------------ validation ----------------------------- *)
 
-let ( let* ) = Result.bind
+(* Raised by the checks and readers below; [validate] and [of_header]
+   return it as an [Error]. *)
+exception Invalid of string
 
-let rec iter_m f = function
-  | [] -> Ok ()
-  | x :: xs ->
-    let* () = f x in
-    iter_m f xs
+let invalid field fmt =
+  Printf.ksprintf (fun msg -> raise (Invalid (field ^ ": " ^ msg))) fmt
 
-let rec map_m f = function
-  | [] -> Ok []
-  | x :: xs ->
-    let* y = f x in
-    let* ys = map_m f xs in
-    Ok (y :: ys)
-
-let check ok field fmt =
+let require ok field fmt =
   Printf.ksprintf
-    (fun msg -> if ok then Ok () else Error (field ^ ": " ^ msg))
+    (fun msg -> if not ok then raise (Invalid (field ^ ": " ^ msg)))
     fmt
 
-let at_least lo field v = check (v >= lo) field "must be at least %d, got %d" lo v
+let at_least lo field v =
+  require (v >= lo) field "must be at least %d, got %d" lo v
 
 let non_negative field x =
-  check (Float.is_finite x && x >= 0.0) field
+  require (Float.is_finite x && x >= 0.0) field
     "must be a finite non-negative number, got %g" x
 
 let positive field x =
-  check (Float.is_finite x && x > 0.0) field
+  require (Float.is_finite x && x > 0.0) field
     "must be a finite positive number, got %g" x
 
-let if_some f = function None -> Ok () | Some v -> f v
-
-let validate_sequential s =
+let check_sequential s =
   let pid field p =
-    check (p >= 0 && p < s.n) field "pid %d outside 0..%d" p (s.n - 1)
+    require (p >= 0 && p < s.n) field "pid %d outside 0..%d" p (s.n - 1)
   in
-  let* () = at_least 1 "n" s.n in
-  let* () = at_least 0 "ops" s.ops in
-  let* () = non_negative "mean_delay" s.mean_delay in
-  let* () = if_some (non_negative "batch_window") s.batch_window in
-  let* () =
-    iter_m
-      (fun (t, p) ->
-        let* () = non_negative "crashes" t in
-        pid "crashes" p)
-      s.crashes
-  in
-  let* () =
-    iter_m
-      (fun (pa : Network.partition) ->
-        let* () = non_negative "partitions" pa.from_time in
-        let* () =
-          check
-            (Float.is_finite pa.to_time && pa.from_time <= pa.to_time)
-            "partitions" "window %g..%g ends before it starts" pa.from_time
-            pa.to_time
-        in
-        let* () = check (pa.group <> []) "partitions" "empty group" in
-        iter_m (pid "partitions") pa.group)
-      s.partitions
-  in
-  let* () =
-    iter_m
-      (fun (ce : Network.churn_event) ->
-        let* () = non_negative "churn" ce.time in
-        pid "churn" ce.pid)
-      s.churn
-  in
-  let* () = if_some (at_least 0 "checkpoint_interval") s.checkpoint_interval in
-  let* () = at_least 1 "shards" s.shards in
-  let* () = at_least 1 "keys" s.keys in
-  let* () = if_some (positive "rebalance") s.rebalance in
-  let* () =
-    if_some
-      (fun scripts ->
-        let* () =
-          check
-            (List.length scripts = s.n)
-            "scripts" "%d scripts for n=%d" (List.length scripts) s.n
-        in
-        iter_m
-          (iter_m (fun tok ->
-               check (parse_op tok <> None) "scripts" "unparsable op %S" tok))
-          scripts)
-      s.scripts
-  in
-  let* () = if_some (non_negative "probe_interval") s.probe_interval in
-  if_some
+  at_least 1 "n" s.n;
+  at_least 0 "ops" s.ops;
+  non_negative "mean_delay" s.mean_delay;
+  Option.iter (non_negative "batch_window") s.batch_window;
+  List.iter
+    (fun (t, p) ->
+      non_negative "crashes" t;
+      pid "crashes" p)
+    s.crashes;
+  List.iter
+    (fun (pa : Network.partition) ->
+      non_negative "partitions" pa.from_time;
+      require
+        (Float.is_finite pa.to_time && pa.from_time <= pa.to_time)
+        "partitions" "window %g..%g ends before it starts" pa.from_time
+        pa.to_time;
+      require (pa.group <> []) "partitions" "empty group";
+      List.iter (pid "partitions") pa.group)
+    s.partitions;
+  List.iter
+    (fun (ce : Network.churn_event) ->
+      non_negative "churn" ce.time;
+      pid "churn" ce.pid)
+    s.churn;
+  Option.iter (at_least 0 "checkpoint_interval") s.checkpoint_interval;
+  at_least 1 "shards" s.shards;
+  at_least 1 "keys" s.keys;
+  Option.iter (positive "rebalance") s.rebalance;
+  Option.iter
+    (fun scripts ->
+      require
+        (List.length scripts = s.n)
+        "scripts" "%d scripts for n=%d" (List.length scripts) s.n;
+      List.iter
+        (List.iter (fun tok ->
+             require (parse_op tok <> None) "scripts" "unparsable op %S" tok))
+        scripts)
+    s.scripts;
+  Option.iter (non_negative "probe_interval") s.probe_interval;
+  Option.iter
     (fun k ->
-      let* () = positive "sample_interval" k.sample_interval in
-      if_some (non_negative "duration") k.duration)
+      positive "sample_interval" k.sample_interval;
+      Option.iter (non_negative "duration") k.duration)
     s.soak
 
-let validate_parallel (p : parallel) =
-  let* () =
-    check (Registry.find p.spec <> None) "spec" "unknown object %S" p.spec
-  in
-  let* () = at_least 1 "domains" p.domains in
-  let* () = at_least 0 "ops" p.ops in
-  let* () =
-    check
-      (p.query_ratio >= 0.0 && p.query_ratio <= 1.0)
-      "query_ratio" "must be between 0 and 1, got %g" p.query_ratio
-  in
-  let* () = non_negative "zipf" p.zipf in
-  let* () = at_least 1 "batch" p.batch in
-  let* () = at_least 0 "flush_window" p.flush_window in
+let check_parallel (p : parallel) =
+  require (Registry.find p.spec <> None) "spec" "unknown object %S" p.spec;
+  at_least 1 "domains" p.domains;
+  at_least 0 "ops" p.ops;
+  require
+    (p.query_ratio >= 0.0 && p.query_ratio <= 1.0)
+    "query_ratio" "must be between 0 and 1, got %g" p.query_ratio;
+  non_negative "zipf" p.zipf;
+  at_least 1 "batch" p.batch;
+  at_least 0 "flush_window" p.flush_window;
   at_least 1 "mailbox" p.mailbox
 
+let check = function
+  | Sequential s -> check_sequential s
+  | Parallel p -> check_parallel p
+
 let validate t =
-  let* () =
-    match t with
-    | Sequential s -> validate_sequential s
-    | Parallel p -> validate_parallel p
-  in
-  Ok t
+  match check t with () -> Ok t | exception Invalid msg -> Error msg
 
 (* -------------------------------- codec -------------------------------- *)
 
@@ -257,7 +226,8 @@ let to_header = function
       ("checkpoint_interval", opt num s.checkpoint_interval);
       ("batch_window", opt real s.batch_window);
       ("probe_interval", opt real s.probe_interval);
-      ("monitors", arr (fun c -> str (Obs.Monitor.criterion_name c)) s.monitors);
+      ( "monitors",
+        arr (fun c -> str (Obs.Monitor.criterion_name c)) s.monitors );
       ( "partitions",
         arr
           (fun (pa : Network.partition) ->
@@ -302,174 +272,127 @@ let to_header = function
 
 (* Readers of one JSON value, named by the field it came from. *)
 
-let wrong field what = Error (Printf.sprintf "%s: expected %s" field what)
-let number field = function Json.Num f -> Ok f | _ -> wrong field "a number"
+let number k = function Json.Num f -> f | _ -> invalid k "expected a number"
 
-let int field v =
-  let* f = number field v in
-  if not (Float.is_integer f) then
-    Error (Printf.sprintf "%s: not an integer: %g" field f)
-  else if Float.abs f >= 0x1p62 then
-    Error (Printf.sprintf "%s: integer out of range: %g" field f)
-  else Ok (int_of_float f)
+let int k v =
+  let f = number k v in
+  if not (Float.is_integer f) then invalid k "not an integer: %g" f;
+  if Float.abs f >= 0x1p62 then invalid k "integer out of range: %g" f;
+  int_of_float f
 
-let string field = function Json.Str s -> Ok s | _ -> wrong field "a string"
-let boolean field = function Json.Bool b -> Ok b | _ -> wrong field "a boolean"
+let string k = function Json.Str s -> s | _ -> invalid k "expected a string"
+let boolean k = function Json.Bool b -> b | _ -> invalid k "expected a boolean"
 
-let array read field = function
-  | Json.Arr xs -> map_m (read field) xs
-  | _ -> wrong field "an array"
+let array read k = function
+  | Json.Arr xs -> List.map (read k) xs
+  | _ -> invalid k "expected an array"
 
-(* One member of an object element of array [field]. *)
-let member read field name = function
+let named of_name what k v =
+  let s = string k v in
+  match of_name s with Some x -> x | None -> invalid k "unknown %s %S" what s
+
+(* Member [name] of an object element of array [k]. *)
+let member read k name = function
   | Json.Obj fields -> (
     match List.assoc_opt name fields with
-    | Some v -> read field v
-    | None -> Error (Printf.sprintf "%s: element without %S" field name))
-  | _ -> wrong field "an array of objects"
+    | Some v -> read k v
+    | None -> invalid k "element without %S" name)
+  | _ -> invalid k "expected an array of objects"
 
-let named of_name what field v =
-  let* s = string field v in
-  match of_name s with
-  | Some x -> Ok x
-  | None -> Error (Printf.sprintf "%s: unknown %s %S" field what s)
+let crash k v = (member number k "t" v, member int k "pid" v)
 
-let crash field v =
-  let* t = member number field "t" v in
-  let* pid = member int field "pid" v in
-  Ok (t, pid)
+let partition k v =
+  {
+    Network.from_time = member number k "from" v;
+    to_time = member number k "to" v;
+    group = member (array int) k "group" v;
+  }
 
-let partition field v =
-  let* from_time = member number field "from" v in
-  let* to_time = member number field "to" v in
-  let* group = member (array int) field "group" v in
-  Ok { Network.from_time; to_time; group }
+let churn_event k v =
+  {
+    Network.time = member number k "t" v;
+    pid = member int k "pid" v;
+    action = member (named Network.churn_action_of_name "action") k "action" v;
+  }
 
-let churn_event field v =
-  let* time = member number field "t" v in
-  let* pid = member int field "pid" v in
-  let* action =
-    member (named Network.churn_action_of_name "action") field "action" v
-  in
-  Ok { Network.time; pid; action }
-
-let rule field v =
-  let* s = string field v in
-  match Obs.Alert.rule_of_string s with
-  | r -> Ok r
-  | exception Invalid_argument _ ->
-    Error (Printf.sprintf "%s: bad rule %S" field s)
+let rule k v =
+  let s = string k v in
+  try Obs.Alert.rule_of_string s
+  with Invalid_argument _ -> invalid k "bad rule %S" s
 
 let decode header =
-  let required read k =
-    match List.assoc_opt k header with
-    | Some v -> read k v
-    | None -> Error (k ^ ": missing")
+  let get k = List.assoc_opt k header in
+  let req read k =
+    match get k with Some v -> read k v | None -> invalid k "missing"
   in
-  let optional read k =
-    match List.assoc_opt k header with
-    | None | Some Json.Null -> Ok None
-    | Some v -> Result.map Option.some (read k v)
+  let opt read k =
+    match get k with None | Some Json.Null -> None | Some v -> Some (read k v)
   in
-  let listed read k =
-    let* l = optional (array read) k in
-    Ok (Option.value ~default:[] l)
-  in
-  match List.assoc_opt "engine" header with
+  let list read k = Option.value ~default:[] (opt (array read) k) in
+  match get "engine" with
   | Some (Json.Str "parallel") ->
-    let* spec = required string "spec" in
-    let* seed = required int "seed" in
-    let* domains = required int "domains" in
-    let* ops = required int "ops" in
-    let* query_ratio = required number "query_ratio" in
-    let* zipf = required number "zipf" in
-    let* batch = required int "batch" in
-    let* flush_window = required int "flush_window" in
-    let* mailbox = required int "mailbox" in
-    Ok
-      (Parallel
-         {
-           spec;
-           seed;
-           domains;
-           ops;
-           query_ratio;
-           zipf;
-           batch;
-           flush_window;
-           mailbox;
-         })
+    Parallel
+      {
+        spec = req string "spec";
+        seed = req int "seed";
+        domains = req int "domains";
+        ops = req int "ops";
+        query_ratio = req number "query_ratio";
+        zipf = req number "zipf";
+        batch = req int "batch";
+        flush_window = req int "flush_window";
+        mailbox = req int "mailbox";
+      }
   | _ ->
-    let* protocol = required string "protocol" in
-    let* seed = required int "seed" in
-    let* n = required int "n" in
-    let* ops = required int "ops" in
-    let* mean_delay = required number "mean_delay" in
-    let* fifo = required boolean "fifo" in
-    let* crashes =
-      match List.assoc_opt "crashes" header with
-      | Some _ -> listed crash "crashes"
-      | None ->
+    let n = req int "n" in
+    let crashes =
+      if get "crashes" <> None then list crash "crashes"
         (* journals from before the explicit crash schedule carry the old
            one-crash flag *)
-        let* crash = optional boolean "crash" in
-        Ok (if crash = Some true then [ (50.0, n - 1) ] else [])
+      else if opt boolean "crash" = Some true then [ (50.0, n - 1) ]
+      else []
     in
-    let* log_core =
-      required
-        (named
-           (function "list" -> Some `List | "array" -> Some `Array | _ -> None)
-           "core")
-        "log_core"
+    let log_core = function
+      | "list" -> Some `List
+      | "array" -> Some `Array
+      | _ -> None
     in
-    let* checkpoint_interval = optional int "checkpoint_interval" in
-    let* batch_window = optional number "batch_window" in
-    let* probe_interval = optional number "probe_interval" in
-    let* monitors =
-      listed (named Obs.Monitor.criterion_of_name "criterion") "monitors"
-    in
-    let* partitions = listed partition "partitions" in
-    let* churn = listed churn_event "churn" in
-    let* scripts = optional (array (array string)) "scripts" in
-    let* shards = optional int "shards" in
-    let* keys = optional int "keys" in
-    let* rebalance = optional number "rebalance" in
-    let* soak =
-      let* sample_interval = optional number "sample_interval" in
-      match sample_interval with
-      | None -> Ok None
-      | Some sample_interval ->
-        let* duration = optional number "duration" in
-        let* rules = listed rule "rules" in
-        Ok (Some { sample_interval; duration; rules })
-    in
-    Ok
-      (Sequential
-         {
-           protocol;
-           seed;
-           n;
-           ops;
-           mean_delay;
-           fifo;
-           batch_window;
-           crashes;
-           partitions;
-           churn;
-           log_core;
-           checkpoint_interval;
-           shards = Option.value ~default:default.shards shards;
-           keys = Option.value ~default:default.keys keys;
-           rebalance;
-           scripts;
-           monitors;
-           probe_interval;
-           soak;
-         })
+    Sequential
+      {
+        protocol = req string "protocol";
+        seed = req int "seed";
+        n;
+        ops = req int "ops";
+        mean_delay = req number "mean_delay";
+        fifo = req boolean "fifo";
+        batch_window = opt number "batch_window";
+        crashes;
+        partitions = list partition "partitions";
+        churn = list churn_event "churn";
+        log_core = req (named log_core "core") "log_core";
+        checkpoint_interval = opt int "checkpoint_interval";
+        shards = Option.value ~default:default.shards (opt int "shards");
+        keys = Option.value ~default:default.keys (opt int "keys");
+        rebalance = opt number "rebalance";
+        scripts = opt (array (array string)) "scripts";
+        monitors =
+          list (named Obs.Monitor.criterion_of_name "criterion") "monitors";
+        probe_interval = opt number "probe_interval";
+        soak =
+          Option.map
+            (fun sample_interval ->
+              {
+                sample_interval;
+                duration = opt number "duration";
+                rules = list rule "rules";
+              })
+            (opt number "sample_interval");
+      }
 
 let of_header header =
-  let* t = decode header in
-  validate t
+  match decode header with
+  | t -> validate t
+  | exception Invalid msg -> Error msg
 
 (* ------------------------------ observers ------------------------------ *)
 
@@ -494,7 +417,8 @@ let observe ?(telemetry = false) ?journal ?(on_alert = ignore) s =
     | None -> { obs = Some o; sampler = None; alerts = None }
     | Some k ->
       let sampler =
-        Obs.Series.sampler ~interval:k.sample_interval ~registry:o.Obs.registry ()
+        Obs.Series.sampler ~interval:k.sample_interval
+          ~registry:o.Obs.registry ()
       in
       let alerts = Obs.Alert.create k.rules in
       Obs.Alert.attach alerts sampler ~on_fire:(fun fr ->

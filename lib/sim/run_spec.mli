@@ -1,24 +1,20 @@
 (** One description of a run, and its one codec: the journal header.
 
     A journal's header line is {!to_header} of the spec that produced
-    the run, and the simulator is a deterministic function of it. So
-    [ucsim replay] and [ucsim shrink] decode the header with
-    {!of_header} and re-execute exactly what [ucsim run], [soak] and
-    [bench] executed. Every entry point validates its spec with the one
+    the run, and the simulator is a deterministic function of it, so
+    [ucsim replay] and [ucsim shrink] re-execute exactly what [run],
+    [soak] and [bench] executed. Every entry point applies the one
     {!validate}, whether the spec came from flags or from a file.
-
-    Two engines, two cases. A {!sequential} run is the deterministic
-    simulator ({!Runner}); a {!parallel} run is the multicore engine,
-    whose header names the workload so replay can regenerate the
-    scripts (they are pure functions of the seed). *)
+    A {!sequential} run is the deterministic simulator ({!Runner}); a
+    {!parallel} run is the multicore engine, whose scripts replay
+    regenerates from the header (they are pure functions of the
+    seed). *)
 
 type soak = {
   sample_interval : float;  (** sampler cadence in simulated time *)
-  duration : float option;
-      (** hard horizon: overrides the runner deadline *)
+  duration : float option;  (** horizon; overrides the runner deadline *)
   rules : Obs.Alert.rule list;
 }
-(** The streaming sampler and alert rules of a soak run. *)
 
 type parallel = {
   spec : string;  (** object name, see {!Registry.names} *)
@@ -26,11 +22,10 @@ type parallel = {
   domains : int;
   ops : int;  (** per domain *)
   query_ratio : float;
-  zipf : float;
-      (** Zipf skew of the set workload; 0 means uniform scripts *)
-  batch : int;  (** broadcast every [batch] local updates *)
+  zipf : float;  (** skew of the set workload; 0 means uniform scripts *)
+  batch : int;
   flush_window : int;
-  mailbox : int;  (** mailbox capacity in frames *)
+  mailbox : int;
 }
 
 type sequential = {
@@ -50,9 +45,8 @@ type sequential = {
   keys : int;  (** key domain of the sharded workload *)
   rebalance : float option;  (** hot-shard policy interval *)
   scripts : string list list option;
-      (** explicit per-process set scripts in the {!print_op} codec,
-          overriding the generated workload: how a minimized journal
-          replays from the file alone *)
+      (** explicit per-process set scripts ({!print_op}) overriding the
+          generated workload: how a shrunk journal replays *)
   monitors : Obs.Monitor.criterion list;
   probe_interval : float option;
   soak : soak option;
@@ -66,26 +60,22 @@ val default : sequential
     keys, no observers. *)
 
 val validate : t -> (t, string) result
-(** [Ok] the spec unchanged, or [Error "FIELD: reason"] naming the first
-    field that no run can honour: a count or interval out of range, a
-    pid outside [0, n), an explicit script list whose length is not [n]
-    or that holds an op {!parse_op} rejects, an unknown object name. *)
+(** [Ok] the spec, or [Error "FIELD: reason"] for the first field no run
+    can honour: a count or interval out of range, a pid outside
+    [0, n), explicit scripts whose number is not [n] or that hold an op
+    {!parse_op} rejects, an unknown object name. *)
 
 val to_header : t -> (string * Obs.Json.t) list
 (** The journal header fields, in a fixed order. The shard fields are
-    written only when they differ from {!default}'s (in practice:
-    sharded runs), and the soak fields only for soak runs, so every
-    other header stays as short as it always was. *)
+    written only when they differ from {!default}'s and the soak fields
+    only for soak runs. *)
 
 val of_header : (string * Obs.Json.t) list -> (t, string) result
-(** Inverse of {!to_header}, then {!validate}. A header with
-    ["engine":"parallel"] decodes to {!Parallel}. [Error] names the
-    field that is missing, of the wrong JSON type, not an integer where
-    one is needed, or invalid. A header from before the explicit crash
-    schedule ([crash: true], no [crashes]) decodes to one crash of pid
-    [n-1] at t=50. *)
-
-(** {2 Explicit set scripts} *)
+(** Inverse of {!to_header}, then {!validate}; [Error] also names a field
+    that is missing, of the wrong JSON type, or not an integer where one
+    is needed. ["engine":"parallel"] selects {!Parallel}. A header from
+    before the explicit crash schedule ([crash: true], no [crashes])
+    decodes to one crash of pid [n-1] at t=50. *)
 
 val print_op : (Set_spec.update, Set_spec.query) Protocol.invocation -> string
 (** One token per op: ["I(3)"] insert, ["D(3)"] delete, ["R"] read. *)
@@ -100,8 +90,6 @@ val set_scripts :
 (** The spec's explicit scripts, parsed.
     @raise Invalid_argument on a spec {!validate} rejects. *)
 
-(** {2 Observers} *)
-
 type observers = {
   obs : Obs.t option;
   sampler : Obs.Series.sampler option;  (** soak runs only *)
@@ -114,10 +102,9 @@ val observe :
   ?on_alert:(Obs.Alert.firing -> unit) ->
   sequential ->
   observers
-(** The telemetry bundle a run of the spec needs. [obs] is present when
+(** The telemetry a run of the spec needs. [obs] is present when
     [telemetry] (default [false]) asks for it, when a [journal] is
-    given — its header is set to {!to_header} of the spec — or when the
-    spec probes, monitors or soaks. A soak spec also gets a sampler over
-    [obs]'s registry and its alert rules attached to it; each firing is
-    recorded into the journal as an [Alert] event, then handed to
-    [on_alert]. *)
+    given (its header becomes the spec's), or when the spec probes,
+    monitors or soaks. A soak spec also gets a sampler over [obs]'s
+    registry with its alert rules attached; each firing is journaled as
+    an [Alert] event, then handed to [on_alert]. *)

@@ -668,6 +668,27 @@ let churn_arg =
            joins fresh — joiners and rejoiners catch up from a present \
            peer's snapshot when the protocol supports one. Repeatable.")
 
+(* The part of a run spec `run` and `soak` read from the same flags. *)
+let spec_term ~ops =
+  let spec protocol seed n ops shards keys rebalance mean_delay fifo churn =
+    {
+      Run_spec.default with
+      protocol;
+      seed;
+      n;
+      ops;
+      shards;
+      keys;
+      rebalance;
+      mean_delay;
+      fifo;
+      churn;
+    }
+  in
+  Term.(
+    const spec $ protocol_arg $ seed_arg $ n_arg $ ops_arg ops $ shards_arg
+    $ keys_arg $ rebalance_arg $ delay_arg $ fifo_arg $ churn_arg)
+
 let journal_out_arg =
   Arg.(
     value
@@ -809,34 +830,23 @@ let run_cmd =
              online as the run progresses; the first violating event is \
              reported with its journal index and span id (implies --obs).")
   in
-  let run protocol seed n ops shards keys rebalance mean_delay fifo crash
-      check trace log_core checkpoint_interval batch_window obs_on trace_out
-      registry_out span_dump probe_interval partitions churn journal_out
-      monitors =
+  let run (spec : Run_spec.sequential) crash check trace log_core
+      checkpoint_interval batch_window obs_on trace_out registry_out span_dump
+      probe_interval partitions journal_out monitors =
     let spec =
       {
-        Run_spec.default with
-        protocol;
-        seed;
-        n;
-        ops;
-        shards;
-        keys;
-        rebalance;
-        mean_delay;
-        fifo;
-        crashes = (if crash then [ (50.0, n - 1) ] else []);
+        spec with
+        crashes = (if crash then [ (50.0, spec.n - 1) ] else []);
         log_core;
         checkpoint_interval;
         batch_window;
         probe_interval;
         partitions;
-        churn;
         monitors;
       }
     in
     check_spec ~cmd:"run" (Sequential spec);
-    let e = find_protocol ~cmd:"run" ~fifo protocol in
+    let e = find_protocol ~cmd:"run" ~fifo:spec.fifo spec.protocol in
     let sinks =
       { obs_on; trace_out; registry_out; span_dump; journal_out; check; trace }
     in
@@ -844,12 +854,12 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ protocol_arg $ seed_arg $ n_arg $ ops_arg Run_spec.default.ops
-      $ shards_arg $ keys_arg $ rebalance_arg $ delay_arg $ fifo_arg
+      const run
+      $ spec_term ~ops:Run_spec.default.ops
       $ crash_arg $ check_arg $ trace_arg $ log_core_arg
       $ checkpoint_interval_arg $ batch_window_arg $ obs_arg $ trace_out_arg
       $ registry_out_arg $ span_dump_arg $ probe_interval_arg $ partitions_arg
-      $ churn_arg $ journal_out_arg $ monitors_arg)
+      $ journal_out_arg $ monitors_arg)
 
 let modelcheck_cmd =
   let doc =
@@ -1459,26 +1469,11 @@ let soak_cmd =
              of that name, fires at most once, and is journaled as an Alert \
              event. Repeatable.")
   in
-  let run protocol seed n ops shards keys rebalance mean_delay fifo churn
-      duration sample_interval series_out rules journal_out registry_out =
-    let spec =
-      {
-        Run_spec.default with
-        protocol;
-        seed;
-        n;
-        ops;
-        shards;
-        keys;
-        rebalance;
-        mean_delay;
-        fifo;
-        churn;
-        soak = Some { sample_interval; duration; rules };
-      }
-    in
+  let run (spec : Run_spec.sequential) duration sample_interval series_out
+      rules journal_out registry_out =
+    let spec = { spec with soak = Some { sample_interval; duration; rules } } in
     check_spec ~cmd:"soak" (Sequential spec);
-    let e = find_protocol ~cmd:"soak" ~fifo protocol in
+    let e = find_protocol ~cmd:"soak" ~fifo:spec.fifo spec.protocol in
     let writer =
       Option.map
         (fun file ->
@@ -1487,9 +1482,9 @@ let soak_cmd =
             Obs.Series.writer oc
               ~meta:
                 [
-                  ("protocol", Obs.Json.Str protocol);
-                  ("seed", Obs.Json.Num (float_of_int seed));
-                  ("n", Obs.Json.Num (float_of_int n));
+                  ("protocol", Obs.Json.Str spec.protocol);
+                  ("seed", Obs.Json.Num (float_of_int spec.seed));
+                  ("n", Obs.Json.Num (float_of_int spec.n));
                   ("sample_interval", Obs.Json.Num sample_interval);
                 ]
           in
@@ -1534,10 +1529,8 @@ let soak_cmd =
   in
   Cmd.v (Cmd.info "soak" ~doc)
     Term.(
-      const run $ protocol_arg $ seed_arg $ n_arg $ ops_arg 500 $ shards_arg $ keys_arg
-      $ rebalance_arg $ delay_arg $ fifo_arg $ churn_arg $ duration_arg
-      $ sample_interval_arg $ series_out_arg $ rules_arg $ journal_out_arg
-      $ registry_out_arg)
+      const run $ spec_term ~ops:500 $ duration_arg $ sample_interval_arg
+      $ series_out_arg $ rules_arg $ journal_out_arg $ registry_out_arg)
 
 let report_cmd =
   let doc =

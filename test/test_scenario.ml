@@ -32,6 +32,26 @@ let planted =
     final_read = Some Set_spec.Read;
   }
 
+(* A run with everything Scenario.run used to drop: a batch window, a
+   probe interval, and a soak sampler with a horizon. *)
+let observed =
+  {
+    Run_spec.default with
+    protocol = "pipelined";
+    seed = 3;
+    n = 3;
+    ops = 8;
+    batch_window = Some 2.0;
+    probe_interval = Some 5.0;
+    soak =
+      Some
+        {
+          sample_interval = 10.0;
+          duration = Some 60.0;
+          rules = [ Obs.Alert.rule_of_string "above:queue_depth:0" ];
+        };
+  }
+
 let shrink_planted () =
   match SPipe.shrink ~criteria:[ Obs.Monitor.Pc ] planted with
   | None -> Alcotest.fail "planted PC violation was not flagged"
@@ -67,6 +87,37 @@ let tests =
         | Some v ->
           Alcotest.(check int) "violation index" reported v.Obs.Monitor.index
         | None -> Alcotest.fail "re-run is clean");
+    Alcotest.test_case "a scenario re-executes the journal its spec's run records"
+      `Quick
+      (fun () ->
+        let scripts =
+          Workload.For_set.conflict ~rng:(Prng.create 3) ~n:3 ~ops_per_process:8
+            ~domain:16 ~skew:1.0 ~delete_ratio:0.3
+        in
+        (* The run as `ucsim run` and `ucsim replay` configure it. *)
+        let recorded = Obs.Journal.create () in
+        let config =
+          SPipe.R.config_of_spec ~final_read:(Some Set_spec.Read)
+            (Run_spec.observe ~journal:recorded observed)
+            observed
+        in
+        ignore (SPipe.R.run config ~workload:scripts);
+        let o =
+          SPipe.run ~criteria:[]
+            { SPipe.spec = observed; scripts; final_read = Some Set_spec.Read }
+        in
+        let has f = List.exists f (Obs.Journal.events recorded) in
+        Alcotest.(check bool) "probes journaled" true
+          (has (function Obs.Journal.Probe _ -> true | _ -> false));
+        Alcotest.(check bool) "alerts journaled" true
+          (has (function Obs.Journal.Alert _ -> true | _ -> false));
+        (match Obs.Journal.diff recorded o.SPipe.journal with
+        | None -> ()
+        | Some (i, a, b) -> Alcotest.failf "diverge at %d: %s vs %s" i a b);
+        Alcotest.(check (option string))
+          "fingerprint"
+          (Obs.Journal.fingerprint recorded)
+          (Obs.Journal.fingerprint o.SPipe.journal));
     Alcotest.test_case "minimization is deterministic end to end" `Quick (fun () ->
         let s1 = shrink_planted () and s2 = shrink_planted () in
         Alcotest.(check int) "same event count" s1.SPipe.outcome.SPipe.events

@@ -250,6 +250,10 @@ let to_header = function
           s.churn );
       ("scripts", opt (arr (arr str)) s.scripts);
     ]
+    (* The shard and soak fields appear only on runs that set them, so
+       every other header stays the length it always was. A one-shard
+       run with its own key domain or rebalance interval needs them too:
+       its workload reads them. *)
     @ (if
          s.shards <> default.shards || s.keys <> default.keys
          || s.rebalance <> None

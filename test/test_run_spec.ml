@@ -197,7 +197,10 @@ let invalid_specs =
       "batch_window" );
     ( "sample interval 0",
       Run_spec.Sequential
-        { s with soak = Some { sample_interval = 0.0; duration = None; rules = [] } },
+        {
+          s with
+          soak = Some { sample_interval = 0.0; duration = None; rules = [] };
+        },
       "sample_interval" );
     ("n 0", Run_spec.Sequential { s with n = 0 }, "n");
     ("delay -5", Run_spec.Sequential { s with mean_delay = -5.0 }, "mean_delay");
@@ -209,7 +212,8 @@ let invalid_specs =
         {
           s with
           n = 3;
-          partitions = [ { Network.from_time = 5.0; to_time = 9.0; group = [ 9 ] } ];
+          partitions =
+            [ { Network.from_time = 5.0; to_time = 9.0; group = [ 9 ] } ];
         },
       "partitions" );
     ( "crash pid 7 at n 3",
@@ -254,7 +258,9 @@ let invalid_headers =
     ({|"fifo":false|}, {|"fifo":0|}, "fifo");
     ({|"log_core":"array"|}, {|"log_core":"tree"|}, "log_core");
     ({|"monitors":[]|}, {|"monitors":["lin"]|}, "monitors");
-    ({|"partitions":[]|}, {|"partitions":[{"from":1,"group":[0]}]|}, "partitions");
+    ( {|"partitions":[]|},
+      {|"partitions":[{"from":1,"group":[0]}]|},
+      "partitions" );
   ]
 
 let replace_once ~sub ~by s =

@@ -1,15 +1,26 @@
 type 'u entry = { ts : Timestamp.t; origin : int; payload : 'u }
 
+(* Interval checkpoints, deepest first: [Ckpt (k, s, rest)] holds the
+   fold of the first [k] entries, and every checkpoint in [rest] is
+   shallower. An insert at [pos] invalidates exactly the checkpoints
+   above [pos], which form the head of the chain: dropping them costs
+   O(dropped), and an append (nothing above it) costs one test. *)
+type 's checkpoints = Nil | Ckpt of int * 's * 's checkpoints
+
+(* The query cache cell: made by the first replay and overwritten by
+   every later one, so recording it allocates nothing. [k = 0] marks it
+   empty (the fold of no entries is [initial] anyway). *)
+type 's memo = { mutable k : int; mutable s : 's }
+
 type ('u, 's) t = {
   mutable arr : 'u entry array;
   mutable len : int;
   interval : int;
-  mutable checkpoints : (int * 's) list;
-      (* (k, fold of the first k entries), k strictly descending *)
+  mutable checkpoints : 's checkpoints;
   mutable watermark : int;
   mutable profile : Obs.Profile.t option;
   query_cache : bool;
-  mutable qcache : (int * 's) option;
+  mutable qcache : 's memo option;
       (* (k, fold of the first k entries) from the latest replay; like a
          checkpoint but free-floating: re-recorded at the log tail on
          every replay, so a query after a run of appends folds only the
@@ -23,16 +34,17 @@ let create ?(checkpoint_interval = 0) ?(query_cache = false) () =
     arr = [||];
     len = 0;
     interval = checkpoint_interval;
-    checkpoints = [];
+    checkpoints = Nil;
     watermark = 0;
     profile = None;
     query_cache;
     qcache = None;
   }
 
+(* The insert and replay paths test [t.profile] inline. A
+   [fun p -> ...] helper would allocate its closure on every call,
+   profile or not: this compiler does not inline it away. *)
 let set_profile t p = t.profile <- p
-
-let profiled t f = match t.profile with None -> () | Some p -> f p
 
 let checkpoint_interval t = t.interval
 
@@ -60,36 +72,43 @@ let grow t entry =
     t.arr <- arr
   end
 
+let rec drop_checkpoints_above t pos =
+  match t.checkpoints with
+  | Ckpt (k, _, rest) when k > pos ->
+    t.checkpoints <- rest;
+    (match t.profile with
+    | None -> ()
+    | Some p ->
+      p.Obs.Profile.checkpoints_dropped <- p.Obs.Profile.checkpoints_dropped + 1);
+    drop_checkpoints_above t pos
+  | _ -> ()
+
+(* An entry landing at [pos] changes the fold of every prefix longer
+   than [pos]: the checkpoints above it die, and so does the query
+   cache if it lies above it. At or below [pos] they stay valid. *)
+let invalidate_above t pos =
+  drop_checkpoints_above t pos;
+  match t.qcache with Some m when pos < m.k -> m.k <- 0 | _ -> ()
+
 let insert_at t entry pos =
   Array.blit t.arr pos t.arr (pos + 1) (t.len - pos);
   t.arr.(pos) <- entry;
-  profiled t (fun p ->
-      let shift = t.len - pos in
-      p.Obs.Profile.inserts <- p.Obs.Profile.inserts + 1;
-      if shift = 0 then p.Obs.Profile.appends <- p.Obs.Profile.appends + 1
-      else
-        p.Obs.Profile.shift_distance <- p.Obs.Profile.shift_distance + shift);
+  (match t.profile with
+  | None -> ()
+  | Some p ->
+    let shift = t.len - pos in
+    p.Obs.Profile.inserts <- p.Obs.Profile.inserts + 1;
+    if shift = 0 then p.Obs.Profile.appends <- p.Obs.Profile.appends + 1
+    else p.Obs.Profile.shift_distance <- p.Obs.Profile.shift_distance + shift);
   t.len <- t.len + 1;
-  (* A late arrival invalidates every checkpoint past its position;
-     an append (pos = previous length) keeps them all. *)
-  if t.checkpoints <> [] then begin
-    let before = List.length t.checkpoints in
-    t.checkpoints <- List.filter (fun (k, _) -> k <= pos) t.checkpoints;
-    profiled t (fun p ->
-        p.Obs.Profile.checkpoints_dropped <-
-          p.Obs.Profile.checkpoints_dropped + before
-          - List.length t.checkpoints)
-  end;
-  (* Same rule for the query cache: a landing before the cached prefix
-     changes the fold it memoised; at or after it leaves it valid. *)
-  (match t.qcache with
-  | Some (k, _) when pos < k -> t.qcache <- None
-  | _ -> ());
+  invalidate_above t pos;
   pos
 
+let stale () =
+  invalid_arg "Oplog.insert: timestamp at or below the stability watermark"
+
 let insert t entry =
-  if entry.ts.Timestamp.clock <= t.watermark then
-    invalid_arg "Oplog.insert: timestamp at or below the stability watermark";
+  if entry.ts.Timestamp.clock <= t.watermark then stale ();
   grow t entry;
   let pos = locate t entry.ts in
   (* Timestamps are unique run-wide, so an equal timestamp is the same
@@ -98,16 +117,62 @@ let insert t entry =
   if pos > 0 && Timestamp.compare t.arr.(pos - 1).ts entry.ts = 0 then pos - 1
   else insert_at t entry pos
 
-(* Batch insertion: one stable sort of the envelope, one capacity
-   check, one back-to-front merge pass over the backing array —
-   O(n + k log k) for k incoming entries against n resident ones,
-   where the sequential path pays k binary searches plus up to k
-   suffix memmoves. Semantically identical to folding [insert] over
-   the batch in order: duplicate timestamps (within the batch or
-   against the log) are the same update delivered again and are
-   skipped; checkpoints and the query cache are invalidated exactly as
-   the sequence of single inserts would have invalidated them (every
-   checkpoint above the lowest fresh landing position dies). *)
+let rec check_watermark watermark = function
+  | [] -> ()
+  | e :: rest ->
+    if e.ts.Timestamp.clock <= watermark then stale ();
+    check_watermark watermark rest
+
+(* Whether [prev] and the entries after it ascend strictly. Either way
+   every entry is checked against the watermark, so a stale one raises
+   before the log is touched. *)
+let rec ascending_from watermark prev = function
+  | [] -> true
+  | e :: rest ->
+    if e.ts.Timestamp.clock <= watermark then stale ();
+    if Timestamp.compare prev.ts e.ts < 0 then ascending_from watermark e rest
+    else begin
+      check_watermark watermark rest;
+      false
+    end
+
+(* Stable sort, then drop in-batch duplicates keeping the first — the
+   order the sequential inserts would have kept. *)
+let sorted_unique entries =
+  match List.stable_sort (fun a b -> Timestamp.compare a.ts b.ts) entries with
+  | [] -> [||]
+  | first :: rest ->
+    let acc = ref [ first ] and last = ref first in
+    List.iter
+      (fun e ->
+        if Timestamp.compare e.ts !last.ts <> 0 then begin
+          acc := e :: !acc;
+          last := e
+        end)
+      rest;
+    Array.of_list (List.rev !acc)
+
+(* Index of the first entry of the sorted batch [inc], from [i] on,
+   that the log does not hold yet; [Array.length inc] if none. *)
+let rec first_fresh t inc i =
+  if i >= Array.length inc then i
+  else
+    let pos = locate t inc.(i).ts in
+    if pos > 0 && Timestamp.compare t.arr.(pos - 1).ts inc.(i).ts = 0 then
+      first_fresh t inc (i + 1)
+    else i
+
+(* Batch insertion: one capacity check and one back-to-front merge
+   pass over the backing array, O(n + k) for k incoming entries against
+   n resident ones, plus a stable sort of the batch unless it already
+   ascends (a sender's envelope and a snapshot frame both do). The
+   sequential path pays k binary searches plus up to k suffix memmoves.
+   Semantically identical to folding [insert] over the batch in order:
+   duplicate timestamps (within the batch or against the log) are the
+   same update delivered again and are skipped; checkpoints and the
+   query cache are invalidated exactly as the sequence of single
+   inserts would have invalidated them (every checkpoint above the
+   lowest fresh landing position dies). *)
 let rec insert_batch t entries =
   match entries with
   | [] -> 0
@@ -115,78 +180,39 @@ let rec insert_batch t entries =
     let len0 = t.len in
     ignore (insert t e : int);
     t.len - len0
-  | entries ->
-    List.iter
-      (fun e ->
-        if e.ts.Timestamp.clock <= t.watermark then
-          invalid_arg
-            "Oplog.insert: timestamp at or below the stability watermark")
-      entries;
-    (* Stable sort, then drop in-batch duplicates keeping the first —
-       the order the sequential inserts would have kept. *)
-    let sorted =
-      List.stable_sort (fun a b -> Timestamp.compare a.ts b.ts) entries
-    in
+  | first :: rest ->
+    if first.ts.Timestamp.clock <= t.watermark then stale ();
     let inc =
-      match sorted with
-      | [] -> [||]
-      | first :: rest ->
-        let acc = ref [ first ] and last = ref first in
-        List.iter
-          (fun e ->
-            if Timestamp.compare e.ts !last.ts <> 0 then begin
-              acc := e :: !acc;
-              last := e
-            end)
-          rest;
-        Array.of_list (List.rev !acc)
+      if ascending_from t.watermark first rest then Array.of_list entries
+      else sorted_unique entries
     in
-    let k = Array.length inc in
-    (* Lowest landing position among fresh (non-duplicate) entries, in
-       the pre-merge coordinate system: [locate] is monotone in the
-       timestamp, so the first fresh candidate gives the minimum. All
-       checkpoints strictly above it are what the sequential inserts
-       would have dropped. *)
-    let rec first_fresh i =
-      if i >= k then None
-      else
-        let pos = locate t inc.(i).ts in
-        if pos > 0 && Timestamp.compare t.arr.(pos - 1).ts inc.(i).ts = 0 then
-          first_fresh (i + 1)
-        else Some pos
-    in
-    (match first_fresh 0 with
-    | None -> 0 (* every entry already resident: nothing to do *)
-    | Some pos_min ->
-      if t.checkpoints <> [] then begin
-        let before = List.length t.checkpoints in
-        t.checkpoints <- List.filter (fun (ck, _) -> ck <= pos_min) t.checkpoints;
-        profiled t (fun p ->
-            p.Obs.Profile.checkpoints_dropped <-
-              p.Obs.Profile.checkpoints_dropped + before
-              - List.length t.checkpoints)
-      end;
-      (match t.qcache with
-      | Some (ck, _) when pos_min < ck -> t.qcache <- None
-      | _ -> ());
-      merge_batch t inc k)
+    let first = first_fresh t inc 0 in
+    if first = Array.length inc then 0 (* every entry already resident *)
+    else begin
+      (* [locate] is monotone in the timestamp, so the first fresh
+         entry lands lowest. *)
+      invalidate_above t (locate t inc.(first).ts);
+      merge_batch t inc first
+    end
 
-(* Grow once to worst-case room, then merge from the back so every
-   resident entry moves at most once. Duplicates against the log are
-   skipped during the merge, leaving one contiguous gap (the write
-   pointer stands still while a duplicate is consumed) closed by a
-   single blit. *)
-and merge_batch t inc k =
+(* Merge [inc.(first) ..] (everything below [first] is resident). Grow
+   once to worst-case room, then merge from the back so every resident
+   entry above the first fresh one moves at most once. Duplicates
+   against the log are skipped during the merge, leaving one
+   contiguous gap (the write pointer stands still while a duplicate is
+   consumed) closed by a single blit. *)
+and merge_batch t inc first =
     let len0 = t.len in
+    let k = Array.length inc - first in
     let need = len0 + k in
     if need > Array.length t.arr then begin
-      let arr = Array.make (max 8 (max need (2 * len0))) inc.(0) in
+      let arr = Array.make (max 8 (max need (2 * len0))) inc.(first) in
       Array.blit t.arr 0 arr 0 len0;
       t.arr <- arr
     end;
-    let i = ref (len0 - 1) and j = ref (k - 1) and w = ref (need - 1) in
+    let i = ref (len0 - 1) and j = ref (Array.length inc - 1) and w = ref (need - 1) in
     let dups = ref 0 and appended = ref 0 and moved = ref 0 in
-    while !j >= 0 do
+    while !j >= first do
       if !i >= 0 then begin
         let c = Timestamp.compare t.arr.(!i).ts inc.(!j).ts in
         if c > 0 then begin
@@ -219,10 +245,12 @@ and merge_batch t inc k =
       Array.blit t.arr (!i + 1 + !dups) t.arr (!i + 1)
         (need - !dups - (!i + 1));
     t.len <- len0 + fresh;
-    profiled t (fun p ->
-        p.Obs.Profile.inserts <- p.Obs.Profile.inserts + fresh;
-        p.Obs.Profile.appends <- p.Obs.Profile.appends + !appended;
-        p.Obs.Profile.shift_distance <- p.Obs.Profile.shift_distance + !moved);
+    (match t.profile with
+    | None -> ()
+    | Some p ->
+      p.Obs.Profile.inserts <- p.Obs.Profile.inserts + fresh;
+      p.Obs.Profile.appends <- p.Obs.Profile.appends + !appended;
+      p.Obs.Profile.shift_distance <- p.Obs.Profile.shift_distance + !moved);
     fresh
 
 let iter f t =
@@ -250,45 +278,64 @@ let load t entries =
     Array.of_list
       (List.map (fun (ts, origin, payload) -> { ts; origin; payload }) entries);
   t.len <- Array.length t.arr;
-  t.checkpoints <- [];
+  t.checkpoints <- Nil;
   t.qcache <- None;
   t.watermark <- 0
 
-let replay t ~apply ~initial =
-  let base, state =
-    match t.checkpoints with [] -> (0, initial) | (k, s) :: _ -> (k, s)
-  in
-  (* The query cache is re-recorded at the tail of every replay, so it
-     is at least as deep as any interval checkpoint unless an insert
-     landed below it since the last query. Use whichever is deeper. *)
-  let base, state =
-    match t.qcache with
-    | Some (k, s) when k >= base -> (k, s)
-    | _ -> (base, state)
-  in
-  profiled t (fun p ->
-      p.Obs.Profile.replays <- p.Obs.Profile.replays + 1;
-      p.Obs.Profile.replay_steps <- p.Obs.Profile.replay_steps + t.len - base;
-      if base > 0 then
-        p.Obs.Profile.checkpoint_hits <- p.Obs.Profile.checkpoint_hits + 1
-      else if t.interval > 0 then
-        p.Obs.Profile.checkpoint_misses <- p.Obs.Profile.checkpoint_misses + 1);
+(* Fold the entries from [base] on onto [state], the fold of the first
+   [base]. States are recorded on the way so the next replay starts
+   close to the end of the log; the head checkpoint is the deepest, so
+   [i + 1 > base] never duplicates one. *)
+let replay_from t ~apply base state =
+  (match t.profile with
+  | None -> ()
+  | Some p ->
+    p.Obs.Profile.replays <- p.Obs.Profile.replays + 1;
+    p.Obs.Profile.replay_steps <- p.Obs.Profile.replay_steps + t.len - base;
+    if base > 0 then
+      p.Obs.Profile.checkpoint_hits <- p.Obs.Profile.checkpoint_hits + 1
+    else if t.interval > 0 then
+      p.Obs.Profile.checkpoint_misses <- p.Obs.Profile.checkpoint_misses + 1);
   let state = ref state in
   for i = base to t.len - 1 do
     state := apply !state t.arr.(i).payload;
-    (* Record states on the way so the next replay starts close to the
-       end of the log. The head checkpoint is the deepest, so [i + 1 >
-       base] never duplicates an existing one. *)
     if t.interval > 0 && (i + 1) mod t.interval = 0 then begin
-      t.checkpoints <- (i + 1, !state) :: t.checkpoints;
-      profiled t (fun p ->
-          p.Obs.Profile.checkpoints_taken <- p.Obs.Profile.checkpoints_taken + 1)
+      t.checkpoints <- Ckpt (i + 1, !state, t.checkpoints);
+      match t.profile with
+      | None -> ()
+      | Some p ->
+        p.Obs.Profile.checkpoints_taken <- p.Obs.Profile.checkpoints_taken + 1
     end
   done;
-  if t.query_cache then t.qcache <- Some (t.len, !state);
+  if t.query_cache then begin
+    match t.qcache with
+    | Some m ->
+      m.k <- t.len;
+      m.s <- !state
+    | None -> t.qcache <- Some { k = t.len; s = !state }
+  end;
   (!state, t.len - base)
 
-let checkpoints_live t = List.length t.checkpoints
+(* Start from the deeper of the head checkpoint and the query cache.
+   The cache is re-recorded at the tail of every replay, so it is at
+   least as deep as any checkpoint unless an insert landed below it
+   since the last query. *)
+let replay t ~apply ~initial =
+  match (t.qcache, t.checkpoints) with
+  | Some m, Ckpt (k, _, _) when m.k >= k -> replay_from t ~apply m.k m.s
+  | Some m, Nil when m.k > 0 -> replay_from t ~apply m.k m.s
+  | _, Ckpt (k, s, _) -> replay_from t ~apply k s
+  | _, Nil -> replay_from t ~apply 0 initial
+
+let rec count_checkpoints n = function
+  | Nil -> n
+  | Ckpt (_, _, rest) -> count_checkpoints (n + 1) rest
+
+let checkpoints_live t = count_checkpoints 0 t.checkpoints
+
+let checkpoints t =
+  let rec go = function Nil -> [] | Ckpt (k, s, rest) -> (k, s) :: go rest in
+  go t.checkpoints
 
 let watermark t = t.watermark
 
@@ -304,17 +351,18 @@ let compact t ~upto_clock ~apply snapshot =
     done;
     Array.blit t.arr stop t.arr 0 (t.len - stop);
     t.len <- t.len - stop;
-    profiled t (fun p ->
-        p.Obs.Profile.compactions <- p.Obs.Profile.compactions + 1;
-        p.Obs.Profile.compacted_entries <-
-          p.Obs.Profile.compacted_entries + stop;
-        p.Obs.Profile.checkpoints_dropped <-
-          p.Obs.Profile.checkpoints_dropped + List.length t.checkpoints);
+    (match t.profile with
+    | None -> ()
+    | Some p ->
+      p.Obs.Profile.compactions <- p.Obs.Profile.compactions + 1;
+      p.Obs.Profile.compacted_entries <- p.Obs.Profile.compacted_entries + stop;
+      p.Obs.Profile.checkpoints_dropped <-
+        p.Obs.Profile.checkpoints_dropped + checkpoints_live t);
     (* Checkpoint bases shifted by [stop]; simplest safe move is to
        drop the cache (compacting protocols do not use it). The query
        cache goes with them for the same reason: its base index and
        its folded-in prefix both moved out from under it. *)
-    t.checkpoints <- [];
+    t.checkpoints <- Nil;
     t.qcache <- None;
     t.watermark <- upto_clock;
     (!state, stop)

@@ -22,7 +22,9 @@
        folded state every [checkpoint_interval] entries and starts the
        next replay from the deepest checkpoint still valid; an insert
        at position [pos] invalidates exactly the checkpoints strictly
-       above [pos].}
+       above [pos]. They are kept deepest first, so the invalidated
+       ones are a run at the head: an insert pays O(dropped), and an
+       append, which drops nothing, pays one comparison.}
     {- {b Stability watermark}: the GC hook. {!compact} folds the
        prefix at or below a clock bound into a caller-held snapshot
        state and remembers the bound; {!insert} refuses timestamps at
@@ -63,9 +65,11 @@ val create : ?checkpoint_interval:int -> ?query_cache:bool -> unit -> ('u, 's) t
 val set_profile : ('u, 's) t -> Obs.Profile.t option -> unit
 (** Attach (or detach, with [None] — the initial state) a telemetry
     profile. With one attached, {!insert} counts appends vs mid-log
-    shifts, {!replay} counts passes/steps and checkpoint hit/miss/take,
-    and {!compact} counts folded entries — all plain field bumps, no
-    registry lookups on the hot path. *)
+    shifts and dropped checkpoints, {!replay} counts passes/steps and
+    checkpoint hit/miss/take, and {!compact} counts folded entries —
+    all plain field bumps, no registry lookups on the hot path. With
+    or without one, {!insert}, {!insert_batch} and {!replay} allocate
+    no closure. *)
 
 val checkpoint_interval : ('u, 's) t -> int
 
@@ -82,7 +86,10 @@ val locate : ('u, 's) t -> Timestamp.t -> int
 
 val insert : ('u, 's) t -> 'u entry -> int
 (** Insert in timestamp order and return the position the entry landed
-    at; checkpoints above that position are invalidated. Idempotent on
+    at; checkpoints above that position are invalidated, at O(1) per
+    checkpoint dropped whatever the number still live. An append
+    allocates nothing (beyond the doubling of the backing array once
+    it is full), however many checkpoints the log carries. Idempotent on
     a duplicate timestamp: timestamps are unique run-wide, so an equal
     timestamp is the same update delivered again (churn catch-up makes
     delivery at-least-once) and the log is left unchanged.
@@ -97,7 +104,9 @@ val insert_batch : ('u, 's) t -> 'u entry list -> int
     invalidated — but costs one stable sort of the batch plus a single
     back-to-front merge pass over the backing array (every resident
     entry moves at most once), instead of k binary searches each
-    paying a suffix memmove.
+    paying a suffix memmove. A batch that already ascends strictly by
+    timestamp (a sender's envelope, a snapshot frame) skips the sort;
+    any other order, duplicates included, takes it.
     @raise Invalid_argument if any timestamp's clock is at or below
     the stability {!watermark}; the log is then left unchanged (the
     batch is validated before the merge). *)
@@ -123,10 +132,16 @@ val replay :
     [checkpoint_interval] entries on the way. Returns the final state
     and the number of [apply] steps actually performed — the
     [replay_steps] observable of experiment C2. With checkpoints off
-    this is a plain full fold. *)
+    this is a plain full fold. Beyond its result pair, it allocates
+    only what [apply] does and one cell per checkpoint it records (the
+    query cache is overwritten in place). *)
 
 val checkpoints_live : ('u, 's) t -> int
 (** Currently valid checkpoints (diagnostics). *)
+
+val checkpoints : ('u, 's) t -> (int * 's) list
+(** The valid checkpoints, deepest first, as [(k, fold of the first k
+    entries)] pairs (diagnostics and tests). *)
 
 val watermark : ('u, 's) t -> int
 (** The stability bound: every entry with clock at or below this has

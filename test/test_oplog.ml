@@ -47,8 +47,163 @@ let frame_checksum s =
   String.iter (fun c -> acc := (!acc + Char.code c) land 0x3FFFFFFF) s;
   !acc
 
+(* Minor-heap words [f] allocates. *)
+let minor_words f =
+  let before = Stdlib.Gc.minor_words () in
+  f ();
+  Stdlib.Gc.minor_words () -. before
+
+(* Minor words per insert of [entries.(live) ..] into a log that holds
+   [entries.(0 .. live - 1)] and, if [checkpointed], one live checkpoint
+   per entry. The entries are built before the count starts, so only
+   the log's own work is measured. *)
+let words_per_insert ~checkpointed ~profile ~live entries =
+  let log =
+    Oplog.create ~checkpoint_interval:(if checkpointed then 1 else 0) ()
+  in
+  if profile then Oplog.set_profile log (Some (Obs.Profile.create ()));
+  for i = 0 to live - 1 do
+    ignore (Oplog.insert log entries.(i) : int)
+  done;
+  ignore (Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial);
+  Alcotest.(check int)
+    "live checkpoints" (if checkpointed then live else 0)
+    (Oplog.checkpoints_live log);
+  let inserted = Array.length entries - live in
+  let words =
+    minor_words (fun () ->
+        for i = live to Array.length entries - 1 do
+          ignore (Oplog.insert log entries.(i) : int)
+        done)
+  in
+  words /. float_of_int inserted
+
+let entry ~clock ~pid =
+  { Oplog.ts = Timestamp.make ~clock ~pid; origin = pid; payload = Set_spec.Insert (clock mod 16) }
+
+(* Appends drop no checkpoint, so carrying hundreds of them must cost
+   an append nothing: a checkpoint list rebuilt on every insert showed
+   up as ~2.4x the allocation of whole simulated runs. *)
+let append_guard ~profile () =
+  let live = 600 and appended = 10_000 in
+  let entries = Array.init (live + appended) (fun i -> entry ~clock:(i + 1) ~pid:0) in
+  let plain = words_per_insert ~checkpointed:false ~profile ~live entries in
+  let checkpointed = words_per_insert ~checkpointed:true ~profile ~live entries in
+  if checkpointed > plain then
+    Alcotest.failf "append with %d live checkpoints: %.2f words/insert, without: %.2f"
+      live checkpointed plain
+
+(* A late insert just below the tail drops one checkpoint; what it
+   allocates must not grow with the hundreds that survive. *)
+let late_insert_guard () =
+  let live = 600 and late = 100 in
+  let resident = Array.init live (fun i -> entry ~clock:(i + 1) ~pid:0) in
+  (* (c, 1) lands right after (c, 0), at position c: above exactly one
+     checkpoint, the head one, as c counts down from the tail. *)
+  let entries =
+    Array.append resident
+      (Array.init late (fun j -> entry ~clock:(live - 1 - j) ~pid:1))
+  in
+  let plain = words_per_insert ~checkpointed:false ~profile:false ~live entries in
+  let checkpointed = words_per_insert ~checkpointed:true ~profile:false ~live entries in
+  if checkpointed > plain then
+    Alcotest.failf "late insert with %d live checkpoints: %.2f words/insert, without: %.2f"
+      live checkpointed plain;
+  let log = Oplog.create ~checkpoint_interval:1 () in
+  let p = Obs.Profile.create () in
+  Oplog.set_profile log (Some p);
+  Array.iteri (fun i e -> if i < live then ignore (Oplog.insert log e : int)) entries;
+  ignore (Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial);
+  for i = live to Array.length entries - 1 do
+    ignore (Oplog.insert log entries.(i) : int)
+  done;
+  Alcotest.(check int) "one drop per late insert" late p.Obs.Profile.checkpoints_dropped;
+  Alcotest.(check int) "survivors" (live - late) (Oplog.checkpoints_live log)
+
+(* Checkpoint invalidation against the rule it implements, kept here
+   as the reference: on every insert or batch, filter the checkpoint
+   positions down to those at or below the lowest fresh landing
+   position and count what the filter removed. Replays record new
+   positions at the multiples of the interval they fold past. Batches
+   ascend half the time (the sort-free path a snapshot frame takes)
+   and are shuffled, with repeats, otherwise. Every surviving
+   checkpoint must still hold the fold of its prefix. *)
+let dropped_reference =
+  qtest ~count:300 "checkpoints_dropped counts what the List.filter reference drops"
+    seed_gen
+    (fun seed ->
+      let rng = Prng.create seed in
+      let interval = 1 + Prng.int rng 6 in
+      let log =
+        Oplog.create ~checkpoint_interval:interval
+          ~query_cache:(Prng.int rng 2 = 0) ()
+      in
+      let p = Obs.Profile.create () in
+      Oplog.set_profile log (Some p);
+      let ks = ref [] and dropped = ref 0 in
+      let invalidate pos =
+        let before = List.length !ks in
+        ks := List.filter (fun k -> k <= pos) !ks;
+        dropped := !dropped + before - List.length !ks
+      in
+      let random_entry () =
+        entry ~clock:(1 + Prng.int rng 40) ~pid:(Prng.int rng 3)
+      in
+      let resident e =
+        List.exists (fun (ts, _, _) -> Timestamp.equal ts e.Oplog.ts) (Oplog.to_list log)
+      in
+      let step () =
+        match Prng.int rng 3 with
+        | 0 ->
+          let len = Oplog.length log in
+          let _, steps =
+            Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial
+          in
+          for m = ((len - steps) / interval) + 1 to len / interval do
+            ks := (m * interval) :: !ks
+          done
+        | 1 ->
+          let e = random_entry () in
+          let fresh = not (resident e) and pos = Oplog.locate log e.Oplog.ts in
+          ignore (Oplog.insert log e : int);
+          if fresh then invalidate pos
+        | _ ->
+          let batch = List.init (Prng.int rng 12) (fun _ -> random_entry ()) in
+          let batch =
+            if Prng.int rng 2 = 0 then
+              List.sort_uniq (fun a b -> Timestamp.compare a.Oplog.ts b.Oplog.ts) batch
+            else batch
+          in
+          let lowest =
+            List.fold_left
+              (fun acc e ->
+                if resident e then acc else min acc (Oplog.locate log e.Oplog.ts))
+              max_int batch
+          in
+          ignore (Oplog.insert_batch log batch : int);
+          if lowest < max_int then invalidate lowest
+      in
+      List.for_all
+        (fun _ ->
+          step ();
+          let prefix k = List.filteri (fun i _ -> i < k) (Oplog.to_list log) in
+          p.Obs.Profile.checkpoints_dropped = !dropped
+          && Oplog.checkpoints_live log = List.length !ks
+          && List.map fst (Oplog.checkpoints log) = !ks
+          && List.for_all
+               (fun (k, s) -> Set_spec.equal_state s (fold_states (prefix k)))
+               (Oplog.checkpoints log))
+        (List.init 40 Fun.id))
+
 let tests =
   [
+    Alcotest.test_case "appends cost the same with hundreds of checkpoints (profile off)"
+      `Quick (append_guard ~profile:false);
+    Alcotest.test_case "appends cost the same with hundreds of checkpoints (profile on)"
+      `Quick (append_guard ~profile:true);
+    Alcotest.test_case "a late insert pays only for the checkpoints it drops" `Quick
+      late_insert_guard;
+    dropped_reference;
     qtest ~count:300 "inserting any permutation equals the timestamp sort"
       seed_gen
       (fun seed ->

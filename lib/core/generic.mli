@@ -55,6 +55,18 @@ module type S = sig
       timestamp, so operations issued after recovery still sort after
       everything the replica had acknowledged before the crash. *)
 
+  val merge_log : t -> (Timestamp.t * int * update) list -> bool
+  (** Churn catch-up: merge entries, in any order, into the live log by
+      timestamp union and advance the Lamport clock past every merged
+      timestamp. An entry whose timestamp is already logged is the same
+      update and is skipped, as is a repeat within [entries]. The log
+      is not rebuilt: the array core lands the entries with one
+      {!Oplog.insert_batch} (no sort when they ascend, as a snapshot
+      frame's do), so its checkpoints and query cache below the lowest
+      fresh entry survive; the list core merges its list. [false],
+      with log and clock unchanged, if the core refuses an entry: the
+      array core refuses one at or below its stability watermark. *)
+
   val clock_value : t -> int
   (** The replica's current Lamport clock. Together with {!local_log}
       this is the replica's complete protocol state — the log alone is

@@ -96,4 +96,36 @@ module Make (A : Uqadt.S) = struct
     t.log <- List.sort (fun (a, _, _) (b, _, _) -> Timestamp.compare a b) entries;
     t.log_len <- List.length entries;
     List.iter (fun (ts, _, _) -> Lamport.merge t.clock ts.Timestamp.clock) entries
+
+  (* Union of two timestamp-sorted lists; timestamps are unique
+     run-wide ((Lamport clock, pid) pairs), so entries with equal
+     timestamps are the same update: the resident one is kept, and a
+     repeat within the sorted incoming list is dropped against the last
+     entry kept. *)
+  let merge_log t entries =
+    let fresh = ref 0 in
+    let keep ((ts, _, _) as y) acc =
+      match acc with
+      | (ts', _, _) :: _ when Timestamp.compare ts ts' = 0 -> acc
+      | _ ->
+        incr fresh;
+        y :: acc
+    in
+    let rec go log inc acc =
+      match (log, inc) with
+      | rest, [] -> List.rev_append acc rest
+      | [], y :: inc' -> go [] inc' (keep y acc)
+      | ((ta, _, _) as x) :: log', ((tb, _, _) as y) :: inc' ->
+        let c = Timestamp.compare ta tb in
+        if c < 0 then go log' inc (x :: acc)
+        else if c > 0 then go log inc' (keep y acc)
+        else go log inc' acc
+    in
+    t.log <-
+      go t.log
+        (List.stable_sort (fun (a, _, _) (b, _, _) -> Timestamp.compare a b) entries)
+        [];
+    t.log_len <- t.log_len + !fresh;
+    List.iter (fun (ts, _, _) -> Lamport.merge t.clock ts.Timestamp.clock) entries;
+    true
 end

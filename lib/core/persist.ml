@@ -77,7 +77,9 @@ end
    replacing, so a rejoiner keeps its crash-time log and absorbing is
    idempotent and commutative — Proposition 4 guarantees the merged
    replica converges to the same state as if it had received every
-   frame it missed. *)
+   frame it missed. The merge is in place ([G.merge_log]): the live
+   log is never rebuilt, so its cached states below the lowest fresh
+   entry survive the catch-up. *)
 module Catchup
     (G : Generic.S)
     (C : Update_codec.S with type update = G.update) =
@@ -87,28 +89,15 @@ struct
 
   let snapshot replica = Some (P.snapshot_replica replica)
 
-  (* Union of two timestamp-sorted logs; timestamps are unique run-wide
-     ((Lamport clock, pid) pairs), so entries with equal timestamps are
-     the same update and deduplicate. *)
-  let merge_logs a b =
-    let rec go a b acc =
-      match (a, b) with
-      | [], rest | rest, [] -> List.rev_append acc rest
-      | ((ta, _, _) as x) :: a', ((tb, _, _) as y) :: b' ->
-        let c = Timestamp.compare ta tb in
-        if c < 0 then go a' b (x :: acc)
-        else if c > 0 then go a b' (y :: acc)
-        else go a' b' (x :: acc)
-    in
-    go a b []
-
   let absorb replica s =
     match P.decode_replica s with
     | exception Codec.Decode_error _ -> false
     | peer_clock, peer_log ->
-      G.restore_log replica (merge_logs (G.local_log replica) peer_log);
-      G.advance_clock replica peer_clock;
-      true
+      G.merge_log replica peer_log
+      && begin
+        G.advance_clock replica peer_clock;
+        true
+      end
 end
 
 module Make (A : Uqadt.S) (C : Update_codec.S with type update = A.update) =

@@ -80,7 +80,12 @@ end
     logs by timestamp union (local entries survive — a rejoiner keeps
     its crash-time log) and max-merges the Lamport clock, so it is
     idempotent, commutative, and never hands out a stale timestamp
-    after catching up. *)
+    after catching up. The merge is in place, through
+    {!Generic.S.merge_log}: the live log is not rebuilt, so on the
+    array core its checkpoints and query cache below the lowest fresh
+    entry survive, and an absorb that adds nothing changes nothing.
+    [absorb] returns [false], leaving the replica untouched, on a frame
+    that does not decode or whose entries the core refuses. *)
 module Catchup
     (G : Generic.S)
     (C : Update_codec.S with type update = G.update) : sig

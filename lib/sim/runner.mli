@@ -36,8 +36,11 @@ module Make (P : Protocol.PROTOCOL) : sig
             detached at the end of the run take no ω read and are
             excluded from the convergence verdict. Quiescence is
             churn-aware: after the engine drains, present replicas
-            exchange snapshots to a fixpoint to repair frames lost to
-            detached windows. *)
+            repair frames lost to detached windows in one
+            gather-scatter snapshot pass (the first present replica
+            absorbs every other one, then each of them absorbs it),
+            reaching the union of their updates and the maximum of
+            their clocks. *)
     think : Network.delay_model;  (** gap between consecutive local ops *)
     final_read : P.query option;
     deadline : float;  (** hard stop for the whole simulation *)

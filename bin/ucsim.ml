@@ -54,13 +54,18 @@ let observe ?on_alert sinks spec =
     ?journal:(Option.map (fun _ -> Obs.Journal.create ()) sinks.journal_out)
     spec
 
-(* A spec from flags, or the command's one-line error. *)
-let check_spec ~cmd spec =
-  match Run_spec.validate spec with
+(* The command's one-line error for the first invalid field. *)
+let or_exit ~cmd = function
   | Ok _ -> ()
   | Error msg ->
     Printf.eprintf "%s: %s\n" cmd msg;
     exit 1
+
+(* A spec from flags, or the command's one-line error. *)
+let check_spec ~cmd spec = or_exit ~cmd (Run_spec.validate spec)
+
+(* Flags no run spec carries, checked in the same words. *)
+let check_flags ~cmd flags = or_exit ~cmd (Run_spec.check_flags flags)
 
 let write_json file json =
   let oc = open_out file in
@@ -1179,6 +1184,20 @@ let storm_cmd =
   in
   let run (e, set) seed n clients ops delay base peak warm spike cool slo
       query_ratio registry_out =
+    check_flags ~cmd:"storm"
+      Run_spec.
+        [
+          ("n", At_least (1, n));
+          ("clients", At_least (0, clients));
+          ("ops", At_least (0, ops));
+          ("delay", Non_negative delay);
+          ("base", Non_negative base);
+          ("peak", Non_negative peak);
+          ("warm", Non_negative warm);
+          ("spike", Non_negative spike);
+          ("cool", Non_negative cool);
+          ("query_ratio", Fraction query_ratio);
+        ];
     if e.fifo then begin
       Printf.eprintf "storm: %s needs FIFO channels, which the client engine \
                       does not provide\n" e.name;
@@ -2006,6 +2025,9 @@ let bench_cmd =
       }
     in
     check_spec ~cmd:"bench" (Parallel ps);
+    if shards > 1 then
+      check_flags ~cmd:"bench"
+        Run_spec.[ ("keys", At_least (1, keys)); ("fanout", At_least (1, fanout)) ];
     let obs = if obs_flag then Some (Obs.create ()) else None in
     let clip s =
       if String.length s <= 96 then s else String.sub s 0 93 ^ "..."

@@ -119,6 +119,9 @@ let positive field x =
   require (Float.is_finite x && x > 0.0) field
     "must be a finite positive number, got %g" x
 
+let fraction field x =
+  require (x >= 0.0 && x <= 1.0) field "must be between 0 and 1, got %g" x
+
 let check_sequential s =
   let pid field p =
     require (p >= 0 && p < s.n) field "pid %d outside 0..%d" p (s.n - 1)
@@ -172,9 +175,7 @@ let check_parallel (p : parallel) =
   require (Registry.find p.spec <> None) "spec" "unknown object %S" p.spec;
   at_least 1 "domains" p.domains;
   at_least 0 "ops" p.ops;
-  require
-    (p.query_ratio >= 0.0 && p.query_ratio <= 1.0)
-    "query_ratio" "must be between 0 and 1, got %g" p.query_ratio;
+  fraction "query_ratio" p.query_ratio;
   non_negative "zipf" p.zipf;
   at_least 1 "batch" p.batch;
   at_least 0 "flush_window" p.flush_window;
@@ -186,6 +187,21 @@ let check = function
 
 let validate t =
   match check t with () -> Ok t | exception Invalid msg -> Error msg
+
+type flag = At_least of int * int | Non_negative of float | Fraction of float
+
+let check_flags flags =
+  match
+    List.iter
+      (fun (field, flag) ->
+        match flag with
+        | At_least (lo, v) -> at_least lo field v
+        | Non_negative x -> non_negative field x
+        | Fraction x -> fraction field x)
+      flags
+  with
+  | () -> Ok ()
+  | exception Invalid msg -> Error msg
 
 (* -------------------------------- codec -------------------------------- *)
 

@@ -65,6 +65,17 @@ val validate : t -> (t, string) result
     [0, n), explicit scripts whose number is not [n] or that hold an op
     {!parse_op} rejects, an unknown object name. *)
 
+(** A command flag that no run spec carries, with the bound {!validate}
+    would hold it to. *)
+type flag =
+  | At_least of int * int  (** [At_least (lo, v)]: the integer [v] >= [lo] *)
+  | Non_negative of float  (** a finite non-negative number *)
+  | Fraction of float  (** a number in [0, 1] *)
+
+val check_flags : (string * flag) list -> (unit, string) result
+(** [Ok ()], or [Error "FIELD: reason"] for the first [(FIELD, flag)]
+    out of its bound, in {!validate}'s words. *)
+
 val to_header : t -> (string * Obs.Json.t) list
 (** The journal header fields, in a fixed order. The shard fields are
     written only when they differ from {!default}'s and the soak fields

@@ -136,21 +136,20 @@ let rec ascending_from watermark prev = function
       false
     end
 
+(* [kept] (reversed, headed by [last]) plus the entries of a sorted
+   list that do not repeat the timestamp before them. *)
+let rec drop_repeats kept last = function
+  | [] -> kept
+  | e :: rest ->
+    if Timestamp.compare e.ts last.ts = 0 then drop_repeats kept last rest
+    else drop_repeats (e :: kept) e rest
+
 (* Stable sort, then drop in-batch duplicates keeping the first — the
    order the sequential inserts would have kept. *)
 let sorted_unique entries =
   match List.stable_sort (fun a b -> Timestamp.compare a.ts b.ts) entries with
   | [] -> [||]
-  | first :: rest ->
-    let acc = ref [ first ] and last = ref first in
-    List.iter
-      (fun e ->
-        if Timestamp.compare e.ts !last.ts <> 0 then begin
-          acc := e :: !acc;
-          last := e
-        end)
-      rest;
-    Array.of_list (List.rev !acc)
+  | first :: rest -> Array.of_list (List.rev (drop_repeats [ first ] first rest))
 
 (* Index of the first entry of the sorted batch [inc], from [i] on,
    that the log does not hold yet; [Array.length inc] if none. *)

@@ -51,7 +51,8 @@ let ctx ~steps pid : _ Protocol.ctx =
    dropped since. *)
 let live_checkpoints (c : _ Protocol.ctx) =
   match c.Protocol.obs with
-  | Some r -> r.Obs.profile.Obs.Profile.checkpoints_taken - r.Obs.profile.Obs.Profile.checkpoints_dropped
+  | Some { Obs.profile = p; _ } ->
+    p.Obs.Profile.checkpoints_taken - p.Obs.Profile.checkpoints_dropped
   | None -> 0
 
 (* A "UCS" replica frame, written from the frame spec: magic, version,
@@ -239,7 +240,11 @@ let hostile (module G : CORE) seed =
     | _ -> frame
   in
   let log0 = G.local_log x and clock0 = G.clock_value x in
-  let decoded = match O.decode_replica frame with d -> Some d | exception Codec.Decode_error _ -> None in
+  let decoded =
+    match O.decode_replica frame with
+    | d -> Some d
+    | exception Codec.Decode_error _ -> None
+  in
   let merged = K.absorb x frame in
   let untouched = G.local_log x = log0 && G.clock_value x = clock0 in
   match decoded with
@@ -290,7 +295,8 @@ end
 (* The exchange the gather-scatter pass replaced: every present replica
    absorbs every other one's snapshot, in pid order, until a round in
    which no log grew (at most n + 1 rounds). *)
-let fixpoint (type r) (module P : Protocol.PROTOCOL with type t = r) ~n (present : r list) =
+let fixpoint (type r) (module P : Protocol.PROTOCOL with type t = r) ~n
+    (present : r list) =
   let changed = ref true and rounds = ref 0 in
   while !changed && !rounds <= n do
     changed := false;
@@ -366,7 +372,9 @@ let ever_offline churn pid =
   match events_of churn pid with
   | { Network.action = Network.Join; _ } :: _ -> true
   | events ->
-    List.exists (fun (ce : Network.churn_event) -> ce.Network.action = Network.Leave) events
+    List.exists
+      (fun (ce : Network.churn_event) -> ce.Network.action = Network.Leave)
+      events
 
 (* Run the schedule twice: as is, and gated to stop at the start of
    quiescence, then bring the gated run's replicas to the fixpoint.

@@ -79,7 +79,11 @@ let words_per_insert ~checkpointed ~profile ~live entries =
   words /. float_of_int inserted
 
 let entry ~clock ~pid =
-  { Oplog.ts = Timestamp.make ~clock ~pid; origin = pid; payload = Set_spec.Insert (clock mod 16) }
+  {
+    Oplog.ts = Timestamp.make ~clock ~pid;
+    origin = pid;
+    payload = Set_spec.Insert (clock mod 16);
+  }
 
 (* Appends drop no checkpoint, so carrying hundreds of them must cost
    an append nothing: a checkpoint list rebuilt on every insert showed

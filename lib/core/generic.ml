@@ -10,7 +10,8 @@ module type S = sig
 
   val restore_log : t -> (Timestamp.t * int * update) list -> unit
 
-  val merge_log : t -> (Timestamp.t * int * update) list -> bool
+  val merge_frame :
+    t -> decode_update:(Codec.Reader.t -> update) -> Codec.Reader.t -> bool
 
   val clock_value : t -> int
 
@@ -133,24 +134,17 @@ module Configured (C : CONFIG) (A : Uqadt.S) = struct
     Oplog.load t.log entries;
     List.iter (fun (ts, _, _) -> Lamport.merge t.clock ts.Timestamp.clock) entries
 
-  (* One batch merge into the live log: checkpoints and the query cache
-     below the lowest fresh entry survive. The log refuses only entries
-     at or below its stability watermark, which stays 0 on this core
-     (it never compacts): a clock-0 entry no replica ever stamped. *)
-  let merge_log t entries =
-    let floor = Oplog.watermark t.log in
-    List.for_all (fun (ts, _, _) -> ts.Timestamp.clock > floor) entries
-    && begin
-      ignore
-        (Oplog.insert_batch t.log
-           (List.map
-              (fun (ts, origin, payload) -> { Oplog.ts; origin; payload })
-              entries)
-          : int);
-      Lamport.merge t.clock
-        (List.fold_left (fun acc (ts, _, _) -> max acc ts.Timestamp.clock) 0 entries);
+  (* The frame streams into the live log ([Oplog.merge_frame]):
+     checkpoints and the query cache below the lowest fresh entry
+     survive. The log refuses only entries at or below its stability
+     watermark, which stays 0 on this core (it never compacts): a
+     clock-0 entry no replica ever stamped. *)
+  let merge_frame t ~decode_update r =
+    match Oplog.merge_frame t.log ~decode_update r with
+    | Some top ->
+      Lamport.merge t.clock top;
       true
-    end
+    | None -> false
 end
 
 module Make (A : Uqadt.S) = Configured (struct let config = default end) (A)

@@ -55,17 +55,23 @@ module type S = sig
       timestamp, so operations issued after recovery still sort after
       everything the replica had acknowledged before the crash. *)
 
-  val merge_log : t -> (Timestamp.t * int * update) list -> bool
-  (** Churn catch-up: merge entries, in any order, into the live log by
-      timestamp union and advance the Lamport clock past every merged
-      timestamp. An entry whose timestamp is already logged is the same
-      update and is skipped, as is a repeat within [entries]. The log
-      is not rebuilt: the array core lands the entries with one
-      {!Oplog.insert_batch} (no sort when they ascend, as a snapshot
-      frame's do), so its checkpoints and query cache below the lowest
-      fresh entry survive; the list core merges its list. [false],
-      with log and clock unchanged, if the core refuses an entry: the
-      array core refuses one at or below its stability watermark. *)
+  val merge_frame :
+    t -> decode_update:(Codec.Reader.t -> update) -> Codec.Reader.t -> bool
+  (** Churn catch-up: merge the {!Oplog} "UCL" log frame on the reader
+      (which must end where the frame does) into the live log by
+      timestamp union, and advance the Lamport clock past every
+      timestamp in it. Entries may come in any order; one whose
+      timestamp is already logged is the same update and is skipped,
+      as is a repeat within the frame. The log is not rebuilt: the
+      array core streams the frame through {!Oplog.merge_frame}, which
+      builds an entry only for what the log lacks and lands those with
+      one batch merge, so its checkpoints and query cache below the
+      lowest fresh entry survive; the list core decodes the frame with
+      {!Oplog.decode_list} and merges its list. [false], with log and
+      clock unchanged, if the core refuses an entry: the array core
+      refuses one at or below its stability watermark.
+      @raise Codec.Decode_error, with log and clock unchanged, on a
+      malformed frame. *)
 
   val clock_value : t -> int
   (** The replica's current Lamport clock. Together with {!local_log}

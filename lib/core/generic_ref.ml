@@ -101,8 +101,10 @@ module Make (A : Uqadt.S) = struct
      run-wide ((Lamport clock, pid) pairs), so entries with equal
      timestamps are the same update: the resident one is kept, and a
      repeat within the sorted incoming list is dropped against the last
-     entry kept. *)
-  let merge_log t entries =
+     entry kept. The frame is decoded whole first, so a malformed one
+     raises before anything changes. *)
+  let merge_frame t ~decode_update r =
+    let entries = Oplog.decode_list ~decode_update r in
     let fresh = ref 0 in
     let keep ((ts, _, _) as y) acc =
       match acc with

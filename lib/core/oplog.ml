@@ -54,16 +54,30 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Oplog.get: index out of bounds";
   t.arr.(i)
 
-(* First position whose timestamp is greater than [ts]. Timestamps are
-   (clock, pid) pairs and strictly totally ordered, so <= 0 vs > 0 is
-   the only split that matters. *)
-let locate t ts =
+(* First position whose timestamp is greater than (clock, pid).
+   Timestamps are (clock, pid) pairs and strictly totally ordered, so
+   <= vs > is the only split that matters. Taking the two fields lets
+   the frame walker ask without building a [Timestamp.t]. *)
+let locate_fields t clock pid =
   let lo = ref 0 and hi = ref t.len in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if Timestamp.compare t.arr.(mid).ts ts <= 0 then lo := mid + 1 else hi := mid
+    let ts = t.arr.(mid).ts in
+    if ts.Timestamp.clock < clock || (ts.Timestamp.clock = clock && ts.Timestamp.pid <= pid)
+    then lo := mid + 1
+    else hi := mid
   done;
   !lo
+
+let locate t ts = locate_fields t ts.Timestamp.clock ts.Timestamp.pid
+
+(* Whether the log holds the entry stamped (clock, pid). *)
+let holds t clock pid =
+  let pos = locate_fields t clock pid in
+  pos > 0
+  &&
+  let ts = t.arr.(pos - 1).ts in
+  ts.Timestamp.clock = clock && ts.Timestamp.pid = pid
 
 let grow t entry =
   if t.len = Array.length t.arr then begin
@@ -117,49 +131,27 @@ let insert t entry =
   if pos > 0 && Timestamp.compare t.arr.(pos - 1).ts entry.ts = 0 then pos - 1
   else insert_at t entry pos
 
-let rec check_watermark watermark = function
-  | [] -> ()
-  | e :: rest ->
-    if e.ts.Timestamp.clock <= watermark then stale ();
-    check_watermark watermark rest
-
-(* Whether [prev] and the entries after it ascend strictly. Either way
-   every entry is checked against the watermark, so a stale one raises
-   before the log is touched. *)
-let rec ascending_from watermark prev = function
-  | [] -> true
-  | e :: rest ->
-    if e.ts.Timestamp.clock <= watermark then stale ();
-    if Timestamp.compare prev.ts e.ts < 0 then ascending_from watermark e rest
-    else begin
-      check_watermark watermark rest;
-      false
+(* Stable sort, then drop repeats in place keeping the first — the
+   order the sequential inserts would have kept. Returns how many
+   entries are left at the front of [inc]. *)
+let sort_unique inc =
+  Array.stable_sort (fun a b -> Timestamp.compare a.ts b.ts) inc;
+  let kept = ref (min 1 (Array.length inc)) in
+  for i = 1 to Array.length inc - 1 do
+    if Timestamp.compare inc.(i).ts inc.(!kept - 1).ts <> 0 then begin
+      inc.(!kept) <- inc.(i);
+      incr kept
     end
+  done;
+  !kept
 
-(* [kept] (reversed, headed by [last]) plus the entries of a sorted
-   list that do not repeat the timestamp before them. *)
-let rec drop_repeats kept last = function
-  | [] -> kept
-  | e :: rest ->
-    if Timestamp.compare e.ts last.ts = 0 then drop_repeats kept last rest
-    else drop_repeats (e :: kept) e rest
-
-(* Stable sort, then drop in-batch duplicates keeping the first — the
-   order the sequential inserts would have kept. *)
-let sorted_unique entries =
-  match List.stable_sort (fun a b -> Timestamp.compare a.ts b.ts) entries with
-  | [] -> [||]
-  | first :: rest -> Array.of_list (List.rev (drop_repeats [ first ] first rest))
-
-(* Index of the first entry of the sorted batch [inc], from [i] on,
-   that the log does not hold yet; [Array.length inc] if none. *)
-let rec first_fresh t inc i =
-  if i >= Array.length inc then i
-  else
-    let pos = locate t inc.(i).ts in
-    if pos > 0 && Timestamp.compare t.arr.(pos - 1).ts inc.(i).ts = 0 then
-      first_fresh t inc (i + 1)
-    else i
+(* Index of the first entry of [inc.(i .. n - 1)] that the log does
+   not hold yet; [n] if none. *)
+let rec first_fresh t inc i n =
+  if i >= n then i
+  else if holds t inc.(i).ts.Timestamp.clock inc.(i).ts.Timestamp.pid then
+    first_fresh t inc (i + 1) n
+  else i
 
 (* Batch insertion: one capacity check and one back-to-front merge
    pass over the backing array, O(n + k) for k incoming entries against
@@ -179,37 +171,44 @@ let rec insert_batch t entries =
     let len0 = t.len in
     ignore (insert t e : int);
     t.len - len0
-  | first :: rest ->
-    if first.ts.Timestamp.clock <= t.watermark then stale ();
-    let inc =
-      if ascending_from t.watermark first rest then Array.of_list entries
-      else sorted_unique entries
-    in
-    let first = first_fresh t inc 0 in
-    if first = Array.length inc then 0 (* every entry already resident *)
-    else begin
-      (* [locate] is monotone in the timestamp, so the first fresh
-         entry lands lowest. *)
-      invalidate_above t (locate t inc.(first).ts);
-      merge_batch t inc first
-    end
+  | _ ->
+    let inc = Array.of_list entries in
+    let ascending = ref true in
+    for i = 0 to Array.length inc - 1 do
+      if inc.(i).ts.Timestamp.clock <= t.watermark then stale ();
+      if i > 0 && Timestamp.compare inc.(i - 1).ts inc.(i).ts >= 0 then
+        ascending := false
+    done;
+    land_sorted t inc (if !ascending then Array.length inc else sort_unique inc)
 
-(* Merge [inc.(first) ..] (everything below [first] is resident). Grow
-   once to worst-case room, then merge from the back so every resident
-   entry above the first fresh one moves at most once. Duplicates
-   against the log are skipped during the merge, leaving one
-   contiguous gap (the write pointer stands still while a duplicate is
-   consumed) closed by a single blit. *)
-and merge_batch t inc first =
+(* Land the strictly ascending [inc.(0 .. n - 1)], none of them at or
+   below the watermark; returns how many were fresh. *)
+and land_sorted t inc n =
+  let first = first_fresh t inc 0 n in
+  if first = n then 0 (* every entry already resident *)
+  else begin
+    (* [locate] is monotone in the timestamp, so the first fresh
+       entry lands lowest. *)
+    invalidate_above t (locate t inc.(first).ts);
+    merge_batch t inc first n
+  end
+
+(* Merge [inc.(first) .. inc.(stop - 1)] (everything below [first] is
+   resident). Grow once to worst-case room, then merge from the back
+   so every resident entry above the first fresh one moves at most
+   once. Duplicates against the log are skipped during the merge,
+   leaving one contiguous gap (the write pointer stands still while a
+   duplicate is consumed) closed by a single blit. *)
+and merge_batch t inc first stop =
     let len0 = t.len in
-    let k = Array.length inc - first in
+    let k = stop - first in
     let need = len0 + k in
     if need > Array.length t.arr then begin
       let arr = Array.make (max 8 (max need (2 * len0))) inc.(first) in
       Array.blit t.arr 0 arr 0 len0;
       t.arr <- arr
     end;
-    let i = ref (len0 - 1) and j = ref (Array.length inc - 1) and w = ref (need - 1) in
+    let i = ref (len0 - 1) and j = ref (stop - 1) and w = ref (need - 1) in
     let dups = ref 0 and appended = ref 0 and moved = ref 0 in
     while !j >= first do
       if !i >= 0 then begin
@@ -251,11 +250,6 @@ and merge_batch t inc first =
       p.Obs.Profile.appends <- p.Obs.Profile.appends + !appended;
       p.Obs.Profile.shift_distance <- p.Obs.Profile.shift_distance + !moved);
     fresh
-
-let iter f t =
-  for i = 0 to t.len - 1 do
-    f t.arr.(i)
-  done
 
 let fold f init t =
   let acc = ref init in
@@ -380,9 +374,12 @@ let magic = "UCL"
 
 let version = 1
 
+(* The trailer: the sum of every byte before it, modulo 2^30. *)
+let checksum_mask = 0x3FFFFFFF
+
 let checksum s =
   let acc = ref 0 in
-  String.iter (fun c -> acc := (!acc + Char.code c) land 0x3FFFFFFF) s;
+  String.iter (fun c -> acc := (!acc + Char.code c) land checksum_mask) s;
   !acc
 
 let encode_list ~encode_update entries =
@@ -404,42 +401,77 @@ let encode_list ~encode_update entries =
   Codec.Writer.varint tail (checksum body);
   body ^ Codec.Writer.contents tail
 
-let decode_list ~decode_update s =
-  (* The frame is self-delimiting: decode the body first, then the
-     trailing varint is the checksum of everything before it. *)
-  let r = Codec.Reader.of_string s in
-  String.iter
-    (fun c ->
-      if Codec.Reader.u8 r <> Char.code c then
-        raise (Codec.Decode_error "log snapshot: bad magic"))
-    magic;
-  if Codec.Reader.u8 r <> version then
-    raise (Codec.Decode_error "log snapshot: unsupported version");
+let corrupt what = raise (Codec.Decode_error ("log snapshot: " ^ what))
+
+(* The one parser of the frame. It walks a frame off [r], which must
+   end where the frame does, calling [f clock pid origin update] on each
+   entry in frame order, then checks the trailer against the bytes it
+   walked, in place. It builds nothing itself, so each consumer builds
+   only what it keeps. *)
+let walk ~decode_update r f =
+  let start = Codec.Reader.pos r in
+  String.iter (fun c -> if Codec.Reader.u8 r <> Char.code c then corrupt "bad magic") magic;
+  if Codec.Reader.u8 r <> version then corrupt "unsupported version";
+  (* Entries are read one by one, never pre-sized from [count]: a
+     hostile count runs into the end of the frame instead. *)
   let count = Codec.Reader.varint r in
-  let entries =
-    List.init count (fun _ ->
-        let clock = Codec.Reader.varint r in
-        let pid = Codec.Reader.varint r in
-        let origin = Codec.Reader.varint r in
-        let u = decode_update r in
-        (Timestamp.make ~clock ~pid, origin, u))
-  in
-  let body_len =
-    String.length s
-    - (let probe = Codec.Writer.create () in
-       Codec.Writer.varint probe (Codec.Reader.varint r);
-       if not (Codec.Reader.at_end r) then
-         raise (Codec.Decode_error "log snapshot: trailing bytes");
-       Codec.Writer.length probe)
-  in
-  let body = String.sub s 0 body_len in
-  let declared =
-    Codec.Reader.varint
-      (Codec.Reader.of_string (String.sub s body_len (String.length s - body_len)))
-  in
-  if checksum body <> declared then
-    raise (Codec.Decode_error "log snapshot: checksum mismatch");
-  entries
+  for _ = 1 to count do
+    let clock = Codec.Reader.varint r in
+    let pid = Codec.Reader.varint r in
+    let origin = Codec.Reader.varint r in
+    f clock pid origin (decode_update r)
+  done;
+  let sum = Codec.Reader.byte_sum r ~from:start land checksum_mask in
+  let declared = Codec.Reader.varint r in
+  if not (Codec.Reader.at_end r) then corrupt "trailing bytes";
+  if declared <> sum then corrupt "checksum mismatch"
+
+let decode_list ~decode_update r =
+  let entries = ref [] in
+  walk ~decode_update r (fun clock pid origin u ->
+      entries := (Timestamp.make ~clock ~pid, origin, u) :: !entries);
+  List.rev !entries
+
+(* What [merge_frame] keeps of a frame while walking it: the entries
+   the log does not hold, in frame order. *)
+type 'u gathered = {
+  mutable fresh : 'u entry array;
+  mutable n : int;
+  mutable ascending : bool;  (* [fresh.(0 .. n - 1)] strictly ascends *)
+  mutable top : int;  (* the highest clock in the frame *)
+  mutable refused : bool;  (* an entry at or below the watermark *)
+}
+
+(* Nothing lands until the whole frame has been walked and its trailer
+   checked, so a frame that raises or is refused leaves the log as it
+   was. An entry the log already holds costs a binary search on its
+   (clock, pid) and its payload decode, no more. *)
+let merge_frame t ~decode_update r =
+  let g = { fresh = [||]; n = 0; ascending = true; top = 0; refused = false } in
+  walk ~decode_update r (fun clock pid origin payload ->
+      if clock > g.top then g.top <- clock;
+      if clock <= t.watermark then g.refused <- true
+      else if not (holds t clock pid) then begin
+        let e = { ts = Timestamp.make ~clock ~pid; origin; payload } in
+        if g.n = Array.length g.fresh then begin
+          let grown = Array.make (max 8 (2 * g.n)) e in
+          Array.blit g.fresh 0 grown 0 g.n;
+          g.fresh <- grown
+        end;
+        if g.n > 0 && Timestamp.compare g.fresh.(g.n - 1).ts e.ts >= 0 then
+          g.ascending <- false;
+        g.fresh.(g.n) <- e;
+        g.n <- g.n + 1
+      end);
+  if g.refused then None
+  else begin
+    (if g.ascending then ignore (land_sorted t g.fresh g.n : int)
+     else
+       (* An unsorted frame, or one repeating a fresh timestamp. *)
+       let inc = Array.sub g.fresh 0 g.n in
+       ignore (land_sorted t inc (sort_unique inc) : int));
+    Some g.top
+  end
 
 (* Same frame as [encode_list], produced straight off the backing
    array: no [to_list] materialisation, and with [update_wire_size]
@@ -476,5 +508,3 @@ let encode ?update_wire_size ~encode_update t =
   let body = Codec.Writer.contents w in
   Codec.Writer.varint w (checksum body);
   Codec.Writer.contents w
-
-let decode ~decode_update t s = load t (decode_list ~decode_update s)

@@ -30,10 +30,11 @@
        state and remembers the bound; {!insert} refuses timestamps at
        or below the watermark (they would mutate a discarded prefix).}
     {- {b Codec}: the one wire path for persistence. {!encode_list} /
-       {!decode_list} produce byte-for-byte the frame the seed
-       {!Persist} wrote (magic "UCL", version, varint count, entries,
-       additive checksum), so snapshots taken before this refactor
-       still restore.}}
+       {!encode} produce byte-for-byte the frame the seed {!Persist}
+       wrote (magic "UCL", version, varint count, entries, additive
+       checksum), so snapshots taken before this refactor still
+       restore. One walker parses it: {!decode_list} into a list, and
+       {!merge_frame} straight into the live log.}}
 
     Invariants maintained:
     {ul
@@ -111,8 +112,6 @@ val insert_batch : ('u, 's) t -> 'u entry list -> int
     the stability {!watermark}; the log is then left unchanged (the
     batch is validated before the merge). *)
 
-val iter : ('u entry -> unit) -> ('u, 's) t -> unit
-
 val fold : ('a -> 'u entry -> 'a) -> 'a -> ('u, 's) t -> 'a
 
 val to_list : ('u, 's) t -> (Timestamp.t * int * 'u) list
@@ -175,9 +174,34 @@ val encode_list :
   string
 
 val decode_list :
-  decode_update:(Codec.Reader.t -> 'u) -> string -> (Timestamp.t * int * 'u) list
-(** @raise Codec.Decode_error on bad magic, unsupported version,
+  decode_update:(Codec.Reader.t -> 'u) ->
+  Codec.Reader.t ->
+  (Timestamp.t * int * 'u) list
+(** The entries of the frame on the reader, in frame order. The reader
+    must end where the frame does ({!Codec.Reader.nested} reads one
+    embedded in a larger frame without copying it).
+    @raise Codec.Decode_error on bad magic, unsupported version,
     truncation, trailing bytes, or checksum mismatch. *)
+
+val merge_frame :
+  ('u, 's) t ->
+  decode_update:(Codec.Reader.t -> 'u) ->
+  Codec.Reader.t ->
+  int option
+(** Churn catch-up as a streaming merge: walk the frame on the reader
+    (which must end where the frame does) and merge its entries into
+    the log by timestamp union, as {!insert_batch} would, without
+    building the entry list. Each entry's (clock, pid) is looked up in
+    place, an {!entry} is built only for one the log lacks, the
+    checksum is summed over the bytes where they lie, and only then do
+    the fresh entries land, in one batch merge (sorted and deduplicated
+    first unless the frame ascends, as snapshot frames do), so
+    checkpoints and the query cache below the lowest fresh entry
+    survive. [Some c], [c] the highest clock in the frame ([0] if it is
+    empty), once merged; [None], with the log untouched, if an entry's
+    clock is at or below the stability {!watermark}.
+    @raise Codec.Decode_error as {!decode_list}, with the log
+    untouched. *)
 
 val encode :
   ?update_wire_size:('u -> int) ->
@@ -189,8 +213,3 @@ val encode :
     with the writer pre-sized to the exact frame length when
     [update_wire_size] is given (the {!Wire} accounting the specs
     already expose). The persistence hot path. *)
-
-val decode :
-  decode_update:(Codec.Reader.t -> 'u) -> ('u, 's) t -> string -> unit
-(** {!load} the decoded entries into an existing log.
-    @raise Codec.Decode_error as {!decode_list}. *)

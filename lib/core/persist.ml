@@ -22,7 +22,8 @@ struct
      encoder for its storage (array cores stream the backing array). *)
   let encode_log entries = Oplog.encode_list ~encode_update:C.encode entries
 
-  let decode_log s = Oplog.decode_list ~decode_update:C.decode s
+  let decode_log s =
+    Oplog.decode_list ~decode_update:C.decode (Codec.Reader.of_string s)
 
   let snapshot replica = G.encode_log replica ~encode_update:C.encode
 
@@ -50,7 +51,9 @@ struct
     Codec.Writer.byte_string w log;
     Codec.Writer.contents w
 
-  let decode_replica s =
+  (* The "UCS" header, parsed in place: the clock, and a reader over
+     the embedded log frame, which must end the replica frame. *)
+  let open_replica s =
     let r = Codec.Reader.of_string s in
     String.iter
       (fun c ->
@@ -60,10 +63,14 @@ struct
     if Codec.Reader.u8 r <> version then
       raise (Codec.Decode_error "replica snapshot: unsupported version");
     let clock = Codec.Reader.varint r in
-    let log = decode_log (Codec.Reader.byte_string r) in
+    let log = Codec.Reader.nested r in
     if not (Codec.Reader.at_end r) then
       raise (Codec.Decode_error "replica snapshot: trailing bytes");
     (clock, log)
+
+  let decode_replica s =
+    let clock, log = open_replica s in
+    (clock, Oplog.decode_list ~decode_update:C.decode log)
 
   let restore_replica replica s =
     let clock, log = decode_replica s in
@@ -77,8 +84,9 @@ end
    replacing, so a rejoiner keeps its crash-time log and absorbing is
    idempotent and commutative — Proposition 4 guarantees the merged
    replica converges to the same state as if it had received every
-   frame it missed. The merge is in place ([G.merge_log]): the live
-   log is never rebuilt, so its cached states below the lowest fresh
+   frame it missed. The merge streams the frame into the live log
+   ([G.merge_frame]): the header is parsed in place, no decoded copy of
+   the log is built, and the cached states below the lowest fresh
    entry survive the catch-up. *)
 module Catchup
     (G : Generic.S)
@@ -90,14 +98,16 @@ struct
   let snapshot replica = Some (P.snapshot_replica replica)
 
   let absorb replica s =
-    match P.decode_replica s with
-    | exception Codec.Decode_error _ -> false
-    | peer_clock, peer_log ->
-      G.merge_log replica peer_log
+    match
+      let peer_clock, log = P.open_replica s in
+      G.merge_frame replica ~decode_update:C.decode log
       && begin
         G.advance_clock replica peer_clock;
         true
       end
+    with
+    | merged -> merged
+    | exception Codec.Decode_error _ -> false
 end
 
 module Make (A : Uqadt.S) (C : Update_codec.S with type update = A.update) =

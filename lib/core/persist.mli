@@ -64,9 +64,11 @@ module Over (G : LOG_VIEW) (C : Update_codec.S with type update = G.update) : si
 
   val decode_replica : string -> int * (Timestamp.t * int * G.update) list
   (** Parse a {!snapshot_replica} frame into (clock, log) without
-      touching any replica — the merge primitive behind
-      {!Catchup.absorb}.
-      @raise Codec.Decode_error on any malformation. *)
+      touching any replica. It parses with the same header reader and
+      log walker as {!Catchup.absorb}, so it accepts exactly the frames
+      an absorb can merge.
+      @raise Codec.Decode_error on any malformation, and nothing else,
+      whatever the bytes. *)
 
   val restore_replica : G.t -> string -> unit
   (** Load a {!snapshot_replica} frame into a {e fresh} replica, making
@@ -80,12 +82,16 @@ end
     logs by timestamp union (local entries survive — a rejoiner keeps
     its crash-time log) and max-merges the Lamport clock, so it is
     idempotent, commutative, and never hands out a stale timestamp
-    after catching up. The merge is in place, through
-    {!Generic.S.merge_log}: the live log is not rebuilt, so on the
-    array core its checkpoints and query cache below the lowest fresh
-    entry survive, and an absorb that adds nothing changes nothing.
-    [absorb] returns [false], leaving the replica untouched, on a frame
-    that does not decode or whose entries the core refuses. *)
+    after catching up. The merge streams the frame into the live log,
+    through {!Generic.S.merge_frame}: the "UCS" header is parsed in
+    place and the embedded log frame is walked where it lies, with no
+    decoded copy of the log, so on the array core an absorb builds an
+    entry only for each update the replica lacks, its checkpoints and
+    query cache below the lowest fresh entry survive, and an absorb
+    that adds nothing changes nothing. [absorb] returns [false],
+    leaving the replica untouched, on a frame that does not decode
+    (hostile bytes included: it never raises) or whose entries the
+    core refuses. *)
 module Catchup
     (G : Generic.S)
     (C : Update_codec.S with type update = G.update) : sig

@@ -5,7 +5,9 @@
    - absorb against the whole-log rebuild [restore_log (merge_logs
      local peer)], on both log cores and every op-log configuration;
    - the gather-scatter pass against the all-pairs snapshot exchange to
-     a fixpoint, over random churn and partition schedules. *)
+     a fixpoint, over random churn and partition schedules.
+   Mutated frames must be merged or refused untouched, never raise, and
+   two allocation guards keep the frame streaming into the log. *)
 
 open Helpers
 
@@ -257,6 +259,186 @@ let hostile (module G : CORE) seed =
            (Set_spec.eval (fold (G.local_log x)) Set_spec.Read)
     else untouched && List.exists (fun (ts, _, _) -> ts.Timestamp.clock = 0) log
 
+(* ------------------------ frame mutation fuzz ------------------------ *)
+
+(* [ucs_frame] again, but written one varint field at a time, in this
+   order: the UCL entry count; each entry's clock, pid, origin and
+   payload magnitude (the set codec's tag byte before it carries the
+   constructor and the sign); the UCL checksum; the UCS clock and log
+   length. [splice i] may replace the bytes of field [i]. The checksum
+   and the log length are computed over what was written, so a spliced
+   field is the frame's only defect. Returns the frame and its number
+   of varint fields. *)
+let spliced_frame ~clock entries ~splice =
+  let fields = ref 0 in
+  let raw w s = String.iter (fun c -> Codec.Writer.u8 w (Char.code c)) s in
+  let varint w n =
+    (match splice !fields with Some bytes -> raw w bytes | None -> Codec.Writer.varint w n);
+    incr fields
+  in
+  let log = Codec.Writer.create () in
+  raw log "UCL\x01";
+  varint log (List.length entries);
+  List.iter
+    (fun (ts, origin, u) ->
+      varint log ts.Timestamp.clock;
+      varint log ts.Timestamp.pid;
+      varint log origin;
+      let ctor, v =
+        match u with Set_spec.Insert v -> (0, v) | Set_spec.Delete v -> (1, v)
+      in
+      Codec.Writer.u8 log ((ctor lsl 3) lor if v < 0 then 1 else 0);
+      varint log (abs v))
+    entries;
+  varint log (frame_checksum (Codec.Writer.contents log));
+  let log = Codec.Writer.contents log in
+  let w = Codec.Writer.create () in
+  raw w "UCS\x01";
+  varint w clock;
+  varint w (String.length log);
+  raw w log;
+  (Codec.Writer.contents w, !fields)
+
+(* Byte flips, truncation, inserted and deleted bytes. *)
+let mutate rng frame =
+  let n = String.length frame in
+  let at = Prng.int rng (n + 1) in
+  match Prng.int rng 4 with
+  | 0 ->
+    let b = Bytes.of_string frame in
+    let i = Prng.int rng n in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 + Prng.int rng 255)));
+    Bytes.to_string b
+  | 1 -> String.sub frame 0 (Prng.int rng n)
+  | 2 ->
+    String.sub frame 0 at
+    ^ String.init (1 + Prng.int rng 4) (fun _ -> Char.chr (Prng.int rng 256))
+    ^ String.sub frame at (n - at)
+  | _ ->
+    let k = min (n - at) (1 + Prng.int rng 4) in
+    String.sub frame 0 at ^ String.sub frame (at + k) (n - at - k)
+
+(* Words allocated, minor and major, while [f] runs. The minor heap is
+   emptied first: on this runtime a minor collection inside the window
+   skews the counters by about a minor heap's worth. *)
+let allocated_words f =
+  let total () =
+    let s = Stdlib.Gc.quick_stat () in
+    s.Stdlib.Gc.minor_words +. s.Stdlib.Gc.major_words -. s.Stdlib.Gc.promoted_words
+  in
+  Stdlib.Gc.minor ();
+  let before = total () in
+  let result = f () in
+  (result, total () -. before)
+
+(* A valid frame, or one mutated: an overflowing varint spliced into any
+   varint field, a declared entry count of 2^40 (or 2^20), or random
+   byte damage. [decode_replica] either decodes it or raises
+   [Decode_error], never anything else, within an allocation budget
+   linear in the frame's length, so no count read off the wire sizes
+   anything. [absorb] either accepts it and leaves the union, or refuses
+   it and leaves the replica exactly as its twin, which never saw the
+   frame: log, clock, live checkpoints, and the query cache (the next
+   query replays as many steps). *)
+let mutated (module G : CORE) seed =
+  let module K = Persist.Catchup (G) (Update_codec.For_set) in
+  let module O = Persist.Over (G) (Update_codec.For_set) in
+  let rng = Prng.create seed in
+  let pool = pool rng in
+  let start = sample rng pool in
+  let steps_x = ref 0 and steps_y = ref 0 in
+  let cx = ctx ~steps:steps_x 0 and cy = ctx ~steps:steps_y 0 in
+  let x = G.create cx and y = G.create cy in
+  List.iter
+    (fun r ->
+      G.restore_log r start;
+      ignore (read (module G) r);
+      G.update r (Set_spec.Insert 3) ~on_done:ignore;
+      ignore (read (module G) r))
+    [ x; y ];
+  let entries = sample rng pool in
+  let clock = max_clock entries + Prng.int rng 4 in
+  let frame, fields = spliced_frame ~clock entries ~splice:(fun _ -> None) in
+  if frame <> ucs_frame ~clock entries then failwith "spliced_frame differs from the codec";
+  let splice field bytes =
+    fst (spliced_frame ~clock entries ~splice:(fun i -> if i = field then Some bytes else None))
+  in
+  let frame =
+    match Prng.int rng 8 with
+    | 0 -> frame
+    | 1 | 2 -> splice (Prng.int rng fields) overflow_varint
+    | 3 -> splice 0 (varint_bytes (1 lsl if Prng.bool rng then 40 else 20))
+    | _ -> mutate rng frame
+  in
+  let decoded, decode_words =
+    allocated_words (fun () ->
+        match O.decode_replica frame with
+        | d -> Some d
+        | exception Codec.Decode_error _ -> None)
+  in
+  let log0 = G.local_log x and clock0 = G.clock_value x in
+  let merged = K.absorb x frame in
+  decode_words <= float_of_int ((8 * String.length frame) + 512)
+  &&
+  match (merged, decoded) with
+  | true, None -> false
+  | true, Some (clock, log) ->
+    G.local_log x = union log0 log
+    && G.clock_value x = max clock0 (max clock (max_clock log))
+  | false, _ ->
+    G.local_log x = G.local_log y
+    && G.clock_value x = G.clock_value y
+    && live_checkpoints cx = live_checkpoints cy
+    && (match decoded with
+       | None -> true
+       | Some (_, log) -> List.exists (fun (ts, _, _) -> ts.Timestamp.clock = 0) log)
+    &&
+    let ox = read (module G) x and oy = read (module G) y in
+    Set_spec.equal_output ox oy && !steps_x = !steps_y
+
+(* ------------------------- allocation guards ------------------------- *)
+
+module Uni = Persist.Catchup (Generic.Make (Set_spec)) (Update_codec.For_set)
+
+(* A replica of the default array core holding [n] entries from pids
+   1..3, its caches warm. *)
+let replica_of_length n =
+  let r = Uni.create (ctx ~steps:(ref 0) 0) in
+  Uni.restore_log r
+    (List.init n (fun i ->
+         let pid = 1 + (i mod 3) in
+         (Timestamp.make ~clock:(1 + (i / 3)) ~pid, pid, Set_spec.Insert (i mod 16))));
+  ignore (read (module Uni) r);
+  r
+
+(* A frame streams into the log: an entry the replica already holds
+   costs its payload decode and nothing else. Decoding the frame into a
+   list first, then into entries, cost about 40 words per entry. *)
+let resident_absorb_guard () =
+  let n = 10_000 in
+  let r = replica_of_length n in
+  let frame = Option.get (Uni.snapshot r) in
+  let merged = ref false in
+  let words = minor_words (fun () -> merged := Uni.absorb r frame) in
+  Alcotest.(check bool) "absorbed" true !merged;
+  Alcotest.(check int) "nothing added" n (Uni.log_length r);
+  let per_entry = words /. float_of_int n in
+  if per_entry >= 8. then
+    Alcotest.failf "absorbing a resident %d-entry frame: %.1f minor words per entry" n
+      per_entry
+
+(* A snapshot writes the frame straight from the log into one buffer:
+   its minor allocation is a constant, whatever the log's length. A
+   closure per varint cost about 15 words per entry. *)
+let snapshot_guard () =
+  let words n =
+    let r = replica_of_length n in
+    minor_words (fun () -> ignore (Uni.snapshot r : string option))
+  in
+  let short = words 1_000 and long = words 10_000 in
+  if long > short +. 64. then
+    Alcotest.failf "snapshot minor words: %.0f at 1k entries, %.0f at 10k" short long
+
 let per_core name count law =
   List.map
     (fun (core, m) -> qtest ~count (Printf.sprintf "%s (%s)" name core) seed_gen (law m))
@@ -448,7 +630,12 @@ let tests =
   per_core "absorb matches the whole-log rebuild" 60 differential
   @ per_core "an absorb that adds nothing keeps the cached states" 60 absorb_nothing
   @ per_core "a hostile frame merges correctly or is refused untouched" 150 hostile
+  @ per_core "a mutated frame is merged or refused untouched, never raises" 300 mutated
   @ [
+      Alcotest.test_case "absorbing a resident frame allocates < 8 words per entry"
+        `Quick resident_absorb_guard;
+      Alcotest.test_case "a snapshot's minor words do not grow with the log" `Quick
+        snapshot_guard;
       qtest ~count:40 "gather-scatter quiescence = all-pairs fixpoint (universal)"
         seed_gen
         (Universal.agrees ~reset:ignore ~workload:set_scripts);

@@ -6,7 +6,11 @@ open Helpers
 
 let primitive_tests =
   [
-    qtest "varint round-trips" QCheck2.Gen.(int_range 0 1_000_000_000) (fun n ->
+    (* Every length from 1 to 9 bytes: a uniform draw up to [max_int]
+       shifted right by a uniform amount. *)
+    qtest "varint round-trips"
+      QCheck2.Gen.(map2 (fun n k -> n lsr k) (int_range 0 max_int) (int_range 0 62))
+      (fun n ->
         let w = Codec.Writer.create () in
         Codec.Writer.varint w n;
         Codec.Reader.varint (Codec.Reader.of_string (Codec.Writer.contents w)) = n);
@@ -30,6 +34,41 @@ let primitive_tests =
              ignore (Codec.Reader.varint r);
              false
            with Codec.Decode_error _ -> true));
+    Alcotest.test_case "a varint past max_int is a Decode_error" `Quick (fun () ->
+        let decode s = Codec.Reader.varint (Codec.Reader.of_string s) in
+        Alcotest.(check int) "max_int" max_int (decode "\xff\xff\xff\xff\xff\xff\xff\xff\x3f");
+        List.iter
+          (fun (name, s) ->
+            match decode s with
+            | n -> Alcotest.failf "%s decoded to %d" name n
+            | exception Codec.Decode_error _ -> ())
+          [ ("FF x8 7F", overflow_varint); ("FF x8 40", "\xff\xff\xff\xff\xff\xff\xff\xff\x40");
+            ("ten bytes", "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x01") ]);
+    Alcotest.test_case "varints allocate nothing" `Quick (fun () ->
+        (* 2^k - 1 for k = 0 .. 62: every encoded length, max_int last. *)
+        let values = Array.init 63 (fun k -> (1 lsl k) - 1) in
+        let w = Codec.Writer.create ~size:(100 * 63 * 9) () in
+        let encode_words =
+          minor_words (fun () ->
+              for _ = 1 to 100 do
+                for i = 0 to Array.length values - 1 do
+                  Codec.Writer.varint w values.(i)
+                done
+              done)
+        in
+        let r = Codec.Reader.of_string (Codec.Writer.contents w) in
+        let mismatches = ref 0 in
+        let decode_words =
+          minor_words (fun () ->
+              for _ = 1 to 100 do
+                for i = 0 to Array.length values - 1 do
+                  if Codec.Reader.varint r <> values.(i) then incr mismatches
+                done
+              done)
+        in
+        Alcotest.(check int) "read back" 0 !mismatches;
+        Alcotest.(check (float 0.)) "encode words" 0. encode_words;
+        Alcotest.(check (float 0.)) "decode words" 0. decode_words);
     Alcotest.test_case "sequenced fields read back in order" `Quick (fun () ->
         let w = Codec.Writer.create () in
         Codec.Writer.u8 w 7;
@@ -99,4 +138,70 @@ let negative_tests =
            with Codec.Decode_error _ -> true));
   ]
 
-let tests = primitive_tests @ adt_tests @ negative_tests
+(* Two frames carrying [overflow_varint] where a count or a length goes: the
+   "UCL" entry count, and the length of the log inside a "UCS" replica
+   frame. As -1 they made [List.init] and [String.sub] raise
+   [Invalid_argument] out of [Persist.Catchup.absorb]; both must now be
+   refused as malformed. *)
+let hostile_frames =
+  let ucl_body = "UCL\x01" ^ overflow_varint in
+  let ucl = ucl_body ^ varint_bytes (frame_checksum ucl_body) in
+  ( ucl,
+    [
+      ("UCL count FF x8 7F", "UCS\x01\x05" ^ varint_bytes (String.length ucl) ^ ucl);
+      ("UCS log length FF x8 7F", "UCS\x01\x05" ^ overflow_varint ^ ucl);
+    ] )
+
+let refused_by (type r) name
+    (module G : Generic.S
+      with type t = r
+       and type update = Set_spec.update) (r : r) =
+  let module K = Persist.Catchup (G) (Update_codec.For_set) in
+  let module O = Persist.Over (G) (Update_codec.For_set) in
+  let _, frames = hostile_frames in
+  List.iter
+    (fun (frame_name, frame) ->
+      (match O.decode_replica frame with
+      | _ -> Alcotest.failf "%s: decode_replica accepted %s" name frame_name
+      | exception Codec.Decode_error _ -> ());
+      let log0 = G.local_log r and clock0 = G.clock_value r in
+      if K.absorb r frame then Alcotest.failf "%s: absorb accepted %s" name frame_name;
+      if G.local_log r <> log0 || G.clock_value r <> clock0 then
+        Alcotest.failf "%s: refusing %s changed the replica" name frame_name)
+    frames
+
+let frame_tests =
+  let ctx : _ Protocol.ctx =
+    {
+      Protocol.pid = 0;
+      n = 2;
+      now = (fun () -> 0.0);
+      send = (fun ~dst:_ _ -> ());
+      broadcast = ignore;
+      broadcast_batch = ignore;
+      set_timer = (fun ~delay:_ _ -> ());
+      count_replay = ignore;
+      obs = None;
+    }
+  in
+  [
+    Alcotest.test_case "an overflowing UCL count is a Decode_error" `Quick (fun () ->
+        let ucl, _ = hostile_frames in
+        match
+          Oplog.decode_list ~decode_update:Update_codec.For_set.decode
+            (Codec.Reader.of_string ucl)
+        with
+        | _ -> Alcotest.fail "decoded"
+        | exception Codec.Decode_error _ -> ());
+    Alcotest.test_case "overflowing UCS frames are refused, replica untouched" `Quick
+      (fun () ->
+        let module A = Generic.Make (Set_spec) in
+        let module L = Generic_ref.Make (Set_spec) in
+        let a = A.create ctx and l = L.create ctx in
+        A.update a (Set_spec.Insert 1) ~on_done:ignore;
+        L.update l (Set_spec.Insert 1) ~on_done:ignore;
+        refused_by "array core" (module A) a;
+        refused_by "list core" (module L) l);
+  ]
+
+let tests = primitive_tests @ adt_tests @ negative_tests @ frame_tests

@@ -40,19 +40,6 @@ let insert_all log entries =
 let fold_states entries =
   List.fold_left (fun s (_, _, u) -> Set_spec.apply s u) Set_spec.initial entries
 
-(* Reimplemented from the frame spec, to pin the format rather than the
-   implementation: additive byte sum modulo 2^30. *)
-let frame_checksum s =
-  let acc = ref 0 in
-  String.iter (fun c -> acc := (!acc + Char.code c) land 0x3FFFFFFF) s;
-  !acc
-
-(* Minor-heap words [f] allocates. *)
-let minor_words f =
-  let before = Stdlib.Gc.minor_words () in
-  f ();
-  Stdlib.Gc.minor_words () -. before
-
 (* Minor words per insert of [entries.(live) ..] into a log that holds
    [entries.(0 .. live - 1)] and, if [checkpointed], one live checkpoint
    per entry. The entries are built before the count starts, so only
@@ -334,7 +321,8 @@ let tests =
           Wire.varint_size (frame_checksum (String.sub s 0 body_len))
         in
         String.length s = body_len + declared_trailer
-        && Oplog.decode_list ~decode_update:Update_codec.For_set.decode s
+        && Oplog.decode_list ~decode_update:Update_codec.For_set.decode
+             (Codec.Reader.of_string s)
            = entries);
     qtest ~count:200 "codec rejects any single corrupted byte" seed_gen
       (fun seed ->
@@ -348,7 +336,7 @@ let tests =
         Bytes.set s i (Char.chr (Char.code (Bytes.get s i) lxor 1));
         match
           Oplog.decode_list ~decode_update:Update_codec.For_set.decode
-            (Bytes.to_string s)
+            (Codec.Reader.of_string (Bytes.to_string s))
         with
         | decoded ->
           (* A flip inside an update payload can decode to a different

@@ -5,6 +5,8 @@ module type S = sig
 
   val local_log : t -> (Timestamp.t * int * update) list
 
+  val log_entry : t -> int -> update Oplog.entry
+
   val encode_log :
     t -> encode_update:(Codec.Writer.t -> update -> unit) -> string
 
@@ -109,10 +111,16 @@ module Configured (C : CONFIG) (A : Uqadt.S) = struct
 
   let metadata_bytes t = Oplog.footprint t.log ~payload_wire_size:A.update_wire_size
 
+  (* Built back to front, so the list comes out in timestamp order with
+     no reversal: a pair and a cons per entry. *)
   let certificate t =
-    Some
-      (List.rev
-         (Oplog.fold (fun acc e -> (e.Oplog.origin, e.Oplog.payload) :: acc) [] t.log))
+    let rec build i acc =
+      if i < 0 then acc
+      else
+        let e = Oplog.get t.log i in
+        build (i - 1) ((e.Oplog.origin, e.Oplog.payload) :: acc)
+    in
+    Some (build (Oplog.length t.log - 1) [])
 
   (* Snapshot transfer needs an update codec the universal construction
      is parametric over; {!Persist.Catchup} supplies real implementations
@@ -122,6 +130,8 @@ module Configured (C : CONFIG) (A : Uqadt.S) = struct
   let message_update { update = u; _ } = u
 
   let local_log t = Oplog.to_list t.log
+
+  let log_entry t i = Oplog.get t.log i
 
   let encode_log t ~encode_update =
     Oplog.encode ~update_wire_size:A.update_wire_size ~encode_update t.log

@@ -40,6 +40,13 @@ module type S = sig
       update) — exposed for the experiments, the model checker and
       {!Persist}. *)
 
+  val log_entry : t -> int -> update Oplog.entry
+  (** [log_entry t i] is entry [i] of that log, [0 <= i < log_length t]:
+      read in place on the array core (O(1), nothing allocated); the
+      list core walks its list to it. What a merge over several logs
+      reads them through ({!Space}'s certificate).
+      @raise Invalid_argument out of range. *)
+
   val encode_log :
     t -> encode_update:(Codec.Writer.t -> update -> unit) -> string
   (** The log serialised in the {!Oplog} "UCL" frame — byte-for-byte

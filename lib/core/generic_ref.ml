@@ -84,6 +84,11 @@ module Make (A : Uqadt.S) = struct
 
   let local_log t = t.log
 
+  let log_entry t i =
+    if i < 0 || i >= t.log_len then invalid_arg "Generic_ref.log_entry: out of range";
+    let ts, origin, payload = List.nth t.log i in
+    { Oplog.ts; origin; payload }
+
   (* The list core has no backing array to stream from; the list path
      is the reference the fast [Oplog.encode] is pinned against. *)
   let encode_log t ~encode_update = Oplog.encode_list ~encode_update t.log

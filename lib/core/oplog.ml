@@ -374,13 +374,11 @@ let magic = "UCL"
 
 let version = 1
 
-(* The trailer: the sum of every byte before it, modulo 2^30. *)
+(* The trailer: the sum of every byte before it, modulo 2^30, summed
+   where the writer holds them. *)
 let checksum_mask = 0x3FFFFFFF
 
-let checksum s =
-  let acc = ref 0 in
-  String.iter (fun c -> acc := (!acc + Char.code c) land checksum_mask) s;
-  !acc
+let write_checksum w = Codec.Writer.varint w (Codec.Writer.byte_sum w land checksum_mask)
 
 let encode_list ~encode_update entries =
   (* Capacity hint only (16 bytes/entry); the frame is identical either
@@ -396,10 +394,8 @@ let encode_list ~encode_update entries =
       Codec.Writer.varint w origin;
       encode_update w u)
     entries;
-  let body = Codec.Writer.contents w in
-  let tail = Codec.Writer.create () in
-  Codec.Writer.varint tail (checksum body);
-  body ^ Codec.Writer.contents tail
+  write_checksum w;
+  Codec.Writer.contents w
 
 let corrupt what = raise (Codec.Decode_error ("log snapshot: " ^ what))
 
@@ -425,6 +421,11 @@ let walk ~decode_update r f =
   let declared = Codec.Reader.varint r in
   if not (Codec.Reader.at_end r) then corrupt "trailing bytes";
   if declared <> sum then corrupt "checksum mismatch"
+
+let frame_floor ~decode_update r =
+  let floor = ref max_int in
+  walk ~decode_update r (fun clock _ _ _ -> if clock < !floor then floor := clock);
+  !floor
 
 let decode_list ~decode_update r =
   let entries = ref [] in
@@ -505,6 +506,5 @@ let encode ?update_wire_size ~encode_update t =
     Codec.Writer.varint w e.origin;
     encode_update w e.payload
   done;
-  let body = Codec.Writer.contents w in
-  Codec.Writer.varint w (checksum body);
+  write_checksum w;
   Codec.Writer.contents w

@@ -183,6 +183,14 @@ val decode_list :
     @raise Codec.Decode_error on bad magic, unsupported version,
     truncation, trailing bytes, or checksum mismatch. *)
 
+val frame_floor : decode_update:(Codec.Reader.t -> 'u) -> Codec.Reader.t -> int
+(** Check the frame on the reader as {!decode_list} does, keeping
+    nothing but what [decode_update] builds, and return the lowest clock
+    among its entries ([max_int] if it has none): {!merge_frame} into a
+    log merges the frame iff its floor is above the log's
+    {!watermark}.
+    @raise Codec.Decode_error as {!decode_list}. *)
+
 val merge_frame :
   ('u, 's) t ->
   decode_update:(Codec.Reader.t -> 'u) ->

@@ -51,10 +51,10 @@ struct
     Codec.Writer.byte_string w log;
     Codec.Writer.contents w
 
-  (* The "UCS" header, parsed in place: the clock, and a reader over
-     the embedded log frame, which must end the replica frame. *)
-  let open_replica s =
-    let r = Codec.Reader.of_string s in
+  (* The "UCS" header, parsed in place off [r], which must end where
+     the replica frame does: the clock, and a reader over the embedded
+     log frame. *)
+  let open_replica r =
     String.iter
       (fun c ->
         if Codec.Reader.u8 r <> Char.code c then
@@ -69,7 +69,7 @@ struct
     (clock, log)
 
   let decode_replica s =
-    let clock, log = open_replica s in
+    let clock, log = open_replica (Codec.Reader.of_string s) in
     (clock, Oplog.decode_list ~decode_update:C.decode log)
 
   let restore_replica replica s =
@@ -97,9 +97,9 @@ struct
 
   let snapshot replica = Some (P.snapshot_replica replica)
 
-  let absorb replica s =
+  let absorb_frame replica r =
     match
-      let peer_clock, log = P.open_replica s in
+      let peer_clock, log = P.open_replica r in
       G.merge_frame replica ~decode_update:C.decode log
       && begin
         G.advance_clock replica peer_clock;
@@ -108,6 +108,12 @@ struct
     with
     | merged -> merged
     | exception Codec.Decode_error _ -> false
+
+  let absorb replica s = absorb_frame replica (Codec.Reader.of_string s)
+
+  let frame_floor r =
+    let _, log = P.open_replica r in
+    Oplog.frame_floor ~decode_update:C.decode log
 end
 
 module Make (A : Uqadt.S) (C : Update_codec.S with type update = A.update) =

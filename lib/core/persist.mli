@@ -103,6 +103,19 @@ module Catchup
        and type query = G.query
        and type output = G.output
        and type message = G.message
+
+  val absorb_frame : t -> Codec.Reader.t -> bool
+  (** {!absorb} of the replica frame on the reader, which must end
+      where the frame does: a {!Codec.Reader.nested} range of a larger
+      frame is absorbed where it lies, without a copy. *)
+
+  val frame_floor : Codec.Reader.t -> int
+  (** Check the replica frame on the reader as {!absorb_frame} parses
+      it (header, log walk and checksum), merging nothing, and return
+      the lowest clock among its entries ([max_int] if it has none).
+      An array-core replica merges the frame iff this floor is above
+      its log's stability watermark ({!Oplog.frame_floor}).
+      @raise Codec.Decode_error on any malformation. *)
 end
 
 module Make (A : Uqadt.S) (C : Update_codec.S with type update = A.update) : sig

@@ -220,14 +220,15 @@ struct
       t.instances;
     List.rev !acc
 
+  (* Matched, not [Option.iter]ed: a closure over the instance would be
+     allocated on every update and delivery, telemetry off or not. *)
   let set_log_gauge t s =
     match t.instances.(s) with
-    | Some i ->
-      Option.iter
-        (fun g -> Obs.Registry.set g (float_of_int (Inner.log_length i)))
-        (if s < Array.length t.map.g.log_gauge then t.map.g.log_gauge.(s)
-         else None)
-    | None -> ()
+    | Some i when s < Array.length t.map.g.log_gauge -> (
+      match t.map.g.log_gauge.(s) with
+      | Some g -> Obs.Registry.set g (float_of_int (Inner.log_length i))
+      | None -> ())
+    | _ -> ()
 
   (* A migration frame is exactly the churn catch-up snapshot of the
      moved entries: the "UCS" replica frame [Persist] writes (clock +
@@ -379,15 +380,20 @@ struct
     | _ -> ());
     t
 
+  (* A top-level loop over the keyed sub-updates: a [List.iter]
+     closure over [t] would be allocated on every update. *)
+  let rec fan_out t = function
+    | [] -> ()
+    | ((k, _) as ku) :: rest ->
+      let s = Ring.route t.map.ring k in
+      note_op t.map s;
+      Inner.update (instance t s) ku ~on_done:ignore;
+      set_log_gauge t s;
+      fan_out t rest
+
   let update t kus ~on_done =
     migrate t;
-    List.iter
-      (fun ((k, _) as ku) ->
-        let s = Ring.route t.map.ring k in
-        note_op t.map s;
-        Inner.update (instance t s) ku ~on_done:(fun () -> ());
-        set_log_gauge t s)
-      kus;
+    fan_out t kus;
     flush t;
     on_done ()
 
@@ -464,16 +470,34 @@ struct
     List.fold_left (fun acc (_, i) -> acc + Inner.metadata_bytes i) 0
       (live_instances t)
 
-  let merged_log t =
-    List.concat_map (fun (_, i) -> Inner.local_log i) (live_instances t)
-    |> List.sort (fun (a, _, _) (b, _, _) -> Timestamp.compare a b)
-
+  (* Proposition 4's witness, the timestamp-ordered update sequence, is
+     a merge of the per-shard logs, each sorted already: a k-way merge
+     reading them in place through [Inner.log_entry], O(entries x
+     shards). It runs back to front, so the list is built in order and
+     only the output is allocated. A timestamp tie (none arise: each
+     core stamps with its own identity) goes to the lower shard, where
+     a stable sort of the concatenated logs put it. *)
   let certificate t =
     migrate t;
-    Some
-      (List.map
-         (fun (_, origin, ku) -> (origin mod t.ctx.Protocol.n, [ ku ]))
-         (merged_log t))
+    let cores = Array.of_list (List.map snd (live_instances t)) in
+    let left = Array.map Inner.log_length cores in
+    let n = t.ctx.Protocol.n in
+    let last c = Inner.log_entry cores.(c) (left.(c) - 1) in
+    let rec merge acc =
+      let top = ref (-1) in
+      for c = 0 to Array.length cores - 1 do
+        if left.(c) > 0
+           && (!top < 0 || Timestamp.compare (last c).Oplog.ts (last !top).Oplog.ts >= 0)
+        then top := c
+      done;
+      if !top < 0 then acc
+      else begin
+        let e = last !top in
+        left.(!top) <- left.(!top) - 1;
+        merge ((e.Oplog.origin mod n, [ e.Oplog.payload ]) :: acc)
+      end
+    in
+    Some (merge [])
 
   let shard_log_lengths t =
     List.map (fun (s, i) -> (s, Inner.log_length i)) (live_instances t)
@@ -509,6 +533,16 @@ struct
       frames;
     Some (Codec.Writer.contents w)
 
+  (* Every shard core is a [Generic.Make] log, which never compacts:
+     its stability watermark, at or below which it refuses an entry,
+     stays 0, in a live shard or a fresh one. *)
+  let watermark = 0
+
+  (* All or nothing: every shard frame, read in place, is checked in
+     full (a shard id the ring has allocated, then header, log walk,
+     checksum, and no entry at or below the watermark) before any is
+     merged, so a refused UCX frame leaves every shard, and the set of
+     shards, as it was. *)
   let absorb t bytes =
     migrate t;
     match
@@ -524,18 +558,25 @@ struct
       let frames =
         List.init count (fun _ ->
             let s = Codec.Reader.varint r in
-            (s, Codec.Reader.byte_string r))
+            (s, Codec.Reader.nested r))
       in
       if not (Codec.Reader.at_end r) then
         raise (Codec.Decode_error "space snapshot: trailing bytes");
-      frames
-    with
-    | exception Codec.Decode_error _ -> false
-    | frames ->
       List.for_all
         (fun (s, frame) ->
-          let ok = IC.absorb (instance t s) frame in
-          if ok then set_log_gauge t s;
-          ok)
+          s <= Ring.max_id t.map.ring
+          && IC.frame_floor (Codec.Reader.fork frame) > watermark)
         frames
+      && begin
+        List.iter
+          (fun (s, frame) ->
+            let merged = IC.absorb_frame (instance t s) frame in
+            assert merged;
+            set_log_gauge t s)
+          frames;
+        true
+      end
+    with
+    | merged -> merged
+    | exception Codec.Decode_error _ -> false
 end

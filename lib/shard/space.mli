@@ -24,7 +24,21 @@
     churn Join/Rejoin catch-up rides, so a migration is just a replica
     absorbing a snapshot of itself. With no policy the ring is static
     and replicas never share mutable state beyond the (atomic-free,
-    monotone) op counters — safe for the parallel engine. *)
+    monotone) op counters — safe for the parallel engine.
+
+    {b Certificate.} [certificate] is a k-way merge of the per-shard
+    logs, each already timestamp-sorted, read in place through
+    {!Generic.S.log_entry}: O(entries x shards), and only the output
+    allocated — 9 words an entry (the [(origin, [ku])] pair, the
+    singleton batch, the cons). A timestamp tie, which unique shard
+    identities rule out, would go to the lower shard.
+
+    {b Catch-up.} [snapshot] writes every shard's "UCS" frame into one
+    "UCX" frame; [absorb] is all-or-nothing: it checks every shard
+    frame in full, in place (a shard id the ring has allocated, the
+    header, the log walk and checksum, no entry at or below the shard
+    core's watermark) before merging any, so a refused frame leaves
+    every shard, its clock, and the set of shards as they were. *)
 
 module Make
     (A : Uqadt.S)

@@ -28,23 +28,18 @@ let schedule t ~delay thunk =
 
 let pending t = Heap.length t.queue
 
+(* Both loops read the queue through [Heap.is_empty]/[top_exn]/[pop_exn]:
+   the option-returning [peek]/[pop] would allocate a [Some] per event. *)
 let step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some e ->
+  if Heap.is_empty t.queue then false
+  else begin
+    let e = Heap.pop_exn t.queue in
     t.clock <- e.time;
     e.thunk ();
     true
+  end
 
 let run ?(until = Float.infinity) t =
-  let continue = ref true in
-  while !continue do
-    match Heap.peek t.queue with
-    | None -> continue := false
-    | Some e ->
-      if e.time > until then continue := false
-      else begin
-        let _ : bool = step t in
-        ()
-      end
+  while (not (Heap.is_empty t.queue)) && not ((Heap.top_exn t.queue).time > until) do
+    ignore (step t : bool)
   done

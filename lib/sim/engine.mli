@@ -5,7 +5,11 @@
     randomness in the layers above comes from {!Prng} streams derived
     from the run's root seed, so a run is a pure function of its seed —
     the property that makes the adversarial-schedule experiments
-    reproducible. *)
+    reproducible.
+
+    Allocation: scheduling an event allocates its queue entry (and the
+    caller's thunk); {!run} and {!step} allocate nothing of their own
+    per event, so an event costs what its thunk allocates. *)
 
 type t
 

@@ -108,26 +108,30 @@ let create ~engine ~rng ~metrics ~n ?(fifo = false) ?(partitions = [])
 let ambient t =
   match t.obs with None -> None | Some no -> Obs.Span.active no.o.Obs.spans
 
-let journal t f =
-  match t.obs with
-  | None -> ()
-  | Some no -> (
-    match no.o.Obs.journal with
-    | None -> ()
-    | Some j -> Obs.Journal.record j (f ()))
+(* The journal, when telemetry carries one. Call sites match on it and
+   build their event inside the [Some] branch: a [record (fun () ->
+   event)] helper would allocate that closure on every frame, telemetry
+   off or not. *)
+let journal t = match t.obs with None -> None | Some no -> no.o.Obs.journal
 
 (* Each message leaves stamped with the span that was ambient when it
    was handed to the network (not when a buffered batch flushes). *)
-let stamp t msgs =
-  let span = ambient t in
-  List.map (fun m -> (m, span)) msgs
+let rec stamp_with span = function
+  | [] -> []
+  | m :: rest -> (m, span) :: stamp_with span rest
 
-let separated t ~src ~dst ~at =
-  List.find_opt
-    (fun p ->
+let stamp t msgs = stamp_with (ambient t) msgs
+
+let rec separating ~src ~dst ~at = function
+  | [] -> None
+  | p :: rest ->
+    if
       p.from_time <= at && at < p.to_time
-      && List.mem src p.group <> List.mem dst p.group)
-    t.partitions
+      && List.mem src p.group <> List.mem dst p.group
+    then Some p
+    else separating ~src ~dst ~at rest
+
+let separated t ~src ~dst ~at = separating ~src ~dst ~at t.partitions
 
 (* Earliest time >= [at] when src and dst are connected: partitions only
    delay messages (the network stays reliable). *)
@@ -135,6 +139,64 @@ let rec connected_time t ~src ~dst ~at =
   match separated t ~src ~dst ~at with
   | None -> at
   | Some p -> connected_time t ~src ~dst ~at:p.to_time
+
+let rec payload_bytes wire_size acc = function
+  | [] -> acc
+  | (m, _) :: rest -> payload_bytes wire_size (acc + wire_size m) rest
+
+(* A delivered frame's messages, in order. *)
+let rec deliver_each t ~src ~dst ~sent ~arrival = function
+  | [] -> ()
+  | (msg, span) :: rest ->
+    t.metrics.Metrics.messages_delivered <- t.metrics.Metrics.messages_delivered + 1;
+    (match t.record_delivery with
+    | Some record -> record ~sent ~received:arrival ~src ~dst msg
+    | None -> ());
+    (match t.obs with
+    | None -> t.deliver ~dst ~src msg
+    | Some no ->
+      Obs.Registry.inc no.delivered.(dst);
+      Obs.Registry.observe no.latency.(dst) (arrival -. sent);
+      Obs.Span.record_deliver no.o.Obs.spans ~span ~src ~dst ~sent ~received:arrival;
+      (* Restore the ambient span afterwards so relays triggered by
+         this delivery stamp with the delivered span only while
+         processing it. *)
+      let saved = Obs.Span.active no.o.Obs.spans in
+      Obs.Span.set_active no.o.Obs.spans span;
+      t.deliver ~dst ~src msg;
+      Obs.Span.record_apply no.o.Obs.spans ~span ~pid:dst ~time:arrival;
+      Obs.Span.set_active no.o.Obs.spans saved);
+    deliver_each t ~src ~dst ~sent ~arrival rest
+
+(* A frame reaching [dst] at [arrival]: dropped whole if [dst] is down
+   by then, delivered message by message otherwise. *)
+let arrive t ~src ~dst ~count ~sent ~arrival msgs =
+  let m = t.metrics in
+  if t.crashed.(dst) || t.offline.(dst) then begin
+    m.Metrics.messages_dropped <- m.Metrics.messages_dropped + count;
+    (match journal t with
+    | Some j -> Obs.Journal.record j (Obs.Journal.Drop { pid = dst; count; time = arrival })
+    | None -> ());
+    match t.obs with
+    | None -> ()
+    | Some no -> Obs.Registry.inc ~by:count no.dropped.(dst)
+  end
+  else begin
+    (match journal t with
+    | Some j ->
+      Obs.Journal.record j (Obs.Journal.Deliver { src; dst; count; time = arrival })
+    | None -> ());
+    (* One addition per message, in message order, as per-message
+       accounting summed it; kept in a local so the float is boxed
+       once per frame. *)
+    let latency = arrival -. sent in
+    let sum = ref m.Metrics.delivery_latency_sum in
+    for _ = 1 to count do
+      sum := !sum +. latency
+    done;
+    m.Metrics.delivery_latency_sum <- !sum;
+    deliver_each t ~src ~dst ~sent ~arrival msgs
+  end
 
 (* One wire frame from [src] to [dst] carrying [msgs] in order: one
    delay draw, one envelope, one delivery event. A singleton frame is
@@ -151,10 +213,7 @@ let enqueue t ~src ~dst msgs =
       no.o.Obs.span_wire_bytes
       * List.length (List.filter (fun (_, s) -> s <> None) msgs)
   in
-  let frame_bytes =
-    t.envelope + span_bytes
-    + List.fold_left (fun acc (m, _) -> acc + t.wire_size m) 0 msgs
-  in
+  let frame_bytes = payload_bytes t.wire_size (t.envelope + span_bytes) msgs in
   t.metrics.Metrics.messages_sent <- t.metrics.Metrics.messages_sent + count;
   t.metrics.Metrics.bytes_sent <- t.metrics.Metrics.bytes_sent + frame_bytes;
   if count > 1 then
@@ -177,62 +236,31 @@ let enqueue t ~src ~dst msgs =
     end
   in
   if t.fifo then t.last_delivery.(src).(dst) <- arrival;
-  journal t (fun () ->
-      Obs.Journal.Frame
-        {
-          src;
-          dst;
-          count;
-          bytes = frame_bytes;
-          sent = now;
-          arrival;
-          spans = List.map snd msgs;
-        });
+  (match journal t with
+  | Some j ->
+    Obs.Journal.record j
+      (Obs.Journal.Frame
+         {
+           src;
+           dst;
+           count;
+           bytes = frame_bytes;
+           sent = now;
+           arrival;
+           spans = List.map snd msgs;
+         })
+  | None -> ());
   Engine.schedule_at t.engine ~time:arrival (fun () ->
-      if t.crashed.(dst) || t.offline.(dst) then begin
-        t.metrics.Metrics.messages_dropped <-
-          t.metrics.Metrics.messages_dropped + count;
-        journal t (fun () ->
-            Obs.Journal.Drop { pid = dst; count; time = arrival });
-        match t.obs with
-        | None -> ()
-        | Some no -> Obs.Registry.inc ~by:count no.dropped.(dst)
-      end
-      else begin
-        journal t (fun () ->
-            Obs.Journal.Deliver { src; dst; count; time = arrival });
-        List.iter
-          (fun (msg, span) ->
-            t.metrics.Metrics.messages_delivered <-
-              t.metrics.Metrics.messages_delivered + 1;
-            t.metrics.Metrics.delivery_latency_sum <-
-              t.metrics.Metrics.delivery_latency_sum +. (arrival -. now);
-            (match t.record_delivery with
-            | Some record -> record ~sent:now ~received:arrival ~src ~dst msg
-            | None -> ());
-            match t.obs with
-            | None -> t.deliver ~dst ~src msg
-            | Some no ->
-              Obs.Registry.inc no.delivered.(dst);
-              Obs.Registry.observe no.latency.(dst) (arrival -. now);
-              Obs.Span.record_deliver no.o.Obs.spans ~span ~src ~dst ~sent:now
-                ~received:arrival;
-              (* Restore the ambient span afterwards so relays triggered
-                 by this delivery stamp with the delivered span only
-                 while processing it. *)
-              let saved = Obs.Span.active no.o.Obs.spans in
-              Obs.Span.set_active no.o.Obs.spans span;
-              t.deliver ~dst ~src msg;
-              Obs.Span.record_apply no.o.Obs.spans ~span ~pid:dst ~time:arrival;
-              Obs.Span.set_active no.o.Obs.spans saved)
-          msgs
-      end)
+      arrive t ~src ~dst ~count ~sent:now ~arrival msgs)
 
 let drop_from_src t ~src count =
   t.metrics.Metrics.messages_dropped <-
     t.metrics.Metrics.messages_dropped + count;
-  journal t (fun () ->
-      Obs.Journal.Drop { pid = src; count; time = Engine.now t.engine });
+  (match journal t with
+  | Some j ->
+    Obs.Journal.record j
+      (Obs.Journal.Drop { pid = src; count; time = Engine.now t.engine })
+  | None -> ());
   match t.obs with
   | None -> ()
   | Some no -> Obs.Registry.inc ~by:count no.dropped.(src)
@@ -240,12 +268,7 @@ let drop_from_src t ~src count =
 let send t ~src ~dst msg =
   if dst < 0 || dst >= t.n then invalid_arg "Network.send: bad destination";
   if t.crashed.(src) || t.offline.(src) then drop_from_src t ~src 1
-  else enqueue t ~src ~dst (stamp t [ msg ])
-
-let broadcast t ~src msg =
-  for dst = 0 to t.n - 1 do
-    if dst <> src then send t ~src ~dst msg
-  done
+  else enqueue t ~src ~dst [ (msg, ambient t) ]
 
 let send_stamped_batch t ~src ~dst msgs =
   if dst < 0 || dst >= t.n then invalid_arg "Network.send_batch: bad destination";
@@ -258,6 +281,8 @@ let send_stamped_batch t ~src ~dst msgs =
 
 let send_batch t ~src ~dst msgs = send_stamped_batch t ~src ~dst (stamp t msgs)
 
+(* The stamped list is built once and shared by every destination's
+   frame: frames never mutate it. *)
 let broadcast_stamped_batch t ~src msgs =
   if msgs <> [] then
     for dst = 0 to t.n - 1 do
@@ -265,6 +290,10 @@ let broadcast_stamped_batch t ~src msgs =
     done
 
 let broadcast_batch t ~src msgs = broadcast_stamped_batch t ~src (stamp t msgs)
+
+(* A singleton frame per destination: exactly [send] to each, the
+   stamped message shared. *)
+let broadcast t ~src msg = broadcast_stamped_batch t ~src [ (msg, ambient t) ]
 
 let crash t pid = t.crashed.(pid) <- true
 

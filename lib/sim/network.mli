@@ -75,7 +75,17 @@ val create :
     types, and (d) when [obs.journal] is attached, records every wire
     frame, delivery, and drop into it. With [obs] absent all of this
     is compiled away behind a [None] check and the run is bit-identical
-    to the seed. *)
+    to the seed.
+
+    Allocation with [obs] absent: a frame allocates its stamped
+    message list (a pair and a cons per message, built once per
+    broadcast and shared by every destination's frame), its engine
+    event (queue entry, clamped arrival time, delivery thunk) and its
+    arrival time; its delivery allocates the latency sum, boxed once
+    per frame. No journal event or closure is built, and delivering
+    a message allocates nothing beyond what [deliver] and
+    [record_delivery] do: a singleton {!send} and its delivery cost
+    26 words on a constant delay model. *)
 
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 

@@ -220,7 +220,6 @@ module Make (P : Protocol.PROTOCOL) = struct
           })
         config.obs
     in
-    let robs f = Option.iter f runner_obs in
     (* Convergence-lag probe: piggybacks on existing engine activations
        (deliveries and invocations) rather than scheduling its own
        events, so enabling it cannot perturb the simulation schedule;
@@ -343,7 +342,9 @@ module Make (P : Protocol.PROTOCOL) = struct
           count_replay =
             (fun k ->
               metrics.Metrics.replay_steps <- metrics.Metrics.replay_steps + k;
-              robs (fun ro -> Obs.Registry.inc ~by:k ro.rep.(pid)));
+              match runner_obs with
+              | Some ro -> Obs.Registry.inc ~by:k ro.rep.(pid)
+              | None -> ());
           obs = Option.map (fun o -> Obs.replica o pid) config.obs;
         }
       in
@@ -357,143 +358,136 @@ module Make (P : Protocol.PROTOCOL) = struct
       | Some r -> r
       | None -> invalid_arg "Runner: replica not initialised"
     in
+    (* Journal an invocation or a completed query and feed the monitor;
+       called only when [observing], so an unobserved run builds none
+       of these events. *)
+    let observe_update pid u ~started span =
+      let index = next_index () in
+      jrecord (fun () ->
+          Obs.Journal.Update
+            { pid; time = started; span; label = Format.asprintf "%a" P.pp_update u });
+      match config.monitor with
+      | Some m -> Mon.on_update m ~pid ~index ~span u
+      | None -> ()
+    in
+    let observe_query pid q output ~started ~span ~omega =
+      let index = next_index () in
+      jrecord (fun () ->
+          Obs.Journal.Query
+            {
+              pid;
+              invoked = started;
+              completed = Engine.now engine;
+              span;
+              label = Format.asprintf "%a" P.pp_query q;
+              output = Format.asprintf "%a" P.pp_output output;
+              omega;
+            });
+      match config.monitor with
+      | Some m -> Mon.on_query m ~pid ~index ~span ~omega q output
+      | None -> ()
+    in
     (* Sequential script driver for one process. An offline process
        parks its remaining script instead of issuing: its client pauses
-       with it and resumes (with a fresh think gap) when it rejoins. *)
+       with it and resumes (with a fresh think gap) when it rejoins.
+       Observers are matched on, not wrapped in closures: telemetry
+       off, an invocation builds no observer closure. *)
     let rec issue pid script =
       if crashed.(pid) then ()
       else if offline.(pid) then parked.(pid) <- Some script
-      else begin
+      else
         match script with
         | [] -> ()
-        | action :: rest ->
-          let started = Engine.now engine in
-          let continue () =
-            if not crashed.(pid) then begin
-              metrics.Metrics.ops_completed <- metrics.Metrics.ops_completed + 1;
-              let elapsed = Engine.now engine -. started in
-              latencies := elapsed :: !latencies;
-              robs (fun ro ->
-                  Obs.Registry.inc ro.comp.(pid);
-                  Obs.Registry.observe ro.lat.(pid) elapsed);
-              Option.iter
-                (fun s ->
-                  Obs.Series.observe_latency s ~key:pid elapsed;
-                  Obs.Series.maybe_tick s ~now:(Engine.now engine))
-                config.sampler;
-              let gap = Network.draw_delay think_rngs.(pid) config.think in
-              Engine.schedule engine ~delay:gap (fun () -> issue pid rest)
-            end
-          in
-          (match action with
-          | Protocol.Invoke_update u ->
-            metrics.Metrics.updates_invoked <- metrics.Metrics.updates_invoked + 1;
-            robs (fun ro -> Obs.Registry.inc ro.upd.(pid));
-            steps.(pid) := History.U u :: !(steps.(pid));
-            let finish = ref Float.infinity in
-            op_times.(pid) := (started, finish) :: !(op_times.(pid));
-            Option.iter
-              (fun tr ->
-                Trace.record_op tr ~time:started ~pid
-                  (Format.asprintf "%a" P.pp_update u))
-              trace;
-            let do_update () =
-              P.update (replica pid) u ~on_done:(fun () ->
-                  finish := Engine.now engine;
-                  continue ())
-            in
-            (* Journal the invocation (and feed the monitor) before the
-               protocol runs, so the frames its broadcast produces land
-               after their cause in the journal. *)
-            let observe_update span =
-              if observing then begin
-                let index = next_index () in
-                jrecord (fun () ->
-                    Obs.Journal.Update
-                      {
-                        pid;
-                        time = started;
-                        span;
-                        label = Format.asprintf "%a" P.pp_update u;
-                      });
-                Option.iter
-                  (fun m -> Mon.on_update m ~pid ~index ~span u)
-                  config.monitor
-              end
-            in
-            (match config.obs with
-            | None ->
-              observe_update None;
-              do_update ()
-            | Some o ->
-              (* Open the update's span and leave it ambient while the
-                 protocol processes the invocation, so broadcasts it
-                 emits are stamped; the origin applies its own update
-                 synchronously (Section VII.B), recorded on return. *)
-              let span =
-                Obs.Span.fresh o.Obs.spans ~pid ~time:started
-                  ~label:(Format.asprintf "%a" P.pp_update u)
-              in
-              observe_update (Some span);
-              Obs.Span.set_active o.Obs.spans (Some span);
-              do_update ();
-              Obs.Span.record_apply o.Obs.spans ~span:(Some span) ~pid
-                ~time:(Engine.now engine);
-              Obs.Span.set_active o.Obs.spans None;
-              maybe_probe ())
-          | Protocol.Invoke_query q ->
-            metrics.Metrics.queries_invoked <- metrics.Metrics.queries_invoked + 1;
-            robs (fun ro -> Obs.Registry.inc ro.qry.(pid));
-            (* Queries get a local span (they never propagate, so it is
-               excluded from visibility metrics) purely so the journal
-               and monitor can cite a causal id for the read. *)
-            let qspan =
-              Option.map
-                (fun o ->
-                  Obs.Span.fresh ~local:true o.Obs.spans ~pid ~time:started
-                    ~label:(Format.asprintf "%a" P.pp_query q))
-                config.obs
-            in
-            let do_query () =
-              P.query (replica pid) q ~on_result:(fun output ->
-                  if not crashed.(pid) then begin
-                    steps.(pid) := History.Q (q, output) :: !(steps.(pid));
-                    op_times.(pid) :=
-                      (started, ref (Engine.now engine)) :: !(op_times.(pid));
-                    Option.iter
-                      (fun tr ->
-                        Trace.record_op tr ~time:(Engine.now engine) ~pid
-                          (Format.asprintf "%a/%a" P.pp_query q P.pp_output output))
-                      trace;
-                    if observing then begin
-                      let index = next_index () in
-                      jrecord (fun () ->
-                          Obs.Journal.Query
-                            {
-                              pid;
-                              invoked = started;
-                              completed = Engine.now engine;
-                              span = qspan;
-                              label = Format.asprintf "%a" P.pp_query q;
-                              output = Format.asprintf "%a" P.pp_output output;
-                              omega = false;
-                            });
-                      Option.iter
-                        (fun m ->
-                          Mon.on_query m ~pid ~index ~span:qspan ~omega:false q
-                            output)
-                        config.monitor
-                    end;
-                    continue ()
-                  end)
-            in
-            (match config.obs with
-            | None -> do_query ()
-            | Some o ->
-              Obs.Span.set_active o.Obs.spans qspan;
-              do_query ();
-              Obs.Span.set_active o.Obs.spans None))
+        | Protocol.Invoke_update u :: rest -> invoke_update pid u rest
+        | Protocol.Invoke_query q :: rest -> invoke_query pid q rest
+    and complete pid ~started rest =
+      if not crashed.(pid) then begin
+        metrics.Metrics.ops_completed <- metrics.Metrics.ops_completed + 1;
+        let elapsed = Engine.now engine -. started in
+        latencies := elapsed :: !latencies;
+        (match runner_obs with
+        | Some ro ->
+          Obs.Registry.inc ro.comp.(pid);
+          Obs.Registry.observe ro.lat.(pid) elapsed
+        | None -> ());
+        (match config.sampler with
+        | Some s ->
+          Obs.Series.observe_latency s ~key:pid elapsed;
+          Obs.Series.maybe_tick s ~now:(Engine.now engine)
+        | None -> ());
+        let gap = Network.draw_delay think_rngs.(pid) config.think in
+        Engine.schedule engine ~delay:gap (fun () -> issue pid rest)
       end
+    and invoke_update pid u rest =
+      let started = Engine.now engine in
+      metrics.Metrics.updates_invoked <- metrics.Metrics.updates_invoked + 1;
+      (match runner_obs with Some ro -> Obs.Registry.inc ro.upd.(pid) | None -> ());
+      steps.(pid) := History.U u :: !(steps.(pid));
+      let finish = ref Float.infinity in
+      op_times.(pid) := (started, finish) :: !(op_times.(pid));
+      (match trace with
+      | Some tr -> Trace.record_op tr ~time:started ~pid (Format.asprintf "%a" P.pp_update u)
+      | None -> ());
+      let on_done () =
+        finish := Engine.now engine;
+        complete pid ~started rest
+      in
+      (* Journal the invocation (and feed the monitor) before the
+         protocol runs, so the frames its broadcast produces land after
+         their cause in the journal. *)
+      match config.obs with
+      | None ->
+        if observing then observe_update pid u ~started None;
+        P.update (replica pid) u ~on_done
+      | Some o ->
+        (* Open the update's span and leave it ambient while the
+           protocol processes the invocation, so broadcasts it emits
+           are stamped; the origin applies its own update synchronously
+           (Section VII.B), recorded on return. *)
+        let span =
+          Obs.Span.fresh o.Obs.spans ~pid ~time:started
+            ~label:(Format.asprintf "%a" P.pp_update u)
+        in
+        if observing then observe_update pid u ~started (Some span);
+        Obs.Span.set_active o.Obs.spans (Some span);
+        P.update (replica pid) u ~on_done;
+        Obs.Span.record_apply o.Obs.spans ~span:(Some span) ~pid ~time:(Engine.now engine);
+        Obs.Span.set_active o.Obs.spans None;
+        maybe_probe ()
+    and invoke_query pid q rest =
+      let started = Engine.now engine in
+      metrics.Metrics.queries_invoked <- metrics.Metrics.queries_invoked + 1;
+      (match runner_obs with Some ro -> Obs.Registry.inc ro.qry.(pid) | None -> ());
+      (* Queries get a local span (they never propagate, so it is
+         excluded from visibility metrics) purely so the journal and
+         monitor can cite a causal id for the read. *)
+      let qspan =
+        match config.obs with
+        | None -> None
+        | Some o ->
+          Some
+            (Obs.Span.fresh ~local:true o.Obs.spans ~pid ~time:started
+               ~label:(Format.asprintf "%a" P.pp_query q))
+      in
+      let on_result output =
+        if not crashed.(pid) then begin
+          steps.(pid) := History.Q (q, output) :: !(steps.(pid));
+          op_times.(pid) := (started, ref (Engine.now engine)) :: !(op_times.(pid));
+          (match trace with
+          | Some tr ->
+            Trace.record_op tr ~time:(Engine.now engine) ~pid
+              (Format.asprintf "%a/%a" P.pp_query q P.pp_output output)
+          | None -> ());
+          if observing then observe_query pid q output ~started ~span:qspan ~omega:false;
+          complete pid ~started rest
+        end
+      in
+      match config.obs with
+      | None -> P.query (replica pid) q ~on_result
+      | Some o ->
+        Obs.Span.set_active o.Obs.spans qspan;
+        P.query (replica pid) q ~on_result;
+        Obs.Span.set_active o.Obs.spans None
     in
     Array.iteri
       (fun pid script ->
@@ -632,7 +626,7 @@ module Make (P : Protocol.PROTOCOL) = struct
       for pid = 0 to n - 1 do
         if present pid then begin
           metrics.Metrics.queries_invoked <- metrics.Metrics.queries_invoked + 1;
-          robs (fun ro -> Obs.Registry.inc ro.qry.(pid));
+          (match runner_obs with Some ro -> Obs.Registry.inc ro.qry.(pid) | None -> ());
           let started = Engine.now engine in
           let qspan =
             Option.map
@@ -641,43 +635,23 @@ module Make (P : Protocol.PROTOCOL) = struct
                   ~label:(Format.asprintf "%aω" P.pp_query q))
               config.obs
           in
-          let do_query () =
-            P.query (replica pid) q ~on_result:(fun output ->
-                steps.(pid) := History.Qw (q, output) :: !(steps.(pid));
-                op_times.(pid) :=
-                  (Engine.now engine, ref (Engine.now engine))
-                  :: !(op_times.(pid));
-                Option.iter
-                  (fun tr ->
-                    Trace.record_op tr ~time:(Engine.now engine) ~pid
-                      (Format.asprintf "%a/%aω" P.pp_query q P.pp_output output))
-                  trace;
-                if observing then begin
-                  let index = next_index () in
-                  jrecord (fun () ->
-                      Obs.Journal.Query
-                        {
-                          pid;
-                          invoked = started;
-                          completed = Engine.now engine;
-                          span = qspan;
-                          label = Format.asprintf "%a" P.pp_query q;
-                          output = Format.asprintf "%a" P.pp_output output;
-                          omega = true;
-                        });
-                  Option.iter
-                    (fun m ->
-                      Mon.on_query m ~pid ~index ~span:qspan ~omega:true q
-                        output)
-                    config.monitor
-                end;
-                final_outputs := (pid, output) :: !final_outputs)
+          let on_result output =
+            steps.(pid) := History.Qw (q, output) :: !(steps.(pid));
+            op_times.(pid) :=
+              (Engine.now engine, ref (Engine.now engine)) :: !(op_times.(pid));
+            Option.iter
+              (fun tr ->
+                Trace.record_op tr ~time:(Engine.now engine) ~pid
+                  (Format.asprintf "%a/%aω" P.pp_query q P.pp_output output))
+              trace;
+            if observing then observe_query pid q output ~started ~span:qspan ~omega:true;
+            final_outputs := (pid, output) :: !final_outputs
           in
           match config.obs with
-          | None -> do_query ()
+          | None -> P.query (replica pid) q ~on_result
           | Some o ->
             Obs.Span.set_active o.Obs.spans qspan;
-            do_query ();
+            P.query (replica pid) q ~on_result;
             Obs.Span.set_active o.Obs.spans None
         end
       done;

@@ -135,5 +135,13 @@ module Make (P : Protocol.PROTOCOL) : sig
       and probe sample into it in simulated-time order, and seals it
       with the extracted history's {!History.fingerprint}. Journaling
       only observes — the schedule, history, metrics, and wire bytes
-      are bit-identical with and without it. *)
+      are bit-identical with and without it.
+
+      Allocation with [obs], [monitor], [sampler] and [trace] off: an
+      invocation allocates the protocol's completion callback, what
+      the result keeps (history step, invocation interval, latency)
+      and the engine event that issues the next operation, and no
+      observer closure; the protocol's own work and its frames (see
+      {!Network.create}) come on top. At the end of the run each live
+      replica's certificate is taken once. *)
 end

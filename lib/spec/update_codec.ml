@@ -35,14 +35,19 @@ end
 (* The tag byte carries the constructor in its high bits and one sign
    bit per integer argument in its low bits, so magnitudes go on the
    wire as plain varints and the frame length matches the
-   [update_wire_size] formulas (1 + Σ varint(abs …)). *)
+   [update_wire_size] formulas (1 + Σ varint(abs …)). Decoders read
+   both straight off the byte ([ctor], [signed]): a decoded
+   (constructor, signs) pair would be allocated on every update. *)
 let tag ~ctor ~signs = (ctor lsl 3) lor signs
 
-let untag b = (b lsr 3, b land 7)
+let ctor b = b lsr 3
 
 let sign_bit i n = if n < 0 then 1 lsl i else 0
 
-let apply_sign bit magnitude = if bit = 1 then -magnitude else magnitude
+(* The varint magnitude of argument [i], signed by bit [i] of tag [b]. *)
+let signed r b i =
+  let magnitude = Codec.Reader.varint r in
+  if (b lsr i) land 1 = 1 then -magnitude else magnitude
 
 let bad name = raise (Codec.Decode_error ("unknown tag for " ^ name))
 
@@ -55,9 +60,9 @@ module For_set = Complete (struct
     Codec.Writer.varint w (abs v)
 
   let decode r =
-    let ctor, signs = untag (Codec.Reader.u8 r) in
-    let v = apply_sign (signs land 1) (Codec.Reader.varint r) in
-    match ctor with
+    let b = Codec.Reader.u8 r in
+    let v = signed r b 0 in
+    match ctor b with
     | 0 -> Set_spec.Insert v
     | 1 -> Set_spec.Delete v
     | _ -> bad "set"
@@ -71,9 +76,9 @@ module For_gset = Complete (struct
     Codec.Writer.varint w (abs v)
 
   let decode r =
-    let ctor, signs = untag (Codec.Reader.u8 r) in
-    if ctor <> 0 then bad "gset";
-    Gset_spec.Insert (apply_sign (signs land 1) (Codec.Reader.varint r))
+    let b = Codec.Reader.u8 r in
+    if ctor b <> 0 then bad "gset";
+    Gset_spec.Insert (signed r b 0)
 end)
 
 module Signed_scalar (X : sig
@@ -94,9 +99,9 @@ Complete (struct
     Codec.Writer.varint w (abs v)
 
   let decode r =
-    let ctor, signs = untag (Codec.Reader.u8 r) in
-    if ctor <> 0 then bad X.name;
-    X.inj (apply_sign (signs land 1) (Codec.Reader.varint r))
+    let b = Codec.Reader.u8 r in
+    if ctor b <> 0 then bad X.name;
+    X.inj (signed r b 0)
 end)
 
 module For_counter = Signed_scalar (struct
@@ -148,10 +153,10 @@ module For_memory = Complete (struct
     Codec.Writer.varint w (abs v)
 
   let decode r =
-    let ctor, signs = untag (Codec.Reader.u8 r) in
-    if ctor <> 0 then bad "memory";
-    let x = apply_sign (signs land 1) (Codec.Reader.varint r) in
-    let v = apply_sign ((signs lsr 1) land 1) (Codec.Reader.varint r) in
+    let b = Codec.Reader.u8 r in
+    if ctor b <> 0 then bad "memory";
+    let x = signed r b 0 in
+    let v = signed r b 1 in
     Memory_spec.Write (x, v)
 end)
 
@@ -163,9 +168,9 @@ module For_flag = Complete (struct
       (tag ~ctor:(match u with Flag_spec.Enable -> 0 | Flag_spec.Disable -> 1) ~signs:0)
 
   let decode r =
-    match untag (Codec.Reader.u8 r) with
-    | 0, _ -> Flag_spec.Enable
-    | 1, _ -> Flag_spec.Disable
+    match ctor (Codec.Reader.u8 r) with
+    | 0 -> Flag_spec.Enable
+    | 1 -> Flag_spec.Disable
     | _ -> bad "flag"
 end)
 
@@ -179,9 +184,9 @@ module For_queue = Complete (struct
     | Queue_spec.Dequeue -> Codec.Writer.u8 w (tag ~ctor:1 ~signs:0)
 
   let decode r =
-    let ctor, signs = untag (Codec.Reader.u8 r) in
-    match ctor with
-    | 0 -> Queue_spec.Enqueue (apply_sign (signs land 1) (Codec.Reader.varint r))
+    let b = Codec.Reader.u8 r in
+    match ctor b with
+    | 0 -> Queue_spec.Enqueue (signed r b 0)
     | 1 -> Queue_spec.Dequeue
     | _ -> bad "queue"
 end)
@@ -196,9 +201,9 @@ module For_stack = Complete (struct
     | Stack_spec.Pop -> Codec.Writer.u8 w (tag ~ctor:1 ~signs:0)
 
   let decode r =
-    let ctor, signs = untag (Codec.Reader.u8 r) in
-    match ctor with
-    | 0 -> Stack_spec.Push (apply_sign (signs land 1) (Codec.Reader.varint r))
+    let b = Codec.Reader.u8 r in
+    match ctor b with
+    | 0 -> Stack_spec.Push (signed r b 0)
     | 1 -> Stack_spec.Pop
     | _ -> bad "stack"
 end)
@@ -216,13 +221,13 @@ module For_map = Complete (struct
       Codec.Writer.varint w (abs k)
 
   let decode r =
-    let ctor, signs = untag (Codec.Reader.u8 r) in
-    match ctor with
+    let b = Codec.Reader.u8 r in
+    match ctor b with
     | 0 ->
-      let k = apply_sign (signs land 1) (Codec.Reader.varint r) in
-      let v = apply_sign ((signs lsr 1) land 1) (Codec.Reader.varint r) in
+      let k = signed r b 0 in
+      let v = signed r b 1 in
       Map_spec.Put (k, v)
-    | 1 -> Map_spec.Del (apply_sign (signs land 1) (Codec.Reader.varint r))
+    | 1 -> Map_spec.Del (signed r b 0)
     | _ -> bad "map"
 end)
 
@@ -239,13 +244,13 @@ module For_text = Complete (struct
       Codec.Writer.varint w (abs p)
 
   let decode r =
-    let ctor, signs = untag (Codec.Reader.u8 r) in
-    match ctor with
+    let b = Codec.Reader.u8 r in
+    match ctor b with
     | 0 ->
       let c = Char.chr (Codec.Reader.u8 r) in
-      let p = apply_sign (signs land 1) (Codec.Reader.varint r) in
+      let p = signed r b 0 in
       Text_spec.Insert (p, c)
-    | 1 -> Text_spec.Delete (apply_sign (signs land 1) (Codec.Reader.varint r))
+    | 1 -> Text_spec.Delete (signed r b 0)
     | _ -> bad "text"
 end)
 
@@ -269,21 +274,20 @@ module For_bank = Complete (struct
       Codec.Writer.varint w (abs n)
 
   let decode r =
-    let ctor, signs = untag (Codec.Reader.u8 r) in
-    let signed i = apply_sign ((signs lsr i) land 1) (Codec.Reader.varint r) in
-    match ctor with
+    let b = Codec.Reader.u8 r in
+    match ctor b with
     | 0 ->
-      let a = signed 0 in
-      let n = signed 1 in
+      let a = signed r b 0 in
+      let n = signed r b 1 in
       Bank_spec.Deposit (a, n)
     | 1 ->
-      let a = signed 0 in
-      let n = signed 1 in
+      let a = signed r b 0 in
+      let n = signed r b 1 in
       Bank_spec.Withdraw (a, n)
     | 2 ->
-      let x = signed 0 in
-      let y = signed 1 in
-      let n = signed 2 in
+      let x = signed r b 0 in
+      let y = signed r b 1 in
+      let n = signed r b 2 in
       Bank_spec.Transfer (x, y, n)
     | _ -> bad "bank"
 end)
@@ -298,9 +302,9 @@ module For_pqueue = Complete (struct
     | Pqueue_spec.Extract_min -> Codec.Writer.u8 w (tag ~ctor:1 ~signs:0)
 
   let decode r =
-    let ctor, signs = untag (Codec.Reader.u8 r) in
-    match ctor with
-    | 0 -> Pqueue_spec.Insert (apply_sign (signs land 1) (Codec.Reader.varint r))
+    let b = Codec.Reader.u8 r in
+    match ctor b with
+    | 0 -> Pqueue_spec.Insert (signed r b 0)
     | 1 -> Pqueue_spec.Extract_min
     | _ -> bad "pqueue"
 end)

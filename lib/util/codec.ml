@@ -30,6 +30,13 @@ module Writer = struct
   let contents = Buffer.contents
 
   let length = Buffer.length
+
+  let byte_sum t =
+    let acc = ref 0 in
+    for i = 0 to Buffer.length t - 1 do
+      acc := !acc + Char.code (Buffer.nth t i)
+    done;
+    !acc
 end
 
 module Reader = struct
@@ -76,6 +83,8 @@ module Reader = struct
     let r = { data = t.data; pos = t.pos; stop = t.pos + len } in
     t.pos <- t.pos + len;
     r
+
+  let fork t = { t with pos = t.pos }
 
   let pos t = t.pos
 

@@ -33,6 +33,11 @@ module Writer : sig
   val contents : t -> string
 
   val length : t -> int
+
+  val byte_sum : t -> int
+  (** The sum of every byte written so far, read in place (no
+      {!contents} copy): what an additive frame checksum is computed
+      over. *)
 end
 
 (** Sequential binary reader over a string, or over a length-prefixed
@@ -59,6 +64,11 @@ module Reader : sig
   (** The bytes of a {!Writer.byte_string} as a reader of their own,
       sharing the underlying string (no copy); [t] moves past them.
       The nested reader's {!at_end} is the end of that range. *)
+
+  val fork : t -> t
+  (** A second reader over the bytes [t] has left, starting where [t]
+      stands and ending where it ends; the two advance independently.
+      Lets a frame be checked in full before it is read again. *)
 
   val pos : t -> int
   (** The offset in the underlying string of the next byte to read. *)

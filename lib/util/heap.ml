@@ -50,6 +50,10 @@ let push h x =
 
 let peek h = if h.size = 0 then None else Some h.data.(0)
 
+let top_exn h =
+  if h.size = 0 then invalid_arg "Heap.top_exn: empty heap";
+  h.data.(0)
+
 let pop_exn h =
   if h.size = 0 then invalid_arg "Heap.pop_exn: empty heap";
   let top = h.data.(0) in

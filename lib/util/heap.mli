@@ -18,11 +18,17 @@ val push : 'a t -> 'a -> unit
 val peek : 'a t -> 'a option
 (** Smallest element without removing it. *)
 
+val top_exn : 'a t -> 'a
+(** {!peek} without the option: allocates nothing, for loops that test
+    {!is_empty} first.
+    @raise Invalid_argument on an empty heap. *)
+
 val pop : 'a t -> 'a option
 (** Remove and return the smallest element. *)
 
 val pop_exn : 'a t -> 'a
-(** @raise Invalid_argument on an empty heap. *)
+(** {!pop} without the option: allocates nothing.
+    @raise Invalid_argument on an empty heap. *)
 
 val clear : 'a t -> unit
 

@@ -11,6 +11,19 @@ let minor_words f =
   f ();
   Stdlib.Gc.minor_words () -. before
 
+(* Words allocated, minor and major, while [f] runs. The minor heap is
+   emptied first: on this runtime a minor collection inside the window
+   skews the counters by about a minor heap's worth. *)
+let allocated_words f =
+  let total () =
+    let s = Stdlib.Gc.quick_stat () in
+    s.Stdlib.Gc.minor_words +. s.Stdlib.Gc.major_words -. s.Stdlib.Gc.promoted_words
+  in
+  Stdlib.Gc.minor ();
+  let before = total () in
+  let result = f () in
+  (result, total () -. before)
+
 (* FF x8 7F: a varint whose ninth 7-bit group sets an int's sign bit.
    It once decoded to -1. *)
 let overflow_varint = "\xff\xff\xff\xff\xff\xff\xff\xff\x7f"

@@ -7,7 +7,10 @@
    - the gather-scatter pass against the all-pairs snapshot exchange to
      a fixpoint, over random churn and partition schedules.
    Mutated frames must be merged or refused untouched, never raise, and
-   two allocation guards keep the frame streaming into the log. *)
+   two allocation guards keep the frame streaming into the log. A
+   whole-space UCX frame is merged all or nothing, and the certificate,
+   built back to front off the log, equals the reversed fold it
+   replaced at 6 words an entry. *)
 
 open Helpers
 
@@ -318,19 +321,6 @@ let mutate rng frame =
     let k = min (n - at) (1 + Prng.int rng 4) in
     String.sub frame 0 at ^ String.sub frame (at + k) (n - at - k)
 
-(* Words allocated, minor and major, while [f] runs. The minor heap is
-   emptied first: on this runtime a minor collection inside the window
-   skews the counters by about a minor heap's worth. *)
-let allocated_words f =
-  let total () =
-    let s = Stdlib.Gc.quick_stat () in
-    s.Stdlib.Gc.minor_words +. s.Stdlib.Gc.major_words -. s.Stdlib.Gc.promoted_words
-  in
-  Stdlib.Gc.minor ();
-  let before = total () in
-  let result = f () in
-  (result, total () -. before)
-
 (* A valid frame, or one mutated: an overflowing varint spliced into any
    varint field, a declared entry count of 2^40 (or 2^20), or random
    byte damage. [decode_replica] either decodes it or raises
@@ -438,6 +428,41 @@ let snapshot_guard () =
   let short = words 1_000 and long = words 10_000 in
   if long > short +. 64. then
     Alcotest.failf "snapshot minor words: %.0f at 1k entries, %.0f at 10k" short long
+
+(* [certificate] is built back to front off the log; the reference is
+   the fold it replaced, a reversed list reversed again. [log_entry i]
+   is the entry [local_log] lists at [i]. *)
+let certificate_law (module G : CORE) seed =
+  let module K = Persist.Catchup (G) (Update_codec.For_set) in
+  let rng = Prng.create seed in
+  let pool = pool rng in
+  let x = G.create (ctx ~steps:(ref 0) 0) in
+  G.restore_log x (sample rng pool);
+  for _ = 1 to Prng.int rng 8 do
+    match Prng.int rng 3 with
+    | 0 -> G.update x (Set_spec.random_update rng) ~on_done:ignore
+    | 1 -> ignore (read (module G) x)
+    | _ ->
+      let peer = sample rng pool in
+      ignore (K.absorb x (ucs_frame ~clock:(max_clock peer) peer) : bool)
+  done;
+  let log = G.local_log x in
+  G.certificate x
+  = Some (List.rev (List.fold_left (fun acc (_, origin, u) -> (origin, u) :: acc) [] log))
+  && List.for_all2
+       (fun i (ts, origin, payload) -> G.log_entry x i = { Oplog.ts; origin; payload })
+       (List.init (List.length log) Fun.id)
+       log
+
+(* A pair and a cons per entry, 6 words: the reversed fold and its
+   [List.rev] cost 9. *)
+let certificate_guard () =
+  let n = 10_000 in
+  let r = replica_of_length n in
+  let words = minor_words (fun () -> ignore (Sys.opaque_identity (Uni.certificate r))) in
+  if words > float_of_int ((6 * n) + 16) then
+    Alcotest.failf "certificate of %d entries: %.2f minor words per entry" n
+      (words /. float_of_int n)
 
 let per_core name count law =
   List.map
@@ -626,16 +651,173 @@ let sharded_scripts ~seed ~n =
     ~query:(fun _ -> Set_spec.Read)
     ~read:(fun k q -> S.K.Read (k, q))
 
+(* ------------------------ whole-space frames ------------------------ *)
+
+module Shard_frames =
+  Persist.Over
+    (Generic.Make (Keyed.One (Set_spec)))
+    (Keyed.One_codec (Set_spec) (Update_codec.For_set))
+
+(* A "UCX" frame's shard frames, (shard id, "UCS" frame) in frame
+   order, parsed from the frame spec; and the frame they make. *)
+let ucx_parts frame =
+  let r = Codec.Reader.of_string frame in
+  String.iter
+    (fun c -> if Codec.Reader.u8 r <> Char.code c then raise (Codec.Decode_error "magic"))
+    "UCX";
+  if Codec.Reader.u8 r <> 1 then raise (Codec.Decode_error "version");
+  let count = Codec.Reader.varint r in
+  let parts =
+    List.init count (fun _ ->
+        let s = Codec.Reader.varint r in
+        (s, Codec.Reader.byte_string r))
+  in
+  if not (Codec.Reader.at_end r) then raise (Codec.Decode_error "trailing bytes");
+  parts
+
+let ucx_frame parts =
+  let w = Codec.Writer.create () in
+  String.iter (fun c -> Codec.Writer.u8 w (Char.code c)) "UCX";
+  Codec.Writer.u8 w 1;
+  Codec.Writer.varint w (List.length parts);
+  List.iter
+    (fun (s, f) ->
+      Codec.Writer.varint w s;
+      Codec.Writer.byte_string w f)
+    parts;
+  Codec.Writer.contents w
+
+(* Batches of one to three keyed set updates over 64 keys. *)
+let space_updates rng count =
+  List.init count (fun _ ->
+      List.init (1 + Prng.int rng 3) (fun _ -> (Prng.int rng 64, Set_spec.random_update rng)))
+
+let space_replica pid updates =
+  let r = S.create (ctx ~steps:(ref 0) pid) in
+  List.iter (fun kus -> S.update r kus ~on_done:ignore) updates;
+  r
+
+(* Each shard's clock, as the replica's own snapshot records it. *)
+let shard_clocks r =
+  List.map
+    (fun (s, f) -> (s, fst (Shard_frames.decode_replica f)))
+    (ucx_parts (Option.get (S.snapshot r)))
+
+(* The second of four shard frames fails its checksum (the low bit of
+   its last byte, the checksum varint's, flipped). The first merged
+   into the replica before the second was refused, leaving a fresh one
+   holding its entries. *)
+let corrupt_second_shard () =
+  S.configure (S.create_map ~shards:4 ());
+  let rng = Prng.create 7 in
+  let frame = Option.get (S.snapshot (space_replica 1 (space_updates rng 40))) in
+  let parts = ucx_parts frame in
+  Alcotest.(check string) "the frame spec parses the snapshot" frame (ucx_frame parts);
+  Alcotest.(check int) "four shard frames" 4 (List.length parts);
+  let flip f =
+    let b = Bytes.of_string f in
+    let i = Bytes.length b - 1 in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+    Bytes.to_string b
+  in
+  let bad = ucx_frame (List.mapi (fun i (s, f) -> (s, if i = 1 then flip f else f)) parts) in
+  let fresh = S.create (ctx ~steps:(ref 0) 0) in
+  Alcotest.(check bool) "a fresh replica refuses it" false (S.absorb fresh bad);
+  Alcotest.(check int) "and holds nothing" 0 (S.log_length fresh);
+  Alcotest.(check (list (pair int int))) "no shard created" [] (S.shard_log_lengths fresh);
+  let mine = space_updates rng 30 in
+  let x = space_replica 0 mine and twin = space_replica 0 mine in
+  Alcotest.(check bool) "a populated replica refuses it" false (S.absorb x bad);
+  Alcotest.(check bool) "per-shard logs kept" true (S.shard_logs x = S.shard_logs twin);
+  Alcotest.(check (list (pair int int))) "per-shard clocks kept" (shard_clocks twin)
+    (shard_clocks x);
+  Alcotest.(check bool) "the intact frame merges" true (S.absorb x frame)
+
+(* A whole-space snapshot, valid or damaged: one shard frame mutated
+   under intact framing, a declared shard count of 2^40 (or 2^20), or
+   the whole frame mutated. [absorb] merges exactly the frames the spec
+   decodes (every shard log united with the shard frames naming it,
+   every shard clock raised to its frames'), or, if any shard frame
+   fails to decode, names a shard the ring never allocated, or holds a
+   clock-0 entry, refuses the whole frame, allocating at most linearly
+   in its length and leaving the replica as its twin, which never saw
+   it: logs, clocks and the set of shards. *)
+let ucx_mutated seed =
+  let rng = Prng.create seed in
+  let map = S.create_map ~shards:(1 + Prng.int rng 4) () in
+  S.configure map;
+  let frame = Option.get (S.snapshot (space_replica 1 (space_updates rng (Prng.int rng 40)))) in
+  let mine = space_updates rng (Prng.int rng 30) in
+  let x = space_replica 0 mine and y = space_replica 0 mine in
+  let parts = ucx_parts frame in
+  let frame =
+    match Prng.int rng 8 with
+    | 0 -> frame
+    | (1 | 2) when parts <> [] ->
+      let k = Prng.int rng (List.length parts) in
+      ucx_frame (List.mapi (fun i (s, f) -> (s, if i = k then mutate rng f else f)) parts)
+    | 3 ->
+      (* The count is the one byte after "UCX" and the version. *)
+      "UCX\x01"
+      ^ varint_bytes (1 lsl if Prng.bool rng then 40 else 20)
+      ^ String.sub frame 5 (String.length frame - 5)
+    | _ -> mutate rng frame
+  in
+  let decoded =
+    match List.map (fun (s, f) -> (s, Shard_frames.decode_replica f)) (ucx_parts frame) with
+    | exception Codec.Decode_error _ -> None
+    | shards ->
+      if
+        List.exists
+          (fun (s, (_, log)) ->
+            s > Ring.max_id (S.ring map)
+            || List.exists (fun (ts, _, _) -> ts.Timestamp.clock = 0) log)
+          shards
+      then None
+      else Some shards
+  in
+  let merged, words = allocated_words (fun () -> S.absorb x frame) in
+  match decoded with
+  | None ->
+    (not merged)
+    && words <= float_of_int ((8 * String.length frame) + 1024)
+    && S.shard_logs x = S.shard_logs y
+    && shard_clocks x = shard_clocks y
+  | Some shards ->
+    let by_shard l = List.sort (fun (a, _) (b, _) -> compare a b) l in
+    let fold f init = List.fold_left f init shards in
+    let update s f l = (s, f (List.assoc_opt s l)) :: List.remove_assoc s l in
+    let logs =
+      fold
+        (fun l (s, (_, log)) -> update s (fun r -> union (Option.value r ~default:[]) log) l)
+        (S.shard_logs y)
+    in
+    let clocks =
+      fold
+        (fun l (s, (clock, log)) ->
+          update s (fun c -> max (Option.value c ~default:0) (max clock (max_clock log))) l)
+        (shard_clocks y)
+    in
+    merged && S.shard_logs x = by_shard logs && shard_clocks x = by_shard clocks
+
 let tests =
   per_core "absorb matches the whole-log rebuild" 60 differential
   @ per_core "an absorb that adds nothing keeps the cached states" 60 absorb_nothing
   @ per_core "a hostile frame merges correctly or is refused untouched" 150 hostile
   @ per_core "a mutated frame is merged or refused untouched, never raises" 300 mutated
+  @ per_core "certificate equals the reversed fold, log_entry the listed log" 100
+      certificate_law
   @ [
       Alcotest.test_case "absorbing a resident frame allocates < 8 words per entry"
         `Quick resident_absorb_guard;
       Alcotest.test_case "a snapshot's minor words do not grow with the log" `Quick
         snapshot_guard;
+      Alcotest.test_case "a certificate allocates 6 words per entry" `Quick
+        certificate_guard;
+      Alcotest.test_case "a UCX frame with a corrupt shard frame is refused whole"
+        `Quick corrupt_second_shard;
+      qtest ~count:300 "a mutated UCX frame is merged or refused whole" seed_gen
+        ucx_mutated;
       qtest ~count:40 "gather-scatter quiescence = all-pairs fixpoint (universal)"
         seed_gen
         (Universal.agrees ~reset:ignore ~workload:set_scripts);

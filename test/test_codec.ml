@@ -118,6 +118,26 @@ let adt_tests =
 
 let negative_tests =
   [
+    Alcotest.test_case "a set decode allocates only the update" `Quick (fun () ->
+        (* Insert and Delete are two words each. Reading the tag byte
+           through a (constructor, signs) pair cost three more. *)
+        let updates =
+          Array.init 1000 (fun i ->
+              let v = (i * 37) - 18_000 in
+              if i mod 3 = 0 then Set_spec.Delete v else Set_spec.Insert v)
+        in
+        let w = Codec.Writer.create () in
+        Array.iter (Update_codec.For_set.encode w) updates;
+        let r = Codec.Reader.of_string (Codec.Writer.contents w) in
+        let decoded = Array.make (Array.length updates) (Set_spec.Insert 0) in
+        let words =
+          minor_words (fun () ->
+              for i = 0 to Array.length decoded - 1 do
+                decoded.(i) <- Update_codec.For_set.decode r
+              done)
+        in
+        Alcotest.(check bool) "read back" true (decoded = updates);
+        Alcotest.(check (float 0.)) "minor words" (2. *. 1000.) words);
     Alcotest.test_case "negative values survive the sign-bit tags" `Quick (fun () ->
         let u = Set_spec.Insert (-5) in
         Alcotest.(check bool) "round trip" true

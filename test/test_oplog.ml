@@ -395,6 +395,30 @@ let tests =
           (Oplog.encode_list ~encode_update:Update_codec.For_set.encode [])
           (Oplog.encode ~update_wire_size:Set_spec.update_wire_size
              ~encode_update:Update_codec.For_set.encode log));
+    (* The trailer is summed over the writer's bytes where they lie:
+       encoding allocates the pre-sized buffer and the frame, two
+       frame-sized blocks. A copy of the body taken to checksum it made
+       three. The blocks go straight to the major heap, which
+       [Gc.counters] reads exactly for this domain ([quick_stat] may
+       not count them until the next minor collection); the minor heap
+       is emptied first, so no minor collection falls in the window. *)
+    Alcotest.test_case "encode allocates two frame-sized blocks" `Quick (fun () ->
+        let log = Oplog.create () in
+        for i = 1 to 30_000 do
+          ignore (Oplog.insert log (entry ~clock:i ~pid:(i mod 4)) : int)
+        done;
+        Stdlib.Gc.minor ();
+        let minor0, promoted0, major0 = Stdlib.Gc.counters () in
+        let frame =
+          Oplog.encode ~update_wire_size:Set_spec.update_wire_size
+            ~encode_update:Update_codec.For_set.encode log
+        in
+        let minor1, promoted1, major1 = Stdlib.Gc.counters () in
+        let words = minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0) in
+        let frame_words = float_of_int (String.length frame) /. 8. in
+        if words > (2. *. frame_words) +. 256. then
+          Alcotest.failf "encoding a %.0f-word frame allocated %.0f words" frame_words
+            words);
     (* The one-pass batch merge: any chunking of any arrival order —
        duplicate timestamps included, within a chunk and against the
        resident log — must leave the log, the surviving checkpoints,

@@ -16,7 +16,10 @@
    - the UCX whole-space snapshot/absorb round trip;
    - journal [Rebalance]/[Shard] events through JSON and jsonl;
    - the per-shard registry rows as `ucsim report` renders them
-     (golden). *)
+     (golden);
+   - the certificate's k-way merge against the stable sort of the
+     concatenated shard logs, over runs with splits and migrations,
+     and its words per entry flat in the log length. *)
 
 module S = Space.Make (Set_spec) (Update_codec.For_set)
 module B = Throughput.Sharded (Set_spec) (Update_codec.For_set)
@@ -326,6 +329,106 @@ let registry_golden =
            ])
         rendered)
 
+(* --------------------------- certificates ---------------------------- *)
+
+(* The space's replicas as the runner builds them, kept for inspection
+   after the run. *)
+module Kept = struct
+  include S
+
+  let made = ref []
+
+  let create ctx =
+    let r = S.create ctx in
+    made := r :: !made;
+    r
+end
+
+module KR = Runner.Make (Kept)
+
+(* The certificate a stable sort of the concatenated shard logs gives:
+   the procedure the k-way merge replaced, kept as its reference. *)
+let sorted_certificate ~n r =
+  List.concat_map snd (S.shard_logs r)
+  |> List.stable_sort (fun (a, _, _) (b, _, _) -> Timestamp.compare a b)
+  |> List.map (fun (_, origin, ku) -> (origin mod n, [ ku ]))
+
+let hottest map =
+  fst
+    (List.fold_left
+       (fun (h, c) (s, ops) -> if ops > c then (s, ops) else (h, c))
+       (0, -1) (S.shard_ops map))
+
+(* A random sharded run under a hot-shard policy, then one more split
+   that every replica migrates before it is certified again: the merge
+   agrees with the reference on every replica, both times. *)
+let certificate_merge =
+  Helpers.qtest ~count:60 "certificate's k-way merge = stable sort of the shard logs"
+    Helpers.seed_gen (fun seed ->
+      let rng = Prng.create seed in
+      let n = 2 + Prng.int rng 3 in
+      let policy =
+        { S.interval = float_of_int (5 + Prng.int rng 20); hot_factor = 1.2; max_shards = 16 }
+      in
+      let map = S.create_map ~policy ~shards:(1 + Prng.int rng 3) () in
+      S.configure map;
+      Kept.made := [];
+      let config = { (KR.default_config ~n ~seed) with KR.final_read = Some S.K.Sweep } in
+      let r =
+        KR.run config
+          ~workload:
+            (scripts ~seed ~n ~ops:(10 + Prng.int rng 30) ~keys:(8 + Prng.int rng 56) ~skew:1.1)
+      in
+      let agree () =
+        List.for_all
+          (fun x ->
+            S.force_migrate x;
+            let reference = sorted_certificate ~n x in
+            S.certificate x = Some reference)
+          !Kept.made
+      in
+      let during = agree () in
+      ignore (S.trigger_split map ~now:0.0 ~hot:(hottest map) : int);
+      r.KR.certificates_agree && during && agree ())
+
+(* Minor words per certificate entry of a replica holding [entries]
+   single-key updates over 8 shards. *)
+let certificate_words entries =
+  S.configure (S.create_map ~shards:8 ());
+  let r =
+    S.create
+      {
+        Protocol.pid = 0;
+        n = 1;
+        now = (fun () -> 0.0);
+        send = (fun ~dst:_ _ -> ());
+        broadcast = ignore;
+        broadcast_batch = ignore;
+        set_timer = (fun ~delay:_ _ -> ());
+        count_replay = ignore;
+        obs = None;
+      }
+  in
+  for i = 1 to entries do
+    S.update r [ (i * 7919 mod 1024, Set_spec.Insert (i mod 16)) ] ~on_done:ignore
+  done;
+  let words =
+    Helpers.minor_words (fun () -> ignore (Sys.opaque_identity (S.certificate r)))
+  in
+  words /. float_of_int entries
+
+(* The merge reads the shard logs in place and allocates only the
+   output, 9 words an entry whatever the length. Concatenating the
+   logs and sorting them cost 66 words an entry at 48k, growing with
+   log n. *)
+let certificate_guard =
+  Alcotest.test_case "certificate words per entry stay flat from 10k to 40k" `Quick
+    (fun () ->
+      let short = certificate_words 10_000 and long = certificate_words 40_000 in
+      if long > short +. 0.05 || long > 9.05 then
+        Alcotest.failf "certificate minor words per entry: %.2f at 10k, %.2f at 40k"
+          short long)
+
 let tests =
   differential_tests @ rebalance_tests @ migration_tests @ journal_tests
-  @ [ registry_golden ]
+  @ [ registry_golden; certificate_merge; certificate_guard ]

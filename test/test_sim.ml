@@ -1,5 +1,6 @@
 (* uc_sim: engine ordering, network delivery semantics, crash and
-   partition behaviour, metric accounting. *)
+   partition behaviour, metric accounting, and what an event and an
+   obs-off frame allocate. *)
 
 open Helpers
 
@@ -334,5 +335,68 @@ let runner_tests =
         && List.length r.R.final_outputs = 3);
   ]
 
+(* ------------------------- allocation guards ------------------------- *)
+
+(* [Engine.run] reads the queue through [Heap.top_exn]/[pop_exn]: an
+   event costs what its thunk allocates, here nothing. Popping through
+   the [peek]/[pop] options cost 4 words per event. *)
+let engine_run_guard () =
+  let e = Engine.create () in
+  let hits = ref 0 in
+  let thunk () = incr hits in
+  let events = 10_000 in
+  let fill () =
+    for i = 1 to events do
+      Engine.schedule e ~delay:(float_of_int (i mod 7)) thunk
+    done
+  in
+  (* The first round grows the queue to its working size. *)
+  fill ();
+  Engine.run e;
+  fill ();
+  let words = minor_words (fun () -> Engine.run e) in
+  Alcotest.(check int) "every event ran" (2 * events) !hits;
+  if words > 64. then
+    Alcotest.failf "Engine.run over %d events: %.0f minor words" events words
+
+(* Telemetry off, a frame allocates its stamped message list (a pair
+   and a cons, 6 words), its engine event (queue entry 4, clamped time
+   2, delivery thunk 10), its arrival time (2) and the latency sum,
+   boxed once (2): 26 words. The journal closures a frame and its
+   delivery built, journal or not, cost 19 more. *)
+let network_send_guard () =
+  let engine = Engine.create () in
+  let metrics = Metrics.create () in
+  let delivered = ref 0 in
+  let net =
+    Network.create ~engine ~rng:(Prng.create 1) ~metrics ~n:2
+      ~delay:(Network.Constant 1.0)
+      ~wire_size:(fun (_ : int) -> 4)
+      ~deliver:(fun ~dst:_ ~src:_ _ -> incr delivered)
+      ()
+  in
+  let frames = 10_000 in
+  let round () =
+    for i = 1 to frames do
+      Network.send net ~src:0 ~dst:1 i
+    done;
+    Engine.run engine
+  in
+  round ();
+  let words = minor_words round in
+  Alcotest.(check int) "every frame delivered" (2 * frames) !delivered;
+  let per_frame = words /. float_of_int frames in
+  if per_frame > 26.5 then
+    Alcotest.failf "an obs-off send and its delivery: %.2f minor words" per_frame
+
+let alloc_tests =
+  [
+    Alcotest.test_case "Engine.run allocates nothing per event beyond its thunk"
+      `Quick engine_run_guard;
+    Alcotest.test_case "an obs-off send and its delivery stay within 26 words"
+      `Quick network_send_guard;
+  ]
+
 let tests =
   engine_tests @ network_tests @ batch_tests @ metrics_tests @ runner_tests
+  @ alloc_tests

@@ -3,6 +3,10 @@ module type S = sig
 
   val message_update : message -> update
 
+  val entry_of_message : src:int -> message -> update Oplog.entry
+
+  val receive_entry : t -> update Oplog.entry -> unit
+
   val local_log : t -> (Timestamp.t * int * update) list
 
   val log_entry : t -> int -> update Oplog.entry
@@ -69,10 +73,14 @@ module Configured (C : CONFIG) (A : Uqadt.S) = struct
     t.ctx.Protocol.broadcast { ts; update = u };
     on_done ()
 
-  let receive t ~src { ts; update = u } =
+  let entry_of_message ~src { ts; update = u } = { Oplog.ts; origin = src; payload = u }
+
+  let receive_entry t e =
     (* Line 9: clock_i <- max(clock_i, cl). *)
-    Lamport.merge t.clock ts.Timestamp.clock;
-    ignore (Oplog.insert t.log { Oplog.ts; origin = src; payload = u })
+    Lamport.merge t.clock e.Oplog.ts.Timestamp.clock;
+    ignore (Oplog.insert t.log e : int)
+
+  let receive t ~src m = receive_entry t (entry_of_message ~src m)
 
   let receive_batch t ~src msgs =
     (* A coalesced envelope: merge the clock once against the batch
@@ -87,10 +95,7 @@ module Configured (C : CONFIG) (A : Uqadt.S) = struct
         List.fold_left (fun acc m -> max acc m.ts.Timestamp.clock) 0 msgs
       in
       Lamport.merge t.clock cl;
-      ignore
-        (Oplog.insert_batch t.log
-           (List.map (fun m -> { Oplog.ts = m.ts; origin = src; payload = m.update }) msgs)
-          : int)
+      ignore (Oplog.insert_batch t.log (List.map (entry_of_message ~src) msgs) : int)
 
   let query t q ~on_result =
     (* Line 13: queries also advance the clock. *)

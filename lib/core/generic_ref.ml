@@ -45,10 +45,14 @@ module Make (A : Uqadt.S) = struct
     t.ctx.Protocol.broadcast { ts; update = u };
     on_done ()
 
-  let receive t ~src { ts; update = u } =
+  let entry_of_message ~src { ts; update = u } = { Oplog.ts; origin = src; payload = u }
+
+  let receive_entry t { Oplog.ts; origin; payload } =
     (* Line 9: clock_i <- max(clock_i, cl). *)
     Lamport.merge t.clock ts.Timestamp.clock;
-    insert t (ts, src, u)
+    insert t (ts, origin, payload)
+
+  let receive t ~src m = receive_entry t (entry_of_message ~src m)
 
   let query t q ~on_result =
     (* Line 13: queries also advance the clock. *)

@@ -121,15 +121,41 @@ let insert_at t entry pos =
 let stale () =
   invalid_arg "Oplog.insert: timestamp at or below the stability watermark"
 
+(* Whether [ts] sorts above every entry: the one comparison an append
+   costs. *)
+let above_tail t ts =
+  t.len = 0
+  ||
+  let top = t.arr.(t.len - 1).ts in
+  top.Timestamp.clock < ts.Timestamp.clock
+  || (top.Timestamp.clock = ts.Timestamp.clock && top.Timestamp.pid < ts.Timestamp.pid)
+
+(* An entry above the tail shifts nothing and invalidates nothing:
+   every checkpoint and the query cache cover a prefix of what is
+   already there. *)
+let append t entry =
+  let pos = t.len in
+  t.arr.(pos) <- entry;
+  t.len <- pos + 1;
+  (match t.profile with
+  | None -> ()
+  | Some p ->
+    p.Obs.Profile.inserts <- p.Obs.Profile.inserts + 1;
+    p.Obs.Profile.appends <- p.Obs.Profile.appends + 1);
+  pos
+
 let insert t entry =
   if entry.ts.Timestamp.clock <= t.watermark then stale ();
   grow t entry;
-  let pos = locate t entry.ts in
-  (* Timestamps are unique run-wide, so an equal timestamp is the same
-     update seen again — snapshot catch-up racing an in-flight frame
-     makes delivery at-least-once under churn. Keep insert idempotent. *)
-  if pos > 0 && Timestamp.compare t.arr.(pos - 1).ts entry.ts = 0 then pos - 1
-  else insert_at t entry pos
+  if above_tail t entry.ts then append t entry
+  else begin
+    let pos = locate t entry.ts in
+    (* Timestamps are unique run-wide, so an equal timestamp is the same
+       update seen again — snapshot catch-up racing an in-flight frame
+       makes delivery at-least-once under churn. Keep insert idempotent. *)
+    if pos > 0 && Timestamp.compare t.arr.(pos - 1).ts entry.ts = 0 then pos - 1
+    else insert_at t entry pos
+  end
 
 (* Stable sort, then drop repeats in place keeping the first — the
    order the sequential inserts would have kept. Returns how many

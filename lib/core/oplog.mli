@@ -15,8 +15,9 @@
        ordered — no two entries ever compare equal.}
     {- {b Insertion}: binary-search locate (O(log n)) plus one
        [Array.blit] to open the slot, instead of the seed's O(n)
-       cons-scan. Fresh updates land at the end (locate terminates
-       immediately); late arrivals land mid-log and shift the suffix.}
+       cons-scan. Fresh updates land at the end after one comparison
+       with the tail, with no search; late arrivals land mid-log and
+       shift the suffix.}
     {- {b Checkpoints}: the Section VII.C memoised-replay cache,
        generalising the seed's fixed snapshot interval. {!replay} records the
        folded state every [checkpoint_interval] entries and starts the
@@ -88,12 +89,15 @@ val locate : ('u, 's) t -> Timestamp.t -> int
 val insert : ('u, 's) t -> 'u entry -> int
 (** Insert in timestamp order and return the position the entry landed
     at; checkpoints above that position are invalidated, at O(1) per
-    checkpoint dropped whatever the number still live. An append
-    allocates nothing (beyond the doubling of the backing array once
-    it is full), however many checkpoints the log carries. Idempotent on
-    a duplicate timestamp: timestamps are unique run-wide, so an equal
-    timestamp is the same update delivered again (churn catch-up makes
-    delivery at-least-once) and the log is left unchanged.
+    checkpoint dropped whatever the number still live. An entry that
+    sorts above the tail is appended after one comparison with the
+    tail, before any binary search; anything else pays {!locate}. An
+    append allocates nothing (beyond the doubling of the backing array
+    once it is full), however many checkpoints the log carries.
+    Idempotent on a duplicate timestamp: timestamps are unique
+    run-wide, so an equal timestamp is the same update delivered again
+    (churn catch-up makes delivery at-least-once) and the log is left
+    unchanged.
     @raise Invalid_argument if the timestamp's clock is at or below the
     stability {!watermark}. *)
 

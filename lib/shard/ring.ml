@@ -6,7 +6,9 @@
 
 let mask = 0x3FFF_FFFF_FFFF_FFFF (* 2^62 - 1 *)
 
-let mix64 z =
+(* Inlined into [hash2] so the [Int64] values stay unboxed: out of
+   line, its argument and result are boxed, 6 words a route. *)
+let[@inline] mix64 z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in

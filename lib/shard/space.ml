@@ -179,12 +179,17 @@ struct
      by key through the current ring, so the tag is advisory (origin
      encoding, diagnostics) and in-flight frames survive ring changes. *)
 
+  module Keys = Hashtbl.Make (Int)
+
   type t = {
     ctx : message Protocol.ctx;
     map : map;
     mutable instances : Inner.t option array;
     mutable epoch_seen : int;
     outbox : (int * Inner.message) Queue.t;
+    keys : (One.update, A.state) Oplog.t Keys.t;
+        (* One op-log per key, holding the very entries the shard logs
+           hold: a keyed read replays its key's log alone. *)
   }
 
   let protocol_name = "sharded-universal"
@@ -219,6 +224,40 @@ struct
       (fun s -> function Some i -> acc := (s, i) :: !acc | None -> ())
       t.instances;
     List.rev !acc
+
+  (* A key's log replays with the checkpoints and query cache of the
+     default core, and counts into the replica's op-log profile as the
+     shard logs do. *)
+  let key_log t k =
+    match Keys.find t.keys k with
+    | log -> log
+    | exception Not_found ->
+      let { Generic.checkpoint_interval; query_cache; _ } = Generic.default in
+      let log = Oplog.create ~checkpoint_interval ~query_cache () in
+      (match t.ctx.Protocol.obs with
+      | Some r -> Oplog.set_profile log (Some r.Obs.profile)
+      | None -> ());
+      Keys.add t.keys k log;
+      log
+
+  (* File an entry its shard log holds under its key too: the same
+     record, so the second log costs a slot, not an entry. Idempotent,
+     as the shard insert is. *)
+  let land_key t (e : One.update Oplog.entry) =
+    ignore (Oplog.insert (key_log t (fst e.Oplog.payload)) e : int)
+
+  (* The key logs as a function of the shard logs, after a catch-up
+     landed entries the replica lacked. *)
+  let rebuild_keys t =
+    Keys.reset t.keys;
+    Array.iter
+      (function
+        | Some inst ->
+          for i = 0 to Inner.log_length inst - 1 do
+            land_key t (Inner.log_entry inst i)
+          done
+        | None -> ())
+      t.instances
 
   (* Matched, not [Option.iter]ed: a closure over the instance would be
      allocated on every update and delivery, telemetry off or not. *)
@@ -371,6 +410,7 @@ struct
         instances = Array.make (Ring.max_id map.ring + 1) None;
         epoch_seen = map.epoch;
         outbox = Queue.create ();
+        keys = Keys.create 64;
       }
     in
     (match map.policy with
@@ -387,7 +427,11 @@ struct
     | ((k, _) as ku) :: rest ->
       let s = Ring.route t.map.ring k in
       note_op t.map s;
-      Inner.update (instance t s) ku ~on_done:ignore;
+      let inst = instance t s in
+      Inner.update inst ku ~on_done:ignore;
+      (* The clock it was stamped with passed every entry the shard
+         holds, so the entry landed at the tail. *)
+      land_key t (Inner.log_entry inst (Inner.log_length inst - 1));
       set_log_gauge t s;
       fan_out t rest
 
@@ -397,64 +441,70 @@ struct
     flush t;
     on_done ()
 
-  let receive t ~src (s_tag, m) =
+  (* One message of a frame: its entry is built once, landed in the
+     shard core its key routes to through the current ring (clock
+     merge and insert) and filed under its key. *)
+  let deliver t ~src (s_tag, m) =
+    let e = Inner.entry_of_message ~src:((s_tag * t.ctx.Protocol.n) + src) m in
+    let s = Ring.route t.map.ring (fst e.Oplog.payload) in
+    Inner.receive_entry (instance t s) e;
+    land_key t e;
+    set_log_gauge t s
+
+  let receive t ~src m =
     migrate t;
-    let k, _ = Inner.message_update m in
-    let s = Ring.route t.map.ring k in
-    Inner.receive (instance t s) ~src:((s_tag * t.ctx.Protocol.n) + src) m;
-    set_log_gauge t s;
+    deliver t ~src m;
     flush t
+
+  (* A top-level loop, like [fan_out]. Landing an envelope message by
+     message is landing it whole: the logs end as the timestamp union
+     either way, and the clock merge is a max. *)
+  let rec deliver_all t ~src = function
+    | [] -> ()
+    | m :: rest ->
+      deliver t ~src m;
+      deliver_all t ~src rest
 
   let receive_batch t ~src msgs =
     match msgs with
     | [] -> ()
-    | [ m ] -> receive t ~src m
     | msgs ->
       migrate t;
-      (* Route the whole envelope once, grouping by (shard, epoch tag)
-         with arrival order kept inside each group, so every per-shard
-         Algorithm 1 core sees one merged batch. Distinct groups
-         commute — they land either on different cores or in the same
-         timestamp-ordered log under distinct origin encodings — so
-         regrouping preserves equivalence with per-message delivery.
-         Shard gauges are settled once per touched shard and the
-         outbox flushed once for the whole envelope. *)
-      let groups = ref [] and touched = ref [] in
-      List.iter
-        (fun (s_tag, m) ->
-          let k, _ = Inner.message_update m in
-          let s = Ring.route t.map.ring k in
-          match List.assoc_opt (s, s_tag) !groups with
-          | Some r -> r := m :: !r
-          | None ->
-            groups := ((s, s_tag), ref [ m ]) :: !groups;
-            if not (List.mem s !touched) then touched := s :: !touched)
-        msgs;
-      List.iter
-        (fun ((s, s_tag), r) ->
-          Inner.receive_batch (instance t s)
-            ~src:((s_tag * t.ctx.Protocol.n) + src)
-            (List.rev !r))
-        (List.rev !groups);
-      List.iter (fun s -> set_log_gauge t s) (List.rev !touched);
+      deliver_all t ~src msgs;
       flush t
 
-  let merged_state t =
-    List.fold_left
-      (fun acc (_, inst) ->
-        let m = ref Support.Int_map.empty in
-        Inner.query inst () ~on_result:(fun st -> m := st);
-        Support.Int_map.fold Support.Int_map.add !m acc)
-      Support.Int_map.empty (live_instances t)
+  let key_apply state ((_, u) : One.update) = A.apply state u
+
+  (* Lines 14-17 for one key: replay its log alone, in the timestamp
+     order the shard log keeps. Keys apart from [k] never touch [k]'s
+     binding, so this is the shard fold's answer for [k]. *)
+  let replay_key t log =
+    let state, steps = Oplog.replay log ~apply:key_apply ~initial:A.initial in
+    t.ctx.Protocol.count_replay steps;
+    state
+
+  (* Line 13: a query ticks the clock of every shard core it reads. *)
+  let tick inst = Inner.advance_clock inst (Inner.clock_value inst + 1)
 
   let query t q ~on_result =
     migrate t;
     match q with
     | K.Read (k, bq) ->
-      let s = Ring.route t.map.ring k in
-      Inner.query (instance t s) () ~on_result:(fun m ->
-          on_result (K.Out (K.eval_key m k bq)))
-    | K.Sweep -> on_result (K.eval (merged_state t) K.Sweep)
+      tick (instance t (Ring.route t.map.ring k));
+      let state =
+        match Keys.find t.keys k with
+        | log -> replay_key t log
+        | exception Not_found -> A.initial
+      in
+      on_result (K.Out (A.eval state bq))
+    | K.Sweep ->
+      List.iter (fun (_, inst) -> tick inst) (live_instances t);
+      let merged =
+        Keys.fold
+          (fun k log acc -> Support.Int_map.add k (replay_key t log) acc)
+          t.keys Support.Int_map.empty
+      in
+      on_result (K.eval merged K.Sweep)
 
   let message_wire_size (s, m) =
     Wire.varint_size s + Inner.message_wire_size m
@@ -504,6 +554,9 @@ struct
 
   let shard_logs t =
     List.map (fun (s, i) -> (s, Inner.local_log i)) (live_instances t)
+
+  let shard_clocks t =
+    List.map (fun (s, i) -> (s, Inner.clock_value i)) (live_instances t)
 
   (* Churn catch-up over the whole space: the donor snapshots every
      shard ("UCX": shard id + "UCS" frame each); the absorber merges
@@ -568,12 +621,17 @@ struct
           && IC.frame_floor (Codec.Reader.fork frame) > watermark)
         frames
       && begin
+        let grew = ref false in
         List.iter
           (fun (s, frame) ->
-            let merged = IC.absorb_frame (instance t s) frame in
+            let inst = instance t s in
+            let before = Inner.log_length inst in
+            let merged = IC.absorb_frame inst frame in
             assert merged;
+            if Inner.log_length inst > before then grew := true;
             set_log_gauge t s)
           frames;
+        if !grew then rebuild_keys t;
         true
       end
     with

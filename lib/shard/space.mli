@@ -26,6 +26,26 @@
     and replicas never share mutable state beyond the (atomic-free,
     monotone) op counters — safe for the parallel engine.
 
+    {b Key logs.} Beside its shard cores a replica keeps one {!Oplog}
+    per key, holding the very entries the shard logs hold (the same
+    records, so a second log costs a slot per entry). An update files
+    the entry its shard core just stamped, which sits at the shard
+    tail; a delivery ([receive], [receive_batch]) builds each message's
+    entry once ({!Generic.S.entry_of_message}) and lands it in the
+    shard core ({!Generic.S.receive_entry}) and in its key's log; an
+    [absorb] that landed anything rebuilds the key logs from the shard
+    logs; a migration moves entries between shards, never between
+    keys, and leaves the key logs alone. A keyed read [Read (k, q)]
+    ticks the Lamport clock of the shard [k] routes to, exactly as a
+    query of that shard core would, then replays [k]'s log alone,
+    with that log's own checkpoints and query cache at
+    {!Generic.default}'s interval; [Sweep] ticks every live shard and
+    replays every key log. The shard logs themselves are never
+    replayed. The replay steps a query reports through
+    [ctx.count_replay] are key-log folds. Key logs share the
+    replica's op-log profile, so with telemetry on every delivered
+    entry counts as two inserts.
+
     {b Certificate.} [certificate] is a k-way merge of the per-shard
     logs, each already timestamp-sorted, read in place through
     {!Generic.S.log_entry}: O(entries x shards), and only the output
@@ -109,6 +129,10 @@ module Make
   (** Per-shard inner logs (timestamp, encoded origin, keyed update) —
       the per-shard Proposition 4 differential compares these across
       replicas. *)
+
+  val shard_clocks : t -> (int * int) list
+  (** Per-shard Lamport clocks of this replica, sorted by shard id
+      (created shards only). *)
 
   val force_migrate : t -> unit
   (** Migrate now if the map epoch moved (normally lazy). *)

@@ -186,6 +186,40 @@ let dropped_reference =
                (Oplog.checkpoints log))
         (List.init 40 Fun.id))
 
+(* The three places an insert can land relative to the tail, which
+   [Oplog.insert] tells apart with one comparison before any binary
+   search: above it (an append, keeping every checkpoint and the query
+   cache), on it (the same update again, a no-op), and just below it
+   (a shift of one, dropping the cached states above). *)
+let edge_inserts () =
+  let log = Oplog.create ~checkpoint_interval:1 ~query_cache:true () in
+  let profile = Obs.Profile.create () in
+  Oplog.set_profile log (Some profile);
+  let entry clock pid v =
+    { Oplog.ts = Timestamp.make ~clock ~pid; origin = pid; payload = Set_spec.Insert v }
+  in
+  let replay () = snd (Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial) in
+  List.iter (fun e -> ignore (Oplog.insert log e : int)) [ entry 1 0 1; entry 2 0 2; entry 3 0 3 ];
+  ignore (replay () : int);
+  Alcotest.(check int) "above the tail lands at the end" 3 (Oplog.insert log (entry 5 1 4));
+  Alcotest.(check int) "an append drops no checkpoint" 3 (Oplog.checkpoints_live log);
+  Alcotest.(check (pair int int)) "counted as an append, nothing shifted" (4, 0)
+    (profile.Obs.Profile.appends, profile.Obs.Profile.shift_distance);
+  Alcotest.(check int) "the query cache survived the append" 1 (replay ());
+  Alcotest.(check int) "a tail duplicate returns the tail" 3 (Oplog.insert log (entry 5 1 9));
+  Alcotest.(check (pair int int)) "a tail duplicate adds nothing" (4, 4)
+    (Oplog.length log, profile.Obs.Profile.inserts);
+  Alcotest.(check int) "just below the tail lands under it" 3 (Oplog.insert log (entry 5 0 5));
+  Alcotest.(check (pair int int)) "one entry shifted" (5, 1)
+    (profile.Obs.Profile.inserts, profile.Obs.Profile.shift_distance);
+  Alcotest.(check int) "the checkpoint above it dropped" 3 (Oplog.checkpoints_live log);
+  Alcotest.(check int) "replay resumes below it" 2 (replay ());
+  Alcotest.(check (list (pair int int))) "timestamp order"
+    [ (1, 0); (2, 0); (3, 0); (5, 0); (5, 1) ]
+    (List.map (fun (ts, _, _) -> (ts.Timestamp.clock, ts.Timestamp.pid)) (Oplog.to_list log));
+  Alcotest.(check bool) "the resident tail entry was kept" true
+    (Set_spec.equal_update (Oplog.get log 4).Oplog.payload (Set_spec.Insert 4))
+
 let tests =
   [
     Alcotest.test_case "appends cost the same with hundreds of checkpoints (profile off)"
@@ -204,6 +238,8 @@ let tests =
         insert_all log entries;
         Oplog.length log = List.length entries
         && Oplog.to_list log = by_timestamp entries);
+    Alcotest.test_case "above-tail, tail-duplicate and just-below-tail inserts" `Quick
+      edge_inserts;
     qtest ~count:300 "insert returns the landing position" seed_gen (fun seed ->
         let rng = Prng.create seed in
         let entries = entry_batch rng in

@@ -12,7 +12,9 @@
      keys; [split ~hot] sheds keys only from [hot].
 
    The ring is deterministic (no randomness, no clock), so every law
-   doubles as a cross-platform stability check. *)
+   doubles as a cross-platform stability check. Two plain cases pin
+   [route] itself: digests of its answers on three rings, and an
+   allocation guard (a route allocates nothing). *)
 
 open QCheck2
 
@@ -155,8 +157,51 @@ let ids_never_reused =
       && fresh_b > fresh_a
       && not (List.mem victim (Ring.shard_ids ring)))
 
+(* Routing is a pure function of the key and the ring's construction
+   sequence: these digests of [route] over keys 0..4095 were recorded
+   before [route] stopped allocating, so a change to the hash that
+   moves a key fails here. *)
+let route_digest ring =
+  Sha256.hex (String.concat "," (List.init keys (fun k -> string_of_int (Ring.route ring k))))
+
+let routes_pinned =
+  Alcotest.test_case "ring: routes over keys 0..4095 are pinned" `Quick (fun () ->
+      let eight = Ring.create ~shards:8 () in
+      List.iter
+        (fun (name, ring, pinned) ->
+          Alcotest.(check string) name pinned (route_digest ring))
+        [
+          ( "1 shard",
+            Ring.create ~shards:1 (),
+            "363ac4b75fc9bb8039c0098c18e301c595bb7a51b9b8abc34598ef62dd1b2107" );
+          ( "8 shards",
+            eight,
+            "ec98b7e06b892e21c4c1a0c4c6b87fd3c7bfb92ac274957bce442e11dab89500" );
+          ( "8 shards, shard 3 split",
+            fst (Ring.split eight ~hot:3),
+            "d4e04b0c2a1b851a41d9c2834c41e119a42758d1fa059036f5af652109aa9a86" );
+        ])
+
+(* [route] keeps its 64-bit hash arithmetic unboxed: 100k routes
+   allocate nothing. With the mixer called out of line, its [Int64]
+   argument and result were boxed, 6 words a route. *)
+let route_allocates_nothing =
+  Alcotest.test_case "ring: 100k routes allocate 0 minor words" `Quick (fun () ->
+      let ring = Ring.create ~shards:8 () in
+      let sink = ref 0 in
+      let words =
+        Helpers.minor_words (fun () ->
+            for k = 0 to 99_999 do
+              sink := !sink + Ring.route ring k
+            done)
+      in
+      ignore (Sys.opaque_identity !sink);
+      if words > 0. then Alcotest.failf "100k routes allocated %.0f minor words" words)
+
 let tests =
   [
+    routes_pinned;
+    route_allocates_nothing;
     route_lands_on_live_shard;
     balance_within_factor;
     add_moves_only_to_fresh;

@@ -19,7 +19,12 @@
      (golden);
    - the certificate's k-way merge against the stable sort of the
      concatenated shard logs, over runs with splits and migrations,
-     and its words per entry flat in the log length. *)
+     and its words per entry flat in the log length;
+   - the per-key logs: every keyed read and sweep against the fold of
+     the shard logs, and every shard clock against one tick per read,
+     over random runs with splits, migrations and both kinds of
+     absorb; and a keyed read allocating only what its key's new
+     entries apply, however full its shard. *)
 
 module S = Space.Make (Set_spec) (Update_codec.For_set)
 module B = Throughput.Sharded (Set_spec) (Update_codec.For_set)
@@ -391,24 +396,26 @@ let certificate_merge =
       ignore (S.trigger_split map ~now:0.0 ~hot:(hottest map) : int);
       r.KR.certificates_agree && during && agree ())
 
+(* A lone replica over a fresh map of [shards] shards. *)
+let solo_space ~shards =
+  S.configure (S.create_map ~shards ());
+  S.create
+    {
+      Protocol.pid = 0;
+      n = 1;
+      now = (fun () -> 0.0);
+      send = (fun ~dst:_ _ -> ());
+      broadcast = ignore;
+      broadcast_batch = ignore;
+      set_timer = (fun ~delay:_ _ -> ());
+      count_replay = ignore;
+      obs = None;
+    }
+
 (* Minor words per certificate entry of a replica holding [entries]
    single-key updates over 8 shards. *)
 let certificate_words entries =
-  S.configure (S.create_map ~shards:8 ());
-  let r =
-    S.create
-      {
-        Protocol.pid = 0;
-        n = 1;
-        now = (fun () -> 0.0);
-        send = (fun ~dst:_ _ -> ());
-        broadcast = ignore;
-        broadcast_batch = ignore;
-        set_timer = (fun ~delay:_ _ -> ());
-        count_replay = ignore;
-        obs = None;
-      }
-  in
+  let r = solo_space ~shards:8 in
   for i = 1 to entries do
     S.update r [ (i * 7919 mod 1024, Set_spec.Insert (i mod 16)) ] ~on_done:ignore
   done;
@@ -429,6 +436,245 @@ let certificate_guard =
         Alcotest.failf "certificate minor words per entry: %.2f at 10k, %.2f at 40k"
           short long)
 
+(* ------------------------------ key logs ----------------------------- *)
+
+(* What a read answered before each key had a log of its own: [K.eval]
+   of the keyed fold of the replica's shard logs, merged in timestamp
+   order. *)
+let reference_state r =
+  List.concat_map snd (S.shard_logs r)
+  |> List.sort (fun (a, _, _) (b, _, _) -> Timestamp.compare a b)
+  |> List.fold_left (fun m (_, _, ku) -> S.K.apply m [ ku ]) S.K.initial
+
+(* The space with every query checked as it is answered: the answer
+   against the reference fold, and the shard clocks against the old
+   read path's, which ticked the routed shard's core once for a read
+   (creating it if need be) and every live core once for a sweep. *)
+module Checked = struct
+  include Kept
+
+  let map = ref None
+
+  let reads = ref 0
+
+  let failures = ref []
+
+  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt
+
+  let query r q ~on_result =
+    S.force_migrate r;
+    let expected = S.K.eval (reference_state r) q in
+    let before = S.shard_clocks r in
+    let ticked =
+      match (q, !map) with
+      | S.K.Read (k, _), Some m -> [ Ring.route (S.ring m) k ]
+      | S.K.Read _, None -> []
+      | S.K.Sweep, _ -> List.map fst before
+    in
+    S.query r q ~on_result:(fun out ->
+        incr reads;
+        if not (S.K.equal_output expected out) then
+          fail "%s answered %s, the shard-log fold %s"
+            (Format.asprintf "%a" S.K.pp_query q)
+            (Format.asprintf "%a" S.K.pp_output out)
+            (Format.asprintf "%a" S.K.pp_output expected);
+        let after = S.shard_clocks r in
+        List.iter
+          (fun (s, c) ->
+            let was = Option.value ~default:0 (List.assoc_opt s before) in
+            let want = if List.mem s ticked then was + 1 else was in
+            if c <> want then fail "shard %d clock %d after %s, want %d" s c
+                (Format.asprintf "%a" S.K.pp_query q) want)
+          after;
+        if List.length after < List.length before then fail "a shard core vanished";
+        on_result out)
+end
+
+module CR = Runner.Make (Checked)
+
+(* A random sharded run under exponential delays (deliveries land out
+   of order), batch windows and multi-key updates, a hot-shard policy
+   (splits and migrations), the
+   last replica joining late (a UCX absorb into a fresh replica) and
+   replica 0 leaving and rejoining (one into a populated replica), then
+   a manual split after the run, migrated and read again on every
+   replica. Returns the run, the map, and whether every check held. *)
+let checked_run seed =
+  let rng = Prng.create seed in
+  let n = 3 + Prng.int rng 2 in
+  let keys = 8 + Prng.int rng 56 in
+  let policy =
+    { S.interval = float_of_int (5 + Prng.int rng 20); hot_factor = 1.2; max_shards = 16 }
+  in
+  let map = S.create_map ~policy ~shards:(1 + Prng.int rng 3) () in
+  S.configure map;
+  Checked.map := Some map;
+  Checked.failures := [];
+  Checked.reads := 0;
+  Kept.made := [];
+  let leave = float_of_int (10 + Prng.int rng 40) in
+  let churn =
+    [
+      { Network.time = float_of_int (5 + Prng.int rng 40); pid = n - 1; action = Network.Join };
+      { Network.time = leave; pid = 0; action = Network.Leave };
+      { Network.time = leave +. float_of_int (5 + Prng.int rng 40); pid = 0; action = Network.Rejoin };
+    ]
+  in
+  let config =
+    {
+      (CR.default_config ~n ~seed) with
+      CR.delay = Network.Exponential { mean = float_of_int (2 + Prng.int rng 12) };
+      batch_window = (if Prng.bool rng then Some 3.0 else None);
+      churn;
+      final_read = Some S.K.Sweep;
+    }
+  in
+  let r = CR.run config ~workload:(scripts ~seed ~n ~ops:(10 + Prng.int rng 25) ~keys ~skew:1.1) in
+  ignore (S.trigger_split map ~now:0.0 ~hot:(hottest map) : int);
+  List.iter
+    (fun x ->
+      for k = 0 to keys - 1 do
+        Checked.query x (S.K.Read (k, Set_spec.Read)) ~on_result:ignore
+      done;
+      Checked.query x S.K.Sweep ~on_result:ignore)
+    !Kept.made;
+  (r, map, !Checked.failures = [] && r.CR.converged && r.CR.certificates_agree)
+
+let key_log_differential =
+  Helpers.qtest ~count:40 "keyed reads and sweeps equal the shard-log fold, one tick per read"
+    Helpers.seed_gen (fun seed ->
+      let _, _, ok = checked_run seed in
+      if not ok then
+        QCheck2.Test.fail_reportf "%d failed checks, first: %s"
+          (List.length !Checked.failures)
+          (String.concat "; " (List.filteri (fun i _ -> i < 3) (List.rev !Checked.failures)));
+      true)
+
+(* The Runner hands a replica its frames message by message; the
+   parallel engine hands it whole envelopes through [receive_batch].
+   Here replica 0's envelopes (an update's sub-updates, 1 to 3 keys)
+   reach replica 1 whole and in random order, between checked reads,
+   while replica 1 writes too. *)
+let envelope_run seed =
+  let rng = Prng.create seed in
+  let map = S.create_map ~shards:(1 + Prng.int rng 4) () in
+  S.configure map;
+  Checked.map := Some map;
+  Checked.failures := [];
+  let pending = ref [] in
+  let ctx pid : _ Protocol.ctx =
+    let post ms = if pid = 0 then pending := ms :: !pending in
+    {
+      Protocol.pid;
+      n = 2;
+      now = (fun () -> 0.0);
+      send = (fun ~dst:_ _ -> ());
+      broadcast = (fun m -> post [ m ]);
+      broadcast_batch = post;
+      set_timer = (fun ~delay:_ _ -> ());
+      count_replay = ignore;
+      obs = None;
+    }
+  in
+  let a = S.create (ctx 0) and b = S.create (ctx 1) in
+  let batch () = List.init (1 + Prng.int rng 3) (fun _ -> (Prng.int rng 16, set_update rng)) in
+  let deliver_one () =
+    let i = Prng.int rng (List.length !pending) in
+    let env = List.nth !pending i in
+    pending := List.filteri (fun j _ -> j <> i) !pending;
+    S.receive_batch b ~src:0 env
+  in
+  for _ = 1 to 60 do
+    S.update (if Prng.int rng 4 = 0 then b else a) (batch ()) ~on_done:ignore;
+    if !pending <> [] && Prng.int rng 3 > 0 then deliver_one ();
+    Checked.query b (S.K.Read (Prng.int rng 16, Set_spec.Read)) ~on_result:ignore
+  done;
+  while !pending <> [] do
+    deliver_one ()
+  done;
+  Checked.query b S.K.Sweep ~on_result:ignore;
+  !Checked.failures
+
+let envelope_differential =
+  Helpers.qtest ~count:60 "envelopes landed whole and out of order keep the key logs exact"
+    Helpers.seed_gen (fun seed ->
+      match envelope_run seed with
+      | [] -> true
+      | failures ->
+        QCheck2.Test.fail_reportf "%d failed checks, first: %s" (List.length failures)
+          (String.concat "; " (List.filteri (fun i _ -> i < 3) (List.rev failures))))
+
+(* One run in which every path the key logs have to follow happens. *)
+let key_log_paths =
+  Alcotest.test_case "key logs follow splits, migrations and both kinds of absorb" `Quick
+    (fun () ->
+      let r, map, ok = checked_run 4 in
+      Alcotest.(check int) "failed checks" 0 (List.length !Checked.failures);
+      Alcotest.(check bool) "converged, certificates agree" true ok;
+      Alcotest.(check bool) "the policy split a shard" true (S.rebalances map >= 2);
+      Alcotest.(check bool) "entries moved" true (S.moved_entries map > 0);
+      Alcotest.(check bool) "a fresh and a populated replica absorbed" true
+        (r.CR.metrics.Metrics.snapshots_absorbed >= 2);
+      Alcotest.(check bool) "reads were checked" true (!Checked.reads > 20))
+
+let answered = ref None
+
+let keep_answer o = answered := Some o
+
+(* Minor words a read of key 7 allocates after the key gained
+   [gained] entries, interleaved with [others] entries on other keys
+   of its (only) shard; and the words [Set_spec.apply] builds folding
+   those [gained] updates onto the key's previous state. *)
+let keyed_read_words ~others ~gained =
+  let r = solo_space ~shards:1 in
+  let k = 7 in
+  let update ku = S.update r [ ku ] ~on_done:ignore in
+  let other i = update (100 + (i mod 512), Set_spec.Insert (i mod 16)) in
+  let early = List.init 40 (fun i -> Set_spec.Insert (i mod 24)) in
+  List.iteri (fun i u -> other i; update (k, u)) early;
+  for i = 1 to others do other i done;
+  S.query r (S.K.Read (k, Set_spec.Read)) ~on_result:keep_answer;
+  let late = List.init gained (fun i -> Set_spec.Insert (24 + i)) in
+  List.iter
+    (fun u ->
+      update (k, u);
+      for i = 1 to others / gained do other i done)
+    late;
+  let read =
+    Helpers.minor_words (fun () ->
+        S.query r (S.K.Read (k, Set_spec.Read)) ~on_result:keep_answer)
+  in
+  let base = List.fold_left Set_spec.apply Set_spec.initial early in
+  let applied =
+    Helpers.minor_words (fun () ->
+        ignore (Sys.opaque_identity (List.fold_left Set_spec.apply base late)))
+  in
+  (read, applied)
+
+(* A keyed read folds its key's new entries and nothing else: what
+   [A.apply] builds for them plus a constant, however many entries
+   the other keys of its shard gained. Folding the whole shard into a
+   keyed map overshot the bound by 598 words with no other keys and
+   by 22,038 with 10k. *)
+let keyed_read_guard =
+  Alcotest.test_case "a keyed read allocates what its key's new entries apply, + 16 words"
+    `Quick (fun () ->
+      List.iter
+        (fun others ->
+          let read, applied = keyed_read_words ~others ~gained:8 in
+          if read > applied +. 16. then
+            Alcotest.failf "read of 8 new entries beside %d others: %.0f words, apply %.0f"
+              others read applied)
+        [ 0; 10_000 ])
+
 let tests =
   differential_tests @ rebalance_tests @ migration_tests @ journal_tests
-  @ [ registry_golden; certificate_merge; certificate_guard ]
+  @ [
+      registry_golden;
+      certificate_merge;
+      certificate_guard;
+      key_log_differential;
+      envelope_differential;
+      key_log_paths;
+      keyed_read_guard;
+    ]

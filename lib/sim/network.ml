@@ -6,7 +6,7 @@ type delay_model =
 
 let draw_delay rng = function
   | Constant d -> d
-  | Uniform { lo; hi } -> lo +. Prng.float rng (hi -. lo)
+  | Uniform { lo; hi } -> Prng.uniform rng ~lo ~hi
   | Exponential { mean } -> Prng.exponential rng ~mean
   | Pareto { scale; shape } -> Prng.pareto rng ~scale ~shape
 

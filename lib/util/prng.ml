@@ -1,26 +1,47 @@
-type t = { mutable state : int64; gamma : int64 }
+(* The SplitMix64 state (bytes 0–7) and gamma (bytes 8–15) live in a
+   16-byte [Bytes], read and written through the unboxed 64-bit
+   primitives. A record with [int64] fields boxed the new state on every
+   draw, and [bits64] its result; here a draw that returns an [int] or a
+   [bool] allocates nothing, and one that returns a [float] only its
+   result's box (see the interface). *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed; gamma = golden_gamma }
+let make ~state ~gamma =
+  let g = Bytes.create 16 in
+  set64 g 0 state;
+  set64 g 8 gamma;
+  g
 
-let copy g = { state = g.state; gamma = g.gamma }
+let create seed = make ~state:(Int64.of_int seed) ~gamma:golden_gamma
+
+let copy = Bytes.copy
+
+(* One additive (Weyl) step; the new state. *)
+let[@inline] advance g =
+  let z = Int64.add (get64 g 0) (get64 g 8) in
+  set64 g 0 z;
+  z
 
 (* SplitMix64 output function: one additive step then two xor-shift
    multiplications (finalizer of MurmurHash3 with Stafford's mix13
    constants). Every generator the repo made before [fork] existed used
    the golden-ratio gamma, and [create]/[split] still do, so seeded
-   sequences are unchanged. *)
-let bits64 g =
-  g.state <- Int64.add g.state g.gamma;
-  let z = g.state in
+   sequences are unchanged. Inlined into every draw below, so the
+   [int64]s never leave registers. *)
+let[@inline] next g =
+  let z = advance g in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split g =
-  let seed = bits64 g in
-  { state = seed; gamma = golden_gamma }
+let bits64 g = next g
+
+let split g = make ~state:(next g) ~gamma:golden_gamma
 
 (* MurmurHash3's fmix64 with Stafford's "variant 13" shifts — the mixer
    SplitMix64 prescribes for deriving gammas, deliberately different
@@ -43,43 +64,48 @@ let fork g =
      gamma from the next raw state with the variant-13 mixer, forced
      odd; gammas with too regular a bit pattern (< 24 transitions) are
      xor-scrambled, per Steele, Lea & Flood §5. *)
-  let seed = bits64 g in
-  g.state <- Int64.add g.state g.gamma;
-  let z = Int64.logor (mix_variant13 g.state) 1L in
+  let seed = next g in
+  let z = Int64.logor (mix_variant13 (advance g)) 1L in
   let gamma =
     if popcount64 (Int64.logxor z (Int64.shift_right_logical z 1)) < 24 then
       Int64.logxor z 0xAAAAAAAAAAAAAAAAL
     else z
   in
-  { state = seed; gamma }
+  make ~state:seed ~gamma
+
+(* Rejection sampling on the top 62 bits to avoid modulo bias. A
+   top-level loop, so a call allocates no closure. *)
+let rec draw_below g bound =
+  let r = Int64.to_int (Int64.shift_right_logical (next g) 2) land max_int in
+  let v = r mod bound in
+  if r - v > max_int - bound + 1 then draw_below g bound else v
 
 let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  (* Rejection sampling on the top 62 bits to avoid modulo bias. *)
-  let mask = max_int in
-  let rec draw () =
-    let r = Int64.to_int (Int64.shift_right_logical (bits64 g) 2) land mask in
-    let v = r mod bound in
-    if r - v > mask - bound + 1 then draw () else v
-  in
-  draw ()
+  draw_below g bound
 
 let int_in g lo hi =
   if hi < lo then invalid_arg "Prng.int_in: empty range";
   lo + int g (hi - lo + 1)
 
-let float g bound =
-  let r = Int64.to_float (Int64.shift_right_logical (bits64 g) 11) in
-  bound *. (r /. 9007199254740992.0 (* 2^53 *))
+(* A uniform draw in [0, 1): the top 53 bits over 2^53. *)
+let[@inline] unit_float g =
+  Int64.to_float (Int64.shift_right_logical (next g) 11) /. 9007199254740992.0 (* 2^53 *)
 
-let bool g = Int64.logand (bits64 g) 1L = 1L
+let float g bound = bound *. unit_float g
+
+(* [lo +. float g (hi -. lo)] with the same operations in the same
+   order, so the same bits, in one call. *)
+let uniform g ~lo ~hi = lo +. ((hi -. lo) *. unit_float g)
+
+let bool g = Int64.logand (next g) 1L = 1L
 
 let exponential g ~mean =
-  let u = 1.0 -. float g 1.0 in
+  let u = 1.0 -. unit_float g in
   -.mean *. log u
 
 let pareto g ~scale ~shape =
-  let u = 1.0 -. float g 1.0 in
+  let u = 1.0 -. unit_float g in
   scale /. (u ** (1.0 /. shape))
 
 let shuffle g a =

@@ -6,7 +6,13 @@
     Each generator is an isolated mutable stream; {!split} derives an
     independent stream, which lets every simulated process own its own
     generator while the whole run stays a pure function of the root
-    seed. *)
+    seed.
+
+    Allocation: the generator is a 16-byte buffer, so a draw allocates
+    no state. {!int}, {!int_in} and {!bool} allocate nothing; {!float},
+    {!uniform}, {!exponential} and {!pareto} allocate only the box of
+    the [float] they return (2 words); {!bits64} boxes its [int64]
+    result. *)
 
 type t
 
@@ -44,6 +50,10 @@ val int_in : t -> int -> int -> int
 
 val float : t -> float -> float
 (** [float g bound] is uniform in [\[0, bound)]. *)
+
+val uniform : t -> lo:float -> hi:float -> float
+(** [uniform g ~lo ~hi] is [lo +. float g (hi -. lo)], bit for bit, in
+    one call. *)
 
 val bool : t -> bool
 

@@ -389,8 +389,30 @@ let network_send_guard () =
   if per_frame > 26.5 then
     Alcotest.failf "an obs-off send and its delivery: %.2f minor words" per_frame
 
+(* A delay draw allocates only the box of the float it returns (2
+   words): the generator's state sits in a byte buffer and each draw
+   inlines the mixer. With the state in an [int64] record field an
+   exponential draw cost 10 words and a uniform one 12. *)
+let delay_draw_guard model () =
+  let rng = Prng.create 1 in
+  let draws = 100_000 in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to draws do
+          ignore (Network.draw_delay rng model : float)
+        done)
+  in
+  let per_draw = words /. float_of_int draws in
+  if per_draw > 2.0 then
+    Alcotest.failf "a delay draw: %.2f minor words" per_draw
+
 let alloc_tests =
   [
+    Alcotest.test_case "an exponential delay draw allocates at most 2 words"
+      `Quick
+      (delay_draw_guard (Network.Exponential { mean = 5.0 }));
+    Alcotest.test_case "a uniform delay draw allocates at most 2 words" `Quick
+      (delay_draw_guard (Network.Uniform { lo = 1.0; hi = 10.0 }));
     Alcotest.test_case "Engine.run allocates nothing per event beyond its thunk"
       `Quick engine_run_guard;
     Alcotest.test_case "an obs-off send and its delivery stay within 26 words"

@@ -61,7 +61,30 @@ type 'msg t = {
       (** detached by churn: drops frames like a crash, but reversible *)
   last_delivery : float array array;  (** per (src, dst), for FIFO channels *)
   obs : net_obs option;
+  frame_kind : Engine.kind;  (** a frame's delivery event; carries its slot *)
+  frames : 'msg frames;
+  latency : latency_sum;
 }
+
+(* In-flight frames, one slot per frame, in columns: a frame's delivery
+   is a typed engine event carrying its slot, so sending one builds no
+   closure and no record. A slot is reused once its frame is delivered
+   or dropped. *)
+and 'msg frames = {
+  mutable src : int array;
+  mutable dst : int array;
+  mutable count : int array;
+  mutable sent : Float.Array.t;
+  mutable arrival : Float.Array.t;
+  mutable msgs : ('msg * Obs.Span.id option) list array;
+  mutable free : int array;  (** stack of unused slots *)
+  mutable free_count : int;
+}
+
+(* The running sum of delivery latencies, unboxed (a record of floats
+   only is stored flat); published to [Metrics] whenever the engine
+   returns. *)
+and latency_sum = { mutable sum : float }
 
 let make_net_obs o n =
   let per name =
@@ -84,26 +107,55 @@ let make_net_obs o n =
             "delivery_latency");
   }
 
-let create ~engine ~rng ~metrics ~n ?(fifo = false) ?(partitions = [])
-    ?(envelope = 0) ?record_delivery ?obs ~delay ~wire_size ~deliver () =
-  if envelope < 0 then invalid_arg "Network.create: envelope must be non-negative";
+let frames_create () =
   {
-    engine;
-    rng;
-    metrics;
-    n;
-    fifo;
-    partitions;
-    envelope;
-    delay;
-    record_delivery;
-    wire_size;
-    deliver;
-    crashed = Array.make n false;
-    offline = Array.make n false;
-    last_delivery = Array.init n (fun _ -> Array.make n 0.0);
-    obs = Option.map (fun o -> make_net_obs o n) obs;
+    src = [||];
+    dst = [||];
+    count = [||];
+    sent = Float.Array.create 0;
+    arrival = Float.Array.create 0;
+    msgs = [||];
+    free = [||];
+    free_count = 0;
   }
+
+let grow_int a cap =
+  let b = Array.make cap 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let grow_float a cap =
+  let b = Float.Array.create cap in
+  Float.Array.blit a 0 b 0 (Float.Array.length a);
+  b
+
+(* A free slot, doubling the columns when every slot is in flight. *)
+let take_slot f =
+  if f.free_count = 0 then begin
+    let cap = Array.length f.src in
+    let grown = max 16 (2 * cap) in
+    f.src <- grow_int f.src grown;
+    f.dst <- grow_int f.dst grown;
+    f.count <- grow_int f.count grown;
+    f.sent <- grow_float f.sent grown;
+    f.arrival <- grow_float f.arrival grown;
+    let msgs = Array.make grown [] in
+    Array.blit f.msgs 0 msgs 0 cap;
+    f.msgs <- msgs;
+    let free = Array.make grown 0 in
+    for i = 0 to grown - cap - 1 do
+      free.(i) <- grown - 1 - i
+    done;
+    f.free <- free;
+    f.free_count <- grown - cap
+  end;
+  f.free_count <- f.free_count - 1;
+  f.free.(f.free_count)
+
+let release_slot f slot =
+  f.msgs.(slot) <- [];
+  f.free.(f.free_count) <- slot;
+  f.free_count <- f.free_count + 1
 
 let ambient t =
   match t.obs with None -> None | Some no -> Obs.Span.active no.o.Obs.spans
@@ -144,17 +196,24 @@ let rec payload_bytes wire_size acc = function
   | [] -> acc
   | (m, _) :: rest -> payload_bytes wire_size (acc + wire_size m) rest
 
-(* A delivered frame's messages, in order. *)
-let rec deliver_each t ~src ~dst ~sent ~arrival = function
+(* A delivered frame's messages, in order. The frame's times are read
+   from its slot only where an observer needs them, so an unobserved
+   delivery boxes none. *)
+let rec deliver_each t slot ~src ~dst = function
   | [] -> ()
   | (msg, span) :: rest ->
     t.metrics.Metrics.messages_delivered <- t.metrics.Metrics.messages_delivered + 1;
+    let f = t.frames in
     (match t.record_delivery with
-    | Some record -> record ~sent ~received:arrival ~src ~dst msg
+    | Some record ->
+      record ~sent:(Float.Array.get f.sent slot)
+        ~received:(Float.Array.get f.arrival slot) ~src ~dst msg
     | None -> ());
     (match t.obs with
     | None -> t.deliver ~dst ~src msg
     | Some no ->
+      let sent = Float.Array.get f.sent slot in
+      let arrival = Float.Array.get f.arrival slot in
       Obs.Registry.inc no.delivered.(dst);
       Obs.Registry.observe no.latency.(dst) (arrival -. sent);
       Obs.Span.record_deliver no.o.Obs.spans ~span ~src ~dst ~sent ~received:arrival;
@@ -166,16 +225,22 @@ let rec deliver_each t ~src ~dst ~sent ~arrival = function
       t.deliver ~dst ~src msg;
       Obs.Span.record_apply no.o.Obs.spans ~span ~pid:dst ~time:arrival;
       Obs.Span.set_active no.o.Obs.spans saved);
-    deliver_each t ~src ~dst ~sent ~arrival rest
+    deliver_each t slot ~src ~dst rest
 
-(* A frame reaching [dst] at [arrival]: dropped whole if [dst] is down
-   by then, delivered message by message otherwise. *)
-let arrive t ~src ~dst ~count ~sent ~arrival msgs =
+(* The frame in [slot] reaching its destination: dropped whole if the
+   destination is down by then, delivered message by message otherwise.
+   The slot is released last, so the deliveries may send (into other
+   slots) while this frame is still being read. *)
+let arrive t slot =
+  let f = t.frames in
   let m = t.metrics in
+  let src = f.src.(slot) and dst = f.dst.(slot) and count = f.count.(slot) in
   if t.crashed.(dst) || t.offline.(dst) then begin
     m.Metrics.messages_dropped <- m.Metrics.messages_dropped + count;
     (match journal t with
-    | Some j -> Obs.Journal.record j (Obs.Journal.Drop { pid = dst; count; time = arrival })
+    | Some j ->
+      Obs.Journal.record j
+        (Obs.Journal.Drop { pid = dst; count; time = Float.Array.get f.arrival slot })
     | None -> ());
     match t.obs with
     | None -> ()
@@ -184,19 +249,51 @@ let arrive t ~src ~dst ~count ~sent ~arrival msgs =
   else begin
     (match journal t with
     | Some j ->
-      Obs.Journal.record j (Obs.Journal.Deliver { src; dst; count; time = arrival })
+      Obs.Journal.record j
+        (Obs.Journal.Deliver
+           { src; dst; count; time = Float.Array.get f.arrival slot })
     | None -> ());
     (* One addition per message, in message order, as per-message
-       accounting summed it; kept in a local so the float is boxed
-       once per frame. *)
-    let latency = arrival -. sent in
-    let sum = ref m.Metrics.delivery_latency_sum in
+       accounting summed it, into the unboxed cell. *)
+    let latency = Float.Array.get f.arrival slot -. Float.Array.get f.sent slot in
+    let sum = ref t.latency.sum in
     for _ = 1 to count do
       sum := !sum +. latency
     done;
-    m.Metrics.delivery_latency_sum <- !sum;
-    deliver_each t ~src ~dst ~sent ~arrival msgs
-  end
+    t.latency.sum <- !sum;
+    deliver_each t slot ~src ~dst f.msgs.(slot)
+  end;
+  release_slot f slot
+
+let create ~engine ~rng ~metrics ~n ?(fifo = false) ?(partitions = [])
+    ?(envelope = 0) ?record_delivery ?obs ~delay ~wire_size ~deliver () =
+  if envelope < 0 then invalid_arg "Network.create: envelope must be non-negative";
+  let latency = { sum = metrics.Metrics.delivery_latency_sum } in
+  Engine.at_return engine (fun () -> metrics.Metrics.delivery_latency_sum <- latency.sum);
+  let t =
+    {
+      engine;
+      rng;
+      metrics;
+      n;
+      fifo;
+      partitions;
+      envelope;
+      delay;
+      record_delivery;
+      wire_size;
+      deliver;
+      crashed = Array.make n false;
+      offline = Array.make n false;
+      last_delivery = Array.init n (fun _ -> Array.make n 0.0);
+      obs = Option.map (fun o -> make_net_obs o n) obs;
+      frame_kind = Engine.kind engine;
+      frames = frames_create ();
+      latency;
+    }
+  in
+  Engine.set_handler engine t.frame_kind (arrive t);
+  t
 
 (* One wire frame from [src] to [dst] carrying [msgs] in order: one
    delay draw, one envelope, one delivery event. A singleton frame is
@@ -250,8 +347,15 @@ let enqueue t ~src ~dst msgs =
            spans = List.map snd msgs;
          })
   | None -> ());
-  Engine.schedule_at t.engine ~time:arrival (fun () ->
-      arrive t ~src ~dst ~count ~sent:now ~arrival msgs)
+  let f = t.frames in
+  let slot = take_slot f in
+  f.src.(slot) <- src;
+  f.dst.(slot) <- dst;
+  f.count.(slot) <- count;
+  Float.Array.set f.sent slot now;
+  Float.Array.set f.arrival slot arrival;
+  f.msgs.(slot) <- msgs;
+  Engine.post_at t.engine ~time:arrival t.frame_kind slot
 
 let drop_from_src t ~src count =
   t.metrics.Metrics.messages_dropped <-

@@ -387,6 +387,17 @@ module Make (P : Protocol.PROTOCOL) = struct
       | Some m -> Mon.on_query m ~pid ~index ~span ~omega q output
       | None -> ()
     in
+    (* "Issue this pid's next operation" is a typed engine event
+       carrying the pid; the script it issues waits in [next_script].
+       A pid has at most one such event pending: the next is scheduled
+       only when its operation completes or its parked script resumes. *)
+    let issue_kind = Engine.kind engine in
+    let next_script : action list array = Array.make n [] in
+    let schedule_issue pid script =
+      next_script.(pid) <- script;
+      let gap = Network.draw_delay think_rngs.(pid) config.think in
+      Engine.post engine ~delay:gap issue_kind pid
+    in
     (* Sequential script driver for one process. An offline process
        parks its remaining script instead of issuing: its client pauses
        with it and resumes (with a fresh think gap) when it rejoins.
@@ -415,8 +426,7 @@ module Make (P : Protocol.PROTOCOL) = struct
           Obs.Series.observe_latency s ~key:pid elapsed;
           Obs.Series.maybe_tick s ~now:(Engine.now engine)
         | None -> ());
-        let gap = Network.draw_delay think_rngs.(pid) config.think in
-        Engine.schedule engine ~delay:gap (fun () -> issue pid rest)
+        schedule_issue pid rest
       end
     and invoke_update pid u rest =
       let started = Engine.now engine in
@@ -489,11 +499,8 @@ module Make (P : Protocol.PROTOCOL) = struct
         P.query (replica pid) q ~on_result;
         Obs.Span.set_active o.Obs.spans None
     in
-    Array.iteri
-      (fun pid script ->
-        let gap = Network.draw_delay think_rngs.(pid) config.think in
-        Engine.schedule engine ~delay:gap (fun () -> issue pid script))
-      workload;
+    Engine.set_handler engine issue_kind (fun pid -> issue pid next_script.(pid));
+    Array.iteri schedule_issue workload;
     List.iter
       (fun (time, pid) ->
         Engine.schedule_at engine ~time (fun () ->
@@ -565,8 +572,7 @@ module Make (P : Protocol.PROTOCOL) = struct
             | None -> ()
             | Some script ->
               parked.(pid) <- None;
-              let gap = Network.draw_delay think_rngs.(pid) config.think in
-              Engine.schedule engine ~delay:gap (fun () -> issue pid script)
+              schedule_issue pid script
           end
     in
     List.iter

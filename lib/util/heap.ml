@@ -1,73 +1,113 @@
-type 'a t = {
-  cmp : 'a -> 'a -> int;
-  mutable data : 'a array;
+type t = {
+  mutable times : Float.Array.t;
+  mutable seqs : int array;  (** insertion rank: the tie-break *)
+  mutable items : int array;
   mutable size : int;
+  mutable next_seq : int;
 }
 
-let create ~cmp = { cmp; data = [||]; size = 0 }
+let create () =
+  { times = Float.Array.create 0; seqs = [||]; items = [||]; size = 0; next_seq = 0 }
 
 let length h = h.size
 
 let is_empty h = h.size = 0
 
-let grow h x =
-  let cap = Array.length h.data in
-  if h.size = cap then begin
-    let new_cap = max 8 (2 * cap) in
-    let data = Array.make new_cap x in
-    Array.blit h.data 0 data 0 h.size;
-    h.data <- data
-  end
+let grow h =
+  let cap = max 16 (2 * Array.length h.items) in
+  let times = Float.Array.create cap in
+  Float.Array.blit h.times 0 times 0 h.size;
+  let seqs = Array.make cap 0 in
+  Array.blit h.seqs 0 seqs 0 h.size;
+  let items = Array.make cap 0 in
+  Array.blit h.items 0 items 0 h.size;
+  h.times <- times;
+  h.seqs <- seqs;
+  h.items <- items
 
-let rec sift_up h i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if h.cmp h.data.(i) h.data.(parent) < 0 then begin
-      let tmp = h.data.(i) in
-      h.data.(i) <- h.data.(parent);
-      h.data.(parent) <- tmp;
-      sift_up h parent
-    end
-  end
+(* Entry [i] sorts before the key (time, seq): earlier, or as early and
+   inserted first. *)
+let[@inline] before h i time seq =
+  let ti = Float.Array.unsafe_get h.times i in
+  ti < time || (ti = time && Array.unsafe_get h.seqs i < seq)
 
-let rec sift_down h i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < h.size && h.cmp h.data.(l) h.data.(!smallest) < 0 then smallest := l;
-  if r < h.size && h.cmp h.data.(r) h.data.(!smallest) < 0 then smallest := r;
-  if !smallest <> i then begin
-    let tmp = h.data.(i) in
-    h.data.(i) <- h.data.(!smallest);
-    h.data.(!smallest) <- tmp;
-    sift_down h !smallest
-  end
+let[@inline] move h ~from ~into =
+  Float.Array.unsafe_set h.times into (Float.Array.unsafe_get h.times from);
+  Array.unsafe_set h.seqs into (Array.unsafe_get h.seqs from);
+  Array.unsafe_set h.items into (Array.unsafe_get h.items from)
 
-let push h x =
-  grow h x;
-  h.data.(h.size) <- x;
+let[@inline] place h i time seq item =
+  Float.Array.unsafe_set h.times i time;
+  Array.unsafe_set h.seqs i seq;
+  Array.unsafe_set h.items i item
+
+(* Hole-based sifts, written as loops so that the moving key's time
+   stays unboxed: the entries on the path move into the hole, and the
+   new entry is written once, where the hole comes to rest. *)
+let[@inline] insert h time item =
+  if h.size = Array.length h.items then grow h;
+  let seq = h.next_seq in
+  h.next_seq <- seq + 1;
+  let hole = ref h.size in
   h.size <- h.size + 1;
-  sift_up h (h.size - 1)
+  let rising = ref true in
+  while !rising && !hole > 0 do
+    let parent = (!hole - 1) / 2 in
+    if before h parent time seq then rising := false
+    else begin
+      move h ~from:parent ~into:!hole;
+      hole := parent
+    end
+  done;
+  place h !hole time seq item
 
-let peek h = if h.size = 0 then None else Some h.data.(0)
+let push h ~time item = insert h time item
 
-let top_exn h =
-  if h.size = 0 then invalid_arg "Heap.top_exn: empty heap";
-  h.data.(0)
+let push_after h ~now ~delay item = insert h (now +. delay) item
 
-let pop_exn h =
-  if h.size = 0 then invalid_arg "Heap.pop_exn: empty heap";
-  let top = h.data.(0) in
-  h.size <- h.size - 1;
-  if h.size > 0 then begin
-    h.data.(0) <- h.data.(h.size);
-    sift_down h 0
-  end;
-  top
+let check_nonempty h name = if h.size = 0 then invalid_arg ("Heap." ^ name ^ ": empty heap")
 
-let pop h = if h.size = 0 then None else Some (pop_exn h)
+let min_item h =
+  check_nonempty h "min_item";
+  h.items.(0)
+
+let min_time h =
+  check_nonempty h "min_time";
+  Float.Array.get h.times 0
+
+let min_later_than h bound =
+  check_nonempty h "min_later_than";
+  Float.Array.get h.times 0 > bound
+
+let remove_min h =
+  check_nonempty h "remove_min";
+  let last = h.size - 1 in
+  h.size <- last;
+  (* Re-seat the last entry from the root down. *)
+  let time = Float.Array.unsafe_get h.times last in
+  let seq = Array.unsafe_get h.seqs last in
+  let item = Array.unsafe_get h.items last in
+  let hole = ref 0 in
+  let sinking = ref (last > 0) in
+  while !sinking do
+    let l = (2 * !hole) + 1 in
+    if l >= last then sinking := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if
+          r < last
+          && before h r (Float.Array.unsafe_get h.times l) (Array.unsafe_get h.seqs l)
+        then r
+        else l
+      in
+      if before h c time seq then begin
+        move h ~from:c ~into:!hole;
+        hole := c
+      end
+      else sinking := false
+    end
+  done;
+  if last > 0 then place h !hole time seq item
 
 let clear h = h.size <- 0
-
-let to_list h =
-  let rec collect i acc = if i < 0 then acc else collect (i - 1) (h.data.(i) :: acc) in
-  collect (h.size - 1) []

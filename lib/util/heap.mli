@@ -1,36 +1,43 @@
-(** Mutable binary min-heap.
+(** Mutable binary min-heap of timed items: the pending-event queue of
+    the discrete-event simulator.
 
-    Used as the pending-event queue of the discrete-event simulator: the
-    engine repeatedly pops the event with the smallest (time, tie-break)
-    key. Amortised O(log n) insert and pop, O(1) peek. *)
+    Each entry is an [int] item keyed by its time and by its insertion
+    rank, so entries with equal times leave in the order they came in.
+    Keys and items live in three unboxed columns (a [Float.Array.t] of
+    times and two [int array]s), so a push, a pop and a sift move no
+    pointer and allocate nothing; the columns double when full.
+    Amortised O(log n) push and pop, O(1) inspection of the minimum. *)
 
-type 'a t
+type t
 
-val create : cmp:('a -> 'a -> int) -> 'a t
-(** [create ~cmp] is an empty heap ordered by [cmp] (smallest first). *)
+val create : unit -> t
 
-val length : 'a t -> int
+val length : t -> int
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val push : 'a t -> 'a -> unit
+val push : t -> time:float -> int -> unit
+(** [push h ~time item] inserts [item] at [time]. Allocates nothing
+    beyond an occasional doubling of the columns. *)
 
-val peek : 'a t -> 'a option
-(** Smallest element without removing it. *)
+val push_after : t -> now:float -> delay:float -> int -> unit
+(** [push h ~time:(now +. delay) item], with the sum computed inside
+    the heap so that no box is made for it. *)
 
-val top_exn : 'a t -> 'a
-(** {!peek} without the option: allocates nothing, for loops that test
-    {!is_empty} first.
+val min_item : t -> int
+(** The item with the smallest key.
     @raise Invalid_argument on an empty heap. *)
 
-val pop : 'a t -> 'a option
-(** Remove and return the smallest element. *)
-
-val pop_exn : 'a t -> 'a
-(** {!pop} without the option: allocates nothing.
+val min_time : t -> float
+(** Its time, boxed afresh on each call (2 words).
     @raise Invalid_argument on an empty heap. *)
 
-val clear : 'a t -> unit
+val min_later_than : t -> float -> bool
+(** [min_later_than h bound] is [min_time h > bound] without boxing.
+    @raise Invalid_argument on an empty heap. *)
 
-val to_list : 'a t -> 'a list
-(** Elements in unspecified order (heap untouched). *)
+val remove_min : t -> unit
+(** Drop the entry with the smallest key.
+    @raise Invalid_argument on an empty heap. *)
+
+val clear : t -> unit

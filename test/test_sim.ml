@@ -337,9 +337,10 @@ let runner_tests =
 
 (* ------------------------- allocation guards ------------------------- *)
 
-(* [Engine.run] reads the queue through [Heap.top_exn]/[pop_exn]: an
+(* Running a thunk allocates nothing of the engine's: the box of its
+   time, stored with it when it was scheduled, becomes the clock. An
    event costs what its thunk allocates, here nothing. Popping through
-   the [peek]/[pop] options cost 4 words per event. *)
+   the old heap's [peek]/[pop] options cost 4 words per event. *)
 let engine_run_guard () =
   let e = Engine.create () in
   let hits = ref 0 in
@@ -360,10 +361,12 @@ let engine_run_guard () =
     Alcotest.failf "Engine.run over %d events: %.0f minor words" events words
 
 (* Telemetry off, a frame allocates its stamped message list (a pair
-   and a cons, 6 words), its engine event (queue entry 4, clamped time
-   2, delivery thunk 10), its arrival time (2) and the latency sum,
-   boxed once (2): 26 words. The journal closures a frame and its
-   delivery built, journal or not, cost 19 more. *)
+   and a cons, 6 words), the box of its arrival time handed to the
+   engine (2) and the clock's box when its delivery runs (2): 10 words.
+   The delivery is a typed event carrying the frame's slot in the
+   network's frame pool, and the latency sum sits in an unboxed cell.
+   With a queue record, a clamped time and a delivery thunk per frame,
+   and the sum boxed per frame, this cost 26 words. *)
 let network_send_guard () =
   let engine = Engine.create () in
   let metrics = Metrics.create () in
@@ -386,7 +389,7 @@ let network_send_guard () =
   let words = minor_words round in
   Alcotest.(check int) "every frame delivered" (2 * frames) !delivered;
   let per_frame = words /. float_of_int frames in
-  if per_frame > 26.5 then
+  if per_frame > 10.1 then
     Alcotest.failf "an obs-off send and its delivery: %.2f minor words" per_frame
 
 (* A delay draw allocates only the box of the float it returns (2
@@ -406,6 +409,34 @@ let delay_draw_guard model () =
   if per_draw > 2.0 then
     Alcotest.failf "a delay draw: %.2f minor words" per_draw
 
+(* A typed event is a kind and an int in the queue's unboxed columns:
+   scheduling it allocates nothing and running it only the box of the
+   clock's new value (2 words). As a thunk, the same event cost a queue
+   record (4 words), the box of its time (2) and its closure. *)
+let typed_event_guard () =
+  let e = Engine.create () in
+  let kind = Engine.kind e in
+  let sum = ref 0 in
+  Engine.set_handler e kind (fun i -> sum := !sum + i);
+  let events = 10_000 in
+  (* Boxed once, here. *)
+  let times = List.init 50 (fun i -> float_of_int (i mod 7)) in
+  let post_at i time = Engine.post_at e ~time kind i in
+  let round () =
+    for i = 1 to events / 2 do
+      Engine.post e ~delay:1.5 kind i
+    done;
+    for _ = 1 to events / 2 / 50 do
+      List.iteri post_at times
+    done;
+    Engine.run e
+  in
+  round ();
+  let words = minor_words round in
+  let per_event = words /. float_of_int events in
+  if per_event > 2.0 then
+    Alcotest.failf "a typed event scheduled and run: %.2f minor words" per_event
+
 let alloc_tests =
   [
     Alcotest.test_case "an exponential delay draw allocates at most 2 words"
@@ -415,8 +446,10 @@ let alloc_tests =
       (delay_draw_guard (Network.Uniform { lo = 1.0; hi = 10.0 }));
     Alcotest.test_case "Engine.run allocates nothing per event beyond its thunk"
       `Quick engine_run_guard;
-    Alcotest.test_case "an obs-off send and its delivery stay within 26 words"
+    Alcotest.test_case "an obs-off send and its delivery stay within 10 words"
       `Quick network_send_guard;
+    Alcotest.test_case "a typed event costs at most the clock's box" `Quick
+      typed_event_guard;
   ]
 
 let tests =

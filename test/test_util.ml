@@ -69,35 +69,80 @@ let prng_tests =
   ]
 
 let heap_tests =
+  let drain h =
+    let rec go acc =
+      if Heap.is_empty h then List.rev acc
+      else begin
+        let item = Heap.min_item h in
+        Heap.remove_min h;
+        go (item :: acc)
+      end
+    in
+    go []
+  in
   [
-    qtest "pops in sorted order" QCheck2.Gen.(list int) (fun xs ->
-        let h = Heap.create ~cmp:Int.compare in
-        List.iter (Heap.push h) xs;
-        let rec drain acc = match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc) in
-        drain [] = List.sort Int.compare xs);
+    qtest "pops in sorted order" QCheck2.Gen.(list (int_bound 20)) (fun times ->
+        (* Item i at time [times.(i)]: out by time, equal times by
+           insertion. *)
+        let h = Heap.create () in
+        List.iteri (fun i t -> Heap.push h ~time:(float_of_int t) i) times;
+        let expected =
+          List.mapi (fun i t -> (t, i)) times
+          |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+          |> List.map snd
+        in
+        drain h = expected);
     qtest "length tracks pushes" QCheck2.Gen.(list int) (fun xs ->
-        let h = Heap.create ~cmp:Int.compare in
-        List.iter (Heap.push h) xs;
+        let h = Heap.create () in
+        List.iter (fun x -> Heap.push h ~time:(float_of_int x) x) xs;
         Heap.length h = List.length xs);
-    Alcotest.test_case "peek does not remove" `Quick (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        Heap.push h 3;
-        Heap.push h 1;
-        Alcotest.(check (option int)) "peek" (Some 1) (Heap.peek h);
+    Alcotest.test_case "min_item and min_time do not remove" `Quick (fun () ->
+        let h = Heap.create () in
+        Heap.push h ~time:3.0 30;
+        Heap.push h ~time:1.0 10;
+        Alcotest.(check int) "item" 10 (Heap.min_item h);
+        Alcotest.(check (float 0.0)) "time" 1.0 (Heap.min_time h);
+        Alcotest.(check bool) "later than 0.5" true (Heap.min_later_than h 0.5);
+        Alcotest.(check bool) "not later than 1" false (Heap.min_later_than h 1.0);
         Alcotest.(check int) "still two" 2 (Heap.length h));
-    Alcotest.test_case "pop_exn on empty raises" `Quick (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        Alcotest.check_raises "empty" (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-            ignore (Heap.pop_exn h)));
+    Alcotest.test_case "an empty heap raises" `Quick (fun () ->
+        let h = Heap.create () in
+        Alcotest.check_raises "remove_min"
+          (Invalid_argument "Heap.remove_min: empty heap") (fun () ->
+            Heap.remove_min h);
+        Alcotest.check_raises "min_item" (Invalid_argument "Heap.min_item: empty heap")
+          (fun () -> ignore (Heap.min_item h : int)));
     Alcotest.test_case "clear empties" `Quick (fun () ->
-        let h = Heap.create ~cmp:Int.compare in
-        List.iter (Heap.push h) [ 5; 2; 8 ];
+        let h = Heap.create () in
+        List.iter (fun x -> Heap.push h ~time:(float_of_int x) x) [ 5; 2; 8 ];
         Heap.clear h;
         Alcotest.(check bool) "empty" true (Heap.is_empty h));
-    qtest "to_list holds the same elements" QCheck2.Gen.(list small_int) (fun xs ->
-        let h = Heap.create ~cmp:Int.compare in
-        List.iter (Heap.push h) xs;
-        List.sort compare (Heap.to_list h) = List.sort compare xs);
+    qtest "push_after keys by now + delay"
+      QCheck2.Gen.(list (pair (float_bound_inclusive 100.0) (float_bound_inclusive 10.0)))
+      (fun keys ->
+        let a = Heap.create () and b = Heap.create () in
+        List.iteri
+          (fun i (now, delay) ->
+            Heap.push_after a ~now ~delay i;
+            Heap.push b ~time:(now +. delay) i)
+          keys;
+        drain a = drain b);
+    (* Keys and items sit in unboxed columns: once the columns have
+       grown, pushing and popping allocate nothing. *)
+    Alcotest.test_case "push and remove_min allocate nothing" `Quick (fun () ->
+        let h = Heap.create () in
+        (* Boxed once, here: reading a [float array] would box each time. *)
+        let times = List.init 1000 (fun i -> float_of_int ((i * 7919) mod 1000)) in
+        let round () =
+          List.iteri (fun i time -> Heap.push h ~time i) times;
+          while not (Heap.is_empty h) do
+            ignore (Heap.min_item h : int);
+            Heap.remove_min h
+          done
+        in
+        round ();
+        let words = Helpers.minor_words round in
+        if words > 16. then Alcotest.failf "1000 pushes and pops: %.0f minor words" words);
   ]
 
 (* Bitset checked against a Set.Make(Int) model. *)

@@ -13,43 +13,54 @@ type ('u, 'q, 'o) t = {
   procs : int array array;
 }
 
-let make per_process =
-  let events = ref [] in
-  let next_id = ref 0 in
-  let procs =
-    List.mapi
-      (fun pid steps ->
-        let ids =
-          List.mapi
-            (fun seq step ->
-              let label, omega =
-                match step with
-                | U u -> (Uqadt.Update u, false)
-                | Q (q, o) -> (Uqadt.Query (q, o), false)
-                | Qw (q, o) -> (Uqadt.Query (q, o), true)
-              in
-              let id = !next_id in
-              incr next_id;
-              events := { id; pid; seq; label; omega } :: !events;
-              (id, omega))
-            steps
-        in
-        (* An ω event stands for an infinite repetition, so nothing of the
-           same process may follow it. *)
-        let rec validate = function
-          | [] | [ _ ] -> ()
-          | (_, omega) :: rest ->
-            if omega then invalid_arg "History.make: ω event is not last in its process";
-            validate rest
-        in
-        validate ids;
-        Array.of_list (List.map fst ids))
-      per_process
+(* Events are numbered process by process, in program order. *)
+let init lengths label omega =
+  if Array.exists (fun len -> len < 0) lengths then
+    invalid_arg "History.init: negative process length";
+  let pid = ref 0 and seq = ref 0 in
+  let events =
+    Array.init (Array.fold_left ( + ) 0 lengths) (fun id ->
+        while !seq = lengths.(!pid) do
+          incr pid;
+          seq := 0
+        done;
+        let p = !pid and k = !seq in
+        incr seq;
+        { id; pid = p; seq = k; label = label p k; omega = k = lengths.(p) - 1 && omega p })
   in
-  {
-    events = Array.of_list (List.rev !events);
-    procs = Array.of_list procs;
-  }
+  let first = ref 0 in
+  let procs =
+    Array.map
+      (fun len ->
+        let base = !first in
+        first := base + len;
+        Array.init len (fun k -> base + k))
+      lengths
+  in
+  { events; procs }
+
+let make per_process =
+  let steps = Array.of_list (List.map Array.of_list per_process) in
+  (* An ω event stands for an infinite repetition, so nothing of the
+     same process may follow it. *)
+  Array.iter
+    (fun ss ->
+      Array.iteri
+        (fun k step ->
+          match step with
+          | Qw _ when k < Array.length ss - 1 ->
+            invalid_arg "History.make: ω event is not last in its process"
+          | _ -> ())
+        ss)
+    steps;
+  init (Array.map Array.length steps)
+    (fun p k ->
+      match steps.(p).(k) with
+      | U u -> Uqadt.Update u
+      | Q (q, o) | Qw (q, o) -> Uqadt.Query (q, o))
+    (fun p ->
+      let ss = steps.(p) in
+      match ss.(Array.length ss - 1) with Qw _ -> true | U _ | Q _ -> false)
 
 let events h = Array.to_list h.events
 

@@ -30,9 +30,24 @@ type ('u, 'q, 'o) t = private {
   procs : int array array;  (** [procs.(p)] = event ids of process p, in order *)
 }
 
+val init :
+  int array ->
+  (int -> int -> ('u, 'q, 'o) Uqadt.operation) ->
+  (int -> bool) ->
+  ('u, 'q, 'o) t
+(** [init lengths label omega] is the history in which process [p] has
+    [lengths.(p)] events, its [k]-th labelled [label p k], and its last
+    event is ω iff [omega p]. [label] is called once per event, process
+    by process in program order; [omega] only for processes with
+    events. The one construction path ({!make} goes through it): it
+    allocates the history's own blocks — one event record per event,
+    the event array and one id array per process — and nothing per
+    event besides what [label] returns.
+    @raise Invalid_argument if a length is negative. *)
+
 val make : ('u, 'q, 'o) step list list -> ('u, 'q, 'o) t
 (** [make per_process] builds a history from one operation list per
-    process.
+    process, through {!init}.
     @raise Invalid_argument if an ω step is followed by further steps of
     the same process (an ω event is by construction the last event of its
     process). *)

@@ -79,13 +79,19 @@ val create :
 
     Allocation with [obs] absent: a frame allocates its stamped
     message list (a pair and a cons per message, built once per
-    broadcast and shared by every destination's frame), its engine
-    event (queue entry, clamped arrival time, delivery thunk) and its
-    arrival time; its delivery allocates the latency sum, boxed once
-    per frame. No journal event or closure is built, and delivering
-    a message allocates nothing beyond what [deliver] and
-    [record_delivery] do: a singleton {!send} and its delivery cost
-    26 words on a constant delay model. *)
+    broadcast and shared by every destination's frame), its delay draw
+    (see {!Prng}) and the box of its arrival time handed to the
+    {!Engine}. It takes a slot of the network's frame pool — columns
+    of sources, destinations, counts, send and arrival times and
+    message lists, reused once the frame is delivered or dropped — and
+    its delivery is a typed engine event carrying that slot, so no
+    closure, queue record or journal event is built. The delivery
+    itself allocates the clock's box and nothing else beyond what
+    [deliver] and [record_delivery] do: the latency sum is added in an
+    unboxed cell (same additions, same order, same bits) and published
+    to [metrics.delivery_latency_sum] whenever {!Engine.run} returns.
+    A singleton {!send} and its delivery cost 10 words on a constant
+    delay model. *)
 
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit
 

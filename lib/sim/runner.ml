@@ -1,3 +1,46 @@
+(* Growable columns for what a run records, created at the size the
+   scripts call for and doubling if that is passed. The float column is
+   unboxed and its accessors are inlined, so appending or reading a
+   time boxes nothing. *)
+module Floats = struct
+  type t = { mutable data : Float.Array.t; mutable len : int }
+
+  let create capacity = { data = Float.Array.create capacity; len = 0 }
+
+  let grow c =
+    let data = Float.Array.create (max 1 (2 * c.len)) in
+    Float.Array.blit c.data 0 data 0 c.len;
+    c.data <- data
+
+  let[@inline] push c x =
+    if c.len = Float.Array.length c.data then grow c;
+    Float.Array.unsafe_set c.data c.len x;
+    c.len <- c.len + 1
+
+  let[@inline] get c i = Float.Array.get c.data i
+
+  let[@inline] set c i x = Float.Array.set c.data i x
+end
+
+module Column = struct
+  type 'a t = { mutable data : 'a array; mutable len : int; capacity : int }
+
+  (* The array is made at the first push, which supplies its filler. *)
+  let create capacity = { data = [||]; len = 0; capacity }
+
+  let push c x =
+    if c.len = Array.length c.data then begin
+      let size = if c.len = 0 then max 1 c.capacity else 2 * c.len in
+      let data = Array.make size x in
+      Array.blit c.data 0 data 0 c.len;
+      c.data <- data
+    end;
+    Array.unsafe_set c.data c.len x;
+    c.len <- c.len + 1
+
+  let get c i = c.data.(i)
+end
+
 module Make (P : Protocol.PROTOCOL) = struct
   module Mon = Obs.Monitor.Make (P)
 
@@ -296,13 +339,20 @@ module Make (P : Protocol.PROTOCOL) = struct
       maybe_sample ()
     in
     probe_after_delivery := maybe_probe;
-    (* Per-process recorded steps, reversed, with (start, finish ref)
-       intervals recorded in lockstep. *)
-    let steps : (P.update, P.query, P.output) History.step list ref array =
-      Array.init n (fun _ -> ref [])
+    (* What the run records, in per-process columns: each event's label
+       (its history label, built when the event is recorded) and its
+       start and finish times, unboxed; an update's finish stays +∞
+       until it completes, and a query is recorded only once answered.
+       [omega_at] is the index of a process's ω read, if any. Latencies
+       go to one column, in completion order. *)
+    let events = Array.map (fun script -> List.length script + 1) workload in
+    let labels : (P.update, P.query, P.output) Uqadt.operation Column.t array =
+      Array.map Column.create events
     in
-    let op_times : (float * float ref) list ref array = Array.init n (fun _ -> ref []) in
-    let latencies = ref [] in
+    let starts = Array.map Floats.create events in
+    let finishes = Array.map Floats.create events in
+    let omega_at = Array.make n (-1) in
+    let latencies = Floats.create (Array.fold_left ( + ) 0 events) in
     (* Per-process broadcast buffers for window batching: the first
        broadcast of a window schedules a flush [batch_window] later;
        everything buffered until then leaves as one frame per
@@ -398,24 +448,27 @@ module Make (P : Protocol.PROTOCOL) = struct
       let gap = Network.draw_delay think_rngs.(pid) config.think in
       Engine.post engine ~delay:gap issue_kind pid
     in
-    (* Sequential script driver for one process. An offline process
-       parks its remaining script instead of issuing: its client pauses
-       with it and resumes (with a fresh think gap) when it rejoins.
-       Observers are matched on, not wrapped in closures: telemetry
-       off, an invocation builds no observer closure. *)
-    let rec issue pid script =
-      if crashed.(pid) then ()
-      else if offline.(pid) then parked.(pid) <- Some script
-      else
-        match script with
-        | [] -> ()
-        | Protocol.Invoke_update u :: rest -> invoke_update pid u rest
-        | Protocol.Invoke_query q :: rest -> invoke_query pid q rest
-    and complete pid ~started rest =
+    (* Each process has at most one operation outstanding, so its
+       state lives in per-process slots: [current] is its script from
+       the operation in flight on, [op_start] that operation's start,
+       [update_at] the index of its update's event, [query_span] its
+       read's span. The protocol's completion callbacks are built once
+       per process, below, and read these slots. *)
+    let current : action list array = Array.make n [] in
+    let op_start = Float.Array.make n 0.0 in
+    let update_at = Array.make n (-1) in
+    let query_span : Obs.Span.id option array = Array.make n None in
+    (* Record an event of [pid]'s operation in flight. *)
+    let record pid label ~finish =
+      Column.push labels.(pid) label;
+      Floats.push starts.(pid) (Float.Array.get op_start pid);
+      Floats.push finishes.(pid) finish
+    in
+    let complete pid =
       if not crashed.(pid) then begin
         metrics.Metrics.ops_completed <- metrics.Metrics.ops_completed + 1;
-        let elapsed = Engine.now engine -. started in
-        latencies := elapsed :: !latencies;
+        let elapsed = Engine.now engine -. Float.Array.get op_start pid in
+        Floats.push latencies elapsed;
         (match runner_obs with
         | Some ro ->
           Obs.Registry.inc ro.comp.(pid);
@@ -426,29 +479,57 @@ module Make (P : Protocol.PROTOCOL) = struct
           Obs.Series.observe_latency s ~key:pid elapsed;
           Obs.Series.maybe_tick s ~now:(Engine.now engine)
         | None -> ());
-        schedule_issue pid rest
+        schedule_issue pid (match current.(pid) with _ :: rest -> rest | [] -> [])
       end
-    and invoke_update pid u rest =
+    in
+    let on_done =
+      Array.init n (fun pid () ->
+          Floats.set finishes.(pid) update_at.(pid) (Engine.now engine);
+          complete pid)
+    in
+    let on_result =
+      Array.init n (fun pid output ->
+          if not crashed.(pid) then begin
+            let q =
+              match current.(pid) with
+              | Protocol.Invoke_query q :: _ -> q
+              | _ -> invalid_arg "Runner: a query answered with none in flight"
+            in
+            let now = Engine.now engine in
+            record pid (Uqadt.Query (q, output)) ~finish:now;
+            (match trace with
+            | Some tr ->
+              Trace.record_op tr ~time:now ~pid
+                (Format.asprintf "%a/%a" P.pp_query q P.pp_output output)
+            | None -> ());
+            if observing then
+              observe_query pid q output ~started:(Float.Array.get op_start pid)
+                ~span:query_span.(pid) ~omega:false;
+            complete pid
+          end)
+    in
+    (* Sequential script driver for one process. An offline process
+       parks its remaining script instead of issuing: its client pauses
+       with it and resumes (with a fresh think gap) when it rejoins.
+       Observers are matched on, not wrapped in closures: telemetry
+       off, an invocation builds no observer closure. *)
+    let invoke_update pid u =
       let started = Engine.now engine in
       metrics.Metrics.updates_invoked <- metrics.Metrics.updates_invoked + 1;
       (match runner_obs with Some ro -> Obs.Registry.inc ro.upd.(pid) | None -> ());
-      steps.(pid) := History.U u :: !(steps.(pid));
-      let finish = ref Float.infinity in
-      op_times.(pid) := (started, finish) :: !(op_times.(pid));
+      Float.Array.set op_start pid started;
+      update_at.(pid) <- labels.(pid).Column.len;
+      record pid (Uqadt.Update u) ~finish:Float.infinity;
       (match trace with
       | Some tr -> Trace.record_op tr ~time:started ~pid (Format.asprintf "%a" P.pp_update u)
       | None -> ());
-      let on_done () =
-        finish := Engine.now engine;
-        complete pid ~started rest
-      in
       (* Journal the invocation (and feed the monitor) before the
          protocol runs, so the frames its broadcast produces land after
          their cause in the journal. *)
       match config.obs with
       | None ->
         if observing then observe_update pid u ~started None;
-        P.update (replica pid) u ~on_done
+        P.update (replica pid) u ~on_done:on_done.(pid)
       | Some o ->
         (* Open the update's span and leave it ambient while the
            protocol processes the invocation, so broadcasts it emits
@@ -460,44 +541,42 @@ module Make (P : Protocol.PROTOCOL) = struct
         in
         if observing then observe_update pid u ~started (Some span);
         Obs.Span.set_active o.Obs.spans (Some span);
-        P.update (replica pid) u ~on_done;
+        P.update (replica pid) u ~on_done:on_done.(pid);
         Obs.Span.record_apply o.Obs.spans ~span:(Some span) ~pid ~time:(Engine.now engine);
         Obs.Span.set_active o.Obs.spans None;
         maybe_probe ()
-    and invoke_query pid q rest =
+    in
+    let invoke_query pid q =
       let started = Engine.now engine in
       metrics.Metrics.queries_invoked <- metrics.Metrics.queries_invoked + 1;
       (match runner_obs with Some ro -> Obs.Registry.inc ro.qry.(pid) | None -> ());
-      (* Queries get a local span (they never propagate, so it is
-         excluded from visibility metrics) purely so the journal and
-         monitor can cite a causal id for the read. *)
-      let qspan =
-        match config.obs with
-        | None -> None
-        | Some o ->
+      Float.Array.set op_start pid started;
+      match config.obs with
+      | None -> P.query (replica pid) q ~on_result:on_result.(pid)
+      | Some o ->
+        (* Queries get a local span (they never propagate, so it is
+           excluded from visibility metrics) purely so the journal and
+           monitor can cite a causal id for the read. *)
+        let qspan =
           Some
             (Obs.Span.fresh ~local:true o.Obs.spans ~pid ~time:started
                ~label:(Format.asprintf "%a" P.pp_query q))
-      in
-      let on_result output =
-        if not crashed.(pid) then begin
-          steps.(pid) := History.Q (q, output) :: !(steps.(pid));
-          op_times.(pid) := (started, ref (Engine.now engine)) :: !(op_times.(pid));
-          (match trace with
-          | Some tr ->
-            Trace.record_op tr ~time:(Engine.now engine) ~pid
-              (Format.asprintf "%a/%a" P.pp_query q P.pp_output output)
-          | None -> ());
-          if observing then observe_query pid q output ~started ~span:qspan ~omega:false;
-          complete pid ~started rest
-        end
-      in
-      match config.obs with
-      | None -> P.query (replica pid) q ~on_result
-      | Some o ->
+        in
+        query_span.(pid) <- qspan;
         Obs.Span.set_active o.Obs.spans qspan;
-        P.query (replica pid) q ~on_result;
+        P.query (replica pid) q ~on_result:on_result.(pid);
         Obs.Span.set_active o.Obs.spans None
+    in
+    let issue pid script =
+      if crashed.(pid) then ()
+      else if offline.(pid) then parked.(pid) <- Some script
+      else begin
+        current.(pid) <- script;
+        match script with
+        | [] -> ()
+        | Protocol.Invoke_update u :: _ -> invoke_update pid u
+        | Protocol.Invoke_query q :: _ -> invoke_query pid q
+      end
     in
     Engine.set_handler engine issue_kind (fun pid -> issue pid next_script.(pid));
     Array.iteri schedule_issue workload;
@@ -642,12 +721,14 @@ module Make (P : Protocol.PROTOCOL) = struct
               config.obs
           in
           let on_result output =
-            steps.(pid) := History.Qw (q, output) :: !(steps.(pid));
-            op_times.(pid) :=
-              (Engine.now engine, ref (Engine.now engine)) :: !(op_times.(pid));
+            let now = Engine.now engine in
+            omega_at.(pid) <- labels.(pid).Column.len;
+            Column.push labels.(pid) (Uqadt.Query (q, output));
+            Floats.push starts.(pid) now;
+            Floats.push finishes.(pid) now;
             Option.iter
               (fun tr ->
-                Trace.record_op tr ~time:(Engine.now engine) ~pid
+                Trace.record_op tr ~time:now ~pid
                   (Format.asprintf "%a/%aω" P.pp_query q P.pp_output output))
               trace;
             if observing then observe_query pid q output ~started ~span:qspan ~omega:true;
@@ -691,19 +772,38 @@ module Make (P : Protocol.PROTOCOL) = struct
                  c c0)
           rest
     in
-    let intervals =
-      Array.to_list op_times
-      |> List.concat_map (fun r -> List.rev_map (fun (s, f) -> (s, !f)) !r)
-      |> Array.of_list
+    (* The result's lists and arrays, built once, process by process:
+       event ids number each process's events in program order. *)
+    let lengths = Array.map (fun c -> c.Column.len) labels in
+    Array.iteri
+      (fun pid at ->
+        if at >= 0 && at <> lengths.(pid) - 1 then
+          invalid_arg "Runner.run: ω event is not last in its process")
+      omega_at;
+    let history =
+      History.init lengths
+        (fun pid k -> Column.get labels.(pid) k)
+        (fun pid -> omega_at.(pid) >= 0)
+    in
+    let intervals = Array.make (History.size history) (0.0, 0.0) in
+    let id = ref 0 in
+    for pid = 0 to n - 1 do
+      for k = 0 to lengths.(pid) - 1 do
+        intervals.(!id) <- (Floats.get starts.(pid) k, Floats.get finishes.(pid) k);
+        incr id
+      done
+    done;
+    let op_latencies =
+      let rec collect i acc =
+        if i < 0 then acc else collect (i - 1) (Floats.get latencies i :: acc)
+      in
+      collect (latencies.Floats.len - 1) []
     in
     Option.iter
       (fun o ->
         Obs.finalize o ~live;
         Metrics.to_registry metrics o.Obs.registry)
       config.obs;
-    let history =
-      History.make (List.map (fun r -> List.rev !r) (Array.to_list steps))
-    in
     Option.iter
       (fun j ->
         Obs.Journal.seal j
@@ -713,7 +813,7 @@ module Make (P : Protocol.PROTOCOL) = struct
     {
       history;
       metrics;
-      op_latencies = List.rev !latencies;
+      op_latencies;
       final_outputs;
       converged;
       certificates;

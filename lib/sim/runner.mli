@@ -137,11 +137,17 @@ module Make (P : Protocol.PROTOCOL) : sig
       only observes — the schedule, history, metrics, and wire bytes
       are bit-identical with and without it.
 
-      Allocation with [obs], [monitor], [sampler] and [trace] off: an
-      invocation allocates the protocol's completion callback, what
-      the result keeps (history step, invocation interval, latency)
-      and the engine event that issues the next operation, and no
-      observer closure; the protocol's own work and its frames (see
-      {!Network.create}) come on top. At the end of the run each live
-      replica's certificate is taken once. *)
+      Allocation with [obs], [monitor], [sampler] and [trace] off: a
+      process has at most one operation outstanding, so its state sits
+      in per-process slots and its completion callbacks are built once
+      per run. Issuing the next operation is a typed {!Engine} event
+      carrying the pid: an operation allocates its think-time draw, the
+      clock's box when its issue event runs, and its history label.
+      Start and finish times go to unboxed per-process columns sized
+      from the scripts, latencies to one column in completion order;
+      [history] (through {!History.init}), [intervals] and
+      [op_latencies] are built from them once, at the end. The
+      protocol's own work and its frames (see {!Network.create}) come
+      on top. At the end of the run each live replica's certificate is
+      taken once. *)
 end

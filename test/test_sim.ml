@@ -437,6 +437,74 @@ let typed_event_guard () =
   if per_event > 2.0 then
     Alcotest.failf "a typed event scheduled and run: %.2f minor words" per_event
 
+(* A protocol that does nothing: every operation completes at once,
+   sends nothing and keeps no state, so a Runner over it costs only the
+   simulator's own work per operation. *)
+module Idle = struct
+  include Set_spec
+
+  type t = unit
+
+  type message = unit
+
+  let protocol_name = "idle"
+
+  let empty = eval initial Read
+
+  let create _ = ()
+
+  let update () _ ~on_done = on_done ()
+
+  let query () _ ~on_result = on_result empty
+
+  let receive () ~src:_ () = ()
+
+  let receive_batch () ~src:_ _ = ()
+
+  let message_wire_size () = 0
+
+  let describe_message () = "idle"
+
+  let log_length () = 0
+
+  let metadata_bytes () = 0
+
+  let certificate () = None
+
+  let snapshot () = None
+
+  let absorb () _ = false
+end
+
+module Idle_runner = Runner.Make (Idle)
+
+(* The Runner's own allocation per operation, telemetry off, over
+   [Idle], minor and major words together: 26.5. That is the think-time
+   draw and the clock's box (4), the event's history label (2 or 3),
+   and, built once at the end, what the result keeps of the operation
+   (event record, interval pair, latency) with its share of the
+   per-process columns. With a closure, a queue record and a boxed
+   time per issued operation, a completion closure, step and interval
+   lists and [History.make] it was 90.2. *)
+let runner_guard () =
+  let ops = 20_000 in
+  let workload =
+    Array.init 2 (fun p ->
+        List.init ops (fun i ->
+            if (i + p) mod 2 = 0 then Protocol.Invoke_query Set_spec.Read
+            else Protocol.Invoke_update (Set_spec.Insert (i mod 16))))
+  in
+  let config =
+    { (Idle_runner.default_config ~n:2 ~seed:1) with Idle_runner.final_read = Some Set_spec.Read }
+  in
+  ignore (Idle_runner.run config ~workload : Idle_runner.result);
+  let result, words = allocated_words (fun () -> Idle_runner.run config ~workload) in
+  Alcotest.(check int) "every operation completed" (2 * ops)
+    result.Idle_runner.metrics.Metrics.ops_completed;
+  let per_op = words /. float_of_int (2 * ops) in
+  if per_op > 27.0 then
+    Alcotest.failf "a Runner operation over a do-nothing protocol: %.2f words" per_op
+
 let alloc_tests =
   [
     Alcotest.test_case "an exponential delay draw allocates at most 2 words"
@@ -450,6 +518,8 @@ let alloc_tests =
       `Quick network_send_guard;
     Alcotest.test_case "a typed event costs at most the clock's box" `Quick
       typed_event_guard;
+    Alcotest.test_case "a Runner operation over a do-nothing protocol: 27 words"
+      `Quick runner_guard;
   ]
 
 let tests =

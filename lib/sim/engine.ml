@@ -60,6 +60,13 @@ let at_return t f = t.at_return <- t.at_return @ [ f ]
 
 let returning t = List.iter (fun f -> f ()) t.at_return
 
+(* The hooks run even when an event raises, so what they publish is
+   never left behind the events that ran. *)
+let returning_raise t e =
+  let bt = Printexc.get_raw_backtrace () in
+  returning t;
+  Printexc.raise_with_backtrace e bt
+
 let check_time time =
   if Float.is_nan time then invalid_arg "Engine.schedule_at: NaN time"
 
@@ -150,13 +157,15 @@ let run_next t =
 let step t =
   if Heap.is_empty t.queue then false
   else begin
-    run_next t;
-    returning t;
+    (match run_next t with () -> returning t | exception e -> returning_raise t e);
     true
   end
 
 let run ?(until = Float.infinity) t =
-  while (not (Heap.is_empty t.queue)) && not (Heap.min_later_than t.queue until) do
-    run_next t
-  done;
-  returning t
+  match
+    while (not (Heap.is_empty t.queue)) && not (Heap.min_later_than t.queue until) do
+      run_next t
+    done
+  with
+  | () -> returning t
+  | exception e -> returning_raise t e

@@ -64,7 +64,7 @@ val step : t -> bool
 
 val at_return : t -> (unit -> unit) -> unit
 (** [at_return t f] runs [f] whenever {!run} returns, and whenever
-    {!step} runs an event: a layer that keeps a running total in an
-    unboxed cell (the network's delivery-latency sum) publishes it to a
-    boxed field there, once, instead of per event. Hooks run in the
-    order they were added. *)
+    {!step} runs an event, also when an event raised: a layer that
+    keeps a running total in an unboxed cell (the network's
+    delivery-latency sum) publishes it to a boxed field there, once,
+    instead of per event. Hooks run in the order they were added. *)

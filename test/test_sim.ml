@@ -150,6 +150,25 @@ let network_tests =
         match !log with
         | [ (t, _, _, _) ] -> Alcotest.(check (float 1e-9)) "immediate" 1.0 t
         | _ -> Alcotest.fail "expected one delivery");
+    (* The network sums latencies in its own cell and publishes the sum
+       when the engine returns: also when a delivery raised. *)
+    Alcotest.test_case "the latency sum is published when a delivery raises" `Quick
+      (fun () ->
+        let engine = Engine.create () in
+        let metrics = Metrics.create () in
+        let net =
+          Network.create ~engine ~rng:(Prng.create 1) ~metrics ~n:2
+            ~delay:(Network.Constant 2.0)
+            ~wire_size:(fun (_ : int) -> 1)
+            ~deliver:(fun ~dst:_ ~src:_ msg -> if msg = 2 then failwith "planted")
+            ()
+        in
+        Network.send net ~src:0 ~dst:1 1;
+        Network.send net ~src:0 ~dst:1 2;
+        Alcotest.check_raises "the delivery raises" (Failure "planted") (fun () ->
+            Engine.run engine);
+        Alcotest.(check (float 0.0)) "both frames summed" 4.0
+          metrics.Metrics.delivery_latency_sum);
     qtest "draw_delay respects each model's support" seed_gen (fun seed ->
         let rng = Prng.create seed in
         let c = Network.draw_delay rng (Network.Constant 3.0) in

@@ -112,7 +112,10 @@ let mutation_gen =
   (* Bytes that matter to a JSON reader, and any byte. *)
   let byte =
     oneof
-      [ oneofl [ '{'; '}'; '['; ']'; '"'; ':'; ','; '\\'; '-'; '.'; 'e'; '0'; '9'; '\n' ]; char ]
+      [
+        oneofl [ '{'; '}'; '['; ']'; '"'; ':'; ','; '\\'; '-'; '.'; 'e'; '0'; '9'; '\n' ];
+        char;
+      ]
   in
   let digits =
     map2

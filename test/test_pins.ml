@@ -282,7 +282,12 @@ let register_scripts ~seed ~n ~ops =
   Reg.mixed ~rng:(Prng.create seed) ~n ~ops_per_process:ops ~query_ratio:0.5
 
 let quorum_cases =
-  let abd ~seed = { (Abd_d.R.default_config ~n:3 ~seed) with Abd_d.R.final_read = Some Register_spec.Read } in
+  let abd ~seed =
+    {
+      (Abd_d.R.default_config ~n:3 ~seed) with
+      Abd_d.R.final_read = Some Register_spec.Read;
+    }
+  in
   let smr ~seed =
     {
       (Smr.R.default_config ~n:3 ~seed) with
@@ -388,7 +393,8 @@ let prng_digests () =
     (fun seed ->
       List.map
         (fun (name, stream) ->
-          (Printf.sprintf "%s @ %s" name (seed_name seed), digest_draws (stream (Prng.create seed))))
+          ( Printf.sprintf "%s @ %s" name (seed_name seed),
+            digest_draws (stream (Prng.create seed)) ))
         prng_streams
       @ List.map
           (fun (name, model) ->

@@ -514,7 +514,10 @@ let runner_guard () =
             else Protocol.Invoke_update (Set_spec.Insert (i mod 16))))
   in
   let config =
-    { (Idle_runner.default_config ~n:2 ~seed:1) with Idle_runner.final_read = Some Set_spec.Read }
+    {
+      (Idle_runner.default_config ~n:2 ~seed:1) with
+      Idle_runner.final_read = Some Set_spec.Read;
+    }
   in
   ignore (Idle_runner.run config ~workload : Idle_runner.result);
   let result = ref None in

@@ -508,7 +508,7 @@ module Make (P : Protocol.PROTOCOL) = struct
             complete pid
           end)
     in
-    (* Sequential script driver for one process. An offline process
+    (* Each process runs its script sequentially. An offline process
        parks its remaining script instead of issuing: its client pauses
        with it and resumes (with a fresh think gap) when it rejoins.
        Observers are matched on, not wrapped in closures: telemetry

@@ -462,12 +462,13 @@ let churn_pin_tests =
   ]
 
 (* Sharded-run byte pins: the same complete-journal digest for the
-   sharded object space. Three seeded runs — a single shard (the
+   sharded object space. Four seeded runs — a single shard (the
    degenerate space, whose journal must stay exactly as deterministic
-   as any other run), a static two-shard ring, and a four-shard ring
-   with the hot-shard policy armed so [Rebalance]/[Shard] events land
-   in the pinned bytes. Any drift in the ring hash, the fan-out
-   batching, the migration frames, or the shard event encoding moves
+   as any other run), a static two-shard ring, a four-shard ring with
+   the hot-shard policy armed so [Rebalance]/[Shard] events land in the
+   pinned bytes, and a two-shard ring split under churn, whose final
+   snapshots are pinned too. Any drift in the ring hash, the fan-out
+   batching, migration, catch-up, or the shard event encoding moves
    these literals. *)
 let shard_pin_tests =
   let module Sp = Space.Make (Set_spec) (Update_codec.For_set) in
@@ -502,6 +503,82 @@ let shard_pin_tests =
         (Sp.rebalances map >= 1);
     Sha256.hex (Obs.Journal.to_jsonl journal)
   in
+  (* `ucsim run sharded -n 4 --ops 60 --shards 2 --keys 32 --rebalance 10
+     --seed 5 --churn 20:join:3 --churn 80:leave:1 --churn 200:rejoin:1
+     --partition 180:199:0 --monitor uc,ec`, built as the command builds
+     it: the policy
+     splits hot shards while replica 3 joins late and replica 1 leaves
+     and rejoins from a donor partitioned off just before, so migrations
+     and whole-space catch-ups interleave. Returns the journal's digest
+     (the command's journal file, byte for byte) and the digest of every
+     replica's final snapshot, which holds each shard's clock and its
+     log in timestamp order. *)
+  let churn_rebalance_shas () =
+    let module Held = struct
+      include Sp
+
+      let made = Hashtbl.create 4
+
+      let create ctx =
+        let r = Sp.create ctx in
+        Hashtbl.replace made ctx.Protocol.pid r;
+        r
+    end in
+    let module R = Runner.Make (Held) in
+    let spec =
+      {
+        Run_spec.default with
+        protocol = "sharded";
+        seed = 5;
+        n = 4;
+        ops = 60;
+        shards = 2;
+        keys = 32;
+        rebalance = Some 10.0;
+        churn =
+          [
+            { Network.time = 20.0; pid = 3; action = Network.Join };
+            { Network.time = 80.0; pid = 1; action = Network.Leave };
+            { Network.time = 200.0; pid = 1; action = Network.Rejoin };
+          ];
+        partitions = [ { Network.from_time = 180.0; to_time = 199.0; group = [ 0 ] } ];
+        monitors = [ Obs.Monitor.Uc; Obs.Monitor.Ec ];
+      }
+    in
+    let journal = Obs.Journal.create () in
+    let ob = Run_spec.observe ~journal spec in
+    let policy = { Sp.interval = 10.0; hot_factor = 1.5; max_shards = 64 } in
+    let map = Sp.create_map ~policy ?obs:ob.Run_spec.obs ~shards:spec.shards () in
+    Sp.configure map;
+    let elem = Zipf.create ~n:16 ~s:1.0 in
+    let workload =
+      Workload.For_space.zipf_scripts ~rng:(Prng.create spec.seed) ~n:spec.n
+        ~ops_per_process:spec.ops ~keys:spec.keys ~skew:1.1 ~fanout:3
+        ~query_ratio:0.25
+        ~update:(fun g ->
+          let v = Zipf.sample elem g in
+          if Prng.float g 1.0 < 0.3 then Set_spec.Delete v
+          else Set_spec.Insert v)
+        ~query:(fun _ -> Set_spec.Read)
+        ~read:(fun k q -> Sp.K.Read (k, q))
+    in
+    Hashtbl.reset Held.made;
+    let config = R.config_of_spec ~final_read:(Some Sp.K.Sweep) ob spec in
+    let r = R.run config ~workload in
+    Alcotest.(check bool) "converged" true r.R.converged;
+    Alcotest.(check int) "monitor violations" 0
+      (List.length (R.Mon.violations (Option.get config.R.monitor)));
+    Alcotest.(check bool) "the policy split a shard" true (Sp.rebalances map >= 1);
+    Alcotest.(check bool) "entries were re-homed" true (Sp.moved_entries map > 0);
+    Alcotest.(check bool) "a snapshot was absorbed" true
+      (r.R.metrics.Metrics.snapshots_absorbed >= 1);
+    let journal_sha = Sha256.hex (Obs.Journal.to_jsonl journal) in
+    let snapshots =
+      List.init spec.n (fun pid ->
+          Option.get (Sp.snapshot (Hashtbl.find Held.made pid)))
+    in
+    (journal_sha, Sha256.hex (String.concat "" snapshots))
+  in
   let policy = { Sp.interval = 15.0; hot_factor = 1.5; max_shards = 64 } in
   [
     Alcotest.test_case "pinned sharded journal: 1 shard seed 5" `Quick
@@ -520,6 +597,13 @@ let shard_pin_tests =
         Alcotest.(check string) "sha256"
           "6af4492f2b6f96d382334a9e4b905c960ded59acf14d9c5f7b7630770967bf9f"
           (sharded_sha ~policy ~shards:4 ~seed:19 ~n:4 ~ops:5 ~keys:16 ()));
+    Alcotest.test_case
+      "pinned sharded journal and snapshots: 2 shards seed 5, rebalancing under churn"
+      `Quick
+      (fun () ->
+        let journal, snapshots = churn_rebalance_shas () in
+        Alcotest.(check string) "journal sha256" "403052828e91608b44f63f56f646b0366339e61ccfa47a5e34459509d44d6f45" journal;
+        Alcotest.(check string) "snapshots sha256" "e3ba96de6745b1042d6090a157ba3a72f4dede083998e1e3410876103a2ed480" snapshots);
   ]
 
 let tests =

@@ -11,18 +11,21 @@ let minor_words f =
   f ();
   Stdlib.Gc.minor_words () -. before
 
-(* Words allocated, minor and major, while [f] runs. The minor heap is
-   emptied first: on this runtime a minor collection inside the window
-   skews the counters by about a minor heap's worth. *)
+(* Words allocated, minor and major, while [f] runs. Minor words are
+   read exactly, with [Gc.minor_words]: on OCaml 5.1 [Gc.quick_stat] and
+   [Gc.counters] account the minor heap only at a minor collection.
+   Major words are those allocated there directly, [Gc.counters]' major
+   words less the promoted ones. *)
 let allocated_words f =
-  let total () =
-    let s = Stdlib.Gc.quick_stat () in
-    s.Stdlib.Gc.minor_words +. s.Stdlib.Gc.major_words -. s.Stdlib.Gc.promoted_words
+  let direct_major () =
+    let _, promoted, major = Stdlib.Gc.counters () in
+    major -. promoted
   in
-  Stdlib.Gc.minor ();
-  let before = total () in
+  let major = direct_major () in
+  let minor = Stdlib.Gc.minor_words () in
   let result = f () in
-  (result, total () -. before)
+  let minor = Stdlib.Gc.minor_words () -. minor in
+  (result, minor +. direct_major () -. major)
 
 (* FF x8 7F: a varint whose ninth 7-bit group sets an int's sign bit.
    It once decoded to -1. *)

@@ -151,28 +151,12 @@ let print_mutations ms = String.concat "; " (List.map print_mutation ms)
    beyond the constant. *)
 let budget len = 4096. +. (16. *. float_of_int len)
 
-(* Words allocated while [f] runs, minor and major. On OCaml 5.1
-   [Gc.quick_stat] accounts minor allocations only at a minor
-   collection, so one is forced after [f] as well as before
-   ([Helpers.allocated_words] forces only the first, and would read
-   most of these small windows as empty). *)
-let words_during f =
-  let total () =
-    let s = Stdlib.Gc.quick_stat () in
-    s.Stdlib.Gc.minor_words +. s.Stdlib.Gc.major_words -. s.Stdlib.Gc.promoted_words
-  in
-  Stdlib.Gc.minor ();
-  let before = total () in
-  let result = f () in
-  Stdlib.Gc.minor ();
-  (result, total () -. before)
-
 (* [decode s] returns normally or raises; [documented] says which
    exceptions are the reader's documented errors. *)
 let total_within_budget ~name ~decode ~documented seed_text mutations =
   let s = List.fold_left apply (Lazy.force seed_text) mutations in
   let outcome, words =
-    words_during (fun () ->
+    Helpers.allocated_words (fun () ->
         match decode s with
         | () -> Ok ()
         | exception e -> if documented e then Ok () else Error e)
@@ -219,7 +203,7 @@ let tests =
         List.iter
           (fun (name, decode, text) ->
             let s = Lazy.force text in
-            let (), words = words_during (fun () -> decode s) in
+            let (), words = Helpers.allocated_words (fun () -> decode s) in
             if words > budget (String.length s) then
               Alcotest.failf "%s: %.0f words on %d bytes" name words (String.length s))
           [

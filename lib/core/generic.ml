@@ -3,13 +3,7 @@ module type S = sig
 
   val message_update : message -> update
 
-  val entry_of_message : src:int -> message -> update Oplog.entry
-
-  val receive_entry : t -> update Oplog.entry -> unit
-
   val local_log : t -> (Timestamp.t * int * update) list
-
-  val log_entry : t -> int -> update Oplog.entry
 
   val encode_log :
     t -> encode_update:(Codec.Writer.t -> update -> unit) -> string
@@ -75,12 +69,10 @@ module Configured (C : CONFIG) (A : Uqadt.S) = struct
 
   let entry_of_message ~src { ts; update = u } = { Oplog.ts; origin = src; payload = u }
 
-  let receive_entry t e =
+  let receive t ~src { ts; update = u } =
     (* Line 9: clock_i <- max(clock_i, cl). *)
-    Lamport.merge t.clock e.Oplog.ts.Timestamp.clock;
-    ignore (Oplog.insert t.log e : int)
-
-  let receive t ~src m = receive_entry t (entry_of_message ~src m)
+    Lamport.merge t.clock ts.Timestamp.clock;
+    ignore (Oplog.insert t.log { Oplog.ts; origin = src; payload = u } : int)
 
   let receive_batch t ~src msgs =
     (* A coalesced envelope: merge the clock once against the batch
@@ -135,8 +127,6 @@ module Configured (C : CONFIG) (A : Uqadt.S) = struct
   let message_update { update = u; _ } = u
 
   let local_log t = Oplog.to_list t.log
-
-  let log_entry t i = Oplog.get t.log i
 
   let encode_log t ~encode_update =
     Oplog.encode ~update_wire_size:A.update_wire_size ~encode_update t.log

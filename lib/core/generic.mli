@@ -35,30 +35,10 @@ module type S = sig
       commutativity-aware state keys) to which timestamps are
       unobservable. *)
 
-  val entry_of_message : src:int -> message -> update Oplog.entry
-  (** The log entry a delivery of this message from [src] lands: the
-      message's timestamp and update, with [src] as its origin. *)
-
-  val receive_entry : t -> update Oplog.entry -> unit
-  (** Land an already-built entry: line 9's clock merge
-      ([clock := max clock (entry clock)]) and the timestamp-ordered
-      insert, idempotent on a timestamp already logged. [receive t ~src
-      m] is exactly [receive_entry t (entry_of_message ~src m)]; a
-      caller that keeps the entry in a second log of its own (the
-      per-key logs of {!Space}) builds it once and lands the same
-      record in both. *)
-
   val local_log : t -> (Timestamp.t * int * update) list
   (** The replica's timestamp-sorted update log (timestamp, origin pid,
       update) — exposed for the experiments, the model checker and
       {!Persist}. *)
-
-  val log_entry : t -> int -> update Oplog.entry
-  (** [log_entry t i] is entry [i] of that log, [0 <= i < log_length t]:
-      read in place on the array core (O(1), nothing allocated); the
-      list core walks its list to it. What a merge over several logs
-      reads them through ({!Space}'s certificate).
-      @raise Invalid_argument out of range. *)
 
   val encode_log :
     t -> encode_update:(Codec.Writer.t -> update -> unit) -> string

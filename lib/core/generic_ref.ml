@@ -45,14 +45,10 @@ module Make (A : Uqadt.S) = struct
     t.ctx.Protocol.broadcast { ts; update = u };
     on_done ()
 
-  let entry_of_message ~src { ts; update = u } = { Oplog.ts; origin = src; payload = u }
-
-  let receive_entry t { Oplog.ts; origin; payload } =
+  let receive t ~src { ts; update = u } =
     (* Line 9: clock_i <- max(clock_i, cl). *)
     Lamport.merge t.clock ts.Timestamp.clock;
-    insert t (ts, origin, payload)
-
-  let receive t ~src m = receive_entry t (entry_of_message ~src m)
+    insert t (ts, src, u)
 
   let query t q ~on_result =
     (* Line 13: queries also advance the clock. *)
@@ -87,11 +83,6 @@ module Make (A : Uqadt.S) = struct
   let message_update { update = u; _ } = u
 
   let local_log t = t.log
-
-  let log_entry t i =
-    if i < 0 || i >= t.log_len then invalid_arg "Generic_ref.log_entry: out of range";
-    let ts, origin, payload = List.nth t.log i in
-    { Oplog.ts; origin; payload }
 
   (* The list core has no backing array to stream from; the list path
      is the reference the fast [Oplog.encode] is pinned against. *)

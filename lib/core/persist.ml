@@ -15,6 +15,37 @@ module type LOG_VIEW = sig
   val advance_clock : t -> int -> unit
 end
 
+(* The "UCS" replica frame: magic, version, the Lamport clock as a
+   varint, then the embedded "UCL" log frame as a byte string. Written
+   and parsed here alone, for every replica that snapshots one. *)
+let replica_magic = "UCS"
+
+let replica_version = 1
+
+let replica_frame ~clock log =
+  (* magic + version + clock varint + length varint + log, pre-sized
+     so the writer never reallocates under a large log. *)
+  let w = Codec.Writer.create ~size:(String.length log + 24) () in
+  String.iter (fun c -> Codec.Writer.u8 w (Char.code c)) replica_magic;
+  Codec.Writer.u8 w replica_version;
+  Codec.Writer.varint w clock;
+  Codec.Writer.byte_string w log;
+  Codec.Writer.contents w
+
+let open_replica r =
+  String.iter
+    (fun c ->
+      if Codec.Reader.u8 r <> Char.code c then
+        raise (Codec.Decode_error "replica snapshot: bad magic"))
+    replica_magic;
+  if Codec.Reader.u8 r <> replica_version then
+    raise (Codec.Decode_error "replica snapshot: unsupported version");
+  let clock = Codec.Reader.varint r in
+  let log = Codec.Reader.nested r in
+  if not (Codec.Reader.at_end r) then
+    raise (Codec.Decode_error "replica snapshot: trailing bytes");
+  (clock, log)
+
 module Over (G : LOG_VIEW) (C : Update_codec.S with type update = G.update) =
 struct
   (* The log frame itself ("UCL", version, entries, checksum) is the
@@ -35,38 +66,9 @@ struct
      recovery — the clock only needs to move forward — but not for the
      model checker's checkpointed replay, where a rewound replica must
      be bit-identical to the one that was snapshotted. *)
-
-  let replica_magic = "UCS"
-
-  let version = 1
-
   let snapshot_replica replica =
-    let log = G.encode_log replica ~encode_update:C.encode in
-    (* magic + version + clock varint + length varint + log, pre-sized
-       so the writer never reallocates under a large log. *)
-    let w = Codec.Writer.create ~size:(String.length log + 24) () in
-    String.iter (fun c -> Codec.Writer.u8 w (Char.code c)) replica_magic;
-    Codec.Writer.u8 w version;
-    Codec.Writer.varint w (G.clock_value replica);
-    Codec.Writer.byte_string w log;
-    Codec.Writer.contents w
-
-  (* The "UCS" header, parsed in place off [r], which must end where
-     the replica frame does: the clock, and a reader over the embedded
-     log frame. *)
-  let open_replica r =
-    String.iter
-      (fun c ->
-        if Codec.Reader.u8 r <> Char.code c then
-          raise (Codec.Decode_error "replica snapshot: bad magic"))
-      replica_magic;
-    if Codec.Reader.u8 r <> version then
-      raise (Codec.Decode_error "replica snapshot: unsupported version");
-    let clock = Codec.Reader.varint r in
-    let log = Codec.Reader.nested r in
-    if not (Codec.Reader.at_end r) then
-      raise (Codec.Decode_error "replica snapshot: trailing bytes");
-    (clock, log)
+    replica_frame ~clock:(G.clock_value replica)
+      (G.encode_log replica ~encode_update:C.encode)
 
   let decode_replica s =
     let clock, log = open_replica (Codec.Reader.of_string s) in
@@ -97,9 +99,9 @@ struct
 
   let snapshot replica = Some (P.snapshot_replica replica)
 
-  let absorb_frame replica r =
+  let absorb replica s =
     match
-      let peer_clock, log = P.open_replica r in
+      let peer_clock, log = open_replica (Codec.Reader.of_string s) in
       G.merge_frame replica ~decode_update:C.decode log
       && begin
         G.advance_clock replica peer_clock;
@@ -108,12 +110,6 @@ struct
     with
     | merged -> merged
     | exception Codec.Decode_error _ -> false
-
-  let absorb replica s = absorb_frame replica (Codec.Reader.of_string s)
-
-  let frame_floor r =
-    let _, log = P.open_replica r in
-    Oplog.frame_floor ~decode_update:C.decode log
 end
 
 module Make (A : Uqadt.S) (C : Update_codec.S with type update = A.update) =

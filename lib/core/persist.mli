@@ -41,6 +41,24 @@ module type LOG_VIEW = sig
   val advance_clock : t -> int -> unit
 end
 
+(** {2 The replica frame}
+
+    A "UCS" frame is a replica's exact protocol state: magic "UCS", a
+    version byte, the Lamport clock as a varint, then the {!Oplog} "UCL"
+    log frame as a length-prefixed byte string. It is written and parsed
+    here alone: {!Over} and {!Catchup} frame one replica's log with it,
+    and the sharded space one shard's. *)
+
+val replica_frame : clock:int -> string -> string
+(** [replica_frame ~clock log] is the "UCS" frame of a replica whose
+    Lamport clock is [clock] and whose "UCL" log frame is [log]. *)
+
+val open_replica : Codec.Reader.t -> int * Codec.Reader.t
+(** Parse a "UCS" header in place off the reader, which must end where
+    the frame does: the clock, and a reader over the embedded log frame
+    (not yet walked).
+    @raise Codec.Decode_error on a bad header or trailing bytes. *)
+
 module Over (G : LOG_VIEW) (C : Update_codec.S with type update = G.update) : sig
   val encode_log : (Timestamp.t * int * G.update) list -> string
 
@@ -64,9 +82,9 @@ module Over (G : LOG_VIEW) (C : Update_codec.S with type update = G.update) : si
 
   val decode_replica : string -> int * (Timestamp.t * int * G.update) list
   (** Parse a {!snapshot_replica} frame into (clock, log) without
-      touching any replica. It parses with the same header reader and
-      log walker as {!Catchup.absorb}, so it accepts exactly the frames
-      an absorb can merge.
+      touching any replica. It parses with the same header reader
+      ({!open_replica}) and log walker as {!Catchup.absorb}, so it
+      accepts exactly the frames an absorb can merge.
       @raise Codec.Decode_error on any malformation, and nothing else,
       whatever the bytes. *)
 
@@ -103,19 +121,6 @@ module Catchup
        and type query = G.query
        and type output = G.output
        and type message = G.message
-
-  val absorb_frame : t -> Codec.Reader.t -> bool
-  (** {!absorb} of the replica frame on the reader, which must end
-      where the frame does: a {!Codec.Reader.nested} range of a larger
-      frame is absorbed where it lies, without a copy. *)
-
-  val frame_floor : Codec.Reader.t -> int
-  (** Check the replica frame on the reader as {!absorb_frame} parses
-      it (header, log walk and checksum), merging nothing, and return
-      the lowest clock among its entries ([max_int] if it has none).
-      An array-core replica merges the frame iff this floor is above
-      its log's stability watermark ({!Oplog.frame_floor}).
-      @raise Codec.Decode_error on any malformation. *)
 end
 
 module Make (A : Uqadt.S) (C : Update_codec.S with type update = A.update) : sig

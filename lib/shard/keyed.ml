@@ -1,6 +1,6 @@
 module Int_map = Support.Int_map
 
-(* Shared plumbing over the keyed state [A.state Int_map.t]: absent
+(* Plumbing over the keyed state [A.state Int_map.t]: absent
    keys are at [A.initial], and bindings that return to [A.initial]
    are kept (an explicit binding and an absent one are equal states —
    [equal_state] and [pp_state] normalise). *)
@@ -31,41 +31,6 @@ module Common (A : Uqadt.S) = struct
 
   let keyed_update_wire_size (k, u) =
     Wire.varint_size k + A.update_wire_size u
-end
-
-module One (A : Uqadt.S) = struct
-  module C = Common (A)
-
-  type state = A.state Int_map.t
-  type update = int * A.update
-  type query = unit
-  type output = A.state Int_map.t
-
-  let name = A.name ^ "@key"
-  let initial = C.initial
-  let apply = C.apply_one
-  let eval m () = m
-  let equal_state = C.equal_state
-  let equal_update = C.equal_keyed_update
-  let equal_query () () = true
-  let equal_output = C.equal_state
-  let pp_state = C.pp_state
-  let pp_update = C.pp_keyed_update
-  let pp_query ppf () = Format.pp_print_string ppf "S"
-  let pp_output = C.pp_state
-  let update_wire_size = C.keyed_update_wire_size
-  let commutative = A.commutative
-
-  let satisfiable pairs =
-    Support.all_outputs_equal C.equal_state pairs
-
-  let key_domain = 16
-
-  let random_update g =
-    let k = Prng.int g key_domain in
-    (k, A.random_update g)
-
-  let random_query _ = ()
 end
 
 module Batch (A : Uqadt.S) = struct
@@ -191,23 +156,19 @@ module Batch (A : Uqadt.S) = struct
   let random_query g = Read (Prng.int g key_domain, A.random_query g)
 end
 
-let encode_keyed encode w (k, u) =
-  Codec.Writer.varint w k;
-  encode w u
-
-let decode_keyed decode r =
-  let k = Codec.Reader.varint r in
-  (k, decode r)
-
 module One_codec
     (A : Uqadt.S)
     (C : Update_codec.S with type update = A.update) =
 struct
   type update = int * A.update
 
-  let encode w ku = encode_keyed C.encode w ku
+  let encode w (k, u) =
+    Codec.Writer.varint w k;
+    C.encode w u
 
-  let decode r = decode_keyed C.decode r
+  let decode r =
+    let k = Codec.Reader.varint r in
+    (k, C.decode r)
 
   let to_string u =
     let w = Codec.Writer.create () in
@@ -219,34 +180,5 @@ struct
     let u = decode r in
     if not (Codec.Reader.at_end r) then
       raise (Codec.Decode_error "keyed update: trailing bytes");
-    u
-end
-
-module Batch_codec
-    (A : Uqadt.S)
-    (C : Update_codec.S with type update = A.update) =
-struct
-  type update = (int * A.update) list
-
-  let encode w kus =
-    Codec.Writer.varint w (List.length kus);
-    List.iter (encode_keyed C.encode w) kus
-
-  let decode r =
-    let n = Codec.Reader.varint r in
-    List.init n (fun _ -> decode_keyed C.decode r)
-
-  let to_string u =
-    (* Batches are fanout-wide: hint past the writer's 16-byte default
-       so multi-key frames build without reallocating. *)
-    let w = Codec.Writer.create ~size:(4 + (12 * List.length u)) () in
-    encode w u;
-    Codec.Writer.contents w
-
-  let of_string s =
-    let r = Codec.Reader.of_string s in
-    let u = decode r in
-    if not (Codec.Reader.at_end r) then
-      raise (Codec.Decode_error "keyed batch: trailing bytes");
     u
 end

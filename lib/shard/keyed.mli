@@ -1,33 +1,15 @@
 (** The object space as a UQ-ADT: a keyspace of independent instances
     of a base ADT [A], each key holding its own [A.state].
 
-    Two views of the same space:
+    {!Batch} is the client-facing spec of the sharded protocol
+    ({!Space}): an update is a multi-key batch (applied left to right),
+    a query reads one key or sweeps the whole space. Histories,
+    monitors and fingerprints are expressed in it.
 
-    {ul
-    {- {!One} — updates touch a single key ([key * A.update]); the
-       query returns the whole keyed state. This is the {e per-shard}
-       spec: each shard's {!Generic} core logs exactly the keyed
-       updates routed to it, and migration moves [One] log entries
-       between shards.}
-    {- {!Batch} — an update is a multi-key batch (applied left to
-       right), a query reads one key or sweeps the whole space. This is
-       the {e client-facing} spec of the sharded protocol: histories,
-       monitors and fingerprints are expressed in it.}}
-
-    Updates on distinct keys always commute, so both views are
-    commutative iff [A] is. *)
-
-module One (A : Uqadt.S) : sig
-  include
-    Uqadt.S
-      with type state = A.state Support.Int_map.t
-       and type update = int * A.update
-       and type query = unit
-       and type output = A.state Support.Int_map.t
-
-  val key_domain : int
-  (** Support of {!random_update} keys: 16. *)
-end
+    Updates on distinct keys always commute, so the space is
+    commutative iff [A] is, and one key's updates, in timestamp order,
+    answer every read of that key: {!Space} keeps one log per key and
+    replays only the key a read names. *)
 
 module Batch (A : Uqadt.S) : sig
   type read = Read of int * A.query | Sweep
@@ -48,15 +30,10 @@ module Batch (A : Uqadt.S) : sig
   (** [A.eval] on the key's state ([A.initial] when absent). *)
 end
 
-(** Wire codecs for the keyed update types, built on a base codec for
-    [A.update]: varint key(s) followed by the base frame. *)
-
+(** The wire codec of one keyed update, built on a base codec for
+    [A.update]: the varint key followed by the base frame. The sharded
+    space's log entries and snapshot frames carry these. *)
 module One_codec
     (A : Uqadt.S)
     (C : Update_codec.S with type update = A.update) :
   Update_codec.S with type update = int * A.update
-
-module Batch_codec
-    (A : Uqadt.S)
-    (C : Update_codec.S with type update = A.update) :
-  Update_codec.S with type update = (int * A.update) list

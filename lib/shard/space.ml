@@ -3,10 +3,7 @@ module Make
     (C : Update_codec.S with type update = A.update) =
 struct
   module K = Keyed.Batch (A)
-  module One = Keyed.One (A)
   module OneC = Keyed.One_codec (A) (C)
-  module Inner = Generic.Make (One)
-  module IC = Persist.Catchup (Inner) (OneC)
 
   type policy = { interval : float; hot_factor : float; max_shards : int }
 
@@ -174,60 +171,56 @@ struct
 
   include K
 
-  type message = int * Inner.message
+  (* One keyed sub-update, stamped by its sender's shard. *)
+  type stamped = { ts : Timestamp.t; update : int * A.update }
+
+  type message = int * stamped
   (* The shard tag is the sender's routing decision; receivers re-route
      by key through the current ring, so the tag is advisory (origin
      encoding, diagnostics) and in-flight frames survive ring changes. *)
 
   module Keys = Hashtbl.Make (Int)
 
+  (* A shard of one replica: the Lamport clock its updates are stamped
+     with, and how many entries of the keys homed in it the replica
+     holds. The entries themselves are in the key logs. *)
+  type shard = { clock : Lamport.t; mutable entries : int }
+
   type t = {
     ctx : message Protocol.ctx;
     map : map;
-    mutable instances : Inner.t option array;
+    mutable shards : shard option array;
     mutable epoch_seen : int;
-    outbox : (int * Inner.message) Queue.t;
-    keys : (One.update, A.state) Oplog.t Keys.t;
-        (* One op-log per key, holding the very entries the shard logs
-           hold: a keyed read replays its key's log alone. *)
+    mutable homed : Ring.t;
+        (* The map's ring at [epoch_seen]: every entry is counted in the
+           shard this ring routes its key to. *)
+    outbox : message Queue.t;
+    keys : (int * A.update, A.state) Oplog.t Keys.t;
+        (* The replica's one copy of every entry: an op-log per key, in
+           timestamp order. *)
   }
 
   let protocol_name = "sharded-universal"
 
-  let inner_ctx t s : Inner.message Protocol.ctx =
-    {
-      Protocol.pid = (s * t.ctx.Protocol.n) + t.ctx.Protocol.pid;
-      n = t.ctx.Protocol.n;
-      now = t.ctx.Protocol.now;
-      send = (fun ~dst m -> t.ctx.Protocol.send ~dst (s, m));
-      broadcast = (fun m -> Queue.add (s, m) t.outbox);
-      broadcast_batch =
-        (fun ms -> List.iter (fun m -> Queue.add (s, m) t.outbox) ms);
-      set_timer = t.ctx.Protocol.set_timer;
-      count_replay = t.ctx.Protocol.count_replay;
-      obs = t.ctx.Protocol.obs;
-    }
-
-  let instance t s =
-    if s >= Array.length t.instances then
-      t.instances <- grow_array t.instances (s + 1) None;
-    match t.instances.(s) with
-    | Some i -> i
+  let shard t s =
+    if s >= Array.length t.shards then
+      t.shards <- grow_array t.shards (s + 1) None;
+    match t.shards.(s) with
+    | Some sh -> sh
     | None ->
-      let i = Inner.create (inner_ctx t s) in
-      t.instances.(s) <- Some i;
-      i
+      let sh = { clock = Lamport.create (); entries = 0 } in
+      t.shards.(s) <- Some sh;
+      sh
 
-  let live_instances t =
+  let live_shards t =
     let acc = ref [] in
     Array.iteri
-      (fun s -> function Some i -> acc := (s, i) :: !acc | None -> ())
-      t.instances;
+      (fun s -> function Some sh -> acc := (s, sh) :: !acc | None -> ())
+      t.shards;
     List.rev !acc
 
   (* A key's log replays with the checkpoints and query cache of the
-     default core, and counts into the replica's op-log profile as the
-     shard logs do. *)
+     default core, and counts into the replica's op-log profile. *)
   let key_log t k =
     match Keys.find t.keys k with
     | log -> log
@@ -240,91 +233,58 @@ struct
       Keys.add t.keys k log;
       log
 
-  (* File an entry its shard log holds under its key too: the same
-     record, so the second log costs a slot, not an entry. Idempotent,
-     as the shard insert is. *)
-  let land_key t (e : One.update Oplog.entry) =
-    ignore (Oplog.insert (key_log t (fst e.Oplog.payload)) e : int)
-
-  (* The key logs as a function of the shard logs, after a catch-up
-     landed entries the replica lacked. *)
-  let rebuild_keys t =
-    Keys.reset t.keys;
-    Array.iter
-      (function
-        | Some inst ->
-          for i = 0 to Inner.log_length inst - 1 do
-            land_key t (Inner.log_entry inst i)
-          done
-        | None -> ())
-      t.instances
-
-  (* Matched, not [Option.iter]ed: a closure over the instance would be
+  (* Matched, not [Option.iter]ed: a closure over the shard would be
      allocated on every update and delivery, telemetry off or not. *)
   let set_log_gauge t s =
-    match t.instances.(s) with
-    | Some i when s < Array.length t.map.g.log_gauge -> (
+    match t.shards.(s) with
+    | Some sh when s < Array.length t.map.g.log_gauge -> (
       match t.map.g.log_gauge.(s) with
-      | Some g -> Obs.Registry.set g (float_of_int (Inner.log_length i))
+      | Some g -> Obs.Registry.set g (float_of_int sh.entries)
       | None -> ())
     | _ -> ()
 
-  (* A migration frame is exactly the churn catch-up snapshot of the
-     moved entries: the "UCS" replica frame [Persist] writes (clock +
-     "UCL" log), absorbed by the target through [IC.absorb]'s
-     timestamp-union merge. Shard moves ride the Join/Rejoin
-     machinery, they do not reimplement it. *)
-  let ucs_frame ~clock entries =
-    let log = Oplog.encode_list ~encode_update:OneC.encode entries in
-    let w = Codec.Writer.create ~size:(String.length log + 24) () in
-    String.iter (fun c -> Codec.Writer.u8 w (Char.code c)) "UCS";
-    Codec.Writer.u8 w 1;
-    Codec.Writer.varint w clock;
-    Codec.Writer.byte_string w log;
-    Codec.Writer.contents w
+  (* Line 9 and the insert, for an entry of any origin: the shard its
+     key routes to merges the entry's clock, and the entry is filed
+     under its key and counted in that shard unless the log held it
+     already (timestamps are unique run-wide, so an equal one is the
+     same update again). *)
+  let land_entry t (e : (int * A.update) Oplog.entry) =
+    let k = fst e.Oplog.payload in
+    let s = Ring.route t.map.ring k in
+    let sh = shard t s in
+    Lamport.merge sh.clock e.Oplog.ts.Timestamp.clock;
+    let log = key_log t k in
+    let before = Oplog.length log in
+    ignore (Oplog.insert log e : int);
+    sh.entries <- sh.entries + Oplog.length log - before;
+    set_log_gauge t s
 
+  (* A ring change re-homes the keys whose route moved. No entry moves:
+     each stays in its key's log. The key's entries are counted in its
+     new shard instead of its old one, and the new shard's clock passes
+     the key's last entry, so the next stamp there sorts after every
+     entry of the keys it took over. *)
   let migrate t =
     if t.epoch_seen <> t.map.epoch then begin
       t.epoch_seen <- t.map.epoch;
-      let ring = t.map.ring in
-      let by_target = Hashtbl.create 8 in
-      let moved_count = ref 0 in
-      List.iter
-        (fun (s, inst) ->
-          let keep, move =
-            List.partition
-              (fun (_, _, (k, _)) -> Ring.route ring k = s)
-              (Inner.local_log inst)
-          in
-          if move <> [] then begin
-            Inner.restore_log inst keep;
-            moved_count := !moved_count + List.length move;
-            List.iter
-              (fun ((_, _, (k, _)) as e) ->
-                let target = Ring.route ring k in
-                Hashtbl.replace by_target target
-                  (e
-                  :: Option.value ~default:[]
-                       (Hashtbl.find_opt by_target target)))
-              move
+      let homed = t.homed and ring = t.map.ring in
+      t.homed <- ring;
+      let moved = ref 0 and targets = ref [] in
+      Keys.iter
+        (fun k log ->
+          let from = Ring.route homed k and into = Ring.route ring k in
+          if from <> into then begin
+            let len = Oplog.length log in
+            let source = shard t from and target = shard t into in
+            source.entries <- source.entries - len;
+            target.entries <- target.entries + len;
+            Lamport.merge target.clock (Oplog.get log (len - 1)).Oplog.ts.Timestamp.clock;
+            moved := !moved + len;
+            if not (List.mem into !targets) then targets := into :: !targets
           end)
-        (live_instances t);
-      let targets =
-        Hashtbl.fold (fun s es acc -> (s, es) :: acc) by_target []
-        |> List.sort compare
-      in
-      List.iter
-        (fun (s, entries) ->
-          let clock =
-            List.fold_left
-              (fun acc (ts, _, _) -> max acc ts.Timestamp.clock)
-              0 entries
-          in
-          let absorbed = IC.absorb (instance t s) (ucs_frame ~clock entries) in
-          assert absorbed;
-          set_log_gauge t s)
-        targets;
-      if !moved_count > 0 then note_moved t.map !moved_count
+        t.keys;
+      List.iter (set_log_gauge t) !targets;
+      if !moved > 0 then note_moved t.map !moved
     end
 
   let force_migrate = migrate
@@ -369,10 +329,9 @@ struct
                  ops = m.g.ops_window.(s);
                  log =
                    (match
-                      (if s < Array.length t.instances then t.instances.(s)
-                       else None)
+                      (if s < Array.length t.shards then t.shards.(s) else None)
                     with
-                   | Some i -> Inner.log_length i
+                   | Some sh -> sh.entries
                    | None -> 0);
                }))
         ids;
@@ -407,8 +366,9 @@ struct
       {
         ctx;
         map;
-        instances = Array.make (Ring.max_id map.ring + 1) None;
+        shards = Array.make (Ring.max_id map.ring + 1) None;
         epoch_seen = map.epoch;
+        homed = map.ring;
         outbox = Queue.create ();
         keys = Keys.create 64;
       }
@@ -421,17 +381,22 @@ struct
     t
 
   (* A top-level loop over the keyed sub-updates: a [List.iter]
-     closure over [t] would be allocated on every update. *)
+     closure over [t] would be allocated on every update. Lines 5-6 per
+     sub-update: the shard its key routes to ticks its clock and stamps
+     the entry with the encoded identity [shard * n + pid]; the entry
+     lands at its key log's tail, since that clock passed every entry of
+     the shard's keys. *)
   let rec fan_out t = function
     | [] -> ()
     | ((k, _) as ku) :: rest ->
       let s = Ring.route t.map.ring k in
       note_op t.map s;
-      let inst = instance t s in
-      Inner.update inst ku ~on_done:ignore;
-      (* The clock it was stamped with passed every entry the shard
-         holds, so the entry landed at the tail. *)
-      land_key t (Inner.log_entry inst (Inner.log_length inst - 1));
+      let sh = shard t s in
+      let origin = (s * t.ctx.Protocol.n) + t.ctx.Protocol.pid in
+      let ts = Timestamp.make ~clock:(Lamport.tick sh.clock) ~pid:origin in
+      ignore (Oplog.insert (key_log t k) { Oplog.ts; origin; payload = ku } : int);
+      sh.entries <- sh.entries + 1;
+      Queue.add (s, { ts; update = ku }) t.outbox;
       set_log_gauge t s;
       fan_out t rest
 
@@ -441,15 +406,9 @@ struct
     flush t;
     on_done ()
 
-  (* One message of a frame: its entry is built once, landed in the
-     shard core its key routes to through the current ring (clock
-     merge and insert) and filed under its key. *)
-  let deliver t ~src (s_tag, m) =
-    let e = Inner.entry_of_message ~src:((s_tag * t.ctx.Protocol.n) + src) m in
-    let s = Ring.route t.map.ring (fst e.Oplog.payload) in
-    Inner.receive_entry (instance t s) e;
-    land_key t e;
-    set_log_gauge t s
+  let deliver t ~src (s_tag, { ts; update }) =
+    land_entry t
+      { Oplog.ts; origin = (s_tag * t.ctx.Protocol.n) + src; payload = update }
 
   let receive t ~src m =
     migrate t;
@@ -473,24 +432,24 @@ struct
       deliver_all t ~src msgs;
       flush t
 
-  let key_apply state ((_, u) : One.update) = A.apply state u
+  let key_apply state ((_, u) : int * A.update) = A.apply state u
 
-  (* Lines 14-17 for one key: replay its log alone, in the timestamp
-     order the shard log keeps. Keys apart from [k] never touch [k]'s
-     binding, so this is the shard fold's answer for [k]. *)
+  (* Lines 14-17 for one key: replay its log alone, in timestamp order.
+     Keys apart from [k] never touch [k]'s binding, so this is the
+     whole space's fold read at [k]. *)
   let replay_key t log =
     let state, steps = Oplog.replay log ~apply:key_apply ~initial:A.initial in
     t.ctx.Protocol.count_replay steps;
     state
 
-  (* Line 13: a query ticks the clock of every shard core it reads. *)
-  let tick inst = Inner.advance_clock inst (Inner.clock_value inst + 1)
+  (* Line 13: a query ticks the clock of every shard it reads. *)
+  let tick sh = ignore (Lamport.tick sh.clock : int)
 
   let query t q ~on_result =
     migrate t;
     match q with
     | K.Read (k, bq) ->
-      tick (instance t (Ring.route t.map.ring k));
+      tick (shard t (Ring.route t.map.ring k));
       let state =
         match Keys.find t.keys k with
         | log -> replay_key t log
@@ -498,7 +457,7 @@ struct
       in
       on_result (K.Out (A.eval state bq))
     | K.Sweep ->
-      List.iter (fun (_, inst) -> tick inst) (live_instances t);
+      Array.iter (function Some sh -> tick sh | None -> ()) t.shards;
       let merged =
         Keys.fold
           (fun k log acc -> Support.Int_map.add k (replay_key t log) acc)
@@ -506,71 +465,137 @@ struct
       in
       on_result (K.eval merged K.Sweep)
 
-  let message_wire_size (s, m) =
-    Wire.varint_size s + Inner.message_wire_size m
+  let keyed_wire_size (k, u) = Wire.varint_size k + A.update_wire_size u
 
-  let describe_message (s, m) =
-    Printf.sprintf "s%d:%s" s (Inner.describe_message m)
+  let message_wire_size (s, { ts; update }) =
+    Wire.varint_size s + Timestamp.wire_size ts + keyed_wire_size update
+
+  let describe_message (s, { ts; update = k, u }) =
+    Printf.sprintf "s%d:%s" s
+      (Format.asprintf "%d:=%a%a" k A.pp_update u Timestamp.pp ts)
 
   let log_length t =
-    List.fold_left (fun acc (_, i) -> acc + Inner.log_length i) 0
-      (live_instances t)
+    Array.fold_left
+      (fun acc -> function Some sh -> acc + sh.entries | None -> acc)
+      0 t.shards
 
   let metadata_bytes t =
-    List.fold_left (fun acc (_, i) -> acc + Inner.metadata_bytes i) 0
-      (live_instances t)
+    Keys.fold
+      (fun _ log acc -> acc + Oplog.footprint log ~payload_wire_size:keyed_wire_size)
+      t.keys 0
 
-  (* Proposition 4's witness, the timestamp-ordered update sequence, is
-     a merge of the per-shard logs, each sorted already: a k-way merge
-     reading them in place through [Inner.log_entry], O(entries x
-     shards). It runs back to front, so the list is built in order and
-     only the output is allocated. A timestamp tie (none arise: each
-     core stamps with its own identity) goes to the lower shard, where
-     a stable sort of the concatenated logs put it. *)
-  let certificate t =
-    migrate t;
-    let cores = Array.of_list (List.map snd (live_instances t)) in
-    let left = Array.map Inner.log_length cores in
-    let n = t.ctx.Protocol.n in
-    let last c = Inner.log_entry cores.(c) (left.(c) - 1) in
-    let rec merge acc =
-      let top = ref (-1) in
-      for c = 0 to Array.length cores - 1 do
-        if left.(c) > 0
-           && (!top < 0 || Timestamp.compare (last c).Oplog.ts (last !top).Oplog.ts >= 0)
-        then top := c
-      done;
-      if !top < 0 then acc
-      else begin
-        let e = last !top in
-        left.(!top) <- left.(!top) - 1;
-        merge ((e.Oplog.origin mod n, [ e.Oplog.payload ]) :: acc)
+  (* The key logs, each in timestamp order, merged from the top: [f]
+     folds over every entry the replica holds, latest first. The merge
+     is a max-heap of the key logs keyed by the timestamp of each one's
+     next entry down, cached in two int arrays so that a comparison
+     reads no entry: O(entries x log keys), and it allocates only its
+     arrays and what [f] does. ([Array.sort] and [Array.stable_sort]
+     allocate per element on this compiler.) *)
+  let fold_down t f init =
+    let count = Keys.length t.keys in
+    let logs = ref [||] and filled = ref 0 in
+    Keys.iter
+      (fun _ log ->
+        if !filled = 0 then logs := Array.make count log;
+        !logs.(!filled) <- log;
+        incr filled)
+      t.keys;
+    let logs = !logs in
+    let next = Array.map (fun log -> Oplog.length log - 1) logs in
+    let clock = Array.make count 0 and pid = Array.make count 0 in
+    let load j =
+      let ts = (Oplog.get logs.(j) next.(j)).Oplog.ts in
+      clock.(j) <- ts.Timestamp.clock;
+      pid.(j) <- ts.Timestamp.pid
+    in
+    let above a b =
+      clock.(a) > clock.(b) || (clock.(a) = clock.(b) && pid.(a) > pid.(b))
+    in
+    let heap = Array.init count Fun.id in
+    let rec sift size at =
+      let l = (2 * at) + 1 in
+      if l < size then begin
+        let c = if l + 1 < size && above heap.(l + 1) heap.(l) then l + 1 else l in
+        if above heap.(c) heap.(at) then begin
+          let x = heap.(at) in
+          heap.(at) <- heap.(c);
+          heap.(c) <- x;
+          sift size c
+        end
       end
     in
-    Some (merge [])
+    for j = 0 to count - 1 do
+      load j
+    done;
+    for at = (count / 2) - 1 downto 0 do
+      sift count at
+    done;
+    let rec drain size acc =
+      if size = 0 then acc
+      else begin
+        let j = heap.(0) in
+        let acc = f acc (Oplog.get logs.(j) next.(j)) in
+        next.(j) <- next.(j) - 1;
+        let size =
+          if next.(j) >= 0 then begin
+            load j;
+            size
+          end
+          else begin
+            heap.(0) <- heap.(size - 1);
+            size - 1
+          end
+        in
+        sift size 0;
+        drain size acc
+      end
+    in
+    drain count init
 
-  let shard_log_lengths t =
-    List.map (fun (s, i) -> (s, Inner.log_length i)) (live_instances t)
+  (* Proposition 4's witness, the timestamp-ordered update sequence:
+     the key logs' merge, built back to front, so the list comes out in
+     order and only the output is allocated, 9 words an entry (the
+     [(origin, [ku])] pair, the singleton batch, the cons). *)
+  let certificate t =
+    migrate t;
+    let n = t.ctx.Protocol.n in
+    Some (fold_down t (fun acc e -> (e.Oplog.origin mod n, [ e.Oplog.payload ]) :: acc) [])
+
+  (* Every shard's entries, (timestamp, origin, keyed update) in
+     timestamp order: the key logs' merge, dealt to the shards the keys
+     are homed in. *)
+  let shard_entries t =
+    let by_shard = Array.make (Array.length t.shards) [] in
+    fold_down t
+      (fun () { Oplog.ts; origin; payload } ->
+        let s = Ring.route t.homed (fst payload) in
+        by_shard.(s) <- (ts, origin, payload) :: by_shard.(s))
+      ();
+    by_shard
+
+  let shard_log_lengths t = List.map (fun (s, sh) -> (s, sh.entries)) (live_shards t)
 
   let shard_logs t =
-    List.map (fun (s, i) -> (s, Inner.local_log i)) (live_instances t)
+    let entries = shard_entries t in
+    List.map (fun (s, _) -> (s, entries.(s))) (live_shards t)
 
   let shard_clocks t =
-    List.map (fun (s, i) -> (s, Inner.clock_value i)) (live_instances t)
+    List.map (fun (s, sh) -> (s, Lamport.value sh.clock)) (live_shards t)
 
-  (* Churn catch-up over the whole space: the donor snapshots every
-     shard ("UCX": shard id + "UCS" frame each); the absorber merges
-     shard by shard through the same path migrations use. *)
+  (* Churn catch-up over the whole space: the donor writes every live
+     shard's "UCS" frame (its clock and its entries' "UCL" log frame)
+     into one "UCX" frame (shard id + "UCS" frame each). It migrates
+     first, so every entry of a frame routes to the shard it names. *)
   let snapshot t =
     migrate t;
-    let shards = live_instances t in
+    let entries = shard_entries t in
     let frames =
       List.map
-        (fun (s, inst) ->
-          match IC.snapshot inst with
-          | Some frame -> (s, frame)
-          | None -> assert false)
-        shards
+        (fun (s, sh) ->
+          ( s,
+            Persist.replica_frame ~clock:(Lamport.value sh.clock)
+              (Oplog.encode_list ~encode_update:OneC.encode entries.(s)) ))
+        (live_shards t)
     in
     let size =
       List.fold_left (fun a (_, f) -> a + String.length f + 16) 8 frames
@@ -586,16 +611,18 @@ struct
       frames;
     Some (Codec.Writer.contents w)
 
-  (* Every shard core is a [Generic.Make] log, which never compacts:
-     its stability watermark, at or below which it refuses an entry,
-     stays 0, in a live shard or a fresh one. *)
+  (* The key logs never compact: the stability watermark, at or below
+     which a log refuses an entry, stays 0. *)
   let watermark = 0
 
   (* All or nothing: every shard frame, read in place, is checked in
      full (a shard id the ring has allocated, then header, log walk,
      checksum, and no entry at or below the watermark) before any is
-     merged, so a refused UCX frame leaves every shard, and the set of
-     shards, as it was. *)
+     merged, so a refused UCX frame leaves every key log, every shard,
+     and the set of shards as it was. A frame's entries then land as
+     deliveries do, each under its key and in the shard its key routes
+     to, and the shard the frame names raises its clock to the
+     frame's. *)
   let absorb t bytes =
     migrate t;
     match
@@ -618,20 +645,21 @@ struct
       List.for_all
         (fun (s, frame) ->
           s <= Ring.max_id t.map.ring
-          && IC.frame_floor (Codec.Reader.fork frame) > watermark)
+          &&
+          let _, log = Persist.open_replica (Codec.Reader.fork frame) in
+          Oplog.frame_floor ~decode_update:OneC.decode log > watermark)
         frames
       && begin
-        let grew = ref false in
         List.iter
           (fun (s, frame) ->
-            let inst = instance t s in
-            let before = Inner.log_length inst in
-            let merged = IC.absorb_frame inst frame in
-            assert merged;
-            if Inner.log_length inst > before then grew := true;
+            let clock, log = Persist.open_replica frame in
+            let named = shard t s in
+            List.iter
+              (fun (ts, origin, payload) -> land_entry t { Oplog.ts; origin; payload })
+              (Oplog.decode_list ~decode_update:OneC.decode log);
+            Lamport.merge named.clock clock;
             set_log_gauge t s)
           frames;
-        if !grew then rebuild_keys t;
         true
       end
     with

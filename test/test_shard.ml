@@ -396,9 +396,9 @@ let certificate_merge =
       ignore (S.trigger_split map ~now:0.0 ~hot:(hottest map) : int);
       r.KR.certificates_agree && during && agree ())
 
-(* A lone replica over a fresh map of [shards] shards. *)
-let solo_space ~shards =
-  S.configure (S.create_map ~shards ());
+(* A lone replica over [map]. *)
+let solo map =
+  S.configure map;
   S.create
     {
       Protocol.pid = 0;
@@ -411,6 +411,8 @@ let solo_space ~shards =
       count_replay = ignore;
       obs = None;
     }
+
+let solo_space ~shards = solo (S.create_map ~shards ())
 
 (* Minor words per certificate entry of a replica holding [entries]
    single-key updates over 8 shards. *)
@@ -449,7 +451,9 @@ let reference_state r =
 (* The space with every query checked as it is answered: the answer
    against the reference fold, and the shard clocks against the old
    read path's, which ticked the routed shard's core once for a read
-   (creating it if need be) and every live core once for a sweep. *)
+   (creating it if need be) and every live core once for a sweep. And
+   after every migration and absorb, each shard's clock covers its
+   entries. *)
 module Checked = struct
   include Kept
 
@@ -461,8 +465,44 @@ module Checked = struct
 
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt
 
-  let query r q ~on_result =
+  (* What a migration and an absorb must leave: every shard's clock at
+     or above the clock of each entry it holds, so that the next stamp
+     there sorts after all of them. *)
+  let clocks_cover r =
+    let clocks = S.shard_clocks r in
+    List.iter
+      (fun (s, log) ->
+        let top = List.fold_left (fun acc (ts, _, _) -> max acc ts.Timestamp.clock) 0 log in
+        let c = List.assoc s clocks in
+        if c < top then fail "shard %d clock %d below its entries' %d" s c top)
+      (S.shard_logs r)
+
+  (* Every entry point migrates first; here the migration is checked
+     before the operation runs. *)
+  let migrated r =
     S.force_migrate r;
+    clocks_cover r
+
+  let update r u ~on_done =
+    migrated r;
+    S.update r u ~on_done
+
+  let receive r ~src m =
+    migrated r;
+    S.receive r ~src m
+
+  let receive_batch r ~src ms =
+    migrated r;
+    S.receive_batch r ~src ms
+
+  let absorb r bytes =
+    migrated r;
+    let merged = S.absorb r bytes in
+    clocks_cover r;
+    merged
+
+  let query r q ~on_result =
+    migrated r;
     let expected = S.K.eval (reference_state r) q in
     let before = S.shard_clocks r in
     let ticked =
@@ -617,6 +657,39 @@ let key_log_paths =
         (r.CR.metrics.Metrics.snapshots_absorbed >= 2);
       Alcotest.(check bool) "reads were checked" true (!Checked.reads > 20))
 
+(* An absorbed entry lands as a delivery does, under its key and in the
+   shard its key routes to, whatever shard its frame names; the named
+   shard's clock rises to the frame's. A frame [snapshot] writes names
+   the shard of every entry in it, so only a frame made by hand shows
+   the difference. *)
+let misnamed_frame =
+  Alcotest.test_case "an absorbed entry lands in its key's shard, not the frame's" `Quick
+    (fun () ->
+      let map = S.create_map ~shards:2 () in
+      let r = solo map in
+      let k = List.find (fun k -> Ring.route (S.ring map) k = 1) (List.init 64 Fun.id) in
+      let entry = (Timestamp.make ~clock:5 ~pid:3, 3, (k, Set_spec.Insert 3)) in
+      let module OneC = Keyed.One_codec (Set_spec) (Update_codec.For_set) in
+      let shard_frame =
+        Persist.replica_frame ~clock:9
+          (Oplog.encode_list ~encode_update:OneC.encode [ entry ])
+      in
+      let w = Codec.Writer.create () in
+      String.iter (fun c -> Codec.Writer.u8 w (Char.code c)) "UCX\x01";
+      Codec.Writer.varint w 1;
+      Codec.Writer.varint w 0;
+      Codec.Writer.byte_string w shard_frame;
+      Alcotest.(check bool) "absorbed" true (S.absorb r (Codec.Writer.contents w));
+      Alcotest.(check bool) "filed under the key's shard" true
+        (S.shard_logs r = [ (0, []); (1, [ entry ]) ]);
+      Alcotest.(check (list (pair int int))) "clocks: the frame's, the entry's"
+        [ (0, 9); (1, 5) ] (S.shard_clocks r);
+      let out = ref None in
+      S.query r (S.K.Read (k, Set_spec.Read)) ~on_result:(fun o -> out := Some o);
+      Alcotest.(check bool) "the key reads its entry" true
+        (S.K.equal_output (Option.get !out)
+           (S.K.eval (S.K.apply S.K.initial [ (k, Set_spec.Insert 3) ]) (S.K.Read (k, Set_spec.Read)))))
+
 let answered = ref None
 
 let keep_answer o = answered := Some o
@@ -676,5 +749,6 @@ let tests =
       key_log_differential;
       envelope_differential;
       key_log_paths;
+      misnamed_frame;
       keyed_read_guard;
     ]

@@ -284,6 +284,80 @@ let fold f init t =
   done;
   !acc
 
+(* The merge [fold_down_merged] runs: a loser tree over the logs. Leaf
+   [j] (node [k + j] of [k] leaves) stands for log [j]'s next entry
+   down, [next.(j)], whose timestamp is cached in [clock] and [pid] so
+   that a match reads no entry ([min_int] once the log is spent). Inner
+   node [n], with children [2n] and [2n + 1], keeps the loser of its
+   match, and node 0 the winner. *)
+type merge = { next : int array; clock : int array; pid : int array; tree : int array }
+
+let[@inline] beats m a b =
+  let ca = Array.unsafe_get m.clock a and cb = Array.unsafe_get m.clock b in
+  ca > cb || (ca = cb && Array.unsafe_get m.pid a > Array.unsafe_get m.pid b)
+
+let load m logs j =
+  let i = m.next.(j) in
+  if i < 0 then begin
+    m.clock.(j) <- min_int;
+    m.pid.(j) <- min_int
+  end
+  else begin
+    let ts = logs.(j).arr.(i).ts in
+    m.clock.(j) <- ts.Timestamp.clock;
+    m.pid.(j) <- ts.Timestamp.pid
+  end
+
+let fold_down_merged f init logs =
+  let k = Array.length logs in
+  let m =
+    {
+      next = Array.map (fun t -> t.len - 1) logs;
+      clock = Array.make k 0;
+      pid = Array.make k 0;
+      tree = Array.make (max 1 k) 0;
+    }
+  in
+  let winner = Array.make (2 * k) 0 in
+  let total = ref 0 in
+  for j = 0 to k - 1 do
+    total := !total + logs.(j).len;
+    load m logs j;
+    winner.(k + j) <- j
+  done;
+  for n = k - 1 downto 1 do
+    let a = winner.(2 * n) and b = winner.((2 * n) + 1) in
+    if beats m a b then begin
+      winner.(n) <- a;
+      m.tree.(n) <- b
+    end
+    else begin
+      winner.(n) <- b;
+      m.tree.(n) <- a
+    end
+  done;
+  if k > 0 then m.tree.(0) <- winner.(1);
+  let acc = ref init in
+  for _ = 1 to !total do
+    (* Take the winner's entry, then replay the matches on its leaf's
+       path against the log's next entry: one comparison a level. *)
+    let j = m.tree.(0) in
+    acc := f !acc logs.(j).arr.(m.next.(j));
+    m.next.(j) <- m.next.(j) - 1;
+    load m logs j;
+    let cand = ref j and n = ref ((k + j) / 2) in
+    while !n > 0 do
+      let l = Array.unsafe_get m.tree !n in
+      if beats m l !cand then begin
+        Array.unsafe_set m.tree !n !cand;
+        cand := l
+      end;
+      n := !n / 2
+    done;
+    m.tree.(0) <- !cand
+  done;
+  !acc
+
 let to_list t =
   List.init t.len (fun i ->
       let e = t.arr.(i) in

@@ -118,6 +118,15 @@ val insert_batch : ('u, 's) t -> 'u entry list -> int
 
 val fold : ('a -> 'u entry -> 'a) -> 'a -> ('u, 's) t -> 'a
 
+val fold_down_merged : ('a -> 'u entry -> 'a) -> 'a -> ('u, 's) t array -> 'a
+(** [fold_down_merged f init logs] folds [f] over the entries of all
+    [logs] in one timestamp order, latest first: a k-way merge read in
+    place, O(entries x log k). Beyond what [f] allocates it allocates
+    O(k) words of arrays, nothing per entry, so a list built by
+    prepending comes out in timestamp order at the cost of its cells.
+    Entries of distinct logs that share a timestamp come in an
+    unspecified order. *)
+
 val to_list : ('u, 's) t -> (Timestamp.t * int * 'u) list
 (** The log in timestamp order, in the triple shape the seed
     [local_log] API exposed — the compatibility view {!Persist} and the

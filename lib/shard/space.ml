@@ -484,73 +484,17 @@ struct
       (fun _ log acc -> acc + Oplog.footprint log ~payload_wire_size:keyed_wire_size)
       t.keys 0
 
-  (* The key logs, each in timestamp order, merged from the top: [f]
-     folds over every entry the replica holds, latest first. The merge
-     is a max-heap of the key logs keyed by the timestamp of each one's
-     next entry down, cached in two int arrays so that a comparison
-     reads no entry: O(entries x log keys), and it allocates only its
-     arrays and what [f] does. ([Array.sort] and [Array.stable_sort]
-     allocate per element on this compiler.) *)
+  (* The key logs merged from the top ({!Oplog.fold_down_merged}): [f]
+     folds over every entry the replica holds, latest first. *)
   let fold_down t f init =
-    let count = Keys.length t.keys in
     let logs = ref [||] and filled = ref 0 in
     Keys.iter
       (fun _ log ->
-        if !filled = 0 then logs := Array.make count log;
+        if !filled = 0 then logs := Array.make (Keys.length t.keys) log;
         !logs.(!filled) <- log;
         incr filled)
       t.keys;
-    let logs = !logs in
-    let next = Array.map (fun log -> Oplog.length log - 1) logs in
-    let clock = Array.make count 0 and pid = Array.make count 0 in
-    let load j =
-      let ts = (Oplog.get logs.(j) next.(j)).Oplog.ts in
-      clock.(j) <- ts.Timestamp.clock;
-      pid.(j) <- ts.Timestamp.pid
-    in
-    let above a b =
-      clock.(a) > clock.(b) || (clock.(a) = clock.(b) && pid.(a) > pid.(b))
-    in
-    let heap = Array.init count Fun.id in
-    let rec sift size at =
-      let l = (2 * at) + 1 in
-      if l < size then begin
-        let c = if l + 1 < size && above heap.(l + 1) heap.(l) then l + 1 else l in
-        if above heap.(c) heap.(at) then begin
-          let x = heap.(at) in
-          heap.(at) <- heap.(c);
-          heap.(c) <- x;
-          sift size c
-        end
-      end
-    in
-    for j = 0 to count - 1 do
-      load j
-    done;
-    for at = (count / 2) - 1 downto 0 do
-      sift count at
-    done;
-    let rec drain size acc =
-      if size = 0 then acc
-      else begin
-        let j = heap.(0) in
-        let acc = f acc (Oplog.get logs.(j) next.(j)) in
-        next.(j) <- next.(j) - 1;
-        let size =
-          if next.(j) >= 0 then begin
-            load j;
-            size
-          end
-          else begin
-            heap.(0) <- heap.(size - 1);
-            size - 1
-          end
-        in
-        sift size 0;
-        drain size acc
-      end
-    in
-    drain count init
+    Oplog.fold_down_merged f init !logs
 
   (* Proposition 4's witness, the timestamp-ordered update sequence:
      the key logs' merge, built back to front, so the list comes out in

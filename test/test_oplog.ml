@@ -1,8 +1,9 @@
 (* QCheck properties for the shared oplog substrate (lib/core/oplog.ml):
    insertion of any permutation equals the timestamp sort, checkpointed
    replay at every interval equals the full replay, compaction folds
-   exactly the stable prefix, and the persistence codec round-trips at
-   its declared wire size. *)
+   exactly the stable prefix, a merge of several logs is the timestamp
+   sort, and the persistence codec round-trips at its declared wire
+   size. *)
 
 open Helpers
 
@@ -238,6 +239,23 @@ let tests =
         insert_all log entries;
         Oplog.length log = List.length entries
         && Oplog.to_list log = by_timestamp entries);
+    qtest ~count:300 "a merge of logs from the top equals the timestamp sort" seed_gen
+      (fun seed ->
+        let rng = Prng.create seed in
+        let entries = entry_batch rng in
+        let logs = Array.init (Prng.int rng 12) (fun _ -> Oplog.create ()) in
+        if Array.length logs > 0 then
+          List.iter
+            (fun (ts, origin, payload) ->
+              let log = logs.(Prng.int rng (Array.length logs)) in
+              ignore (Oplog.insert log { Oplog.ts; origin; payload } : int))
+            entries;
+        let merged =
+          Oplog.fold_down_merged
+            (fun acc { Oplog.ts; origin; payload } -> (ts, origin, payload) :: acc)
+            [] logs
+        in
+        merged = by_timestamp (if Array.length logs = 0 then [] else entries));
     Alcotest.test_case "above-tail, tail-duplicate and just-below-tail inserts" `Quick
       edge_inserts;
     qtest ~count:300 "insert returns the landing position" seed_gen (fun seed ->

@@ -461,12 +461,17 @@ let compact t ~upto_clock ~apply snapshot =
     (!state, stop)
   end
 
+(* A loop, not a [fold]: its closure over [payload_wire_size] would be
+   allocated on every call, once per key log on the sharded space. *)
 let footprint t ~payload_wire_size =
-  fold
-    (fun acc e ->
-      acc + Timestamp.wire_size e.ts + Wire.varint_size e.origin
-      + payload_wire_size e.payload)
-    0 t
+  let bytes = ref 0 in
+  for i = 0 to t.len - 1 do
+    let e = t.arr.(i) in
+    bytes :=
+      !bytes + Timestamp.wire_size e.ts + Wire.varint_size e.origin
+      + payload_wire_size e.payload
+  done;
+  !bytes
 
 (* Codec: byte-for-byte the frame the seed Persist wrote. *)
 

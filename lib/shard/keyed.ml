@@ -1,41 +1,10 @@
 module Int_map = Support.Int_map
 
-(* Plumbing over the keyed state [A.state Int_map.t]: absent
-   keys are at [A.initial], and bindings that return to [A.initial]
-   are kept (an explicit binding and an absent one are equal states —
-   [equal_state] and [pp_state] normalise). *)
-module Common (A : Uqadt.S) = struct
-  let initial : A.state Int_map.t = Int_map.empty
-
-  let get m k = match Int_map.find_opt k m with Some s -> s | None -> A.initial
-
-  let apply_one m (k, u) = Int_map.add k (A.apply (get m k) u) m
-
-  let significant m =
-    Int_map.filter (fun _ s -> not (A.equal_state s A.initial)) m
-
-  let equal_state a b =
-    Int_map.equal A.equal_state (significant a) (significant b)
-
-  let pp_state ppf m =
-    let bs = Int_map.bindings (significant m) in
-    Format.fprintf ppf "{@[%a@]}"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-         (fun ppf (k, s) -> Format.fprintf ppf "%d: %a" k A.pp_state s))
-      bs
-
-  let equal_keyed_update (k1, u1) (k2, u2) = k1 = k2 && A.equal_update u1 u2
-
-  let pp_keyed_update ppf (k, u) = Format.fprintf ppf "%d:=%a" k A.pp_update u
-
-  let keyed_update_wire_size (k, u) =
-    Wire.varint_size k + A.update_wire_size u
-end
-
+(* The keyed state is [A.state Int_map.t]: absent keys are at
+   [A.initial], and bindings that return to [A.initial] are kept (an
+   explicit binding and an absent one are equal states — [equal_state]
+   and [pp_state] normalise). *)
 module Batch (A : Uqadt.S) = struct
-  module C = Common (A)
-
   type read = Read of int * A.query | Sweep
 
   type answer = Out of A.output | States of (int * A.state) list
@@ -46,21 +15,32 @@ module Batch (A : Uqadt.S) = struct
   type output = answer
 
   let name = A.name ^ "@space"
-  let initial = C.initial
-  let apply m kus = List.fold_left C.apply_one m kus
+  let initial = Int_map.empty
 
-  let eval_key m k q = A.eval (C.get m k) q
+  let get m k = match Int_map.find_opt k m with Some s -> s | None -> A.initial
 
-  let sweep m = Int_map.bindings (C.significant m)
+  let apply_one m (k, u) = Int_map.add k (A.apply (get m k) u) m
+
+  let apply m kus = List.fold_left apply_one m kus
+
+  let eval_key m k q = A.eval (get m k) q
+
+  let significant m =
+    Int_map.filter (fun _ s -> not (A.equal_state s A.initial)) m
+
+  let sweep m = Int_map.bindings (significant m)
 
   let eval m = function
     | Read (k, q) -> Out (eval_key m k q)
     | Sweep -> States (sweep m)
 
-  let equal_state = C.equal_state
+  let equal_state a b =
+    Int_map.equal A.equal_state (significant a) (significant b)
+
+  let equal_keyed_update (k1, u1) (k2, u2) = k1 = k2 && A.equal_update u1 u2
 
   let equal_update a b =
-    List.length a = List.length b && List.for_all2 C.equal_keyed_update a b
+    List.length a = List.length b && List.for_all2 equal_keyed_update a b
 
   let equal_query a b =
     match (a, b) with
@@ -80,13 +60,22 @@ module Batch (A : Uqadt.S) = struct
     | States l1, States l2 -> equal_states l1 l2
     | _ -> false
 
-  let pp_state = C.pp_state
+  let pp_bindings ppf bs =
+    Format.fprintf ppf "{@[%a@]}"
+      (Format.pp_print_list
+         ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
+         (fun ppf (k, s) -> Format.fprintf ppf "%d: %a" k A.pp_state s))
+      bs
+
+  let pp_state ppf m = pp_bindings ppf (sweep m)
+
+  let pp_keyed_update ppf (k, u) = Format.fprintf ppf "%d:=%a" k A.pp_update u
 
   let pp_update ppf kus =
     Format.fprintf ppf "[@[%a@]]"
       (Format.pp_print_list
          ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ")
-         C.pp_keyed_update)
+         pp_keyed_update)
       kus
 
   let pp_query ppf = function
@@ -95,16 +84,13 @@ module Batch (A : Uqadt.S) = struct
 
   let pp_output ppf = function
     | Out o -> A.pp_output ppf o
-    | States l ->
-      Format.fprintf ppf "{@[%a@]}"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-           (fun ppf (k, s) -> Format.fprintf ppf "%d: %a" k A.pp_state s))
-        l
+    | States l -> pp_bindings ppf l
 
   let update_wire_size kus =
-    Wire.varint_size (List.length kus)
-    + List.fold_left (fun acc ku -> acc + C.keyed_update_wire_size ku) 0 kus
+    List.fold_left
+      (fun acc (k, u) -> acc + Wire.varint_size k + A.update_wire_size u)
+      (Wire.varint_size (List.length kus))
+      kus
 
   let commutative = A.commutative
 

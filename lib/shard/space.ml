@@ -243,21 +243,23 @@ struct
       | None -> ())
     | _ -> ()
 
-  (* Line 9 and the insert, for an entry of any origin: the shard its
-     key routes to merges the entry's clock, and the entry is filed
-     under its key and counted in that shard unless the log held it
-     already (timestamps are unique run-wide, so an equal one is the
-     same update again). *)
-  let land_entry t (e : (int * A.update) Oplog.entry) =
-    let k = fst e.Oplog.payload in
-    let s = Ring.route t.map.ring k in
-    let sh = shard t s in
-    Lamport.merge sh.clock e.Oplog.ts.Timestamp.clock;
-    let log = key_log t k in
+  (* File an entry under its key, counted in shard [s] unless the key's
+     log held it already: timestamps are unique run-wide, so an equal
+     one is the same update again. *)
+  let file t s sh (e : (int * A.update) Oplog.entry) =
+    let log = key_log t (fst e.Oplog.payload) in
     let before = Oplog.length log in
     ignore (Oplog.insert log e : int);
     sh.entries <- sh.entries + Oplog.length log - before;
     set_log_gauge t s
+
+  (* Line 9 and the insert, for an entry of any origin: the shard its
+     key routes to merges the entry's clock and counts the entry. *)
+  let land_entry t e =
+    let s = Ring.route t.map.ring (fst e.Oplog.payload) in
+    let sh = shard t s in
+    Lamport.merge sh.clock e.Oplog.ts.Timestamp.clock;
+    file t s sh e
 
   (* A ring change re-homes the keys whose route moved. No entry moves:
      each stays in its key's log. The key's entries are counted in its
@@ -269,7 +271,7 @@ struct
       t.epoch_seen <- t.map.epoch;
       let homed = t.homed and ring = t.map.ring in
       t.homed <- ring;
-      let moved = ref 0 and targets = ref [] in
+      let moved = ref 0 in
       Keys.iter
         (fun k log ->
           let from = Ring.route homed k and into = Ring.route ring k in
@@ -280,10 +282,9 @@ struct
             target.entries <- target.entries + len;
             Lamport.merge target.clock (Oplog.get log (len - 1)).Oplog.ts.Timestamp.clock;
             moved := !moved + len;
-            if not (List.mem into !targets) then targets := into :: !targets
+            set_log_gauge t into
           end)
         t.keys;
-      List.iter (set_log_gauge t) !targets;
       if !moved > 0 then note_moved t.map !moved
     end
 
@@ -394,10 +395,8 @@ struct
       let sh = shard t s in
       let origin = (s * t.ctx.Protocol.n) + t.ctx.Protocol.pid in
       let ts = Timestamp.make ~clock:(Lamport.tick sh.clock) ~pid:origin in
-      ignore (Oplog.insert (key_log t k) { Oplog.ts; origin; payload = ku } : int);
-      sh.entries <- sh.entries + 1;
+      file t s sh { Oplog.ts; origin; payload = ku };
       Queue.add (s, { ts; update = ku }) t.outbox;
-      set_log_gauge t s;
       fan_out t rest
 
   let update t kus ~on_done =

@@ -1,64 +1,58 @@
-(** The sharded object space: a {!Protocol.PROTOCOL} whose replicas run
-    one Algorithm 1 core {e per shard} — per-shard {!Oplog}s, per-shard
-    Lamport clocks — behind a shared consistent-hash {!Ring}.
+(** The sharded object space: a {!Protocol.PROTOCOL} whose replicas
+    keep one {!Oplog} per key, the one copy of every entry, and per
+    shard a Lamport clock and an entry count, behind a shared
+    consistent-hash {!Ring}.
 
     Routing is by key through the {e current} ring on every operation
     and every delivery, so in-flight frames stay correct across ring
-    changes. A multi-key update fans its keyed sub-updates out to their
-    shards and flushes all resulting frames as {e one} envelope through
+    changes. An update ticks the clock of the shard each keyed
+    sub-update routes to, stamps the entry, files it under its key, and
+    flushes all resulting frames as {e one} envelope through
     [ctx.broadcast_batch], so a cross-shard batch costs one frame per
-    destination.
+    destination. A delivery merges the routed shard's clock with the
+    entry's and files the entry under its key, counting it in that
+    shard unless the key's log held it already.
 
     Timestamps stay unique run-wide — the invariant {!Oplog.insert}'s
-    idempotence rests on — because each shard core stamps with the
-    encoded identity [shard * n + pid]: no two cores anywhere share a
-    (clock, pid) source, so log entries can migrate between shards
-    without ever colliding.
+    idempotence rests on — because each shard stamps with the encoded
+    identity [shard * n + pid]: no two shards anywhere share a
+    (clock, pid) source.
 
     {b Rebalancing.} The shared map counts update routings per shard
     (the op-rate gauges); a policy timer splits the hottest shard —
     {!Ring.split}, disturbing no other shard — and bumps the map epoch.
-    Each replica migrates lazily at its next event: entries whose key
-    no longer routes to their shard are re-homed through the same
-    snapshot frames and timestamp-union merge ({!Persist.Catchup}) that
-    churn Join/Rejoin catch-up rides, so a migration is just a replica
-    absorbing a snapshot of itself. With no policy the ring is static
-    and replicas never share mutable state beyond the (atomic-free,
-    monotone) op counters — safe for the parallel engine.
+    Each replica migrates lazily at its next event, and a migration
+    moves no entry: a key whose route changed has its entries counted
+    in its new shard instead of its old one, and the new shard's clock
+    passes the key's last entry, so the next stamp there sorts after
+    every entry of the keys it took over. With no policy the ring is
+    static and replicas never share mutable state beyond the
+    (atomic-free, monotone) op counters — safe for the parallel engine.
 
-    {b Key logs.} Beside its shard cores a replica keeps one {!Oplog}
-    per key, holding the very entries the shard logs hold (the same
-    records, so a second log costs a slot per entry). An update files
-    the entry its shard core just stamped, which sits at the shard
-    tail; a delivery ([receive], [receive_batch]) builds each message's
-    entry once ({!Generic.S.entry_of_message}) and lands it in the
-    shard core ({!Generic.S.receive_entry}) and in its key's log; an
-    [absorb] that landed anything rebuilds the key logs from the shard
-    logs; a migration moves entries between shards, never between
-    keys, and leaves the key logs alone. A keyed read [Read (k, q)]
-    ticks the Lamport clock of the shard [k] routes to, exactly as a
-    query of that shard core would, then replays [k]'s log alone,
-    with that log's own checkpoints and query cache at
-    {!Generic.default}'s interval; [Sweep] ticks every live shard and
-    replays every key log. The shard logs themselves are never
-    replayed. The replay steps a query reports through
-    [ctx.count_replay] are key-log folds. Key logs share the
-    replica's op-log profile, so with telemetry on every delivered
-    entry counts as two inserts.
+    {b Reads.} A keyed read [Read (k, q)] ticks the clock of the shard
+    [k] routes to, then replays [k]'s log alone, with that log's own
+    checkpoints and query cache at {!Generic.default}'s interval;
+    [Sweep] ticks every live shard and replays every key log. The
+    replay steps a query reports through [ctx.count_replay] are key-log
+    folds. Key logs share the replica's op-log profile.
 
-    {b Certificate.} [certificate] is a k-way merge of the per-shard
-    logs, each already timestamp-sorted, read in place through
-    {!Generic.S.log_entry}: O(entries x shards), and only the output
-    allocated — 9 words an entry (the [(origin, [ku])] pair, the
-    singleton batch, the cons). A timestamp tie, which unique shard
-    identities rule out, would go to the lower shard.
+    {b Certificate.} [certificate] merges the key logs from the top
+    ({!Oplog.fold_down_merged}): O(entries x log keys), allocating 9
+    words an entry (the [(origin, [ku])] pair, the singleton batch, the
+    cons) and O(keys) words of arrays.
 
-    {b Catch-up.} [snapshot] writes every shard's "UCS" frame into one
-    "UCX" frame; [absorb] is all-or-nothing: it checks every shard
+    {b Catch-up.} [snapshot] migrates first, then writes every live
+    shard's "UCS" frame ({!Persist.replica_frame}: the shard's clock and
+    the "UCL" frame of its keys' entries in timestamp order) into one
+    "UCX" frame, so every entry of a frame it writes routes to the shard
+    the frame names. [absorb] is all-or-nothing: it checks every shard
     frame in full, in place (a shard id the ring has allocated, the
-    header, the log walk and checksum, no entry at or below the shard
-    core's watermark) before merging any, so a refused frame leaves
-    every shard, its clock, and the set of shards as they were. *)
+    header, the log walk and checksum, no entry at or below the key
+    logs' watermark, which stays 0) before merging any, so a refused
+    frame leaves every key log, every shard clock, and the set of
+    shards as they were. It then lands each entry as a delivery does —
+    under its key, in the shard its key routes to, whatever shard the
+    frame names — and raises the named shard's clock to the frame's. *)
 
 module Make
     (A : Uqadt.S)
@@ -98,7 +92,7 @@ module Make
   val rebalances : map -> int
 
   val moved_entries : map -> int
-  (** Log entries re-homed by migrations, across all replicas. *)
+  (** Entries of the keys re-homed by migrations, across all replicas. *)
 
   val shard_ops : map -> (int * int) list
   (** Cumulative updates routed to each shard, sorted by shard id. *)
@@ -122,13 +116,14 @@ module Make
        and type output = K.output
 
   val shard_log_lengths : t -> (int * int) list
-  (** Per-shard log lengths of this replica, sorted by shard id
+  (** Per-shard entry counts of this replica, sorted by shard id
       (created shards only). *)
 
   val shard_logs : t -> (int * (Timestamp.t * int * (int * A.update)) list) list
-  (** Per-shard inner logs (timestamp, encoded origin, keyed update) —
-      the per-shard Proposition 4 differential compares these across
-      replicas. *)
+  (** Per-shard logs (timestamp, encoded origin, keyed update), sorted
+      by shard id: the entries of the keys homed in each shard, merged
+      in timestamp order. The per-shard Proposition 4 differential
+      compares these across replicas. *)
 
   val shard_clocks : t -> (int * int) list
   (** Per-shard Lamport clocks of this replica, sorted by shard id

@@ -21,10 +21,12 @@
      concatenated shard logs, over runs with splits and migrations,
      and its words per entry flat in the log length;
    - the per-key logs: every keyed read and sweep against the fold of
-     the shard logs, and every shard clock against one tick per read,
-     over random runs with splits, migrations and both kinds of
-     absorb; and a keyed read allocating only what its key's new
-     entries apply, however full its shard. *)
+     the shard logs, every shard clock against one tick per read, and
+     every shard clock covering its entries after each migration and
+     absorb, over random runs with splits, migrations and both kinds
+     of absorb; an absorbed entry landing in its key's shard whatever
+     shard its frame names; and a keyed read allocating only what its
+     key's new entries apply, however full its shard. *)
 
 module S = Space.Make (Set_spec) (Update_codec.For_set)
 module B = Throughput.Sharded (Set_spec) (Update_codec.For_set)

@@ -786,49 +786,39 @@ let ucx_mutated seed =
     && shard_clocks x = shard_clocks y
   | Some shards ->
     let route (_, _, (k, _)) = Ring.route (S.ring map) k in
-    let by_shard l = List.sort (fun (a, _) (b, _) -> compare a b) l in
-    let update s f l = (s, f (List.assoc_opt s l)) :: List.remove_assoc s l in
+    let decoded = List.concat_map (fun (_, (_, log)) -> log) shards in
+    (* What x must hold: y's entries and the decoded ones, each kept
+       unless its key holds its timestamp already. *)
     let held = Hashtbl.create 64 in
-    let logs =
-      List.fold_left
-        (fun logs ((ts, _, (k, _)) as e) ->
-          let into = update (route e) (Option.value ~default:[]) logs in
-          if Hashtbl.mem held (k, ts) then into
-          else begin
-            Hashtbl.replace held (k, ts) ();
-            update (route e) (fun l -> e :: Option.get l) into
-          end)
-        (List.map (fun (s, _) -> (s, [])) (S.shard_logs y))
-        (List.concat_map snd (S.shard_logs y) @ List.concat_map (fun (_, (_, l)) -> l) shards)
+    let fresh (ts, _, (k, _)) =
+      (not (Hashtbl.mem held (k, ts))) && (Hashtbl.replace held (k, ts) (); true)
     in
-    let logs =
-      List.fold_left (fun logs (s, _) -> update s (Option.value ~default:[]) logs) logs shards
+    let kept = List.filter fresh (List.concat_map snd (S.shard_logs y) @ decoded) in
+    let live =
+      List.sort_uniq compare
+        (List.map fst (shard_clocks y) @ List.map fst shards @ List.map route decoded)
     in
-    let clocks =
-      List.fold_left
-        (fun clocks (s, (clock, log)) ->
-          List.fold_left
-            (fun clocks ((ts, _, _) as e) ->
-              update (route e) (fun v -> max (Option.value v ~default:0) ts.Timestamp.clock) clocks)
-            (update s (fun v -> max (Option.value v ~default:0) clock) clocks)
-            log)
-        (shard_clocks y) shards
+    let clock s =
+      List.fold_left max
+        (Option.value ~default:0 (List.assoc_opt s (shard_clocks y)))
+        (List.filter_map (fun (s', (c, _)) -> if s' = s then Some c else None) shards
+        @ List.filter_map
+            (fun ((ts, _, _) as e) -> if route e = s then Some ts.Timestamp.clock else None)
+            decoded)
     in
     (* Entries of distinct keys that share a timestamp (a damaged frame
        can hold them) have no order between them: each shard's entries
        are compared as a set, and checked to ascend. *)
     let as_set (s, l) = (s, List.sort compare l) in
-    let ascending (_, l) =
-      let rec go = function
-        | (a, _, _) :: ((b, _, _) :: _ as rest) -> Timestamp.compare a b <= 0 && go rest
-        | _ -> true
-      in
-      go l
+    let rec ascending = function
+      | (a, _, _) :: ((b, _, _) :: _ as rest) -> Timestamp.compare a b <= 0 && ascending rest
+      | _ -> true
     in
     merged
-    && List.for_all ascending (S.shard_logs x)
-    && List.map as_set (S.shard_logs x) = List.map as_set (by_shard logs)
-    && shard_clocks x = by_shard clocks
+    && List.for_all (fun (_, l) -> ascending l) (S.shard_logs x)
+    && List.map as_set (S.shard_logs x)
+       = List.map (fun s -> as_set (s, List.filter (fun e -> route e = s) kept)) live
+    && shard_clocks x = List.map (fun s -> (s, clock s)) live
 
 let tests =
   per_core "absorb matches the whole-log rebuild" 60 differential

@@ -298,8 +298,9 @@ end
 
 module Sharded_set = Space.Make (Set_spec) (Update_codec.For_set)
 
-(* The sharded object space on the set: one Algorithm 1 core per shard
-   behind a consistent-hash ring, fed a Zipf-skewed multi-key stream. *)
+(* The sharded object space on the set: a Lamport clock per shard and
+   a log per key behind a consistent-hash ring, fed a Zipf-skewed
+   multi-key stream. *)
 module Sharded_object = struct
   include Sharded_set.K
 
@@ -397,7 +398,7 @@ let run_universal_on (module A : Registry.SPEC) sinks ob spec =
     (module Spec_object (A))
     sinks ob spec
 
-(* The sharded object space: --shards 1 degenerates to a single core
+(* The sharded object space: --shards 1 degenerates to a single shard
    holding every key; --rebalance arms the hot-shard split policy. The
    shard map reports into the telemetry bundle, and a soak's sampler
    watches the ring: cumulative and per-tick op rates for every shard,
@@ -615,9 +616,10 @@ let shards_arg =
     & opt int Run_spec.default.shards
     & info [ "shards" ] ~docv:"S"
         ~doc:
-          "Initial shard count for the $(b,sharded) protocol: one \
-           Algorithm 1 core per shard behind a consistent-hash ring. 1 \
-           (the default) keeps every key in a single core.")
+          "Initial shard count for the $(b,sharded) protocol: each \
+           shard stamps its keys' updates with its own Lamport clock, \
+           behind a consistent-hash ring. 1 (the default) keeps every \
+           key in a single shard.")
 
 let keys_arg =
   Arg.(

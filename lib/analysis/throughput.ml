@@ -625,15 +625,15 @@ let emit_shard_json path rows =
   output_string oc "]\n";
   close_out oc
 
-(* The same oracle, shard-aware: the space runs one Algorithm 1 core
-   per shard, so Proposition 4 applies {e per shard} — after
-   quiescence every replica must hold, for every shard, the identical
-   timestamp-sorted inner log; the ω sweep must equal the keyed fold
-   of the union of those logs; and the whole-space snapshot/absorb
-   path (the one churn catch-up and shard migration ride) must restore
-   a fresh replica to the same answer. Conservation counts {e keyed}
-   sub-updates: one client batch of width w contributes w inner log
-   entries, spread across the shards its keys route to. *)
+(* The same oracle, shard-aware: each shard stamps its keys' updates
+   with its own Lamport clock, so Proposition 4 applies {e per shard} —
+   after quiescence every replica must hold, for every shard, the
+   identical timestamp-sorted log of its keys' entries; the ω sweep
+   must equal the keyed fold of the union of those logs; and the
+   whole-space snapshot/absorb path (the one churn catch-up rides) must
+   restore a fresh replica to the same answer. Conservation counts
+   {e keyed} sub-updates: one client batch of width w contributes w
+   log entries, spread across the shards its keys route to. *)
 module Sharded
     (A : Uqadt.S)
     (C : Update_codec.S with type update = A.update) =

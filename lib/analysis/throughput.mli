@@ -202,14 +202,14 @@ type shard_row = {
 
 val emit_shard_json : string -> shard_row list -> unit
 
-(** The Proposition 4 differential, shard-aware: the {!Space} runs one
-    Algorithm 1 core per shard, so after a parallel run quiesces every
-    replica must hold, {e for every shard}, the identical
-    timestamp-sorted inner log; every ω sweep must equal the keyed fold
-    of the union of those logs; the whole-space snapshot/absorb path
-    (churn catch-up, shard migration) must restore a fresh replica to
-    the same answer; and the union must hold exactly the keyed
-    sub-updates the clients issued. *)
+(** The Proposition 4 differential, shard-aware: each shard of the
+    {!Space} stamps its keys' updates with its own Lamport clock, so
+    after a parallel run quiesces every replica must hold, {e for every
+    shard}, the identical timestamp-sorted log of its keys' entries;
+    every ω sweep must equal the keyed fold of the union of those logs;
+    the whole-space snapshot/absorb path (churn catch-up) must restore
+    a fresh replica to the same answer; and the union must hold exactly
+    the keyed sub-updates the clients issued. *)
 module Sharded
     (A : Uqadt.S)
     (C : Update_codec.S with type update = A.update) : sig

@@ -451,11 +451,10 @@ let reference_state r =
   |> List.fold_left (fun m (_, _, ku) -> S.K.apply m [ ku ]) S.K.initial
 
 (* The space with every query checked as it is answered: the answer
-   against the reference fold, and the shard clocks against the old
-   read path's, which ticked the routed shard's core once for a read
-   (creating it if need be) and every live core once for a sweep. And
-   after every migration and absorb, each shard's clock covers its
-   entries. *)
+   against the reference fold, and the shard clocks against line 13,
+   one tick of the routed shard for a read (creating it if need be)
+   and of every live shard for a sweep. And after every migration and
+   absorb, each shard's clock covers its entries. *)
 module Checked = struct
   include Kept
 
@@ -528,7 +527,7 @@ module Checked = struct
             if c <> want then fail "shard %d clock %d after %s, want %d" s c
                 (Format.asprintf "%a" S.K.pp_query q) want)
           after;
-        if List.length after < List.length before then fail "a shard core vanished";
+        if List.length after < List.length before then fail "a shard vanished";
         on_result out)
 end
 

@@ -21,7 +21,7 @@
    `--smoke` runs only the calibration scope (CI budget). *)
 
 module P = Generic.Make (Counter_spec)
-module M = Model_check.Make (P)
+module M = Explore.Make (P)
 module Snap = Snapshot.For_generic (Counter_spec) (Update_codec.For_counter)
 
 let scripts n ops : (Counter_spec.update, Counter_spec.query) Protocol.invocation list array =

@@ -144,7 +144,7 @@ let test_modelcheck =
     [
       Test.make ~name:"universal-3upd"
         (Staged.stage (fun () ->
-             let module M = Model_check.Make (Uni_set) in
+             let module M = Explore.Make (Uni_set) in
              let scripts =
                [|
                  [ Protocol.Invoke_update (Set_spec.Insert 1);

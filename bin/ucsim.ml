@@ -990,7 +990,7 @@ let modelcheck_cmd =
       let spec = { Run_spec.default with log_core; checkpoint_interval } in
       check_spec ~cmd:"modelcheck" (Sequential spec);
       let module G = (val universal spec (module A)) in
-      let module M = Model_check.Make (G) in
+      let module M = Explore.Make (G) in
       let module S = Snapshot.For_replica (A) (A.Codec) (G) in
       let snapshot = if checkpoint > 0 || dedup then Some S.snapshotter else None in
       (* Timestamp-blind state keys are sound only for commutative specs. *)
@@ -1012,7 +1012,7 @@ let modelcheck_cmd =
         Printf.eprintf "modelcheck: --dedup needs a replica snapshot (universal/counter only)\n";
         exit 1
       end;
-      let module M = Model_check.Make (P) in
+      let module M = Explore.Make (P) in
       let r =
         M.explore ~limit ~max_crashes ~por ~domains ~scripts:race
           ~final_read:Set_spec.Read ()

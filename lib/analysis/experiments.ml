@@ -162,11 +162,11 @@ let prop4_modelcheck () =
         string_of_int (List.assoc Criteria.EC failures);
       ]
   in
-  (let module M = Model_check.Make (Uni_set) in
+  (let module M = Explore.Make (Uni_set) in
    let r = M.explore ~scripts:race ~final_read:Set_spec.Read () in
    row "universal (Alg.1)" "set" ~executions:r.M.executions ~exhaustive:r.M.exhaustive
      ~failures:r.M.failures);
-  (let module M = Model_check.Make (Lww_memory) in
+  (let module M = Explore.Make (Lww_memory) in
    let scripts =
      [|
        [ Protocol.Invoke_update (Memory_spec.Write (0, 1));
@@ -177,7 +177,7 @@ let prop4_modelcheck () =
    let r = M.explore ~scripts ~final_read:(Memory_spec.Read 0) () in
    row "lww-memory (Alg.2)" "memory" ~executions:r.M.executions ~exhaustive:r.M.exhaustive
      ~failures:r.M.failures);
-  (let module M = Model_check.Make (Fast_counter) in
+  (let module M = Explore.Make (Fast_counter) in
    let scripts =
      [|
        [ Protocol.Invoke_update (Counter_spec.Add 2);
@@ -188,7 +188,7 @@ let prop4_modelcheck () =
    let r = M.explore ~scripts ~final_read:Counter_spec.Value () in
    row "crdt-fastpath" "counter" ~executions:r.M.executions ~exhaustive:r.M.exhaustive
      ~failures:r.M.failures);
-  (let module M = Model_check.Make (Pipe_set) in
+  (let module M = Explore.Make (Pipe_set) in
    let r = M.explore ~scripts:race ~final_read:Set_spec.Read () in
    row "pipelined (counterexample)" "set" ~executions:r.M.executions ~exhaustive:r.M.exhaustive
      ~failures:r.M.failures);
@@ -792,12 +792,50 @@ let undo_ablation ~seed =
 (* A2: convergence lag across network conditions                       *)
 (* ------------------------------------------------------------------ *)
 
+(* One update-only run of Algorithm 1 on the set under the Runner's
+   convergence probe. With a zero interval the probe samples after every
+   update invocation and every delivered message; the fingerprint is a
+   replica's answer to a read, so a sample is divergent when two
+   replicas answer differently. The probe's last sample is the forced
+   one at quiescence, which is not counted. Returns the lag from the
+   last update's invocation to the last divergent sample (0 if none
+   came later), the divergent samples and all samples. *)
+let convergence_window ~seed ~delay ~partitions ~workload =
+  let module R = Runner.Make (Uni_set) in
+  let obs = Obs.create () in
+  let fingerprint r =
+    let answer = ref "" in
+    Uni_set.query r Set_spec.Read ~on_result:(fun o ->
+        answer := pp_to_string Set_spec.pp_output o);
+    !answer
+  in
+  let config =
+    {
+      (R.default_config ~n:3 ~seed) with
+      R.delay;
+      partitions;
+      deadline = Float.infinity;
+      obs = Some obs;
+      probe_interval = Some 0.0;
+      fingerprint = Some fingerprint;
+    }
+  in
+  let r = R.run config ~workload in
+  let samples = List.rev (List.tl (List.rev (Obs.divergence_series obs))) in
+  let divergent = List.filter (fun (_, distinct) -> distinct > 1) samples in
+  let last_divergence = List.fold_left (fun _ (time, _) -> time) 0.0 divergent in
+  let last_update =
+    List.fold_left
+      (fun acc (e : _ History.event) -> Float.max acc (fst r.R.intervals.(e.History.id)))
+      0.0 (History.updates r.R.history)
+  in
+  (Float.max 0.0 (last_divergence -. last_update), List.length divergent, List.length samples)
+
 let convergence_sweep ~seed =
   let table =
     Table.create ~aligns:[ Table.Left; Right; Right; Right ]
       [ "network"; "convergence lag"; "divergent probes"; "probes" ]
   in
-  let module Cv = Convergence.Make (Uni_set) in
   let cases =
     [
       ("constant 5", Network.Constant 5.0, []);
@@ -816,17 +854,9 @@ let convergence_sweep ~seed =
         Workload.For_set.conflict ~rng ~n:3 ~ops_per_process:60 ~domain:8 ~skew:1.0
           ~delete_ratio:0.3
       in
-      let r =
-        Cv.measure ~seed ~n:3 ~delay ~partitions ~think:(Network.Exponential { mean = 5.0 })
-          ~workload ~probe:Set_spec.Read ()
-      in
+      let lag, divergent, probes = convergence_window ~seed ~delay ~partitions ~workload in
       Table.add_row table
-        [
-          name;
-          Printf.sprintf "%.1f" r.Cv.convergence_lag;
-          string_of_int r.Cv.divergent_probes;
-          string_of_int r.Cv.probes;
-        ])
+        [ name; Printf.sprintf "%.1f" lag; string_of_int divergent; string_of_int probes ])
     cases;
   table
 
@@ -882,7 +912,6 @@ let sessions ~seed =
 (* ------------------------------------------------------------------ *)
 
 let divergence_distribution ~seed =
-  let module Cv = Convergence.Make (Uni_set) in
   let samples =
     List.init 200 (fun i ->
         let seed = seed + i in
@@ -891,13 +920,11 @@ let divergence_distribution ~seed =
           Workload.For_set.conflict ~rng ~n:3 ~ops_per_process:20 ~domain:8 ~skew:1.0
             ~delete_ratio:0.3
         in
-        let r =
-          Cv.measure ~seed ~n:3
-            ~delay:(Network.Exponential { mean = 10.0 })
-            ~think:(Network.Exponential { mean = 5.0 })
-            ~workload ~probe:Set_spec.Read ()
+        let lag, _, _ =
+          convergence_window ~seed ~delay:(Network.Exponential { mean = 10.0 })
+            ~partitions:[] ~workload
         in
-        r.Cv.convergence_lag)
+        lag)
   in
   let summary = Stats.summarize samples in
   Format.asprintf

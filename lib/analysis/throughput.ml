@@ -83,9 +83,9 @@ let emit_json path rows =
    outside the functor. The stream is walked in merge order; the tick
    clock is the running max of the wall stamps (domains share one
    clock, but the Lamport merge is not exactly wall-sorted). *)
-let series_of_events ?capacity ?(interval = 0.01) ?sink events =
+let series_of_events ?(interval = 0.01) ?sink events =
   let reg = Obs.Registry.create () in
-  let sampler = Obs.Series.sampler ?capacity ~registry:reg ~interval () in
+  let sampler = Obs.Series.sampler ~registry:reg ~interval () in
   (match sink with None -> () | Some s -> Obs.Series.set_sink sampler s);
   let counter pid name =
     Obs.Registry.counter reg ~labels:[ ("pid", string_of_int pid) ] name
@@ -463,13 +463,11 @@ module Bench (A : Uqadt.S) = struct
     scripts
 
   let measure ?(mailbox_capacity = 1024) ?(batch_every = 1) ?(flush_window = 0)
-      ?obs ?recorder ?monitor ?journal_header ?(seq_seed = 0) ~domains
-      ~final_read ~scripts () =
+      ?obs ?recorder ?monitor ?journal_header ~domains ~final_read ~scripts () =
     let cfg =
       {
         E.domains;
         mailbox_capacity;
-        envelope = 0;
         batch_every;
         flush_window;
         final_read = Some final_read;
@@ -505,7 +503,7 @@ module Bench (A : Uqadt.S) = struct
       else begin
         let sc =
           {
-            (Seq.default_config ~n:domains ~seed:seq_seed) with
+            (Seq.default_config ~n:domains ~seed:0) with
             Seq.final_read = Some final_read;
           }
         in
@@ -702,16 +700,15 @@ struct
       0 scripts
 
   let measure ?(mailbox_capacity = 1024) ?(batch_every = 1) ?(flush_window = 0)
-      ?obs ?vnodes ~shards ~domains ~scripts () =
+      ?obs ~shards ~domains ~scripts () =
     (* Static ring: no policy, so replicas never mutate shared ring
        state during the parallel run. *)
-    let map = S.create_map ?vnodes ?obs ~shards () in
+    let map = S.create_map ?obs ~shards () in
     S.configure map;
     let cfg =
       {
         E.domains;
         mailbox_capacity;
-        envelope = 0;
         batch_every;
         flush_window;
         final_read = Some S.K.Sweep;

@@ -9,9 +9,9 @@
     the query on the timestamp-order fold of that log's updates, (3) a
     fresh {e sequential}-core replica restored from the log answering
     identically, (4) for commutative specs, a full sequential {!Runner}
-    of the same scripts agreeing, and (5) exactly the issued updates in
-    the log. With a flight recorder ({!Obs.Recorder}) attached there is
-    a sixth clause: (6) the recorded per-replica delivery order,
+    of the same scripts (at seed 0) agreeing, and (5) exactly the issued
+    updates in the log. With a flight recorder ({!Obs.Recorder})
+    attached there is a sixth clause: (6) the recorded per-replica delivery order,
     re-executed on the sequential core by {!Bench.replay_journal}, must
     reproduce the recorded history fingerprint. {!Bench.ok} is the
     conjunction; CI gates on it. *)
@@ -43,7 +43,6 @@ type row = {
 val emit_json : string -> row list -> unit
 
 val series_of_events :
-  ?capacity:int ->
   ?interval:float ->
   ?sink:(Obs.Series.point -> unit) ->
   Obs.Recorder.event list ->
@@ -54,7 +53,8 @@ val series_of_events :
     every [interval] recorded-wall-clock seconds (default 10ms), with a
     forced closing sample. [sink] streams every point at full
     resolution (the [--series-out] JSONL writer); the returned store
-    holds the decimating rings. Spec-agnostic: only event kinds are
+    holds the decimating rings, of {!Obs.Series.sampler}'s default
+    capacity. Spec-agnostic: only event kinds are
     read. *)
 
 module Bench (A : Uqadt.S) : sig
@@ -111,7 +111,6 @@ module Bench (A : Uqadt.S) : sig
     ?recorder:Obs.Recorder.t ->
     ?monitor:Obs.Monitor.criterion list ->
     ?journal_header:(string * Obs.Json.t) list ->
-    ?seq_seed:int ->
     domains:int ->
     final_read:A.query ->
     scripts:(A.update, A.query) Protocol.invocation list array ->
@@ -249,7 +248,6 @@ module Sharded
     ?batch_every:int ->
     ?flush_window:int ->
     ?obs:Obs.t ->
-    ?vnodes:int ->
     shards:int ->
     domains:int ->
     scripts:(S.update, S.query) Protocol.invocation list array ->

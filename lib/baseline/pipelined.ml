@@ -31,6 +31,4 @@ module Make (A : Uqadt.S) = struct
   let certificate _t = None
 
   include Protocol.No_catchup
-
-  let current_state t = t.state
 end

@@ -16,6 +16,4 @@ module Make (A : Uqadt.S) : sig
        and type update = A.update
        and type query = A.query
        and type output = A.output
-
-  val current_state : t -> A.state
 end

@@ -18,7 +18,6 @@ module Make (A : Uqadt.S) = struct
     mutable pending : pending_entry list;  (* sorted by timestamp *)
     mutable state : A.state;
     mutable applied_rev : (int * A.update) list;
-    mutable applied_len : int;
     heard : int array;  (* latest clock heard from each process *)
   }
 
@@ -31,7 +30,6 @@ module Make (A : Uqadt.S) = struct
       pending = [];
       state = A.initial;
       applied_rev = [];
-      applied_len = 0;
       heard = Array.make ctx.Protocol.n 0;
     }
 
@@ -60,7 +58,6 @@ module Make (A : Uqadt.S) = struct
       t.pending <- rest;
       t.state <- A.apply t.state entry.u;
       t.applied_rev <- (entry.origin, entry.u) :: t.applied_rev;
-      t.applied_len <- t.applied_len + 1;
       (match entry.on_applied with Some f -> f () | None -> ());
       drain t
     | _ :: _ | [] -> ()
@@ -112,8 +109,6 @@ module Make (A : Uqadt.S) = struct
       t.pending
 
   let certificate t = Some (List.rev t.applied_rev)
-
-  let stable_prefix_length t = t.applied_len
 
   include Protocol.No_catchup
 end

@@ -29,6 +29,4 @@ module Make (A : Uqadt.S) : sig
        and type update = A.update
        and type query = A.query
        and type output = A.output
-
-  val stable_prefix_length : t -> int
 end

@@ -1,10 +1,19 @@
-(** The model-checking engine behind {!Model_check}.
+(** Small-scope model checker: Proposition 4, executed.
 
-    The seed checker was a 160-line DFS that rebuilt every replica from
-    scratch along every path — quadratic replay, practical only up to
-    ~15-event schedules. This engine keeps one mutable world per
-    explored branch and adds four independently switchable scaling
-    mechanisms:
+    The paper proves Algorithm 1 strong update consistent over {e
+    every} asynchronous execution; this module enumerates every
+    execution of a wait-free protocol on a small configuration — all
+    interleavings of operation invocations and message deliveries, with
+    messages reorderable arbitrarily (non-FIFO, unbounded-delay
+    network) — extracts each distributed history, and runs the
+    {!Criteria} checkers on it.
+
+    With every option off, [explore] is an exhaustive DFS over
+    schedules that rebuilds every replica from scratch along every path
+    (quadratic replay, practical only up to ~15-event schedules), with
+    one history check per complete execution and a [limit] capping
+    enumeration. The engine keeps one mutable world per explored branch
+    and adds four independently switchable scaling mechanisms:
 
     {ol
     {- {b Checkpointed replay}. Along the DFS path the engine snapshots
@@ -14,8 +23,8 @@
        the exact Lamport clock). Backtracking restores the nearest
        checkpoint and replays only the events since it, so extending a
        schedule costs O(interval) protocol steps instead of O(depth²).
-       Without a snapshotter the engine falls back to the seed
-       behaviour: rebuild from the initial state.}
+       Without a snapshotter the engine rebuilds from the initial
+       state.}
     {- {b Partial-order reduction} ([por]). A sleep-set pass (Godefroid)
        skips re-interleaving independent transitions. Two transitions
        are treated as independent iff they commute in every state and
@@ -56,8 +65,8 @@
        order, so the report is independent of [domains] (as long as
        [limit] is not hit).}}
 
-    With all options off, [explore] enumerates exactly the seed
-    checker's schedule tree in the same order. *)
+    With all options off, [explore] enumerates the whole schedule tree
+    in a fixed order. *)
 
 type 'replica snapshotter = {
   save : 'replica -> string;
@@ -78,6 +87,23 @@ type stats = {
           compares across engine configurations *)
 }
 
+(** The checker for one protocol. It is restricted to wait-free
+    protocols: every operation must complete within its own activation
+    (an operation still pending when its turn passes raises
+    [Invalid_argument]).
+
+    [max_crashes] (default 0) additionally explores crash events: at
+    every point of every schedule, up to that many processes may halt
+    (never all of them). A crashed process invokes nothing further and
+    drops deliveries; messages it had already sent remain in flight —
+    exactly the paper's failure semantics. Proposition 4's claim is
+    crash-insensitive, so the UC/EC verdicts must stay clean.
+
+    Every live process issues [final_read] as its ω query at the end of
+    each execution — crashed processes are mute, matching the wait-free
+    fault model. Default criteria: [[UC; EC]] (the fast decidable ones —
+    add [SUC] for the full Proposition 4 statement on very small
+    scripts). *)
 module Make (P : Protocol.PROTOCOL) : sig
   type report = {
     executions : int;
@@ -118,8 +144,8 @@ module Make (P : Protocol.PROTOCOL) : sig
     report
   (** Defaults: [limit = 200_000] complete executions, [criteria =
       [UC; EC]], [max_crashes = 0], every engine feature off,
-      [checkpoint_every = 4], [domains = 1] — i.e. the seed checker's
-      exhaustive enumeration.
+      [checkpoint_every = 4], [domains = 1] — the exhaustive
+      enumeration.
 
       [dedup] requires a replica key: pass [state_key] or [snapshot]
       (whose [save] is then used), else [Invalid_argument] is raised.
@@ -134,7 +160,7 @@ module Make (P : Protocol.PROTOCOL) : sig
       same replica state.
 
       Crash semantics, the wait-freedom guard and the final ω read are
-      unchanged from the seed checker. With [domains > 1] the report is
+      as {!Make} describes them. With [domains > 1] the report is
       identical to the sequential one unless [limit] cuts enumeration
       short (the cut point is then scheduling-dependent). *)
 end

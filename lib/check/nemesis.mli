@@ -1,7 +1,7 @@
 (** Randomized fault campaigns (a Jepsen-style nemesis for the
     simulator).
 
-    Where {!Model_check} is exhaustive on tiny scripts, a campaign runs
+    Where {!Explore} is exhaustive on tiny scripts, a campaign runs
     {e many} medium-sized simulations, each with faults drawn from the
     run's seed — up to [max_crashes] crashes at random times (always
     leaving at least one survivor: the wait-free fault model of Section

@@ -55,5 +55,3 @@ let metadata_bytes t =
 let certificate _t = None
 
 include Protocol.No_catchup
-
-let register_count t = Support.Int_map.cardinal t.mem

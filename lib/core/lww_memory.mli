@@ -14,5 +14,3 @@ include
      and type update = Memory_spec.update
      and type query = Memory_spec.query
      and type output = Memory_spec.output
-
-val register_count : t -> int

@@ -14,17 +14,15 @@ type replica = { pid : int; profile : Profile.t }
 type t = {
   registry : Registry.t;
   spans : Span.t;
-  span_wire_bytes : int;
   mutable replicas : replica list;
   mutable divergence : (float * int) list;
   mutable journal : Journal.t option;
 }
 
-let create ?(span_wire_bytes = 0) ?journal () =
+let create ?journal () =
   {
     registry = Registry.create ();
     spans = Span.create ();
-    span_wire_bytes;
     replicas = [];
     divergence = [];
     journal;

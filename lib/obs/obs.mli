@@ -35,9 +35,6 @@ type replica = { pid : int; profile : Profile.t }
 type t = {
   registry : Registry.t;
   spans : Span.t;
-  span_wire_bytes : int;
-      (** accounting cost, in bytes, of the span stamp on each traced
-          message; 0 keeps wire-byte metrics identical to seed *)
   mutable replicas : replica list;  (** use {!replica}, not this *)
   mutable divergence : (float * int) list;
       (** newest first; use {!divergence_series} *)
@@ -46,8 +43,9 @@ type t = {
           event into it; [None] (the default) records nothing *)
 }
 
-val create : ?span_wire_bytes:int -> ?journal:Journal.t -> unit -> t
-(** [span_wire_bytes] defaults to [0]; [journal] to [None]. *)
+val create : ?journal:Journal.t -> unit -> t
+(** [journal] defaults to [None]. Span stamps are not charged to the
+    wire: a run's byte counts are the same with and without telemetry. *)
 
 val replica : t -> int -> replica
 (** Find-or-create the handle for [pid]. {b Not domain-safe}: the walk

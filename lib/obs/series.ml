@@ -101,8 +101,6 @@ let ring_push r ~time ~value =
 
 let ring_length r = r.len
 
-let ring_capacity r = r.cap
-
 let ring_stride r = r.stride
 
 let ring_pushes r = r.pushes
@@ -164,11 +162,13 @@ type sampler = {
   mutable hooks : (float -> unit) list;
   mutable sink : (point -> unit) option;
   window : Stats.window;
-  window_capacity : int;
   keyed : (int, Stats.window) Hashtbl.t;
 }
 
-let sampler ?(capacity = 240) ?(window = 256) ?registry ~interval () =
+(* Latency samples each sliding window holds. *)
+let window_capacity = 256
+
+let sampler ?(capacity = 240) ?registry ~interval () =
   if interval <= 0.0 then
     invalid_arg "Series.sampler: interval must be positive";
   {
@@ -180,8 +180,7 @@ let sampler ?(capacity = 240) ?(window = 256) ?registry ~interval () =
     probes = [];
     hooks = [];
     sink = None;
-    window = Stats.window ~capacity:window;
-    window_capacity = window;
+    window = Stats.window ~capacity:window_capacity;
     keyed = Hashtbl.create 16;
   }
 
@@ -206,7 +205,7 @@ let observe_latency s ?key value =
       match Hashtbl.find_opt s.keyed k with
       | Some w -> w
       | None ->
-        let w = Stats.window ~capacity:s.window_capacity in
+        let w = Stats.window ~capacity:window_capacity in
         Hashtbl.add s.keyed k w;
         w
     in

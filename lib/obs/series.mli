@@ -41,8 +41,6 @@ val ring_push : ring -> time:float -> value:float -> unit
 val ring_length : ring -> int
 (** Retained points; always [<= capacity]. *)
 
-val ring_capacity : ring -> int
-
 val ring_stride : ring -> int
 (** Current acceptance stride: the ring holds pushes
     [0, stride, 2*stride, ...]. Starts at 1, doubles at each halving. *)
@@ -92,10 +90,9 @@ type probe = unit -> (string * labels * float) list
 type sampler
 
 val sampler :
-  ?capacity:int -> ?window:int -> ?registry:Registry.t -> interval:float ->
-  unit -> sampler
-(** [capacity] is the per-series ring size (default 240); [window] the
-    sliding latency window size (default 256 samples); [registry], when
+  ?capacity:int -> ?registry:Registry.t -> interval:float -> unit -> sampler
+(** [capacity] is the per-series ring size (default 240). The sliding
+    latency windows hold the latest 256 samples each. [registry], when
     given, is snapshotted on every tick. Raises [Invalid_argument] on a
     non-positive [interval]. *)
 

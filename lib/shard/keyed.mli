@@ -22,12 +22,8 @@ module Batch (A : Uqadt.S) : sig
        and type update = (int * A.update) list
        and type query = read
        and type output = answer
-
-  val key_domain : int
-  (** Support of {!random_update} / {!random_query} keys: 16. *)
-
-  val eval_key : state -> int -> A.query -> A.output
-  (** [A.eval] on the key's state ([A.initial] when absent). *)
+  (** [random_update] and [random_query] draw their keys from
+      [0 .. 15]. *)
 end
 
 (** The wire codec of one keyed update, built on a base codec for

@@ -23,11 +23,13 @@ let key_point key = hash2 key 0x5bd1e995
 
 let vnode_point ~shard ~vnode = hash2 shard (0x1000000 + vnode)
 
+(* Points planted per shard by [create] and [add]. *)
+let vnodes = 64
+
 type t = {
   points : (int * int) array;  (* (position, shard), sorted by position *)
   ids : int list;  (* sorted shard ids *)
   next : int;  (* next fresh id; removed ids are not reused *)
-  vnodes : int;
 }
 
 let shards t = List.length t.ids
@@ -35,8 +37,6 @@ let shards t = List.length t.ids
 let shard_ids t = t.ids
 
 let max_id t = t.next - 1
-
-let vnodes t = t.vnodes
 
 (* Positions must be distinct or routing would depend on sort
    stability; collisions (astronomically rare at 62 bits) probe
@@ -49,30 +49,27 @@ let place taken pos =
   Hashtbl.add taken !pos ();
   !pos
 
-let rebuild ~ids ~next ~vnodes assoc =
+let rebuild ~ids ~next assoc =
   let points = Array.of_list assoc in
   Array.sort (fun (a, _) (b, _) -> compare a b) points;
-  { points; ids; next; vnodes }
+  { points; ids; next }
 
 let taken_of points =
   let taken = Hashtbl.create (Array.length points * 2) in
   Array.iter (fun (pos, _) -> Hashtbl.add taken pos ()) points;
   taken
 
-let standard_points taken ~shard ~vnodes =
+let standard_points taken ~shard =
   List.init vnodes (fun v ->
       (place taken (vnode_point ~shard ~vnode:v), shard))
 
-let create ?(vnodes = 64) ~shards () =
+let create ~shards () =
   if shards < 1 then invalid_arg "Ring.create: need at least one shard";
-  if vnodes < 1 then invalid_arg "Ring.create: need at least one vnode";
   let taken = Hashtbl.create (shards * vnodes * 2) in
   let assoc =
-    List.concat_map
-      (fun shard -> standard_points taken ~shard ~vnodes)
-      (List.init shards Fun.id)
+    List.concat_map (fun shard -> standard_points taken ~shard) (List.init shards Fun.id)
   in
-  rebuild ~ids:(List.init shards Fun.id) ~next:shards ~vnodes assoc
+  rebuild ~ids:(List.init shards Fun.id) ~next:shards assoc
 
 let route t key =
   let p = key_point key in
@@ -88,11 +85,11 @@ let route t key =
 let add t =
   let id = t.next in
   let taken = taken_of t.points in
-  let fresh = standard_points taken ~shard:id ~vnodes:t.vnodes in
+  let fresh = standard_points taken ~shard:id in
   let assoc = Array.to_list t.points @ fresh in
   ( rebuild
       ~ids:(List.sort compare (id :: t.ids))
-      ~next:(id + 1) ~vnodes:t.vnodes assoc,
+      ~next:(id + 1) assoc,
     id )
 
 let remove t id =
@@ -103,7 +100,7 @@ let remove t id =
   in
   rebuild
     ~ids:(List.filter (( <> ) id) t.ids)
-    ~next:t.next ~vnodes:t.vnodes assoc
+    ~next:t.next assoc
 
 let split t ~hot =
   if not (List.mem hot t.ids) then invalid_arg "Ring.split: unknown shard";
@@ -129,7 +126,7 @@ let split t ~hot =
   let assoc = Array.to_list t.points @ !fresh in
   ( rebuild
       ~ids:(List.sort compare (id :: t.ids))
-      ~next:(id + 1) ~vnodes:t.vnodes assoc,
+      ~next:(id + 1) assoc,
     id )
 
 let owned_share t ~keys =
@@ -143,5 +140,5 @@ let owned_share t ~keys =
     t.ids
 
 let pp ppf t =
-  Format.fprintf ppf "ring(%d shards, %d vnodes, %d points)" (shards t)
-    t.vnodes (Array.length t.points)
+  Format.fprintf ppf "ring(%d shards, %d vnodes, %d points)" (shards t) vnodes
+    (Array.length t.points)

@@ -2,7 +2,7 @@
 
     Keys and shards hash onto a 62-bit circle; a key belongs to the
     shard owning the first point clockwise of the key's hash. Each
-    shard plants [vnodes] points, so ownership is balanced to within a
+    shard plants 64 points, so ownership is balanced to within a
     small factor of ideal and — the property rebalancing leans on —
     membership changes disturb only the keys adjacent to the points
     that appeared or vanished:
@@ -19,10 +19,10 @@
 
 type t
 
-val create : ?vnodes:int -> shards:int -> unit -> t
+val create : shards:int -> unit -> t
 (** [create ~shards ()] builds a ring over shard ids [0 .. shards-1]
-    with [vnodes] points each (default 64).
-    @raise Invalid_argument if [shards < 1] or [vnodes < 1]. *)
+    with 64 points each.
+    @raise Invalid_argument if [shards < 1]. *)
 
 val shards : t -> int
 (** Number of shards currently on the ring. *)
@@ -33,8 +33,6 @@ val shard_ids : t -> int list
 val max_id : t -> int
 (** Largest shard id ever allocated (so callers can size arrays as
     [max_id + 1] whatever the removal history). *)
-
-val vnodes : t -> int
 
 val route : t -> int -> int
 (** [route t key] is the shard owning [key]. Total over all ints. *)

@@ -63,8 +63,8 @@ struct
       g.split_ctr.(id) <- Some split
     | _ -> ()
 
-  let create_map ?(vnodes = 64) ?policy ?obs ~shards () =
-    let ring = Ring.create ~vnodes ~shards () in
+  let create_map ?policy ?obs ~shards () =
+    let ring = Ring.create ~shards () in
     let cap = shards in
     let m =
       {
@@ -103,8 +103,6 @@ struct
     m
 
   let ring m = m.ring
-
-  let epoch m = m.epoch
 
   let rebalances m = m.rebalances
 

@@ -73,7 +73,7 @@ module Make
       per run, shared by every replica. *)
 
   val create_map :
-    ?vnodes:int -> ?policy:policy -> ?obs:Obs.t -> shards:int -> unit -> map
+    ?policy:policy -> ?obs:Obs.t -> shards:int -> unit -> map
   (** [obs] enables the per-shard registry rows
       ([shard_ops{shard=i}], [shard_log_entries{shard=i}],
       [shard_splits{shard=i}], [shard_moved_entries]) and journals
@@ -85,9 +85,6 @@ module Make
       {!Protocol.ctx}, which has no slot for a map. *)
 
   val ring : map -> Ring.t
-
-  val epoch : map -> int
-  (** Bumped by every ring change; replicas migrate when behind. *)
 
   val rebalances : map -> int
 

@@ -299,18 +299,11 @@ let create ~engine ~rng ~metrics ~n ?(fifo = false) ?(partitions = [])
    delay draw, one envelope, one delivery event. A singleton frame is
    exactly the seed's per-message [enqueue] (with the default zero
    envelope the metrics are bit-identical). [msgs] are (message, span)
-   pairs; stamped messages additionally pay [span_wire_bytes] each. *)
+   pairs; the span stamps cost no wire bytes. *)
 let enqueue t ~src ~dst msgs =
   let now = Engine.now t.engine in
   let count = List.length msgs in
-  let span_bytes =
-    match t.obs with
-    | None -> 0
-    | Some no ->
-      no.o.Obs.span_wire_bytes
-      * List.length (List.filter (fun (_, s) -> s <> None) msgs)
-  in
-  let frame_bytes = payload_bytes t.wire_size (t.envelope + span_bytes) msgs in
+  let frame_bytes = payload_bytes t.wire_size t.envelope msgs in
   t.metrics.Metrics.messages_sent <- t.metrics.Metrics.messages_sent + count;
   t.metrics.Metrics.bytes_sent <- t.metrics.Metrics.bytes_sent + frame_bytes;
   if count > 1 then
@@ -401,8 +394,6 @@ let broadcast t ~src msg = broadcast_stamped_batch t ~src [ (msg, ambient t) ]
 
 let crash t pid = t.crashed.(pid) <- true
 
-let is_crashed t pid = t.crashed.(pid)
-
 (* Churn: an offline replica behaves like a crashed one on the wire
    (frames to and from it are dropped) but can come back. In-flight
    frames scheduled before the detach are judged at delivery time, so
@@ -411,8 +402,6 @@ let is_crashed t pid = t.crashed.(pid)
 let detach t pid = t.offline.(pid) <- true
 
 let attach t pid = t.offline.(pid) <- false
-
-let is_offline t pid = t.offline.(pid)
 
 (* Whether src and dst are on opposite sides of some partition at [at];
    catch-up transfers consult this so a joiner cannot sync across a

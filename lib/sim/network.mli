@@ -68,9 +68,8 @@ val create :
     When [obs] is given, the network additionally (a) mirrors the flat
     counters into per-replica registry series ([messages_sent{pid=src}],
     [delivery_latency{pid=dst}], …), (b) stamps every outgoing message
-    with the ambient {!Obs.Span.active} span — charging
-    [obs.span_wire_bytes] (default 0) extra wire bytes per stamped
-    message — (c) brackets each delivery in its message's span, so
+    with the ambient {!Obs.Span.active} span, at no cost in wire bytes,
+    (c) brackets each delivery in its message's span, so
     spans follow updates across replicas without touching message
     types, and (d) when [obs.journal] is attached, records every wire
     frame, delivery, and drop into it. With [obs] absent all of this
@@ -111,16 +110,13 @@ val send_batch : 'msg t -> src:int -> dst:int -> 'msg list -> unit
 val broadcast_batch : 'msg t -> src:int -> 'msg list -> unit
 (** {!send_batch} to every process other than the sender. *)
 
-val send_stamped_batch :
-  'msg t -> src:int -> dst:int -> ('msg * Obs.Span.id option) list -> unit
-(** {!send_batch}, but with the span stamp of each message supplied by
-    the caller instead of read from the ambient context — for buffered
-    batching, where the frame flushes long after the spans that
-    produced its messages were active. Spans are ignored when the
-    network has no [obs]. *)
-
 val broadcast_stamped_batch :
   'msg t -> src:int -> ('msg * Obs.Span.id option) list -> unit
+(** {!broadcast_batch}, but with the span stamp of each message
+    supplied by the caller instead of read from the ambient context —
+    for buffered batching, where the frame flushes long after the spans
+    that produced its messages were active. Spans are ignored when the
+    network has no [obs]. *)
 
 val ambient : 'msg t -> Obs.Span.id option
 (** The span currently stamped onto outgoing messages ([None] when
@@ -128,8 +124,6 @@ val ambient : 'msg t -> Obs.Span.id option
 
 val crash : 'msg t -> int -> unit
 (** Mark a process crashed: it no longer sends or receives. *)
-
-val is_crashed : 'msg t -> int -> bool
 
 val detach : 'msg t -> int -> unit
 (** Take a process offline (churn leave): frames to and from it are
@@ -139,8 +133,6 @@ val detach : 'msg t -> int -> unit
 
 val attach : 'msg t -> int -> unit
 (** Bring an offline process back onto the wire. *)
-
-val is_offline : 'msg t -> int -> bool
 
 val separated_at : 'msg t -> src:int -> dst:int -> at:float -> bool
 (** Whether a partition separates [src] from [dst] at time [at].

@@ -6,9 +6,9 @@
    connected by bounded MPSC mailboxes ([Mpsc]). Nothing about the
    protocol changes: each domain owns its replica and is the only
    mutator of it, messages travel as immutable frames, and the byte
-   accounting per frame (envelope + per-message wire size, batches
+   accounting per frame (the sum of its messages' wire sizes, batches
    counted when a frame carries more than one message) matches the
-   sequential [Network] exactly.
+   sequential [Network] at its default zero envelope exactly.
 
    Why this is sound to check: under strong update consistency the
    state a replica reaches depends only on the timestamp total order of
@@ -65,7 +65,6 @@ module Make (P : Protocol.PROTOCOL) = struct
   type config = {
     domains : int;
     mailbox_capacity : int;
-    envelope : int;  (* per-frame overhead bytes, as [Runner.config] *)
     batch_every : int;
         (* per-destination coalescing threshold: a destination's buffer
            is flushed as one frame once it holds k messages; 1 =
@@ -84,7 +83,6 @@ module Make (P : Protocol.PROTOCOL) = struct
     {
       domains;
       mailbox_capacity = 1024;
-      envelope = 0;
       batch_every = 1;
       flush_window = 0;
       final_read = None;
@@ -235,10 +233,7 @@ module Make (P : Protocol.PROTOCOL) = struct
       in
       let deliver ~dst msgs =
         let count = List.length msgs in
-        let bytes =
-          config.envelope
-          + List.fold_left (fun acc m -> acc + P.message_wire_size m) 0 msgs
-        in
+        let bytes = List.fold_left (fun acc m -> acc + P.message_wire_size m) 0 msgs in
         l.l_frames <- l.l_frames + 1;
         l.l_messages <- l.l_messages + count;
         l.l_bytes <- l.l_bytes + bytes;

@@ -6,8 +6,9 @@
     pre-generated invocation script; sends coalesce in per-destination
     buffers flushed as one frame per [batch_every] messages (threshold
     1 = unbatched), with the same per-frame byte accounting as the
-    sequential {!Network} (envelope + per-message wire size,
-    [batches_sent] when a frame carries more than one message).
+    sequential {!Network} at its default zero envelope (the sum of the
+    messages' wire sizes, [batches_sent] when a frame carries more than
+    one message).
     Deliveries drain each mailbox a run at a time ({!Mpsc.pop_run})
     into the protocol's [receive_batch], and both busy-wait loops pace
     themselves with spin-then-park backoff ({!Mpsc.Backoff}). At the
@@ -64,7 +65,6 @@ module Make (P : Protocol.PROTOCOL) : sig
   type config = {
     domains : int;
     mailbox_capacity : int;
-    envelope : int;  (** per-frame overhead bytes, as [Runner.config] *)
     batch_every : int;
         (** per-destination coalescing threshold: each peer's buffer is
             flushed as one frame once it holds this many messages; 1 =
@@ -84,7 +84,7 @@ module Make (P : Protocol.PROTOCOL) : sig
   }
 
   val default_config : domains:int -> config
-  (** capacity 1024, envelope 0, unbatched, no flush window, no ω read,
+  (** capacity 1024, unbatched, no flush window, no ω read,
       [obs = None], [recorder = None]. *)
 
   type result = {

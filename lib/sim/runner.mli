@@ -61,16 +61,23 @@ module Make (P : Protocol.PROTOCOL) : sig
             instrumentation and keeps the run bit-identical to the
             seed: same history, same metrics, same wire bytes. *)
     probe_interval : float option;
-        (** minimum simulated time between convergence probes. Probes
-            piggyback on deliveries and invocations — they schedule no
-            engine events — and sample every live replica's state
-            fingerprint, recording the number of distinct values as the
-            divergence series (plus one forced sample at quiescence).
-            Requires [obs]. *)
+        (** minimum simulated time between convergence probes. A probe
+            is offered after every update invocation and every
+            delivered message (queries offer none) and is taken when
+            this much time has passed since the last one, so [Some 0.0]
+            takes every one. A probe samples every live replica's state
+            fingerprint and appends the number of distinct values to
+            {!Obs.divergence_series}; one forced sample at quiescence
+            ends the series. Probes schedule no engine events and draw
+            no randomness. Requires [obs]. *)
     fingerprint : (P.t -> string) option;
         (** replica state fingerprint for the probe; defaults to the
             certificate rendered as text (log length if the protocol
-            keeps no certificate). *)
+            keeps no certificate). A fingerprint may query the replica
+            (its answer to a read, say): the query ticks the replica's
+            clock, so later timestamps can differ from an unprobed run,
+            but it schedules nothing, so the schedule is not
+            perturbed. *)
     monitor : Mon.t option;
         (** online consistency monitor, fed every update invocation and
             completed query (with its journal event index and span id)

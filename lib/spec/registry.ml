@@ -38,6 +38,4 @@ let all : (string * Uqadt.packed) list =
 
 let find name = List.assoc_opt name all
 
-let find_spec name = List.assoc_opt name all_specs
-
 let names = List.map fst all

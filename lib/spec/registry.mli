@@ -18,6 +18,4 @@ val all_specs : (string * (module SPEC)) list
 
 val find : string -> Uqadt.packed option
 
-val find_spec : string -> (module SPEC) option
-
 val names : string list

@@ -44,12 +44,6 @@ module Run (A : S) = struct
       | op :: rest -> ( match step s op with None -> false | Some s' -> go s' rest)
     in
     go A.initial word
-
-  let pp_word ppf word =
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.fprintf ppf "·")
-      (pp_operation A.pp_update A.pp_query A.pp_output)
-      ppf word
 end
 
 type packed = (module S)

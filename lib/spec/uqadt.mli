@@ -96,9 +96,6 @@ module Run (A : S) : sig
   val recognizes : (A.update, A.query, A.output) operation list -> bool
   (** Membership of the finite word in [L(O)] (Definition 1): replay from
       [A.initial], checking every query output. *)
-
-  val pp_word :
-    Format.formatter -> (A.update, A.query, A.output) operation list -> unit
 end
 
 type packed = (module S)

@@ -1,39 +1,28 @@
 type t = {
   n : int;
   succ : int list array; (* reversed insertion order *)
-  pred : int list array;
   edge : (int * int, unit) Hashtbl.t;
 }
 
 let create n =
   if n < 0 then invalid_arg "Dag.create: negative size";
-  { n; succ = Array.make (max 1 n) []; pred = Array.make (max 1 n) []; edge = Hashtbl.create 16 }
+  { n; succ = Array.make (max 1 n) []; edge = Hashtbl.create 16 }
 
 let size g = g.n
 
 let check g i = if i < 0 || i >= g.n then invalid_arg "Dag: node out of bounds"
-
-let mem_edge g a b =
-  check g a;
-  check g b;
-  Hashtbl.mem g.edge (a, b)
 
 let add_edge g a b =
   check g a;
   check g b;
   if not (Hashtbl.mem g.edge (a, b)) then begin
     Hashtbl.add g.edge (a, b) ();
-    g.succ.(a) <- b :: g.succ.(a);
-    g.pred.(b) <- a :: g.pred.(b)
+    g.succ.(a) <- b :: g.succ.(a)
   end
 
 let succs g a =
   check g a;
   List.rev g.succ.(a)
-
-let preds g b =
-  check g b;
-  List.rev g.pred.(b)
 
 let topo_order g =
   let indeg = Array.make (max 1 g.n) 0 in

@@ -14,12 +14,8 @@ val size : t -> int
 val add_edge : t -> int -> int -> unit
 (** [add_edge g a b] adds a → b. Duplicate edges are ignored. *)
 
-val mem_edge : t -> int -> int -> bool
-
 val succs : t -> int -> int list
 (** Successors, in insertion order. *)
-
-val preds : t -> int -> int list
 
 val is_acyclic : t -> bool
 

@@ -121,19 +121,6 @@ module For_space = struct
       scripts.(p) <- script ()
     done;
     scripts
-
-  (* Open-loop arrival mix: one arrival fans out to [1..fanout]
-     single-key sub-operations, issued concurrently — the regime the
-     per-key SLO attribution ({!Stats.slo_by_key}) exists for. *)
-  let storm_mix ~keys ~skew ~fanout ~query_ratio ~update ~query ~read =
-    let zipf = Zipf.create ~n:keys ~s:skew in
-    fun g ->
-      if query_ratio > 0.0 && Prng.float g 1.0 < query_ratio then
-        [ Protocol.Invoke_query (read (Zipf.sample zipf g - 1) (query g)) ]
-      else
-        List.map
-          (fun ku -> Protocol.Invoke_update [ ku ])
-          (batch ~zipf ~fanout ~update g)
 end
 
 module For_memory = struct

@@ -91,21 +91,6 @@ module For_space : sig
     ((int * 'u) list, 'rq) t
   (** Closed-loop scripts of multi-key update batches (width uniform in
       [1..fanout]) and keyed reads. *)
-
-  val storm_mix :
-    keys:int ->
-    skew:float ->
-    fanout:int ->
-    query_ratio:float ->
-    update:(Prng.t -> 'u) ->
-    query:(Prng.t -> 'q) ->
-    read:(int -> 'q -> 'rq) ->
-    Prng.t ->
-    ((int * 'u) list, 'rq) Protocol.invocation list
-  (** Open-loop arrival mix: each arrival fans out to [1..fanout]
-      single-key sub-operations issued concurrently; feed the
-      per-sub-op latencies to {!Stats.slo_by_key} for arrival-level
-      SLO verdicts. *)
 end
 
 module For_memory : sig

@@ -275,11 +275,11 @@ let run_generic_core
     r.R.converged && r.R.certificates_agree,
     (r.R.metrics.Metrics.messages_sent, r.R.metrics.Metrics.bytes_sent) )
 
-(* Telemetry must be a pure observer. With [span_wire_bytes = 0] an
-   attached [Obs.t] — spans riding every message, convergence probes,
-   oplog profiles — may not perturb a single observable of the run:
-   same seed means the same history, the same final reads and
-   certificates, and the same metrics record down to the wire bytes. *)
+(* Telemetry must be a pure observer. An attached [Obs.t] — spans
+   riding every message, convergence probes, oplog profiles — may not
+   perturb a single observable of the run: same seed means the same
+   history, the same final reads and certificates, and the same metrics
+   record down to the wire bytes. *)
 let run_set_telemetry ?(ops = 15) ?(monitors = false) ~seed ~obs
     ~probe_interval () =
   let module R = Runner.Make (G_set) in

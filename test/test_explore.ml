@@ -3,10 +3,10 @@
    new report fields must behave as documented. *)
 
 module G_set = Generic.Make (Set_spec)
-module M_uni = Model_check.Make (G_set)
-module M_pipe = Model_check.Make (Pipelined.Make (Set_spec))
-module M_orset = Model_check.Make (Orset_crdt)
-module M_counter = Model_check.Make (Generic.Make (Counter_spec))
+module M_uni = Explore.Make (G_set)
+module M_pipe = Explore.Make (Pipelined.Make (Set_spec))
+module M_orset = Explore.Make (Orset_crdt)
+module M_counter = Explore.Make (Generic.Make (Counter_spec))
 module Snap_set = Snapshot.For_generic (Set_spec) (Update_codec.For_set)
 module Snap_counter = Snapshot.For_generic (Counter_spec) (Update_codec.For_counter)
 

@@ -13,7 +13,7 @@ let failures_of report c = List.assoc c report
 let tests =
   [
     Alcotest.test_case "Algorithm 1 is UC+EC on every schedule" `Slow (fun () ->
-        let module M = Model_check.Make (Generic.Make (Set_spec)) in
+        let module M = Explore.Make (Generic.Make (Set_spec)) in
         let r =
           M.explore ~scripts:race_scripts ~final_read:Set_spec.Read ()
         in
@@ -22,7 +22,7 @@ let tests =
         Alcotest.(check int) "UC failures" 0 (failures_of r.M.failures Criteria.UC);
         Alcotest.(check int) "EC failures" 0 (failures_of r.M.failures Criteria.EC));
     Alcotest.test_case "Algorithm 1 is SUC on every schedule (small)" `Slow (fun () ->
-        let module M = Model_check.Make (Generic.Make (Set_spec)) in
+        let module M = Explore.Make (Generic.Make (Set_spec)) in
         let scripts =
           [|
             [ Protocol.Invoke_update (Set_spec.Insert 1);
@@ -36,14 +36,14 @@ let tests =
         Alcotest.(check bool) "exhaustive" true r.M.exhaustive;
         Alcotest.(check int) "SUC failures" 0 (failures_of r.M.failures Criteria.SUC));
     Alcotest.test_case "pipelined replica violates UC on some schedule" `Slow (fun () ->
-        let module M = Model_check.Make (Pipelined.Make (Set_spec)) in
+        let module M = Explore.Make (Pipelined.Make (Set_spec)) in
         let r = M.explore ~scripts:race_scripts ~final_read:Set_spec.Read () in
         Alcotest.(check bool) "exhaustive" true r.M.exhaustive;
         Alcotest.(check bool) "has UC failures" true
           (failures_of r.M.failures Criteria.UC > 0));
     Alcotest.test_case "Algorithm 2 (LWW memory) is UC on every schedule" `Slow
       (fun () ->
-        let module M = Model_check.Make (Lww_memory) in
+        let module M = Explore.Make (Lww_memory) in
         let scripts =
           [|
             [ Protocol.Invoke_update (Memory_spec.Write (0, 1));
@@ -55,7 +55,7 @@ let tests =
         Alcotest.(check bool) "exhaustive" true r.M.exhaustive;
         Alcotest.(check int) "UC failures" 0 (failures_of r.M.failures Criteria.UC));
     Alcotest.test_case "CRDT fast path is UC for the counter" `Slow (fun () ->
-        let module M = Model_check.Make (Commutative.Make (Counter_spec)) in
+        let module M = Explore.Make (Commutative.Make (Counter_spec)) in
         let scripts =
           [|
             [ Protocol.Invoke_update (Counter_spec.Add 2);
@@ -68,7 +68,7 @@ let tests =
         Alcotest.(check int) "UC failures" 0 (failures_of r.M.failures Criteria.UC));
     Alcotest.test_case "Algorithm 1 stays UC under exhaustive crash injection" `Slow
       (fun () ->
-        let module M = Model_check.Make (Generic.Make (Set_spec)) in
+        let module M = Explore.Make (Generic.Make (Set_spec)) in
         let scripts =
           [|
             [ Protocol.Invoke_update (Set_spec.Insert 1);
@@ -84,7 +84,7 @@ let tests =
         Alcotest.(check int) "UC failures" 0 (failures_of r.M.failures Criteria.UC);
         Alcotest.(check int) "EC failures" 0 (failures_of r.M.failures Criteria.EC));
     Alcotest.test_case "OR-set converges but is not UC on Fig.1b races" `Slow (fun () ->
-        let module M = Model_check.Make (Orset_crdt) in
+        let module M = Explore.Make (Orset_crdt) in
         let r = M.explore ~scripts:race_scripts ~final_read:Set_spec.Read () in
         Alcotest.(check bool) "exhaustive" true r.M.exhaustive;
         (* Insert-wins: convergent (EC) everywhere, yet some schedules end

@@ -441,6 +441,42 @@ let probe_tests =
         let times = List.map fst series in
         Alcotest.(check bool) "sorted" true
           (List.sort compare times = times));
+    (* Experiments A2 and A3 count probes this way, on updates-only
+       runs with a fingerprint that reads the replica. *)
+    Alcotest.test_case "a zero interval samples every update and delivery"
+      `Quick (fun () ->
+        let workload =
+          Array.init 3 (fun p ->
+              List.init 6 (fun i ->
+                  Protocol.Invoke_update (Set_spec.Insert ((p * 10) + i))))
+        in
+        let read r =
+          let answer = ref "" in
+          P.query r Set_spec.Read ~on_result:(fun o ->
+              answer := Format.asprintf "%a" Set_spec.pp_output o);
+          !answer
+        in
+        let run probe_interval =
+          let obs = Obs.create () in
+          let config =
+            {
+              (R.default_config ~n:3 ~seed:5) with
+              R.obs = Some obs;
+              probe_interval;
+              fingerprint = Some read;
+            }
+          in
+          (obs, R.run config ~workload)
+        in
+        let obs, r = run (Some 0.0) in
+        let m = r.R.metrics in
+        Alcotest.(check int) "deliveries" 36 m.Metrics.messages_delivered;
+        Alcotest.(check int) "updates, deliveries and the forced sample"
+          (m.Metrics.updates_invoked + m.Metrics.messages_delivered + 1)
+          (List.length (Obs.divergence_series obs));
+        let _, unprobed = run None in
+        Alcotest.(check bool) "reads schedule nothing" true
+          (r.R.intervals = unprobed.R.intervals));
   ]
 
 let tests = json_tests @ registry_tests @ span_tests @ trace_tests @ probe_tests

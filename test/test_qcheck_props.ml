@@ -188,8 +188,8 @@ let fingerprint_tests =
 
 (* ----------------------- engine invariants ----------------------- *)
 
-module M_uni = Model_check.Make (G_set)
-module M_pipe = Model_check.Make (Pipelined.Make (Set_spec))
+module M_uni = Explore.Make (G_set)
+module M_pipe = Explore.Make (Pipelined.Make (Set_spec))
 module Snap_set = Snapshot.For_generic (Set_spec) (Update_codec.For_set)
 
 (* Tiny random scripts: 2 processes, 1-2 operations each, drawn from a

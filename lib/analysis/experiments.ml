@@ -793,13 +793,14 @@ let undo_ablation ~seed =
 (* ------------------------------------------------------------------ *)
 
 (* One update-only run of Algorithm 1 on the set under the Runner's
-   convergence probe. With a zero interval the probe samples after every
-   update invocation and every delivered message; the fingerprint is a
-   replica's answer to a read, so a sample is divergent when two
-   replicas answer differently. The probe's last sample is the forced
-   one at quiescence, which is not counted. Returns the lag from the
-   last update's invocation to the last divergent sample (0 if none
-   came later), the divergent samples and all samples. *)
+   convergence probe, drained to the end (no deadline). With a zero
+   interval the probe samples after every update invocation and every
+   delivered message; the fingerprint is a replica's answer to a read,
+   so a sample is divergent when two replicas answer differently. The
+   probe's last sample is the forced one at quiescence, which is not
+   counted. Returns the lag from the last update's invocation to the
+   last divergent sample (0 if none came later), the divergent samples
+   and all samples. *)
 let convergence_window ~seed ~delay ~partitions ~workload =
   let module R = Runner.Make (Uni_set) in
   let obs = Obs.create () in

@@ -9,10 +9,10 @@
     {!Criteria} checkers on it.
 
     With every option off, [explore] is an exhaustive DFS over
-    schedules that rebuilds every replica from scratch along every path
-    (quadratic replay, practical only up to ~15-event schedules), with
-    one history check per complete execution and a [limit] capping
-    enumeration. The engine keeps one mutable world per explored branch
+    schedules, in a fixed order, that rebuilds every replica from
+    scratch along every path (quadratic replay, practical only up to
+    ~15-event schedules), with one history check per complete execution
+    and a [limit] capping enumeration. The engine keeps one mutable world per explored branch
     and adds four independently switchable scaling mechanisms:
 
     {ol
@@ -63,10 +63,7 @@
        out over OCaml 5 domains, each with its own world, visited table
        and counters; fragments are merged deterministically in branch
        order, so the report is independent of [domains] (as long as
-       [limit] is not hit).}}
-
-    With all options off, [explore] enumerates the whole schedule tree
-    in a fixed order. *)
+       [limit] is not hit).}} *)
 
 type 'replica snapshotter = {
   save : 'replica -> string;

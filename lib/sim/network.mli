@@ -69,12 +69,11 @@ val create :
     counters into per-replica registry series ([messages_sent{pid=src}],
     [delivery_latency{pid=dst}], …), (b) stamps every outgoing message
     with the ambient {!Obs.Span.active} span, at no cost in wire bytes,
-    (c) brackets each delivery in its message's span, so
-    spans follow updates across replicas without touching message
-    types, and (d) when [obs.journal] is attached, records every wire
-    frame, delivery, and drop into it. With [obs] absent all of this
-    is compiled away behind a [None] check and the run is bit-identical
-    to the seed.
+    (c) brackets each delivery in its message's span, so spans follow
+    updates across replicas without touching message types, and (d)
+    when [obs.journal] is attached, records every wire frame, delivery,
+    and drop into it. With [obs] absent all of this is compiled away
+    behind a [None] check and the run is bit-identical to the seed.
 
     Allocation with [obs] absent: a frame allocates its stamped
     message list (a pair and a cons per message, built once per

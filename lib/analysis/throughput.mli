@@ -11,10 +11,10 @@
     identically, (4) for commutative specs, a full sequential {!Runner}
     of the same scripts (at seed 0) agreeing, and (5) exactly the issued
     updates in the log. With a flight recorder ({!Obs.Recorder})
-    attached there is a sixth clause: (6) the recorded per-replica delivery order,
-    re-executed on the sequential core by {!Bench.replay_journal}, must
-    reproduce the recorded history fingerprint. {!Bench.ok} is the
-    conjunction; CI gates on it. *)
+    attached there is a sixth clause: (6) the recorded per-replica
+    delivery order, re-executed on the sequential core by
+    {!Bench.replay_journal}, must reproduce the recorded history
+    fingerprint. {!Bench.ok} is the conjunction; CI gates on it. *)
 
 val dummy_ctx : pid:int -> n:int -> 'msg Protocol.ctx
 (** A context that drops every message — for replicas used as
@@ -54,8 +54,7 @@ val series_of_events :
     forced closing sample. [sink] streams every point at full
     resolution (the [--series-out] JSONL writer); the returned store
     holds the decimating rings, of {!Obs.Series.sampler}'s default
-    capacity. Spec-agnostic: only event kinds are
-    read. *)
+    capacity. Spec-agnostic: only event kinds are read. *)
 
 module Bench (A : Uqadt.S) : sig
   module G : Generic.S with type update = A.update and type query = A.query

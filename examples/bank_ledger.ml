@@ -31,7 +31,7 @@ let () =
   Format.printf "balances agree: %b@.@." r.R.converged;
   (* The audit trail: every branch holds the same totally ordered
      statement. *)
-  (match r.R.certificates with
+  (match Lazy.force r.R.certificates with
   | (pid, statement) :: _ ->
     Format.printf "account statement (as agreed at branch %d):@." pid;
     let running = ref 0 in

@@ -47,7 +47,7 @@ let () =
   Format.printf "replicas converged: %b@." r.R.converged;
   (* Every live replica holds the same update linearization — the
      "common sequential history" of the paper. *)
-  (match r.R.certificates with
+  (match Lazy.force r.R.certificates with
   | (pid, cert) :: _ ->
     Format.printf "agreed update order (from p%d): %a@." pid
       (Format.pp_print_list

@@ -133,6 +133,6 @@ let log_length _t = 0
 
 let metadata_bytes t = Timestamp.wire_size t.current_ts + Wire.varint_size (abs t.current_value)
 
-let certificate _t = None
+let certificate _ _ _ = None
 
 include Protocol.No_catchup

@@ -108,7 +108,8 @@ module Make (A : Uqadt.S) = struct
       (Array.fold_left (fun acc c -> acc + Wire.varint_size c) 0 t.heard)
       t.pending
 
-  let certificate t = Some (List.rev t.applied_rev)
+  let certificate t f init =
+    Some (List.fold_left (fun acc (origin, u) -> f origin u acc) init t.applied_rev)
 
   include Protocol.No_catchup
 end

@@ -38,7 +38,7 @@ module Make (A : Uqadt.S) = struct
 
   let metadata_bytes _t = 0
 
-  let certificate _t = None
+  let certificate _ _ _ = None
 
   include Protocol.No_catchup
 end

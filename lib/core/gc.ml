@@ -117,7 +117,7 @@ module Make (A : Uqadt.S) = struct
 
   (* The compacted prefix is discarded, so no full linearization
      certificate can be produced. *)
-  let certificate _t = None
+  let certificate _ _ _ = None
 
   include Protocol.No_catchup
 

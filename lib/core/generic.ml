@@ -108,16 +108,8 @@ module Configured (C : CONFIG) (A : Uqadt.S) = struct
 
   let metadata_bytes t = Oplog.footprint t.log ~payload_wire_size:A.update_wire_size
 
-  (* Built back to front, so the list comes out in timestamp order with
-     no reversal: a pair and a cons per entry. *)
-  let certificate t =
-    let rec build i acc =
-      if i < 0 then acc
-      else
-        let e = Oplog.get t.log i in
-        build (i - 1) ((e.Oplog.origin, e.Oplog.payload) :: acc)
-    in
-    Some (build (Oplog.length t.log - 1) [])
+  let certificate t f init =
+    Some (Oplog.fold_down (fun e acc -> f e.Oplog.origin e.Oplog.payload acc) t.log init)
 
   (* Snapshot transfer needs an update codec the universal construction
      is parametric over; {!Persist.Catchup} supplies real implementations

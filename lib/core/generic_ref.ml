@@ -76,7 +76,8 @@ module Make (A : Uqadt.S) = struct
         acc + Timestamp.wire_size ts + Wire.varint_size origin + A.update_wire_size u)
       0 t.log
 
-  let certificate t = Some (List.map (fun (_, origin, u) -> (origin, u)) t.log)
+  let certificate t f init =
+    Some (List.fold_right (fun (_, origin, u) acc -> f origin u acc) t.log init)
 
   include Protocol.No_catchup
 

@@ -52,6 +52,6 @@ let metadata_bytes t =
       acc + Wire.varint_size (abs x) + Timestamp.wire_size ts + Wire.varint_size (abs v))
     t.mem 0
 
-let certificate _t = None
+let certificate _ _ _ = None
 
 include Protocol.No_catchup

@@ -284,6 +284,13 @@ let fold f init t =
   done;
   !acc
 
+let fold_down f t init =
+  let acc = ref init in
+  for i = t.len - 1 downto 0 do
+    acc := f t.arr.(i) !acc
+  done;
+  !acc
+
 (* The merge [fold_down_merged] runs: a loser tree over the logs. Leaf
    [j] (node [k + j] of [k] leaves) stands for log [j]'s next entry
    down, [next.(j)], whose timestamp is cached in [clock] and [pid] so

@@ -118,6 +118,10 @@ val insert_batch : ('u, 's) t -> 'u entry list -> int
 
 val fold : ('a -> 'u entry -> 'a) -> 'a -> ('u, 's) t -> 'a
 
+val fold_down : ('u entry -> 'a -> 'a) -> ('u, 's) t -> 'a -> 'a
+(** [fold_down f t init] folds [f] over the entries latest first (a
+    right fold), allocating nothing beyond what [f] does. *)
+
 val fold_down_merged : ('a -> 'u entry -> 'a) -> 'a -> ('u, 's) t array -> 'a
 (** [fold_down_merged f init logs] folds [f] over the entries of all
     [logs] in one timestamp order, latest first: a k-way merge read in

@@ -92,10 +92,8 @@ module Make (A : Undoable.S) = struct
   let metadata_bytes t =
     Oplog.footprint t.log ~payload_wire_size:(fun p -> A.update_wire_size p.u)
 
-  let certificate t =
-    Some
-      (List.rev
-         (Oplog.fold (fun acc e -> (e.Oplog.origin, e.Oplog.payload.u) :: acc) [] t.log))
+  let certificate t f init =
+    Some (Oplog.fold_down (fun e acc -> f e.Oplog.origin e.Oplog.payload.u acc) t.log init)
 
   let repairs t = t.repairs
 

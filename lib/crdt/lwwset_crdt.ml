@@ -74,6 +74,6 @@ let metadata_bytes t =
       acc + Wire.varint_size (abs v) + ts_bytes slot.add_ts + ts_bytes slot.rem_ts)
     t.slots 0
 
-let certificate _t = None
+let certificate _ _ _ = None
 
 include Protocol.No_catchup

@@ -90,7 +90,7 @@ let metadata_bytes t =
       acc + Wire.varint_size (abs v) + Tag_set.fold (fun tag acc -> acc + tag_bytes tag) tags 0)
     t.tags 0
 
-let certificate _t = None
+let certificate _ _ _ = None
 
 include Protocol.No_catchup
 

@@ -45,7 +45,7 @@ let metadata_bytes t =
     (fun v c acc -> acc + Wire.varint_size (abs v) + Wire.varint_size (abs c))
     t.counts 0
 
-let certificate _t = None
+let certificate _ _ _ = None
 
 include Protocol.No_catchup
 

@@ -43,7 +43,7 @@ module Lwwreg = struct
   let metadata_bytes t =
     match t.current with None -> 0 | Some (ts, v) -> Timestamp.wire_size ts + Wire.varint_size (abs v)
 
-  let certificate _t = None
+  let certificate _ _ _ = None
 
   include Protocol.No_catchup
 end

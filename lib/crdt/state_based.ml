@@ -46,7 +46,7 @@ module Make (L : LATTICE) = struct
 
   let metadata_bytes t = L.payload_bytes t.payload
 
-  let certificate _t = None
+  let certificate _ _ _ = None
 
   include Protocol.No_catchup
 

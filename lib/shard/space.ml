@@ -494,13 +494,13 @@ struct
     Oplog.fold_down_merged f init !logs
 
   (* Proposition 4's witness, the timestamp-ordered update sequence:
-     the key logs' merge, built back to front, so the list comes out in
-     order and only the output is allocated, 9 words an entry (the
-     [(origin, [ku])] pair, the singleton batch, the cons). *)
-  let certificate t =
+     the key logs' merge, folded from the top. Each entry is handed to
+     [f] as a singleton batch, the only allocation per entry (3
+     words). *)
+  let certificate t f init =
     migrate t;
     let n = t.ctx.Protocol.n in
-    Some (fold_down t (fun acc e -> (e.Oplog.origin mod n, [ e.Oplog.payload ]) :: acc) [])
+    Some (fold_down t (fun acc e -> f (e.Oplog.origin mod n) [ e.Oplog.payload ] acc) init)
 
   (* Every shard's entries, (timestamp, origin, keyed update) in
      timestamp order: the key logs' merge, dealt to the shards the keys

@@ -36,10 +36,12 @@
     replay steps a query reports through [ctx.count_replay] are key-log
     folds. Key logs share the replica's op-log profile.
 
-    {b Certificate.} [certificate] merges the key logs from the top
-    ({!Oplog.fold_down_merged}): O(entries x log keys), allocating 9
-    words an entry (the [(origin, [ku])] pair, the singleton batch, the
-    cons) and O(keys) words of arrays.
+    {b Certificate.} [certificate] folds the key logs' merge from the
+    top ({!Oplog.fold_down_merged}): O(entries x log keys), allocating
+    3 words an entry (the singleton batch it hands [f]) and O(keys)
+    words of arrays. {!Protocol.Certificate.to_list} on top costs 9
+    words an entry (the [(origin, [ku])] pair and the cons besides);
+    {!Protocol.Certificate.agree} stays at 3.
 
     {b Catch-up.} [snapshot] migrates first, then writes every live
     shard's "UCS" frame ({!Persist.replica_frame}: the shard's clock and

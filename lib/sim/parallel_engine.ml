@@ -57,6 +57,8 @@ type domain_report = {
 }
 
 module Make (P : Protocol.PROTOCOL) = struct
+  module Cert = Protocol.Certificate (P)
+
   type frame = { src : int; msgs : P.message list; lam : int }
   (* [lam] is the sender's Lamport stamp for the frame (0 when no
      recorder is attached); immutable, so sharing it across the
@@ -477,13 +479,7 @@ module Make (P : Protocol.PROTOCOL) = struct
       | (_, first) :: rest ->
         List.for_all (fun (_, o) -> P.equal_output first o) rest
     in
-    let certificates_agree =
-      match Array.to_list replicas with
-      | [] -> true
-      | r0 :: rest ->
-        let c0 = P.certificate r0 in
-        List.for_all (fun r -> P.certificate r = c0) rest
-    in
+    let certificates_agree = Cert.agree (Array.to_list replicas) in
     let starts = Array.map fst spans and ends = Array.map snd spans in
     let wall =
       Array.fold_left Float.max neg_infinity ends

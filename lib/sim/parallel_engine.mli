@@ -99,6 +99,9 @@ module Make (P : Protocol.PROTOCOL) : sig
             the replay bridge compares recorded outputs against *)
     outputs_agree : bool;
     certificates_agree : bool;
+        (** {!Protocol.Certificate.agree} over every replica: origins
+            and updates compared entry by entry with [P.equal_update],
+            not with structural [=], and no certificate list built *)
     log_lengths : int array;
     wall_seconds : float;  (** max domain end − min domain start *)
     ops_total : int;

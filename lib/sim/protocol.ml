@@ -44,7 +44,7 @@ module type PROTOCOL = sig
 
   val metadata_bytes : t -> int
 
-  val certificate : t -> (int * update) list option
+  val certificate : t -> (int -> update -> 'a -> 'a) -> 'a -> 'a option
 
   val snapshot : t -> string option
   (** Serialized state for churn catch-up ([None] when the protocol has
@@ -55,6 +55,58 @@ module type PROTOCOL = sig
   (** Merge a peer's {!snapshot} into this replica, keeping any local
       state (a rejoiner's crash-time log survives the merge). Returns
       [false] when unsupported or the payload does not decode. *)
+end
+
+module Certificate (P : PROTOCOL) = struct
+  let to_list r = P.certificate r (fun origin u acc -> (origin, u) :: acc) []
+
+  (* The first certificate, copied in fold order (latest entry first):
+     [origins.(i)] and [updates.(i)] are its [i]-th entry from the top.
+     The update array is made from the first update the fold visits, so
+     it needs no placeholder. *)
+  type copy = {
+    mutable origins : int array;
+    mutable updates : P.update array;
+    mutable len : int;
+  }
+
+  let copy r =
+    let hint = P.log_length r in
+    let c = { origins = [||]; updates = [||]; len = 0 } in
+    let put origin u i =
+      if i = Array.length c.updates then begin
+        let cap = max hint ((2 * i) + 1) in
+        let origins = Array.make cap 0 and updates = Array.make cap u in
+        Array.blit c.origins 0 origins 0 i;
+        Array.blit c.updates 0 updates 0 i;
+        c.origins <- origins;
+        c.updates <- updates
+      end;
+      c.origins.(i) <- origin;
+      c.updates.(i) <- u;
+      i + 1
+    in
+    match P.certificate r put 0 with
+    | None -> None
+    | Some len ->
+      c.len <- len;
+      Some c
+
+  (* [r]'s fold against the copy, the index as the accumulator: [-1]
+     from the first entry that differs, or that the copy lacks, on. *)
+  let matches c r =
+    let check origin u i =
+      if i < 0 || i >= c.len || c.origins.(i) <> origin
+         || not (P.equal_update c.updates.(i) u)
+      then -1
+      else i + 1
+    in
+    match P.certificate r check 0 with None -> true | Some i -> i = c.len
+
+  let rec agree = function
+    | [] -> true
+    | r :: rest -> (
+      match copy r with None -> agree rest | Some c -> List.for_all (matches c) rest)
 end
 
 module No_catchup = struct

@@ -75,13 +75,18 @@ module type PROTOCOL = sig
   val metadata_bytes : t -> int
   (** Approximate footprint of the replica's protocol metadata. *)
 
-  val certificate : t -> (int * update) list option
-  (** The replica's current linearization of the updates it knows, as
-      [(origin pid, update)] pairs, if the protocol maintains one.
-      At quiescence all correct replicas of an update-consistent
-      protocol must return the {e same} list, and executing it must
-      explain their final reads — the checkable core of Proposition 4
-      at scales where the generic SUC search is intractable. *)
+  val certificate : t -> (int -> update -> 'a -> 'a) -> 'a -> 'a option
+  (** [certificate r f init] folds [f origin update] over the replica's
+      current linearization of the updates it knows, {e latest entry
+      first}, if the protocol maintains one; [None] when it keeps no
+      certificate. Prepending therefore builds the sequence in
+      timestamp order ({!Certificate.to_list}). At quiescence all
+      correct replicas of an update-consistent protocol must fold the
+      {e same} sequence, and executing it must explain their final
+      reads — the checkable core of Proposition 4 at scales where the
+      generic SUC search is intractable. The fold itself allocates
+      nothing per entry beyond what [f] does, unless the protocol says
+      otherwise. *)
 
   val snapshot : t -> string option
   (** Serialized replica state for churn catch-up: a joiner or rejoiner
@@ -96,6 +101,27 @@ module type PROTOCOL = sig
       absorbing is idempotent and commutative, as Proposition 4
       requires. Returns [false] when the protocol does not support
       snapshots or the payload fails to decode. *)
+end
+
+(** Proposition 4's witness read through {!PROTOCOL.certificate}'s
+    fold. *)
+module Certificate (P : PROTOCOL) : sig
+  val to_list : P.t -> (int * P.update) list option
+  (** The certificate in timestamp order, as [(origin pid, update)]
+      pairs: the fold prepending, a pair and a cons (6 words) per entry
+      on top of what the fold allocates. *)
+
+  val agree : P.t list -> bool
+  (** Whether every replica that keeps a certificate keeps the same
+      one: the same length and, entry by entry, equal origins and
+      [P.equal_update] updates. Replicas whose fold is [None] are
+      skipped. The first certificate is copied, in fold order, into an
+      origin array and an update array sized by that replica's
+      {!PROTOCOL.log_length} (grown by doubling if it is short); every
+      other replica is then folded against them with an int index as
+      the accumulator. So beyond the two arrays and a few words per
+      replica, the check allocates only what the folds do — nothing
+      per entry on the array cores. *)
 end
 
 (** The {!PROTOCOL} catch-up pair for a protocol without a persistence

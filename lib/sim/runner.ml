@@ -43,6 +43,7 @@ end
 
 module Make (P : Protocol.PROTOCOL) = struct
   module Mon = Obs.Monitor.Make (P)
+  module Cert = Protocol.Certificate (P)
 
   type action = (P.update, P.query) Protocol.invocation
 
@@ -118,7 +119,7 @@ module Make (P : Protocol.PROTOCOL) = struct
      supplies none: the certificate if the protocol keeps one, the log
      length otherwise (coarse, but monotone under convergence). *)
   let default_fingerprint r =
-    match P.certificate r with
+    match Cert.to_list r with
     | Some cert ->
       String.concat ";"
         (List.map
@@ -142,7 +143,7 @@ module Make (P : Protocol.PROTOCOL) = struct
     op_latencies : float list;
     final_outputs : (int * P.output) list;
     converged : bool;
-    certificates : (int * (int * P.update) list) list;
+    certificates : (int * (int * P.update) list) list Lazy.t;
     certificates_agree : bool;
     log_lengths : (int * int) list;
     metadata_bytes : (int * int) list;
@@ -756,22 +757,12 @@ module Make (P : Protocol.PROTOCOL) = struct
     in
     let live = List.filter present (List.init n Fun.id) in
     let certificates =
-      List.filter_map
-        (fun pid -> Option.map (fun c -> (pid, c)) (P.certificate (replica pid)))
-        live
+      lazy
+        (List.filter_map
+           (fun pid -> Option.map (fun c -> (pid, c)) (Cert.to_list (replica pid)))
+           live)
     in
-    let certificates_agree =
-      match certificates with
-      | [] -> true
-      | (_, c0) :: rest ->
-        List.for_all
-          (fun (_, c) ->
-            List.length c = List.length c0
-            && List.for_all2
-                 (fun (p, u) (p', u') -> p = p' && P.equal_update u u')
-                 c c0)
-          rest
-    in
+    let certificates_agree = Cert.agree (List.map replica live) in
     (* The result's lists and arrays, built once, process by process:
        event ids number each process's events in program order. *)
     let lengths = Array.map (fun c -> c.Column.len) labels in

@@ -120,8 +120,17 @@ module Make (P : Protocol.PROTOCOL) : sig
     op_latencies : float list;
     final_outputs : (int * P.output) list;  (** completed final reads *)
     converged : bool;  (** all completed final reads are equal *)
-    certificates : (int * (int * P.update) list) list;
+    certificates : (int * (int * P.update) list) list Lazy.t;
+        (** each live replica's certificate that the protocol keeps, in
+            timestamp order ({!Protocol.Certificate.to_list}), built
+            only when forced. Until it is forced or dropped it keeps the
+            live replicas reachable, so a caller that holds many results
+            should force it or let it go. Force it before comparing
+            results structurally: [compare] raises on an unforced
+            lazy value. *)
     certificates_agree : bool;
+        (** {!Protocol.Certificate.agree} over the live replicas,
+            checked by folding, without building the lists *)
     log_lengths : (int * int) list;
     metadata_bytes : (int * int) list;
     sim_duration : float;
@@ -155,6 +164,7 @@ module Make (P : Protocol.PROTOCOL) : sig
       [history] (through {!History.init}), [intervals] and
       [op_latencies] are built from them once, at the end. The
       protocol's own work and its frames (see {!Network.create}) come
-      on top. At the end of the run each live replica's certificate is
-      taken once. *)
+      on top. At the end of the run the live replicas' certificates are
+      folded once, for [certificates_agree]; the lists are built only
+      if [certificates] is forced. *)
 end

@@ -74,7 +74,8 @@ let replicated_tests =
         let r = R.run config ~workload in
         let state_of cert = Run.final_state (List.map snd cert) in
         r.R.converged
-        && List.for_all (fun (_, cert) -> no_overdraft (state_of cert)) r.R.certificates);
+        && List.for_all (fun (_, cert) -> no_overdraft (state_of cert))
+             (Lazy.force r.R.certificates));
     qtest ~count:15 "replicated bank histories are UC" seed_gen (fun seed ->
         let rng = Prng.create seed in
         let workload = bank_workload rng ~n:2 ~ops:2 in

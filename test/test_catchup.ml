@@ -429,10 +429,12 @@ let snapshot_guard () =
   if long > short +. 64. then
     Alcotest.failf "snapshot minor words: %.0f at 1k entries, %.0f at 10k" short long
 
-(* [certificate] is built back to front off the log; the reference is
-   the fold it replaced, a reversed list reversed again. *)
+(* [certificate] folds down the log, latest entry first, so prepending
+   builds it in timestamp order; the reference is the log read forward,
+   a reversed list reversed again. *)
 let certificate_law (module G : CORE) seed =
   let module K = Persist.Catchup (G) (Update_codec.For_set) in
+  let module Cert = Protocol.Certificate (G) in
   let rng = Prng.create seed in
   let pool = pool rng in
   let x = G.create (ctx ~steps:(ref 0) 0) in
@@ -445,17 +447,19 @@ let certificate_law (module G : CORE) seed =
       let peer = sample rng pool in
       ignore (K.absorb x (ucs_frame ~clock:(max_clock peer) peer) : bool)
   done;
-  G.certificate x
+  Cert.to_list x
   = Some
       (List.rev
          (List.fold_left (fun acc (_, origin, u) -> (origin, u) :: acc) [] (G.local_log x)))
 
-(* A pair and a cons per entry, 6 words: the reversed fold and its
+(* The list a certificate folds into: a pair and a cons per entry, 6
+   words, and nothing from the fold itself. A reversed fold and its
    [List.rev] cost 9. *)
 let certificate_guard () =
+  let module Cert = Protocol.Certificate (Uni) in
   let n = 10_000 in
   let r = replica_of_length n in
-  let words = minor_words (fun () -> ignore (Sys.opaque_identity (Uni.certificate r))) in
+  let words = minor_words (fun () -> ignore (Sys.opaque_identity (Cert.to_list r))) in
   if words > float_of_int ((6 * n) + 16) then
     Alcotest.failf "certificate of %d entries: %.2f minor words per entry" n
       (words /. float_of_int n)

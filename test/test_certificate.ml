@@ -1,0 +1,246 @@
+(* Proposition 4's check, [Protocol.Certificate.agree], against planted
+   disagreements: replicas of the oplog core and of the sharded space
+   that differ in one entry's presence, origin or update, including the
+   earliest entry, which the fold visits last; a protocol whose pid 1
+   folds a skewed certificate, run through both engines; and what the
+   check allocates. *)
+
+open Helpers
+
+module G = Generic.Make (Set_spec)
+module GC = Protocol.Certificate (G)
+module S = Space.Make (Set_spec) (Update_codec.For_set)
+module SC = Protocol.Certificate (S)
+
+let ctx ?(broadcast = ignore) pid : _ Protocol.ctx =
+  {
+    Protocol.pid;
+    n = 4;
+    now = (fun () -> 0.0);
+    send = (fun ~dst:_ _ -> ());
+    broadcast;
+    broadcast_batch = List.iter broadcast;
+    set_timer = (fun ~delay:_ _ -> ());
+    count_replay = ignore;
+    obs = None;
+  }
+
+(* ------------------------------ Generic ------------------------------ *)
+
+(* [k] entries stamped (i, i mod 4), issued by pid i mod 4. *)
+let entries k =
+  List.init k (fun i ->
+      let i = i + 1 in
+      ( Timestamp.make ~clock:i ~pid:(i mod 4),
+        i mod 4,
+        if i mod 3 = 0 then Set_spec.Delete (i mod 7) else Set_spec.Insert (i mod 7) ))
+
+let generic es =
+  let r = G.create (ctx 0) in
+  G.restore_log r es;
+  r
+
+let edit i f es = List.mapi (fun j e -> if j = i then f e else e) es
+
+let flip = function Set_spec.Insert v -> Set_spec.Delete v | Delete v -> Insert v
+
+let generic_planted () =
+  let k = 40 in
+  let base = entries k in
+  let variants =
+    [
+      ("one entry short (the latest)", List.filteri (fun j _ -> j < k - 1) base);
+      ("one entry short (the earliest)", List.tl base);
+      ("one origin changed", edit (k / 2) (fun (ts, o, u) -> (ts, (o + 1) mod 4, u)) base);
+      ("one update changed", edit (k / 2) (fun (ts, o, u) -> (ts, o, flip u)) base);
+      ("only the earliest entry differs", edit 0 (fun (ts, o, u) -> (ts, o, flip u)) base);
+    ]
+  in
+  let same () = generic base in
+  Alcotest.(check bool) "identical replicas agree" true
+    (GC.agree [ same (); same (); same (); same () ]);
+  List.iter
+    (fun (what, es) ->
+      Alcotest.(check bool) (what ^ ", planted first") false
+        (GC.agree [ generic es; same (); same (); same () ]);
+      Alcotest.(check bool) (what ^ ", planted last") false
+        (GC.agree [ same (); same (); same (); generic es ]))
+    variants
+
+(* ------------------------------- Space ------------------------------- *)
+
+(* [k <= 64] single-key updates over 64 keys, a distinct key each (7919
+   is odd), so the entries spread over the map's shards and an entry is
+   found again by its key. *)
+let space_updates k =
+  List.init k (fun i -> [ (i * 7919 mod 64, Set_spec.Insert (i mod 16)) ])
+
+(* A pid-0 replica that issues [us] itself, and the frames it sends. *)
+let issuer us =
+  let sent = ref [] in
+  let r = S.create (ctx ~broadcast:(fun m -> sent := m :: !sent) 0) in
+  List.iter (fun u -> S.update r u ~on_done:ignore) us;
+  (r, List.rev !sent)
+
+(* A pid-[pid] replica that receives [msgs] from pid 0, the [j]-th
+   tagged as from [src j] instead. *)
+let receiver ?(src = fun _ -> 0) pid msgs =
+  let r = S.create (ctx pid) in
+  List.iteri (fun j m -> S.receive r ~src:(src j) m) msgs;
+  r
+
+let space_planted () =
+  S.configure (S.create_map ~shards:8 ());
+  let k = 40 in
+  let us = space_updates k in
+  let reference, msgs = issuer us in
+  (* Which update the fold visits last (the earliest) and first (the
+     latest): the shards' clocks interleave, so not the first and last
+     issued. *)
+  let issued_as = function
+    | _, [ (key, _) ] -> Option.get (List.find_index (fun u -> fst (List.hd u) = key) us)
+    | _ -> assert false
+  in
+  let cert = Option.get (SC.to_list reference) in
+  let earliest = issued_as (List.hd cert)
+  and latest = issued_as (List.hd (List.rev cert)) in
+  let same () = receiver 1 msgs in
+  let local us = fst (issuer us) in
+  let flip_at i = local (edit i (List.map (fun (key, u) -> (key, flip u))) us) in
+  let without i () = receiver 2 (List.filteri (fun j _ -> j <> i) msgs) in
+  let variants =
+    [
+      ("one entry short (the latest)", without latest);
+      ("one entry short (the earliest)", without earliest);
+      ( "one origin changed",
+        fun () -> receiver ~src:(fun j -> if j = k / 2 then 2 else 0) 2 msgs );
+      ("one update changed", fun () -> flip_at (k / 2));
+      ("only the earliest entry differs", fun () -> flip_at earliest);
+    ]
+  in
+  Alcotest.(check bool) "identical replicas agree" true
+    (SC.agree [ local us; same (); same (); same () ]);
+  List.iter
+    (fun (what, planted) ->
+      Alcotest.(check bool) (what ^ ", planted first") false
+        (SC.agree [ planted (); same (); same (); local us ]);
+      Alcotest.(check bool) (what ^ ", planted last") false
+        (SC.agree [ local us; same (); same (); planted () ]))
+    variants
+
+(* ----------------------------- both engines ----------------------------- *)
+
+(* The oplog core on the set, except that pid 1 folds its certificate
+   with every origin one higher: the updates, the logs and every read
+   are the core's own, so only the certificate check can notice. *)
+module Skewed = struct
+  include Set_spec
+
+  type t = { pid : int; g : G.t }
+
+  type message = G.message
+
+  let protocol_name = "skewed"
+
+  let create ctx = { pid = ctx.Protocol.pid; g = G.create ctx }
+
+  let update t = G.update t.g
+
+  let query t = G.query t.g
+
+  let receive t = G.receive t.g
+
+  let receive_batch t = G.receive_batch t.g
+
+  let message_wire_size = G.message_wire_size
+
+  let describe_message = G.describe_message
+
+  let log_length t = G.log_length t.g
+
+  let metadata_bytes t = G.metadata_bytes t.g
+
+  let certificate t f init =
+    if t.pid = 1 then G.certificate t.g (fun o u acc -> f (o + 1) u acc) init
+    else G.certificate t.g f init
+
+  let snapshot t = G.snapshot t.g
+
+  let absorb t = G.absorb t.g
+end
+
+let skewed_runner () =
+  let module R = Runner.Make (Skewed) in
+  let workload =
+    Workload.For_set.conflict ~rng:(Prng.create 3) ~n:3 ~ops_per_process:10 ~domain:6
+      ~skew:1.0 ~delete_ratio:0.3
+  in
+  let config = { (R.default_config ~n:3 ~seed:3) with R.final_read = Some Set_spec.Read } in
+  let r = R.run config ~workload in
+  Alcotest.(check bool) "the reads still converge" true r.R.converged;
+  Alcotest.(check bool) "the certificates disagree" false r.R.certificates_agree
+
+let skewed_parallel () =
+  let module E = Parallel_engine.Make (Skewed) in
+  let workload =
+    Array.init 2 (fun d ->
+        List.init 50 (fun i ->
+            Protocol.Invoke_update (Set_spec.Insert ((10 * d) + (i mod 10)))))
+  in
+  let config = { (E.default_config ~domains:2) with E.final_read = Some Set_spec.Read } in
+  let r = E.run config ~workload in
+  Alcotest.(check bool) "the reads still converge" true r.E.outputs_agree;
+  Alcotest.(check bool) "the certificates disagree" false r.E.certificates_agree
+
+(* ----------------------------- allocation ----------------------------- *)
+
+(* Four oplog replicas of 10k entries: the copy's two arrays, sized by
+   [log_length] and made straight in the major heap, and a few words per
+   replica for the closures and options; nothing per entry. *)
+let generic_guard () =
+  let k = 10_000 in
+  let base = entries k in
+  let rs = List.init 4 (fun _ -> generic base) in
+  let agreed, words = allocated_words (fun () -> GC.agree rs) in
+  Alcotest.(check bool) "the replicas agree" true agreed;
+  let arrays = float_of_int (2 * (k + 1)) in
+  if words > arrays +. 64. then
+    Alcotest.failf "agree over 4 x %d entries: %.0f words, %.0f beyond its two arrays" k
+      words (words -. arrays)
+
+(* Four space replicas of 10k entries over 8 shards: the singleton batch
+   the fold hands over is the only allocation per entry, 3 words; the
+   merge's arrays and the closures are a few dozen words per replica. *)
+let space_guard () =
+  S.configure (S.create_map ~shards:8 ());
+  let k = 10_000 and replicas = 4 in
+  let us = List.init k (fun i -> [ (i * 7919 mod 1024, Set_spec.Insert (i mod 16)) ]) in
+  let rs =
+    List.init replicas (fun _ ->
+        let r = S.create (ctx 0) in
+        List.iter (fun u -> S.update r u ~on_done:ignore) us;
+        r)
+  in
+  let agreed = ref false in
+  let words = minor_words (fun () -> agreed := SC.agree rs) in
+  Alcotest.(check bool) "the replicas agree" true !agreed;
+  if words > float_of_int (replicas * ((3 * k) + 64)) then
+    Alcotest.failf "agree over %d x %d space entries: %.3f minor words an entry a replica"
+      replicas k
+      (words /. float_of_int (replicas * k))
+
+let tests =
+  [
+    Alcotest.test_case "planted disagreements on oplog replicas are caught" `Quick
+      generic_planted;
+    Alcotest.test_case "planted disagreements on space replicas are caught" `Quick
+      space_planted;
+    Alcotest.test_case "the Runner reports a skewed pid 1 certificate" `Quick
+      skewed_runner;
+    Alcotest.test_case "the parallel engine reports a skewed pid 1 certificate" `Quick
+      skewed_parallel;
+    Alcotest.test_case "agree allocates its two arrays and nothing per entry" `Quick
+      generic_guard;
+    Alcotest.test_case "agree on the space allocates 3 words per entry per replica" `Quick
+      space_guard;
+  ]

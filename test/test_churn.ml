@@ -71,7 +71,7 @@ let tests =
                in
                let expect = Set_spec.eval state Set_spec.Read in
                List.for_all (fun (_, o) -> o = expect) r.R.final_outputs)
-             r.R.certificates);
+             (Lazy.force r.R.certificates));
     Alcotest.test_case "a leaver that never returns is excluded from ω" `Quick
       (fun () ->
         let churn = [ { Network.time = 25.0; pid = 2; action = Network.Leave } ] in

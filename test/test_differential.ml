@@ -271,7 +271,7 @@ let run_generic_core
   let r = R.run config ~workload in
   ( r.R.history,
     r.R.final_outputs,
-    r.R.certificates,
+    Lazy.force r.R.certificates,
     r.R.converged && r.R.certificates_agree,
     (r.R.metrics.Metrics.messages_sent, r.R.metrics.Metrics.bytes_sent) )
 
@@ -305,7 +305,7 @@ let run_set_telemetry ?(ops = 15) ?(monitors = false) ~seed ~obs
     }
   in
   let r = R.run config ~workload in
-  (r.R.history, r.R.final_outputs, r.R.certificates, r.R.metrics)
+  (r.R.history, r.R.final_outputs, Lazy.force r.R.certificates, r.R.metrics)
 
 let runner_differential_tests =
   let core_vs_core fifo label =

@@ -620,4 +620,13 @@ let tests =
         && Set_spec.equal_state s1 s2
         && Set_spec.equal_state s3 e3
         && Set_spec.equal_state s4 (expect ()));
+    qtest ~count:300 "a fold from the top, prepending, is the log in order" seed_gen
+      (fun seed ->
+        let rng = Prng.create seed in
+        let log = Oplog.create () in
+        insert_all log (entry_batch rng);
+        Oplog.fold_down
+          (fun { Oplog.ts; origin; payload } acc -> (ts, origin, payload) :: acc)
+          log []
+        = Oplog.to_list log);
   ]

@@ -64,7 +64,7 @@ module Digest (P : Protocol.PROTOCOL) = struct
           (fun (p, u) -> line " %d:%s" p (Format.asprintf "%a" P.pp_update u))
           cert;
         line "\n")
-      r.R.certificates;
+      (Lazy.force r.R.certificates);
     List.iter (fun (pid, len) -> line "log %d %d\n" pid len) r.R.log_lengths;
     List.iter (fun (pid, bytes) -> line "meta %d %d\n" pid bytes) r.R.metadata_bytes;
     line "duration %s\n" (bits r.R.sim_duration);

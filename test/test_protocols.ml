@@ -93,7 +93,7 @@ let certificate_tests =
                  Set_spec.equal_output
                    (Set_spec.eval (Run.final_state (List.map snd cert)) Set_spec.Read)
                    out)
-             r.R.certificates);
+             (Lazy.force r.R.certificates));
     qtest ~count:20 "certificates extend per-process invocation order" seed_gen
       (fun seed ->
         let module R = Runner.Make (Uni) in
@@ -117,7 +117,7 @@ let certificate_tests =
                 List.length from_cert = List.length (invoked p)
                 && List.for_all2 Set_spec.equal_update from_cert (invoked p))
               [ 0; 1; 2 ])
-          r.R.certificates);
+          (Lazy.force r.R.certificates));
   ]
 
 let memo_gc_internals =

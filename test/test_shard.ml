@@ -352,6 +352,7 @@ module Kept = struct
 end
 
 module KR = Runner.Make (Kept)
+module Cert = Protocol.Certificate (S)
 
 (* The certificate a stable sort of the concatenated shard logs gives:
    the procedure the k-way merge replaced, kept as its reference. *)
@@ -391,7 +392,7 @@ let certificate_merge =
           (fun x ->
             S.force_migrate x;
             let reference = sorted_certificate ~n x in
-            S.certificate x = Some reference)
+            Cert.to_list x = Some reference)
           !Kept.made
       in
       let during = agree () in
@@ -417,21 +418,22 @@ let solo map =
 let solo_space ~shards = solo (S.create_map ~shards ())
 
 (* Minor words per certificate entry of a replica holding [entries]
-   single-key updates over 8 shards. *)
+   single-key updates over 8 shards, the certificate built as a
+   list. *)
 let certificate_words entries =
   let r = solo_space ~shards:8 in
   for i = 1 to entries do
     S.update r [ (i * 7919 mod 1024, Set_spec.Insert (i mod 16)) ] ~on_done:ignore
   done;
   let words =
-    Helpers.minor_words (fun () -> ignore (Sys.opaque_identity (S.certificate r)))
+    Helpers.minor_words (fun () -> ignore (Sys.opaque_identity (Cert.to_list r)))
   in
   words /. float_of_int entries
 
-(* The merge reads the shard logs in place and allocates only the
-   output, 9 words an entry whatever the length. Concatenating the
-   logs and sorting them cost 66 words an entry at 48k, growing with
-   log n. *)
+(* The merge reads the shard logs in place: the fold allocates the
+   singleton batch and the list the [(origin, [ku])] pair and the cons,
+   9 words an entry whatever the length. Concatenating the logs and
+   sorting them cost 66 words an entry at 48k, growing with log n. *)
 let certificate_guard =
   Alcotest.test_case "certificate words per entry stay flat from 10k to 40k" `Quick
     (fun () ->

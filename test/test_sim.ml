@@ -488,7 +488,7 @@ module Idle = struct
 
   let metadata_bytes () = 0
 
-  let certificate () = None
+  let certificate _ _ _ = None
 
   let snapshot () = None
 

@@ -31,7 +31,7 @@ let tests =
         Alcotest.(check bool) "EC" true (C.holds Criteria.EC r.R.history));
     Alcotest.test_case "certificate explains the final reads" `Quick (fun () ->
         let r = run_once 99 in
-        match (r.R.certificates, r.R.final_outputs) with
+        match (Lazy.force r.R.certificates, r.R.final_outputs) with
         | (_, cert) :: _, (_, out) :: _ ->
           let module Run = Uqadt.Run (Set_spec) in
           let state = Run.final_state (List.map snd cert) in

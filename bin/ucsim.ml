@@ -1817,9 +1817,7 @@ let bench_exec (ps : Run_spec.parallel) ~obs ~journal_out ~series_out ~monitors
       ?journal_header ~domains:ps.domains ~final_read:W.final_read
       ~scripts:W.scripts ()
   in
-  let r =
-    B.row ~batch:ps.batch ~flush_window:ps.flush_window ~ops_per_domain:ps.ops v
-  in
+  let r = B.row ~ops_per_domain:ps.ops v in
   let checks =
     [
       ("logs agree", string_of_bool v.B.logs_agree);
@@ -1963,12 +1961,6 @@ let bench_cmd =
              its buffer to reach the --batch threshold (0 = no window; \
              flushes happen only on the threshold and at script end).")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the row as JSON.")
-  in
   let obs_arg =
     Arg.(value & flag & info [ "obs" ] ~doc:"Print per-domain telemetry rows.")
   in
@@ -2009,7 +2001,7 @@ let bench_cmd =
           ~doc:"Wall-clock series sampling cadence in seconds.")
   in
   let run spec domains ops zipf seed query_ratio shards keys fanout mailbox
-      batch flush_window json obs_flag journal_out series_out monitors
+      batch flush_window obs_flag journal_out series_out monitors
       sample_interval =
     let ps =
       {
@@ -2081,7 +2073,6 @@ let bench_cmd =
         ];
       Printf.printf "differential       %s\n"
         (if r.Throughput.shard_ok then "PASS" else "FAIL");
-      Option.iter (fun path -> Throughput.emit_shard_json path [ r ]) json;
       Option.iter
         (fun o ->
           Obs.finalize o ~live:[];
@@ -2113,7 +2104,6 @@ let bench_cmd =
       bench_exec ps ~obs ~journal_out ~series_out ~monitors ~sample_interval
         ~describe
     in
-    Option.iter (fun path -> Throughput.emit_json path [ row ]) json;
     Option.iter
       (fun o ->
         Obs.finalize o ~live:[];
@@ -2126,7 +2116,7 @@ let bench_cmd =
     Term.(
       const run $ spec_arg $ domains_arg $ ops_arg $ zipf_arg $ seed_arg
       $ query_ratio_arg $ shards_arg $ keys_arg $ fanout_arg $ mailbox_arg
-      $ batch_arg $ flush_window_arg $ json_arg $ obs_arg $ journal_out_arg
+      $ batch_arg $ flush_window_arg $ obs_arg $ journal_out_arg
       $ series_out_arg $ monitor_arg $ sample_interval_arg)
 
 let list_cmd =

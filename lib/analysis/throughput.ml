@@ -46,9 +46,6 @@ type row = {
   ops_per_domain : int;
   total_ops : int;
   updates : int;
-  batch : int;  (* sender-side coalescing threshold the cell ran with *)
-  flush_window : int;  (* forced-flush cadence in invocations; 0 = none *)
-  frames : int;  (* mailbox frames actually pushed, summed over domains *)
   wall_s : float;
   ops_per_sec : float;
   p50_us : float;
@@ -57,25 +54,6 @@ type row = {
   mailbox_stalls : int;
   ok : bool;
 }
-
-let emit_json path rows =
-  let oc = open_out path in
-  output_string oc "[\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "  {\"spec\": %S, \"domains\": %d, \"ops_per_domain\": %d, \
-         \"total_ops\": %d, \"updates\": %d, \"batch\": %d, \
-         \"flush_window\": %d, \"frames\": %d, \"wall_s\": %.6f, \
-         \"ops_per_sec\": %.1f, \"p50_us\": %.2f, \"p99_us\": %.2f, \
-         \"mailbox_max_depth\": %d, \"mailbox_stalls\": %d, \"ok\": %b}%s\n"
-        r.spec r.domains r.ops_per_domain r.total_ops r.updates r.batch
-        r.flush_window r.frames r.wall_s r.ops_per_sec r.p50_us r.p99_us
-        r.mailbox_max_depth r.mailbox_stalls r.ok
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "]\n";
-  close_out oc
 
 (* Wall-clock time series from a merged recorder stream: per-pid
    cumulative counters snapshotted on a fixed cadence of the recorded
@@ -554,7 +532,7 @@ module Bench (A : Uqadt.S) = struct
       state_repr = Format.asprintf "%a" A.pp_state folded;
     }
 
-  let row ?(batch = 1) ?(flush_window = 0) ~ops_per_domain v =
+  let row ~ops_per_domain v =
     let p50, p99 =
       match v.latency with
       | None -> (0.0, 0.0)
@@ -567,12 +545,6 @@ module Bench (A : Uqadt.S) = struct
       ops_per_domain;
       total_ops = v.run.E.ops_total;
       updates = v.run.E.updates_total;
-      batch;
-      flush_window;
-      frames =
-        Array.fold_left
-          (fun acc r -> acc + r.Parallel_engine.frames_sent)
-          0 reports;
       wall_s = v.run.E.wall_seconds;
       ops_per_sec = v.run.E.throughput;
       p50_us = p50;
@@ -604,24 +576,6 @@ type shard_row = {
   shard_log_min : int;
   shard_ok : bool;
 }
-
-let emit_shard_json path rows =
-  let oc = open_out path in
-  output_string oc "[\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "  {\"spec\": %S, \"shards\": %d, \"domains\": %d, \"keys\": %d, \
-         \"skew\": %.3f, \"fanout\": %d, \"total_ops\": %d, \
-         \"keyed_updates\": %d, \"wall_s\": %.6f, \"ops_per_sec\": %.1f, \
-         \"shard_log_max\": %d, \"shard_log_min\": %d, \"ok\": %b}%s\n"
-        r.shard_spec r.shards r.shard_domains r.keys r.skew r.fanout
-        r.shard_total_ops r.keyed_updates r.shard_wall_s r.shard_ops_per_sec
-        r.shard_log_max r.shard_log_min r.shard_ok
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "]\n";
-  close_out oc
 
 (* The same oracle, shard-aware: each shard stamps its keys' updates
    with its own Lamport clock, so Proposition 4 applies {e per shard} —

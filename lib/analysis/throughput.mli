@@ -26,10 +26,6 @@ type row = {
   ops_per_domain : int;
   total_ops : int;
   updates : int;
-  batch : int;  (** sender-side coalescing threshold the cell ran with *)
-  flush_window : int;
-      (** forced-flush cadence in invocations; 0 = threshold-only *)
-  frames : int;  (** mailbox frames actually pushed, summed over domains *)
   wall_s : float;
   ops_per_sec : float;
   p50_us : float;
@@ -38,9 +34,7 @@ type row = {
   mailbox_stalls : int;
   ok : bool;  (** the differential verdict, never a throughput bound *)
 }
-(** One BENCH_throughput.json record. *)
-
-val emit_json : string -> row list -> unit
+(** One run's summary, as [ucsim bench] prints it. *)
 
 val series_of_events :
   ?interval:float ->
@@ -176,9 +170,7 @@ module Bench (A : Uqadt.S) : sig
       indices are journal event indices (the walk is the same one
       {!journal_of_events} uses). *)
 
-  val row : ?batch:int -> ?flush_window:int -> ops_per_domain:int -> verdict -> row
-  (** [batch]/[flush_window] (defaults 1/0) annotate the row with the
-      knobs the cell ran under — [measure] does not retain them. *)
+  val row : ops_per_domain:int -> verdict -> row
 end
 
 type shard_row = {
@@ -196,9 +188,7 @@ type shard_row = {
   shard_log_min : int;
   shard_ok : bool;  (** the shard-aware differential verdict *)
 }
-(** One BENCH_shard.json record. *)
-
-val emit_shard_json : string -> shard_row list -> unit
+(** One sharded run's summary, as [ucsim bench --shards] prints it. *)
 
 (** The Proposition 4 differential, shard-aware: each shard of the
     {!Space} stamps its keys' updates with its own Lamport clock, so

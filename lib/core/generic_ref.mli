@@ -10,7 +10,7 @@
     {- the differential test suite runs it against the oplog-core
        {!Generic} on random schedules and demands identical query
        outputs and certificates;}
-    {- the C2 experiment and the bechamel benchmarks keep a
+    {- the C2 experiment and the warm-query test keep a
        paper-faithful "naive full replay" row to measure the
        optimisations against;}
     {- [ucsim --log-core list] A/Bs the two cores from the CLI.}}

@@ -107,7 +107,6 @@ module Make (A : Uqadt.S) = struct
     ec : ec_state option;
     mutable violations : violation list;  (* newest first *)
     mutable events_seen : int;
-    mutable work : int;
   }
 
   let create ~n ~criteria =
@@ -150,7 +149,6 @@ module Make (A : Uqadt.S) = struct
          else None);
       violations = [];
       events_seen = 0;
-      work = 0;
     }
 
   let violations t = List.rev t.violations
@@ -166,8 +164,6 @@ module Make (A : Uqadt.S) = struct
   let report t v = t.violations <- v :: t.violations
 
   let events_seen t = t.events_seen
-
-  let work t = t.work
 
   let divergence t =
     match t.ec with
@@ -204,7 +200,6 @@ module Make (A : Uqadt.S) = struct
       then out := { pos; state } :: !out
     in
     let rec go c =
-      t.work <- t.work + 1;
       if not (seen c.pos c.state) then begin
         if c.pos.(pr.p) = qpos then begin
           let ready =
@@ -269,12 +264,8 @@ module Make (A : Uqadt.S) = struct
 
   (* ------------------------------- UC --------------------------------- *)
 
-  let pairs_hold t pairs s =
-    List.for_all
-      (fun (q, o) ->
-        t.work <- t.work + 1;
-        A.equal_output (A.eval s q) o)
-      pairs
+  let pairs_hold pairs s =
+    List.for_all (fun (q, o) -> A.equal_output (A.eval s q) o) pairs
 
   let uc_prefix_history uc =
     History.make (Array.to_list (Array.map (fun r -> List.rev !r) uc.steps))
@@ -282,10 +273,9 @@ module Make (A : Uqadt.S) = struct
   (* Full fallback: Check_uc on the prefix fed so far. On success the
      witness's final state is memoized so later events retry it in O(1)
      before searching again. *)
-  let uc_search t uc =
+  let uc_search uc =
     match Cuc.witness (uc_prefix_history uc) with
     | Some updates ->
-      t.work <- t.work + List.length updates;
       uc.witness <- Some (Run.final_state updates, uc.total);
       true
     | None -> false
@@ -294,7 +284,6 @@ module Make (A : Uqadt.S) = struct
     ignore span;
     uc.steps.(pid) := History.U u :: !(uc.steps.(pid));
     uc.total <- uc.total + 1;
-    t.work <- t.work + 1;
     uc.lin_state <- A.apply uc.lin_state u;
     if uc.pairs <> [] then begin
       (* The new update is the latest event of [pid], so appending it to
@@ -302,16 +291,15 @@ module Make (A : Uqadt.S) = struct
       let extended =
         match uc.witness with
         | Some (s, k) when k = uc.total - 1 ->
-          t.work <- t.work + 1;
           let s' = A.apply s u in
-          if pairs_hold t uc.pairs s' then begin
+          if pairs_hold uc.pairs s' then begin
             uc.witness <- Some (s', uc.total);
             true
           end
           else false
         | _ -> false
       in
-      if (not extended) && not (uc_search t uc) then
+      if (not extended) && not (uc_search uc) then
         report t
           {
             criterion = Uc;
@@ -332,17 +320,16 @@ module Make (A : Uqadt.S) = struct
     let fast =
       (match uc.witness with
       | Some (s, k) when k = uc.total ->
-        t.work <- t.work + 1;
         A.equal_output (A.eval s q) o
       | _ -> false)
       ||
-      if pairs_hold t uc.pairs uc.lin_state then begin
+      if pairs_hold uc.pairs uc.lin_state then begin
         uc.witness <- Some (uc.lin_state, uc.total);
         true
       end
       else false
     in
-    if (not fast) && not (uc_search t uc) then
+    if (not fast) && not (uc_search uc) then
       report t
         {
           criterion = Uc;
@@ -437,7 +424,6 @@ module Make (A : Uqadt.S) = struct
       match t.ec with
       | Some ec when not (violated t Ec) ->
         ec.ec_pairs <- (q, o) :: ec.ec_pairs;
-        t.work <- t.work + 1;
         if not (A.satisfiable ec.ec_pairs) then
           report t
             {

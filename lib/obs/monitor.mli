@@ -81,11 +81,6 @@ module Make (A : Uqadt.S) : sig
 
   val events_seen : t -> int
 
-  val work : t -> int
-  (** Abstract-machine steps (state applications, query evaluations,
-      closure expansions) spent so far — the bench's per-event overhead
-      numerator. *)
-
   val divergence : t -> (float * int) option * int
   (** [(last probe sample, peak distinct)] from {!on_probe}. *)
 end

@@ -122,6 +122,14 @@ module Certificate (P : PROTOCOL) : sig
       the accumulator. So beyond the two arrays and a few words per
       replica, the check allocates only what the folds do — nothing
       per entry on the array cores. *)
+
+  val classes : P.t list -> int
+  (** The number of classes the replicas fall into under {!agree}'s
+      comparison: replicas that keep a certificate share a class when
+      their certificates agree; replicas that keep none share a class
+      when their {!PROTOCOL.log_length}s are equal. Each class keeps
+      one copy, as {!agree} does, and a replica is folded once against
+      each class it is compared with. *)
 end
 
 (** The {!PROTOCOL} catch-up pair for a protocol without a persistence

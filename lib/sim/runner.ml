@@ -115,18 +115,6 @@ module Make (P : Protocol.PROTOCOL) = struct
       sampler = ob.sampler;
     }
 
-  (* Replica state fingerprint for the divergence probe when the caller
-     supplies none: the certificate if the protocol keeps one, the log
-     length otherwise (coarse, but monotone under convergence). *)
-  let default_fingerprint r =
-    match Cert.to_list r with
-    | Some cert ->
-      String.concat ";"
-        (List.map
-           (fun (p, u) -> Format.asprintf "%d:%a" p P.pp_update u)
-           cert)
-    | None -> Printf.sprintf "log:%d" (P.log_length r)
-
   (* Per-replica registry handles for the operation-level series the
      runner itself records. *)
   type runner_obs = {
@@ -271,24 +259,32 @@ module Make (P : Protocol.PROTOCOL) = struct
     let probe =
       match (config.obs, config.probe_interval) with
       | Some o, Some interval ->
-        let fingerprint =
-          Option.value config.fingerprint ~default:default_fingerprint
-        in
         let last = ref Float.neg_infinity in
+        (* [f] of every live replica, the highest pid's first. *)
+        let live f =
+          let acc = ref [] in
+          for pid = n - 1 downto 0 do
+            if not crashed.(pid) && not offline.(pid) then
+              match replicas.(pid) with
+              | Some r -> acc := f r :: !acc
+              | None -> ()
+          done;
+          !acc
+        in
         Some
           (fun ~force () ->
             let now = Engine.now engine in
             if force || now -. !last >= interval then begin
               last := now;
-              let fps = ref [] in
-              for pid = n - 1 downto 0 do
-                if not crashed.(pid) && not offline.(pid) then
-                  match replicas.(pid) with
-                  | Some r -> fps := fingerprint r :: !fps
-                  | None -> ()
-              done;
+              (* A caller's fingerprint may query the replica, so it
+                 is called once per live replica; without one the
+                 certificates are folded against each other, not
+                 rendered. *)
               let distinct =
-                List.length (List.sort_uniq String.compare !fps)
+                match config.fingerprint with
+                | Some fingerprint ->
+                  List.length (List.sort_uniq String.compare (live fingerprint))
+                | None -> Cert.classes (live Fun.id)
               in
               Obs.record_divergence o ~time:now ~distinct;
               jrecord (fun () -> Obs.Journal.Probe { time = now; distinct });

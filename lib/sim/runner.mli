@@ -65,15 +65,18 @@ module Make (P : Protocol.PROTOCOL) : sig
             is offered after every update invocation and every
             delivered message (queries offer none) and is taken when
             this much time has passed since the last one, so [Some 0.0]
-            takes every one. A probe samples every live replica's state
-            fingerprint and appends the number of distinct values to
-            {!Obs.divergence_series}; one forced sample at quiescence
+            takes every one. A probe counts the distinct states among
+            the live replicas (see [fingerprint]) and appends the count
+            to {!Obs.divergence_series}; one forced sample at quiescence
             ends the series. Probes schedule no engine events and draw
             no randomness. Requires [obs]. *)
     fingerprint : (P.t -> string) option;
-        (** replica state fingerprint for the probe; defaults to the
-            certificate rendered as text (log length if the protocol
-            keeps no certificate). A fingerprint may query the replica
+        (** replica state fingerprint for the probe, called once per
+            live replica per sample; replicas with equal fingerprints
+            count as one state. [None] (the default) counts the classes
+            of {!Protocol.Certificate.classes} instead: equal
+            certificates, or equal log lengths if the protocol keeps
+            none. A fingerprint may query the replica
             (its answer to a read, say): the query ticks the replica's
             clock, so later timestamps can differ from an unprobed run,
             but it schedules nothing, so the schedule is not

@@ -1,6 +1,6 @@
 (** Plain-text table rendering for experiment reports.
 
-    Every benchmark in [bench/main.ml] ends by printing one of these
+    Every experiment in [Experiments] ends by printing one of these
     tables; the layout mirrors the rows the paper reports so that
     EXPERIMENTS.md can be regenerated by copy-paste. *)
 

@@ -1,5 +1,6 @@
-(* Proposition 4's check, [Protocol.Certificate.agree], against planted
-   disagreements: replicas of the oplog core and of the sharded space
+(* Proposition 4's check, [Protocol.Certificate.agree], and the
+   convergence probe's count of classes under it, [classes], against
+   planted disagreements: replicas of the oplog core and of the sharded space
    that differ in one entry's presence, origin or update, including the
    earliest entry, which the fold visits last; a protocol whose pid 1
    folds a skewed certificate, run through both engines; and what the
@@ -59,12 +60,16 @@ let generic_planted () =
   let same () = generic base in
   Alcotest.(check bool) "identical replicas agree" true
     (GC.agree [ same (); same (); same (); same () ]);
+  Alcotest.(check int) "identical replicas form one class" 1
+    (GC.classes [ same (); same (); same (); same () ]);
   List.iter
     (fun (what, es) ->
       Alcotest.(check bool) (what ^ ", planted first") false
         (GC.agree [ generic es; same (); same (); same () ]);
       Alcotest.(check bool) (what ^ ", planted last") false
-        (GC.agree [ same (); same (); same (); generic es ]))
+        (GC.agree [ same (); same (); same (); generic es ]);
+      Alcotest.(check int) (what ^ ", two classes") 2
+        (GC.classes [ same (); generic es; same (); generic es ]))
     variants
 
 (* ------------------------------- Space ------------------------------- *)

@@ -81,7 +81,9 @@ let primitive_tests =
         Alcotest.(check bool) "consumed" true (Codec.Reader.at_end r));
   ]
 
-(* Per-ADT: round trip + exact frame length, driven by each type's own
+(* Per-ADT: round trip, exact frame length, and a damaged frame — one
+   byte flipped, cut short anywhere, or one byte appended — either
+   decoding or raising [Decode_error], driven by each type's own
    generator. *)
 let adt_case (type u) name
     (module A : Uqadt.S with type update = u)
@@ -95,6 +97,21 @@ let adt_case (type u) name
         let rng = Prng.create seed in
         let u = A.random_update rng in
         String.length (C.to_string u) = A.update_wire_size u);
+    qtest (name ^ " a damaged frame decodes or raises Decode_error") seed_gen (fun seed ->
+        let rng = Prng.create seed in
+        let frame = C.to_string (A.random_update rng) in
+        let n = String.length frame in
+        let damaged =
+          match Prng.int rng 3 with
+          | 0 when n > 0 ->
+            let b = Bytes.of_string frame in
+            let i = Prng.int rng n in
+            Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 + Prng.int rng 255)));
+            Bytes.to_string b
+          | 1 when n > 0 -> String.sub frame 0 (Prng.int rng n)
+          | _ -> frame ^ String.make 1 (Char.chr (Prng.int rng 256))
+        in
+        match C.of_string damaged with _ -> true | exception Codec.Decode_error _ -> true);
   ]
 
 let adt_tests =

@@ -142,19 +142,34 @@ let tests =
     Alcotest.test_case "commutative dedup key unlocks a deeper counter scope"
       `Slow
       (fun () ->
-        (* 2 replicas x 3 increments: 2.9M naive interleavings collapse
-           to a few thousand fingerprinted states. *)
+        (* 2 replicas x 3 increments: the naive DFS's 207,900 schedules
+           collapse to about a thousand fingerprinted states, and the
+           reduced engine must replay at least 5x fewer protocol steps
+           to reach the same verdict. *)
         let r =
-          M_counter.explore ~por:true ~dedup:true
+          M_counter.explore ~limit:max_int ~por:true ~dedup:true
             ~snapshot:Snap_counter.snapshotter
             ~state_key:Snap_counter.commutative_key
             ~message_key:Snap_counter.commutative_message_key
             ~deliveries_commute:Snap_counter.deliveries_commute
             ~scripts:(counter_scripts 2 3) ~final_read:Counter_spec.Value ()
         in
-        Alcotest.(check bool) "exhaustive" true r.M_counter.exhaustive;
+        let naive =
+          M_counter.explore ~limit:max_int ~scripts:(counter_scripts 2 3)
+            ~final_read:Counter_spec.Value ()
+        in
+        Alcotest.(check bool) "exhaustive" true
+          (r.M_counter.exhaustive && naive.M_counter.exhaustive);
+        check_counts "distinct failures equal the naive DFS's"
+          (named naive.M_counter.distinct_failures)
+          (named r.M_counter.distinct_failures);
         check_counts "no violations" [ ("UC", 0); ("EC", 0) ]
           (named r.M_counter.distinct_failures);
+        let steps (x : M_counter.report) = x.M_counter.stats.Explore.protocol_steps in
+        Alcotest.(check bool)
+          (Printf.sprintf "5x fewer protocol steps (%d vs %d)" (steps r) (steps naive))
+          true
+          (5 * steps r <= steps naive);
         Alcotest.(check bool) "states were merged" true
           (r.M_counter.stats.Explore.states_deduped > 0));
     Alcotest.test_case "fingerprints of distinct small inputs stay distinct"

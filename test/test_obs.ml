@@ -456,6 +456,7 @@ let probe_tests =
               answer := Format.asprintf "%a" Set_spec.pp_output o);
           !answer
         in
+        let calls = ref 0 in
         let run probe_interval =
           let obs = Obs.create () in
           let config =
@@ -463,20 +464,104 @@ let probe_tests =
               (R.default_config ~n:3 ~seed:5) with
               R.obs = Some obs;
               probe_interval;
-              fingerprint = Some read;
+              fingerprint = Some (fun r -> incr calls; read r);
             }
           in
           (obs, R.run config ~workload)
         in
         let obs, r = run (Some 0.0) in
         let m = r.R.metrics in
+        let samples = List.length (Obs.divergence_series obs) in
         Alcotest.(check int) "deliveries" 36 m.Metrics.messages_delivered;
         Alcotest.(check int) "updates, deliveries and the forced sample"
           (m.Metrics.updates_invoked + m.Metrics.messages_delivered + 1)
-          (List.length (Obs.divergence_series obs));
+          samples;
+        Alcotest.(check int) "one fingerprint per replica per sample" (3 * samples) !calls;
         let _, unprobed = run None in
         Alcotest.(check bool) "reads schedule nothing" true
           (r.R.intervals = unprobed.R.intervals));
   ]
 
-let tests = json_tests @ registry_tests @ span_tests @ trace_tests @ probe_tests
+(* A probed run's divergence series, counted by certificate classes
+   (no fingerprint) and by the count they replaced: every live
+   replica's certificate rendered as text (its log length when the
+   protocol keeps none), and the number of distinct strings. Rendering
+   reads no replica, so both runs take the same schedule. *)
+module Probe_counts (P : Protocol.PROTOCOL) = struct
+  module R = Runner.Make (P)
+  module Cert = Protocol.Certificate (P)
+
+  let rendered r =
+    match Cert.to_list r with
+    | Some cert ->
+      String.concat ";"
+        (List.map (fun (p, u) -> Format.asprintf "%d:%a" p P.pp_update u) cert)
+    | None -> Printf.sprintf "log:%d" (P.log_length r)
+
+  let series config ~workload =
+    let run fingerprint =
+      let obs = Obs.create () in
+      let r =
+        R.run
+          { config with R.obs = Some obs; probe_interval = Some 0.0; fingerprint }
+          ~workload
+      in
+      Alcotest.(check bool) "run converged" true r.R.converged;
+      Obs.divergence_series obs
+    in
+    (run None, run (Some rendered))
+end
+
+let class_probe_tests =
+  let module Uni = Persist.Catchup (Generic.Make (Set_spec)) (Update_codec.For_set) in
+  let module Sp = Space.Make (Set_spec) (Update_codec.For_set) in
+  let check_series name (classes, rendered) =
+    Alcotest.(check bool) (name ^ ": replicas diverged") true
+      (List.exists (fun (_, d) -> d > 1) classes);
+    Alcotest.(check (list (pair (float 0.) int))) name rendered classes
+  in
+  [
+    Alcotest.test_case "certificate classes count what the rendered certificates did" `Quick
+      (fun () ->
+        let workload =
+          Workload.For_set.conflict ~rng:(Prng.create 7) ~n:4 ~ops_per_process:12 ~domain:8
+            ~skew:1.0 ~delete_ratio:0.3
+        in
+        let module U = Probe_counts (Uni) in
+        check_series "universal, partitioned and churned"
+          (U.series ~workload
+             {
+               (U.R.default_config ~n:4 ~seed:7) with
+               U.R.delay = Network.Exponential { mean = 10.0 };
+               final_read = Some Set_spec.Read;
+               churn =
+                 [
+                   { Network.time = 20.0; pid = 3; action = Network.Join };
+                   { Network.time = 30.0; pid = 2; action = Network.Leave };
+                   { Network.time = 60.0; pid = 2; action = Network.Rejoin };
+                 ];
+               partitions = [ { Network.from_time = 40.0; to_time = 80.0; group = [ 1 ] } ];
+             });
+        Sp.configure (Sp.create_map ~shards:4 ());
+        let elem = Zipf.create ~n:16 ~s:1.0 in
+        let workload =
+          Workload.For_space.zipf_scripts ~rng:(Prng.create 7) ~n:4 ~ops_per_process:12
+            ~keys:32 ~skew:1.1 ~fanout:3 ~query_ratio:0.25
+            ~update:(fun g ->
+              let v = Zipf.sample elem g in
+              if Prng.float g 1.0 < 0.3 then Set_spec.Delete v else Set_spec.Insert v)
+            ~query:(fun _ -> Set_spec.Read)
+            ~read:(fun k q -> Sp.K.Read (k, q))
+        in
+        let module S = Probe_counts (Sp) in
+        check_series "sharded, partitioned"
+          (S.series ~workload
+             {
+               (S.R.default_config ~n:4 ~seed:7) with
+               S.R.final_read = Some Sp.K.Sweep;
+               partitions = [ { Network.from_time = 10.0; to_time = 60.0; group = [ 0; 1 ] } ];
+             }));
+  ]
+
+let tests =
+  json_tests @ registry_tests @ span_tests @ trace_tests @ probe_tests @ class_probe_tests

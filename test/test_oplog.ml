@@ -221,8 +221,76 @@ let edge_inserts () =
   Alcotest.(check bool) "the resident tail entry was kept" true
     (Set_spec.equal_update (Oplog.get log 4).Oplog.payload (Set_spec.Insert 4))
 
+(* Section VII.C's query cost on the three cores of the universal
+   construction: the list core, the array core with checkpoints off,
+   and the array core at its default interval of 32. *)
+module List_core = Generic_ref.Make (Set_spec)
+
+module Array_core =
+  Generic.Configured
+    (struct
+      let config = { Generic.default with checkpoint_interval = 0 }
+    end)
+    (Set_spec)
+
+module Ckpt_core = Generic.Make (Set_spec)
+
+(* The replay steps of one warm query, and its answer, on a replica of
+   [P] that holds [size] random set updates and has answered one query
+   already; [profile] attaches a replica telemetry handle. *)
+let warm_query (type t)
+    (module P : Protocol.PROTOCOL
+      with type t = t
+       and type update = Set_spec.update
+       and type query = Set_spec.query
+       and type output = Set_spec.output) ~profile ~size =
+  let steps = ref 0 in
+  let ctx =
+    {
+      (Throughput.dummy_ctx ~pid:0 ~n:3) with
+      Protocol.count_replay = (fun k -> steps := !steps + k);
+      obs = (if profile then Some (Obs.make_replica 0) else None);
+    }
+  in
+  let r = P.create ctx in
+  let rng = Prng.create 99 in
+  for _ = 1 to size do
+    P.update r (Set_spec.random_update rng) ~on_done:ignore
+  done;
+  let read () =
+    let out = ref None in
+    P.query r Set_spec.Read ~on_result:(fun o -> out := Some o);
+    Option.get !out
+  in
+  ignore (read ());
+  steps := 0;
+  let out = read () in
+  (!steps, out)
+
+let warm_replay () =
+  List.iter
+    (fun size ->
+      List.iter
+        (fun profile ->
+          let label core =
+            Printf.sprintf "%s at %d%s" core size (if profile then ", profiled" else "")
+          in
+          let list_steps, list_out = warm_query (module List_core) ~profile ~size in
+          let array_steps, array_out = warm_query (module Array_core) ~profile ~size in
+          let ckpt_steps, ckpt_out = warm_query (module Ckpt_core) ~profile ~size in
+          Alcotest.(check int) (label "list core replays its whole log") size list_steps;
+          Alcotest.(check int) (label "array core replays nothing") 0 array_steps;
+          Alcotest.(check int) (label "array+ckpt core replays nothing") 0 ckpt_steps;
+          Alcotest.(check bool) (label "the three cores answer alike") true
+            (Set_spec.equal_output list_out array_out
+            && Set_spec.equal_output list_out ckpt_out))
+        [ false; true ])
+    [ 64; 128; 256; 512; 1024 ]
+
 let tests =
   [
+    Alcotest.test_case "a warm query replays the list core's log, none of the array cores'"
+      `Quick warm_replay;
     Alcotest.test_case "appends cost the same with hundreds of checkpoints (profile off)"
       `Quick (append_guard ~profile:false);
     Alcotest.test_case "appends cost the same with hundreds of checkpoints (profile on)"

@@ -93,31 +93,30 @@ module Certificate (P : PROTOCOL) = struct
       Some c
 
   (* [r]'s fold against the copy, the index as the accumulator: [-1]
-     from the first entry that differs, or that the copy lacks, on.
-     [absent] when [r] keeps no certificate. *)
-  let matches ~absent c r =
+     from the first entry that differs, or that the copy lacks, on. *)
+  let matches c r =
     let check origin u i =
       if i < 0 || i >= c.len || c.origins.(i) <> origin
          || not (P.equal_update c.updates.(i) u)
       then -1
       else i + 1
     in
-    match P.certificate r check 0 with None -> absent | Some i -> i = c.len
+    match P.certificate r check 0 with None -> true | Some i -> i = c.len
 
   let rec agree = function
     | [] -> true
     | r :: rest -> (
-      match copy r with
-      | None -> agree rest
-      | Some c -> List.for_all (matches ~absent:true c) rest)
+      match copy r with None -> agree rest | Some c -> List.for_all (matches c) rest)
 
   (* One copy per class met so far; a replica joins the first class
-     whose copy it matches, or opens a class of its own. *)
+     whose copy it matches, or opens a class of its own. A protocol
+     keeps a certificate on every replica or on none, so a replica
+     without one meets no copy and is classed by its log length. *)
   let classes rs =
     let copies = ref [] and lengths = ref [] in
     List.iter
       (fun r ->
-        if not (List.exists (fun c -> matches ~absent:false c r) !copies) then
+        if not (List.exists (fun c -> matches c r) !copies) then
           match copy r with
           | Some c -> copies := c :: !copies
           | None ->

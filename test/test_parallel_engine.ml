@@ -304,6 +304,32 @@ let flush_window_differential () =
   in
   Alcotest.(check bool) "window actually coalesced" true (frames < messages)
 
+(* Coalescing at 2 domains, 2,000 counter updates each, into a 64-frame
+   mailbox. How often a push finds that mailbox full depends on the OS
+   schedule; how many frames are pushed does not. The flush policy
+   fixes it: one frame per update unbatched, one per 16-invocation
+   window with batch 32 and window 16. *)
+let coalescing_frame_counts () =
+  let domains = 2 and ops = 2_000 in
+  let scripts =
+    T_counter.uniform_scripts ~seed:42 ~domains ~ops ~query_ratio:0.0
+  in
+  let frames ?batch_every ?flush_window () =
+    let v =
+      T_counter.measure ~mailbox_capacity:64 ?batch_every ?flush_window
+        ~domains ~final_read:Counter_spec.Value ~scripts ()
+    in
+    Alcotest.(check bool) "differential holds" true (T_counter.ok v);
+    Array.map
+      (fun r -> r.Parallel_engine.frames_sent)
+      v.T_counter.run.T_counter.E.reports
+  in
+  Alcotest.(check (array int))
+    "unbatched: one frame per update" [| ops; ops |] (frames ());
+  Alcotest.(check (array int))
+    "batched: one frame per window" [| ops / 16; ops / 16 |]
+    (frames ~batch_every:32 ~flush_window:16 ())
+
 let rejects_bad_config () =
   let scripts = T_set.uniform_scripts ~seed:1 ~domains:2 ~ops:1 ~query_ratio:0.0 in
   Alcotest.check_raises "workload width"
@@ -342,5 +368,7 @@ let tests =
       record_replay_batched;
     Alcotest.test_case "flush window coalesces and converges" `Quick
       flush_window_differential;
+    Alcotest.test_case "coalescing fixes the frame count at 2 domains" `Quick
+      coalescing_frame_counts;
     Alcotest.test_case "malformed configs rejected" `Quick rejects_bad_config;
   ]

@@ -113,8 +113,6 @@ let receive t ~src msg =
       end
     | Some _ | None -> ())
 
-let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
-
 let message_wire_size = function
   | Collect_req { rid } -> 1 + Wire.varint_size rid
   | Collect_ack { rid; ts; value } ->
@@ -136,3 +134,9 @@ let metadata_bytes t = Timestamp.wire_size t.current_ts + Wire.varint_size (abs 
 let certificate _ _ _ = None
 
 include Protocol.No_catchup
+
+include Protocol.Receive_each (struct
+  type nonrec t = t
+  type nonrec message = message
+  let receive = receive
+end)

@@ -89,8 +89,6 @@ module Make (A : Uqadt.S) = struct
      sequence, so reads are sequentially consistent (but may lag). *)
   let query t q ~on_result = on_result (A.eval t.state q)
 
-  let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
-
   let message_wire_size = function
     | Update { ts; update = u } -> Timestamp.wire_size ts + A.update_wire_size u
     | Ack { clock } -> Wire.varint_size clock
@@ -112,4 +110,10 @@ module Make (A : Uqadt.S) = struct
     Some (List.fold_left (fun acc (origin, u) -> f origin u acc) init t.applied_rev)
 
   include Protocol.No_catchup
+
+  include Protocol.Receive_each (struct
+    type nonrec t = t
+    type nonrec message = message
+    let receive = receive
+  end)
 end

@@ -28,8 +28,6 @@ module Make (A : Uqadt.S) = struct
 
   let query t q ~on_result = on_result (A.eval t.state q)
 
-  let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
-
   let message_wire_size = A.update_wire_size
 
   let describe_message u = Format.asprintf "%a" A.pp_update u
@@ -41,4 +39,10 @@ module Make (A : Uqadt.S) = struct
   let certificate _ _ _ = None
 
   include Protocol.No_catchup
+
+  include Protocol.Receive_each (struct
+    type nonrec t = t
+    type nonrec message = message
+    let receive = receive
+  end)
 end

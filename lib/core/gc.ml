@@ -46,7 +46,9 @@ module Make (A : Uqadt.S) = struct
          the pruning rule is wrong, so fail loudly rather than corrupt
          the linearization. *)
       invalid_arg "Gc: received an update below the stability bound";
-    ignore (Oplog.insert t.tail { Oplog.ts; origin; payload = u })
+    ignore
+      (Oplog.insert t.tail ~clock:ts.Timestamp.clock ~pid:ts.Timestamp.pid ~origin u
+        : int)
 
   (* Fold the stable prefix of the tail into the snapshot. *)
   let compact t =
@@ -92,13 +94,9 @@ module Make (A : Uqadt.S) = struct
 
   let query t q ~on_result =
     let (_ : int) = Lamport.tick t.clock in
-    let state =
-      Oplog.fold (fun s e -> A.apply s e.Oplog.payload) t.snapshot t.tail
-    in
+    let state = Oplog.fold A.apply t.snapshot t.tail in
     t.ctx.Protocol.count_replay (Oplog.length t.tail);
     on_result (A.eval state q)
-
-  let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
 
   let message_wire_size = function
     | Update { ts; update = u } -> Timestamp.wire_size ts + A.update_wire_size u
@@ -120,6 +118,12 @@ module Make (A : Uqadt.S) = struct
   let certificate _ _ _ = None
 
   include Protocol.No_catchup
+
+  include Protocol.Receive_each (struct
+    type nonrec t = t
+    type nonrec message = message
+    let receive = receive
+  end)
 
   let compacted t = t.compacted
 end

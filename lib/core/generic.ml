@@ -59,20 +59,22 @@ module Configured (C : CONFIG) (A : Uqadt.S) = struct
     t
 
   let update t u ~on_done =
-    let cl = Lamport.tick t.clock in
-    let ts = Timestamp.make ~clock:cl ~pid:t.ctx.Protocol.pid in
+    let cl = Lamport.tick t.clock and pid = t.ctx.Protocol.pid in
     (* Line 6: broadcast to all; the local copy is applied synchronously. *)
-    ignore
-      (Oplog.insert t.log { Oplog.ts; origin = t.ctx.Protocol.pid; payload = u });
-    t.ctx.Protocol.broadcast { ts; update = u };
+    ignore (Oplog.insert t.log ~clock:cl ~pid ~origin:pid u : int);
+    t.ctx.Protocol.broadcast { ts = Timestamp.make ~clock:cl ~pid; update = u };
     on_done ()
-
-  let entry_of_message ~src { ts; update = u } = { Oplog.ts; origin = src; payload = u }
 
   let receive t ~src { ts; update = u } =
     (* Line 9: clock_i <- max(clock_i, cl). *)
     Lamport.merge t.clock ts.Timestamp.clock;
-    ignore (Oplog.insert t.log { Oplog.ts; origin = src; payload = u } : int)
+    ignore
+      (Oplog.insert t.log ~clock:ts.Timestamp.clock ~pid:ts.Timestamp.pid ~origin:src u
+        : int)
+
+  let message_ts m = m.ts
+
+  let message_update { update = u; _ } = u
 
   let receive_batch t ~src msgs =
     (* A coalesced envelope: merge the clock once against the batch
@@ -87,7 +89,10 @@ module Configured (C : CONFIG) (A : Uqadt.S) = struct
         List.fold_left (fun acc m -> max acc m.ts.Timestamp.clock) 0 msgs
       in
       Lamport.merge t.clock cl;
-      ignore (Oplog.insert_batch t.log (List.map (entry_of_message ~src) msgs) : int)
+      ignore
+        (Oplog.insert_batch t.log ~ts:message_ts ~origin:(fun _ -> src)
+           ~payload:message_update msgs
+          : int)
 
   let query t q ~on_result =
     (* Line 13: queries also advance the clock. *)
@@ -108,15 +113,12 @@ module Configured (C : CONFIG) (A : Uqadt.S) = struct
 
   let metadata_bytes t = Oplog.footprint t.log ~payload_wire_size:A.update_wire_size
 
-  let certificate t f init =
-    Some (Oplog.fold_down (fun e acc -> f e.Oplog.origin e.Oplog.payload acc) t.log init)
+  let certificate t f init = Some (Oplog.fold_down f t.log init)
 
   (* Snapshot transfer needs an update codec the universal construction
      is parametric over; {!Persist.Catchup} supplies real implementations
      on top of the log/clock view below. *)
   include Protocol.No_catchup
-
-  let message_update { update = u; _ } = u
 
   let local_log t = Oplog.to_list t.log
 

@@ -44,7 +44,7 @@ module type S = sig
     t -> encode_update:(Codec.Writer.t -> update -> unit) -> string
   (** The log serialised in the {!Oplog} "UCL" frame — byte-for-byte
       [Oplog.encode_list (local_log t)], but cores backed by the array
-      substrate encode straight off the backing array into an
+      substrate encode straight off the log's columns into an
       exactly pre-sized buffer ({!Oplog.encode}), skipping the
       {!local_log} list materialisation. The {!Persist} snapshot hot
       path. *)
@@ -64,8 +64,8 @@ module type S = sig
       timestamp is already logged is the same update and is skipped,
       as is a repeat within the frame. The log is not rebuilt: the
       array core streams the frame through {!Oplog.merge_frame}, which
-      builds an entry only for what the log lacks and lands those with
-      one batch merge, so its checkpoints and query cache below the
+      copies only what the log lacks into column scratch and lands it
+      with one batch merge, so its checkpoints and query cache below the
       lowest fresh entry survive; the list core decodes the frame with
       {!Oplog.decode_list} and merges its list. [false], with log and
       clock unchanged, if the core refuses an entry: the array core

@@ -60,8 +60,6 @@ module Make (A : Uqadt.S) = struct
     t.ctx.Protocol.count_replay t.log_len;
     on_result (A.eval state q)
 
-  let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
-
   let message_wire_size { ts; update = u } =
     Timestamp.wire_size ts + A.update_wire_size u
 
@@ -80,6 +78,12 @@ module Make (A : Uqadt.S) = struct
     Some (List.fold_right (fun (_, origin, u) acc -> f origin u acc) t.log init)
 
   include Protocol.No_catchup
+
+  include Protocol.Receive_each (struct
+    type nonrec t = t
+    type nonrec message = message
+    let receive = receive
+  end)
 
   let message_update { update = u; _ } = u
 

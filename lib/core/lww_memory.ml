@@ -36,8 +36,6 @@ let query t (Memory_spec.Read x) ~on_result =
   | Some (_, v) -> on_result v
   | None -> on_result Memory_spec.initial_value
 
-let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
-
 let message_wire_size { ts; x; v } =
   Timestamp.wire_size ts + Wire.pair_size (abs x) (abs v)
 
@@ -55,3 +53,9 @@ let metadata_bytes t =
 let certificate _ _ _ = None
 
 include Protocol.No_catchup
+
+include Protocol.Receive_each (struct
+  type nonrec t = t
+  type nonrec message = message
+  let receive = receive
+end)

@@ -1,4 +1,50 @@
-type 'u entry = { ts : Timestamp.t; origin : int; payload : 'u }
+(* The entries live in four parallel columns: [clock], [pid] and
+   [origin] unboxed in int arrays, and [payload]. The columns are cut
+   into pages of [page_size] entries. Page 0 is held directly and
+   doubles from 8 entries up to one page; every later page is
+   allocated whole into a page table that grows by doubling. So no
+   column longer than one page is ever copied or freed, and a full
+   page (1,025 words a column) is allocated straight into the major
+   heap instead of being promoted from the minor one. *)
+
+let page_bits = 10
+
+let page_size = 1 lsl page_bits
+
+let page_mask = page_size - 1
+
+(* A run of entries in column form: a page of the log, or the scratch
+   a batch is gathered into. *)
+type 'u columns = {
+  clock : int array;
+  pid : int array;
+  origin : int array;
+  payload : 'u array;
+}
+
+(* No entries: page 0 of an empty log, and the unallocated slots of a
+   page table. *)
+let empty = { clock = [||]; pid = [||]; origin = [||]; payload = [||] }
+
+(* [filler] initialises the payload slots: a payload of the log's own
+   type, so a float payload column is a flat float array throughout. *)
+let columns n filler =
+  {
+    clock = Array.make n 0;
+    pid = Array.make n 0;
+    origin = Array.make n 0;
+    payload = Array.make n filler;
+  }
+
+let blit_columns a i b j n =
+  Array.blit a.clock i b.clock j n;
+  Array.blit a.pid i b.pid j n;
+  Array.blit a.origin i b.origin j n;
+  Array.blit a.payload i b.payload j n
+
+(* Timestamp order on (clock, pid) fields. *)
+let[@inline] compare_fields c1 p1 c2 p2 =
+  if c1 <> c2 then Int.compare c1 c2 else Int.compare p1 p2
 
 (* Interval checkpoints, deepest first: [Ckpt (k, s, rest)] holds the
    fold of the first [k] entries, and every checkpoint in [rest] is
@@ -13,7 +59,11 @@ type 's checkpoints = Nil | Ckpt of int * 's * 's checkpoints
 type 's memo = { mutable k : int; mutable s : 's }
 
 type ('u, 's) t = {
-  mutable arr : 'u entry array;
+  mutable page0 : 'u columns;  (* entries [0 .. page_size - 1] *)
+  mutable pages : 'u columns array;
+      (* [[||]] while the log fits page 0. Then slot [p] holds page [p]
+         (slot 0 is [page0]): the allocated pages are a prefix of the
+         table, and [empty] fills the slots past them. *)
   mutable len : int;
   interval : int;
   mutable checkpoints : 's checkpoints;
@@ -31,7 +81,8 @@ let create ?(checkpoint_interval = 0) ?(query_cache = false) () =
   if checkpoint_interval < 0 then
     invalid_arg "Oplog.create: checkpoint interval must be non-negative";
   {
-    arr = [||];
+    page0 = empty;
+    pages = [||];
     len = 0;
     interval = checkpoint_interval;
     checkpoints = Nil;
@@ -50,21 +101,111 @@ let checkpoint_interval t = t.interval
 
 let length t = t.len
 
+(* The page holding entry [i], at offset [i land page_mask]. *)
+let[@inline] page t i = if i < page_size then t.page0 else t.pages.(i lsr page_bits)
+
+let[@inline] clock_at t i = (page t i).clock.(i land page_mask)
+
+let[@inline] pid_at t i = (page t i).pid.(i land page_mask)
+
+let[@inline] origin_at t i = (page t i).origin.(i land page_mask)
+
+let[@inline] payload_at t i = (page t i).payload.(i land page_mask)
+
+let set t i clock pid origin payload =
+  let p = page t i and o = i land page_mask in
+  p.clock.(o) <- clock;
+  p.pid.(o) <- pid;
+  p.origin.(o) <- origin;
+  p.payload.(o) <- payload
+
+(* Entry [i] of [b] into slot [w] of the log. *)
+let set_from t w b i = set t w b.clock.(i) b.pid.(i) b.origin.(i) b.payload.(i)
+
+(* Room for [n] entries. Page 0 doubles up to a full page; past it,
+   whole pages join the table, which doubles as a table of pointers,
+   never of entries. [filler] fills the fresh payload slots. *)
+let reserve t n filler =
+  let cap0 = Array.length t.page0.clock in
+  if n > cap0 then begin
+    if cap0 < page_size then begin
+      let cap = ref (max 8 cap0) in
+      while !cap < n && !cap < page_size do
+        cap := 2 * !cap
+      done;
+      let p = columns !cap filler in
+      blit_columns t.page0 0 p 0 t.len;
+      t.page0 <- p
+    end;
+    if n > page_size then begin
+      let used = (n + page_mask) lsr page_bits in
+      let slots = Array.length t.pages in
+      if used > slots then begin
+        let table = Array.make (max 2 (max used (2 * slots))) empty in
+        Array.blit t.pages 0 table 0 slots;
+        table.(0) <- t.page0;
+        t.pages <- table
+      end;
+      let p = ref (used - 1) in
+      while t.pages.(!p) == empty do
+        t.pages.(!p) <- columns page_size filler;
+        decr p
+      done
+    end
+  end
+
+(* Move entries [src .. src + n - 1] to [dst ..] (the ranges may
+   overlap), one blit per column for each stretch that crosses no page
+   boundary on either side: back to front when moving up, front to back
+   when moving down, so no entry is overwritten before it has moved. *)
+let move t ~src ~dst n =
+  if dst > src then begin
+    let rem = ref n in
+    while !rem > 0 do
+      let s = src + !rem - 1 and d = dst + !rem - 1 in
+      let run = min !rem (min ((s land page_mask) + 1) ((d land page_mask) + 1)) in
+      blit_columns (page t s)
+        ((s - run + 1) land page_mask)
+        (page t d)
+        ((d - run + 1) land page_mask)
+        run;
+      rem := !rem - run
+    done
+  end
+  else if dst < src then begin
+    let moved = ref 0 in
+    while !moved < n do
+      let s = src + !moved and d = dst + !moved in
+      let run =
+        min (n - !moved)
+          (min (page_size - (s land page_mask)) (page_size - (d land page_mask)))
+      in
+      blit_columns (page t s) (s land page_mask) (page t d) (d land page_mask) run;
+      moved := !moved + run
+    done
+  end
+
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Oplog.get: index out of bounds";
-  t.arr.(i)
+  (Timestamp.make ~clock:(clock_at t i) ~pid:(pid_at t i), origin_at t i, payload_at t i)
+
+let clock t i =
+  if i < 0 || i >= t.len then invalid_arg "Oplog.clock: index out of bounds";
+  clock_at t i
+
+let payload t i =
+  if i < 0 || i >= t.len then invalid_arg "Oplog.payload: index out of bounds";
+  payload_at t i
 
 (* First position whose timestamp is greater than (clock, pid).
    Timestamps are (clock, pid) pairs and strictly totally ordered, so
-   <= vs > is the only split that matters. Taking the two fields lets
-   the frame walker ask without building a [Timestamp.t]. *)
+   <= vs > is the only split that matters. *)
 let locate_fields t clock pid =
   let lo = ref 0 and hi = ref t.len in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    let ts = t.arr.(mid).ts in
-    if ts.Timestamp.clock < clock || (ts.Timestamp.clock = clock && ts.Timestamp.pid <= pid)
-    then lo := mid + 1
+    let c = clock_at t mid in
+    if c < clock || (c = clock && pid_at t mid <= pid) then lo := mid + 1
     else hi := mid
   done;
   !lo
@@ -74,17 +215,7 @@ let locate t ts = locate_fields t ts.Timestamp.clock ts.Timestamp.pid
 (* Whether the log holds the entry stamped (clock, pid). *)
 let holds t clock pid =
   let pos = locate_fields t clock pid in
-  pos > 0
-  &&
-  let ts = t.arr.(pos - 1).ts in
-  ts.Timestamp.clock = clock && ts.Timestamp.pid = pid
-
-let grow t entry =
-  if t.len = Array.length t.arr then begin
-    let arr = Array.make (max 8 (2 * t.len)) entry in
-    Array.blit t.arr 0 arr 0 t.len;
-    t.arr <- arr
-  end
+  pos > 0 && clock_at t (pos - 1) = clock && pid_at t (pos - 1) = pid
 
 let rec drop_checkpoints_above t pos =
   match t.checkpoints with
@@ -104,9 +235,9 @@ let invalidate_above t pos =
   drop_checkpoints_above t pos;
   match t.qcache with Some m when pos < m.k -> m.k <- 0 | _ -> ()
 
-let insert_at t entry pos =
-  Array.blit t.arr pos t.arr (pos + 1) (t.len - pos);
-  t.arr.(pos) <- entry;
+let insert_at t pos clock pid origin payload =
+  move t ~src:pos ~dst:(pos + 1) (t.len - pos);
+  set t pos clock pid origin payload;
   (match t.profile with
   | None -> ()
   | Some p ->
@@ -121,21 +252,20 @@ let insert_at t entry pos =
 let stale () =
   invalid_arg "Oplog.insert: timestamp at or below the stability watermark"
 
-(* Whether [ts] sorts above every entry: the one comparison an append
-   costs. *)
-let above_tail t ts =
+(* Whether (clock, pid) sorts above every entry: the one comparison an
+   append costs. *)
+let above_tail t clock pid =
   t.len = 0
   ||
-  let top = t.arr.(t.len - 1).ts in
-  top.Timestamp.clock < ts.Timestamp.clock
-  || (top.Timestamp.clock = ts.Timestamp.clock && top.Timestamp.pid < ts.Timestamp.pid)
+  let top = clock_at t (t.len - 1) in
+  top < clock || (top = clock && pid_at t (t.len - 1) < pid)
 
 (* An entry above the tail shifts nothing and invalidates nothing:
    every checkpoint and the query cache cover a prefix of what is
    already there. *)
-let append t entry =
+let append t clock pid origin payload =
   let pos = t.len in
-  t.arr.(pos) <- entry;
+  set t pos clock pid origin payload;
   t.len <- pos + 1;
   (match t.profile with
   | None -> ()
@@ -144,175 +274,202 @@ let append t entry =
     p.Obs.Profile.appends <- p.Obs.Profile.appends + 1);
   pos
 
-let insert t entry =
-  if entry.ts.Timestamp.clock <= t.watermark then stale ();
-  grow t entry;
-  if above_tail t entry.ts then append t entry
+let insert t ~clock ~pid ~origin payload =
+  if clock <= t.watermark then stale ();
+  reserve t (t.len + 1) payload;
+  if above_tail t clock pid then append t clock pid origin payload
   else begin
-    let pos = locate t entry.ts in
+    let pos = locate_fields t clock pid in
     (* Timestamps are unique run-wide, so an equal timestamp is the same
        update seen again — snapshot catch-up racing an in-flight frame
        makes delivery at-least-once under churn. Keep insert idempotent. *)
-    if pos > 0 && Timestamp.compare t.arr.(pos - 1).ts entry.ts = 0 then pos - 1
-    else insert_at t entry pos
+    if pos > 0 && clock_at t (pos - 1) = clock && pid_at t (pos - 1) = pid then pos - 1
+    else insert_at t pos clock pid origin payload
   end
 
-(* Stable sort, then drop repeats in place keeping the first — the
-   order the sequential inserts would have kept. Returns how many
-   entries are left at the front of [inc]. *)
-let sort_unique inc =
-  Array.stable_sort (fun a b -> Timestamp.compare a.ts b.ts) inc;
-  let kept = ref (min 1 (Array.length inc)) in
-  for i = 1 to Array.length inc - 1 do
-    if Timestamp.compare inc.(i).ts inc.(!kept - 1).ts <> 0 then begin
-      inc.(!kept) <- inc.(i);
-      incr kept
-    end
-  done;
-  !kept
+(* Stable sort of [b.(0 .. n - 1)] by timestamp, then drop repeats
+   keeping the first — the one the sequential inserts would have kept.
+   Returns the sorted columns and how many entries they hold. *)
+let sort_unique b n =
+  let order = Array.init n Fun.id in
+  Array.stable_sort
+    (fun i j -> compare_fields b.clock.(i) b.pid.(i) b.clock.(j) b.pid.(j))
+    order;
+  let s = columns n b.payload.(0) in
+  let kept = ref 0 in
+  Array.iter
+    (fun i ->
+      if
+        !kept = 0
+        || compare_fields s.clock.(!kept - 1) s.pid.(!kept - 1) b.clock.(i) b.pid.(i)
+           <> 0
+      then begin
+        blit_columns b i s !kept 1;
+        incr kept
+      end)
+    order;
+  (s, !kept)
 
-(* Index of the first entry of [inc.(i .. n - 1)] that the log does
-   not hold yet; [n] if none. *)
-let rec first_fresh t inc i n =
+(* Index of the first entry of [b.(i .. n - 1)] that the log does not
+   hold yet; [n] if none. *)
+let rec first_fresh t b i n =
   if i >= n then i
-  else if holds t inc.(i).ts.Timestamp.clock inc.(i).ts.Timestamp.pid then
-    first_fresh t inc (i + 1) n
+  else if holds t b.clock.(i) b.pid.(i) then first_fresh t b (i + 1) n
   else i
 
-(* Batch insertion: one capacity check and one back-to-front merge
-   pass over the backing array, O(n + k) for k incoming entries against
-   n resident ones, plus a stable sort of the batch unless it already
-   ascends (a sender's envelope and a snapshot frame both do). The
-   sequential path pays k binary searches plus up to k suffix memmoves.
-   Semantically identical to folding [insert] over the batch in order:
-   duplicate timestamps (within the batch or against the log) are the
-   same update delivered again and are skipped; checkpoints and the
-   query cache are invalidated exactly as the sequence of single
-   inserts would have invalidated them (every checkpoint above the
-   lowest fresh landing position dies). *)
-let rec insert_batch t entries =
-  match entries with
-  | [] -> 0
-  | [ e ] ->
-    let len0 = t.len in
-    ignore (insert t e : int);
-    t.len - len0
-  | _ ->
-    let inc = Array.of_list entries in
-    let ascending = ref true in
-    for i = 0 to Array.length inc - 1 do
-      if inc.(i).ts.Timestamp.clock <= t.watermark then stale ();
-      if i > 0 && Timestamp.compare inc.(i - 1).ts inc.(i).ts >= 0 then
-        ascending := false
-    done;
-    land_sorted t inc (if !ascending then Array.length inc else sort_unique inc)
+(* Merge [b.(first) .. b.(stop - 1)] (everything below [first] is
+   resident). Reserve worst-case room once, then merge from the back
+   so every resident entry above the first fresh one moves at most
+   once. Duplicates against the log are skipped during the merge,
+   leaving one contiguous gap (the write pointer stands still while a
+   duplicate is consumed) closed by a single move. *)
+let merge_batch t b first stop =
+  let len0 = t.len in
+  let k = stop - first in
+  let need = len0 + k in
+  reserve t need b.payload.(first);
+  let i = ref (len0 - 1) and j = ref (stop - 1) and w = ref (need - 1) in
+  let dups = ref 0 and appended = ref 0 and moved = ref 0 in
+  while !j >= first do
+    if !i >= 0 then begin
+      let c = compare_fields (clock_at t !i) (pid_at t !i) b.clock.(!j) b.pid.(!j) in
+      if c > 0 then begin
+        set t !w (clock_at t !i) (pid_at t !i) (origin_at t !i) (payload_at t !i);
+        incr moved;
+        decr i;
+        decr w
+      end
+      else if c = 0 then begin
+        incr dups;
+        decr j
+      end
+      else begin
+        set_from t !w b !j;
+        if !moved = 0 then incr appended;
+        decr j;
+        decr w
+      end
+    end
+    else begin
+      set_from t !w b !j;
+      decr j;
+      decr w
+    end
+  done;
+  let fresh = k - !dups in
+  if !dups > 0 then
+    (* Close the gap the skipped duplicates left between the resident
+       prefix [0 .. i] and the merged region above it. *)
+    move t ~src:(!i + 1 + !dups) ~dst:(!i + 1) (need - !dups - (!i + 1));
+  t.len <- len0 + fresh;
+  (match t.profile with
+  | None -> ()
+  | Some p ->
+    p.Obs.Profile.inserts <- p.Obs.Profile.inserts + fresh;
+    p.Obs.Profile.appends <- p.Obs.Profile.appends + !appended;
+    p.Obs.Profile.shift_distance <- p.Obs.Profile.shift_distance + !moved);
+  fresh
 
-(* Land the strictly ascending [inc.(0 .. n - 1)], none of them at or
-   below the watermark; returns how many were fresh. *)
-and land_sorted t inc n =
-  let first = first_fresh t inc 0 n in
+(* Land the gathered [b.(0 .. n - 1)], none of them at or below the
+   watermark, sorting them first unless they already ascend strictly;
+   returns how many were fresh. *)
+let land_batch t b n ~ascending =
+  let b, n = if ascending then (b, n) else sort_unique b n in
+  let first = first_fresh t b 0 n in
   if first = n then 0 (* every entry already resident *)
   else begin
     (* [locate] is monotone in the timestamp, so the first fresh
        entry lands lowest. *)
-    invalidate_above t (locate t inc.(first).ts);
-    merge_batch t inc first n
+    invalidate_above t (locate_fields t b.clock.(first) b.pid.(first));
+    merge_batch t b first n
   end
 
-(* Merge [inc.(first) .. inc.(stop - 1)] (everything below [first] is
-   resident). Grow once to worst-case room, then merge from the back
-   so every resident entry above the first fresh one moves at most
-   once. Duplicates against the log are skipped during the merge,
-   leaving one contiguous gap (the write pointer stands still while a
-   duplicate is consumed) closed by a single blit. *)
-and merge_batch t inc first stop =
-    let len0 = t.len in
-    let k = stop - first in
-    let need = len0 + k in
-    if need > Array.length t.arr then begin
-      let arr = Array.make (max 8 (max need (2 * len0))) inc.(first) in
-      Array.blit t.arr 0 arr 0 len0;
-      t.arr <- arr
-    end;
-    let i = ref (len0 - 1) and j = ref (stop - 1) and w = ref (need - 1) in
-    let dups = ref 0 and appended = ref 0 and moved = ref 0 in
-    while !j >= first do
-      if !i >= 0 then begin
-        let c = Timestamp.compare t.arr.(!i).ts inc.(!j).ts in
-        if c > 0 then begin
-          t.arr.(!w) <- t.arr.(!i);
-          incr moved;
-          decr i;
-          decr w
-        end
-        else if c = 0 then begin
-          incr dups;
-          decr j
-        end
-        else begin
-          t.arr.(!w) <- inc.(!j);
-          if !moved = 0 then incr appended;
-          decr j;
-          decr w
-        end
-      end
-      else begin
-        t.arr.(!w) <- inc.(!j);
-        decr j;
-        decr w
-      end
+(* A top-level loop: a [List.iteri] closure would be allocated per
+   batch. *)
+let rec gather b ~ts ~origin ~payload i = function
+  | [] -> ()
+  | m :: rest ->
+    let stamp = ts m in
+    b.clock.(i) <- stamp.Timestamp.clock;
+    b.pid.(i) <- stamp.Timestamp.pid;
+    b.origin.(i) <- origin m;
+    b.payload.(i) <- payload m;
+    gather b ~ts ~origin ~payload (i + 1) rest
+
+(* Batch insertion: the batch is gathered into column scratch, then
+   landed with one capacity check and one back-to-front merge pass over
+   the pages, O(n + k) for k incoming entries against n resident ones,
+   plus a stable sort of the batch unless it already ascends (a
+   sender's envelope and a snapshot frame both do). The sequential
+   path pays k binary searches plus up to k suffix moves. Semantically
+   identical to folding [insert] over the batch in order: duplicate
+   timestamps (within the batch or against the log) are the same
+   update delivered again and are skipped; checkpoints and the query
+   cache are invalidated exactly as the sequence of single inserts
+   would have invalidated them (every checkpoint above the lowest fresh
+   landing position dies). *)
+let insert_batch t ~ts ~origin ~payload items =
+  match items with
+  | [] -> 0
+  | [ m ] ->
+    let len0 = t.len and stamp = ts m in
+    ignore
+      (insert t ~clock:stamp.Timestamp.clock ~pid:stamp.Timestamp.pid ~origin:(origin m)
+         (payload m)
+        : int);
+    t.len - len0
+  | m :: _ ->
+    let n = List.length items in
+    let b = columns n (payload m) in
+    gather b ~ts ~origin ~payload 0 items;
+    let ascending = ref true in
+    for i = 0 to n - 1 do
+      if b.clock.(i) <= t.watermark then stale ();
+      if i > 0 && compare_fields b.clock.(i - 1) b.pid.(i - 1) b.clock.(i) b.pid.(i) >= 0
+      then ascending := false
     done;
-    let fresh = k - !dups in
-    if !dups > 0 then
-      (* Close the gap the skipped duplicates left between the resident
-         prefix [0 .. i] and the merged region above it. *)
-      Array.blit t.arr (!i + 1 + !dups) t.arr (!i + 1)
-        (need - !dups - (!i + 1));
-    t.len <- len0 + fresh;
-    (match t.profile with
-    | None -> ()
-    | Some p ->
-      p.Obs.Profile.inserts <- p.Obs.Profile.inserts + fresh;
-      p.Obs.Profile.appends <- p.Obs.Profile.appends + !appended;
-      p.Obs.Profile.shift_distance <- p.Obs.Profile.shift_distance + !moved);
-    fresh
+    land_batch t b n ~ascending:!ascending
 
 let fold f init t =
   let acc = ref init in
   for i = 0 to t.len - 1 do
-    acc := f !acc t.arr.(i)
+    acc := f !acc (payload_at t i)
   done;
   !acc
 
 let fold_down f t init =
   let acc = ref init in
   for i = t.len - 1 downto 0 do
-    acc := f t.arr.(i) !acc
+    acc := f (origin_at t i) (payload_at t i) !acc
   done;
   !acc
 
 (* The merge [fold_down_merged] runs: a loser tree over the logs. Leaf
    [j] (node [k + j] of [k] leaves) stands for log [j]'s next entry
-   down, [next.(j)], whose timestamp is cached in [clock] and [pid] so
-   that a match reads no entry ([min_int] once the log is spent). Inner
-   node [n], with children [2n] and [2n + 1], keeps the loser of its
-   match, and node 0 the winner. *)
-type merge = { next : int array; clock : int array; pid : int array; tree : int array }
+   down, [next.(j)], whose timestamp is cached in [next_clock] and
+   [next_pid] so that a match reads no column ([min_int] once the log
+   is spent). Inner node [n], with children [2n] and [2n + 1], keeps
+   the loser of its match, and node 0 the winner. *)
+type merge = {
+  next : int array;
+  next_clock : int array;
+  next_pid : int array;
+  tree : int array;
+}
 
-let[@inline] beats m a b =
-  let ca = Array.unsafe_get m.clock a and cb = Array.unsafe_get m.clock b in
-  ca > cb || (ca = cb && Array.unsafe_get m.pid a > Array.unsafe_get m.pid b)
+let[@inline] beats (m : merge) a b =
+  let ca = Array.unsafe_get m.next_clock a and cb = Array.unsafe_get m.next_clock b in
+  ca > cb || (ca = cb && Array.unsafe_get m.next_pid a > Array.unsafe_get m.next_pid b)
 
-let load m logs j =
+let load_leaf (m : merge) logs j =
   let i = m.next.(j) in
   if i < 0 then begin
-    m.clock.(j) <- min_int;
-    m.pid.(j) <- min_int
+    m.next_clock.(j) <- min_int;
+    m.next_pid.(j) <- min_int
   end
   else begin
-    let ts = logs.(j).arr.(i).ts in
-    m.clock.(j) <- ts.Timestamp.clock;
-    m.pid.(j) <- ts.Timestamp.pid
+    m.next_clock.(j) <- clock_at logs.(j) i;
+    m.next_pid.(j) <- pid_at logs.(j) i
   end
 
 let fold_down_merged f init logs =
@@ -320,8 +477,8 @@ let fold_down_merged f init logs =
   let m =
     {
       next = Array.map (fun t -> t.len - 1) logs;
-      clock = Array.make k 0;
-      pid = Array.make k 0;
+      next_clock = Array.make k 0;
+      next_pid = Array.make k 0;
       tree = Array.make (max 1 k) 0;
     }
   in
@@ -329,7 +486,7 @@ let fold_down_merged f init logs =
   let total = ref 0 in
   for j = 0 to k - 1 do
     total := !total + logs.(j).len;
-    load m logs j;
+    load_leaf m logs j;
     winner.(k + j) <- j
   done;
   for n = k - 1 downto 1 do
@@ -349,9 +506,10 @@ let fold_down_merged f init logs =
     (* Take the winner's entry, then replay the matches on its leaf's
        path against the log's next entry: one comparison a level. *)
     let j = m.tree.(0) in
-    acc := f !acc logs.(j).arr.(m.next.(j));
-    m.next.(j) <- m.next.(j) - 1;
-    load m logs j;
+    let log = logs.(j) and i = m.next.(j) in
+    acc := f !acc m.next_clock.(j) m.next_pid.(j) (origin_at log i) (payload_at log i);
+    m.next.(j) <- i - 1;
+    load_leaf m logs j;
     let cand = ref j and n = ref ((k + j) / 2) in
     while !n > 0 do
       let l = Array.unsafe_get m.tree !n in
@@ -365,19 +523,22 @@ let fold_down_merged f init logs =
   done;
   !acc
 
-let to_list t =
-  List.init t.len (fun i ->
-      let e = t.arr.(i) in
-      (e.ts, e.origin, e.payload))
+let to_list t = List.init t.len (get t)
 
 let load t entries =
   let entries =
     List.sort (fun (a, _, _) (b, _, _) -> Timestamp.compare a b) entries
   in
-  t.arr <-
-    Array.of_list
-      (List.map (fun (ts, origin, payload) -> { ts; origin; payload }) entries);
-  t.len <- Array.length t.arr;
+  let n = List.length entries in
+  t.page0 <- empty;
+  t.pages <- [||];
+  t.len <- 0;
+  (match entries with [] -> () | (_, _, filler) :: _ -> reserve t n filler);
+  List.iteri
+    (fun i (ts, origin, payload) ->
+      set t i ts.Timestamp.clock ts.Timestamp.pid origin payload)
+    entries;
+  t.len <- n;
   t.checkpoints <- Nil;
   t.qcache <- None;
   t.watermark <- 0
@@ -398,7 +559,7 @@ let replay_from t ~apply base state =
       p.Obs.Profile.checkpoint_misses <- p.Obs.Profile.checkpoint_misses + 1);
   let state = ref state in
   for i = base to t.len - 1 do
-    state := apply !state t.arr.(i).payload;
+    state := apply !state (payload_at t i);
     if t.interval > 0 && (i + 1) mod t.interval = 0 then begin
       t.checkpoints <- Ckpt (i + 1, !state, t.checkpoints);
       match t.profile with
@@ -444,12 +605,12 @@ let compact t ~upto_clock ~apply snapshot =
   else begin
     (* Entries sort by (clock, pid), so the stable prefix ends where an
        entry with clock > upto_clock would sort: below (upto_clock + 1, 0). *)
-    let stop = locate t (Timestamp.make ~clock:upto_clock ~pid:max_int) in
+    let stop = locate_fields t upto_clock max_int in
     let state = ref snapshot in
     for i = 0 to stop - 1 do
-      state := apply !state t.arr.(i).payload
+      state := apply !state (payload_at t i)
     done;
-    Array.blit t.arr stop t.arr 0 (t.len - stop);
+    move t ~src:stop ~dst:0 (t.len - stop);
     t.len <- t.len - stop;
     (match t.profile with
     | None -> ()
@@ -468,15 +629,17 @@ let compact t ~upto_clock ~apply snapshot =
     (!state, stop)
   end
 
+(* Wire bytes of entry [i] without its payload: the two timestamp
+   varints and the origin varint. *)
+let entry_overhead t i =
+  Wire.pair_size (clock_at t i) (pid_at t i) + Wire.varint_size (origin_at t i)
+
 (* A loop, not a [fold]: its closure over [payload_wire_size] would be
    allocated on every call, once per key log on the sharded space. *)
 let footprint t ~payload_wire_size =
   let bytes = ref 0 in
   for i = 0 to t.len - 1 do
-    let e = t.arr.(i) in
-    bytes :=
-      !bytes + Timestamp.wire_size e.ts + Wire.varint_size e.origin
-      + payload_wire_size e.payload
+    bytes := !bytes + entry_overhead t i + payload_wire_size (payload_at t i)
   done;
   !bytes
 
@@ -546,9 +709,9 @@ let decode_list ~decode_update r =
   List.rev !entries
 
 (* What [merge_frame] keeps of a frame while walking it: the entries
-   the log does not hold, in frame order. *)
+   the log does not hold, in frame order, in column scratch. *)
 type 'u gathered = {
-  mutable fresh : 'u entry array;
+  mutable fresh : 'u columns;
   mutable n : int;
   mutable ascending : bool;  (* [fresh.(0 .. n - 1)] strictly ascends *)
   mutable top : int;  (* the highest clock in the frame *)
@@ -560,37 +723,38 @@ type 'u gathered = {
    was. An entry the log already holds costs a binary search on its
    (clock, pid) and its payload decode, no more. *)
 let merge_frame t ~decode_update r =
-  let g = { fresh = [||]; n = 0; ascending = true; top = 0; refused = false } in
+  let g = { fresh = empty; n = 0; ascending = true; top = 0; refused = false } in
   walk ~decode_update r (fun clock pid origin payload ->
       if clock > g.top then g.top <- clock;
       if clock <= t.watermark then g.refused <- true
       else if not (holds t clock pid) then begin
-        let e = { ts = Timestamp.make ~clock ~pid; origin; payload } in
-        if g.n = Array.length g.fresh then begin
-          let grown = Array.make (max 8 (2 * g.n)) e in
-          Array.blit g.fresh 0 grown 0 g.n;
+        let i = g.n in
+        if i = Array.length g.fresh.clock then begin
+          let grown = columns (max 8 (2 * i)) payload in
+          blit_columns g.fresh 0 grown 0 i;
           g.fresh <- grown
         end;
-        if g.n > 0 && Timestamp.compare g.fresh.(g.n - 1).ts e.ts >= 0 then
+        let b = g.fresh in
+        if i > 0 && compare_fields b.clock.(i - 1) b.pid.(i - 1) clock pid >= 0 then
+          (* An unsorted frame, or one repeating a fresh timestamp. *)
           g.ascending <- false;
-        g.fresh.(g.n) <- e;
-        g.n <- g.n + 1
+        b.clock.(i) <- clock;
+        b.pid.(i) <- pid;
+        b.origin.(i) <- origin;
+        b.payload.(i) <- payload;
+        g.n <- i + 1
       end);
   if g.refused then None
   else begin
-    (if g.ascending then ignore (land_sorted t g.fresh g.n : int)
-     else
-       (* An unsorted frame, or one repeating a fresh timestamp. *)
-       let inc = Array.sub g.fresh 0 g.n in
-       ignore (land_sorted t inc (sort_unique inc) : int));
+    ignore (land_batch t g.fresh g.n ~ascending:g.ascending : int);
     Some g.top
   end
 
-(* Same frame as [encode_list], produced straight off the backing
-   array: no [to_list] materialisation, and with [update_wire_size]
-   available the buffer is pre-sized to the exact frame length so the
-   writer never reallocates. This is the hot path for [Persist]
-   snapshots of array-core replicas. *)
+(* Same frame as [encode_list], produced straight off the columns: no
+   [to_list] materialisation, and with [update_wire_size] available the
+   buffer is pre-sized to the exact frame length so the writer never
+   reallocates. This is the hot path for [Persist] snapshots of
+   array-core replicas. *)
 let encode ?update_wire_size ~encode_update t =
   let header_size = String.length magic + 1 + Wire.varint_size t.len in
   let body_size =
@@ -599,10 +763,7 @@ let encode ?update_wire_size ~encode_update t =
     | Some size ->
       let acc = ref header_size in
       for i = 0 to t.len - 1 do
-        let e = t.arr.(i) in
-        acc :=
-          !acc + Timestamp.wire_size e.ts + Wire.varint_size e.origin
-          + size e.payload
+        acc := !acc + entry_overhead t i + size (payload_at t i)
       done;
       !acc
   in
@@ -612,11 +773,10 @@ let encode ?update_wire_size ~encode_update t =
   Codec.Writer.u8 w version;
   Codec.Writer.varint w t.len;
   for i = 0 to t.len - 1 do
-    let e = t.arr.(i) in
-    Codec.Writer.varint w e.ts.Timestamp.clock;
-    Codec.Writer.varint w e.ts.Timestamp.pid;
-    Codec.Writer.varint w e.origin;
-    encode_update w e.payload
+    Codec.Writer.varint w (clock_at t i);
+    Codec.Writer.varint w (pid_at t i);
+    Codec.Writer.varint w (origin_at t i);
+    encode_update w (payload_at t i)
   done;
   write_checksum w;
   Codec.Writer.contents w

@@ -9,15 +9,27 @@
     reversed list. This module is the single substrate they now share:
 
     {ul
-    {- {b Storage}: a growable array of [(timestamp, origin, payload)]
-       entries kept sorted by timestamp ascending. Timestamps are
-       (Lamport clock, pid) pairs and therefore {e strictly} totally
-       ordered — no two entries ever compare equal.}
-    {- {b Insertion}: binary-search locate (O(log n)) plus one
-       [Array.blit] to open the slot, instead of the seed's O(n)
-       cons-scan. Fresh updates land at the end after one comparison
-       with the tail, with no search; late arrivals land mid-log and
-       shift the suffix.}
+    {- {b Storage}: [(timestamp, origin, payload)] entries kept sorted
+       by timestamp ascending, in four parallel columns: the clock, the
+       pid and the origin unboxed in int arrays, and the payload.
+       Timestamps are (Lamport clock, pid) pairs and therefore
+       {e strictly} totally ordered — no two entries ever compare
+       equal. An entry costs four words plus its payload, where a boxed
+       record and its boxed timestamp cost eight.}
+    {- {b Pages}: the columns are cut into pages of 1,024 entries. The
+       log holds page 0 directly and doubles it from 8 entries up to
+       one page; every later page is allocated whole into a page table
+       that grows by doubling. No column longer than one page is ever
+       copied or freed, so growth leaves no large freed blocks behind,
+       and a whole page is allocated in the major heap instead of being
+       promoted from the minor one.}
+    {- {b Insertion}: binary-search locate (O(log n)) plus a move of
+       the suffix, one blit per column and page it spans, instead of
+       the seed's O(n) cons-scan. Fresh updates land at the end after
+       one comparison with the tail, with no search; late arrivals land
+       mid-log and shift the suffix. No insertion path builds a record
+       per entry: {!insert} takes the fields, and {!insert_batch} and
+       {!merge_frame} gather into column scratch.}
     {- {b Checkpoints}: the Section VII.C memoised-replay cache,
        generalising the seed's fixed snapshot interval. {!replay} records the
        folded state every [checkpoint_interval] entries and starts the
@@ -44,10 +56,6 @@
        the fold of the first [k] entries over the [apply] passed to
        {!replay};}
     {- every stored timestamp has [clock > watermark].}} *)
-
-type 'u entry = { ts : Timestamp.t; origin : int; payload : 'u }
-(** One log record: the update payload as received, the pid that issued
-    it, and the (Lamport clock, pid) timestamp ordering it. *)
 
 type ('u, 's) t
 (** A log of ['u] payloads whose checkpoints hold ['s] states. *)
@@ -77,8 +85,18 @@ val checkpoint_interval : ('u, 's) t -> int
 
 val length : ('u, 's) t -> int
 
-val get : ('u, 's) t -> int -> 'u entry
-(** [get t i] is the [i]-th entry in timestamp order.
+val get : ('u, 's) t -> int -> Timestamp.t * int * 'u
+(** [get t i] is the [i]-th entry in timestamp order, as a
+    [(timestamp, origin, payload)] triple built for the caller (a view
+    for tests and diagnostics; {!clock} and {!payload} read one column).
+    @raise Invalid_argument unless [0 <= i < length t]. *)
+
+val clock : ('u, 's) t -> int -> int
+(** [clock t i] is the clock of the [i]-th entry's timestamp.
+    @raise Invalid_argument unless [0 <= i < length t]. *)
+
+val payload : ('u, 's) t -> int -> 'u
+(** [payload t i] is the [i]-th entry's payload.
     @raise Invalid_argument unless [0 <= i < length t]. *)
 
 val locate : ('u, 's) t -> Timestamp.t -> int
@@ -86,14 +104,16 @@ val locate : ('u, 's) t -> Timestamp.t -> int
     index of the first entry whose timestamp is greater. O(log n)
     binary search. Timestamps are unique, so this is unambiguous. *)
 
-val insert : ('u, 's) t -> 'u entry -> int
-(** Insert in timestamp order and return the position the entry landed
+val insert : ('u, 's) t -> clock:int -> pid:int -> origin:int -> 'u -> int
+(** [insert t ~clock ~pid ~origin payload] inserts the entry stamped
+    [(clock, pid)] in timestamp order and returns the position it landed
     at; checkpoints above that position are invalidated, at O(1) per
     checkpoint dropped whatever the number still live. An entry that
     sorts above the tail is appended after one comparison with the
     tail, before any binary search; anything else pays {!locate}. An
-    append allocates nothing (beyond the doubling of the backing array
-    once it is full), however many checkpoints the log carries.
+    append allocates nothing (beyond a doubling of page 0 or a fresh
+    page once the last one is full), however many checkpoints the log
+    carries.
     Idempotent on a duplicate timestamp: timestamps are unique
     run-wide, so an equal timestamp is the same update delivered again
     (churn catch-up makes delivery at-least-once) and the log is left
@@ -101,31 +121,42 @@ val insert : ('u, 's) t -> 'u entry -> int
     @raise Invalid_argument if the timestamp's clock is at or below the
     stability {!watermark}. *)
 
-val insert_batch : ('u, 's) t -> 'u entry list -> int
-(** Insert a whole envelope of entries and return how many were fresh.
-    Semantically identical to folding {!insert} over the list in order
-    — duplicate timestamps (within the batch or against the log) are
-    skipped, checkpoints above the lowest fresh landing position are
-    invalidated — but costs one stable sort of the batch plus a single
-    back-to-front merge pass over the backing array (every resident
-    entry moves at most once), instead of k binary searches each
-    paying a suffix memmove. A batch that already ascends strictly by
+val insert_batch :
+  ('u, 's) t ->
+  ts:('m -> Timestamp.t) ->
+  origin:('m -> int) ->
+  payload:('m -> 'u) ->
+  'm list ->
+  int
+(** [insert_batch t ~ts ~origin ~payload items] inserts a whole
+    envelope, reading each item's entry through the three accessors,
+    and returns how many entries were fresh. Semantically identical to
+    folding {!insert} over the list in order — duplicate timestamps
+    (within the batch or against the log) are skipped, checkpoints
+    above the lowest fresh landing position are invalidated — but the
+    items are gathered into column scratch (four arrays, no record per
+    item) and cost one stable sort plus a single back-to-front merge
+    pass over the pages (every resident entry moves at most once),
+    instead of k binary searches each paying a suffix move. A batch that already ascends strictly by
     timestamp (a sender's envelope, a snapshot frame) skips the sort;
     any other order, duplicates included, takes it.
     @raise Invalid_argument if any timestamp's clock is at or below
     the stability {!watermark}; the log is then left unchanged (the
     batch is validated before the merge). *)
 
-val fold : ('a -> 'u entry -> 'a) -> 'a -> ('u, 's) t -> 'a
+val fold : ('a -> 'u -> 'a) -> 'a -> ('u, 's) t -> 'a
+(** [fold f init t] folds [f] over the payloads in timestamp order. *)
 
-val fold_down : ('u entry -> 'a -> 'a) -> ('u, 's) t -> 'a -> 'a
-(** [fold_down f t init] folds [f] over the entries latest first (a
-    right fold), allocating nothing beyond what [f] does. *)
+val fold_down : (int -> 'u -> 'a -> 'a) -> ('u, 's) t -> 'a -> 'a
+(** [fold_down f t init] folds [f origin payload] over the entries
+    latest first (a right fold), allocating nothing beyond what [f]
+    does: the shape of {!Protocol.PROTOCOL.certificate}'s fold. *)
 
-val fold_down_merged : ('a -> 'u entry -> 'a) -> 'a -> ('u, 's) t array -> 'a
-(** [fold_down_merged f init logs] folds [f] over the entries of all
-    [logs] in one timestamp order, latest first: a k-way merge read in
-    place, O(entries x log k). Beyond what [f] allocates it allocates
+val fold_down_merged :
+  ('a -> int -> int -> int -> 'u -> 'a) -> 'a -> ('u, 's) t array -> 'a
+(** [fold_down_merged f init logs] folds [f acc clock pid origin
+    payload] over the entries of all [logs] in one timestamp order,
+    latest first: a k-way merge read in place, O(entries x log k). Beyond what [f] allocates it allocates
     O(k) words of arrays, nothing per entry, so a list built by
     prepending comes out in timestamp order at the cost of its cells.
     Entries of distinct logs that share a timestamp come in an
@@ -217,9 +248,9 @@ val merge_frame :
     (which must end where the frame does) and merge its entries into
     the log by timestamp union, as {!insert_batch} would, without
     building the entry list. Each entry's (clock, pid) is looked up in
-    place, an {!entry} is built only for one the log lacks, the
-    checksum is summed over the bytes where they lie, and only then do
-    the fresh entries land, in one batch merge (sorted and deduplicated
+    place, only an entry the log lacks is copied into column scratch,
+    the checksum is summed over the bytes where they lie, and only then
+    do the fresh entries land, in one batch merge (sorted and deduplicated
     first unless the frame ascends, as snapshot frames do), so
     checkpoints and the query cache below the lowest fresh entry
     survive. [Some c], [c] the highest clock in the frame ([0] if it is
@@ -234,7 +265,7 @@ val encode :
   ('u, 's) t ->
   string
 (** Byte-for-byte the frame [encode_list (to_list t)] produces, but
-    encoded straight from the backing array — no intermediate list —
+    encoded straight from the columns — no intermediate list —
     with the writer pre-sized to the exact frame length when
     [update_wire_size] is given (the {!Wire} accounting the specs
     already expose). The persistence hot path. *)

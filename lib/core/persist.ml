@@ -50,7 +50,7 @@ module Over (G : LOG_VIEW) (C : Update_codec.S with type update = G.update) =
 struct
   (* The log frame itself ("UCL", version, entries, checksum) is the
      oplog substrate's single codec path; the replica picks the fastest
-     encoder for its storage (array cores stream the backing array). *)
+     encoder for its storage (array cores stream the log's columns). *)
   let encode_log entries = Oplog.encode_list ~encode_update:C.encode entries
 
   let decode_log s =

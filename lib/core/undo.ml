@@ -41,14 +41,17 @@ module Make (A : Undoable.S) = struct
     let pos = Oplog.locate t.log ts in
     let state = ref t.state in
     for i = len - 1 downto pos do
-      state := A.undo !state (Oplog.get t.log i).Oplog.payload.tok;
+      state := A.undo !state (Oplog.payload t.log i).tok;
       t.repairs <- t.repairs + 1
     done;
     let state', tok = A.apply_with_undo !state u in
     state := state';
-    ignore (Oplog.insert t.log { Oplog.ts; origin; payload = { u; tok } });
+    ignore
+      (Oplog.insert t.log ~clock:ts.Timestamp.clock ~pid:ts.Timestamp.pid ~origin
+         { u; tok }
+        : int);
     for i = pos + 1 to len do
-      let p = (Oplog.get t.log i).Oplog.payload in
+      let p = Oplog.payload t.log i in
       let state', tok = A.apply_with_undo !state p.u in
       p.tok <- tok;
       state := state';
@@ -79,8 +82,6 @@ module Make (A : Undoable.S) = struct
     (* The current state is maintained incrementally: no replay at all. *)
     on_result (A.eval t.state q)
 
-  let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
-
   let message_wire_size { ts; update = u } =
     Timestamp.wire_size ts + A.update_wire_size u
 
@@ -93,9 +94,15 @@ module Make (A : Undoable.S) = struct
     Oplog.footprint t.log ~payload_wire_size:(fun p -> A.update_wire_size p.u)
 
   let certificate t f init =
-    Some (Oplog.fold_down (fun e acc -> f e.Oplog.origin e.Oplog.payload.u acc) t.log init)
+    Some (Oplog.fold_down (fun origin p acc -> f origin p.u acc) t.log init)
 
   let repairs t = t.repairs
 
   include Protocol.No_catchup
+
+  include Protocol.Receive_each (struct
+    type nonrec t = t
+    type nonrec message = message
+    let receive = receive
+  end)
 end

@@ -57,8 +57,6 @@ let query t Set_spec.Read ~on_result =
   in
   on_result s
 
-let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
-
 let message_wire_size { ts; element; adding = _ } =
   Timestamp.wire_size ts + Wire.varint_size (abs element) + 1
 
@@ -77,3 +75,9 @@ let metadata_bytes t =
 let certificate _ _ _ = None
 
 include Protocol.No_catchup
+
+include Protocol.Receive_each (struct
+  type nonrec t = t
+  type nonrec message = message
+  let receive = receive
+end)

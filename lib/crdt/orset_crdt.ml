@@ -68,8 +68,6 @@ let query t Set_spec.Read ~on_result =
 
 let tag_bytes { origin; serial } = Wire.pair_size origin serial
 
-let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
-
 let message_wire_size { vc; op } =
   Vector_clock.wire_size vc
   +
@@ -93,5 +91,11 @@ let metadata_bytes t =
 let certificate _ _ _ = None
 
 include Protocol.No_catchup
+
+include Protocol.Receive_each (struct
+  type nonrec t = t
+  type nonrec message = message
+  let receive = receive
+end)
 
 let live_tags t = Support.Int_map.fold (fun _ s acc -> acc + Tag_set.cardinal s) t.tags 0

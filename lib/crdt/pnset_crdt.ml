@@ -32,8 +32,6 @@ let query t Set_spec.Read ~on_result =
   in
   on_result present
 
-let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
-
 let message_wire_size { element; delta } = Wire.varint_size (abs element) + 1 + abs delta
 
 let describe_message { element; delta } = Printf.sprintf "Δ(%d,%+d)" element delta
@@ -48,5 +46,11 @@ let metadata_bytes t =
 let certificate _ _ _ = None
 
 include Protocol.No_catchup
+
+include Protocol.Receive_each (struct
+  type nonrec t = t
+  type nonrec message = message
+  let receive = receive
+end)
 
 let count t element = Option.value ~default:0 (Support.Int_map.find_opt element t.counts)

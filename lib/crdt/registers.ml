@@ -32,8 +32,6 @@ module Lwwreg = struct
   let query t Register_spec.Read ~on_result =
     on_result (match t.current with None -> Register_spec.initial | Some (_, v) -> v)
 
-  let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
-
   let message_wire_size { ts; value } = Timestamp.wire_size ts + Wire.varint_size (abs value)
 
   let describe_message { ts; value } = Format.asprintf "w(%d)%a" value Timestamp.pp ts
@@ -46,6 +44,12 @@ module Lwwreg = struct
   let certificate _ _ _ = None
 
   include Protocol.No_catchup
+
+  include Protocol.Receive_each (struct
+    type nonrec t = t
+    type nonrec message = message
+    let receive = receive
+  end)
 end
 
 module Mvreg_spec = struct

@@ -36,8 +36,6 @@ module Make (L : LATTICE) = struct
 
   let query t q ~on_result = on_result (L.read t.payload q)
 
-  let receive_batch t ~src msgs = List.iter (receive t ~src) msgs
-
   let message_wire_size = L.payload_bytes
 
   let describe_message p = Printf.sprintf "state(%dB)" (L.payload_bytes p)
@@ -49,6 +47,12 @@ module Make (L : LATTICE) = struct
   let certificate _ _ _ = None
 
   include Protocol.No_catchup
+
+  include Protocol.Receive_each (struct
+    type nonrec t = t
+    type nonrec message = message
+    let receive = receive
+  end)
 
   let payload t = t.payload
 end

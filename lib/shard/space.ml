@@ -244,20 +244,20 @@ struct
   (* File an entry under its key, counted in shard [s] unless the key's
      log held it already: timestamps are unique run-wide, so an equal
      one is the same update again. *)
-  let file t s sh (e : (int * A.update) Oplog.entry) =
-    let log = key_log t (fst e.Oplog.payload) in
+  let file t s sh ~clock ~pid ~origin ((k, _) as ku) =
+    let log = key_log t k in
     let before = Oplog.length log in
-    ignore (Oplog.insert log e : int);
+    ignore (Oplog.insert log ~clock ~pid ~origin ku : int);
     sh.entries <- sh.entries + Oplog.length log - before;
     set_log_gauge t s
 
   (* Line 9 and the insert, for an entry of any origin: the shard its
      key routes to merges the entry's clock and counts the entry. *)
-  let land_entry t e =
-    let s = Ring.route t.map.ring (fst e.Oplog.payload) in
+  let land_entry t ~clock ~pid ~origin ((k, _) as ku) =
+    let s = Ring.route t.map.ring k in
     let sh = shard t s in
-    Lamport.merge sh.clock e.Oplog.ts.Timestamp.clock;
-    file t s sh e
+    Lamport.merge sh.clock clock;
+    file t s sh ~clock ~pid ~origin ku
 
   (* A ring change re-homes the keys whose route moved. No entry moves:
      each stays in its key's log. The key's entries are counted in its
@@ -278,7 +278,7 @@ struct
             let source = shard t from and target = shard t into in
             source.entries <- source.entries - len;
             target.entries <- target.entries + len;
-            Lamport.merge target.clock (Oplog.get log (len - 1)).Oplog.ts.Timestamp.clock;
+            Lamport.merge target.clock (Oplog.clock log (len - 1));
             moved := !moved + len;
             set_log_gauge t into
           end)
@@ -392,9 +392,9 @@ struct
       note_op t.map s;
       let sh = shard t s in
       let origin = (s * t.ctx.Protocol.n) + t.ctx.Protocol.pid in
-      let ts = Timestamp.make ~clock:(Lamport.tick sh.clock) ~pid:origin in
-      file t s sh { Oplog.ts; origin; payload = ku };
-      Queue.add (s, { ts; update = ku }) t.outbox;
+      let clock = Lamport.tick sh.clock in
+      file t s sh ~clock ~pid:origin ~origin ku;
+      Queue.add (s, { ts = Timestamp.make ~clock ~pid:origin; update = ku }) t.outbox;
       fan_out t rest
 
   let update t kus ~on_done =
@@ -404,8 +404,9 @@ struct
     on_done ()
 
   let deliver t ~src (s_tag, { ts; update }) =
-    land_entry t
-      { Oplog.ts; origin = (s_tag * t.ctx.Protocol.n) + src; payload = update }
+    land_entry t ~clock:ts.Timestamp.clock ~pid:ts.Timestamp.pid
+      ~origin:((s_tag * t.ctx.Protocol.n) + src)
+      update
 
   let receive t ~src m =
     migrate t;
@@ -500,7 +501,7 @@ struct
   let certificate t f init =
     migrate t;
     let n = t.ctx.Protocol.n in
-    Some (fold_down t (fun acc e -> f (e.Oplog.origin mod n) [ e.Oplog.payload ] acc) init)
+    Some (fold_down t (fun acc _ _ origin ku -> f (origin mod n) [ ku ] acc) init)
 
   (* Every shard's entries, (timestamp, origin, keyed update) in
      timestamp order: the key logs' merge, dealt to the shards the keys
@@ -508,9 +509,9 @@ struct
   let shard_entries t =
     let by_shard = Array.make (Array.length t.shards) [] in
     fold_down t
-      (fun () { Oplog.ts; origin; payload } ->
-        let s = Ring.route t.homed (fst payload) in
-        by_shard.(s) <- (ts, origin, payload) :: by_shard.(s))
+      (fun () clock pid origin ((k, _) as ku) ->
+        let s = Ring.route t.homed k in
+        by_shard.(s) <- (Timestamp.make ~clock ~pid, origin, ku) :: by_shard.(s))
       ();
     by_shard
 
@@ -596,7 +597,8 @@ struct
             let clock, log = Persist.open_replica frame in
             let named = shard t s in
             List.iter
-              (fun (ts, origin, payload) -> land_entry t { Oplog.ts; origin; payload })
+              (fun (ts, origin, ku) ->
+                land_entry t ~clock:ts.Timestamp.clock ~pid:ts.Timestamp.pid ~origin ku)
               (Oplog.decode_list ~decode_update:OneC.decode log);
             Lamport.merge named.clock clock;
             set_log_gauge t s)

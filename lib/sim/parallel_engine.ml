@@ -206,30 +206,33 @@ module Make (P : Protocol.PROTOCOL) = struct
          instead of a fixed-cadence sleep storm. *)
       let stall_bk = Mpsc.Backoff.create ~park:Unix.sleepf ~park_max:2e-4 () in
       let idle_bk = Mpsc.Backoff.create ~park:Unix.sleepf ~park_max:2e-4 () in
+      (* Built once per domain, not per [drain]: [drain] runs before
+         every invocation, and a closure made there would be allocated
+         as often. *)
+      let handle { src; msgs; lam } =
+        (match rh with
+        | None -> ()
+        | Some h ->
+          Obs.Recorder.deliver h ~src ~count:(List.length msgs) ~frame_lamport:lam);
+        (match !replica with
+        | Some r -> P.receive_batch r ~src msgs
+        | None -> assert false);
+        l.l_received <- l.l_received + List.length msgs;
+        Atomic.decr outstanding
+      in
       let draining = ref false in
       let drain () =
         if not !draining then begin
           draining := true;
           let d = Mpsc.length mybox in
           if d > l.l_depth then l.l_depth <- d;
-          let handle { src; msgs; lam } =
-            (match rh with
-            | None -> ()
-            | Some h ->
-              Obs.Recorder.deliver h ~src ~count:(List.length msgs)
-                ~frame_lamport:lam);
-            (match !replica with
-            | Some r -> P.receive_batch r ~src msgs
-            | None -> assert false);
-            l.l_received <- l.l_received + List.length msgs;
-            Atomic.decr outstanding
-          in
           (* Batch dequeue: every [pop_run] takes the whole ready run in
              one synchronisation; loop until the mailbox is momentarily
              dry so frames that arrived while we processed are taken
              too. *)
-          let rec go () = if Mpsc.pop_run mybox handle > 0 then go () in
-          go ();
+          while Mpsc.pop_run mybox handle > 0 do
+            ()
+          done;
           draining := false
         end
       in

@@ -131,3 +131,14 @@ module No_catchup = struct
 
   let absorb _t _s = false
 end
+
+module Receive_each (R : sig
+  type t
+
+  type message
+
+  val receive : t -> src:int -> message -> unit
+end) =
+struct
+  let receive_batch t ~src msgs = List.iter (R.receive t ~src) msgs
+end

@@ -61,8 +61,8 @@ module type PROTOCOL = sig
   val receive_batch : t -> src:int -> message list -> unit
   (** Deliver a coalesced envelope from one peer, observably equivalent
       to [List.iter (receive t ~src)] in list order. Protocols with a
-      batch-aware core (one clock merge, one log merge pass) override
-      the default per-message iteration. *)
+      batch-aware core (one clock merge, one log merge pass) define
+      their own; the others include {!Receive_each}. *)
 
   val message_wire_size : message -> int
 
@@ -139,4 +139,18 @@ module No_catchup : sig
   val snapshot : 't -> string option
 
   val absorb : 't -> string -> bool
+end
+
+(** {!PROTOCOL.receive_batch} for a protocol without a batch-aware core:
+    the envelope's messages delivered one by one through [receive], in
+    list order. [include] it in the protocol's structure, after
+    [receive]. *)
+module Receive_each (R : sig
+  type t
+
+  type message
+
+  val receive : t -> src:int -> message -> unit
+end) : sig
+  val receive_batch : R.t -> src:int -> R.message list -> unit
 end

@@ -32,11 +32,20 @@ let entry_batch rng =
 let by_timestamp entries =
   List.sort (fun (a, _, _) (b, _, _) -> Timestamp.compare a b) entries
 
-let insert_all log entries =
-  List.iter
-    (fun (ts, origin, payload) ->
-      ignore (Oplog.insert log { Oplog.ts; origin; payload }))
+(* Entries are [(timestamp, origin, payload)] triples, the shape of
+   [Oplog.to_list]. *)
+let ts_of (ts, _, _) = ts
+
+let insert log ((ts : Timestamp.t), origin, payload) =
+  Oplog.insert log ~clock:ts.clock ~pid:ts.pid ~origin payload
+
+let insert_batch log entries =
+  Oplog.insert_batch log ~ts:ts_of
+    ~origin:(fun (_, origin, _) -> origin)
+    ~payload:(fun (_, _, payload) -> payload)
     entries
+
+let insert_all log entries = List.iter (fun e -> ignore (insert log e : int)) entries
 
 let fold_states entries =
   List.fold_left (fun s (_, _, u) -> Set_spec.apply s u) Set_spec.initial entries
@@ -51,7 +60,7 @@ let words_per_insert ~checkpointed ~profile ~live entries =
   in
   if profile then Oplog.set_profile log (Some (Obs.Profile.create ()));
   for i = 0 to live - 1 do
-    ignore (Oplog.insert log entries.(i) : int)
+    ignore (insert log entries.(i) : int)
   done;
   ignore (Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial);
   Alcotest.(check int)
@@ -61,17 +70,12 @@ let words_per_insert ~checkpointed ~profile ~live entries =
   let words =
     minor_words (fun () ->
         for i = live to Array.length entries - 1 do
-          ignore (Oplog.insert log entries.(i) : int)
+          ignore (insert log entries.(i) : int)
         done)
   in
   words /. float_of_int inserted
 
-let entry ~clock ~pid =
-  {
-    Oplog.ts = Timestamp.make ~clock ~pid;
-    origin = pid;
-    payload = Set_spec.Insert (clock mod 16);
-  }
+let entry ~clock ~pid = (Timestamp.make ~clock ~pid, pid, Set_spec.Insert (clock mod 16))
 
 (* Appends drop no checkpoint, so carrying hundreds of them must cost
    an append nothing: a checkpoint list rebuilt on every insert showed
@@ -104,10 +108,10 @@ let late_insert_guard () =
   let log = Oplog.create ~checkpoint_interval:1 () in
   let p = Obs.Profile.create () in
   Oplog.set_profile log (Some p);
-  Array.iteri (fun i e -> if i < live then ignore (Oplog.insert log e : int)) entries;
+  Array.iteri (fun i e -> if i < live then ignore (insert log e : int)) entries;
   ignore (Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial);
   for i = live to Array.length entries - 1 do
-    ignore (Oplog.insert log entries.(i) : int)
+    ignore (insert log entries.(i) : int)
   done;
   Alcotest.(check int) "one drop per late insert" late p.Obs.Profile.checkpoints_dropped;
   Alcotest.(check int) "survivors" (live - late) (Oplog.checkpoints_live log)
@@ -142,7 +146,7 @@ let dropped_reference =
         entry ~clock:(1 + Prng.int rng 40) ~pid:(Prng.int rng 3)
       in
       let resident e =
-        List.exists (fun (ts, _, _) -> Timestamp.equal ts e.Oplog.ts) (Oplog.to_list log)
+        List.exists (fun (ts, _, _) -> Timestamp.equal ts (ts_of e)) (Oplog.to_list log)
       in
       let step () =
         match Prng.int rng 3 with
@@ -156,23 +160,23 @@ let dropped_reference =
           done
         | 1 ->
           let e = random_entry () in
-          let fresh = not (resident e) and pos = Oplog.locate log e.Oplog.ts in
-          ignore (Oplog.insert log e : int);
+          let fresh = not (resident e) and pos = Oplog.locate log (ts_of e) in
+          ignore (insert log e : int);
           if fresh then invalidate pos
         | _ ->
           let batch = List.init (Prng.int rng 12) (fun _ -> random_entry ()) in
           let batch =
             if Prng.int rng 2 = 0 then
-              List.sort_uniq (fun a b -> Timestamp.compare a.Oplog.ts b.Oplog.ts) batch
+              List.sort_uniq (fun a b -> Timestamp.compare (ts_of a) (ts_of b)) batch
             else batch
           in
           let lowest =
             List.fold_left
               (fun acc e ->
-                if resident e then acc else min acc (Oplog.locate log e.Oplog.ts))
+                if resident e then acc else min acc (Oplog.locate log (ts_of e)))
               max_int batch
           in
-          ignore (Oplog.insert_batch log batch : int);
+          ignore (insert_batch log batch : int);
           if lowest < max_int then invalidate lowest
       in
       List.for_all
@@ -196,21 +200,19 @@ let edge_inserts () =
   let log = Oplog.create ~checkpoint_interval:1 ~query_cache:true () in
   let profile = Obs.Profile.create () in
   Oplog.set_profile log (Some profile);
-  let entry clock pid v =
-    { Oplog.ts = Timestamp.make ~clock ~pid; origin = pid; payload = Set_spec.Insert v }
-  in
+  let entry clock pid v = (Timestamp.make ~clock ~pid, pid, Set_spec.Insert v) in
   let replay () = snd (Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial) in
-  List.iter (fun e -> ignore (Oplog.insert log e : int)) [ entry 1 0 1; entry 2 0 2; entry 3 0 3 ];
+  insert_all log [ entry 1 0 1; entry 2 0 2; entry 3 0 3 ];
   ignore (replay () : int);
-  Alcotest.(check int) "above the tail lands at the end" 3 (Oplog.insert log (entry 5 1 4));
+  Alcotest.(check int) "above the tail lands at the end" 3 (insert log (entry 5 1 4));
   Alcotest.(check int) "an append drops no checkpoint" 3 (Oplog.checkpoints_live log);
   Alcotest.(check (pair int int)) "counted as an append, nothing shifted" (4, 0)
     (profile.Obs.Profile.appends, profile.Obs.Profile.shift_distance);
   Alcotest.(check int) "the query cache survived the append" 1 (replay ());
-  Alcotest.(check int) "a tail duplicate returns the tail" 3 (Oplog.insert log (entry 5 1 9));
+  Alcotest.(check int) "a tail duplicate returns the tail" 3 (insert log (entry 5 1 9));
   Alcotest.(check (pair int int)) "a tail duplicate adds nothing" (4, 4)
     (Oplog.length log, profile.Obs.Profile.inserts);
-  Alcotest.(check int) "just below the tail lands under it" 3 (Oplog.insert log (entry 5 0 5));
+  Alcotest.(check int) "just below the tail lands under it" 3 (insert log (entry 5 0 5));
   Alcotest.(check (pair int int)) "one entry shifted" (5, 1)
     (profile.Obs.Profile.inserts, profile.Obs.Profile.shift_distance);
   Alcotest.(check int) "the checkpoint above it dropped" 3 (Oplog.checkpoints_live log);
@@ -219,7 +221,7 @@ let edge_inserts () =
     [ (1, 0); (2, 0); (3, 0); (5, 0); (5, 1) ]
     (List.map (fun (ts, _, _) -> (ts.Timestamp.clock, ts.Timestamp.pid)) (Oplog.to_list log));
   Alcotest.(check bool) "the resident tail entry was kept" true
-    (Set_spec.equal_update (Oplog.get log 4).Oplog.payload (Set_spec.Insert 4))
+    (Set_spec.equal_update (Oplog.payload log 4) (Set_spec.Insert 4))
 
 (* Section VII.C's query cost on the three cores of the universal
    construction: the list core, the array core with checkpoints off,
@@ -287,6 +289,229 @@ let warm_replay () =
         [ false; true ])
     [ 64; 128; 256; 512; 1024 ]
 
+(* The model the paged log is checked against: its entries in
+   timestamp order, as a list. [model_insert model e] is the model with
+   [e] in it, the position [e]'s timestamp stands at, and whether it was
+   fresh; a timestamp already there keeps its resident entry, as
+   {!Oplog.insert} does. *)
+let model_insert model e =
+  let ts = ts_of e in
+  let rec go i = function
+    | [] -> ([ e ], i, true)
+    | x :: rest as l ->
+      let c = Timestamp.compare (ts_of x) ts in
+      if c < 0 then
+        let rest, pos, fresh = go (i + 1) rest in
+        (x :: rest, pos, fresh)
+      else if c = 0 then (l, i, false)
+      else (e :: l, i, true)
+  in
+  go 0 model
+
+(* How many model entries sort below [ts]: where a fresh entry lands. *)
+let model_position model ts =
+  List.length (List.filter (fun e -> Timestamp.compare (ts_of e) ts < 0) model)
+
+(* Whether every checkpoint [(k, s)] holds the fold of the first [k]
+   model entries: one pass up the model. *)
+let checkpoints_hold checkpoints model =
+  let rec go state i ks model =
+    match ks with
+    | [] -> true
+    | (k, s) :: rest when k = i -> Set_spec.equal_state s state && go state i rest model
+    | _ -> (
+      match model with
+      | [] -> false
+      | (_, _, u) :: tl -> go (Set_spec.apply state u) (i + 1) ks tl)
+  in
+  go Set_spec.initial 0 (List.rev checkpoints) model
+
+(* The paged log against the sorted-list model on logs of three or more
+   pages (over 2,048 entries; a page holds 1,024). The log is filled by
+   appends, by one ascending batch, or by [load]; then single appends,
+   mid-log inserts (most land below the second page boundary, so their
+   shift crosses at least one), duplicates, ascending, shuffled and
+   repeating batches (repeats far apart or adjacent), [merge_frame] of
+   the same batches and of stale frames, [compact] (whose move down crosses pages too) and
+   checkpointed replays are interleaved at random. After every step the
+   entries and the watermark must match the model; at the end so must
+   both folds from the top, the checkpoints (positions, by the rule
+   [dropped_reference] checks, and states) and the frame bytes. *)
+let paged_differential =
+  qtest ~count:25 "a log of three or more pages matches a sorted-list model" seed_gen
+    (fun seed ->
+      let rng = Prng.create seed in
+      let interval = if Prng.int rng 4 = 0 then 0 else Prng.int_in rng 16 128 in
+      let log =
+        Oplog.create ~checkpoint_interval:interval ~query_cache:(Prng.bool rng) ()
+      in
+      let payload () = Set_spec.random_update rng in
+      let fill = Prng.int_in rng 2_100 3_200 in
+      let initial =
+        List.init fill (fun i -> (Timestamp.make ~clock:(2 * (i + 1)) ~pid:0, 0, payload ()))
+      in
+      (match Prng.int rng 3 with
+      | 0 -> insert_all log initial
+      | 1 -> ignore (insert_batch log initial : int)
+      | _ -> Oplog.load log initial);
+      let model = ref initial and ks = ref [] and watermark = ref 0 in
+      let top () =
+        List.fold_left (fun acc e -> max acc (ts_of e).Timestamp.clock) !watermark !model
+      in
+      let invalidate pos = ks := List.filter (fun k -> k <= pos) !ks in
+      let above () =
+        (Timestamp.make ~clock:(top () + Prng.int_in rng 1 3) ~pid:(Prng.int rng 4),
+          Prng.int rng 8, payload ())
+      in
+      let within () =
+        (Timestamp.make ~clock:(Prng.int_in rng (!watermark + 1) (top ())) ~pid:(Prng.int rng 4),
+          Prng.int rng 8, payload ())
+      in
+      let resident () =
+        let ts, origin, _ = List.nth !model (Prng.int rng (List.length !model)) in
+        (ts, origin, payload ())
+      in
+      let pick () =
+        match Prng.int rng 4 with 0 -> above () | 1 -> resident () | _ -> within ()
+      in
+      (* A batch as [Oplog.insert_batch] and [merge_frame] take it: the
+         model lands it entry by entry, and the checkpoints above the
+         lowest fresh landing position die. *)
+      let land_model batch =
+        let lowest =
+          List.fold_left
+            (fun acc e ->
+              if List.exists (fun x -> Timestamp.equal (ts_of x) (ts_of e)) !model then acc
+              else min acc (model_position !model (ts_of e)))
+            max_int batch
+        in
+        List.iter (fun e -> let m, _, _ = model_insert !model e in model := m) batch;
+        if lowest < max_int then invalidate lowest
+      in
+      let batch () =
+        let entries = List.init (Prng.int_in rng 2 40) (fun _ -> pick ()) in
+        let ascending =
+          List.sort_uniq (fun a b -> Timestamp.compare (ts_of a) (ts_of b)) entries
+        in
+        let again (ts, o, _) = (ts, o, payload ()) in
+        match Prng.int rng 4 with
+        | 0 -> ascending
+        | 1 ->
+          let a = Array.of_list entries in
+          Prng.shuffle rng a;
+          Array.to_list a
+        | 2 ->
+          (* Repeats within the batch, with payloads of their own. *)
+          entries @ List.map again entries
+        | _ ->
+          (* Ascending but for each entry's repeat right behind it. *)
+          List.concat_map (fun e -> [ e; again e ]) ascending
+      in
+      let encode entries =
+        Oplog.encode_list ~encode_update:Update_codec.For_set.encode entries
+      in
+      let step () =
+        match Prng.int rng 7 with
+        | 0 | 1 ->
+          let e = if Prng.bool rng then above () else pick () in
+          let m, pos, fresh = model_insert !model e in
+          let landed = insert log e in
+          model := m;
+          if fresh then invalidate pos;
+          landed = pos
+        | 2 ->
+          let b = batch () in
+          let before = List.length !model in
+          let fresh = insert_batch log b in
+          land_model b;
+          fresh = List.length !model - before
+        | 3 -> (
+          let b = batch () in
+          let stale = !watermark > 0 && Prng.int rng 4 = 0 in
+          let frame =
+            encode
+              (if stale then (Timestamp.make ~clock:!watermark ~pid:0, 0, payload ()) :: b
+               else b)
+          in
+          match
+            Oplog.merge_frame log ~decode_update:Update_codec.For_set.decode
+              (Codec.Reader.of_string frame)
+          with
+          | None -> stale
+          | Some top ->
+            land_model b;
+            (not stale)
+            && top = List.fold_left (fun acc e -> max acc (ts_of e).Timestamp.clock) 0 b)
+        | 4 ->
+          let len = List.length !model in
+          len <= 2_100
+          ||
+          let bound =
+            (ts_of (List.nth !model (Prng.int rng (min 600 (len - 2_100))))).Timestamp.clock
+          in
+          let prefix, suffix =
+            List.partition (fun e -> (ts_of e).Timestamp.clock <= bound) !model
+          in
+          let state, folded =
+            Oplog.compact log ~upto_clock:bound ~apply:Set_spec.apply Set_spec.initial
+          in
+          model := suffix;
+          ks := [];
+          watermark := max !watermark bound;
+          folded = List.length prefix && Set_spec.equal_state state (fold_states prefix)
+        | _ ->
+          let len = List.length !model in
+          let state, steps =
+            Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial
+          in
+          if interval > 0 then
+            for m = ((len - steps) / interval) + 1 to len / interval do
+              ks := (m * interval) :: !ks
+            done;
+          Set_spec.equal_state state (fold_states !model)
+      in
+      List.for_all
+        (fun _ ->
+          step ()
+          && Oplog.length log = List.length !model
+          && Oplog.watermark log = !watermark
+          && Oplog.to_list log = !model)
+        (List.init 30 Fun.id)
+      && Oplog.length log > 2 * 1_024
+      && Oplog.fold_down (fun origin u acc -> (origin, u) :: acc) log []
+         = List.map (fun (_, origin, u) -> (origin, u)) !model
+      && Oplog.fold_down_merged
+           (fun acc clock pid origin u -> (Timestamp.make ~clock ~pid, origin, u) :: acc)
+           [] [| log; Oplog.create () |]
+         = !model
+      && List.map fst (Oplog.checkpoints log) = !ks
+      && checkpoints_hold (Oplog.checkpoints log) !model
+      && Oplog.encode ~update_wire_size:Set_spec.update_wire_size
+           ~encode_update:Update_codec.For_set.encode log
+         = encode !model)
+
+(* What the columns cost resident: [Obj.reachable_words] of a log whose
+   payloads are immediate ints, so every word counted is the log's own.
+   A 100,000-entry log fills 98 pages of four 1,025-word columns plus
+   the page table, about 4.02 words an entry; boxing each entry as a
+   record with a timestamp cost 8 and the slack of a doubling array.
+   The one-entry log pins the fixed cost every key log of the sharded
+   space pays: the log record, page 0's column record, and four
+   8-entry columns, 52 words (a boxed-entry log paid 25). *)
+let resident_words () =
+  let n = 100_000 in
+  let log : (int, unit) Oplog.t = Oplog.create () in
+  for i = 1 to n do
+    ignore (Oplog.insert log ~clock:i ~pid:(i mod 4) ~origin:(i mod 4) i : int)
+  done;
+  let per_entry = float_of_int (Obj.reachable_words (Obj.repr log)) /. float_of_int n in
+  if per_entry > 4.2 then
+    Alcotest.failf "a %d-entry log holds %.2f words per entry" n per_entry;
+  let one : (int, unit) Oplog.t = Oplog.create () in
+  ignore (Oplog.insert one ~clock:1 ~pid:0 ~origin:0 7 : int);
+  let words = Obj.reachable_words (Obj.repr one) in
+  if words > 52 then Alcotest.failf "a one-entry log holds %d words" words
+
 let tests =
   [
     Alcotest.test_case "a warm query replays the list core's log, none of the array cores'"
@@ -298,6 +523,9 @@ let tests =
     Alcotest.test_case "a late insert pays only for the checkpoints it drops" `Quick
       late_insert_guard;
     dropped_reference;
+    paged_differential;
+    Alcotest.test_case "a paged log holds about four words an entry" `Quick
+      resident_words;
     qtest ~count:300 "inserting any permutation equals the timestamp sort"
       seed_gen
       (fun seed ->
@@ -314,13 +542,12 @@ let tests =
         let logs = Array.init (Prng.int rng 12) (fun _ -> Oplog.create ()) in
         if Array.length logs > 0 then
           List.iter
-            (fun (ts, origin, payload) ->
-              let log = logs.(Prng.int rng (Array.length logs)) in
-              ignore (Oplog.insert log { Oplog.ts; origin; payload } : int))
+            (fun e -> ignore (insert logs.(Prng.int rng (Array.length logs)) e : int))
             entries;
         let merged =
           Oplog.fold_down_merged
-            (fun acc { Oplog.ts; origin; payload } -> (ts, origin, payload) :: acc)
+            (fun acc clock pid origin payload ->
+              (Timestamp.make ~clock ~pid, origin, payload) :: acc)
             [] logs
         in
         merged = by_timestamp (if Array.length logs = 0 then [] else entries));
@@ -331,10 +558,10 @@ let tests =
         let entries = entry_batch rng in
         let log = Oplog.create () in
         List.for_all
-          (fun (ts, origin, payload) ->
-            let pos = Oplog.insert log { Oplog.ts; origin; payload } in
-            Timestamp.equal (Oplog.get log pos).Oplog.ts ts
-            && pos = Oplog.locate log ts - 1)
+          (fun e ->
+            let pos = insert log e in
+            Timestamp.equal (ts_of (Oplog.get log pos)) (ts_of e)
+            && pos = Oplog.locate log (ts_of e) - 1)
           entries);
     qtest ~count:200
       "checkpointed replay equals full replay at every interval" seed_gen
@@ -346,9 +573,8 @@ let tests =
             let log = Oplog.create ~checkpoint_interval:interval () in
             let inserted = ref [] in
             List.for_all
-              (fun ((_, _, _) as e) ->
-                let ts, origin, payload = e in
-                ignore (Oplog.insert log { Oplog.ts; origin; payload });
+              (fun e ->
+                ignore (insert log e : int);
                 inserted := e :: !inserted;
                 (* Replay mid-stream at random points, so checkpoints
                    recorded by one replay get invalidated by the next
@@ -379,11 +605,8 @@ let tests =
            second one starts at the deepest recorded checkpoint. *)
         for i = 1 to n do
           ignore
-            (Oplog.insert log
-               { Oplog.ts = Timestamp.make ~clock:i ~pid:0;
-                 origin = 0;
-                 payload = Set_spec.random_update rng;
-               })
+            (Oplog.insert log ~clock:i ~pid:0 ~origin:0 (Set_spec.random_update rng)
+              : int)
         done;
         let _, steps1 =
           Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial
@@ -415,11 +638,7 @@ let tests =
         && (bound <= 0
            ||
            match
-             Oplog.insert log
-               { Oplog.ts = Timestamp.make ~clock:bound ~pid:9;
-                 origin = 9;
-                 payload = Set_spec.random_update rng;
-               }
+             Oplog.insert log ~clock:bound ~pid:9 ~origin:9 (Set_spec.random_update rng)
            with
            | _ -> false
            | exception Invalid_argument _ -> true));
@@ -490,8 +709,8 @@ let tests =
           (Invalid_argument
              "Oplog.create: checkpoint interval must be non-negative")
           (fun () -> ignore (Oplog.create ~checkpoint_interval:(-1) () : (int, int) Oplog.t)));
-    (* The persistence hot path: [encode] now streams the backing array
-       into a pre-sized buffer instead of materialising [to_list]. The
+    (* The persistence hot path: [encode] streams the columns into a
+       pre-sized buffer instead of materialising [to_list]. The
        frame must stay byte-for-byte the [encode_list] frame — with the
        exact-size hint, without it, and after mid-log insertions. *)
     qtest ~count:300 "encode streams the array byte-identically to the list path"
@@ -527,7 +746,7 @@ let tests =
     Alcotest.test_case "encode allocates two frame-sized blocks" `Quick (fun () ->
         let log = Oplog.create () in
         for i = 1 to 30_000 do
-          ignore (Oplog.insert log (entry ~clock:i ~pid:(i mod 4)) : int)
+          ignore (insert log (entry ~clock:i ~pid:(i mod 4)) : int)
         done;
         Stdlib.Gc.minor ();
         let minor0, promoted0, major0 = Stdlib.Gc.counters () in
@@ -575,12 +794,7 @@ let tests =
           (fun chunk ->
             let len0 = Oplog.length seq in
             insert_all seq chunk;
-            let fresh =
-              Oplog.insert_batch bat
-                (List.map
-                   (fun (ts, origin, payload) -> { Oplog.ts; origin; payload })
-                   chunk)
-            in
+            let fresh = insert_batch bat chunk in
             (if Prng.int rng 2 = 0 then begin
                ignore
                  (Oplog.replay seq ~apply:Set_spec.apply
@@ -611,14 +825,9 @@ let tests =
       (fun seed ->
         let rng = Prng.create seed in
         let entries = entry_batch rng in
-        let batch =
-          List.map
-            (fun (ts, origin, payload) -> { Oplog.ts; origin; payload })
-            entries
-        in
         let log = Oplog.create () in
-        let first = Oplog.insert_batch log batch in
-        let again = Oplog.insert_batch log batch in
+        let first = insert_batch log entries in
+        let again = insert_batch log entries in
         first = List.length entries
         && again = 0
         && Oplog.to_list log = by_timestamp entries);
@@ -626,22 +835,17 @@ let tests =
       `Quick
       (fun () ->
         let log : (Set_spec.update, Set_spec.state) Oplog.t = Oplog.create () in
-        let entry clock =
-          { Oplog.ts = Timestamp.make ~clock ~pid:0;
-            origin = 0;
-            payload = Set_spec.Insert clock;
-          }
-        in
-        ignore (Oplog.insert log (entry 5) : int);
+        let entry clock = (Timestamp.make ~clock ~pid:0, 0, Set_spec.Insert clock) in
+        ignore (insert log (entry 5) : int);
         let _ = Oplog.compact log ~upto_clock:3 ~apply:Set_spec.apply Set_spec.initial in
         let before = Oplog.to_list log in
         Alcotest.check_raises "stale entry rejected"
           (Invalid_argument
              "Oplog.insert: timestamp at or below the stability watermark")
-          (fun () -> ignore (Oplog.insert_batch log [ entry 9; entry 2 ] : int));
+          (fun () -> ignore (insert_batch log [ entry 9; entry 2 ] : int));
         Alcotest.(check bool) "log unchanged" true (Oplog.to_list log = before);
         Alcotest.(check int) "valid batch still lands" 1
-          (Oplog.insert_batch log [ entry 9 ]));
+          (insert_batch log [ entry 9 ]));
     qtest ~count:200 "query cache folds only the unstable suffix" seed_gen
       (fun seed ->
         let rng = Prng.create seed in
@@ -649,11 +853,8 @@ let tests =
         let log = Oplog.create ~query_cache:true () in
         for i = 1 to n do
           ignore
-            (Oplog.insert log
-               { Oplog.ts = Timestamp.make ~clock:(i * 2) ~pid:0;
-                 origin = 0;
-                 payload = Set_spec.random_update rng;
-               })
+            (Oplog.insert log ~clock:(i * 2) ~pid:0 ~origin:0 (Set_spec.random_update rng)
+              : int)
         done;
         let expect () = fold_states (Oplog.to_list log) in
         let s1, steps1 =
@@ -665,21 +866,15 @@ let tests =
         (* Tail append leaves the cache valid; a late insert before it
            must invalidate. *)
         ignore
-          (Oplog.insert log
-             { Oplog.ts = Timestamp.make ~clock:((n + 1) * 2) ~pid:0;
-               origin = 0;
-               payload = Set_spec.random_update rng;
-             });
+          (Oplog.insert log ~clock:((n + 1) * 2) ~pid:0 ~origin:0
+             (Set_spec.random_update rng)
+            : int);
         let s3, steps3 =
           Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial
         in
         let e3 = expect () in
         ignore
-          (Oplog.insert log
-             { Oplog.ts = Timestamp.make ~clock:3 ~pid:1;
-               origin = 1;
-               payload = Set_spec.random_update rng;
-             });
+          (Oplog.insert log ~clock:3 ~pid:1 ~origin:1 (Set_spec.random_update rng) : int);
         let s4, steps4 =
           Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial
         in
@@ -688,13 +883,16 @@ let tests =
         && Set_spec.equal_state s1 s2
         && Set_spec.equal_state s3 e3
         && Set_spec.equal_state s4 (expect ()));
+    (* The fold hands over origin and payload only, so each entry's
+       origin here encodes its timestamp: the order is checked in full. *)
     qtest ~count:300 "a fold from the top, prepending, is the log in order" seed_gen
       (fun seed ->
         let rng = Prng.create seed in
         let log = Oplog.create () in
-        insert_all log (entry_batch rng);
-        Oplog.fold_down
-          (fun { Oplog.ts; origin; payload } acc -> (ts, origin, payload) :: acc)
-          log []
-        = Oplog.to_list log);
+        insert_all log
+          (List.map
+             (fun ((ts : Timestamp.t), _, u) -> (ts, (ts.clock * 4) + ts.pid, u))
+             (entry_batch rng));
+        Oplog.fold_down (fun origin payload acc -> (origin, payload) :: acc) log []
+        = List.map (fun (_, origin, payload) -> (origin, payload)) (Oplog.to_list log));
   ]

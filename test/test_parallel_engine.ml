@@ -330,6 +330,38 @@ let coalescing_frame_counts () =
     "batched: one frame per window" [| ops / 16; ops / 16 |]
     (frames ~batch_every:32 ~flush_window:16 ())
 
+(* What a 2-domain counter run allocates per update, across both
+   domains: the client loop, the frame and its mailbox push, the
+   delivery and the op-log append. [Gc.quick_stat] sums every domain's
+   counts, the joined ones included, and each reading follows a minor
+   collection so the partly filled minor heap is counted exactly. The
+   run allocates 23.5 words per update. The bound leaves less room than
+   either regression it guards against would take: a [drain] that
+   built its handler closures on every call costs about 14 words an
+   update, and an op-log that boxed a record per entry 4 words at each
+   of the two replicas. *)
+let counter_words_per_update () =
+  let domains = 2 and ops = 20_000 in
+  let scripts =
+    T_counter.uniform_scripts ~seed:42 ~domains ~ops ~query_ratio:0.0
+  in
+  let cfg =
+    { (T_counter.E.default_config ~domains) with
+      T_counter.E.final_read = Some Counter_spec.Value }
+  in
+  let words () =
+    Stdlib.Gc.minor ();
+    (Stdlib.Gc.quick_stat ()).Stdlib.Gc.minor_words
+  in
+  let before = words () in
+  let r = T_counter.E.run cfg ~workload:scripts in
+  let per_update = (words () -. before) /. float_of_int (domains * ops) in
+  Alcotest.(check bool) "replicas agree" true
+    (r.T_counter.E.outputs_agree && r.T_counter.E.certificates_agree);
+  if per_update > 27. then
+    Alcotest.failf "a 2-domain counter run allocated %.1f minor words per update"
+      per_update
+
 let rejects_bad_config () =
   let scripts = T_set.uniform_scripts ~seed:1 ~domains:2 ~ops:1 ~query_ratio:0.0 in
   Alcotest.check_raises "workload width"
@@ -370,5 +402,7 @@ let tests =
       flush_window_differential;
     Alcotest.test_case "coalescing fixes the frame count at 2 domains" `Quick
       coalescing_frame_counts;
+    Alcotest.test_case "a counter update allocates a bounded number of words" `Quick
+      counter_words_per_update;
     Alcotest.test_case "malformed configs rejected" `Quick rejects_bad_config;
   ]

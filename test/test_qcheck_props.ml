@@ -278,8 +278,8 @@ let permutation_tests =
           Prng.shuffle rng shuffled;
           let log = Oplog.create () in
           Array.iter
-            (fun (ts, origin, u) ->
-              ignore (Oplog.insert log { Oplog.ts; origin; payload = u } : int))
+            (fun ((ts : Timestamp.t), origin, u) ->
+              ignore (Oplog.insert log ~clock:ts.clock ~pid:ts.pid ~origin u : int))
             shuffled;
           let state, _ = Oplog.replay log ~apply:A.apply ~initial:A.initial in
           A.equal_state state expected

@@ -213,7 +213,7 @@ let locate_fields t clock pid =
 let locate t ts = locate_fields t ts.Timestamp.clock ts.Timestamp.pid
 
 (* Whether the log holds the entry stamped (clock, pid). *)
-let holds t clock pid =
+let holds t ~clock ~pid =
   let pos = locate_fields t clock pid in
   pos > 0 && clock_at t (pos - 1) = clock && pid_at t (pos - 1) = pid
 
@@ -314,7 +314,7 @@ let sort_unique b n =
    hold yet; [n] if none. *)
 let rec first_fresh t b i n =
   if i >= n then i
-  else if holds t b.clock.(i) b.pid.(i) then first_fresh t b (i + 1) n
+  else if holds t ~clock:b.clock.(i) ~pid:b.pid.(i) then first_fresh t b (i + 1) n
   else i
 
 (* Merge [b.(first) .. b.(stop - 1)] (everything below [first] is
@@ -727,7 +727,7 @@ let merge_frame t ~decode_update r =
   walk ~decode_update r (fun clock pid origin payload ->
       if clock > g.top then g.top <- clock;
       if clock <= t.watermark then g.refused <- true
-      else if not (holds t clock pid) then begin
+      else if not (holds t ~clock ~pid) then begin
         let i = g.n in
         if i = Array.length g.fresh.clock then begin
           let grown = columns (max 8 (2 * i)) payload in

@@ -104,6 +104,10 @@ val locate : ('u, 's) t -> Timestamp.t -> int
     index of the first entry whose timestamp is greater. O(log n)
     binary search. Timestamps are unique, so this is unambiguous. *)
 
+val holds : ('u, 's) t -> clock:int -> pid:int -> bool
+(** Whether the log holds the entry stamped [(clock, pid)]: one
+    {!locate}. *)
+
 val insert : ('u, 's) t -> clock:int -> pid:int -> origin:int -> 'u -> int
 (** [insert t ~clock ~pid ~origin payload] inserts the entry stamped
     [(clock, pid)] in timestamp order and returns the position it landed

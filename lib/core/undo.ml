@@ -34,37 +34,41 @@ module Make (A : Undoable.S) = struct
   (* Insert a timestamped update at its place in the total order: undo
      every later entry, apply, redo them (refreshing their undo
      tokens). The oplog's binary search finds the position; repairs
-     touch only the suffix behind it. *)
+     touch only the suffix behind it. A timestamp the log already holds
+     is the same update delivered again, and changes nothing, as in
+     [Oplog.insert]. *)
   let insert t ts origin u =
-    let before = t.repairs in
-    let len = Oplog.length t.log in
-    let pos = Oplog.locate t.log ts in
-    let state = ref t.state in
-    for i = len - 1 downto pos do
-      state := A.undo !state (Oplog.payload t.log i).tok;
-      t.repairs <- t.repairs + 1
-    done;
-    let state', tok = A.apply_with_undo !state u in
-    state := state';
-    ignore
-      (Oplog.insert t.log ~clock:ts.Timestamp.clock ~pid:ts.Timestamp.pid ~origin
-         { u; tok }
-        : int);
-    for i = pos + 1 to len do
-      let p = Oplog.payload t.log i in
-      let state', tok = A.apply_with_undo !state p.u in
-      p.tok <- tok;
+    if not (Oplog.holds t.log ~clock:ts.Timestamp.clock ~pid:ts.Timestamp.pid) then begin
+      let before = t.repairs in
+      let len = Oplog.length t.log in
+      let pos = Oplog.locate t.log ts in
+      let state = ref t.state in
+      for i = len - 1 downto pos do
+        state := A.undo !state (Oplog.payload t.log i).tok;
+        t.repairs <- t.repairs + 1
+      done;
+      let state', tok = A.apply_with_undo !state u in
       state := state';
-      t.repairs <- t.repairs + 1
-    done;
-    t.state <- !state;
-    Option.iter
-      (fun (r : Obs.replica) ->
-        r.profile.Obs.Profile.undo_repairs <-
-          r.profile.Obs.Profile.undo_repairs + t.repairs - before)
-      t.ctx.Protocol.obs;
-    (* One application for the newcomer plus every undo/redo repair. *)
-    t.ctx.Protocol.count_replay (1 + t.repairs - before)
+      ignore
+        (Oplog.insert t.log ~clock:ts.Timestamp.clock ~pid:ts.Timestamp.pid ~origin
+           { u; tok }
+          : int);
+      for i = pos + 1 to len do
+        let p = Oplog.payload t.log i in
+        let state', tok = A.apply_with_undo !state p.u in
+        p.tok <- tok;
+        state := state';
+        t.repairs <- t.repairs + 1
+      done;
+      t.state <- !state;
+      Option.iter
+        (fun (r : Obs.replica) ->
+          r.profile.Obs.Profile.undo_repairs <-
+            r.profile.Obs.Profile.undo_repairs + t.repairs - before)
+        t.ctx.Protocol.obs;
+      (* One application for the newcomer plus every undo/redo repair. *)
+      t.ctx.Protocol.count_replay (1 + t.repairs - before)
+    end
 
   let update t u ~on_done =
     let cl = Lamport.tick t.clock in

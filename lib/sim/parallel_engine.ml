@@ -38,7 +38,27 @@
      telemetry state is touched while the domains run.
    - [Recorder]: handles are per-domain by construction; the frame
      carries the sender's Lamport stamp so the receiver can order the
-     delivery after the send. *)
+     delivery after the send.
+   - Mailboxes: lock-free rings ([Mpsc]); no domain ever blocks on one.
+     A push into a full mailbox drains the pusher's own mailbox while
+     it retries, so every domain always makes progress on its own
+     queue.
+   - Failure: the first exception any domain raises is recorded, with
+     its pid, in one atomic cell by compare-and-set. Recording it
+     closes every mailbox, so a peer's next push raises [Mpsc.Closed],
+     and the start barrier and the quiescence loop give up on it; the
+     coordinating domain re-raises it as [Domain_failed] after the
+     joins. *)
+
+exception Domain_failed of { pid : int; exn : exn }
+
+let () =
+  Printexc.register_printer (function
+    | Domain_failed { pid; exn } ->
+      Some
+        (Printf.sprintf "Parallel_engine.Domain_failed: domain %d raised %s" pid
+           (Printexc.to_string exn))
+    | _ -> None)
 
 type domain_report = {
   pid : int;
@@ -149,6 +169,17 @@ module Make (P : Protocol.PROTOCOL) = struct
     let clients_running = Atomic.make n in
     let quiesced = Atomic.make false in
     let started = Atomic.make 0 in
+    let failure = Atomic.make None in
+    let fail pid exn =
+      if Atomic.compare_and_set failure None (Some (pid, exn)) then
+        Array.iter Mpsc.close mailboxes
+    in
+    (* A domain that sees a peer's failure unwinds with the exception a
+       push into a closed mailbox raises; [fail] drops it, since the
+       failure it answers is already recorded. *)
+    let give_up_if_failed () =
+      match Atomic.get failure with None -> () | Some _ -> raise Mpsc.Closed
+    in
     (* Telemetry shards: one private registry (and one detached replica
        handle, built in-domain) per domain, so no shared Obs state is
        touched until the merge after the joins. *)
@@ -204,8 +235,8 @@ module Make (P : Protocol.PROTOCOL) = struct
          makes progress — so transient contention costs nanoseconds
          while sustained backpressure degrades to a polite poll
          instead of a fixed-cadence sleep storm. *)
-      let stall_bk = Mpsc.Backoff.create ~park:Unix.sleepf ~park_max:2e-4 () in
-      let idle_bk = Mpsc.Backoff.create ~park:Unix.sleepf ~park_max:2e-4 () in
+      let stall_bk = Mpsc.Backoff.create ~park:Unix.sleepf in
+      let idle_bk = Mpsc.Backoff.create ~park:Unix.sleepf in
       (* Built once per domain, not per [drain]: [drain] runs before
          every invocation, and a closure made there would be allocated
          as often. *)
@@ -352,9 +383,12 @@ module Make (P : Protocol.PROTOCOL) = struct
       let r = P.create ctx in
       replica := Some r;
       (* Start barrier: nobody issues until every replica exists, so no
-         frame can arrive at a mailbox whose owner isn't ready. *)
+         frame can arrive at a mailbox whose owner isn't ready. A replica
+         whose [create] raised never arrives, so the wait gives up once
+         a failure is recorded. *)
       Atomic.incr started;
       while Atomic.get started < n do
+        give_up_if_failed ();
         Domain.cpu_relax ()
       done;
       let t_begin = Unix.gettimeofday () in
@@ -394,11 +428,13 @@ module Make (P : Protocol.PROTOCOL) = struct
       (* Quiescence: drain (and flush what the drains' receive handlers
          may have coalesced) until every client is done, no frame is in
          flight anywhere, and no domain holds buffered messages. The
-         first domain to observe that state closes the mailboxes (a
-         safety net for blocked waiters; by then every queue is
-         provably empty). *)
+         first domain to observe that state sets [quiesced]; by then
+         every queue is provably empty. A failed peer never lets the
+         census reach zero, so the loop gives up once a failure is
+         recorded. *)
       Mpsc.Backoff.reset idle_bk;
       while not (Atomic.get quiesced) do
+        give_up_if_failed ();
         let before = l.l_received in
         drain ();
         flush_all ();
@@ -406,10 +442,7 @@ module Make (P : Protocol.PROTOCOL) = struct
           Atomic.get clients_running = 0
           && Atomic.get outstanding = 0
           && Atomic.get buffered = 0
-        then begin
-          if Atomic.compare_and_set quiesced false true then
-            Array.iter Mpsc.close mailboxes
-        end
+        then Atomic.set quiesced true
         else begin
           if l.l_received <> before then Mpsc.Backoff.reset idle_bk;
           Mpsc.Backoff.once idle_bk
@@ -467,8 +500,14 @@ module Make (P : Protocol.PROTOCOL) = struct
             latencies = lats;
           }
     in
-    let handles = Array.init n (fun pid -> Domain.spawn (body pid)) in
+    let handles =
+      Array.init n (fun pid ->
+          Domain.spawn (fun () -> try body pid () with exn -> fail pid exn))
+    in
     Array.iter Domain.join handles;
+    (match Atomic.get failure with
+    | None -> ()
+    | Some (pid, exn) -> raise (Domain_failed { pid; exn }));
     let reports = Array.map Option.get reports in
     let replicas = Array.map Option.get replicas in
     let outputs =

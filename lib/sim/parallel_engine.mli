@@ -10,8 +10,9 @@
     messages' wire sizes, [batches_sent] when a frame carries more than
     one message).
     Deliveries drain each mailbox a run at a time ({!Mpsc.pop_run})
-    into the protocol's [receive_batch], and both busy-wait loops pace
-    themselves with spin-then-park backoff ({!Mpsc.Backoff}). At the
+    into the protocol's [receive_batch]; no domain ever blocks on a
+    mailbox, and both busy-wait loops pace themselves with
+    spin-then-park backoff ({!Mpsc.Backoff}). At the
     end of the scripts the engine drains every mailbox to quiescence,
     has every replica answer an optional ω read, and reports
     convergence (outputs and update certificates) together with
@@ -38,6 +39,10 @@
     detached replica handle — merged and adopted on the coordinating
     domain after the joins, so no shared Obs state is touched while the
     domains run. *)
+
+exception Domain_failed of { pid : int; exn : exn }
+(** Raised by {!Make.run} when a domain's protocol code raised: [exn]
+    is the first exception any domain raised, [pid] that domain's. *)
 
 type domain_report = {
   pid : int;
@@ -114,7 +119,12 @@ module Make (P : Protocol.PROTOCOL) : sig
   (** Spawn [config.domains] domains, play one script per domain, drain
       to quiescence, join, and aggregate. The [workload] array must
       have exactly [domains] entries; scripts are read-only inside the
-      domains. @raise Invalid_argument on a malformed config. *)
+      domains. @raise Invalid_argument on a malformed config.
+      @raise Domain_failed if a domain raised (in [P.create],
+      [P.update], [P.query], [P.receive_batch] or a recorder hook):
+      the first such exception closes every mailbox, every other
+      domain stops at its next push, barrier or quiescence poll, and
+      [run] raises once all of them are joined — it does not hang. *)
 
   val latency_summary : result -> Stats.summary option
   (** Distribution over every domain's per-invocation latencies;

@@ -1,20 +1,13 @@
-(* Bounded multi-producer single-consumer mailbox.
-
-   The fast path is a Vyukov-style array ring: every slot carries a
-   sequence number in an [Atomic.t]; producers claim a slot by CAS on
-   the tail ticket, publish the value, then release the slot by bumping
-   its sequence; the single consumer reads its head ticket without any
-   synchronisation of its own and releases slots by setting the
-   sequence one lap ahead. The slot sequences are the only
-   happens-before edges a transfer needs (the OCaml memory model makes
-   an [Atomic.set] after the plain payload write a release, and the
-   consumer's [Atomic.get] before the payload read an acquire).
-
-   The slow path is a mutex/condvar pair used only when a side actually
-   has to wait: waiters advertise themselves through an atomic counter
-   before sleeping, and the other side takes the lock to signal only
-   when that counter is non-zero, so the uncontended transfer never
-   touches the mutex. *)
+(* Bounded multi-producer single-consumer mailbox: a Vyukov-style array
+   ring. Every slot carries a sequence number in an [Atomic.t];
+   producers claim a slot by CAS on the tail ticket, publish the value,
+   then release the slot by bumping its sequence; the single consumer
+   reads its head ticket without any synchronisation of its own and
+   releases slots by setting the sequence one lap ahead. The slot
+   sequences are the only happens-before edges a transfer needs (the
+   OCaml memory model makes an [Atomic.set] after the plain payload
+   write a release, and the consumer's [Atomic.get] before the payload
+   read an acquire). Neither side ever waits on the other. *)
 
 type 'a t = {
   buf : 'a option array;
@@ -22,13 +15,7 @@ type 'a t = {
   cap : int;
   tail : int Atomic.t;  (* next producer ticket *)
   mutable head : int;  (* next consumer ticket; single consumer *)
-  head_pub : int Atomic.t;  (* head republished for producers' depth view *)
   closed : bool Atomic.t;
-  lock : Mutex.t;
-  nonempty : Condition.t;
-  nonfull : Condition.t;
-  sleeping_consumers : int Atomic.t;
-  sleeping_producers : int Atomic.t;
 }
 
 exception Closed
@@ -41,26 +28,15 @@ let create cap =
     cap;
     tail = Atomic.make 0;
     head = 0;
-    head_pub = Atomic.make 0;
     closed = Atomic.make false;
-    lock = Mutex.create ();
-    nonempty = Condition.create ();
-    nonfull = Condition.create ();
-    sleeping_consumers = Atomic.make 0;
-    sleeping_producers = Atomic.make 0;
   }
 
-let capacity t = t.cap
+(* The consumer's own head is exact, and the tail never runs behind
+   it, so this is never negative. *)
+let length t = Atomic.get t.tail - t.head
 
-let length t = max 0 (Atomic.get t.tail - Atomic.get t.head_pub)
-
-let is_closed t = Atomic.get t.closed
-
-(* Ring transfer without any wakeups — shared by the lock-free public
-   entry points and the locked slow paths (which must not re-take the
-   mutex they already hold). *)
-
-let rec push_raw t v =
+let rec try_push t v =
+  if Atomic.get t.closed then raise Closed;
   let ticket = Atomic.get t.tail in
   let slot = ticket mod t.cap in
   let s = Atomic.get t.seq.(slot) in
@@ -70,199 +46,62 @@ let rec push_raw t v =
       Atomic.set t.seq.(slot) (ticket + 1);
       true
     end
-    else push_raw t v (* lost the ticket race; retry *)
+    else try_push t v (* lost the ticket race; retry *)
   else if s < ticket then false (* slot still holds the previous lap: full *)
-  else push_raw t v (* another producer advanced the tail under us *)
-
-let pop_raw t =
-  let ticket = t.head in
-  let slot = ticket mod t.cap in
-  let s = Atomic.get t.seq.(slot) in
-  if s = ticket + 1 then begin
-    let v = t.buf.(slot) in
-    t.buf.(slot) <- None;
-    Atomic.set t.seq.(slot) (ticket + t.cap);
-    t.head <- ticket + 1;
-    Atomic.set t.head_pub (ticket + 1);
-    v
-  end
-  else None
-
-(* Wake the other side if (and only if) it advertised itself as asleep.
-   The waiter increments its counter and re-checks the ring while
-   holding the lock, so taking the lock here before signalling closes
-   the lost-wakeup window. *)
-let wake_consumer t =
-  if Atomic.get t.sleeping_consumers > 0 then begin
-    Mutex.lock t.lock;
-    Condition.broadcast t.nonempty;
-    Mutex.unlock t.lock
-  end
-
-let wake_producers t =
-  if Atomic.get t.sleeping_producers > 0 then begin
-    Mutex.lock t.lock;
-    Condition.broadcast t.nonfull;
-    Mutex.unlock t.lock
-  end
-
-let try_push t v =
-  if Atomic.get t.closed then raise Closed;
-  if push_raw t v then begin
-    wake_consumer t;
-    true
-  end
-  else false
-
-let push t v =
-  if Atomic.get t.closed then raise Closed;
-  if push_raw t v then wake_consumer t
-  else begin
-    Mutex.lock t.lock;
-    Atomic.incr t.sleeping_producers;
-    let rec wait () =
-      if Atomic.get t.closed then begin
-        Atomic.decr t.sleeping_producers;
-        Mutex.unlock t.lock;
-        raise Closed
-      end
-      else if push_raw t v then begin
-        Atomic.decr t.sleeping_producers;
-        (* The consumer may be asleep on [nonempty] with the lock
-           released inside [Condition.wait]; we already hold it. *)
-        Condition.broadcast t.nonempty;
-        Mutex.unlock t.lock
-      end
-      else begin
-        Condition.wait t.nonfull t.lock;
-        wait ()
-      end
-    in
-    wait ()
-  end
-
-let try_pop t =
-  match pop_raw t with
-  | Some _ as v ->
-    wake_producers t;
-    v
-  | None -> None
+  else try_push t v (* another producer advanced the tail under us *)
 
 (* Batch dequeue: consume the whole run of ready slots in one pass.
-   Each slot's sequence is still released individually — producers
-   claim slots by per-slot sequence, so releasing early lets them
-   refill behind the consumer — but the head is republished once and
-   sleeping producers are woken once per run instead of once per
-   record. Single consumer only, like [try_pop]. *)
-let pop_run ?limit t f =
-  let limit = match limit with None -> max_int | Some l -> l in
+   Each slot's sequence is released individually — producers claim
+   slots by per-slot sequence, so releasing early lets them refill
+   behind the consumer. *)
+let pop_run t f =
   let n = ref 0 in
-  let running = ref (limit > 0) in
+  let running = ref true in
   while !running do
     let ticket = t.head in
     let slot = ticket mod t.cap in
-    let s = Atomic.get t.seq.(slot) in
-    if s = ticket + 1 then begin
+    if Atomic.get t.seq.(slot) = ticket + 1 then begin
       let v = t.buf.(slot) in
       t.buf.(slot) <- None;
       Atomic.set t.seq.(slot) (ticket + t.cap);
       t.head <- ticket + 1;
       incr n;
-      if !n >= limit then running := false;
       match v with Some v -> f v | None -> assert false
     end
     else running := false
   done;
-  if !n > 0 then begin
-    Atomic.set t.head_pub t.head;
-    wake_producers t
-  end;
   !n
 
-let pop t =
-  match pop_raw t with
-  | Some _ as v ->
-    wake_producers t;
-    v
-  | None ->
-    Mutex.lock t.lock;
-    Atomic.incr t.sleeping_consumers;
-    let rec wait () =
-      match pop_raw t with
-      | Some _ as v ->
-        Atomic.decr t.sleeping_consumers;
-        Condition.broadcast t.nonfull;
-        Mutex.unlock t.lock;
-        v
-      | None ->
-        if Atomic.get t.closed then begin
-          Atomic.decr t.sleeping_consumers;
-          Mutex.unlock t.lock;
-          None
-        end
-        else begin
-          Condition.wait t.nonempty t.lock;
-          wait ()
-        end
-    in
-    wait ()
+let close t = Atomic.set t.closed true
 
-let close t =
-  Mutex.lock t.lock;
-  Atomic.set t.closed true;
-  Condition.broadcast t.nonempty;
-  Condition.broadcast t.nonfull;
-  Mutex.unlock t.lock
-
-(* Spin-then-park adaptive backoff for callers that must retry a ring
-   operation while staying responsive to other duties (the engine's
-   delivery loop drains its own mailbox between retries, so it cannot
-   simply block in [push]). A bounded burst of [Domain.cpu_relax]
-   spins covers the common case of a consumer a few instructions away;
-   past that the caller-supplied [park] is invoked with an
-   exponentially growing pause, capped, and reset on success — so a
-   transient stall costs nanoseconds while a genuinely full mailbox
-   degrades to a polite poll instead of a condvar stampede. *)
+(* Spin-then-park backoff for callers that must retry a ring operation
+   while staying responsive to other duties (the engine's delivery loop
+   drains its own mailbox between retries). A bounded burst of
+   [Domain.cpu_relax] spins covers the common case of a consumer a few
+   instructions away; past that [park] is invoked with an exponentially
+   growing pause, capped, and reset on progress — so a transient stall
+   costs nanoseconds while a genuinely full mailbox degrades to a
+   polite poll. *)
 module Backoff = struct
-  type t = {
-    spin_limit : int;
-    park_min : float;
-    park_max : float;
-    park : float -> unit;
-    mutable spins : int;
-    mutable pause : float;
-    mutable parks : int;
-  }
+  let spin_limit = 64
+  let park_min = 1e-6
+  let park_max = 2e-4
 
-  let create ?(spin_limit = 64) ?(park_min = 1e-6) ?(park_max = 1e-3)
-      ?(park = fun (_ : float) -> Domain.cpu_relax ()) () =
-    if spin_limit < 0 then invalid_arg "Mpsc.Backoff.create: negative spin limit";
-    if park_min <= 0.0 || park_max < park_min then
-      invalid_arg "Mpsc.Backoff.create: park bounds must satisfy 0 < min <= max";
-    {
-      spin_limit;
-      park_min;
-      park_max;
-      park;
-      spins = 0;
-      pause = park_min;
-      parks = 0;
-    }
+  type t = { park : float -> unit; mutable spins : int; mutable pause : float }
+
+  let create ~park = { park; spins = 0; pause = park_min }
 
   let reset b =
     b.spins <- 0;
-    b.pause <- b.park_min
+    b.pause <- park_min
 
   let once b =
-    if b.spins < b.spin_limit then begin
+    if b.spins < spin_limit then begin
       b.spins <- b.spins + 1;
       Domain.cpu_relax ()
     end
     else begin
-      b.parks <- b.parks + 1;
       b.park b.pause;
-      b.pause <- Float.min b.park_max (b.pause *. 2.0)
+      b.pause <- Float.min park_max (b.pause *. 2.0)
     end
-
-  let parks b = b.parks
 end

@@ -1,88 +1,57 @@
 (** Bounded multi-producer single-consumer queue for inter-domain
-    mailboxes.
+    mailboxes: a lock-free Vyukov-style array ring whose per-slot
+    sequence numbers (each an [Atomic.t]) carry both the full/empty
+    state and the release/acquire edges the payload hand-off needs.
 
-    The common case — a producer publishing into a non-full queue, the
-    consumer draining a non-empty one — is lock-free: a Vyukov-style
-    array ring whose per-slot sequence numbers (each an [Atomic.t])
-    carry both the full/empty state and the release/acquire edges the
-    payload hand-off needs. A mutex/condvar slow path is entered only
-    when a side actually has to block, with waiters advertised through
-    atomic counters so the uncontended path never touches the mutex.
+    Nothing here blocks. A producer that finds the ring full gets
+    [false] back and decides for itself what to do meanwhile — the
+    engine drains its own mailbox and retries, paced by {!Backoff} —
+    and the consumer takes whatever is ready and returns.
 
-    There must be at most one consumer ({!try_pop}/{!pop} caller);
+    There must be at most one consumer ({!pop_run}/{!length} caller);
     producers may be any number of domains. *)
 
 type 'a t
 
 exception Closed
-(** Raised by {!try_push}/{!push} on a closed queue. *)
+(** Raised by {!try_push} on a closed queue. *)
 
 val create : int -> 'a t
-(** A queue holding at most the given (positive) number of elements. *)
-
-val capacity : 'a t -> int
+(** A queue holding at most the given (positive) number of elements.
+    @raise Invalid_argument on a non-positive capacity. *)
 
 val length : 'a t -> int
-(** Instantaneous depth; racy under concurrency, exact when quiescent.
-    Never negative. *)
+(** Elements pushed and not yet consumed, as the consumer sees them.
+    Single consumer only. *)
 
 val try_push : 'a t -> 'a -> bool
 (** Enqueue without blocking; [false] when full. @raise Closed if the
     queue is closed. *)
 
-val push : 'a t -> 'a -> unit
-(** Enqueue, blocking on a condvar while the queue is full.
-    @raise Closed if the queue is (or becomes) closed while waiting. *)
-
-val try_pop : 'a t -> 'a option
-(** Dequeue without blocking; [None] when empty. Single consumer only. *)
-
-val pop_run : ?limit:int -> 'a t -> ('a -> unit) -> int
-(** Drain the run of records that are ready right now — up to [limit]
-    of them (default unbounded) — calling [f] on each in FIFO order,
-    and return how many were consumed. One head republish and at most
-    one producer wakeup for the whole run, instead of one per record;
-    each slot is still released individually so producers refill
-    behind the drain. Never blocks; [0] when empty. Single consumer
-    only. *)
-
-val pop : 'a t -> 'a option
-(** Dequeue, blocking while the queue is empty; [None] only once the
-    queue is closed {e and} drained. Single consumer only. *)
+val pop_run : 'a t -> ('a -> unit) -> int
+(** Drain the run of elements that are ready right now, calling [f] on
+    each in FIFO order, and return how many were consumed ([0] when
+    empty). Each slot is released as it is consumed, so producers
+    refill the ring behind the drain. Single consumer only. *)
 
 val close : 'a t -> unit
-(** Mark the queue closed and wake every waiter. Pending elements
-    remain poppable; further pushes raise {!Closed}. *)
+(** Mark the queue closed: further pushes raise {!Closed}, and what is
+    already queued can still be drained. *)
 
-val is_closed : 'a t -> bool
-
-(** Spin-then-park adaptive backoff for retry loops around the ring —
-    a bounded [Domain.cpu_relax] burst first, then exponentially
-    growing (capped) parks through a caller-supplied sleep. Reset on
-    success so the next stall starts cheap again. *)
+(** Spin-then-park backoff for retry loops around the ring: 64
+    [Domain.cpu_relax] spins, then parks through [park] whose pause
+    doubles from 1 µs up to 200 µs. {!reset} on progress, so the next
+    stall starts cheap again. *)
 module Backoff : sig
   type t
 
-  val create :
-    ?spin_limit:int ->
-    ?park_min:float ->
-    ?park_max:float ->
-    ?park:(float -> unit) ->
-    unit ->
-    t
-  (** [spin_limit] (default 64) pure spins before the first park;
-      [park] (default: one more [Domain.cpu_relax], i.e. spin-only)
-      receives the pause in seconds, growing twofold from [park_min]
-      (default 1µs) to [park_max] (default 1ms).
-      @raise Invalid_argument on a negative spin limit or park bounds
-      violating [0 < min <= max]. *)
+  val create : park:(float -> unit) -> t
+  (** [park] receives each pause in seconds ([Unix.sleepf] in the
+      engine). *)
 
   val once : t -> unit
   (** Wait one step: spin while the burst lasts, park afterwards. *)
 
   val reset : t -> unit
-  (** Declare success: the next {!once} starts a fresh cheap burst. *)
-
-  val parks : t -> int
-  (** Cumulative parks taken (never reset) — the stall observable. *)
+  (** Declare progress: the next {!once} starts a fresh spin burst. *)
 end

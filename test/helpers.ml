@@ -43,3 +43,31 @@ let varint_bytes n =
   let w = Codec.Writer.create () in
   Codec.Writer.varint w n;
   Codec.Writer.contents w
+
+(* The test binary's stderr as it was at start-up, before Alcotest
+   redirects each test's output into a file. *)
+let console = Unix.dup Unix.stderr
+
+(* Run [f], but end the whole test binary with exit status 2 if it has
+   not returned within [seconds], saying so on the console: a test of a
+   run that could hang fails loudly instead of stalling the suite.
+   The watchdog is a domain polling a flag every 10 ms. *)
+let with_watchdog ~seconds what f =
+  let finished = Atomic.make false in
+  let dog =
+    Domain.spawn (fun () ->
+        let deadline = Unix.gettimeofday () +. seconds in
+        while not (Atomic.get finished) do
+          if Unix.gettimeofday () > deadline then begin
+            let msg =
+              Printf.sprintf "\nwatchdog: %s did not return within %.0f s\n" what seconds
+            in
+            ignore (Unix.write_substring console msg 0 (String.length msg) : int);
+            Unix._exit 2
+          end;
+          Unix.sleepf 0.01
+        done)
+  in
+  Fun.protect f ~finally:(fun () ->
+      Atomic.set finished true;
+      Domain.join dog)

@@ -362,6 +362,95 @@ let counter_words_per_update () =
     Alcotest.failf "a 2-domain counter run allocated %.1f minor words per update"
       per_update
 
+(* The universal counter, except that pid 1 raises [Failure "planted"]
+   at one entry point: in [create], in [receive_batch] on frames from
+   pid 0, or in [query]. *)
+type site = Create | Receive_batch | Query
+
+module Planted (S : sig
+  val site : site
+end) =
+struct
+  module G = Generic.Make (Counter_spec)
+  include Counter_spec
+
+  type t = { pid : int; g : G.t }
+
+  type message = G.message
+
+  let protocol_name = "planted"
+
+  let plant pid site = if pid = 1 && site = S.site then failwith "planted"
+
+  let create ctx =
+    plant ctx.Protocol.pid Create;
+    { pid = ctx.Protocol.pid; g = G.create ctx }
+
+  let update t = G.update t.g
+
+  let query t q ~on_result =
+    plant t.pid Query;
+    G.query t.g q ~on_result
+
+  let receive t = G.receive t.g
+
+  let receive_batch t ~src msgs =
+    if src = 0 then plant t.pid Receive_batch;
+    G.receive_batch t.g ~src msgs
+
+  let message_wire_size = G.message_wire_size
+
+  let describe_message = G.describe_message
+
+  let log_length t = G.log_length t.g
+
+  let metadata_bytes t = G.metadata_bytes t.g
+
+  let certificate t = G.certificate t.g
+
+  let snapshot t = G.snapshot t.g
+
+  let absorb t = G.absorb t.g
+end
+
+(* A raise in pid 1 must end the run with [Domain_failed] naming pid 1
+   and its exception, wherever pid 0 is waiting when it lands:
+   - in [create], pid 0 waits at the start barrier for a replica that
+     never arrives;
+   - in [receive_batch] on pid 0's frames, pid 0 is stalled on pid 1's
+     full 4-frame mailbox;
+   - in [query], pid 0 has no script and waits in the quiescence loop
+     for a client that never finishes.
+   pid 1 plays 500 updates with a query after every ten. *)
+let planted_raise site () =
+  let module E = Parallel_engine.Make (Planted (struct
+    let site = site
+  end)) in
+  let script =
+    List.init 550 (fun i ->
+        if i mod 11 = 10 then Protocol.Invoke_query Counter_spec.Value
+        else Protocol.Invoke_update (Counter_spec.Add 1))
+  in
+  let where, peer, mailbox_capacity =
+    match site with
+    | Create -> ("create", script, 1024)
+    | Receive_batch -> ("receive_batch", script, 4)
+    | Query -> ("query", [], 1024)
+  in
+  let config =
+    { (E.default_config ~domains:2) with
+      E.mailbox_capacity;
+      final_read = Some Counter_spec.Value }
+  in
+  Helpers.with_watchdog ~seconds:10. ("a run with a raise planted in " ^ where) (fun () ->
+      match E.run config ~workload:[| peer; script |] with
+      | _ -> Alcotest.fail "run returned although pid 1 raised"
+      | exception Parallel_engine.Domain_failed { pid; exn } ->
+        Alcotest.(check int) "the failing domain" 1 pid;
+        Alcotest.(check string) "its exception"
+          (Printexc.to_string (Failure "planted"))
+          (Printexc.to_string exn))
+
 let rejects_bad_config () =
   let scripts = T_set.uniform_scripts ~seed:1 ~domains:2 ~ops:1 ~query_ratio:0.0 in
   Alcotest.check_raises "workload width"
@@ -405,4 +494,10 @@ let tests =
     Alcotest.test_case "a counter update allocates a bounded number of words" `Quick
       counter_words_per_update;
     Alcotest.test_case "malformed configs rejected" `Quick rejects_bad_config;
+    Alcotest.test_case "a raise in create fails the run" `Quick
+      (planted_raise Create);
+    Alcotest.test_case "a raise in receive_batch fails the run" `Quick
+      (planted_raise Receive_batch);
+    Alcotest.test_case "a raise in query fails the run" `Quick
+      (planted_raise Query);
   ]

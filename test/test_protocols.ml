@@ -8,6 +8,7 @@ module Uni = Generic.Make (Set_spec)
 module Memo_set = Generic.Configured (struct let config = Generic.memo end) (Set_spec)
 module Gc_set = Gc.Make (Set_spec)
 module Undo_set = Undo.Make (Undoable.Set)
+module Undo_counter = Undo.Make (Undoable.Counter)
 
 module C = Criteria.Make (Set_spec)
 
@@ -203,6 +204,42 @@ let memo_gc_internals =
           Undo_set.update r (Set_spec.Insert i) ~on_done:ignore
         done;
         Alcotest.(check int) "no repairs" 0 (Undo_set.repairs r));
+    Alcotest.test_case "undo ignores a repeated delivery" `Quick (fun () ->
+        (* The op-log beneath is idempotent on a repeated timestamp; the
+           undo/redo repair around it must be too, at the tail and
+           below it. *)
+        let sent = ref [] in
+        let ctx pid : _ Protocol.ctx =
+          {
+            Protocol.pid;
+            n = 2;
+            now = (fun () -> 0.0);
+            send = (fun ~dst:_ _ -> ());
+            broadcast = (fun m -> sent := m :: !sent);
+            broadcast_batch = ignore;
+            set_timer = (fun ~delay:_ _ -> ());
+            count_replay = ignore;
+            obs = None;
+          }
+        in
+        let origin = Undo_counter.create (ctx 0) in
+        Undo_counter.update origin (Counter_spec.Add 5) ~on_done:ignore;
+        Undo_counter.update origin (Counter_spec.Add 7) ~on_done:ignore;
+        let plus5, plus7 =
+          match List.rev !sent with [ a; b ] -> (a, b) | _ -> assert false
+        in
+        let r = Undo_counter.create (ctx 1) in
+        let value what =
+          Undo_counter.query r Counter_spec.Value ~on_result:(fun v ->
+              Alcotest.(check int) what 12 v);
+          Alcotest.(check int) (what ^ ": log length") 2 (Undo_counter.log_length r)
+        in
+        List.iter (Undo_counter.receive r ~src:0) [ plus5; plus7 ];
+        value "both delivered";
+        Undo_counter.receive r ~src:0 plus7;
+        value "the tail again";
+        Undo_counter.receive r ~src:0 plus5;
+        value "the entry below the tail again");
   ]
 
 let proposition_tests =

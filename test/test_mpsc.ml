@@ -1,6 +1,7 @@
 (* The bounded MPSC mailbox under the engine's exact usage patterns:
-   single-threaded ring semantics, multi-producer stress against the
-   batch drain, close, and the backoff that paces the retries. *)
+   single-threaded ring semantics, the all-to-all exchange and
+   multi-producer stress against the batch drain, close (also of a ring
+   a producer is stalled on), and the backoff that paces the retries. *)
 
 (* One [pop_run]: how many it consumed, and what, in order. *)
 let drain q =
@@ -47,6 +48,109 @@ let close_semantics () =
       ignore (Mpsc.try_push q 2 : bool));
   Alcotest.(check (pair int (list int))) "pending drainable" (1, [ 1 ]) (drain q);
   Alcotest.(check int) "then nothing" 0 (Mpsc.pop_run q (fun _ -> assert false))
+
+(* The engine's all-to-all pattern: every domain is a producer into
+   each peer's mailbox and the one consumer of its own. Four-slot
+   mailboxes keep the rings close to full, and a producer that finds a
+   peer's ring full drains its own before it retries, as the engine's
+   delivery loop does; without that drain a cycle of full mailboxes
+   would deadlock, and the watchdog would end the test binary. Every
+   mailbox must deliver each producer's elements exactly once and in
+   order. *)
+let multi_producer_stress () =
+  let domains = 3 and per = 2_000 in
+  let boxes = Array.init domains (fun _ -> Mpsc.create 4) in
+  let exchange me () =
+    let seen = Array.make domains 0 in
+    let in_order = ref true and received = ref 0 in
+    let take (src, i) =
+      if i <> seen.(src) then in_order := false;
+      seen.(src) <- i + 1;
+      incr received
+    in
+    let bk = Mpsc.Backoff.create ~park:Unix.sleepf in
+    for i = 0 to per - 1 do
+      for dst = 0 to domains - 1 do
+        if dst <> me then begin
+          Mpsc.Backoff.reset bk;
+          while not (Mpsc.try_push boxes.(dst) (me, i)) do
+            ignore (Mpsc.pop_run boxes.(me) take : int);
+            Mpsc.Backoff.once bk
+          done
+        end
+      done
+    done;
+    Mpsc.Backoff.reset bk;
+    while !received < (domains - 1) * per do
+      if Mpsc.pop_run boxes.(me) take > 0 then Mpsc.Backoff.reset bk
+      else Mpsc.Backoff.once bk
+    done;
+    (seen, !in_order)
+  in
+  Helpers.with_watchdog ~seconds:30. "the all-to-all mailbox exchange" (fun () ->
+      let doms = List.init domains (fun me -> Domain.spawn (exchange me)) in
+      List.iteri
+        (fun me d ->
+          let seen, in_order = Domain.join d in
+          Alcotest.(check bool) (Printf.sprintf "domain %d: per-producer fifo" me) true in_order;
+          Array.iteri
+            (fun src c ->
+              Alcotest.(check int)
+                (Printf.sprintf "domain %d from %d" me src)
+                (if src = me then 0 else per)
+                c)
+            seen)
+        doms);
+  Array.iter (fun b -> Alcotest.(check int) "drained" 0 (Mpsc.length b)) boxes
+
+(* A producer stalled on a full ring, retrying [try_push] as the
+   engine's delivery loop does, must leave its loop with [Closed] once
+   the ring is closed (that is how a failed domain releases the peers
+   stalled on its mailbox), and what was queued stays drainable. *)
+let close_releases_blocked_producers () =
+  let q = Mpsc.create 2 in
+  ignore (Mpsc.try_push q 0 : bool);
+  ignore (Mpsc.try_push q 1 : bool);
+  let stalled = Atomic.make false in
+  Helpers.with_watchdog ~seconds:10. "a producer stalled on a closed ring" (fun () ->
+      let producer =
+        Domain.spawn (fun () ->
+            let rec retry () =
+              if Mpsc.try_push q 2 then `Pushed
+              else begin
+                Atomic.set stalled true;
+                Domain.cpu_relax ();
+                retry ()
+              end
+            in
+            try retry () with Mpsc.Closed -> `Closed)
+      in
+      while not (Atomic.get stalled) do
+        Domain.cpu_relax ()
+      done;
+      Mpsc.close q;
+      match Domain.join producer with
+      | `Closed -> ()
+      | `Pushed -> Alcotest.fail "push succeeded on a full queue");
+  Alcotest.(check (pair int (list int))) "contents intact" (2, [ 0; 1 ]) (drain q)
+
+(* [pop_run] hands over the whole ready run in FIFO order and returns
+   its length, calls nothing on an empty ring, and carries on where it
+   stopped once the ring refills, across the wrap too. *)
+let pop_run_basics () =
+  let q = Mpsc.create 8 in
+  for i = 1 to 6 do
+    Alcotest.(check bool) "accepted" true (Mpsc.try_push q i)
+  done;
+  Alcotest.(check (pair int (list int))) "whole run in order" (6, [ 1; 2; 3; 4; 5; 6 ]) (drain q);
+  Alcotest.(check int) "empty run" 0 (Mpsc.pop_run q (fun _ -> assert false));
+  for i = 7 to 12 do
+    Alcotest.(check bool) "accepted across the wrap" true (Mpsc.try_push q i)
+  done;
+  Alcotest.(check int) "depth across the wrap" 6 (Mpsc.length q);
+  Alcotest.(check (pair int (list int)))
+    "run across the wrap" (6, [ 7; 8; 9; 10; 11; 12 ]) (drain q);
+  Alcotest.(check int) "empty again" 0 (Mpsc.pop_run q (fun _ -> assert false))
 
 (* The engine's drain pattern under multi-producer fire, producers
    spinning on [try_push] as the engine's stall loop does: batch
@@ -119,6 +223,10 @@ let tests =
     Alcotest.test_case "capacity is a hard bound" `Quick capacity_bound;
     Alcotest.test_case "ring wraps cleanly" `Quick wraparound;
     Alcotest.test_case "close semantics" `Quick close_semantics;
+    Alcotest.test_case "multi-producer stress" `Quick multi_producer_stress;
+    Alcotest.test_case "close releases blocked producers" `Quick
+      close_releases_blocked_producers;
+    Alcotest.test_case "pop_run basics" `Quick pop_run_basics;
     Alcotest.test_case "pop_run multi-producer stress" `Quick
       pop_run_multi_producer;
     Alcotest.test_case "backoff spin-then-park policy" `Quick backoff_policy;

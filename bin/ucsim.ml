@@ -1793,12 +1793,25 @@ let diff_cmd =
   in
   Cmd.v (Cmd.info "diff" ~doc) Term.(const run $ file_a $ file_b)
 
+(* The oracle's verdict as `ucsim bench` prints it: the converged state
+   on one line, clipped; the four clauses, then the caller's own legs;
+   the PASS/FAIL line. *)
+let print_differential oracle ok ~legs =
+  let state = oracle.Throughput.state_repr in
+  Printf.printf "converged state    %s\n"
+    (if String.length state <= 96 then state else String.sub state 0 93 ^ "...");
+  List.iter
+    (fun (k, v) -> Printf.printf "  %-22s %s\n" k v)
+    (List.map (fun (k, b) -> (k, string_of_bool b)) (Throughput.clauses oracle)
+    @ legs);
+  Printf.printf "differential       %s\n" (if ok then "PASS" else "FAIL")
+
 (* One bench execution of [ps] with optional flight recording. The
    recorder is attached iff any of --journal-out / --series-out /
    --monitor was given; the rebuilt journal's header is the spec, all
    `ucsim replay` needs to regenerate the scripts. *)
 let bench_exec (ps : Run_spec.parallel) ~obs ~journal_out ~series_out ~monitors
-    ~sample_interval ~describe =
+    ~sample_interval =
   let (module W) = parallel_workload ps in
   let module B = Throughput.Bench (W.A) in
   let recording =
@@ -1818,23 +1831,29 @@ let bench_exec (ps : Run_spec.parallel) ~obs ~journal_out ~series_out ~monitors
       ~scripts:W.scripts ()
   in
   let r = B.row ~ops_per_domain:ps.ops v in
-  let checks =
-    [
-      ("logs agree", string_of_bool v.B.logs_agree);
-      ("omega = ts-fold", string_of_bool v.B.omega_matches_fold);
-      ("replay = ts-fold", string_of_bool v.B.replay_matches_fold);
-      ("updates conserved", string_of_bool v.B.updates_conserved);
-      ( "sequential runner",
-        match v.B.runner_matches with
-        | None -> "n/a (non-commutative)"
-        | Some b -> string_of_bool b );
-    ]
-    @
-    match v.B.journal_replay with
-    | None -> []
-    | Some b -> [ ("journal replay", string_of_bool b) ]
-  in
-  describe r ~state:v.B.state_repr ~checks;
+  Printf.printf "spec               %s\n" r.Throughput.spec;
+  Printf.printf "domains            %d (machine recommends %d)\n"
+    r.Throughput.domains
+    (Domain.recommended_domain_count ());
+  Printf.printf "ops                %d total, %d per domain\n"
+    r.Throughput.total_ops r.Throughput.ops_per_domain;
+  Printf.printf "updates            %d\n" r.Throughput.updates;
+  Printf.printf "wall               %.4f s\n" r.Throughput.wall_s;
+  Printf.printf "throughput         %.0f ops/sec\n" r.Throughput.ops_per_sec;
+  Printf.printf "latency p50 / p99  %.2f / %.2f us\n" r.Throughput.p50_us
+    r.Throughput.p99_us;
+  Printf.printf "mailbox depth max  %d (stalls %d)\n"
+    r.Throughput.mailbox_max_depth r.Throughput.mailbox_stalls;
+  print_differential v.B.oracle r.Throughput.ok
+    ~legs:
+      (( "sequential runner",
+         match v.B.runner_matches with
+         | None -> "n/a (non-commutative)"
+         | Some b -> string_of_bool b )
+      ::
+      (match v.B.journal_replay with
+      | None -> []
+      | Some b -> [ ("journal replay", string_of_bool b) ]));
   (match v.B.recording with
   | None -> ()
   | Some rc ->
@@ -1882,9 +1901,9 @@ let bench_cmd =
      Proposition 4 parallel-vs-sequential differential as the verdict. With \
      any of $(b,--journal-out), $(b,--series-out) or $(b,--monitor) the run \
      is flight-recorded: per-domain lock-free event capture, merged into a \
-     replayable journal, checked by a sixth differential clause (sequential \
-     re-execution of the recorded delivery order) and fed to the online \
-     consistency monitors."
+     replayable journal, checked by re-executing the recorded delivery \
+     order on the sequential core, and fed to the online consistency \
+     monitors."
   in
   let spec_arg =
     Arg.(
@@ -1923,7 +1942,7 @@ let bench_cmd =
       & info [ "shards" ] ~docv:"S"
           ~doc:
             "Run the sharded object space (set spec) over $(docv) shards on a \
-             static consistent-hash ring, with the shard-aware per-shard \
+             static consistent-hash ring, with the same Proposition 4 \
              differential as the verdict. 1 (the default) benches the \
              single-object protocols.")
   in
@@ -2023,9 +2042,6 @@ let bench_cmd =
       check_flags ~cmd:"bench"
         Run_spec.[ ("keys", At_least (1, keys)); ("fanout", At_least (1, fanout)) ];
     let obs = if obs_flag then Some (Obs.create ()) else None in
-    let clip s =
-      if String.length s <= 96 then s else String.sub s 0 93 ^ "..."
-    in
     if
       shards > 1
       && (journal_out <> None || series_out <> None || monitors <> [])
@@ -2062,17 +2078,7 @@ let bench_cmd =
         r.Throughput.shard_ops_per_sec;
       Printf.printf "shard log spread   min %d / max %d\n"
         r.Throughput.shard_log_min r.Throughput.shard_log_max;
-      Printf.printf "converged state    %s\n" (clip v.B.state_repr);
-      List.iter
-        (fun (k, vv) -> Printf.printf "  %-22s %s\n" k vv)
-        [
-          ("per-shard logs agree", string_of_bool v.B.shard_logs_agree);
-          ("omega = keyed fold", string_of_bool v.B.omega_matches_fold);
-          ("snapshot = keyed fold", string_of_bool v.B.snapshot_matches_fold);
-          ("updates conserved", string_of_bool v.B.updates_conserved);
-        ];
-      Printf.printf "differential       %s\n"
-        (if r.Throughput.shard_ok then "PASS" else "FAIL");
+      print_differential v.B.oracle r.Throughput.shard_ok ~legs:[];
       Option.iter
         (fun o ->
           Obs.finalize o ~live:[];
@@ -2081,28 +2087,8 @@ let bench_cmd =
       if not r.Throughput.shard_ok then exit 1
     end
     else begin
-    let describe (r : Throughput.row) ~state ~checks =
-      Printf.printf "spec               %s\n" r.Throughput.spec;
-      Printf.printf "domains            %d (machine recommends %d)\n"
-        r.Throughput.domains
-        (Domain.recommended_domain_count ());
-      Printf.printf "ops                %d total, %d per domain\n"
-        r.Throughput.total_ops r.Throughput.ops_per_domain;
-      Printf.printf "updates            %d\n" r.Throughput.updates;
-      Printf.printf "wall               %.4f s\n" r.Throughput.wall_s;
-      Printf.printf "throughput         %.0f ops/sec\n" r.Throughput.ops_per_sec;
-      Printf.printf "latency p50 / p99  %.2f / %.2f us\n" r.Throughput.p50_us
-        r.Throughput.p99_us;
-      Printf.printf "mailbox depth max  %d (stalls %d)\n"
-        r.Throughput.mailbox_max_depth r.Throughput.mailbox_stalls;
-      Printf.printf "converged state    %s\n" (clip state);
-      List.iter (fun (k, v) -> Printf.printf "  %-22s %s\n" k v) checks;
-      Printf.printf "differential       %s\n"
-        (if r.Throughput.ok then "PASS" else "FAIL")
-    in
     let row =
       bench_exec ps ~obs ~journal_out ~series_out ~monitors ~sample_interval
-        ~describe
     in
     Option.iter
       (fun o ->

@@ -1,31 +1,27 @@
 (* Wall-clock throughput of the multicore replica engine, with the
-   Proposition 4 differential that makes the numbers trustworthy.
+   Proposition 4 oracle that makes the numbers trustworthy.
 
    The engine ([Parallel_engine]) runs one replica per domain under a
    real OS schedule, so no two runs deliver messages in the same order.
    Under strong update consistency that must not matter: the state
    reached depends only on the timestamp total order of the update
-   multiset (Prop. 4). This module turns that theorem into an oracle.
-   After a parallel run quiesces it checks, per seed:
+   multiset (Prop. 4), and every core hands that order out as its
+   [certificate] fold. [Oracle] turns the theorem into four clauses over
+   the replicas of a quiesced run:
 
-   1. every replica holds the identical timestamp-sorted log
-      (pairwise convergence — certificates and logs compare equal);
-   2. every replica's ω answer equals the query evaluated on the
-      timestamp-order fold of that log's update multiset;
-   3. a fresh replica of the {e sequential} core, restored from the
-      converged log ([Generic.restore_log], the persistence/replay
-      path) and queried, answers the same;
-   4. for commutative specs, a full sequential [Runner] simulation of
-      the very same per-process scripts reaches the same ω answer
-      (sound only under commutativity: the virtual-time runner assigns
-      different timestamps, and order-independence is what erases
-      that difference);
-   5. no update was lost or duplicated: the converged log length
-      equals the number of updates the clients issued.
+   1. their certificates agree ([Protocol.Certificate.agree]);
+   2. every ω answer equals the query on replica 0's certificate folded
+      through [apply];
+   3. a replica rebuilt by the caller's restore path answers the same;
+   4. the certificate holds exactly the updates the clients issued.
 
-   Any mismatch is a bug in the engine (or a domain-safety bug in the
-   cores), never schedule noise — which is exactly why the CI smoke can
-   gate on it while throughput numbers remain hardware-dependent. *)
+   Log agreement is no clause of its own: with unique timestamps and no
+   entry fabricated, 1 and 4 leave every replica holding exactly the
+   issued entries (DESIGN §4f). Any mismatch is a bug in the engine (or
+   a domain-safety bug in the cores), never schedule noise — which is
+   exactly why the CI smoke can gate on it while throughput numbers
+   remain hardware-dependent. [Bench] adds its own legs: the sequential
+   [Runner] for commutative specs, and the flight-recorder replay. *)
 
 let dummy_ctx ~pid ~n : _ Protocol.ctx =
   {
@@ -54,6 +50,65 @@ type row = {
   mailbox_stalls : int;
   ok : bool;
 }
+
+type oracle = {
+  certificates_agree : bool;
+  omega_matches_fold : bool;
+  restore_matches_fold : bool;
+  updates_conserved : bool;
+  state_repr : string;
+}
+
+let clauses o =
+  [
+    ("certificates agree", o.certificates_agree);
+    ("omega = ts-fold", o.omega_matches_fold);
+    ("restore = ts-fold", o.restore_matches_fold);
+    ("updates conserved", o.updates_conserved);
+  ]
+
+let holds o = List.for_all snd (clauses o)
+
+(* [pp x] on one line: under a margin no rendering reaches, no break
+   hint breaks. *)
+let one_line pp x =
+  let b = Buffer.create 128 in
+  let ppf = Format.formatter_of_buffer b in
+  Format.pp_set_geometry ppf ~max_indent:(1 lsl 29) ~margin:((1 lsl 29) + 1);
+  Format.fprintf ppf "%a@?" pp x;
+  Buffer.contents b
+
+module Oracle (P : Protocol.PROTOCOL) = struct
+  module Cert = Protocol.Certificate (P)
+  module Run = Uqadt.Run (P)
+
+  let answer r q =
+    let out = ref None in
+    P.query r q ~on_result:(fun o -> out := Some o);
+    !out
+
+  (* A protocol that keeps no certificate folds nothing, so clauses 2
+     and 4 fail as soon as one update was issued. *)
+  let check ~restore ~final_read ~issued ~outputs replicas =
+    let r0 = replicas.(0) in
+    let updates =
+      Option.value ~default:[] (P.certificate r0 (fun _ u acc -> u :: acc) [])
+    in
+    let folded = Run.final_state updates in
+    let expected = P.eval folded final_read in
+    let matches o = P.equal_output o expected in
+    {
+      certificates_agree = Cert.agree (Array.to_list replicas);
+      omega_matches_fold =
+        outputs <> [] && List.for_all (fun (_, o) -> matches o) outputs;
+      restore_matches_fold =
+        (match Option.bind (restore r0) (fun r -> answer r final_read) with
+        | Some o -> matches o
+        | None -> false);
+      updates_conserved = List.length updates = issued;
+      state_repr = one_line P.pp_state folded;
+    }
+end
 
 (* Wall-clock time series from a merged recorder stream: per-pid
    cumulative counters snapshotted on a fixed cadence of the recorded
@@ -89,10 +144,17 @@ let series_of_events ?(interval = 0.01) ?sink events =
   if events <> [] then Obs.Series.tick sampler ~now:!now;
   Obs.Series.store sampler
 
+(* One script per domain, each drawn from its own [Prng.fork] child of a
+   root seeded by the caller: the whole workload is a pure function of
+   its arguments, and no two domains walk correlated streams. *)
+let per_domain ~seed ~domains script =
+  let root = Prng.create seed in
+  Array.init domains (fun _ -> script (Prng.fork root))
+
 module Bench (A : Uqadt.S) = struct
   module G = Generic.Make (A)
   module E = Parallel_engine.Make (G)
-  module Run = Uqadt.Run (A)
+  module O = Oracle (G)
   module Seq = Runner.Make (G)
   module Mon = Obs.Monitor.Make (A)
 
@@ -109,20 +171,14 @@ module Bench (A : Uqadt.S) = struct
   type verdict = {
     run : E.result;
     latency : Stats.summary option;
-    logs_agree : bool;
-    omega_matches_fold : bool;
-    replay_matches_fold : bool;
+    oracle : oracle;
     runner_matches : bool option;  (* [None] for non-commutative specs *)
-    updates_conserved : bool;
     journal_replay : bool option;  (* [None] when no recorder was attached *)
     recording : recording option;
-    state_repr : string;  (* rendered timestamp-order fold *)
   }
 
   let ok v =
-    v.run.E.outputs_agree && v.run.E.certificates_agree && v.logs_agree
-    && v.omega_matches_fold && v.replay_matches_fold && v.updates_conserved
-    && v.runner_matches <> Some false
+    holds v.oracle && v.runner_matches <> Some false
     && v.journal_replay <> Some false
 
   (* ------------------- recorded-stream resolution -------------------
@@ -355,19 +411,14 @@ module Bench (A : Uqadt.S) = struct
               stream_error "replay: update event where script has a query")
           | Query { pid; omega = false; _ } -> (
             match next_inv pid with
-            | Protocol.Invoke_query q ->
-              let out = ref None in
-              G.query replicas.(pid) q ~on_result:(fun o -> out := Some o);
-              (match !out with
+            | Protocol.Invoke_query q -> (
+              match O.answer replicas.(pid) q with
               | Some o -> lines.(pid) <- History.Q (q, o) :: lines.(pid)
               | None -> stream_error "replay: query returned no output")
             | Protocol.Invoke_update _ ->
               stream_error "replay: query event where script has an update")
-          | Query { pid; omega = true; _ } ->
-            let out = ref None in
-            G.query replicas.(pid) final_read ~on_result:(fun o ->
-                out := Some o);
-            (match !out with
+          | Query { pid; omega = true; _ } -> (
+            match O.answer replicas.(pid) final_read with
             | Some o -> lines.(pid) <- History.Qw (final_read, o) :: lines.(pid)
             | None -> stream_error "replay: ω read returned no output")
           | Deliver { src; dst; count; _ } ->
@@ -413,32 +464,20 @@ module Bench (A : Uqadt.S) = struct
       ~on_other:(fun ~index:_ _ -> ());
     mon
 
-  (* Independent per-domain client streams: one [Prng.fork] child per
-     domain off a root seeded by the caller, so the whole workload is a
-     pure function of (seed, domains, ops) while no two domains ever
-     walk correlated streams. *)
   let uniform_scripts ~seed ~domains ~ops ~query_ratio =
-    let root = Prng.create seed in
-    let script () =
-      (* explicit loop: the draw order is part of the determinism
-         contract, and [List.init]'s evaluation order is not *)
-      let g = Prng.fork root in
-      let acc = ref [] in
-      for _ = 1 to ops do
-        let inv =
-          if query_ratio > 0.0 && Prng.float g 1.0 < query_ratio then
-            Protocol.Invoke_query (A.random_query g)
-          else Protocol.Invoke_update (A.random_update g)
-        in
-        acc := inv :: !acc
-      done;
-      List.rev !acc
-    in
-    let scripts = Array.make domains [] in
-    for pid = 0 to domains - 1 do
-      scripts.(pid) <- script ()
-    done;
-    scripts
+    per_domain ~seed ~domains (fun g ->
+        (* explicit loop: the draw order is part of the determinism
+           contract, and [List.init]'s evaluation order is not *)
+        let acc = ref [] in
+        for _ = 1 to ops do
+          let inv =
+            if query_ratio > 0.0 && Prng.float g 1.0 < query_ratio then
+              Protocol.Invoke_query (A.random_query g)
+            else Protocol.Invoke_update (A.random_update g)
+          in
+          acc := inv :: !acc
+        done;
+        List.rev !acc)
 
   let measure ?(mailbox_capacity = 1024) ?(batch_every = 1) ?(flush_window = 0)
       ?obs ?recorder ?monitor ?journal_header ~domains ~final_read ~scripts () =
@@ -454,28 +493,20 @@ module Bench (A : Uqadt.S) = struct
       }
     in
     let run = E.run cfg ~workload:scripts in
-    let logs = Array.map G.local_log run.E.replicas in
-    let log0 = logs.(0) in
-    let logs_agree = Array.for_all (( = ) log0) logs in
-    let updates = List.map (fun (_, _, u) -> u) log0 in
-    let folded = Run.final_state updates in
-    let expected = A.eval folded final_read in
-    let omega_matches_fold =
-      run.E.outputs <> []
-      && List.for_all (fun (_, o) -> A.equal_output o expected) run.E.outputs
-    in
-    (* The sequential core replays the converged log through the exact
+    (* The sequential core restores the converged log through the exact
        persistence-restore path the crash-recovery tests exercise. *)
-    let fresh = G.create (dummy_ctx ~pid:0 ~n:1) in
-    G.restore_log fresh log0;
-    let replayed = ref None in
-    G.query fresh final_read ~on_result:(fun o -> replayed := Some o);
-    let replay_matches_fold =
-      match !replayed with
-      | Some o -> A.equal_output o expected
-      | None -> false
+    let restore r =
+      let fresh = G.create (dummy_ctx ~pid:0 ~n:1) in
+      G.restore_log fresh (G.local_log r);
+      Some fresh
     in
-    let updates_conserved = List.length log0 = run.E.updates_total in
+    let oracle =
+      O.check ~restore ~final_read ~issued:run.E.updates_total
+        ~outputs:run.E.outputs run.E.replicas
+    in
+    (* Sound only under commutativity: the virtual-time runner assigns
+       different timestamps, and order-independence is what erases that
+       difference. *)
     let runner_matches =
       if not A.commutative then None
       else begin
@@ -487,11 +518,11 @@ module Bench (A : Uqadt.S) = struct
         in
         let sr = Seq.run sc ~workload:scripts in
         Some
-          (sr.Seq.converged
-          && sr.Seq.final_outputs <> []
-          && List.for_all
-               (fun (_, o) -> A.equal_output o expected)
-               sr.Seq.final_outputs)
+          (match sr.Seq.final_outputs with
+          | (_, o) :: _ ->
+            sr.Seq.converged
+            && List.for_all (fun (_, e) -> A.equal_output o e) run.E.outputs
+          | [] -> false)
       end
     in
     let recording =
@@ -519,17 +550,13 @@ module Bench (A : Uqadt.S) = struct
     {
       run;
       latency = E.latency_summary run;
-      logs_agree;
-      omega_matches_fold;
-      replay_matches_fold;
+      oracle;
       runner_matches;
-      updates_conserved;
       journal_replay =
         Option.map
           (fun r -> match r.replay with Ok _ -> true | Error _ -> false)
           recording;
       recording;
-      state_repr = Format.asprintf "%a" A.pp_state folded;
     }
 
   let row ~ops_per_domain v =
@@ -577,71 +604,35 @@ type shard_row = {
   shard_ok : bool;
 }
 
-(* The same oracle, shard-aware: each shard stamps its keys' updates
-   with its own Lamport clock, so Proposition 4 applies {e per shard} —
-   after quiescence every replica must hold, for every shard, the
-   identical timestamp-sorted log of its keys' entries; the ω sweep
-   must equal the keyed fold of the union of those logs; and the
-   whole-space snapshot/absorb path (the one churn catch-up rides) must
-   restore a fresh replica to the same answer. Conservation counts
-   {e keyed} sub-updates: one client batch of width w contributes w
-   log entries, spread across the shards its keys route to. *)
+(* The same oracle over the space: one Lamport clock per shard, and
+   every shard's entries in the one certificate, merged in timestamp
+   order. Conservation counts {e keyed} sub-updates: one client batch of
+   width w contributes w certificate entries. *)
 module Sharded
     (A : Uqadt.S)
     (C : Update_codec.S with type update = A.update) =
 struct
   module S = Space.Make (A) (C)
   module E = Parallel_engine.Make (S)
+  module O = Oracle (S)
 
   type verdict = {
     run : E.result;
     latency : Stats.summary option;
     shards : int;
     keyed_total : int;
-    shard_logs_agree : bool;
-    omega_matches_fold : bool;
-    snapshot_matches_fold : bool;
-    updates_conserved : bool;
+    oracle : oracle;
     shard_lengths : (int * int) list;
-    state_repr : string;
   }
 
-  let ok v =
-    v.run.E.outputs_agree && v.run.E.certificates_agree && v.shard_logs_agree
-    && v.omega_matches_fold && v.snapshot_matches_fold && v.updates_conserved
+  let ok v = holds v.oracle
 
   let zipf_scripts ~seed ~domains ~ops ~keys ~skew ~fanout ~query_ratio =
-    let root = Prng.create seed in
-    let script () =
-      (* explicit loops: draw order is part of the determinism contract *)
-      let g = Prng.fork root in
-      let z = Zipf.create ~n:keys ~s:skew in
-      let key () = Zipf.sample z g - 1 in
-      let acc = ref [] in
-      for _ = 1 to ops do
-        let inv =
-          if query_ratio > 0.0 && Prng.float g 1.0 < query_ratio then
-            Protocol.Invoke_query (S.K.Read (key (), A.random_query g))
-          else begin
-            let width = if fanout <= 1 then 1 else 1 + Prng.int g fanout in
-            let batch = ref [] in
-            for _ = 1 to width do
-              let k = key () in
-              let u = A.random_update g in
-              batch := (k, u) :: !batch
-            done;
-            Protocol.Invoke_update (List.rev !batch)
-          end
-        in
-        acc := inv :: !acc
-      done;
-      List.rev !acc
-    in
-    let scripts = Array.make domains [] in
-    for pid = 0 to domains - 1 do
-      scripts.(pid) <- script ()
-    done;
-    scripts
+    per_domain ~seed ~domains (fun rng ->
+        (Workload.For_space.zipf_scripts ~rng ~n:1 ~ops_per_process:ops ~keys
+           ~skew ~fanout ~query_ratio ~update:A.random_update
+           ~query:A.random_query
+           ~read:(fun k q -> S.K.Read (k, q))).(0))
 
   let keyed_total scripts =
     Array.fold_left
@@ -674,53 +665,22 @@ struct
       }
     in
     let run = E.run cfg ~workload:scripts in
-    let logs_of r =
-      List.filter (fun (_, l) -> l <> []) (S.shard_logs r)
-    in
-    let logs0 = logs_of run.E.replicas.(0) in
-    let shard_logs_agree =
-      Array.for_all (fun r -> logs_of r = logs0) run.E.replicas
-    in
-    let merged =
-      List.concat_map snd logs0
-      |> List.sort (fun (a, _, _) (b, _, _) -> Timestamp.compare a b)
-    in
-    let folded =
-      List.fold_left (fun m (_, _, ku) -> S.apply m [ ku ]) S.initial merged
-    in
-    let expected = S.eval folded S.K.Sweep in
-    let omega_matches_fold =
-      run.E.outputs <> []
-      && List.for_all (fun (_, o) -> S.equal_output o expected) run.E.outputs
-    in
-    let snapshot_matches_fold =
-      match S.snapshot run.E.replicas.(0) with
-      | None -> false
-      | Some frame ->
-        let fresh = S.create (dummy_ctx ~pid:0 ~n:domains) in
-        S.absorb fresh frame
-        &&
-        let out = ref None in
-        S.query fresh S.K.Sweep ~on_result:(fun o -> out := Some o);
-        (match !out with
-        | Some o -> S.equal_output o expected
-        | None -> false)
+    (* The whole-space snapshot/absorb path that churn catch-up rides. *)
+    let restore r =
+      Option.bind (S.snapshot r) (fun frame ->
+          let fresh = S.create (dummy_ctx ~pid:0 ~n:domains) in
+          if S.absorb fresh frame then Some fresh else None)
     in
     let keyed = keyed_total scripts in
-    let updates_conserved =
-      List.fold_left (fun acc (_, l) -> acc + List.length l) 0 logs0 = keyed
-    in
     {
       run;
       latency = E.latency_summary run;
       shards;
       keyed_total = keyed;
-      shard_logs_agree;
-      omega_matches_fold;
-      snapshot_matches_fold;
-      updates_conserved;
+      oracle =
+        O.check ~restore ~final_read:S.K.Sweep ~issued:keyed
+          ~outputs:run.E.outputs run.E.replicas;
       shard_lengths = S.shard_log_lengths run.E.replicas.(0);
-      state_repr = Format.asprintf "%a" S.pp_state folded;
     }
 
   let row ~keys ~skew ~fanout v : shard_row =
@@ -743,29 +703,11 @@ struct
     }
 end
 
-(* The Zipf-skewed or-set workload the sequential experiments use
-   ([Workload.For_set.conflict] shape), cut per domain: hot keys are
-   shared across every domain, so late arrivals really do land mid-log
-   and the engine's convergence is tested under genuine contention. *)
+(* The Zipf-skewed or-set workload the sequential experiments use,
+   cut per domain: hot keys are shared across every domain, so late
+   arrivals really do land mid-log and the engine's convergence is
+   tested under genuine contention. *)
 let set_zipf_scripts ~seed ~domains ~ops ~skew ~delete_ratio =
-  let root = Prng.create seed in
-  let script () =
-    let g = Prng.fork root in
-    let z = Zipf.create ~n:512 ~s:skew in
-    let acc = ref [] in
-    for _ = 1 to ops do
-      let v = Zipf.sample z g in
-      let inv =
-        if Prng.float g 1.0 < delete_ratio then
-          Protocol.Invoke_update (Set_spec.Delete v)
-        else Protocol.Invoke_update (Set_spec.Insert v)
-      in
-      acc := inv :: !acc
-    done;
-    List.rev !acc
-  in
-  let scripts = Array.make domains [] in
-  for pid = 0 to domains - 1 do
-    scripts.(pid) <- script ()
-  done;
-  scripts
+  per_domain ~seed ~domains (fun rng ->
+      (Workload.For_set.conflict ~rng ~n:1 ~ops_per_process:ops ~domain:512
+         ~skew ~delete_ratio).(0))

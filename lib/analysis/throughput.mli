@@ -1,20 +1,17 @@
 (** Wall-clock throughput runs of the multicore engine
-    ({!Parallel_engine}) with the Proposition 4 parallel-vs-sequential
-    differential.
+    ({!Parallel_engine}), checked by Proposition 4.
 
-    The differential is what makes a nondeterministic wall-clock run
-    checkable: whatever delivery order the OS schedule produced, a
-    strong-update-consistent run must end with (1) every replica
-    holding the same timestamp-sorted log, (2) every ω answer equal to
-    the query on the timestamp-order fold of that log's updates, (3) a
-    fresh {e sequential}-core replica restored from the log answering
-    identically, (4) for commutative specs, a full sequential {!Runner}
-    of the same scripts (at seed 0) agreeing, and (5) exactly the issued
-    updates in the log. With a flight recorder ({!Obs.Recorder})
-    attached there is a sixth clause: (6) the recorded per-replica
-    delivery order, re-executed on the sequential core by
-    {!Bench.replay_journal}, must reproduce the recorded history
-    fingerprint. {!Bench.ok} is the conjunction; CI gates on it. *)
+    Whatever delivery order the OS schedule produced, a
+    strong-update-consistent run must end in the state its timestamp
+    order folds to. {!Oracle} checks that over the replicas it is
+    handed, in the four clauses of {!oracle}, for {!Bench} and
+    {!Sharded} alike. {!Bench} adds its own legs: for commutative specs,
+    a sequential {!Runner} of the same scripts (at seed 0) reaching the
+    engine's ω answers; and with a flight recorder ({!Obs.Recorder})
+    attached, the recorded delivery order replaying on the sequential
+    core to the recorded fingerprint ({!Bench.replay_journal}).
+    {!Bench.ok} and {!Sharded.ok} are the conjunctions; CI gates on
+    them. *)
 
 val dummy_ctx : pid:int -> n:int -> 'msg Protocol.ctx
 (** A context that drops every message — for replicas used as
@@ -35,6 +32,38 @@ type row = {
   ok : bool;  (** the differential verdict, never a throughput bound *)
 }
 (** One run's summary, as [ucsim bench] prints it. *)
+
+type oracle = {
+  certificates_agree : bool;  (** 1: {!Protocol.Certificate.agree} *)
+  omega_matches_fold : bool;  (** 2: every ω answer = the fold's *)
+  restore_matches_fold : bool;  (** 3: the rebuilt replica's answer = the fold's *)
+  updates_conserved : bool;  (** 4: certificate length = updates issued *)
+  state_repr : string;
+      (** the fold of replica 0's certificate, rendered on one line *)
+}
+(** The oracle's verdict on one quiesced run. *)
+
+val clauses : oracle -> (string * bool) list
+(** The four clauses in order, named as [ucsim bench] prints them. *)
+
+(** Proposition 4's oracle over any protocol that keeps a certificate.
+    Log agreement is not a clause: timestamps are unique and no replica
+    fabricates an entry, so clauses 1 and 4 leave every replica holding
+    exactly the issued entries. *)
+module Oracle (P : Protocol.PROTOCOL) : sig
+  val check :
+    restore:(P.t -> P.t option) ->
+    final_read:P.query ->
+    issued:int ->
+    outputs:(int * P.output) list ->
+    P.t array ->
+    oracle
+  (** [check ~restore ~final_read ~issued ~outputs replicas] reads only
+      [replicas] (at least one) and [outputs], their ω answers to
+      [final_read]. The fold is replica 0's certificate through
+      [P.apply]; clause 3 queries [restore] of replica 0 ([None]: the
+      restore failed); [issued] counts updates in certificate entries. *)
+end
 
 val series_of_events :
   ?interval:float ->
@@ -73,15 +102,11 @@ module Bench (A : Uqadt.S) : sig
   type verdict = {
     run : E.result;
     latency : Stats.summary option;
-    logs_agree : bool;
-    omega_matches_fold : bool;
-    replay_matches_fold : bool;
+    oracle : oracle;
     runner_matches : bool option;  (** [None] for non-commutative specs *)
-    updates_conserved : bool;
     journal_replay : bool option;
-        (** clause 6; [None] when no recorder was attached *)
+        (** [None] when no recorder was attached *)
     recording : recording option;
-    state_repr : string;  (** rendered timestamp-order fold *)
   }
 
   val ok : verdict -> bool
@@ -110,11 +135,13 @@ module Bench (A : Uqadt.S) : sig
     unit ->
     verdict
   (** Run the engine on the scripts with an ω [final_read] everywhere,
-      then run the full differential described above. With [?recorder]
-      the run is also recorded: the merged stream becomes a sealed
-      journal (header fields from [?journal_header]), the replay bridge
-      verdict lands in [journal_replay] (clause 6), and [?monitor]
-      criteria are checked online over the same stream. *)
+      then the {!Oracle}, restoring a fresh sequential-core replica
+      from replica 0's log ([Generic.restore_log], the crash-recovery
+      path), and for commutative specs the sequential {!Runner}. With
+      [?recorder] the run is also recorded: the merged stream becomes a
+      sealed journal (header fields from [?journal_header]), the replay
+      bridge verdict lands in [journal_replay], and [?monitor] criteria
+      are checked online over the same stream. *)
 
   val history_of_events :
     scripts:(A.update, A.query) Protocol.invocation list array ->
@@ -186,18 +213,16 @@ type shard_row = {
   shard_ops_per_sec : float;
   shard_log_max : int;  (** longest per-shard log — skew made visible *)
   shard_log_min : int;
-  shard_ok : bool;  (** the shard-aware differential verdict *)
+  shard_ok : bool;  (** the oracle's verdict *)
 }
 (** One sharded run's summary, as [ucsim bench --shards] prints it. *)
 
-(** The Proposition 4 differential, shard-aware: each shard of the
-    {!Space} stamps its keys' updates with its own Lamport clock, so
-    after a parallel run quiesces every replica must hold, {e for every
-    shard}, the identical timestamp-sorted log of its keys' entries;
-    every ω sweep must equal the keyed fold of the union of those logs;
-    the whole-space snapshot/absorb path (churn catch-up) must restore
-    a fresh replica to the same answer; and the union must hold exactly
-    the keyed sub-updates the clients issued. *)
+(** The {!Oracle} over the sharded {!Space}: each shard stamps its
+    keys' updates with its own Lamport clock, and the certificate
+    merges every shard's entries in timestamp order, so the four
+    clauses read as they do for one core. The restore path is the
+    whole-space snapshot/absorb pair (churn catch-up), and the issued
+    count is the keyed sub-updates (Σ batch widths). *)
 module Sharded
     (A : Uqadt.S)
     (C : Update_codec.S with type update = A.update) : sig
@@ -209,12 +234,8 @@ module Sharded
     latency : Stats.summary option;
     shards : int;
     keyed_total : int;
-    shard_logs_agree : bool;
-    omega_matches_fold : bool;
-    snapshot_matches_fold : bool;
-    updates_conserved : bool;
+    oracle : oracle;
     shard_lengths : (int * int) list;  (** replica 0, by shard id *)
-    state_repr : string;  (** rendered keyed fold *)
   }
 
   val ok : verdict -> bool
@@ -228,7 +249,8 @@ module Sharded
     fanout:int ->
     query_ratio:float ->
     (S.update, S.query) Protocol.invocation list array
-  (** One {!Prng.fork}ed stream per domain: multi-key update batches
+  (** One {!Prng.fork}ed stream per domain, each cut by
+      {!Workload.For_space.zipf_scripts}: multi-key update batches
       (width uniform in [1..fanout]) over a Zipf-skewed key space, plus
       keyed reads at [query_ratio]. Key 0 is the hottest. *)
 
@@ -244,7 +266,7 @@ module Sharded
     verdict
   (** Build a static [shards]-shard map (no rebalancing policy — the
       ring never changes during the parallel run), run the engine with
-      an ω sweep everywhere, then run the shard-aware differential. *)
+      an ω sweep everywhere, then the {!Oracle}. *)
 
   val row : keys:int -> skew:float -> fanout:int -> verdict -> shard_row
 end
@@ -256,6 +278,6 @@ val set_zipf_scripts :
   skew:float ->
   delete_ratio:float ->
   (Set_spec.update, Set_spec.query) Protocol.invocation list array
-(** Zipf-skewed or-set insert/delete mix (the C-series conflict
-    workload shape) cut per domain: hot keys collide across domains, so
-    convergence is exercised under real contention. *)
+(** {!Workload.For_set.conflict} over 512 elements, one {!Prng.fork}ed
+    stream per domain: hot keys collide across domains, so convergence
+    is exercised under real contention. *)

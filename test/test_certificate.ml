@@ -4,7 +4,12 @@
    that differ in one entry's presence, origin or update, including the
    earliest entry, which the fold visits last; a protocol whose pid 1
    folds a skewed certificate, run through both engines; and what the
-   check allocates. *)
+   check allocates.
+
+   Then [Throughput.Oracle], the multicore runs' four clauses on top of
+   the check: one planted fault per clause on both kinds of replica, and
+   engine runs on which the list-built clauses it replaced must give its
+   verdict and its rendered state. *)
 
 open Helpers
 
@@ -94,21 +99,23 @@ let receiver ?(src = fun _ -> 0) pid msgs =
   List.iteri (fun j m -> S.receive r ~src:(src j) m) msgs;
   r
 
-let space_planted () =
-  S.configure (S.create_map ~shards:8 ());
-  let k = 40 in
-  let us = space_updates k in
-  let reference, msgs = issuer us in
-  (* Which update the fold visits last (the earliest) and first (the
-     latest): the shards' clocks interleave, so not the first and last
-     issued. *)
+(* Which of [us] the fold visits last (the earliest) and first (the
+   latest): the shards' clocks interleave, so not the first and last
+   issued. *)
+let earliest_and_latest us reference =
   let issued_as = function
     | _, [ (key, _) ] -> Option.get (List.find_index (fun u -> fst (List.hd u) = key) us)
     | _ -> assert false
   in
   let cert = Option.get (SC.to_list reference) in
-  let earliest = issued_as (List.hd cert)
-  and latest = issued_as (List.hd (List.rev cert)) in
+  (issued_as (List.hd cert), issued_as (List.hd (List.rev cert)))
+
+let space_planted () =
+  S.configure (S.create_map ~shards:8 ());
+  let k = 40 in
+  let us = space_updates k in
+  let reference, msgs = issuer us in
+  let earliest, latest = earliest_and_latest us reference in
   let same () = receiver 1 msgs in
   let local us = fst (issuer us) in
   let flip_at i = local (edit i (List.map (fun (key, u) -> (key, flip u))) us) in
@@ -234,6 +241,194 @@ let space_guard () =
       replicas k
       (words /. float_of_int (replicas * k))
 
+(* ------------------------- the oracle's clauses ------------------------- *)
+
+(* Four agreeing replicas built by [full], holding [issued] updates, and
+   each ω answer replica 0's. Each planted fault must fail its own
+   clause and no other: a replica missing its latest entry, one ω answer
+   changed by [wrong], a restore that drops an entry, and [issued + 1]. *)
+module Planted (P : Protocol.PROTOCOL) = struct
+  module O = Throughput.Oracle (P)
+
+  let answer r q =
+    let out = ref None in
+    P.query r q ~on_result:(fun o -> out := Some o);
+    Option.get !out
+
+  let failing o =
+    List.filter_map (fun (name, holds) -> if holds then None else Some name) (Throughput.clauses o)
+
+  let run ~final_read ~issued ~full ~short ~restore ~restore_short ~wrong =
+    let outputs = List.init 4 (fun pid -> (pid, answer (full ()) final_read)) in
+    let check ?(replicas = fun () -> Array.init 4 (fun _ -> full ())) ?(outputs = outputs)
+        ?(restore = restore) ?(issued = issued) what expected =
+      Alcotest.(check (list string)) what expected
+        (failing (O.check ~restore ~final_read ~issued ~outputs (replicas ())))
+    in
+    check "no fault" [];
+    check "a replica missing its latest entry" [ "certificates agree" ]
+      ~replicas:(fun () -> [| full (); full (); full (); short () |]);
+    check "a changed ω output" [ "omega = ts-fold" ]
+      ~outputs:(List.map (fun (pid, o) -> (pid, if pid = 2 then wrong o else o)) outputs);
+    check "a restore that drops an entry" [ "restore = ts-fold" ] ~restore:restore_short;
+    check "issued + 1" [ "updates conserved" ] ~issued:(issued + 1)
+end
+
+(* The latest of the 40 entries inserts 5, which the one before it on 5
+   deleted, so dropping it changes the read. *)
+let generic_oracle () =
+  let module T = Planted (G) in
+  let k = 40 in
+  let drop_latest es = List.filteri (fun j _ -> j < k - 1) es in
+  T.run ~final_read:Set_spec.Read ~issued:k
+    ~full:(fun () -> generic (entries k))
+    ~short:(fun () -> generic (drop_latest (entries k)))
+    ~restore:(fun r -> Some (generic (G.local_log r)))
+    ~restore_short:(fun r -> Some (generic (drop_latest (G.local_log r))))
+    ~wrong:(Support.Int_set.add 99)
+
+(* Every update inserts into a key of its own, so dropping any entry
+   changes the sweep. *)
+let space_oracle () =
+  S.configure (S.create_map ~shards:8 ());
+  let module T = Planted (S) in
+  let k = 40 in
+  let us = space_updates k in
+  let reference, msgs = issuer us in
+  let _, latest = earliest_and_latest us reference in
+  let without_latest pid = receiver pid (List.filteri (fun j _ -> j <> latest) msgs) in
+  let restore r =
+    Option.bind (S.snapshot r) (fun frame ->
+        let fresh = S.create (ctx 0) in
+        if S.absorb fresh frame then Some fresh else None)
+  in
+  T.run ~final_read:S.K.Sweep ~issued:k
+    ~full:(fun () -> receiver 1 msgs)
+    ~short:(fun () -> without_latest 1)
+    ~restore
+    ~restore_short:(fun _ -> restore (without_latest 2))
+    ~wrong:(fun _ -> S.K.States [])
+
+(* ------------------- the oracle against the clauses it replaced ------------------- *)
+
+(* The list-built clauses the multicore measures ran before [Oracle]:
+   every replica's [local_log] list (for the space, its non-empty
+   [shard_logs]) compared with [=]; ω against the fold of replica 0's
+   log, the space's shard logs merged by timestamp first; a fresh
+   replica rebuilt from that log ([restore_log], or the space's
+   snapshot and absorb); and conservation. With the engine's output and
+   certificate agreement, they must give the oracle's verdict, and the
+   fold they render must be the oracle's state. That rendering wrapped
+   at the 80-column margin, so its lines are joined as the oracle's one
+   line joins them. *)
+let flatten s =
+  match String.split_on_char '\n' s with
+  | [] -> s
+  | first :: rest ->
+    let unindent l =
+      let i = ref 0 in
+      while !i < String.length l && l.[!i] = ' ' do incr i done;
+      String.sub l !i (String.length l - !i)
+    in
+    String.concat " " (first :: List.map unindent rest)
+
+let answers equal r query expected =
+  let out = ref None in
+  query r ~on_result:(fun o -> out := Some o);
+  match !out with Some o -> equal o expected | None -> false
+
+module Bench_reference (A : Uqadt.S) = struct
+  module B = Throughput.Bench (A)
+  module Run = Uqadt.Run (A)
+
+  let check ~final_read (v : B.verdict) =
+    let run = v.B.run in
+    let logs = Array.map B.G.local_log run.B.E.replicas in
+    let log0 = logs.(0) in
+    let folded = Run.final_state (List.map (fun (_, _, u) -> u) log0) in
+    let expected = A.eval folded final_read in
+    let fresh = B.G.create (Throughput.dummy_ctx ~pid:0 ~n:1) in
+    B.G.restore_log fresh log0;
+    ( run.B.E.outputs_agree && run.B.E.certificates_agree
+      && Array.for_all (( = ) log0) logs
+      && run.B.E.outputs <> []
+      && List.for_all (fun (_, o) -> A.equal_output o expected) run.B.E.outputs
+      && answers A.equal_output fresh (fun r -> B.G.query r final_read) expected
+      && List.length log0 = run.B.E.updates_total,
+      flatten (Format.asprintf "%a" A.pp_state folded) )
+
+  let agrees ~final_read ~seeds =
+    List.iter
+      (fun seed ->
+        let domains = 1 + (seed mod 3) in
+        let scripts = B.uniform_scripts ~seed ~domains ~ops:150 ~query_ratio:0.1 in
+        let v = B.measure ~domains ~final_read ~scripts () in
+        let ok, state = check ~final_read v in
+        let label what = Printf.sprintf "%s seed %d, %d domains: %s" A.name seed domains what in
+        Alcotest.(check bool) (label "the run passes") true ok;
+        Alcotest.(check bool)
+          (label "same verdict")
+          ok
+          (List.for_all snd (Throughput.clauses v.B.oracle));
+        Alcotest.(check string) (label "same state") state v.B.oracle.Throughput.state_repr)
+      seeds
+end
+
+module Sharded_reference = struct
+  module B = Throughput.Sharded (Set_spec) (Update_codec.For_set)
+  module S = B.S
+
+  let check ~domains (v : B.verdict) =
+    let run = v.B.run in
+    let logs_of r = List.filter (fun (_, l) -> l <> []) (S.shard_logs r) in
+    let logs0 = logs_of run.B.E.replicas.(0) in
+    let merged =
+      List.concat_map snd logs0 |> List.sort (fun (a, _, _) (b, _, _) -> Timestamp.compare a b)
+    in
+    let folded = List.fold_left (fun m (_, _, ku) -> S.apply m [ ku ]) S.initial merged in
+    let expected = S.eval folded S.K.Sweep in
+    let snapshot_matches =
+      match S.snapshot run.B.E.replicas.(0) with
+      | None -> false
+      | Some frame ->
+        let fresh = S.create (Throughput.dummy_ctx ~pid:0 ~n:domains) in
+        S.absorb fresh frame && answers S.equal_output fresh (fun r -> S.query r S.K.Sweep) expected
+    in
+    ( run.B.E.outputs_agree && run.B.E.certificates_agree
+      && Array.for_all (fun r -> logs_of r = logs0) run.B.E.replicas
+      && run.B.E.outputs <> []
+      && List.for_all (fun (_, o) -> S.equal_output o expected) run.B.E.outputs
+      && snapshot_matches
+      && List.fold_left (fun acc (_, l) -> acc + List.length l) 0 logs0 = v.B.keyed_total,
+      flatten (Format.asprintf "%a" S.pp_state folded) )
+
+  let agrees ~shards ~seeds =
+    List.iter
+      (fun seed ->
+        let domains = 2 in
+        let scripts =
+          B.zipf_scripts ~seed ~domains ~ops:200 ~keys:64 ~skew:1.1 ~fanout:3 ~query_ratio:0.2
+        in
+        let v = B.measure ~shards ~domains ~scripts () in
+        let ok, state = check ~domains v in
+        let label what = Printf.sprintf "%d shards, seed %d: %s" shards seed what in
+        Alcotest.(check bool) (label "the run passes") true ok;
+        Alcotest.(check bool) (label "same verdict") ok (B.ok v);
+        Alcotest.(check string) (label "same state") state v.B.oracle.Throughput.state_repr)
+      seeds
+end
+
+let ten_seeds = List.init 10 (fun i -> 11 * (i + 1))
+
+let bench_references () =
+  let module C = Bench_reference (Counter_spec) in
+  C.agrees ~final_read:Counter_spec.Value ~seeds:ten_seeds;
+  let module St = Bench_reference (Set_spec) in
+  St.agrees ~final_read:Set_spec.Read ~seeds:ten_seeds
+
+let sharded_references () =
+  List.iter (fun shards -> Sharded_reference.agrees ~shards ~seeds:ten_seeds) [ 1; 2; 4 ]
+
 let tests =
   [
     Alcotest.test_case "planted disagreements on oplog replicas are caught" `Quick
@@ -248,4 +443,12 @@ let tests =
       generic_guard;
     Alcotest.test_case "agree on the space allocates 3 words per entry per replica" `Quick
       space_guard;
+    Alcotest.test_case "the oracle fails each planted fault's clause alone, on oplog replicas"
+      `Quick generic_oracle;
+    Alcotest.test_case "the oracle fails each planted fault's clause alone, on space replicas"
+      `Quick space_oracle;
+    Alcotest.test_case "the oracle agrees with the list-built clauses on Bench runs" `Quick
+      bench_references;
+    Alcotest.test_case "the oracle agrees with the list-built clauses at 1, 2 and 4 shards"
+      `Quick sharded_references;
   ]

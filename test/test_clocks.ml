@@ -1,4 +1,4 @@
-(* uc_clock: Lamport clocks, timestamps, vector clocks, matrix clocks. *)
+(* uc_clock: Lamport clocks, timestamps, vector clocks. *)
 
 open Helpers
 
@@ -88,27 +88,4 @@ let vector_clock_tests =
           (fun () -> ignore (Vector_clock.merge (vc_of_list [ 1 ]) (vc_of_list [ 1; 2 ]))));
   ]
 
-let matrix_clock_tests =
-  [
-    Alcotest.test_case "stable clock is the matrix minimum" `Quick (fun () ->
-        let m = Matrix_clock.create 2 in
-        let m = Matrix_clock.update_row m 0 (vc_of_list [ 4; 2 ]) in
-        let m = Matrix_clock.update_row m 1 (vc_of_list [ 3; 5 ]) in
-        Alcotest.(check int) "min" 2 (Matrix_clock.stable_clock m));
-    Alcotest.test_case "update_row only raises entries" `Quick (fun () ->
-        let m = Matrix_clock.create 2 in
-        let m = Matrix_clock.update_row m 0 (vc_of_list [ 4; 2 ]) in
-        let m = Matrix_clock.update_row m 0 (vc_of_list [ 1; 3 ]) in
-        let row = Matrix_clock.row m 0 in
-        Alcotest.(check bool) "max kept" true (Vector_clock.equal row (vc_of_list [ 4; 3 ])));
-    Alcotest.test_case "merge is entry-wise max" `Quick (fun () ->
-        let a = Matrix_clock.update_row (Matrix_clock.create 2) 0 (vc_of_list [ 5; 0 ]) in
-        let b = Matrix_clock.update_row (Matrix_clock.create 2) 1 (vc_of_list [ 0; 7 ]) in
-        let m = Matrix_clock.merge a b in
-        Alcotest.(check bool) "row0" true (Vector_clock.equal (Matrix_clock.row m 0) (vc_of_list [ 5; 0 ]));
-        Alcotest.(check bool) "row1" true (Vector_clock.equal (Matrix_clock.row m 1) (vc_of_list [ 0; 7 ])));
-    Alcotest.test_case "fresh matrix is fully unstable" `Quick (fun () ->
-        Alcotest.(check int) "zero" 0 (Matrix_clock.stable_clock (Matrix_clock.create 3)));
-  ]
-
-let tests = lamport_tests @ timestamp_tests @ vector_clock_tests @ matrix_clock_tests
+let tests = lamport_tests @ timestamp_tests @ vector_clock_tests

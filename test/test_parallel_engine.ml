@@ -1,8 +1,8 @@
 (* The multicore replica engine against its Proposition 4 oracle: for
-   any OS schedule the domains produce, every replica must converge to
-   the identical timestamp-sorted log, and that log must replay through
-   the sequential core to the timestamp-order fold of the update
-   multiset. Each case runs the full [Throughput] differential. *)
+   any OS schedule the domains produce, every replica must fold the
+   identical certificate, and the log must replay through the
+   sequential core to the certificate's timestamp-order fold. Each case
+   runs the full [Throughput] differential. *)
 
 module T_counter = Throughput.Bench (Counter_spec)
 module T_set = Throughput.Bench (Set_spec)
@@ -167,8 +167,8 @@ let obs_rows () =
 
 (* Flight recorder end to end: any schedule the OS produced must
    replay on the sequential core to the identical history fingerprint
-   (differential clause 6), with the online monitors staying clean over
-   the same merged stream. *)
+   (the differential's journal-replay leg), with the online monitors
+   staying clean over the same merged stream. *)
 let record_replay_differential () =
   List.iter
     (fun (domains, seed) ->

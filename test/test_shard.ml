@@ -1,10 +1,10 @@
 (* The sharded object space (tentpole: the whole stack generic over a
    shard map).
 
-   - shard-aware Proposition 4 differential on the parallel engine at
-     shard counts 1/2/4 — per-shard logs equal across replicas, ω
-     sweeps equal to the keyed fold, snapshot/absorb restore agreeing,
-     keyed sub-updates conserved;
+   - the Proposition 4 oracle on the parallel engine at shard counts
+     1/2/4, and batched — certificates equal across replicas, ω sweeps
+     equal to the keyed fold, snapshot/absorb restore agreeing, keyed
+     sub-updates conserved — with the fold rendered on one line;
    - the sequential runner over the space: converged, certificates
      agree, online UC/EC monitors clean;
    - a hot-shard rebalance run (policy armed): at least one split
@@ -136,16 +136,45 @@ let differential_tests =
       `Slow
       (fun () ->
         List.iter
-          (fun (shards, seed) ->
+          (fun (shards, seed, batch_every, flush_window, query_ratio) ->
             let scripts =
               B.zipf_scripts ~seed ~domains:2 ~ops:300 ~keys:64 ~skew:1.1
-                ~fanout:3 ~query_ratio:0.2
+                ~fanout:3 ~query_ratio
             in
-            let v = B.measure ~shards ~domains:2 ~scripts () in
+            let v =
+              B.measure ~batch_every ~flush_window ~shards ~domains:2 ~scripts
+                ()
+            in
+            let label =
+              Printf.sprintf "shards=%d seed=%d batch=%d" shards seed
+                batch_every
+            in
+            Alcotest.(check bool) label true (B.ok v);
+            (* Unbatched, each update is one envelope to the one peer. *)
+            let sum f =
+              Array.fold_left (fun acc r -> acc + f r) 0 v.B.run.B.E.reports
+            in
             Alcotest.(check bool)
-              (Printf.sprintf "shards=%d seed=%d" shards seed)
-              true (B.ok v))
-          [ (1, 3); (2, 17); (4, 42) ]);
+              (label ^ ": fewer frames than updates iff batched")
+              (batch_every > 1)
+              (sum (fun r -> r.Parallel_engine.frames_sent)
+              < sum (fun r -> r.Parallel_engine.updates)))
+          [
+            (1, 3, 1, 0, 0.2);
+            (2, 17, 1, 0, 0.2);
+            (4, 42, 1, 0, 0.2);
+            (4, 5, 8, 4, 0.25);
+            (4, 23, 8, 4, 0.25);
+          ]);
+    Alcotest.test_case "a 64-key run's converged state renders on one line" `Quick
+      (fun () ->
+        let scripts =
+          B.zipf_scripts ~seed:3 ~domains:2 ~ops:500 ~keys:64 ~skew:1.1 ~fanout:3
+            ~query_ratio:0.3
+        in
+        let state = (B.measure ~shards:4 ~domains:2 ~scripts ()).B.oracle.Throughput.state_repr in
+        Alcotest.(check bool) "longer than the 80-column margin" true (String.length state > 80);
+        Alcotest.(check bool) "no newline" false (String.contains state '\n'));
     Alcotest.test_case "sequential runner converges with clean monitors"
       `Quick
       (fun () ->

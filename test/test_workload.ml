@@ -10,8 +10,74 @@ let count_queries script =
        (function Protocol.Invoke_query _ -> true | Protocol.Invoke_update _ -> false)
        script)
 
+(* The multicore benches' two generators, pinned by sha256 of their
+   rendered scripts: each cuts one [Prng.fork]ed stream per domain, so a
+   digest moves with the draw order as well as with the shape. The
+   digests were recorded while each was still a copy of its [Workload]
+   generator, before it became a per-domain call of it. *)
+module Sharded = Throughput.Sharded (Set_spec) (Update_codec.For_set)
+
+let script_digest pp_update pp_query scripts =
+  let b = Buffer.create 4096 in
+  Array.iteri
+    (fun pid script ->
+      Printf.bprintf b "domain %d\n" pid;
+      List.iter
+        (function
+          | Protocol.Invoke_update u -> Printf.bprintf b "u %s\n" (Format.asprintf "%a" pp_update u)
+          | Protocol.Invoke_query q -> Printf.bprintf b "q %s\n" (Format.asprintf "%a" pp_query q))
+        script)
+    scripts;
+  Sha256.hex (Buffer.contents b)
+
+(* (seed, domains, ops, keys, skew, fanout, query ratio) *)
+let sharded_pins =
+  [
+    ((42, 1, 500, 64, 1.1, 1, 0.0),
+      "3151ef599cf39edba353bfe28f7c6aa39e040d6395d784b4596eb0b22138d85b");
+    ((3, 2, 500, 64, 1.1, 3, 0.3),
+      "fe8526c414619e011ab3b456193031f7abefb05d4d964f63ad7bea45747e4a19");
+    ((7, 3, 400, 1024, 0.5, 5, 0.9),
+      "836a13482391f5358326b8e1b83712f0b1876e5b66d598ffcec458152695d410");
+    ((11, 4, 300, 16, 1.5, 2, 0.1),
+      "c65c4b881ad996f8006984a556f1526af0f711858cf6a4b664697728fbe15ab8");
+    ((0, 4, 2000, 1024, 1.1, 4, 0.25),
+      "9b6df2e0fa4b64bab91ba645f51729464aef83e053a454382745b34c3e136234");
+  ]
+
+(* (seed, domains, ops, skew, delete ratio) *)
+let set_pins =
+  [
+    ((5, 3, 300, 1.2, 0.3),
+      "0195c510fbd5fc39e470706b5ab9695c9df4011e5d1e9f29977cd40ce0fb7ee9");
+    ((42, 2, 1000, 1.0, 0.3),
+      "b5f2313dcf582f29a65d6f40e331a8148f6153d525a2d23ecfb6578bcd7660ff");
+    ((1, 2, 20_000, 1.1, 0.5),
+      "07c1415a2be1d033965ee1bfce1666b4a2d0039705838001fc4c7858f4b1ddb2");
+  ]
+
+let generator_pins () =
+  List.iter
+    (fun ((seed, domains, ops, keys, skew, fanout, query_ratio), digest) ->
+      Alcotest.(check string)
+        (Printf.sprintf "sharded seed %d, %d domains, fanout %d, query ratio %g" seed domains
+           fanout query_ratio)
+        digest
+        (script_digest Sharded.S.K.pp_update Sharded.S.K.pp_query
+           (Sharded.zipf_scripts ~seed ~domains ~ops ~keys ~skew ~fanout ~query_ratio)))
+    sharded_pins;
+  List.iter
+    (fun ((seed, domains, ops, skew, delete_ratio), digest) ->
+      Alcotest.(check string)
+        (Printf.sprintf "set seed %d, %d domains, %d ops" seed domains ops)
+        digest
+        (script_digest Set_spec.pp_update Set_spec.pp_query
+           (Throughput.set_zipf_scripts ~seed ~domains ~ops ~skew ~delete_ratio)))
+    set_pins
+
 let tests =
   [
+    Alcotest.test_case "the multicore generators' scripts are pinned" `Quick generator_pins;
     qtest "mixed: width, length and query ratio" seed_gen (fun seed ->
         let rng = Prng.create seed in
         let module G = Workload.Make (Set_spec) in

@@ -1634,40 +1634,77 @@ let print_replayed_through recorded k =
     Obs.Journal.pp_event
     (Obs.Journal.event recorded k)
 
-(* The workload a parallel spec describes: the contended set+zipf
+(* The workload a parallel spec describes, with the measure that runs
+   it: the sharded set's multi-key Zipf batches, the contended set+zipf
    scripts, or uniform scripts over any registered object. `bench` runs
    it, and `replay` regenerates it from the header (the scripts are pure
-   functions of the seed). *)
+   functions of the seed). For the space it configures the shard map,
+   reporting into [obs]; [lines] is what `bench` prints after the
+   verdict, the space's layout. *)
 module type PARALLEL_WORKLOAD = sig
-  module A : Uqadt.S
+  module P : Protocol.PROTOCOL
+  module M : Throughput.MEASURE with module P := P
 
-  val scripts : (A.update, A.query) Protocol.invocation list array
-  val final_read : A.query
+  val scripts : (P.update, P.query) Protocol.invocation list array
+  val final_read : P.query
+  val lines : M.verdict -> string list
 end
 
-let parallel_workload (ps : Run_spec.parallel) : (module PARALLEL_WORKLOAD) =
-  if ps.spec = "set" && ps.zipf > 0.0 then
+let parallel_workload ~obs (ps : Run_spec.parallel) : (module PARALLEL_WORKLOAD) =
+  match ps.space with
+  | Some sp ->
+    (* A static ring: with no policy, the replicas never mutate the
+       shared map during the parallel run. *)
+    Throughput.Sharded.S.configure
+      (Throughput.Sharded.S.create_map ?obs ~shards:sp.shards ());
     (module struct
-      module A = Set_spec
+      module P = Throughput.Sharded.S
+      module M = Throughput.Sharded
+
+      let scripts =
+        M.zipf_scripts ~seed:ps.seed ~domains:ps.domains ~ops:ps.ops
+          ~keys:sp.keys ~skew:ps.zipf ~fanout:sp.fanout
+          ~query_ratio:ps.query_ratio
+
+      let final_read = P.K.Sweep
+
+      let lines (v : M.verdict) =
+        let lens = List.map snd (P.shard_log_lengths v.run.M.E.replicas.(0)) in
+        [
+          Printf.sprintf "shards             %d (static ring)" sp.shards;
+          Printf.sprintf "keys / skew / fan  %d / %.2f / %d" sp.keys ps.zipf
+            sp.fanout;
+          Printf.sprintf "keyed sub-updates  %d" v.issued;
+          Printf.sprintf "shard log spread   min %d / max %d"
+            (match lens with [] -> 0 | x :: r -> List.fold_left min x r)
+            (List.fold_left max 0 lens);
+        ]
+    end)
+  | None when ps.spec = "set" && ps.zipf > 0.0 ->
+    (module struct
+      module M = Throughput.Bench (Set_spec)
+      module P = M.G
 
       let scripts =
         Throughput.set_zipf_scripts ~seed:ps.seed ~domains:ps.domains
           ~ops:ps.ops ~skew:ps.zipf ~delete_ratio:0.3
 
       let final_read = Set_spec.Read
+      let lines _ = []
     end)
-  else
+  | None ->
     (* a validated spec names a registered object *)
     let (module O : Uqadt.S) = Option.get (Registry.find ps.spec) in
     (module struct
-      module A = O
-      module B = Throughput.Bench (O)
+      module M = Throughput.Bench (O)
+      module P = M.G
 
       let scripts =
-        B.uniform_scripts ~seed:ps.seed ~domains:ps.domains ~ops:ps.ops
+        M.uniform_scripts ~seed:ps.seed ~domains:ps.domains ~ops:ps.ops
           ~query_ratio:ps.query_ratio
 
       let final_read = O.random_query (Prng.create ps.seed)
+      let lines _ = []
     end)
 
 (* Replay a flight-recorder journal (from `bench --journal-out`): the
@@ -1680,9 +1717,8 @@ let replay_parallel_journal recorded (ps : Run_spec.parallel) until =
     "replaying          parallel %s (seed %d, %d domains, %d events recorded)\n"
     ps.spec ps.seed ps.domains
     (Obs.Journal.length recorded);
-  let (module W) = parallel_workload ps in
-  let module B = Throughput.Bench (W.A) in
-  match B.replay_journal ~scripts:W.scripts ~final_read:W.final_read recorded with
+  let (module W) = parallel_workload ~obs:None ps in
+  match W.M.replay_journal ~scripts:W.scripts ~final_read:W.final_read recorded with
   | Error msg ->
     Printf.printf "replay FAILED: %s\n" msg;
     exit 1
@@ -1793,27 +1829,16 @@ let diff_cmd =
   in
   Cmd.v (Cmd.info "diff" ~doc) Term.(const run $ file_a $ file_b)
 
-(* The oracle's verdict as `ucsim bench` prints it: the converged state
-   on one line, clipped; the four clauses, then the caller's own legs;
-   the PASS/FAIL line. *)
-let print_differential oracle ok ~legs =
-  let state = oracle.Throughput.state_repr in
-  Printf.printf "converged state    %s\n"
-    (if String.length state <= 96 then state else String.sub state 0 93 ^ "...");
-  List.iter
-    (fun (k, v) -> Printf.printf "  %-22s %s\n" k v)
-    (List.map (fun (k, b) -> (k, string_of_bool b)) (Throughput.clauses oracle)
-    @ legs);
-  Printf.printf "differential       %s\n" (if ok then "PASS" else "FAIL")
-
-(* One bench execution of [ps] with optional flight recording. The
-   recorder is attached iff any of --journal-out / --series-out /
+(* One bench execution of [ps] with optional flight recording and
+   telemetry, printed from the spec and the verdict; exit 1 unless the
+   differential passed.
+   The recorder is attached iff any of --journal-out / --series-out /
    --monitor was given; the rebuilt journal's header is the spec, all
    `ucsim replay` needs to regenerate the scripts. *)
 let bench_exec (ps : Run_spec.parallel) ~obs ~journal_out ~series_out ~monitors
     ~sample_interval =
-  let (module W) = parallel_workload ps in
-  let module B = Throughput.Bench (W.A) in
+  let (module W) = parallel_workload ~obs ps in
+  let module M = W.M in
   let recording =
     journal_out <> None || series_out <> None || monitors <> []
   in
@@ -1824,53 +1849,73 @@ let bench_exec (ps : Run_spec.parallel) ~obs ~journal_out ~series_out ~monitors
     if recording then Some (Run_spec.to_header (Parallel ps)) else None
   in
   let v =
-    B.measure ~mailbox_capacity:ps.mailbox ~batch_every:ps.batch
+    M.measure ~mailbox_capacity:ps.mailbox ~batch_every:ps.batch
       ~flush_window:ps.flush_window ?obs ?recorder
       ?monitor:(if monitors = [] then None else Some monitors)
       ?journal_header ~domains:ps.domains ~final_read:W.final_read
       ~scripts:W.scripts ()
   in
-  let r = B.row ~ops_per_domain:ps.ops v in
-  Printf.printf "spec               %s\n" r.Throughput.spec;
+  let run = v.M.run in
+  let reports = run.M.E.reports in
+  let p50, p99 =
+    match v.M.latency with
+    | None -> (0.0, 0.0)
+    | Some s -> (s.Stats.p50 *. 1e6, s.Stats.p99 *. 1e6)
+  in
+  let ok = M.ok v in
+  Printf.printf "spec               %s\n" ps.spec;
   Printf.printf "domains            %d (machine recommends %d)\n"
-    r.Throughput.domains
+    (Array.length reports)
     (Domain.recommended_domain_count ());
-  Printf.printf "ops                %d total, %d per domain\n"
-    r.Throughput.total_ops r.Throughput.ops_per_domain;
-  Printf.printf "updates            %d\n" r.Throughput.updates;
-  Printf.printf "wall               %.4f s\n" r.Throughput.wall_s;
-  Printf.printf "throughput         %.0f ops/sec\n" r.Throughput.ops_per_sec;
-  Printf.printf "latency p50 / p99  %.2f / %.2f us\n" r.Throughput.p50_us
-    r.Throughput.p99_us;
+  Printf.printf "ops                %d total, %d per domain\n" run.M.E.ops_total
+    ps.ops;
+  Printf.printf "updates            %d\n" run.M.E.updates_total;
+  Printf.printf "wall               %.4f s\n" run.M.E.wall_seconds;
+  Printf.printf "throughput         %.0f ops/sec\n" run.M.E.throughput;
+  Printf.printf "latency p50 / p99  %.2f / %.2f us\n" p50 p99;
   Printf.printf "mailbox depth max  %d (stalls %d)\n"
-    r.Throughput.mailbox_max_depth r.Throughput.mailbox_stalls;
-  print_differential v.B.oracle r.Throughput.ok
-    ~legs:
-      (( "sequential runner",
-         match v.B.runner_matches with
-         | None -> "n/a (non-commutative)"
-         | Some b -> string_of_bool b )
+    (Array.fold_left
+       (fun acc r -> max acc r.Parallel_engine.mailbox_max_depth)
+       0 reports)
+    (Array.fold_left
+       (fun acc r -> acc + r.Parallel_engine.mailbox_stalls)
+       0 reports);
+  (* The verdict: the converged state on one line, clipped; the four
+     clauses, then the measure's own legs; the PASS/FAIL line. *)
+  let state = v.M.oracle.Throughput.state_repr in
+  Printf.printf "converged state    %s\n"
+    (if String.length state <= 96 then state else String.sub state 0 93 ^ "...");
+  List.iter
+    (fun (k, v) -> Printf.printf "  %-22s %s\n" k v)
+    (List.map
+       (fun (k, b) -> (k, string_of_bool b))
+       (Throughput.clauses v.M.oracle)
+    @ ( "sequential runner",
+        match v.M.runner_matches with
+        | None -> "n/a (non-commutative)"
+        | Some b -> string_of_bool b )
       ::
-      (match v.B.journal_replay with
+      (match v.M.journal_replay with
       | None -> []
       | Some b -> [ ("journal replay", string_of_bool b) ]));
-  (match v.B.recording with
+  Printf.printf "differential       %s\n" (if ok then "PASS" else "FAIL");
+  (match v.M.recording with
   | None -> ()
   | Some rc ->
-    (match rc.B.replay with
+    (match rc.M.replay with
     | Ok fp ->
       Printf.printf "flight recorder    %d events, fingerprint %s\n"
-        (Obs.Journal.length rc.B.journal)
+        (Obs.Journal.length rc.M.journal)
         fp
     | Error msg -> Printf.printf "flight recorder    REPLAY FAILED: %s\n" msg);
     (match journal_out with
     | None -> ()
     | Some file ->
       let oc = open_out file in
-      output_string oc (Obs.Journal.to_jsonl rc.B.journal);
+      output_string oc (Obs.Journal.to_jsonl rc.M.journal);
       close_out oc;
       Printf.printf "journal written    %s (%d events)\n" file
-        (Obs.Journal.length rc.B.journal));
+        (Obs.Journal.length rc.M.journal));
     (match series_out with
     | None -> ()
     | Some file ->
@@ -1880,25 +1925,32 @@ let bench_exec (ps : Run_spec.parallel) ~obs ~journal_out ~series_out ~monitors
       in
       let store =
         Throughput.series_of_events ~interval:sample_interval
-          ~sink:(Obs.Series.write_point w) rc.B.events
+          ~sink:(Obs.Series.write_point w) rc.M.events
       in
       Obs.Series.close_writer w;
       close_out oc;
       Printf.printf "series written     %s (%d series)\n" file
         (List.length (Obs.Series.list store)));
-    match rc.B.monitor with
+    match rc.M.monitor with
     | None -> ()
     | Some mon ->
       print_monitor_report ~criteria:monitors
-        ~events:(B.Mon.events_seen mon)
-        (B.Mon.violations mon));
-  r
+        ~events:(M.Mon.events_seen mon)
+        (M.Mon.violations mon));
+  List.iter print_endline (W.lines v);
+  Option.iter
+    (fun o ->
+      Obs.finalize o ~live:[];
+      Format.printf "telemetry:@.%a@." Obs.Registry.pp o.Obs.registry)
+    obs;
+  if not ok then exit 1
 
 let bench_cmd =
   let doc =
     "Run the multicore replica engine: one domain per replica executing the \
-     universal construction, bounded MPSC mailboxes in between, and the \
-     Proposition 4 parallel-vs-sequential differential as the verdict. With \
+     universal construction (or, with $(b,--shards), the sharded object \
+     space), bounded MPSC mailboxes in between, and the Proposition 4 \
+     parallel-vs-sequential differential as the verdict. With \
      any of $(b,--journal-out), $(b,--series-out) or $(b,--monitor) the run \
      is flight-recorded: per-domain lock-free event capture, merged into a \
      replayable journal, checked by re-executing the recorded delivery \
@@ -1928,7 +1980,8 @@ let bench_cmd =
       & info [ "zipf" ] ~docv:"S"
           ~doc:
             "Zipf skew for the contended set workload (set spec only; 0 = \
-             uniform random updates).")
+             uniform random updates, and no --query-ratio otherwise), or of \
+             the keys with --shards.")
   in
   let query_ratio_arg =
     Arg.(
@@ -1938,19 +1991,22 @@ let bench_cmd =
   in
   let shards_arg =
     Arg.(
-      value & opt int 1
+      value
+      & opt (some int) None
       & info [ "shards" ] ~docv:"S"
           ~doc:
-            "Run the sharded object space (set spec) over $(docv) shards on a \
-             static consistent-hash ring, with the same Proposition 4 \
-             differential as the verdict. 1 (the default) benches the \
-             single-object protocols.")
+            "Bench the sharded object space (set spec only) over $(docv) \
+             shards on a static consistent-hash ring, instead of one core \
+             per domain: the same measure, flight recorder and monitors, \
+             and a journal `ucsim replay` re-executes. Its workload is \
+             multi-key update batches over a Zipf-skewed key space (skew \
+             --zipf, 1.1 when that is 0).")
   in
   let keys_arg =
     Arg.(
       value & opt int 1024
       & info [ "keys" ] ~docv:"K"
-          ~doc:"Key domain of the sharded workload (with --shards > 1).")
+          ~doc:"Key domain of the sharded workload (with --shards).")
   in
   let fanout_arg =
     Arg.(
@@ -1958,7 +2014,7 @@ let bench_cmd =
       & info [ "fanout" ] ~docv:"W"
           ~doc:
             "Maximum keys per update batch in the sharded workload (with \
-             --shards > 1).")
+             --shards).")
   in
   let mailbox_arg =
     Arg.(
@@ -2022,6 +2078,7 @@ let bench_cmd =
   let run spec domains ops zipf seed query_ratio shards keys fanout mailbox
       batch flush_window obs_flag journal_out series_out monitors
       sample_interval =
+    let space = Option.map (fun shards -> { Run_spec.shards; keys; fanout }) shards in
     let ps =
       {
         Run_spec.spec;
@@ -2029,74 +2086,22 @@ let bench_cmd =
         domains;
         ops;
         query_ratio;
-        (* the Zipf skew selects the contended set workload; any other
-           workload is uniform *)
-        zipf = (if spec = "set" && zipf > 0.0 then zipf else 0.0);
+        (* the skew the scripts are drawn with: the sharded space always
+           draws Zipf keys, and otherwise a skew selects the contended
+           set workload, any other workload being uniform *)
+        zipf =
+          (match space with
+          | Some _ -> if zipf > 0.0 then zipf else 1.1
+          | None -> if spec = "set" && zipf > 0.0 then zipf else 0.0);
         batch;
         flush_window;
         mailbox;
+        space;
       }
     in
     check_spec ~cmd:"bench" (Parallel ps);
-    if shards > 1 then
-      check_flags ~cmd:"bench"
-        Run_spec.[ ("keys", At_least (1, keys)); ("fanout", At_least (1, fanout)) ];
     let obs = if obs_flag then Some (Obs.create ()) else None in
-    if
-      shards > 1
-      && (journal_out <> None || series_out <> None || monitors <> [])
-    then begin
-      Printf.eprintf
-        "bench: the flight recorder targets the one-core-per-domain engine; \
-         --shards > 1 cannot be combined with --journal-out, --series-out \
-         or --monitor\n";
-      exit 1
-    end;
-    if shards > 1 then begin
-      (* The sharded space runs the set spec; per-shard Prop 4 verdict. *)
-      let module B = Throughput.Sharded (Set_spec) (Update_codec.For_set) in
-      let skew = if zipf > 0.0 then zipf else 1.1 in
-      let scripts =
-        B.zipf_scripts ~seed ~domains ~ops ~keys ~skew ~fanout ~query_ratio
-      in
-      let v =
-        B.measure ~mailbox_capacity:mailbox ~batch_every:batch ~flush_window
-          ?obs ~shards ~domains ~scripts ()
-      in
-      let r = B.row ~keys ~skew ~fanout v in
-      Printf.printf "spec               %s (sharded)\n" r.Throughput.shard_spec;
-      Printf.printf "shards             %d (static ring)\n" r.Throughput.shards;
-      Printf.printf "domains            %d (machine recommends %d)\n"
-        r.Throughput.shard_domains
-        (Domain.recommended_domain_count ());
-      Printf.printf "keys / skew / fan  %d / %.2f / %d\n" r.Throughput.keys
-        r.Throughput.skew r.Throughput.fanout;
-      Printf.printf "ops                %d total, %d keyed sub-updates\n"
-        r.Throughput.shard_total_ops r.Throughput.keyed_updates;
-      Printf.printf "wall               %.4f s\n" r.Throughput.shard_wall_s;
-      Printf.printf "throughput         %.0f ops/sec\n"
-        r.Throughput.shard_ops_per_sec;
-      Printf.printf "shard log spread   min %d / max %d\n"
-        r.Throughput.shard_log_min r.Throughput.shard_log_max;
-      print_differential v.B.oracle r.Throughput.shard_ok ~legs:[];
-      Option.iter
-        (fun o ->
-          Obs.finalize o ~live:[];
-          Format.printf "telemetry:@.%a@." Obs.Registry.pp o.Obs.registry)
-        obs;
-      if not r.Throughput.shard_ok then exit 1
-    end
-    else begin
-    let row =
-      bench_exec ps ~obs ~journal_out ~series_out ~monitors ~sample_interval
-    in
-    Option.iter
-      (fun o ->
-        Obs.finalize o ~live:[];
-        Format.printf "telemetry:@.%a@." Obs.Registry.pp o.Obs.registry)
-      obs;
-    if not row.Throughput.ok then exit 1
-    end
+    bench_exec ps ~obs ~journal_out ~series_out ~monitors ~sample_interval
   in
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(

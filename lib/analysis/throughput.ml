@@ -12,7 +12,7 @@
    1. their certificates agree ([Protocol.Certificate.agree]);
    2. every ω answer equals the query on replica 0's certificate folded
       through [apply];
-   3. a replica rebuilt by the caller's restore path answers the same;
+   3. a replica rebuilt by the core's restore path answers the same;
    4. the certificate holds exactly the updates the clients issued.
 
    Log agreement is no clause of its own: with unique timestamps and no
@@ -20,8 +20,10 @@
    issued entries (DESIGN §4f). Any mismatch is a bug in the engine (or
    a domain-safety bug in the cores), never schedule noise — which is
    exactly why the CI smoke can gate on it while throughput numbers
-   remain hardware-dependent. [Bench] adds its own legs: the sequential
-   [Runner] for commutative specs, and the flight-recorder replay. *)
+   remain hardware-dependent. [Make] is the one measure over any core:
+   the engine run, the oracle, the sequential [Runner] for commutative
+   specs, and the flight-recorder replay. [Bench] and [Sharded] are its
+   two instantiations, the one core and the sharded space. *)
 
 let dummy_ctx ~pid ~n : _ Protocol.ctx =
   {
@@ -35,21 +37,6 @@ let dummy_ctx ~pid ~n : _ Protocol.ctx =
     count_replay = (fun _ -> ());
     obs = None;
   }
-
-type row = {
-  spec : string;
-  domains : int;
-  ops_per_domain : int;
-  total_ops : int;
-  updates : int;
-  wall_s : float;
-  ops_per_sec : float;
-  p50_us : float;
-  p99_us : float;
-  mailbox_max_depth : int;
-  mailbox_stalls : int;
-  ok : bool;
-}
 
 type oracle = {
   certificates_agree : bool;
@@ -151,12 +138,93 @@ let per_domain ~seed ~domains script =
   let root = Prng.create seed in
   Array.init domains (fun _ -> script (Prng.fork root))
 
-module Bench (A : Uqadt.S) = struct
-  module G = Generic.Make (A)
-  module E = Parallel_engine.Make (G)
-  module O = Oracle (G)
-  module Seq = Runner.Make (G)
-  module Mon = Obs.Monitor.Make (A)
+module type MEASURE = sig
+  module P : Protocol.PROTOCOL
+  module E : module type of Parallel_engine.Make (P)
+  module Mon : module type of Obs.Monitor.Make (P)
+
+  type recording = {
+    events : Obs.Recorder.event list;
+    journal : Obs.Journal.t;
+    fingerprint : string;
+    replay : (string, string) result;
+    monitor : Mon.t option;
+  }
+
+  type verdict = {
+    run : E.result;
+    latency : Stats.summary option;
+    issued : int;
+    oracle : oracle;
+    runner_matches : bool option;
+    journal_replay : bool option;
+    recording : recording option;
+  }
+
+  val ok : verdict -> bool
+
+  val measure :
+    ?mailbox_capacity:int ->
+    ?batch_every:int ->
+    ?flush_window:int ->
+    ?obs:Obs.t ->
+    ?recorder:Obs.Recorder.t ->
+    ?monitor:Obs.Monitor.criterion list ->
+    ?journal_header:(string * Obs.Json.t) list ->
+    domains:int ->
+    final_read:P.query ->
+    scripts:(P.update, P.query) Protocol.invocation list array ->
+    unit ->
+    verdict
+
+  val history_of_events :
+    scripts:(P.update, P.query) Protocol.invocation list array ->
+    final_read:P.query ->
+    query_outputs:P.output list array ->
+    omega_outputs:(int * P.output) list ->
+    Obs.Recorder.event list ->
+    (P.update, P.query, P.output) History.t
+
+  val journal_of_events :
+    ?header:(string * Obs.Json.t) list ->
+    scripts:(P.update, P.query) Protocol.invocation list array ->
+    final_read:P.query ->
+    query_outputs:P.output list array ->
+    omega_outputs:(int * P.output) list ->
+    Obs.Recorder.event list ->
+    Obs.Journal.t
+
+  val replay_journal :
+    scripts:(P.update, P.query) Protocol.invocation list array ->
+    final_read:P.query ->
+    Obs.Journal.t ->
+    (string, string) result
+
+  val feed_monitor :
+    criteria:Obs.Monitor.criterion list ->
+    scripts:(P.update, P.query) Protocol.invocation list array ->
+    final_read:P.query ->
+    query_outputs:P.output list array ->
+    omega_outputs:(int * P.output) list ->
+    Obs.Recorder.event list ->
+    Mon.t
+end
+
+(* The one measure. The cores differ in two things only, which [R]
+   supplies: how a fresh replica is rebuilt from a converged one
+   (clause 3), and how many certificate entries an update issues
+   (clause 4). *)
+module Make
+    (P : Protocol.PROTOCOL)
+    (R : sig
+      val restore : into:P.t -> P.t -> bool
+      val entries : P.update -> int
+    end) =
+struct
+  module E = Parallel_engine.Make (P)
+  module O = Oracle (P)
+  module Seq = Runner.Make (P)
+  module Mon = Obs.Monitor.Make (P)
 
   type recording = {
     events : Obs.Recorder.event list;  (* merged (lamport, pid, seq) *)
@@ -171,6 +239,7 @@ module Bench (A : Uqadt.S) = struct
   type verdict = {
     run : E.result;
     latency : Stats.summary option;
+    issued : int;  (* certificate entries the scripts issue *)
     oracle : oracle;
     runner_matches : bool option;  (* [None] for non-commutative specs *)
     journal_replay : bool option;  (* [None] when no recorder was attached *)
@@ -195,7 +264,7 @@ module Bench (A : Uqadt.S) = struct
   (* Walk the merged stream, resolving invocations to typed values.
      [on_update] and [on_query] receive the event's index in the merged
      stream — which is also its journal event index. *)
-  let walk_stream ~scripts ~(final_read : A.query) ~query_outputs
+  let walk_stream ~scripts ~(final_read : P.query) ~query_outputs
       ~omega_outputs ~on_update ~on_query ~on_other events =
     let cursors = Array.map (fun s -> ref s) scripts in
     let out_cursors = Array.map (fun o -> ref o) query_outputs in
@@ -268,7 +337,7 @@ module Bench (A : Uqadt.S) = struct
     History.make (Array.to_list (Array.map List.rev lines))
 
   let history_fingerprint h =
-    History.fingerprint A.pp_update A.pp_query A.pp_output h
+    History.fingerprint P.pp_update P.pp_query P.pp_output h
 
   (* Rebuild a standard journal from the merged stream. Frame arrival
      times are patched from the matching deliver record (per-(src,dst)
@@ -312,7 +381,7 @@ module Bench (A : Uqadt.S) = struct
                pid;
                time = wall;
                span = None;
-               label = Format.asprintf "%a" A.pp_update u;
+               label = Format.asprintf "%a" P.pp_update u;
              }))
       ~on_query:(fun ~pid ~index:_ ~wall ~omega q o ->
         Obs.Journal.record journal
@@ -322,8 +391,8 @@ module Bench (A : Uqadt.S) = struct
                invoked = wall;
                completed = wall;
                span = None;
-               label = Format.asprintf "%a" A.pp_query q;
-               output = Format.asprintf "%a" A.pp_output o;
+               label = Format.asprintf "%a" P.pp_query q;
+               output = Format.asprintf "%a" P.pp_output o;
                omega;
              }))
       ~on_other:(fun ~index ev ->
@@ -356,14 +425,14 @@ module Bench (A : Uqadt.S) = struct
     journal
 
   (* ------------------------- replay bridge --------------------------
-     Re-execute a recorded journal on the sequential core: one [G]
+     Re-execute a recorded journal on the sequential core: one [P]
      replica per domain whose sends are captured into per-(src,dst) FIFO
      queues, so a [Deliver] journal event pops exactly the messages the
      recorded frame carried. The per-replica event order reproduces each
      replica's timestamp evolution, hence its outputs, hence the history
      fingerprint — Proposition 4 made executable. *)
 
-  let replay_journal ~scripts ~(final_read : A.query) journal =
+  let replay_journal ~scripts ~(final_read : P.query) journal =
     let n = Array.length scripts in
     let queues = Array.init n (fun _ -> Array.init n (fun _ -> Queue.create ())) in
     let capture_ctx pid : _ Protocol.ctx =
@@ -388,7 +457,7 @@ module Bench (A : Uqadt.S) = struct
         obs = None;
       }
     in
-    let replicas = Array.init n (fun pid -> G.create (capture_ctx pid)) in
+    let replicas = Array.init n (fun pid -> P.create (capture_ctx pid)) in
     let cursors = Array.map (fun s -> ref s) scripts in
     let lines = Array.make n [] in
     let next_inv pid =
@@ -405,7 +474,7 @@ module Bench (A : Uqadt.S) = struct
           | Update { pid; _ } -> (
             match next_inv pid with
             | Protocol.Invoke_update u ->
-              G.update replicas.(pid) u ~on_done:ignore;
+              P.update replicas.(pid) u ~on_done:ignore;
               lines.(pid) <- History.U u :: lines.(pid)
             | Protocol.Invoke_query _ ->
               stream_error "replay: update event where script has a query")
@@ -433,7 +502,7 @@ module Bench (A : Uqadt.S) = struct
                   "replay: deliver %d->%d exceeds the captured sends" src dst;
               msgs := Queue.pop queues.(src).(dst) :: !msgs
             done;
-            G.receive_batch replicas.(dst) ~src (List.rev !msgs)
+            P.receive_batch replicas.(dst) ~src (List.rev !msgs)
           | Frame _ | Stall _ -> ()
           | Drop _ | Crash _ | Join _ | Leave _ | Partition _ | Probe _
           | Rebalance _ | Shard _ | Alert _ ->
@@ -464,20 +533,12 @@ module Bench (A : Uqadt.S) = struct
       ~on_other:(fun ~index:_ _ -> ());
     mon
 
-  let uniform_scripts ~seed ~domains ~ops ~query_ratio =
-    per_domain ~seed ~domains (fun g ->
-        (* explicit loop: the draw order is part of the determinism
-           contract, and [List.init]'s evaluation order is not *)
-        let acc = ref [] in
-        for _ = 1 to ops do
-          let inv =
-            if query_ratio > 0.0 && Prng.float g 1.0 < query_ratio then
-              Protocol.Invoke_query (A.random_query g)
-            else Protocol.Invoke_update (A.random_update g)
-          in
-          acc := inv :: !acc
-        done;
-        List.rev !acc)
+  let issued scripts =
+    Array.fold_left
+      (List.fold_left (fun acc -> function
+         | Protocol.Invoke_update u -> acc + R.entries u
+         | Protocol.Invoke_query _ -> acc))
+      0 scripts
 
   let measure ?(mailbox_capacity = 1024) ?(batch_every = 1) ?(flush_window = 0)
       ?obs ?recorder ?monitor ?journal_header ~domains ~final_read ~scripts () =
@@ -493,22 +554,20 @@ module Bench (A : Uqadt.S) = struct
       }
     in
     let run = E.run cfg ~workload:scripts in
-    (* The sequential core restores the converged log through the exact
-       persistence-restore path the crash-recovery tests exercise. *)
     let restore r =
-      let fresh = G.create (dummy_ctx ~pid:0 ~n:1) in
-      G.restore_log fresh (G.local_log r);
-      Some fresh
+      let fresh = P.create (dummy_ctx ~pid:0 ~n:domains) in
+      if R.restore ~into:fresh r then Some fresh else None
     in
+    let issued = issued scripts in
     let oracle =
-      O.check ~restore ~final_read ~issued:run.E.updates_total
-        ~outputs:run.E.outputs run.E.replicas
+      O.check ~restore ~final_read ~issued ~outputs:run.E.outputs
+        run.E.replicas
     in
     (* Sound only under commutativity: the virtual-time runner assigns
        different timestamps, and order-independence is what erases that
        difference. *)
     let runner_matches =
-      if not A.commutative then None
+      if not P.commutative then None
       else begin
         let sc =
           {
@@ -521,7 +580,7 @@ module Bench (A : Uqadt.S) = struct
           (match sr.Seq.final_outputs with
           | (_, o) :: _ ->
             sr.Seq.converged
-            && List.for_all (fun (_, e) -> A.equal_output o e) run.E.outputs
+            && List.for_all (fun (_, e) -> P.equal_output o e) run.E.outputs
           | [] -> false)
       end
     in
@@ -550,6 +609,7 @@ module Bench (A : Uqadt.S) = struct
     {
       run;
       latency = E.latency_summary run;
+      issued;
       oracle;
       runner_matches;
       journal_replay =
@@ -558,149 +618,64 @@ module Bench (A : Uqadt.S) = struct
           recording;
       recording;
     }
-
-  let row ~ops_per_domain v =
-    let p50, p99 =
-      match v.latency with
-      | None -> (0.0, 0.0)
-      | Some s -> (s.Stats.p50 *. 1e6, s.Stats.p99 *. 1e6)
-    in
-    let reports = v.run.E.reports in
-    {
-      spec = A.name;
-      domains = Array.length reports;
-      ops_per_domain;
-      total_ops = v.run.E.ops_total;
-      updates = v.run.E.updates_total;
-      wall_s = v.run.E.wall_seconds;
-      ops_per_sec = v.run.E.throughput;
-      p50_us = p50;
-      p99_us = p99;
-      mailbox_max_depth =
-        Array.fold_left
-          (fun acc r -> max acc r.Parallel_engine.mailbox_max_depth)
-          0 reports;
-      mailbox_stalls =
-        Array.fold_left
-          (fun acc r -> acc + r.Parallel_engine.mailbox_stalls)
-          0 reports;
-      ok = ok v;
-    }
 end
 
-type shard_row = {
-  shard_spec : string;
-  shards : int;
-  shard_domains : int;
-  keys : int;
-  skew : float;
-  fanout : int;
-  shard_total_ops : int;
-  keyed_updates : int;
-  shard_wall_s : float;
-  shard_ops_per_sec : float;
-  shard_log_max : int;
-  shard_log_min : int;
-  shard_ok : bool;
-}
+module Bench (A : Uqadt.S) = struct
+  module G = Generic.Make (A)
 
-(* The same oracle over the space: one Lamport clock per shard, and
-   every shard's entries in the one certificate, merged in timestamp
-   order. Conservation counts {e keyed} sub-updates: one client batch of
-   width w contributes w certificate entries. *)
-module Sharded
-    (A : Uqadt.S)
-    (C : Update_codec.S with type update = A.update) =
-struct
-  module S = Space.Make (A) (C)
-  module E = Parallel_engine.Make (S)
-  module O = Oracle (S)
+  (* The sequential core restores the converged log through the exact
+     persistence-restore path the crash-recovery tests exercise. *)
+  include
+    Make
+      (G)
+      (struct
+        let restore ~into r =
+          G.restore_log into (G.local_log r);
+          true
 
-  type verdict = {
-    run : E.result;
-    latency : Stats.summary option;
-    shards : int;
-    keyed_total : int;
-    oracle : oracle;
-    shard_lengths : (int * int) list;
-  }
+        let entries _ = 1
+      end)
 
-  let ok v = holds v.oracle
+  let uniform_scripts ~seed ~domains ~ops ~query_ratio =
+    per_domain ~seed ~domains (fun g ->
+        (* explicit loop: the draw order is part of the determinism
+           contract, and [List.init]'s evaluation order is not *)
+        let acc = ref [] in
+        for _ = 1 to ops do
+          let inv =
+            if query_ratio > 0.0 && Prng.float g 1.0 < query_ratio then
+              Protocol.Invoke_query (A.random_query g)
+            else Protocol.Invoke_update (A.random_update g)
+          in
+          acc := inv :: !acc
+        done;
+        List.rev !acc)
+end
+
+(* The set space under the same oracle: one Lamport clock per shard,
+   and every shard's entries in the one certificate, merged in
+   timestamp order. A client batch of width w issues w certificate
+   entries, and the whole-space snapshot/absorb pair that churn
+   catch-up rides is the restore path. *)
+module Sharded = struct
+  module S = Space.Make (Set_spec) (Update_codec.For_set)
+
+  include
+    Make
+      (S)
+      (struct
+        let restore ~into r =
+          match S.snapshot r with Some frame -> S.absorb into frame | None -> false
+
+        let entries = List.length
+      end)
 
   let zipf_scripts ~seed ~domains ~ops ~keys ~skew ~fanout ~query_ratio =
     per_domain ~seed ~domains (fun rng ->
         (Workload.For_space.zipf_scripts ~rng ~n:1 ~ops_per_process:ops ~keys
-           ~skew ~fanout ~query_ratio ~update:A.random_update
-           ~query:A.random_query
+           ~skew ~fanout ~query_ratio ~update:Set_spec.random_update
+           ~query:Set_spec.random_query
            ~read:(fun k q -> S.K.Read (k, q))).(0))
-
-  let keyed_total scripts =
-    Array.fold_left
-      (fun acc script ->
-        List.fold_left
-          (fun acc -> function
-            | Protocol.Invoke_update kus -> acc + List.length kus
-            | Protocol.Invoke_query _ -> acc)
-          acc script)
-      0 scripts
-
-  let measure ?(mailbox_capacity = 1024) ?(batch_every = 1) ?(flush_window = 0)
-      ?obs ~shards ~domains ~scripts () =
-    (* Static ring: no policy, so replicas never mutate shared ring
-       state during the parallel run. *)
-    let map = S.create_map ?obs ~shards () in
-    S.configure map;
-    let cfg =
-      {
-        E.domains;
-        mailbox_capacity;
-        batch_every;
-        flush_window;
-        final_read = Some S.K.Sweep;
-        obs;
-        (* Sharded-space recording is out of scope: the flight recorder
-           targets the one-core-per-domain engine (the CLI rejects the
-           combination). *)
-        recorder = None;
-      }
-    in
-    let run = E.run cfg ~workload:scripts in
-    (* The whole-space snapshot/absorb path that churn catch-up rides. *)
-    let restore r =
-      Option.bind (S.snapshot r) (fun frame ->
-          let fresh = S.create (dummy_ctx ~pid:0 ~n:domains) in
-          if S.absorb fresh frame then Some fresh else None)
-    in
-    let keyed = keyed_total scripts in
-    {
-      run;
-      latency = E.latency_summary run;
-      shards;
-      keyed_total = keyed;
-      oracle =
-        O.check ~restore ~final_read:S.K.Sweep ~issued:keyed
-          ~outputs:run.E.outputs run.E.replicas;
-      shard_lengths = S.shard_log_lengths run.E.replicas.(0);
-    }
-
-  let row ~keys ~skew ~fanout v : shard_row =
-    let lens = List.map snd v.shard_lengths in
-    {
-      shard_spec = A.name;
-      shards = v.shards;
-      shard_domains = Array.length v.run.E.reports;
-      keys;
-      skew;
-      fanout;
-      shard_total_ops = v.run.E.ops_total;
-      keyed_updates = v.keyed_total;
-      shard_wall_s = v.run.E.wall_seconds;
-      shard_ops_per_sec = v.run.E.throughput;
-      shard_log_max = List.fold_left max 0 lens;
-      shard_log_min =
-        (match lens with [] -> 0 | x :: r -> List.fold_left min x r);
-      shard_ok = ok v;
-    }
 end
 
 (* The Zipf-skewed or-set workload the sequential experiments use,

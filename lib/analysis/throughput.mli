@@ -4,34 +4,19 @@
     Whatever delivery order the OS schedule produced, a
     strong-update-consistent run must end in the state its timestamp
     order folds to. {!Oracle} checks that over the replicas it is
-    handed, in the four clauses of {!oracle}, for {!Bench} and
-    {!Sharded} alike. {!Bench} adds its own legs: for commutative specs,
-    a sequential {!Runner} of the same scripts (at seed 0) reaching the
-    engine's ω answers; and with a flight recorder ({!Obs.Recorder})
-    attached, the recorded delivery order replaying on the sequential
-    core to the recorded fingerprint ({!Bench.replay_journal}).
-    {!Bench.ok} and {!Sharded.ok} are the conjunctions; CI gates on
-    them. *)
+    handed, in the four clauses of {!oracle}. {!Make} is the one
+    measure over any core: the engine run, the oracle, for commutative
+    specs a sequential {!Runner} of the same scripts (at seed 0)
+    reaching the engine's ω answers, and with a flight recorder
+    ({!Obs.Recorder}) attached, the recorded delivery order replaying on
+    the sequential core to the recorded fingerprint
+    ({!MEASURE.replay_journal}). {!Bench} instantiates it on the one
+    core and {!Sharded} on the sharded space; {!MEASURE.ok} is the
+    conjunction CI gates on. *)
 
 val dummy_ctx : pid:int -> n:int -> 'msg Protocol.ctx
 (** A context that drops every message — for replicas used as
     sequential replay oracles. *)
-
-type row = {
-  spec : string;
-  domains : int;
-  ops_per_domain : int;
-  total_ops : int;
-  updates : int;
-  wall_s : float;
-  ops_per_sec : float;
-  p50_us : float;
-  p99_us : float;
-  mailbox_max_depth : int;
-  mailbox_stalls : int;
-  ok : bool;  (** the differential verdict, never a throughput bound *)
-}
-(** One run's summary, as [ucsim bench] prints it. *)
 
 type oracle = {
   certificates_agree : bool;  (** 1: {!Protocol.Certificate.agree} *)
@@ -79,11 +64,13 @@ val series_of_events :
     holds the decimating rings, of {!Obs.Series.sampler}'s default
     capacity. Spec-agnostic: only event kinds are read. *)
 
-module Bench (A : Uqadt.S) : sig
-  module G : Generic.S with type update = A.update and type query = A.query
-                        and type output = A.output and type state = A.state
-  module E : module type of Parallel_engine.Make (G)
-  module Mon : module type of Obs.Monitor.Make (A)
+(** What {!Make} builds over a core [P]. Each instantiation substitutes
+    its core for [P], so one signature serves the one core, the space,
+    and the command line that runs either. *)
+module type MEASURE = sig
+  module P : Protocol.PROTOCOL
+  module E : module type of Parallel_engine.Make (P)
+  module Mon : module type of Obs.Monitor.Make (P)
 
   type recording = {
     events : Obs.Recorder.event list;
@@ -102,6 +89,9 @@ module Bench (A : Uqadt.S) : sig
   type verdict = {
     run : E.result;
     latency : Stats.summary option;
+    issued : int;
+        (** certificate entries the scripts issue: their updates, or
+            the space's keyed sub-updates (Σ batch widths) *)
     oracle : oracle;
     runner_matches : bool option;  (** [None] for non-commutative specs *)
     journal_replay : bool option;
@@ -110,16 +100,6 @@ module Bench (A : Uqadt.S) : sig
   }
 
   val ok : verdict -> bool
-
-  val uniform_scripts :
-    seed:int ->
-    domains:int ->
-    ops:int ->
-    query_ratio:float ->
-    (A.update, A.query) Protocol.invocation list array
-  (** One {!Prng.fork}ed client stream per domain off [seed]; each
-      script mixes [A.random_update] with [A.random_query] at
-      [query_ratio]. A pure function of its arguments. *)
 
   val measure :
     ?mailbox_capacity:int ->
@@ -130,26 +110,26 @@ module Bench (A : Uqadt.S) : sig
     ?monitor:Obs.Monitor.criterion list ->
     ?journal_header:(string * Obs.Json.t) list ->
     domains:int ->
-    final_read:A.query ->
-    scripts:(A.update, A.query) Protocol.invocation list array ->
+    final_read:P.query ->
+    scripts:(P.update, P.query) Protocol.invocation list array ->
     unit ->
     verdict
   (** Run the engine on the scripts with an ω [final_read] everywhere,
-      then the {!Oracle}, restoring a fresh sequential-core replica
-      from replica 0's log ([Generic.restore_log], the crash-recovery
-      path), and for commutative specs the sequential {!Runner}. With
-      [?recorder] the run is also recorded: the merged stream becomes a
-      sealed journal (header fields from [?journal_header]), the replay
-      bridge verdict lands in [journal_replay], and [?monitor] criteria
-      are checked online over the same stream. *)
+      then the {!Oracle}, restoring a fresh replica from replica 0 by
+      the core's restore path, and for commutative specs the
+      sequential {!Runner}. With [?recorder] the run is also recorded:
+      the merged stream becomes a sealed journal (header fields from
+      [?journal_header]), the replay bridge verdict lands in
+      [journal_replay], and [?monitor] criteria are checked online over
+      the same stream. *)
 
   val history_of_events :
-    scripts:(A.update, A.query) Protocol.invocation list array ->
-    final_read:A.query ->
-    query_outputs:A.output list array ->
-    omega_outputs:(int * A.output) list ->
+    scripts:(P.update, P.query) Protocol.invocation list array ->
+    final_read:P.query ->
+    query_outputs:P.output list array ->
+    omega_outputs:(int * P.output) list ->
     Obs.Recorder.event list ->
-    (A.update, A.query, A.output) History.t
+    (P.update, P.query, P.output) History.t
   (** Resolve a merged recorder stream against the (regenerated)
       scripts and the run's recorded outputs into a {!History}: one
       line per domain in program order, ω read last. The recorder
@@ -160,10 +140,10 @@ module Bench (A : Uqadt.S) : sig
 
   val journal_of_events :
     ?header:(string * Obs.Json.t) list ->
-    scripts:(A.update, A.query) Protocol.invocation list array ->
-    final_read:A.query ->
-    query_outputs:A.output list array ->
-    omega_outputs:(int * A.output) list ->
+    scripts:(P.update, P.query) Protocol.invocation list array ->
+    final_read:P.query ->
+    query_outputs:P.output list array ->
+    omega_outputs:(int * P.output) list ->
     Obs.Recorder.event list ->
     Obs.Journal.t
   (** The merged stream as a standard journal, in merge order:
@@ -173,8 +153,8 @@ module Bench (A : Uqadt.S) : sig
       {!history_of_events} fingerprint. @raise Failure as above. *)
 
   val replay_journal :
-    scripts:(A.update, A.query) Protocol.invocation list array ->
-    final_read:A.query ->
+    scripts:(P.update, P.query) Protocol.invocation list array ->
+    final_read:P.query ->
     Obs.Journal.t ->
     (string, string) result
   (** Re-execute a recorded journal on the {e sequential} core: one
@@ -187,58 +167,60 @@ module Bench (A : Uqadt.S) : sig
 
   val feed_monitor :
     criteria:Obs.Monitor.criterion list ->
-    scripts:(A.update, A.query) Protocol.invocation list array ->
-    final_read:A.query ->
-    query_outputs:A.output list array ->
-    omega_outputs:(int * A.output) list ->
+    scripts:(P.update, P.query) Protocol.invocation list array ->
+    final_read:P.query ->
+    query_outputs:P.output list array ->
+    omega_outputs:(int * P.output) list ->
     Obs.Recorder.event list ->
     Mon.t
   (** Feed the merged stream through the online monitors; violation
       indices are journal event indices (the walk is the same one
       {!journal_of_events} uses). *)
-
-  val row : ops_per_domain:int -> verdict -> row
 end
 
-type shard_row = {
-  shard_spec : string;
-  shards : int;
-  shard_domains : int;
-  keys : int;
-  skew : float;
-  fanout : int;
-  shard_total_ops : int;
-  keyed_updates : int;  (** keyed sub-updates issued (Σ batch widths) *)
-  shard_wall_s : float;
-  shard_ops_per_sec : float;
-  shard_log_max : int;  (** longest per-shard log — skew made visible *)
-  shard_log_min : int;
-  shard_ok : bool;  (** the oracle's verdict *)
-}
-(** One sharded run's summary, as [ucsim bench --shards] prints it. *)
+(** The one measure over core [P]. [R.restore ~into r] rebuilds the
+    fresh replica [into] from the converged replica [r] ([false]: the
+    restore failed), and [R.entries u] counts the certificate entries
+    update [u] issues. *)
+module Make
+    (P : Protocol.PROTOCOL)
+    (R : sig
+      val restore : into:P.t -> P.t -> bool
+      val entries : P.update -> int
+    end) : MEASURE with module P := P
 
-(** The {!Oracle} over the sharded {!Space}: each shard stamps its
-    keys' updates with its own Lamport clock, and the certificate
+(** The measure on the one core: {!Generic.Make}, restored by
+    [restore_log] of [local_log] (the crash-recovery path), one
+    certificate entry per update. *)
+module Bench (A : Uqadt.S) : sig
+  module G : Generic.S with type update = A.update and type query = A.query
+                        and type output = A.output and type state = A.state
+
+  include MEASURE with module P := G
+
+  val uniform_scripts :
+    seed:int ->
+    domains:int ->
+    ops:int ->
+    query_ratio:float ->
+    (A.update, A.query) Protocol.invocation list array
+  (** One {!Prng.fork}ed client stream per domain off [seed]; each
+      script mixes [A.random_update] with [A.random_query] at
+      [query_ratio]. A pure function of its arguments. *)
+end
+
+(** The measure on the sharded {!Space} of the set: each shard stamps
+    its keys' updates with its own Lamport clock, and the certificate
     merges every shard's entries in timestamp order, so the four
     clauses read as they do for one core. The restore path is the
-    whole-space snapshot/absorb pair (churn catch-up), and the issued
-    count is the keyed sub-updates (Σ batch widths). *)
-module Sharded
-    (A : Uqadt.S)
-    (C : Update_codec.S with type update = A.update) : sig
-  module S : module type of Space.Make (A) (C)
-  module E : module type of Parallel_engine.Make (S)
+    whole-space snapshot/absorb pair (churn catch-up), and an update
+    batch issues one entry per keyed sub-update. The replicas read the
+    shard map set by [S.configure]: configure one (a static ring, no
+    policy) before {!MEASURE.measure} or {!MEASURE.replay_journal}. *)
+module Sharded : sig
+  module S : module type of Space.Make (Set_spec) (Update_codec.For_set)
 
-  type verdict = {
-    run : E.result;
-    latency : Stats.summary option;
-    shards : int;
-    keyed_total : int;
-    oracle : oracle;
-    shard_lengths : (int * int) list;  (** replica 0, by shard id *)
-  }
-
-  val ok : verdict -> bool
+  include MEASURE with module P := S
 
   val zipf_scripts :
     seed:int ->
@@ -253,22 +235,6 @@ module Sharded
       {!Workload.For_space.zipf_scripts}: multi-key update batches
       (width uniform in [1..fanout]) over a Zipf-skewed key space, plus
       keyed reads at [query_ratio]. Key 0 is the hottest. *)
-
-  val measure :
-    ?mailbox_capacity:int ->
-    ?batch_every:int ->
-    ?flush_window:int ->
-    ?obs:Obs.t ->
-    shards:int ->
-    domains:int ->
-    scripts:(S.update, S.query) Protocol.invocation list array ->
-    unit ->
-    verdict
-  (** Build a static [shards]-shard map (no rebalancing policy — the
-      ring never changes during the parallel run), run the engine with
-      an ω sweep everywhere, then the {!Oracle}. *)
-
-  val row : keys:int -> skew:float -> fanout:int -> verdict -> shard_row
 end
 
 val set_zipf_scripts :

@@ -134,10 +134,14 @@ struct
     | Some { Obs.journal = Some j; _ } -> Obs.Journal.record j ev
     | _ -> ()
 
-  let note_op m s =
+  (* The registry row counts only replicas with a telemetry handle
+     [obs], so the unobserved ones a checker replays through the same
+     map (the multicore bench's journal replay) stay out of it. *)
+  let note_op m (obs : Obs.replica option) s =
     m.g.ops_total.(s) <- m.g.ops_total.(s) + 1;
     m.g.ops_window.(s) <- m.g.ops_window.(s) + 1;
-    Option.iter (fun c -> Obs.Registry.inc c) m.g.ops_ctr.(s)
+    if Option.is_some obs then
+      Option.iter (fun c -> Obs.Registry.inc c) m.g.ops_ctr.(s)
 
   let note_moved m count =
     m.moved <- m.moved + count;
@@ -389,7 +393,7 @@ struct
     | [] -> ()
     | ((k, _) as ku) :: rest ->
       let s = Ring.route t.map.ring k in
-      note_op t.map s;
+      note_op t.map t.ctx.Protocol.obs s;
       let sh = shard t s in
       let origin = (s * t.ctx.Protocol.n) + t.ctx.Protocol.pid in
       let clock = Lamport.tick sh.clock in

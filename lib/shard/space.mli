@@ -79,7 +79,9 @@ module Make
   (** [obs] enables the per-shard registry rows
       ([shard_ops{shard=i}], [shard_log_entries{shard=i}],
       [shard_splits{shard=i}], [shard_moved_entries]) and journals
-      [Rebalance]/[Shard] events when a journal is attached. *)
+      [Rebalance]/[Shard] events when a journal is attached.
+      [shard_ops] counts the updates of replicas whose context carries a
+      telemetry handle. *)
 
   val configure : map -> unit
   (** Set the map {!create} consults; call once per run, before

@@ -11,6 +11,8 @@ type soak = {
   rules : Obs.Alert.rule list;
 }
 
+type space = { shards : int; keys : int; fanout : int }
+
 type parallel = {
   spec : string;
   seed : int;
@@ -21,6 +23,7 @@ type parallel = {
   batch : int;
   flush_window : int;
   mailbox : int;
+  space : space option;
 }
 
 type sequential = {
@@ -179,7 +182,19 @@ let check_parallel (p : parallel) =
   non_negative "zipf" p.zipf;
   at_least 1 "batch" p.batch;
   at_least 0 "flush_window" p.flush_window;
-  at_least 1 "mailbox" p.mailbox
+  at_least 1 "mailbox" p.mailbox;
+  match p.space with
+  | Some sp ->
+    at_least 1 "shards" sp.shards;
+    at_least 1 "keys" sp.keys;
+    at_least 1 "fanout" sp.fanout;
+    require (p.spec = "set") "spec" "the sharded space runs only set, got %S"
+      p.spec
+  | None ->
+    require
+      (p.spec <> "set" || p.zipf = 0.0 || p.query_ratio = 0.0)
+      "query_ratio" "must be 0 on the contended set workload (zipf > 0), got %g"
+      p.query_ratio
 
 let check = function
   | Sequential s -> check_sequential s
@@ -226,6 +241,14 @@ let to_header = function
       ("flush_window", num p.flush_window);
       ("mailbox", num p.mailbox);
     ]
+    @ (match p.space with
+      | None -> []
+      | Some sp ->
+        [
+          ("shards", num sp.shards);
+          ("keys", num sp.keys);
+          ("fanout", num sp.fanout);
+        ])
   | Sequential s ->
     [
       ("protocol", str s.protocol);
@@ -362,6 +385,11 @@ let decode header =
         batch = req int "batch";
         flush_window = req int "flush_window";
         mailbox = req int "mailbox";
+        space =
+          Option.map
+            (fun shards ->
+              { shards; keys = req int "keys"; fanout = req int "fanout" })
+            (opt int "shards");
       }
   | _ ->
     let n = req int "n" in

@@ -16,16 +16,27 @@ type soak = {
   rules : Obs.Alert.rule list;
 }
 
+type space = {
+  shards : int;  (** on a static ring *)
+  keys : int;  (** key domain *)
+  fanout : int;  (** most keys an update batch touches *)
+}
+(** The sharded object space a parallel run benches instead of one
+    core. *)
+
 type parallel = {
   spec : string;  (** object name, see {!Registry.names} *)
   seed : int;
   domains : int;
   ops : int;  (** per domain *)
   query_ratio : float;
-  zipf : float;  (** skew of the set workload; 0 means uniform scripts *)
+  zipf : float;
+      (** skew of the set workload or of the space's keys; on one core,
+          0 means uniform scripts *)
   batch : int;
   flush_window : int;
   mailbox : int;
+  space : space option;  (** [None]: one core per domain *)
 }
 
 type sequential = {
@@ -63,7 +74,9 @@ val validate : t -> (t, string) result
 (** [Ok] the spec, or [Error "FIELD: reason"] for the first field no run
     can honour: a count or interval out of range, a pid outside
     [0, n), explicit scripts whose number is not [n] or that hold an op
-    {!parse_op} rejects, an unknown object name. *)
+    {!parse_op} rejects, an unknown object name, a sharded parallel run
+    of any object but set, or a query ratio on the contended set
+    workload, which draws no queries. *)
 
 (** A command flag that no run spec carries, with the bound {!validate}
     would hold it to. *)
@@ -77,16 +90,18 @@ val check_flags : (string * flag) list -> (unit, string) result
     out of its bound, in {!validate}'s words. *)
 
 val to_header : t -> (string * Obs.Json.t) list
-(** The journal header fields, in a fixed order. The shard fields are
-    written only when they differ from {!default}'s and the soak fields
+(** The journal header fields, in a fixed order. A sequential run's
+    shard fields are written only when they differ from {!default}'s,
+    a parallel run's only for the sharded space, and the soak fields
     only for soak runs. *)
 
 val of_header : (string * Obs.Json.t) list -> (t, string) result
 (** Inverse of {!to_header}, then {!validate}; [Error] also names a field
     that is missing, of the wrong JSON type, or not an integer where one
-    is needed. ["engine":"parallel"] selects {!Parallel}. A header from
-    before the explicit crash schedule ([crash: true], no [crashes])
-    decodes to one crash of pid [n-1] at t=50. *)
+    is needed. ["engine":"parallel"] selects {!Parallel}, and its
+    [shards] field the sharded space, whose [keys] and [fanout] it then
+    requires. A header from before the explicit crash schedule ([crash:
+    true], no [crashes]) decodes to one crash of pid [n-1] at t=50. *)
 
 val print_op : (Set_spec.update, Set_spec.query) Protocol.invocation -> string
 (** One token per op: ["I(3)"] insert, ["D(3)"] delete, ["R"] read. *)

@@ -375,10 +375,10 @@ module Bench_reference (A : Uqadt.S) = struct
 end
 
 module Sharded_reference = struct
-  module B = Throughput.Sharded (Set_spec) (Update_codec.For_set)
+  module B = Throughput.Sharded
   module S = B.S
 
-  let check ~domains (v : B.verdict) =
+  let check ~domains ~keyed_total (v : B.verdict) =
     let run = v.B.run in
     let logs_of r = List.filter (fun (_, l) -> l <> []) (S.shard_logs r) in
     let logs0 = logs_of run.B.E.replicas.(0) in
@@ -399,7 +399,7 @@ module Sharded_reference = struct
       && run.B.E.outputs <> []
       && List.for_all (fun (_, o) -> S.equal_output o expected) run.B.E.outputs
       && snapshot_matches
-      && List.fold_left (fun acc (_, l) -> acc + List.length l) 0 logs0 = v.B.keyed_total,
+      && List.fold_left (fun acc (_, l) -> acc + List.length l) 0 logs0 = keyed_total,
       flatten (Format.asprintf "%a" S.pp_state folded) )
 
   let agrees ~shards ~seeds =
@@ -409,8 +409,16 @@ module Sharded_reference = struct
         let scripts =
           B.zipf_scripts ~seed ~domains ~ops:200 ~keys:64 ~skew:1.1 ~fanout:3 ~query_ratio:0.2
         in
-        let v = B.measure ~shards ~domains ~scripts () in
-        let ok, state = check ~domains v in
+        S.configure (S.create_map ~shards ());
+        let v = B.measure ~domains ~final_read:S.K.Sweep ~scripts () in
+        let keyed_total =
+          Array.fold_left
+            (List.fold_left (fun acc -> function
+               | Protocol.Invoke_update kus -> acc + List.length kus
+               | Protocol.Invoke_query _ -> acc))
+            0 scripts
+        in
+        let ok, state = check ~domains ~keyed_total v in
         let label what = Printf.sprintf "%d shards, seed %d: %s" shards seed what in
         Alcotest.(check bool) (label "the run passes") true ok;
         Alcotest.(check bool) (label "same verdict") ok (B.ok v);

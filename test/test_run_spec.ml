@@ -29,7 +29,7 @@ let sequential fields =
 
 (* Headers written by `run universal`, `run sharded --shards 2`, a
    batched and probed `run pipelined`, a `soak` with a rule, `bench` on
-   the counter and on the Zipf set, and `shrink`. *)
+   the counter, on the Zipf set and on the sharded set, and `shrink`. *)
 let written_headers =
   [
     {|{"journal":"ucsim","version":1,"protocol":"universal","seed":42,"n":4,"ops":100,"mean_delay":10,"fifo":false,"crashes":[],"log_core":"array","checkpoint_interval":null,"batch_window":null,"probe_interval":null,"monitors":[],"partitions":[],"churn":[],"scripts":null}|};
@@ -38,6 +38,7 @@ let written_headers =
     {|{"journal":"ucsim","version":1,"protocol":"universal","seed":42,"n":3,"ops":30,"mean_delay":10,"fifo":false,"crashes":[],"log_core":"array","checkpoint_interval":null,"batch_window":null,"probe_interval":null,"monitors":[],"partitions":[],"churn":[],"scripts":null,"sample_interval":20,"duration":200,"rules":["growth:log_len:4"]}|};
     {|{"journal":"ucsim","version":1,"engine":"parallel","spec":"counter","seed":42,"domains":2,"ops":200,"query_ratio":0,"zipf":0,"batch":1,"flush_window":0,"mailbox":1024}|};
     {|{"journal":"ucsim","version":1,"engine":"parallel","spec":"set","seed":42,"domains":2,"ops":200,"query_ratio":0,"zipf":1,"batch":1,"flush_window":0,"mailbox":1024}|};
+    {|{"journal":"ucsim","version":1,"engine":"parallel","spec":"set","seed":42,"domains":2,"ops":200,"query_ratio":0,"zipf":1.1,"batch":1,"flush_window":0,"mailbox":1024,"shards":2,"keys":1024,"fanout":3}|};
     {|{"journal":"ucsim","version":1,"protocol":"pipelined","seed":3,"n":2,"ops":1,"mean_delay":10,"fifo":false,"crashes":[],"log_core":"array","checkpoint_interval":null,"batch_window":null,"probe_interval":null,"monitors":["pc"],"partitions":[],"churn":[{"t":30,"pid":1,"action":"join"}],"scripts":[["I(1)"],[]]}|};
   ]
 
@@ -152,6 +153,18 @@ let gen_parallel =
   let* batch = int_range 1 64 in
   let* flush_window = int_bound 32 in
   let* mailbox = int_range 1 4096 in
+  let* space =
+    if spec <> "set" then return None
+    else
+      opt
+        (map3
+           (fun shards keys fanout -> { Run_spec.shards; keys; fanout })
+           (int_range 1 16) (int_range 1 2048) (int_range 1 8))
+  in
+  (* the contended set workload draws no queries *)
+  let query_ratio =
+    if spec = "set" && zipf > 0.0 && space = None then 0.0 else query_ratio
+  in
   return
     (Run_spec.Parallel
        {
@@ -164,6 +177,7 @@ let gen_parallel =
          batch;
          flush_window;
          mailbox;
+         space;
        })
 
 (* ------------------------------ validation ----------------------------- *)
@@ -176,6 +190,24 @@ let field_of_error = function
     | _ -> Some msg)
 
 let s = Run_spec.default
+
+(* `bench`'s defaults at 2 domains of 200 ops, and its sharded set. *)
+let bench =
+  {
+    Run_spec.spec = "counter";
+    seed = 42;
+    domains = 2;
+    ops = 200;
+    query_ratio = 0.0;
+    zipf = 0.0;
+    batch = 1;
+    flush_window = 0;
+    mailbox = 1024;
+    space = None;
+  }
+
+let sharded =
+  { bench with spec = "set"; zipf = 1.1; space = Some { shards = 2; keys = 1024; fanout = 3 } }
 
 (* Each invalid description, from flags and from headers, with the field
    its error must name. *)
@@ -225,20 +257,14 @@ let invalid_specs =
     ( "unparsable script op",
       Run_spec.Sequential { s with n = 3; scripts = Some [ [ "Q(6)" ]; []; [] ] },
       "scripts" );
-    ( "parallel domains 0",
-      Run_spec.Parallel
-        {
-          spec = "counter";
-          seed = 42;
-          domains = 0;
-          ops = 200;
-          query_ratio = 0.0;
-          zipf = 0.0;
-          batch = 1;
-          flush_window = 0;
-          mailbox = 1024;
-        },
-      "domains" );
+    ("parallel domains 0", Run_spec.Parallel { bench with domains = 0 }, "domains");
+    ( "sharded shards 0",
+      Run_spec.Parallel { sharded with space = Some { shards = 0; keys = 64; fanout = 3 } },
+      "shards" );
+    ("sharded counter", Run_spec.Parallel { sharded with spec = "counter" }, "spec");
+    ( "queries on the contended set",
+      Run_spec.Parallel { bench with spec = "set"; zipf = 1.0; query_ratio = 0.5 },
+      "query_ratio" );
   ]
 
 let universal_header = List.hd written_headers
@@ -378,6 +404,22 @@ let tests =
           Alcotest.(check int) "keys" 16 back.keys;
           Alcotest.(check (option (float 0.0))) "rebalance" (Some 10.0) back.rebalance
         | _ -> Alcotest.fail "did not decode");
+    Alcotest.test_case "the shard group is written only for the sharded space" `Quick
+      (fun () ->
+        let header t = Run_spec.to_header (Parallel t) in
+        Alcotest.(check bool) "sharded round trip" true
+          (Run_spec.of_header (header sharded) = Ok (Parallel sharded));
+        List.iter
+          (fun k ->
+            Alcotest.(check bool) ("no " ^ k ^ " unsharded") false
+              (List.mem_assoc k (header bench)))
+          [ "shards"; "keys"; "fanout" ];
+        List.iter
+          (fun k ->
+            Alcotest.(check (option string))
+              ("without " ^ k) (Some k)
+              (field_of_error (Run_spec.of_header (List.remove_assoc k (header sharded)))))
+          [ "keys"; "fanout" ]);
     qtest ~count:300 "sequential specs: of_header (to_header s) = Ok s"
       gen_sequential round_trips;
     qtest ~count:300 "parallel specs: of_header (to_header s) = Ok s"

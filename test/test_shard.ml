@@ -5,6 +5,9 @@
      1/2/4, and batched — certificates equal across replicas, ω sweeps
      equal to the keyed fold, snapshot/absorb restore agreeing, keyed
      sub-updates conserved — with the fold rendered on one line;
+   - a flight-recorded parallel run at shard counts 1/2/4, unbatched
+     and batched, replaying its journal to the recorded fingerprint,
+     and failing to once one deliver count is edited;
    - the sequential runner over the space: converged, certificates
      agree, online UC/EC monitors clean;
    - a hot-shard rebalance run (policy armed): at least one split
@@ -16,7 +19,7 @@
    - the UCX whole-space snapshot/absorb round trip;
    - journal [Rebalance]/[Shard] events through JSON and jsonl;
    - the per-shard registry rows as `ucsim report` renders them
-     (golden);
+     (golden), counting the updates of observed replicas only;
    - the certificate's k-way merge against the stable sort of the
      concatenated shard logs, over runs with splits and migrations,
      and its words per entry flat in the log length;
@@ -29,7 +32,7 @@
      key's new entries apply, however full its shard. *)
 
 module S = Space.Make (Set_spec) (Update_codec.For_set)
-module B = Throughput.Sharded (Set_spec) (Update_codec.For_set)
+module B = Throughput.Sharded
 module R = Runner.Make (S)
 
 (* ------------------------- workload plumbing ------------------------- *)
@@ -126,6 +129,12 @@ let entries_route_home map r =
       List.for_all (fun (_, _, (k, _)) -> Ring.route (S.ring map) k = s) log)
     (S.shard_logs r)
 
+(* One parallel run of the space's measure on a fresh static ring. *)
+let bench ?batch_every ?flush_window ?recorder ~shards scripts =
+  B.S.configure (B.S.create_map ~shards ());
+  B.measure ?batch_every ?flush_window ?recorder ~domains:(Array.length scripts)
+    ~final_read:B.S.K.Sweep ~scripts ()
+
 (* ------------------------------ tests -------------------------------- *)
 
 let differential_tests =
@@ -141,10 +150,7 @@ let differential_tests =
               B.zipf_scripts ~seed ~domains:2 ~ops:300 ~keys:64 ~skew:1.1
                 ~fanout:3 ~query_ratio
             in
-            let v =
-              B.measure ~batch_every ~flush_window ~shards ~domains:2 ~scripts
-                ()
-            in
+            let v = bench ~batch_every ~flush_window ~shards scripts in
             let label =
               Printf.sprintf "shards=%d seed=%d batch=%d" shards seed
                 batch_every
@@ -166,13 +172,55 @@ let differential_tests =
             (4, 5, 8, 4, 0.25);
             (4, 23, 8, 4, 0.25);
           ]);
+    Alcotest.test_case
+      "a recorded run replays at shards 1/2/4, and not with a deliver count \
+       edited"
+      `Quick
+      (fun () ->
+        List.iter
+          (fun (shards, batch_every, flush_window) ->
+            let scripts =
+              B.zipf_scripts ~seed:shards ~domains:2 ~ops:300 ~keys:64
+                ~skew:1.1 ~fanout:3 ~query_ratio:0.2
+            in
+            let recorder = Obs.Recorder.create ~domains:2 () in
+            let v = bench ~batch_every ~flush_window ~recorder ~shards scripts in
+            let label =
+              Printf.sprintf "shards=%d batch=%d" shards batch_every
+            in
+            Alcotest.(check bool) (label ^ ": differential") true (B.ok v);
+            let rc = Option.get v.B.recording in
+            Alcotest.(check (result string string))
+              (label ^ ": replay reaches the recorded fingerprint")
+              (Ok rc.B.fingerprint) rc.B.replay;
+            let journal = rc.B.journal in
+            let edited =
+              Obs.Journal.create ~header:(Obs.Journal.header journal) ()
+            in
+            let bumped = ref false in
+            List.iter
+              (fun ev ->
+                Obs.Journal.record edited
+                  (match ev with
+                  | Obs.Journal.Deliver d when not !bumped ->
+                    bumped := true;
+                    Obs.Journal.Deliver { d with count = d.count + 1 }
+                  | ev -> ev))
+              (Obs.Journal.events journal);
+            Obs.Journal.seal edited ~fingerprint:rc.B.fingerprint;
+            Alcotest.(check bool)
+              (label ^ ": an edited deliver count fails")
+              true
+              (Result.is_error
+                 (B.replay_journal ~scripts ~final_read:B.S.K.Sweep edited)))
+          [ (1, 1, 0); (2, 1, 0); (4, 1, 0); (1, 8, 4); (2, 8, 4); (4, 8, 4) ]);
     Alcotest.test_case "a 64-key run's converged state renders on one line" `Quick
       (fun () ->
         let scripts =
           B.zipf_scripts ~seed:3 ~domains:2 ~ops:500 ~keys:64 ~skew:1.1 ~fanout:3
             ~query_ratio:0.3
         in
-        let state = (B.measure ~shards:4 ~domains:2 ~scripts ()).B.oracle.Throughput.state_repr in
+        let state = (bench ~shards:4 scripts).B.oracle.Throughput.state_repr in
         Alcotest.(check bool) "longer than the 80-column margin" true (String.length state > 80);
         Alcotest.(check bool) "no newline" false (String.contains state '\n'));
     Alcotest.test_case "sequential runner converges with clean monitors"
@@ -364,6 +412,33 @@ let registry_golden =
              "";
            ])
         rendered)
+
+(* A replica without a telemetry handle, like those the multicore
+   bench's journal replay builds over the run's map, leaves the
+   shard_ops rows alone; its twin with a handle counts its three keyed
+   sub-updates. *)
+let unobserved_ops =
+  Alcotest.test_case "shard_ops counts only replicas that report telemetry" `Quick
+    (fun () ->
+      let o = Obs.create () in
+      S.configure (S.create_map ~obs:o ~shards:2 ());
+      let batch = List.map (fun k -> (k, Set_spec.Insert k)) [ 1; 2; 3 ] in
+      List.iter
+        (fun obs ->
+          S.update
+            (S.create { (Throughput.dummy_ctx ~pid:0 ~n:1) with obs })
+            batch ~on_done:ignore)
+        [ None; Some (Obs.replica o 0) ];
+      let counted =
+        List.fold_left
+          (fun n (row : Obs.Registry.row) ->
+            match row.data with
+            | Obs.Registry.Count c when row.name = "shard_ops" -> n + c
+            | _ -> n)
+          0
+          (Obs.Registry.rows_of_json (Obs.Registry.to_json o.Obs.registry))
+      in
+      Alcotest.(check int) "the observed replica's sub-updates" 3 counted)
 
 (* --------------------------- certificates ---------------------------- *)
 
@@ -776,6 +851,7 @@ let tests =
   differential_tests @ rebalance_tests @ migration_tests @ journal_tests
   @ [
       registry_golden;
+      unobserved_ops;
       certificate_merge;
       certificate_guard;
       key_log_differential;

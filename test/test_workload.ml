@@ -15,7 +15,7 @@ let count_queries script =
    digest moves with the draw order as well as with the shape. The
    digests were recorded while each was still a copy of its [Workload]
    generator, before it became a per-domain call of it. *)
-module Sharded = Throughput.Sharded (Set_spec) (Update_codec.For_set)
+module Sharded = Throughput.Sharded
 
 let script_digest pp_update pp_query scripts =
   let b = Buffer.create 4096 in

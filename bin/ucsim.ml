@@ -350,11 +350,10 @@ let drive (type u q o) ?note ?(lines = fun () -> [])
   List.iter print_endline (lines ());
   describe_metrics r.R.metrics;
   Printf.printf "converged          %b\n" r.R.converged;
-  (match r.R.op_latencies with
-  | _ :: _ as ls when O.latency ->
-    let s = Stats.summarize ls in
+  if O.latency && Float.Array.length r.R.op_latencies > 0 then begin
+    let s = Stats.summarize (Float.Array.to_list r.R.op_latencies) in
     Printf.printf "op latency         mean=%.2f p99=%.2f\n" s.Stats.mean s.Stats.p99
-  | _ -> ());
+  end;
   if O.final_reads then
     List.iter
       (fun (pid, o) -> Format.printf "final read p%d      %a@." pid O.pp_output o)
@@ -2004,17 +2003,19 @@ let bench_cmd =
   in
   let keys_arg =
     Arg.(
-      value & opt int 1024
+      value
+      & opt (some ~none:"1024" int) None
       & info [ "keys" ] ~docv:"K"
-          ~doc:"Key domain of the sharded workload (with --shards).")
+          ~doc:"Key domain of the sharded workload (with --shards only).")
   in
   let fanout_arg =
     Arg.(
-      value & opt int 3
+      value
+      & opt (some ~none:"3" int) None
       & info [ "fanout" ] ~docv:"W"
           ~doc:
             "Maximum keys per update batch in the sharded workload (with \
-             --shards).")
+             --shards only).")
   in
   let mailbox_arg =
     Arg.(
@@ -2078,7 +2079,29 @@ let bench_cmd =
   let run spec domains ops zipf seed query_ratio shards keys fanout mailbox
       batch flush_window obs_flag journal_out series_out monitors
       sample_interval =
-    let space = Option.map (fun shards -> { Run_spec.shards; keys; fanout }) shards in
+    let space =
+      match shards with
+      | Some shards ->
+        Some
+          {
+            Run_spec.shards;
+            keys = Option.value keys ~default:1024;
+            fanout = Option.value fanout ~default:3;
+          }
+      | None ->
+        (* without the sharded space no run reads these *)
+        List.iter
+          (fun (field, given) ->
+            Option.iter
+              (fun v ->
+                or_exit ~cmd:"bench"
+                  (Error
+                     (Printf.sprintf "%s: only a sharded run (--shards) reads it, got %d"
+                        field v)))
+              given)
+          [ ("keys", keys); ("fanout", fanout) ];
+        None
+    in
     let ps =
       {
         Run_spec.spec;
@@ -2087,12 +2110,10 @@ let bench_cmd =
         ops;
         query_ratio;
         (* the skew the scripts are drawn with: the sharded space always
-           draws Zipf keys, and otherwise a skew selects the contended
-           set workload, any other workload being uniform *)
-        zipf =
-          (match space with
-          | Some _ -> if zipf > 0.0 then zipf else 1.1
-          | None -> if spec = "set" && zipf > 0.0 then zipf else 0.0);
+           draws Zipf keys, at 1.1 unless told otherwise, and otherwise a
+           skew selects the contended set workload; the validator refuses
+           a skew no run draws *)
+        zipf = (if space <> None && zipf = 0.0 then 1.1 else zipf);
         batch;
         flush_window;
         mailbox;

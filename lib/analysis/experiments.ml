@@ -555,7 +555,11 @@ let latency_vs_rtt ~seed =
       }
     in
     let r = R.run config ~workload in
-    let s = Stats.summarize (if r.R.op_latencies = [] then [ 0.0 ] else r.R.op_latencies) in
+    let s =
+      Stats.summarize
+        (if Float.Array.length r.R.op_latencies = 0 then [ 0.0 ]
+         else Float.Array.to_list r.R.op_latencies)
+    in
     Table.add_row table
       [
         P.protocol_name;
@@ -827,7 +831,8 @@ let convergence_window ~seed ~delay ~partitions ~workload =
   let last_divergence = List.fold_left (fun _ (time, _) -> time) 0.0 divergent in
   let last_update =
     List.fold_left
-      (fun acc (e : _ History.event) -> Float.max acc (fst r.R.intervals.(e.History.id)))
+      (fun acc (e : _ History.event) ->
+        Float.max acc (Float.Array.get r.R.intervals.Check_lin.starts e.History.id))
       0.0 (History.updates r.R.history)
   in
   (Float.max 0.0 (last_divergence -. last_update), List.length divergent, List.length samples)

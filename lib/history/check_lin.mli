@@ -14,17 +14,21 @@
     and to exhibit the converse: wait-free update-consistent objects
     answer stale reads, so their runs generally are not. *)
 
+type intervals = { starts : Float.Array.t; finishes : Float.Array.t }
+(** Two unboxed columns indexed by event id: [starts] holds each
+    event's invocation time and [finishes] its response time, infinite
+    for an operation that never completed (it then constrains nothing
+    after it, the standard treatment of pending operations that are
+    deemed to take effect). *)
+
 module Make (A : Uqadt.S) : sig
   type history = (A.update, A.query, A.output) History.t
 
   val witness :
-    history ->
-    intervals:(float * float) array ->
-    (A.update, A.query, A.output) History.event list option
-  (** [intervals.(id)] is the (invocation, response) span of event [id];
-      use an infinite response for operations that never completed
-      (they then constrain nothing after them, the standard treatment of
-      pending operations that are deemed to take effect). *)
+    history -> intervals:intervals -> (A.update, A.query, A.output) History.event list option
+  (** A linearization of [history] that respects the real-time order of
+      [intervals]. Raises [Invalid_argument] unless both columns hold
+      one time per event. *)
 
-  val holds : history -> intervals:(float * float) array -> bool
+  val holds : history -> intervals:intervals -> bool
 end

@@ -173,13 +173,12 @@ struct
 
   include K
 
-  (* One keyed sub-update, stamped by its sender's shard. *)
-  type stamped = { ts : Timestamp.t; update : int * A.update }
-
-  type message = int * stamped
-  (* The shard tag is the sender's routing decision; receivers re-route
-     by key through the current ring, so the tag is advisory (origin
-     encoding, diagnostics) and in-flight frames survive ring changes. *)
+  (* One keyed sub-update, stamped (clock, pid) by its sender's shard,
+     in one flat record. The shard tag is the sender's routing decision;
+     receivers re-route by key through the current ring, so the tag is
+     advisory (origin encoding, diagnostics) and in-flight frames
+     survive ring changes. *)
+  type message = { shard : int; clock : int; pid : int; update : int * A.update }
 
   module Keys = Hashtbl.Make (Int)
 
@@ -196,7 +195,6 @@ struct
     mutable homed : Ring.t;
         (* The map's ring at [epoch_seen]: every entry is counted in the
            shard this ring routes its key to. *)
-    outbox : message Queue.t;
     keys : (int * A.update, A.state) Oplog.t Keys.t;
         (* The replica's one copy of every entry: an op-log per key, in
            timestamp order. *)
@@ -292,19 +290,6 @@ struct
 
   let force_migrate = migrate
 
-  (* Flush the frames an operation buffered — across however many
-     shards it touched — as one envelope. *)
-  let flush t =
-    match Queue.length t.outbox with
-    | 0 -> ()
-    | 1 -> t.ctx.Protocol.broadcast (Queue.pop t.outbox)
-    | _ ->
-      let ms = ref [] in
-      while not (Queue.is_empty t.outbox) do
-        ms := Queue.pop t.outbox :: !ms
-      done;
-      t.ctx.Protocol.broadcast_batch (List.rev !ms)
-
   (* Hot-shard policy: every [interval], split the hottest shard when
      its window share exceeds [hot_factor] x the mean. The timer stops
      re-arming after two idle windows so the run can quiesce. *)
@@ -372,7 +357,6 @@ struct
         shards = Array.make (Ring.max_id map.ring + 1) None;
         epoch_seen = map.epoch;
         homed = map.ring;
-        outbox = Queue.create ();
         keys = Keys.create 64;
       }
     in
@@ -383,39 +367,47 @@ struct
     | _ -> ());
     t
 
-  (* A top-level loop over the keyed sub-updates: a [List.iter]
-     closure over [t] would be allocated on every update. Lines 5-6 per
-     sub-update: the shard its key routes to ticks its clock and stamps
-     the entry with the encoded identity [shard * n + pid]; the entry
-     lands at its key log's tail, since that clock passed every entry of
-     the shard's keys. *)
-  let rec fan_out t = function
-    | [] -> ()
-    | ((k, _) as ku) :: rest ->
-      let s = Ring.route t.map.ring k in
-      note_op t.map t.ctx.Protocol.obs s;
-      let sh = shard t s in
-      let origin = (s * t.ctx.Protocol.n) + t.ctx.Protocol.pid in
-      let clock = Lamport.tick sh.clock in
-      file t s sh ~clock ~pid:origin ~origin ku;
-      Queue.add (s, { ts = Timestamp.make ~clock ~pid:origin; update = ku }) t.outbox;
-      fan_out t rest
+  (* Lines 5-6 for one keyed sub-update: the shard its key routes to
+     ticks its clock and stamps the entry with the encoded identity
+     [shard * n + pid]; the entry lands at its key log's tail, since
+     that clock passed every entry of the shard's keys. The message is
+     the one allocation. *)
+  let stamp t ((k, _) as ku) =
+    let s = Ring.route t.map.ring k in
+    note_op t.map t.ctx.Protocol.obs s;
+    let sh = shard t s in
+    let origin = (s * t.ctx.Protocol.n) + t.ctx.Protocol.pid in
+    let clock = Lamport.tick sh.clock in
+    file t s sh ~clock ~pid:origin ~origin ku;
+    { shard = s; clock; pid = origin; update = ku }
 
+  (* A top-level loop, so no closure over [t] is allocated per update:
+     each sub-update is stamped before the ones after it, and the
+     envelope comes out in the batch's order with one cons a message. *)
+  let rec fan_out t = function
+    | [] -> []
+    | ku :: rest ->
+      let m = stamp t ku in
+      m :: fan_out t rest
+
+  (* A single-key update broadcasts its message alone; a batch leaves
+     as one envelope, whatever shards it touched. *)
   let update t kus ~on_done =
     migrate t;
-    fan_out t kus;
-    flush t;
+    (match kus with
+    | [] -> ()
+    | [ ku ] -> t.ctx.Protocol.broadcast (stamp t ku)
+    | kus -> t.ctx.Protocol.broadcast_batch (fan_out t kus));
     on_done ()
 
-  let deliver t ~src (s_tag, { ts; update }) =
-    land_entry t ~clock:ts.Timestamp.clock ~pid:ts.Timestamp.pid
-      ~origin:((s_tag * t.ctx.Protocol.n) + src)
-      update
+  let deliver t ~src (m : message) =
+    land_entry t ~clock:m.clock ~pid:m.pid
+      ~origin:((m.shard * t.ctx.Protocol.n) + src)
+      m.update
 
   let receive t ~src m =
     migrate t;
-    deliver t ~src m;
-    flush t
+    deliver t ~src m
 
   (* A top-level loop, like [fan_out]. Landing an envelope message by
      message is landing it whole: the logs end as the timestamp union
@@ -431,8 +423,7 @@ struct
     | [] -> ()
     | msgs ->
       migrate t;
-      deliver_all t ~src msgs;
-      flush t
+      deliver_all t ~src msgs
 
   let key_apply state ((_, u) : int * A.update) = A.apply state u
 
@@ -443,6 +434,27 @@ struct
     let state, steps = Oplog.replay log ~apply:key_apply ~initial:A.initial in
     t.ctx.Protocol.count_replay steps;
     state
+
+  (* What [K.eval] answers a [Sweep] on the keyed fold: every key's
+     state, in key order, leaving out those equal to [A.initial]. The
+     key ids are sorted in an int array and the answer is prepended from
+     the highest key down, so no map is built and none filtered. *)
+  let sweep t =
+    let keys = Array.make (Keys.length t.keys) 0 in
+    let filled = ref 0 in
+    Keys.iter
+      (fun k _ ->
+        keys.(!filled) <- k;
+        incr filled)
+      t.keys;
+    Array.sort Int.compare keys;
+    let states = ref [] in
+    for i = Array.length keys - 1 downto 0 do
+      let k = keys.(i) in
+      let state = replay_key t (Keys.find t.keys k) in
+      if not (A.equal_state state A.initial) then states := (k, state) :: !states
+    done;
+    !states
 
   (* Line 13: a query ticks the clock of every shard it reads. *)
   let tick sh = ignore (Lamport.tick sh.clock : int)
@@ -460,21 +472,21 @@ struct
       on_result (K.Out (A.eval state bq))
     | K.Sweep ->
       Array.iter (function Some sh -> tick sh | None -> ()) t.shards;
-      let merged =
-        Keys.fold
-          (fun k log acc -> Support.Int_map.add k (replay_key t log) acc)
-          t.keys Support.Int_map.empty
-      in
-      on_result (K.eval merged K.Sweep)
+      on_result (K.States (sweep t))
 
   let keyed_wire_size (k, u) = Wire.varint_size k + A.update_wire_size u
 
-  let message_wire_size (s, { ts; update }) =
-    Wire.varint_size s + Timestamp.wire_size ts + keyed_wire_size update
+  (* A message is charged and rendered as the shard tag, the (clock,
+     pid) timestamp and the keyed update: the byte counts and traces
+     the pins fix. *)
+  let message_wire_size (m : message) =
+    Wire.varint_size m.shard + Wire.pair_size m.clock m.pid + keyed_wire_size m.update
 
-  let describe_message (s, { ts; update = k, u }) =
-    Printf.sprintf "s%d:%s" s
-      (Format.asprintf "%d:=%a%a" k A.pp_update u Timestamp.pp ts)
+  let describe_message (m : message) =
+    let k, u = m.update in
+    Printf.sprintf "s%d:%s" m.shard
+      (Format.asprintf "%d:=%a%a" k A.pp_update u Timestamp.pp
+         (Timestamp.make ~clock:m.clock ~pid:m.pid))
 
   let log_length t =
     Array.fold_left

@@ -7,10 +7,14 @@
     and every delivery, so in-flight frames stay correct across ring
     changes. An update ticks the clock of the shard each keyed
     sub-update routes to, stamps the entry, files it under its key, and
-    flushes all resulting frames as {e one} envelope through
-    [ctx.broadcast_batch], so a cross-shard batch costs one frame per
-    destination. A delivery merges the routed shard's clock with the
-    entry's and files the entry under its key, counting it in that
+    builds its message, one flat 5-word record (shard, clock, pid,
+    keyed update). A single-key update hands its message to
+    [ctx.broadcast]; a batch's messages, built in the batch's order in
+    the same pass, leave as {e one} envelope through [ctx.broadcast_batch], so a
+    cross-shard batch costs one frame per destination. Onto key logs
+    with room, a w-key update allocates 5w words, and 3w more for an
+    envelope's list. A delivery merges the routed shard's clock with
+    the entry's and files the entry under its key, counting it in that
     shard unless the key's log held it already.
 
     Timestamps stay unique run-wide — the invariant {!Oplog.insert}'s
@@ -26,15 +30,21 @@
     in its new shard instead of its old one, and the new shard's clock
     passes the key's last entry, so the next stamp there sorts after
     every entry of the keys it took over. With no policy the ring is
-    static and replicas never share mutable state beyond the
-    (atomic-free, monotone) op counters — safe for the parallel engine.
+    static and replicas share no mutable state but the op counters
+    ([shard_ops], the registry rows and the policy window). These are
+    incremented without atomics, so on the parallel engine concurrent
+    domains lose increments and the counts come out low; the replicas'
+    logs, clocks and answers are unaffected.
 
     {b Reads.} A keyed read [Read (k, q)] ticks the clock of the shard
     [k] routes to, then replays [k]'s log alone, with that log's own
-    checkpoints and query cache at {!Generic.default}'s interval;
-    [Sweep] ticks every live shard and replays every key log. The
-    replay steps a query reports through [ctx.count_replay] are key-log
-    folds. Key logs share the replica's op-log profile.
+    checkpoints and query cache at {!Generic.default}'s interval.
+    [Sweep] ticks every live shard, sorts the key ids in an int array
+    and replays every key log from the highest key down, prepending
+    each state that differs from [A.initial]: {!K.eval}'s answer on the
+    keyed fold, built with no keyed map. The replay steps a query
+    reports through [ctx.count_replay] are key-log folds. Key logs
+    share the replica's op-log profile.
 
     {b Certificate.} [certificate] folds the key logs' merge from the
     top ({!Oplog.fold_down_merged}): O(entries x log keys), allocating

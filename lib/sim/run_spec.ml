@@ -192,6 +192,10 @@ let check_parallel (p : parallel) =
       p.spec
   | None ->
     require
+      (p.spec = "set" || p.zipf = 0.0)
+      "zipf" "must be 0 for %S (only set draws a skewed workload), got %g" p.spec
+      p.zipf;
+    require
       (p.spec <> "set" || p.zipf = 0.0 || p.query_ratio = 0.0)
       "query_ratio" "must be 0 on the contended set workload (zipf > 0), got %g"
       p.query_ratio

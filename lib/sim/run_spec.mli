@@ -75,8 +75,9 @@ val validate : t -> (t, string) result
     can honour: a count or interval out of range, a pid outside
     [0, n), explicit scripts whose number is not [n] or that hold an op
     {!parse_op} rejects, an unknown object name, a sharded parallel run
-    of any object but set, or a query ratio on the contended set
-    workload, which draws no queries. *)
+    of any object but set, a skew on an unsharded parallel run of any
+    object but set, which draws none, or a query ratio on the contended
+    set workload, which draws no queries. *)
 
 (** A command flag that no run spec carries, with the bound {!validate}
     would hold it to. *)

@@ -1,6 +1,6 @@
 (* Growable columns for what a run records, created at the size the
    scripts call for and doubling if that is passed. The float column is
-   unboxed and its accessors are inlined, so appending or reading a
+   unboxed and its accessors are inlined, so appending or setting a
    time boxes nothing. *)
 module Floats = struct
   type t = { mutable data : Float.Array.t; mutable len : int }
@@ -16,8 +16,6 @@ module Floats = struct
     if c.len = Float.Array.length c.data then grow c;
     Float.Array.unsafe_set c.data c.len x;
     c.len <- c.len + 1
-
-  let[@inline] get c i = Float.Array.get c.data i
 
   let[@inline] set c i x = Float.Array.set c.data i x
 end
@@ -128,7 +126,7 @@ module Make (P : Protocol.PROTOCOL) = struct
   type result = {
     history : (P.update, P.query, P.output) History.t;
     metrics : Metrics.t;
-    op_latencies : float list;
+    op_latencies : Float.Array.t;
     final_outputs : (int * P.output) list;
     converged : bool;
     certificates : (int * (int * P.update) list) list Lazy.t;
@@ -137,7 +135,7 @@ module Make (P : Protocol.PROTOCOL) = struct
     metadata_bytes : (int * int) list;
     sim_duration : float;
     trace : Trace.t option;
-    intervals : (float * float) array;
+    intervals : Check_lin.intervals;
   }
 
   let run config ~workload =
@@ -759,8 +757,9 @@ module Make (P : Protocol.PROTOCOL) = struct
            live)
     in
     let certificates_agree = Cert.agree (List.map replica live) in
-    (* The result's lists and arrays, built once, process by process:
-       event ids number each process's events in program order. *)
+    (* The result's history and columns, built once, process by
+       process: event ids number each process's events in program
+       order, so each process's times are copied as one run. *)
     let lengths = Array.map (fun c -> c.Column.len) labels in
     Array.iteri
       (fun pid at ->
@@ -772,20 +771,17 @@ module Make (P : Protocol.PROTOCOL) = struct
         (fun pid k -> Column.get labels.(pid) k)
         (fun pid -> omega_at.(pid) >= 0)
     in
-    let intervals = Array.make (History.size history) (0.0, 0.0) in
-    let id = ref 0 in
-    for pid = 0 to n - 1 do
-      for k = 0 to lengths.(pid) - 1 do
-        intervals.(!id) <- (Floats.get starts.(pid) k, Floats.get finishes.(pid) k);
-        incr id
-      done
-    done;
-    let op_latencies =
-      let rec collect i acc =
-        if i < 0 then acc else collect (i - 1) (Floats.get latencies i :: acc)
-      in
-      collect (latencies.Floats.len - 1) []
+    let column per_pid =
+      let all = Float.Array.create (History.size history) in
+      let id = ref 0 in
+      for pid = 0 to n - 1 do
+        Float.Array.blit per_pid.(pid).Floats.data 0 all !id lengths.(pid);
+        id := !id + lengths.(pid)
+      done;
+      all
     in
+    let intervals = { Check_lin.starts = column starts; finishes = column finishes } in
+    let op_latencies = Float.Array.sub latencies.Floats.data 0 latencies.Floats.len in
     Option.iter
       (fun o ->
         Obs.finalize o ~live;

@@ -120,7 +120,9 @@ module Make (P : Protocol.PROTOCOL) : sig
   type result = {
     history : (P.update, P.query, P.output) History.t;
     metrics : Metrics.t;
-    op_latencies : float list;
+    op_latencies : Float.Array.t;
+        (** every completed operation's latency, unboxed, in completion
+            order; the ω reads take none *)
     final_outputs : (int * P.output) list;  (** completed final reads *)
     converged : bool;  (** all completed final reads are equal *)
     certificates : (int * (int * P.update) list) list Lazy.t;
@@ -138,11 +140,12 @@ module Make (P : Protocol.PROTOCOL) : sig
     metadata_bytes : (int * int) list;
     sim_duration : float;
     trace : Trace.t option;  (** present iff [config.trace] *)
-    intervals : (float * float) array;
+    intervals : Check_lin.intervals;
         (** per history event (indexed by event id): invocation and
-            response times. An update that never completed (a stalled
-            quorum operation) has an infinite response time. Feed these
-            to {!Check_lin} to decide linearizability of the run. *)
+            response times, in two unboxed columns. An update that never
+            completed (a stalled quorum operation) has an infinite
+            response time. Feed these to {!Check_lin} to decide
+            linearizability of the run. *)
   }
 
   val run : config -> workload:action list array -> result
@@ -164,10 +167,11 @@ module Make (P : Protocol.PROTOCOL) : sig
       clock's box when its issue event runs, and its history label.
       Start and finish times go to unboxed per-process columns sized
       from the scripts, latencies to one column in completion order;
-      [history] (through {!History.init}), [intervals] and
-      [op_latencies] are built from them once, at the end. The
-      protocol's own work and its frames (see {!Network.create}) come
-      on top. At the end of the run the live replicas' certificates are
-      folded once, for [certificates_agree]; the lists are built only
-      if [certificates] is forced. *)
+      at the end, [history] is built from them through
+      {!History.init}, and [intervals] and [op_latencies] are copies
+      of the columns, which box nothing. The protocol's own work and
+      its frames (see {!Network.create}) come on top. At the end of the
+      run the live replicas' certificates are folded once, for
+      [certificates_agree]; the lists are built only if
+      [certificates] is forced. *)
 end

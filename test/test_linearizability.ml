@@ -6,8 +6,11 @@ open Helpers
 
 module Lin_reg = Check_lin.Make (Register_spec)
 
-let timed steps intervals =
-  (History.make steps, Array.of_list intervals)
+(* A hand-timed history: [spans] gives each event's (invocation,
+   response) pair, in event-id order. *)
+let timed steps spans =
+  let column f = Float.Array.of_list (List.map f spans) in
+  (History.make steps, { Check_lin.starts = column fst; finishes = column snd })
 
 let unit_tests =
   [

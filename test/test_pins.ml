@@ -44,8 +44,11 @@ module Digest (P : Protocol.PROTOCOL) = struct
     let line fmt = Printf.bprintf b fmt in
     line "fp %s\n"
       (History.fingerprint P.pp_update P.pp_query P.pp_output r.R.history);
-    Array.iter (fun (s, f) -> line "iv %s %s\n" (bits s) (bits f)) r.R.intervals;
-    List.iter (fun l -> line "lat %s\n" (bits l)) r.R.op_latencies;
+    let { Check_lin.starts; finishes } = r.R.intervals in
+    Float.Array.iteri
+      (fun id s -> line "iv %s %s\n" (bits s) (bits (Float.Array.get finishes id)))
+      starts;
+    Float.Array.iter (fun l -> line "lat %s\n" (bits l)) r.R.op_latencies;
     let m = r.R.metrics in
     line "metrics %d %d %d %d %d %d %d %d %d %d %s %d %d\n" m.Metrics.messages_sent
       m.Metrics.bytes_sent m.Metrics.messages_delivered m.Metrics.messages_dropped
@@ -73,7 +76,7 @@ module Digest (P : Protocol.PROTOCOL) = struct
   let holds (r : R.result) = function
     | Incomplete -> r.R.metrics.Metrics.ops_incomplete > 0
     | Update_unfinished ->
-      Array.exists (fun (_, f) -> f = Float.infinity) r.R.intervals
+      Float.Array.exists (fun f -> f = Float.infinity) r.R.intervals.Check_lin.finishes
     | Query_unrecorded ->
       List.length (History.queries r.R.history) < r.R.metrics.Metrics.queries_invoked
     | Batched -> r.R.metrics.Metrics.batches_sent > 0

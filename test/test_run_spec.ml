@@ -149,7 +149,8 @@ let gen_parallel =
   let* domains = int_range 1 8 in
   let* ops = int_bound 10_000 in
   let* query_ratio = map (fun k -> float_of_int k /. 8.0) (int_bound 8) in
-  let* zipf = quarter in
+  (* only set draws a skewed workload *)
+  let* zipf = if spec = "set" then quarter else return 0.0 in
   let* batch = int_range 1 64 in
   let* flush_window = int_bound 32 in
   let* mailbox = int_range 1 4096 in
@@ -265,6 +266,9 @@ let invalid_specs =
     ( "queries on the contended set",
       Run_spec.Parallel { bench with spec = "set"; zipf = 1.0; query_ratio = 0.5 },
       "query_ratio" );
+    ("a skew on the counter", Run_spec.Parallel { bench with zipf = 1.5 }, "zipf");
+    ("parallel zipf -1", Run_spec.Parallel { bench with spec = "set"; zipf = -1.0 }, "zipf");
+    ("sharded zipf -1", Run_spec.Parallel { sharded with zipf = -1.0 }, "zipf");
   ]
 
 let universal_header = List.hd written_headers

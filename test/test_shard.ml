@@ -29,7 +29,13 @@
      absorb, over random runs with splits, migrations and both kinds
      of absorb; an absorbed entry landing in its key's shard whatever
      shard its frame names; and a keyed read allocating only what its
-     key's new entries apply, however full its shard. *)
+     key's new entries apply, however full its shard;
+   - a message's rendering and wire size, alone and in a 3-key
+     envelope, pinned;
+   - a sweep against [K.eval] of the shard logs' fold at 1, 2 and 8
+     shards, with keys returned to the initial state left out;
+   - what an update allocates (5 words a key, 3 more for an envelope)
+     and what a second sweep allocates per key. *)
 
 module S = Space.Make (Set_spec) (Update_codec.For_set)
 module B = Throughput.Sharded
@@ -847,6 +853,158 @@ let keyed_read_guard =
               others read applied)
         [ 0; 10_000 ])
 
+(* ------------------------ messages and sweeps ------------------------ *)
+
+(* What a lone replica (pid 1 of 3, 8 shards) hands its transport for
+   each update: a single-key update's message alone, a batch's as one
+   envelope. *)
+let sent_messages updates =
+  S.configure (S.create_map ~shards:8 ());
+  let sent = ref [] in
+  let r =
+    S.create
+      {
+        Protocol.pid = 1;
+        n = 3;
+        now = (fun () -> 0.0);
+        send = (fun ~dst:_ _ -> ());
+        broadcast = (fun m -> sent := `Alone m :: !sent);
+        broadcast_batch = (fun ms -> sent := `Envelope ms :: !sent);
+        set_timer = (fun ~delay:_ _ -> ());
+        count_replay = ignore;
+        obs = None;
+      }
+  in
+  List.iter (fun kus -> S.update r kus ~on_done:ignore) updates;
+  List.rev !sent
+
+let rendered m = Printf.sprintf "%s %d" (S.describe_message m) (S.message_wire_size m)
+
+(* Pinned to what the nested (shard, (timestamp, update)) message
+   rendered and cost on the wire: the flat record changes neither the
+   traces nor the byte counts. *)
+let message_pins =
+  Alcotest.test_case "a message's rendering and wire size, alone and in an envelope"
+    `Quick (fun () ->
+      let sent =
+        sent_messages
+          [
+            [ (5, Set_spec.Insert 3) ];
+            [ (1, Set_spec.Insert 2); (700, Set_spec.Delete 9); (42, Set_spec.Insert 300) ];
+          ]
+      in
+      let shape = function
+        | `Alone m -> "alone: " ^ rendered m
+        | `Envelope ms -> "envelope: " ^ String.concat "; " (List.map rendered ms)
+      in
+      Alcotest.(check (list string)) "messages"
+        [
+          "alone: s0:5:=I(3)(1,1) 6";
+          "envelope: s7:1:=I(2)(1,22) 6; s5:700:=D(9)(1,16) 7; s4:42:=I(300)(1,13) 7";
+        ]
+        (List.map shape sent))
+
+(* Updates that put keys 100 to 103 back at the initial state: an
+   insert then a delete of one element, from one replica or from both,
+   and within one batch. *)
+let undone_keys = [ 100; 101; 102; 103 ]
+
+let undo (rs : S.t array) drain =
+  let update p kus =
+    S.update rs.(p) kus ~on_done:ignore;
+    drain ()
+  in
+  update 0 [ (100, Set_spec.Insert 4) ];
+  update 0 [ (100, Set_spec.Delete 4) ];
+  update 0 [ (101, Set_spec.Insert 5); (7, Set_spec.Insert 5) ];
+  update 1 [ (101, Set_spec.Delete 5) ];
+  update 1 [ (102, Set_spec.Insert 6); (102, Set_spec.Delete 6); (103, Set_spec.Insert 1) ];
+  update 0 [ (103, Set_spec.Delete 1) ]
+
+(* A sweep builds its answer from the sorted key ids with no keyed map:
+   the same answer, rendered the same, as [K.eval] of the shard logs'
+   fold, and without the keys back at the initial state. *)
+let sweep_differential =
+  Helpers.qtest ~count:40 "a sweep = K.eval of the shard-log fold at 1, 2 and 8 shards"
+    Helpers.seed_gen (fun seed ->
+      List.for_all
+        (fun shards ->
+          let rs, drain = manual_pair (S.create_map ~shards ()) in
+          feed_manual ~seed ~ops:40 rs drain;
+          undo rs drain;
+          feed_manual ~seed:(seed + 1) ~ops:10 rs drain;
+          Array.for_all
+            (fun r ->
+              let expected = S.K.eval (reference_state r) S.K.Sweep and got = sweep r in
+              let text = Format.asprintf "%a" S.K.pp_output in
+              S.K.equal_output expected got
+              && text expected = text got
+              &&
+              match got with
+              | S.K.States states ->
+                List.for_all (fun k -> not (List.mem_assoc k states)) undone_keys
+              | S.K.Out _ -> false)
+            rs)
+        [ 1; 2; 8 ])
+
+(* Minor words per [w]-key update on a lone replica over 8 shards,
+   onto 64 key logs that already hold an entry each, so each log has
+   room for the [w] entries the updates add. *)
+let update_words w =
+  let r = solo_space ~shards:8 in
+  for k = 0 to 63 do
+    S.update r [ (k, Set_spec.Insert 1) ] ~on_done:ignore
+  done;
+  let batches =
+    Array.init 64 (fun i -> List.init w (fun j -> ((i + j) mod 64, Set_spec.Insert (2 + j))))
+  in
+  let words =
+    Helpers.minor_words (fun () ->
+        for i = 0 to 63 do
+          S.update r batches.(i) ~on_done:ignore
+        done)
+  in
+  words /. 64.0
+
+(* An update allocates the message of each keyed sub-update, 5 words,
+   and a batch's envelope a cons a message. With a queue cell, a
+   (shard, stamped) pair, the stamped record and its timestamp per
+   message, and the queue popped into a list and reversed for an
+   envelope, 1-, 2- and 3-key updates cost 12, 36 and 54 words. *)
+let update_guard =
+  Alcotest.test_case "a w-key update allocates 5w words, + 3w for an envelope" `Quick
+    (fun () ->
+      List.iter
+        (fun w ->
+          let words = update_words w in
+          let bound = float_of_int ((5 * w) + if w > 1 then 3 * w else 0) in
+          if words > bound +. 0.5 then
+            Alcotest.failf "a %d-key update: %.2f minor words, bound %.0f" w words bound)
+        [ 1; 2; 3 ])
+
+(* Minor words per key of a second sweep over 64 keys of 6 entries
+   each, whose logs' query caches the first sweep filled. *)
+let sweep_words () =
+  let r = solo_space ~shards:8 in
+  for i = 0 to 383 do
+    S.update r [ (i mod 64, Set_spec.Insert (i mod 23)) ] ~on_done:ignore
+  done;
+  ignore (sweep r : S.K.output);
+  let words = Helpers.minor_words (fun () -> ignore (Sys.opaque_identity (sweep r))) in
+  words /. 64.0
+
+(* A sweep sorts the key ids in an int array and, per key, allocates
+   the replay's (state, steps) pair, the answer's binding and cons, and
+   what [Set_spec.equal_state] allocates comparing the state with the
+   initial one: 25.5 words a key here. Built by adding every key to a
+   keyed map, then filtered and listed, it cost 56.9. *)
+let sweep_guard =
+  Alcotest.test_case "a second sweep allocates at most 40 words a key" `Quick
+    (fun () ->
+      let words = sweep_words () in
+      if words > 40.0 then
+        Alcotest.failf "a second sweep over 64 keys: %.1f minor words a key" words)
+
 let tests =
   differential_tests @ rebalance_tests @ migration_tests @ journal_tests
   @ [
@@ -859,4 +1017,8 @@ let tests =
       key_log_paths;
       misnamed_frame;
       keyed_read_guard;
+      message_pins;
+      sweep_differential;
+      update_guard;
+      sweep_guard;
     ]

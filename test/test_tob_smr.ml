@@ -47,7 +47,7 @@ let tests =
         in
         let r = R.run config ~workload:[| [ upd (Set_spec.Insert 1) ]; []; [] |] in
         (* Stability needs the echo of its own broadcast: one round trip. *)
-        List.iter
+        Float.Array.iter
           (fun l -> Alcotest.(check (float 1e-6)) "one round trip" 20.0 l)
           r.R.op_latencies);
     Alcotest.test_case "one crash blocks every later update" `Quick (fun () ->
@@ -81,6 +81,6 @@ let tests =
         in
         (* p0's read at t≈1 precedes any stability: it sees the initial
            state and costs nothing. *)
-        let read_latency = List.hd r.R.op_latencies in
+        let read_latency = Float.Array.get r.R.op_latencies 0 in
         Alcotest.(check (float 1e-6)) "local" 0.0 read_latency);
   ]

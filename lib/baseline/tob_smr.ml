@@ -6,8 +6,7 @@ module Make (A : Uqadt.S) = struct
     | Ack of { clock : int }
 
   type pending_entry = {
-    ets : Timestamp.t;
-    origin : int;
+    ets : Timestamp.t;  (* its pid is the issuing process *)
     u : A.update;
     on_applied : (unit -> unit) option;  (* completion of a local update *)
   }
@@ -57,7 +56,7 @@ module Make (A : Uqadt.S) = struct
     | entry :: rest when stable t entry.ets ->
       t.pending <- rest;
       t.state <- A.apply t.state entry.u;
-      t.applied_rev <- (entry.origin, entry.u) :: t.applied_rev;
+      t.applied_rev <- (entry.ets.Timestamp.pid, entry.u) :: t.applied_rev;
       (match entry.on_applied with Some f -> f () | None -> ());
       drain t
     | _ :: _ | [] -> ()
@@ -66,7 +65,7 @@ module Make (A : Uqadt.S) = struct
     let cl = Lamport.tick t.clock in
     let ts = Timestamp.make ~clock:cl ~pid:t.ctx.Protocol.pid in
     t.heard.(t.ctx.Protocol.pid) <- cl;
-    insert t { ets = ts; origin = t.ctx.Protocol.pid; u; on_applied = Some on_done };
+    insert t { ets = ts; u; on_applied = Some on_done };
     t.ctx.Protocol.broadcast (Update { ts; update = u });
     drain t
 
@@ -75,7 +74,7 @@ module Make (A : Uqadt.S) = struct
     | Update { ts; update = u } ->
       Lamport.merge t.clock ts.Timestamp.clock;
       if ts.Timestamp.clock > t.heard.(src) then t.heard.(src) <- ts.Timestamp.clock;
-      insert t { ets = ts; origin = src; u; on_applied = None };
+      insert t { ets = ts; u; on_applied = None };
       (* Echo so everyone's stability frontier can pass this update. *)
       let cl = Lamport.tick t.clock in
       t.heard.(t.ctx.Protocol.pid) <- cl;
@@ -101,8 +100,8 @@ module Make (A : Uqadt.S) = struct
 
   let metadata_bytes t =
     List.fold_left
-      (fun acc e ->
-        acc + Timestamp.wire_size e.ets + Wire.varint_size e.origin + A.update_wire_size e.u)
+      (fun acc { ets; u; _ } ->
+        acc + Timestamp.wire_size ets + Wire.varint_size ets.Timestamp.pid + A.update_wire_size u)
       (Array.fold_left (fun acc c -> acc + Wire.varint_size c) 0 t.heard)
       t.pending
 

@@ -40,15 +40,13 @@ module Make (A : Uqadt.S) = struct
      every entry with clock <= watermark has been folded out. *)
   let snapshot_clock t = Oplog.watermark t.tail
 
-  let insert t ts origin u =
+  let insert t ts u =
     if ts.Timestamp.clock <= snapshot_clock t then
       (* Unreachable by the stability argument; a violation would mean
          the pruning rule is wrong, so fail loudly rather than corrupt
          the linearization. *)
       invalid_arg "Gc: received an update below the stability bound";
-    ignore
-      (Oplog.insert t.tail ~clock:ts.Timestamp.clock ~pid:ts.Timestamp.pid ~origin u
-        : int)
+    ignore (Oplog.insert t.tail ~clock:ts.Timestamp.clock ~pid:ts.Timestamp.pid u : int)
 
   (* Fold the stable prefix of the tail into the snapshot. *)
   let compact t =
@@ -67,7 +65,7 @@ module Make (A : Uqadt.S) = struct
     let cl = Lamport.tick t.clock in
     let ts = Timestamp.make ~clock:cl ~pid:t.ctx.Protocol.pid in
     note_heard t t.ctx.Protocol.pid cl;
-    insert t ts t.ctx.Protocol.pid u;
+    insert t ts u;
     t.ctx.Protocol.broadcast (Update { ts; update = u });
     t.received_since_send <- 0;
     compact t;
@@ -78,7 +76,7 @@ module Make (A : Uqadt.S) = struct
     | Update { ts; update = u } ->
       Lamport.merge t.clock ts.Timestamp.clock;
       note_heard t src ts.Timestamp.clock;
-      insert t ts src u;
+      insert t ts u;
       t.received_since_send <- t.received_since_send + 1;
       if t.received_since_send >= heartbeat_every then begin
         (* Let idle processes contribute to everyone's stability bound. *)

@@ -61,16 +61,14 @@ module Configured (C : CONFIG) (A : Uqadt.S) = struct
   let update t u ~on_done =
     let cl = Lamport.tick t.clock and pid = t.ctx.Protocol.pid in
     (* Line 6: broadcast to all; the local copy is applied synchronously. *)
-    ignore (Oplog.insert t.log ~clock:cl ~pid ~origin:pid u : int);
+    ignore (Oplog.insert t.log ~clock:cl ~pid u : int);
     t.ctx.Protocol.broadcast { ts = Timestamp.make ~clock:cl ~pid; update = u };
     on_done ()
 
-  let receive t ~src { ts; update = u } =
+  let receive t ~src:_ { ts; update = u } =
     (* Line 9: clock_i <- max(clock_i, cl). *)
     Lamport.merge t.clock ts.Timestamp.clock;
-    ignore
-      (Oplog.insert t.log ~clock:ts.Timestamp.clock ~pid:ts.Timestamp.pid ~origin:src u
-        : int)
+    ignore (Oplog.insert t.log ~clock:ts.Timestamp.clock ~pid:ts.Timestamp.pid u : int)
 
   let message_ts m = m.ts
 
@@ -89,10 +87,7 @@ module Configured (C : CONFIG) (A : Uqadt.S) = struct
         List.fold_left (fun acc m -> max acc m.ts.Timestamp.clock) 0 msgs
       in
       Lamport.merge t.clock cl;
-      ignore
-        (Oplog.insert_batch t.log ~ts:message_ts ~origin:(fun _ -> src)
-           ~payload:message_update msgs
-          : int)
+      ignore (Oplog.insert_batch t.log ~ts:message_ts ~payload:message_update msgs : int)
 
   let query t q ~on_result =
     (* Line 13: queries also advance the clock. *)

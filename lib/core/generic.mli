@@ -36,9 +36,9 @@ module type S = sig
       unobservable. *)
 
   val local_log : t -> (Timestamp.t * int * update) list
-  (** The replica's timestamp-sorted update log (timestamp, origin pid,
-      update) — exposed for the experiments, the model checker and
-      {!Persist}. *)
+  (** The replica's timestamp-sorted update log (timestamp, issuing
+      pid, update), the op-log core's pid being the timestamp's —
+      exposed for the experiments, the model checker and {!Persist}. *)
 
   val encode_log :
     t -> encode_update:(Codec.Writer.t -> update -> unit) -> string

@@ -1,11 +1,12 @@
-(* The entries live in four parallel columns: [clock], [pid] and
-   [origin] unboxed in int arrays, and [payload]. The columns are cut
-   into pages of [page_size] entries. Page 0 is held directly and
-   doubles from 8 entries up to one page; every later page is
-   allocated whole into a page table that grows by doubling. So no
-   column longer than one page is ever copied or freed, and a full
-   page (1,025 words a column) is allocated straight into the major
-   heap instead of being promoted from the minor one. *)
+(* The entries live in three parallel columns: [clock] and [pid]
+   unboxed in int arrays, and [payload]. The pid is the issuing
+   process, so no column repeats it. The columns are cut into pages of
+   [page_size] entries. Page 0 is held directly and doubles from 8
+   entries up to one page; every later page is allocated whole into a
+   page table that grows by doubling. So no column longer than one page
+   is ever copied or freed, and a full page (1,025 words a column) is
+   allocated straight into the major heap instead of being promoted
+   from the minor one. *)
 
 let page_bits = 10
 
@@ -18,28 +19,21 @@ let page_mask = page_size - 1
 type 'u columns = {
   clock : int array;
   pid : int array;
-  origin : int array;
   payload : 'u array;
 }
 
 (* No entries: page 0 of an empty log, and the unallocated slots of a
    page table. *)
-let empty = { clock = [||]; pid = [||]; origin = [||]; payload = [||] }
+let empty = { clock = [||]; pid = [||]; payload = [||] }
 
 (* [filler] initialises the payload slots: a payload of the log's own
    type, so a float payload column is a flat float array throughout. *)
 let columns n filler =
-  {
-    clock = Array.make n 0;
-    pid = Array.make n 0;
-    origin = Array.make n 0;
-    payload = Array.make n filler;
-  }
+  { clock = Array.make n 0; pid = Array.make n 0; payload = Array.make n filler }
 
 let blit_columns a i b j n =
   Array.blit a.clock i b.clock j n;
   Array.blit a.pid i b.pid j n;
-  Array.blit a.origin i b.origin j n;
   Array.blit a.payload i b.payload j n
 
 (* Timestamp order on (clock, pid) fields. *)
@@ -108,19 +102,16 @@ let[@inline] clock_at t i = (page t i).clock.(i land page_mask)
 
 let[@inline] pid_at t i = (page t i).pid.(i land page_mask)
 
-let[@inline] origin_at t i = (page t i).origin.(i land page_mask)
-
 let[@inline] payload_at t i = (page t i).payload.(i land page_mask)
 
-let set t i clock pid origin payload =
+let set t i clock pid payload =
   let p = page t i and o = i land page_mask in
   p.clock.(o) <- clock;
   p.pid.(o) <- pid;
-  p.origin.(o) <- origin;
   p.payload.(o) <- payload
 
 (* Entry [i] of [b] into slot [w] of the log. *)
-let set_from t w b i = set t w b.clock.(i) b.pid.(i) b.origin.(i) b.payload.(i)
+let set_from t w b i = set t w b.clock.(i) b.pid.(i) b.payload.(i)
 
 (* Room for [n] entries. Page 0 doubles up to a full page; past it,
    whole pages join the table, which doubles as a table of pointers,
@@ -187,7 +178,8 @@ let move t ~src ~dst n =
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Oplog.get: index out of bounds";
-  (Timestamp.make ~clock:(clock_at t i) ~pid:(pid_at t i), origin_at t i, payload_at t i)
+  let pid = pid_at t i in
+  (Timestamp.make ~clock:(clock_at t i) ~pid, pid, payload_at t i)
 
 let clock t i =
   if i < 0 || i >= t.len then invalid_arg "Oplog.clock: index out of bounds";
@@ -235,9 +227,9 @@ let invalidate_above t pos =
   drop_checkpoints_above t pos;
   match t.qcache with Some m when pos < m.k -> m.k <- 0 | _ -> ()
 
-let insert_at t pos clock pid origin payload =
+let insert_at t pos clock pid payload =
   move t ~src:pos ~dst:(pos + 1) (t.len - pos);
-  set t pos clock pid origin payload;
+  set t pos clock pid payload;
   (match t.profile with
   | None -> ()
   | Some p ->
@@ -263,9 +255,9 @@ let above_tail t clock pid =
 (* An entry above the tail shifts nothing and invalidates nothing:
    every checkpoint and the query cache cover a prefix of what is
    already there. *)
-let append t clock pid origin payload =
+let append t clock pid payload =
   let pos = t.len in
-  set t pos clock pid origin payload;
+  set t pos clock pid payload;
   t.len <- pos + 1;
   (match t.profile with
   | None -> ()
@@ -274,17 +266,17 @@ let append t clock pid origin payload =
     p.Obs.Profile.appends <- p.Obs.Profile.appends + 1);
   pos
 
-let insert t ~clock ~pid ~origin payload =
+let insert t ~clock ~pid payload =
   if clock <= t.watermark then stale ();
   reserve t (t.len + 1) payload;
-  if above_tail t clock pid then append t clock pid origin payload
+  if above_tail t clock pid then append t clock pid payload
   else begin
     let pos = locate_fields t clock pid in
     (* Timestamps are unique run-wide, so an equal timestamp is the same
        update seen again — snapshot catch-up racing an in-flight frame
        makes delivery at-least-once under churn. Keep insert idempotent. *)
     if pos > 0 && clock_at t (pos - 1) = clock && pid_at t (pos - 1) = pid then pos - 1
-    else insert_at t pos clock pid origin payload
+    else insert_at t pos clock pid payload
   end
 
 (* Stable sort of [b.(0 .. n - 1)] by timestamp, then drop repeats
@@ -334,7 +326,7 @@ let merge_batch t b first stop =
     if !i >= 0 then begin
       let c = compare_fields (clock_at t !i) (pid_at t !i) b.clock.(!j) b.pid.(!j) in
       if c > 0 then begin
-        set t !w (clock_at t !i) (pid_at t !i) (origin_at t !i) (payload_at t !i);
+        set t !w (clock_at t !i) (pid_at t !i) (payload_at t !i);
         incr moved;
         decr i;
         decr w
@@ -386,15 +378,14 @@ let land_batch t b n ~ascending =
 
 (* A top-level loop: a [List.iteri] closure would be allocated per
    batch. *)
-let rec gather b ~ts ~origin ~payload i = function
+let rec gather b ~ts ~payload i = function
   | [] -> ()
   | m :: rest ->
     let stamp = ts m in
     b.clock.(i) <- stamp.Timestamp.clock;
     b.pid.(i) <- stamp.Timestamp.pid;
-    b.origin.(i) <- origin m;
     b.payload.(i) <- payload m;
-    gather b ~ts ~origin ~payload (i + 1) rest
+    gather b ~ts ~payload (i + 1) rest
 
 (* Batch insertion: the batch is gathered into column scratch, then
    landed with one capacity check and one back-to-front merge pass over
@@ -408,20 +399,18 @@ let rec gather b ~ts ~origin ~payload i = function
    cache are invalidated exactly as the sequence of single inserts
    would have invalidated them (every checkpoint above the lowest fresh
    landing position dies). *)
-let insert_batch t ~ts ~origin ~payload items =
+let insert_batch t ~ts ~payload items =
   match items with
   | [] -> 0
   | [ m ] ->
     let len0 = t.len and stamp = ts m in
     ignore
-      (insert t ~clock:stamp.Timestamp.clock ~pid:stamp.Timestamp.pid ~origin:(origin m)
-         (payload m)
-        : int);
+      (insert t ~clock:stamp.Timestamp.clock ~pid:stamp.Timestamp.pid (payload m) : int);
     t.len - len0
   | m :: _ ->
     let n = List.length items in
     let b = columns n (payload m) in
-    gather b ~ts ~origin ~payload 0 items;
+    gather b ~ts ~payload 0 items;
     let ascending = ref true in
     for i = 0 to n - 1 do
       if b.clock.(i) <= t.watermark then stale ();
@@ -440,7 +429,7 @@ let fold f init t =
 let fold_down f t init =
   let acc = ref init in
   for i = t.len - 1 downto 0 do
-    acc := f (origin_at t i) (payload_at t i) !acc
+    acc := f (pid_at t i) (payload_at t i) !acc
   done;
   !acc
 
@@ -507,7 +496,7 @@ let fold_down_merged f init logs =
        path against the log's next entry: one comparison a level. *)
     let j = m.tree.(0) in
     let log = logs.(j) and i = m.next.(j) in
-    acc := f !acc m.next_clock.(j) m.next_pid.(j) (origin_at log i) (payload_at log i);
+    acc := f !acc m.next_clock.(j) m.next_pid.(j) (payload_at log i);
     m.next.(j) <- i - 1;
     load_leaf m logs j;
     let cand = ref j and n = ref ((k + j) / 2) in
@@ -526,6 +515,11 @@ let fold_down_merged f init logs =
 let to_list t = List.init t.len (get t)
 
 let load t entries =
+  List.iter
+    (fun (ts, origin, _) ->
+      if origin <> ts.Timestamp.pid then
+        invalid_arg "Oplog.load: an entry's origin differs from its timestamp's pid")
+    entries;
   let entries =
     List.sort (fun (a, _, _) (b, _, _) -> Timestamp.compare a b) entries
   in
@@ -535,8 +529,7 @@ let load t entries =
   t.len <- 0;
   (match entries with [] -> () | (_, _, filler) :: _ -> reserve t n filler);
   List.iteri
-    (fun i (ts, origin, payload) ->
-      set t i ts.Timestamp.clock ts.Timestamp.pid origin payload)
+    (fun i (ts, _, payload) -> set t i ts.Timestamp.clock ts.Timestamp.pid payload)
     entries;
   t.len <- n;
   t.checkpoints <- Nil;
@@ -630,9 +623,10 @@ let compact t ~upto_clock ~apply snapshot =
   end
 
 (* Wire bytes of entry [i] without its payload: the two timestamp
-   varints and the origin varint. *)
+   varints and the origin varint, which repeats the pid. *)
 let entry_overhead t i =
-  Wire.pair_size (clock_at t i) (pid_at t i) + Wire.varint_size (origin_at t i)
+  let pid = pid_at t i in
+  Wire.pair_size (clock_at t i) pid + Wire.varint_size pid
 
 (* A loop, not a [fold]: its closure over [payload_wire_size] would be
    allocated on every call, once per key log on the sharded space. *)
@@ -663,10 +657,10 @@ let encode_list ~encode_update entries =
   Codec.Writer.u8 w version;
   Codec.Writer.varint w (List.length entries);
   List.iter
-    (fun (ts, origin, u) ->
+    (fun (ts, _, u) ->
       Codec.Writer.varint w ts.Timestamp.clock;
       Codec.Writer.varint w ts.Timestamp.pid;
-      Codec.Writer.varint w origin;
+      Codec.Writer.varint w ts.Timestamp.pid;
       encode_update w u)
     entries;
   write_checksum w;
@@ -675,10 +669,11 @@ let encode_list ~encode_update entries =
 let corrupt what = raise (Codec.Decode_error ("log snapshot: " ^ what))
 
 (* The one parser of the frame. It walks a frame off [r], which must
-   end where the frame does, calling [f clock pid origin update] on each
-   entry in frame order, then checks the trailer against the bytes it
-   walked, in place. It builds nothing itself, so each consumer builds
-   only what it keeps. *)
+   end where the frame does, calling [f clock pid update] on each entry
+   in frame order, then checks the trailer against the bytes it walked,
+   in place. An entry's origin varint must repeat its pid: the issuing
+   process is the timestamp's. It builds nothing itself, so each
+   consumer builds only what it keeps. *)
 let walk ~decode_update r f =
   let start = Codec.Reader.pos r in
   String.iter (fun c -> if Codec.Reader.u8 r <> Char.code c then corrupt "bad magic") magic;
@@ -689,8 +684,8 @@ let walk ~decode_update r f =
   for _ = 1 to count do
     let clock = Codec.Reader.varint r in
     let pid = Codec.Reader.varint r in
-    let origin = Codec.Reader.varint r in
-    f clock pid origin (decode_update r)
+    if Codec.Reader.varint r <> pid then corrupt "origin differs from pid";
+    f clock pid (decode_update r)
   done;
   let sum = Codec.Reader.byte_sum r ~from:start land checksum_mask in
   let declared = Codec.Reader.varint r in
@@ -699,13 +694,13 @@ let walk ~decode_update r f =
 
 let frame_floor ~decode_update r =
   let floor = ref max_int in
-  walk ~decode_update r (fun clock _ _ _ -> if clock < !floor then floor := clock);
+  walk ~decode_update r (fun clock _ _ -> if clock < !floor then floor := clock);
   !floor
 
 let decode_list ~decode_update r =
   let entries = ref [] in
-  walk ~decode_update r (fun clock pid origin u ->
-      entries := (Timestamp.make ~clock ~pid, origin, u) :: !entries);
+  walk ~decode_update r (fun clock pid u ->
+      entries := (Timestamp.make ~clock ~pid, pid, u) :: !entries);
   List.rev !entries
 
 (* What [merge_frame] keeps of a frame while walking it: the entries
@@ -724,7 +719,7 @@ type 'u gathered = {
    (clock, pid) and its payload decode, no more. *)
 let merge_frame t ~decode_update r =
   let g = { fresh = empty; n = 0; ascending = true; top = 0; refused = false } in
-  walk ~decode_update r (fun clock pid origin payload ->
+  walk ~decode_update r (fun clock pid payload ->
       if clock > g.top then g.top <- clock;
       if clock <= t.watermark then g.refused <- true
       else if not (holds t ~clock ~pid) then begin
@@ -740,7 +735,6 @@ let merge_frame t ~decode_update r =
           g.ascending <- false;
         b.clock.(i) <- clock;
         b.pid.(i) <- pid;
-        b.origin.(i) <- origin;
         b.payload.(i) <- payload;
         g.n <- i + 1
       end);
@@ -773,9 +767,10 @@ let encode ?update_wire_size ~encode_update t =
   Codec.Writer.u8 w version;
   Codec.Writer.varint w t.len;
   for i = 0 to t.len - 1 do
+    let pid = pid_at t i in
     Codec.Writer.varint w (clock_at t i);
-    Codec.Writer.varint w (pid_at t i);
-    Codec.Writer.varint w (origin_at t i);
+    Codec.Writer.varint w pid;
+    Codec.Writer.varint w pid;
     encode_update w (payload_at t i)
   done;
   write_checksum w;

@@ -9,13 +9,14 @@
     reversed list. This module is the single substrate they now share:
 
     {ul
-    {- {b Storage}: [(timestamp, origin, payload)] entries kept sorted
-       by timestamp ascending, in four parallel columns: the clock, the
-       pid and the origin unboxed in int arrays, and the payload.
-       Timestamps are (Lamport clock, pid) pairs and therefore
-       {e strictly} totally ordered — no two entries ever compare
-       equal. An entry costs four words plus its payload, where a boxed
-       record and its boxed timestamp cost eight.}
+    {- {b Storage}: [(timestamp, payload)] entries kept sorted by
+       timestamp ascending, in three parallel columns: the clock and
+       the pid unboxed in int arrays, and the payload. The pid is the
+       issuing process, the origin a view or a frame names. Timestamps
+       are (Lamport clock, pid) pairs and therefore {e strictly} totally
+       ordered — no two entries ever compare equal. An entry costs
+       three words plus its payload, where a boxed record and its boxed
+       timestamp cost eight.}
     {- {b Pages}: the columns are cut into pages of 1,024 entries. The
        log holds page 0 directly and doubles it from 8 entries up to
        one page; every later page is allocated whole into a page table
@@ -47,7 +48,8 @@
        wrote (magic "UCL", version, varint count, entries, additive
        checksum), so snapshots taken before this refactor still
        restore. One walker parses it: {!decode_list} into a list, and
-       {!merge_frame} straight into the live log.}}
+       {!merge_frame} straight into the live log. It refuses an entry
+       whose origin varint is not its pid.}}
 
     Invariants maintained:
     {ul
@@ -87,8 +89,9 @@ val length : ('u, 's) t -> int
 
 val get : ('u, 's) t -> int -> Timestamp.t * int * 'u
 (** [get t i] is the [i]-th entry in timestamp order, as a
-    [(timestamp, origin, payload)] triple built for the caller (a view
-    for tests and diagnostics; {!clock} and {!payload} read one column).
+    [(timestamp, pid, payload)] triple built for the caller, the pid
+    standing as the entry's origin (a view for tests and diagnostics;
+    {!clock} and {!payload} read one column).
     @raise Invalid_argument unless [0 <= i < length t]. *)
 
 val clock : ('u, 's) t -> int -> int
@@ -108,10 +111,10 @@ val holds : ('u, 's) t -> clock:int -> pid:int -> bool
 (** Whether the log holds the entry stamped [(clock, pid)]: one
     {!locate}. *)
 
-val insert : ('u, 's) t -> clock:int -> pid:int -> origin:int -> 'u -> int
-(** [insert t ~clock ~pid ~origin payload] inserts the entry stamped
-    [(clock, pid)] in timestamp order and returns the position it landed
-    at; checkpoints above that position are invalidated, at O(1) per
+val insert : ('u, 's) t -> clock:int -> pid:int -> 'u -> int
+(** [insert t ~clock ~pid payload] inserts the entry that process [pid]
+    stamped [(clock, pid)] in timestamp order and returns the position
+    it landed at; checkpoints above that position are invalidated, at O(1) per
     checkpoint dropped whatever the number still live. An entry that
     sorts above the tail is appended after one comparison with the
     tail, before any binary search; anything else pays {!locate}. An
@@ -126,19 +129,14 @@ val insert : ('u, 's) t -> clock:int -> pid:int -> origin:int -> 'u -> int
     stability {!watermark}. *)
 
 val insert_batch :
-  ('u, 's) t ->
-  ts:('m -> Timestamp.t) ->
-  origin:('m -> int) ->
-  payload:('m -> 'u) ->
-  'm list ->
-  int
-(** [insert_batch t ~ts ~origin ~payload items] inserts a whole
-    envelope, reading each item's entry through the three accessors,
-    and returns how many entries were fresh. Semantically identical to
+  ('u, 's) t -> ts:('m -> Timestamp.t) -> payload:('m -> 'u) -> 'm list -> int
+(** [insert_batch t ~ts ~payload items] inserts a whole envelope,
+    reading each item's entry through the two accessors, and returns
+    how many entries were fresh. Semantically identical to
     folding {!insert} over the list in order — duplicate timestamps
     (within the batch or against the log) are skipped, checkpoints
     above the lowest fresh landing position are invalidated — but the
-    items are gathered into column scratch (four arrays, no record per
+    items are gathered into column scratch (three arrays, no record per
     item) and cost one stable sort plus a single back-to-front merge
     pass over the pages (every resident entry moves at most once),
     instead of k binary searches each paying a suffix move. A batch that already ascends strictly by
@@ -152,14 +150,15 @@ val fold : ('a -> 'u -> 'a) -> 'a -> ('u, 's) t -> 'a
 (** [fold f init t] folds [f] over the payloads in timestamp order. *)
 
 val fold_down : (int -> 'u -> 'a -> 'a) -> ('u, 's) t -> 'a -> 'a
-(** [fold_down f t init] folds [f origin payload] over the entries
-    latest first (a right fold), allocating nothing beyond what [f]
-    does: the shape of {!Protocol.PROTOCOL.certificate}'s fold. *)
+(** [fold_down f t init] folds [f pid payload] over the entries latest
+    first (a right fold), allocating nothing beyond what [f] does: the
+    shape of {!Protocol.PROTOCOL.certificate}'s fold, whose origin is
+    the pid. *)
 
 val fold_down_merged :
-  ('a -> int -> int -> int -> 'u -> 'a) -> 'a -> ('u, 's) t array -> 'a
-(** [fold_down_merged f init logs] folds [f acc clock pid origin
-    payload] over the entries of all [logs] in one timestamp order,
+  ('a -> int -> int -> 'u -> 'a) -> 'a -> ('u, 's) t array -> 'a
+(** [fold_down_merged f init logs] folds [f acc clock pid payload] over
+    the entries of all [logs] in one timestamp order,
     latest first: a k-way merge read in place, O(entries x log k). Beyond what [f] allocates it allocates
     O(k) words of arrays, nothing per entry, so a list built by
     prepending comes out in timestamp order at the cost of its cells.
@@ -169,12 +168,15 @@ val fold_down_merged :
 val to_list : ('u, 's) t -> (Timestamp.t * int * 'u) list
 (** The log in timestamp order, in the triple shape the seed
     [local_log] API exposed — the compatibility view {!Persist} and the
-    experiments consume. *)
+    experiments consume, each entry as {!get} builds it. *)
 
 val load : ('u, 's) t -> (Timestamp.t * int * 'u) list -> unit
-(** Replace the contents with the given entries (sorted here, so any
-    order is accepted), dropping all checkpoints and resetting the
-    watermark. Crash-recovery path: the checkpoint interval is kept. *)
+(** Replace the contents with the given [(timestamp, origin, payload)]
+    entries (sorted here, so any order is accepted), dropping all
+    checkpoints and resetting the watermark. Crash-recovery path: the
+    checkpoint interval is kept.
+    @raise Invalid_argument, with the log unchanged, if an entry's
+    origin is not its timestamp's pid. *)
 
 val replay :
   ('u, 's) t -> apply:('s -> 'u -> 's) -> initial:'s -> 's * int
@@ -209,8 +211,8 @@ val compact : ('u, 's) t -> upto_clock:int -> apply:('s -> 'u -> 's) -> 's -> 's
 
 val footprint : ('u, 's) t -> payload_wire_size:('u -> int) -> int
 (** Wire bytes the retained entries would occupy: per entry the
-    timestamp, a varint origin, and the payload — the [metadata_bytes]
-    accounting every protocol previously duplicated. *)
+    timestamp, a varint origin (the pid again), and the payload — the
+    [metadata_bytes] accounting every protocol previously duplicated. *)
 
 (** {2 Codec}
 
@@ -218,12 +220,16 @@ val footprint : ('u, 's) t -> payload_wire_size:('u -> int) -> int
     magic "UCL", a version byte, a varint entry count, per entry the
     clock/pid/origin varints then the codec-encoded update, and a
     trailing varint additive checksum of everything before it. The
-    frame is self-delimiting, so it can be embedded in larger frames. *)
+    origin varint is written from the pid, and a decoder refuses an
+    entry whose origin is not its pid. The frame is self-delimiting, so
+    it can be embedded in larger frames. *)
 
 val encode_list :
   encode_update:(Codec.Writer.t -> 'u -> unit) ->
   (Timestamp.t * int * 'u) list ->
   string
+(** The frame of the [(timestamp, origin, update)] entries, in list
+    order. Each origin varint is written from the timestamp's pid. *)
 
 val decode_list :
   decode_update:(Codec.Reader.t -> 'u) ->
@@ -233,7 +239,8 @@ val decode_list :
     must end where the frame does ({!Codec.Reader.nested} reads one
     embedded in a larger frame without copying it).
     @raise Codec.Decode_error on bad magic, unsupported version,
-    truncation, trailing bytes, or checksum mismatch. *)
+    truncation, an origin other than its entry's pid, trailing bytes,
+    or checksum mismatch. *)
 
 val frame_floor : decode_update:(Codec.Reader.t -> 'u) -> Codec.Reader.t -> int
 (** Check the frame on the reader as {!decode_list} does, keeping

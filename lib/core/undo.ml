@@ -37,7 +37,7 @@ module Make (A : Undoable.S) = struct
      touch only the suffix behind it. A timestamp the log already holds
      is the same update delivered again, and changes nothing, as in
      [Oplog.insert]. *)
-  let insert t ts origin u =
+  let insert t ts u =
     if not (Oplog.holds t.log ~clock:ts.Timestamp.clock ~pid:ts.Timestamp.pid) then begin
       let before = t.repairs in
       let len = Oplog.length t.log in
@@ -50,9 +50,7 @@ module Make (A : Undoable.S) = struct
       let state', tok = A.apply_with_undo !state u in
       state := state';
       ignore
-        (Oplog.insert t.log ~clock:ts.Timestamp.clock ~pid:ts.Timestamp.pid ~origin
-           { u; tok }
-          : int);
+        (Oplog.insert t.log ~clock:ts.Timestamp.clock ~pid:ts.Timestamp.pid { u; tok } : int);
       for i = pos + 1 to len do
         let p = Oplog.payload t.log i in
         let state', tok = A.apply_with_undo !state p.u in
@@ -73,13 +71,13 @@ module Make (A : Undoable.S) = struct
   let update t u ~on_done =
     let cl = Lamport.tick t.clock in
     let ts = Timestamp.make ~clock:cl ~pid:t.ctx.Protocol.pid in
-    insert t ts t.ctx.Protocol.pid u;
+    insert t ts u;
     t.ctx.Protocol.broadcast { ts; update = u };
     on_done ()
 
-  let receive t ~src { ts; update = u } =
+  let receive t ~src:_ { ts; update = u } =
     Lamport.merge t.clock ts.Timestamp.clock;
-    insert t ts src u
+    insert t ts u
 
   let query t q ~on_result =
     let (_ : int) = Lamport.tick t.clock in
@@ -98,7 +96,7 @@ module Make (A : Undoable.S) = struct
     Oplog.footprint t.log ~payload_wire_size:(fun p -> A.update_wire_size p.u)
 
   let certificate t f init =
-    Some (Oplog.fold_down (fun origin p acc -> f origin p.u acc) t.log init)
+    Some (Oplog.fold_down (fun pid p acc -> f pid p.u acc) t.log init)
 
   let repairs t = t.repairs
 

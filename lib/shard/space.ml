@@ -176,8 +176,8 @@ struct
   (* One keyed sub-update, stamped (clock, pid) by its sender's shard,
      in one flat record. The shard tag is the sender's routing decision;
      receivers re-route by key through the current ring, so the tag is
-     advisory (origin encoding, diagnostics) and in-flight frames
-     survive ring changes. *)
+     advisory (wire size, diagnostics) and in-flight frames survive ring
+     changes. *)
   type message = { shard : int; clock : int; pid : int; update : int * A.update }
 
   module Keys = Hashtbl.Make (Int)
@@ -246,20 +246,20 @@ struct
   (* File an entry under its key, counted in shard [s] unless the key's
      log held it already: timestamps are unique run-wide, so an equal
      one is the same update again. *)
-  let file t s sh ~clock ~pid ~origin ((k, _) as ku) =
+  let file t s sh ~clock ~pid ((k, _) as ku) =
     let log = key_log t k in
     let before = Oplog.length log in
-    ignore (Oplog.insert log ~clock ~pid ~origin ku : int);
+    ignore (Oplog.insert log ~clock ~pid ku : int);
     sh.entries <- sh.entries + Oplog.length log - before;
     set_log_gauge t s
 
   (* Line 9 and the insert, for an entry of any origin: the shard its
      key routes to merges the entry's clock and counts the entry. *)
-  let land_entry t ~clock ~pid ~origin ((k, _) as ku) =
+  let land_entry t ~clock ~pid ((k, _) as ku) =
     let s = Ring.route t.map.ring k in
     let sh = shard t s in
     Lamport.merge sh.clock clock;
-    file t s sh ~clock ~pid ~origin ku
+    file t s sh ~clock ~pid ku
 
   (* A ring change re-homes the keys whose route moved. No entry moves:
      each stays in its key's log. The key's entries are counted in its
@@ -376,10 +376,10 @@ struct
     let s = Ring.route t.map.ring k in
     note_op t.map t.ctx.Protocol.obs s;
     let sh = shard t s in
-    let origin = (s * t.ctx.Protocol.n) + t.ctx.Protocol.pid in
+    let pid = (s * t.ctx.Protocol.n) + t.ctx.Protocol.pid in
     let clock = Lamport.tick sh.clock in
-    file t s sh ~clock ~pid:origin ~origin ku;
-    { shard = s; clock; pid = origin; update = ku }
+    file t s sh ~clock ~pid ku;
+    { shard = s; clock; pid; update = ku }
 
   (* A top-level loop, so no closure over [t] is allocated per update:
      each sub-update is stamped before the ones after it, and the
@@ -400,30 +400,27 @@ struct
     | kus -> t.ctx.Protocol.broadcast_batch (fan_out t kus));
     on_done ()
 
-  let deliver t ~src (m : message) =
-    land_entry t ~clock:m.clock ~pid:m.pid
-      ~origin:((m.shard * t.ctx.Protocol.n) + src)
-      m.update
+  let deliver t (m : message) = land_entry t ~clock:m.clock ~pid:m.pid m.update
 
-  let receive t ~src m =
+  let receive t ~src:_ m =
     migrate t;
-    deliver t ~src m
+    deliver t m
 
   (* A top-level loop, like [fan_out]. Landing an envelope message by
      message is landing it whole: the logs end as the timestamp union
      either way, and the clock merge is a max. *)
-  let rec deliver_all t ~src = function
+  let rec deliver_all t = function
     | [] -> ()
     | m :: rest ->
-      deliver t ~src m;
-      deliver_all t ~src rest
+      deliver t m;
+      deliver_all t rest
 
-  let receive_batch t ~src msgs =
+  let receive_batch t ~src:_ msgs =
     match msgs with
     | [] -> ()
     | msgs ->
       migrate t;
-      deliver_all t ~src msgs
+      deliver_all t msgs
 
   let key_apply state ((_, u) : int * A.update) = A.apply state u
 
@@ -517,17 +514,17 @@ struct
   let certificate t f init =
     migrate t;
     let n = t.ctx.Protocol.n in
-    Some (fold_down t (fun acc _ _ origin ku -> f (origin mod n) [ ku ] acc) init)
+    Some (fold_down t (fun acc _ pid ku -> f (pid mod n) [ ku ] acc) init)
 
-  (* Every shard's entries, (timestamp, origin, keyed update) in
+  (* Every shard's entries, (timestamp, encoded pid, keyed update) in
      timestamp order: the key logs' merge, dealt to the shards the keys
      are homed in. *)
   let shard_entries t =
     let by_shard = Array.make (Array.length t.shards) [] in
     fold_down t
-      (fun () clock pid origin ((k, _) as ku) ->
+      (fun () clock pid ((k, _) as ku) ->
         let s = Ring.route t.homed k in
-        by_shard.(s) <- (Timestamp.make ~clock ~pid, origin, ku) :: by_shard.(s))
+        by_shard.(s) <- (Timestamp.make ~clock ~pid, pid, ku) :: by_shard.(s))
       ();
     by_shard
 
@@ -613,8 +610,8 @@ struct
             let clock, log = Persist.open_replica frame in
             let named = shard t s in
             List.iter
-              (fun (ts, origin, ku) ->
-                land_entry t ~clock:ts.Timestamp.clock ~pid:ts.Timestamp.pid ~origin ku)
+              (fun (ts, _, ku) ->
+                land_entry t ~clock:ts.Timestamp.clock ~pid:ts.Timestamp.pid ku)
               (Oplog.decode_list ~decode_update:OneC.decode log);
             Lamport.merge named.clock clock;
             set_log_gauge t s)

@@ -50,7 +50,7 @@
     top ({!Oplog.fold_down_merged}): O(entries x log keys), allocating
     3 words an entry (the singleton batch it hands [f]) and O(keys)
     words of arrays. {!Protocol.Certificate.to_list} on top costs 9
-    words an entry (the [(origin, [ku])] pair and the cons besides);
+    words an entry (the [(pid mod n, [ku])] pair and the cons besides);
     {!Protocol.Certificate.agree} stays at 3.
 
     {b Catch-up.} [snapshot] migrates first, then writes every live
@@ -131,7 +131,7 @@ module Make
       (created shards only). *)
 
   val shard_logs : t -> (int * (Timestamp.t * int * (int * A.update)) list) list
-  (** Per-shard logs (timestamp, encoded origin, keyed update), sorted
+  (** Per-shard logs (timestamp, encoded pid, keyed update), sorted
       by shard id: the entries of the keys homed in each shard, merged
       in timestamp order. The per-shard Proposition 4 differential
       compares these across replicas. *)

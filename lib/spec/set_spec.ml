@@ -13,7 +13,11 @@ let apply s = function
 
 let eval s Read = s
 
-let equal_state = Support.Int_set.equal
+(* [Int_set.equal] ([Set.compare]) builds an enumeration even against
+   an empty set, which is what a sweep compares every key's state with. *)
+let equal_state a b =
+  if Support.Int_set.is_empty a then Support.Int_set.is_empty b
+  else (not (Support.Int_set.is_empty b)) && Support.Int_set.equal a b
 
 let equal_update a b =
   match (a, b) with

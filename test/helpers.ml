@@ -39,6 +39,24 @@ let frame_checksum s =
   String.iter (fun c -> acc := (!acc + Char.code c) land 0x3FFFFFFF) s;
   !acc
 
+(* A "UCL" log frame written from the frame spec, its entries in the
+   order given, each origin varint taken from its triple:
+   [Oplog.encode_list] writes the pid there, so only this can write a
+   frame whose origin is not its entry's pid. *)
+let ucl_frame ~encode_update entries =
+  let w = Codec.Writer.create () in
+  String.iter (fun c -> Codec.Writer.u8 w (Char.code c)) "UCL\x01";
+  Codec.Writer.varint w (List.length entries);
+  List.iter
+    (fun ((ts : Timestamp.t), origin, u) ->
+      Codec.Writer.varint w ts.clock;
+      Codec.Writer.varint w ts.pid;
+      Codec.Writer.varint w origin;
+      encode_update w u)
+    entries;
+  Codec.Writer.varint w (frame_checksum (Codec.Writer.contents w));
+  Codec.Writer.contents w
+
 let varint_bytes n =
   let w = Codec.Writer.create () in
   Codec.Writer.varint w n;

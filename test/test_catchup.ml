@@ -6,8 +6,9 @@
      local peer)], on both log cores and every op-log configuration;
    - the gather-scatter pass against the all-pairs snapshot exchange to
      a fixpoint, over random churn and partition schedules.
-   Mutated frames must be merged or refused untouched, never raise, and
-   two allocation guards keep the frame streaming into the log. A
+   Mutated frames, and frames holding an origin other than its entry's
+   pid, must be merged or refused untouched, never raise, and two
+   allocation guards keep the frame streaming into the log. A
    whole-space UCX frame is merged all or nothing, and the certificate,
    built back to front off the log, equals the reversed fold it
    replaced at 6 words an entry. *)
@@ -705,24 +706,17 @@ let shard_clocks r =
     (fun (s, f) -> (s, fst (shard_frame f)))
     (ucx_parts (Option.get (S.snapshot r)))
 
-(* The second of four shard frames fails its checksum (the low bit of
-   its last byte, the checksum varint's, flipped). The first merged
-   into the replica before the second was refused, leaving a fresh one
-   holding its entries. *)
-let corrupt_second_shard () =
+(* The second of four shard frames is damaged by [damage]. The first
+   merged into the replica before the second was refused, leaving a
+   fresh one holding its entries. *)
+let second_shard_refused damage () =
   S.configure (S.create_map ~shards:4 ());
   let rng = Prng.create 7 in
   let frame = Option.get (S.snapshot (space_replica 1 (space_updates rng 40))) in
   let parts = ucx_parts frame in
   Alcotest.(check string) "the frame spec parses the snapshot" frame (ucx_frame parts);
   Alcotest.(check int) "four shard frames" 4 (List.length parts);
-  let flip f =
-    let b = Bytes.of_string f in
-    let i = Bytes.length b - 1 in
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
-    Bytes.to_string b
-  in
-  let bad = ucx_frame (List.mapi (fun i (s, f) -> (s, if i = 1 then flip f else f)) parts) in
+  let bad = ucx_frame (List.mapi (fun i (s, f) -> (s, if i = 1 then damage f else f)) parts) in
   let fresh = S.create (ctx ~steps:(ref 0) 0) in
   Alcotest.(check bool) "a fresh replica refuses it" false (S.absorb fresh bad);
   Alcotest.(check int) "and holds nothing" 0 (S.log_length fresh);
@@ -734,6 +728,51 @@ let corrupt_second_shard () =
   Alcotest.(check (list (pair int int))) "per-shard clocks kept" (shard_clocks twin)
     (shard_clocks x);
   Alcotest.(check bool) "the intact frame merges" true (S.absorb x frame)
+
+(* The checksum fails: the low bit of the last byte, the checksum
+   varint's, flipped. *)
+let flip_last f =
+  let b = Bytes.of_string f in
+  let i = Bytes.length b - 1 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+  Bytes.to_string b
+
+(* The shard frame rewritten from the frame spec with its first entry's
+   origin one above its encoded pid, under a checksum that holds. *)
+let forge_origin f =
+  let clock, entries = shard_frame f in
+  let ucl = ucl_frame ~encode_update:OneC.encode in
+  if Persist.replica_frame ~clock (ucl entries) <> f then
+    Alcotest.fail "the frame spec does not rewrite the shard frame";
+  Persist.replica_frame ~clock
+    (ucl (List.mapi (fun i (ts, o, ku) -> (ts, (if i = 0 then o + 1 else o), ku)) entries))
+
+(* A replica frame holding three entries the replica lacks, the second
+   with an origin other than its pid: every core refuses it, log and
+   clock untouched; with that pid as its origin, every core merges it. *)
+let origin_mismatch () =
+  let frame origin =
+    Persist.replica_frame ~clock:200
+      (ucl_frame ~encode_update:Update_codec.For_set.encode
+         [
+           (Timestamp.make ~clock:95 ~pid:1, 1, Set_spec.Insert 1);
+           (Timestamp.make ~clock:96 ~pid:2, origin, Set_spec.Insert 2);
+           (Timestamp.make ~clock:97 ~pid:3, 3, Set_spec.Insert 3);
+         ])
+  in
+  List.iter
+    (fun (core, (module G : CORE)) ->
+      let module K = Persist.Catchup (G) (Update_codec.For_set) in
+      let rng = Prng.create 11 in
+      let x = G.create (ctx ~steps:(ref 0) 0) in
+      G.restore_log x (sample rng (pool rng));
+      ignore (read (module G) x);
+      let log0 = G.local_log x and clock0 = G.clock_value x in
+      Alcotest.(check bool) (core ^ ": refused") false (K.absorb x (frame 3));
+      Alcotest.(check bool) (core ^ ": log untouched") true (G.local_log x = log0);
+      Alcotest.(check int) (core ^ ": clock untouched") clock0 (G.clock_value x);
+      Alcotest.(check bool) (core ^ ": the pid as origin merges") true (K.absorb x (frame 2)))
+    cores
 
 (* A whole-space snapshot, valid or damaged: one shard frame mutated
    under intact framing, a declared shard count of 2^40 (or 2^20), or
@@ -838,7 +877,11 @@ let tests =
       Alcotest.test_case "a certificate allocates 6 words per entry" `Quick
         certificate_guard;
       Alcotest.test_case "a UCX frame with a corrupt shard frame is refused whole"
-        `Quick corrupt_second_shard;
+        `Quick (second_shard_refused flip_last);
+      Alcotest.test_case "a replica frame whose origin is not its pid is refused untouched"
+        `Quick origin_mismatch;
+      Alcotest.test_case "a UCX frame whose origin is not its pid is refused whole" `Quick
+        (second_shard_refused forge_origin);
       qtest ~count:300 "a mutated UCX frame is merged or refused whole" seed_gen
         ucx_mutated;
       qtest ~count:40 "gather-scatter quiescence = all-pairs fixpoint (universal)"

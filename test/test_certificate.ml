@@ -57,7 +57,12 @@ let generic_planted () =
     [
       ("one entry short (the latest)", List.filteri (fun j _ -> j < k - 1) base);
       ("one entry short (the earliest)", List.tl base);
-      ("one origin changed", edit (k / 2) (fun (ts, o, u) -> (ts, (o + 1) mod 4, u)) base);
+      ( "one origin changed (its timestamp's pid)",
+        edit (k / 2)
+          (fun ((ts : Timestamp.t), o, u) ->
+            let pid = (o + 1) mod 4 in
+            (Timestamp.make ~clock:ts.clock ~pid, pid, u))
+          base );
       ("one update changed", edit (k / 2) (fun (ts, o, u) -> (ts, o, flip u)) base);
       ("only the earliest entry differs", edit 0 (fun (ts, o, u) -> (ts, o, flip u)) base);
     ]
@@ -85,18 +90,18 @@ let generic_planted () =
 let space_updates k =
   List.init k (fun i -> [ (i * 7919 mod 64, Set_spec.Insert (i mod 16)) ])
 
-(* A pid-0 replica that issues [us] itself, and the frames it sends. *)
-let issuer us =
+(* A replica of process [pid] (default 0) that issues [us] itself, and
+   the frames it sends. *)
+let issuer ?(pid = 0) us =
   let sent = ref [] in
-  let r = S.create (ctx ~broadcast:(fun m -> sent := m :: !sent) 0) in
+  let r = S.create (ctx ~broadcast:(fun m -> sent := m :: !sent) pid) in
   List.iter (fun u -> S.update r u ~on_done:ignore) us;
   (r, List.rev !sent)
 
-(* A pid-[pid] replica that receives [msgs] from pid 0, the [j]-th
-   tagged as from [src j] instead. *)
-let receiver ?(src = fun _ -> 0) pid msgs =
+(* A pid-[pid] replica that receives [msgs] from pid 0. *)
+let receiver pid msgs =
   let r = S.create (ctx pid) in
-  List.iteri (fun j m -> S.receive r ~src:(src j) m) msgs;
+  List.iter (S.receive r ~src:0) msgs;
   r
 
 (* Which of [us] the fold visits last (the earliest) and first (the
@@ -120,12 +125,15 @@ let space_planted () =
   let local us = fst (issuer us) in
   let flip_at i = local (edit i (List.map (fun (key, u) -> (key, flip u))) us) in
   let without i () = receiver 2 (List.filteri (fun j _ -> j <> i) msgs) in
+  (* Process 3 issuing the same updates stamps the same shards and
+     clocks, with its own pid encoded in each stamp. *)
+  let _, forged = issuer ~pid:3 us in
   let variants =
     [
       ("one entry short (the latest)", without latest);
       ("one entry short (the earliest)", without earliest);
-      ( "one origin changed",
-        fun () -> receiver ~src:(fun j -> if j = k / 2 then 2 else 0) 2 msgs );
+      ( "one origin changed (a message's encoded pid names process 3)",
+        fun () -> receiver 2 (edit (k / 2) (fun _ -> List.nth forged (k / 2)) msgs) );
       ("one update changed", fun () -> flip_at (k / 2));
       ("only the earliest entry differs", fun () -> flip_at earliest);
     ]

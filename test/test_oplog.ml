@@ -3,7 +3,7 @@
    replay at every interval equals the full replay, compaction folds
    exactly the stable prefix, a merge of several logs is the timestamp
    sort, and the persistence codec round-trips at its declared wire
-   size. *)
+   size and refuses an entry whose origin is not its pid. *)
 
 open Helpers
 
@@ -32,18 +32,15 @@ let entry_batch rng =
 let by_timestamp entries =
   List.sort (fun (a, _, _) (b, _, _) -> Timestamp.compare a b) entries
 
-(* Entries are [(timestamp, origin, payload)] triples, the shape of
+(* Entries are [(timestamp, pid, payload)] triples, the shape of
    [Oplog.to_list]. *)
 let ts_of (ts, _, _) = ts
 
-let insert log ((ts : Timestamp.t), origin, payload) =
-  Oplog.insert log ~clock:ts.clock ~pid:ts.pid ~origin payload
+let insert log ((ts : Timestamp.t), _, payload) =
+  Oplog.insert log ~clock:ts.clock ~pid:ts.pid payload
 
 let insert_batch log entries =
-  Oplog.insert_batch log ~ts:ts_of
-    ~origin:(fun (_, origin, _) -> origin)
-    ~payload:(fun (_, _, payload) -> payload)
-    entries
+  Oplog.insert_batch log ~ts:ts_of ~payload:(fun (_, _, payload) -> payload) entries
 
 let insert_all log entries = List.iter (fun e -> ignore (insert log e : int)) entries
 
@@ -359,17 +356,15 @@ let paged_differential =
         List.fold_left (fun acc e -> max acc (ts_of e).Timestamp.clock) !watermark !model
       in
       let invalidate pos = ks := List.filter (fun k -> k <= pos) !ks in
-      let above () =
-        (Timestamp.make ~clock:(top () + Prng.int_in rng 1 3) ~pid:(Prng.int rng 4),
-          Prng.int rng 8, payload ())
+      let stamped clock =
+        let pid = Prng.int rng 4 in
+        (Timestamp.make ~clock ~pid, pid, payload ())
       in
-      let within () =
-        (Timestamp.make ~clock:(Prng.int_in rng (!watermark + 1) (top ())) ~pid:(Prng.int rng 4),
-          Prng.int rng 8, payload ())
-      in
+      let above () = stamped (top () + Prng.int_in rng 1 3) in
+      let within () = stamped (Prng.int_in rng (!watermark + 1) (top ())) in
       let resident () =
-        let ts, origin, _ = List.nth !model (Prng.int rng (List.length !model)) in
-        (ts, origin, payload ())
+        let ts, pid, _ = List.nth !model (Prng.int rng (List.length !model)) in
+        (ts, pid, payload ())
       in
       let pick () =
         match Prng.int rng 4 with 0 -> above () | 1 -> resident () | _ -> within ()
@@ -478,10 +473,10 @@ let paged_differential =
           && Oplog.to_list log = !model)
         (List.init 30 Fun.id)
       && Oplog.length log > 2 * 1_024
-      && Oplog.fold_down (fun origin u acc -> (origin, u) :: acc) log []
-         = List.map (fun (_, origin, u) -> (origin, u)) !model
+      && Oplog.fold_down (fun pid u acc -> (pid, u) :: acc) log []
+         = List.map (fun (_, pid, u) -> (pid, u)) !model
       && Oplog.fold_down_merged
-           (fun acc clock pid origin u -> (Timestamp.make ~clock ~pid, origin, u) :: acc)
+           (fun acc clock pid u -> (Timestamp.make ~clock ~pid, pid, u) :: acc)
            [] [| log; Oplog.create () |]
          = !model
       && List.map fst (Oplog.checkpoints log) = !ks
@@ -492,25 +487,93 @@ let paged_differential =
 
 (* What the columns cost resident: [Obj.reachable_words] of a log whose
    payloads are immediate ints, so every word counted is the log's own.
-   A 100,000-entry log fills 98 pages of four 1,025-word columns plus
-   the page table, about 4.02 words an entry; boxing each entry as a
+   A 100,000-entry log fills 98 pages of three 1,025-word columns plus
+   the page table, about 3.02 words an entry; boxing each entry as a
    record with a timestamp cost 8 and the slack of a doubling array.
    The one-entry log pins the fixed cost every key log of the sharded
-   space pays: the log record, page 0's column record, and four
-   8-entry columns, 52 words (a boxed-entry log paid 25). *)
+   space pays: the log record, page 0's column record, and three
+   8-entry columns, 42 words (a boxed-entry log paid 25). *)
 let resident_words () =
   let n = 100_000 in
   let log : (int, unit) Oplog.t = Oplog.create () in
   for i = 1 to n do
-    ignore (Oplog.insert log ~clock:i ~pid:(i mod 4) ~origin:(i mod 4) i : int)
+    ignore (Oplog.insert log ~clock:i ~pid:(i mod 4) i : int)
   done;
   let per_entry = float_of_int (Obj.reachable_words (Obj.repr log)) /. float_of_int n in
-  if per_entry > 4.2 then
+  if per_entry > 3.2 then
     Alcotest.failf "a %d-entry log holds %.2f words per entry" n per_entry;
   let one : (int, unit) Oplog.t = Oplog.create () in
-  ignore (Oplog.insert one ~clock:1 ~pid:0 ~origin:0 7 : int);
+  ignore (Oplog.insert one ~clock:1 ~pid:0 7 : int);
   let words = Obj.reachable_words (Obj.repr one) in
-  if words > 52 then Alcotest.failf "a one-entry log holds %d words" words
+  if words > 42 then Alcotest.failf "a one-entry log holds %d words" words
+
+(* A frame holding, between two entries the log lacks, one whose
+   origin varint names process 3 while its pid is 2: the frame's only
+   defect. Each reader of the frame refuses it whole. [merge_frame]
+   raises before anything lands, so the entries that would have landed
+   below both checkpoints and the query cache leave all three as they
+   were: the next replay takes no step. *)
+let origin_mismatch () =
+  let frame origin =
+    ucl_frame ~encode_update:Update_codec.For_set.encode
+      [ entry ~clock:3 ~pid:1; (Timestamp.make ~clock:5 ~pid:2, origin, Set_spec.Insert 5);
+        entry ~clock:7 ~pid:1 ]
+  in
+  let decode_list f =
+    Oplog.decode_list ~decode_update:Update_codec.For_set.decode (Codec.Reader.of_string f)
+  in
+  Alcotest.(check int) "with its pid as origin, the frame decodes" 3
+    (List.length (decode_list (frame 2)));
+  let refused what f =
+    match f (frame 3) with
+    | _ -> Alcotest.failf "%s accepted an origin other than its entry's pid" what
+    | exception Codec.Decode_error _ -> ()
+  in
+  refused "decode_list" (fun f -> ignore (decode_list f));
+  refused "frame_floor" (fun f ->
+      ignore
+        (Oplog.frame_floor ~decode_update:Update_codec.For_set.decode
+           (Codec.Reader.of_string f)));
+  let log = Oplog.create ~checkpoint_interval:4 ~query_cache:true () in
+  insert_all log (List.init 10 (fun i -> entry ~clock:(2 * (i + 1)) ~pid:0));
+  ignore (Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial);
+  let entries = Oplog.to_list log and checkpoints = Oplog.checkpoints log in
+  refused "merge_frame" (fun f ->
+      ignore
+        (Oplog.merge_frame log ~decode_update:Update_codec.For_set.decode
+           (Codec.Reader.of_string f)));
+  Alcotest.(check bool) "entries untouched" true (Oplog.to_list log = entries);
+  Alcotest.(check (list int)) "checkpoints untouched" (List.map fst checkpoints)
+    (List.map fst (Oplog.checkpoints log));
+  Alcotest.(check bool) "checkpoint states untouched" true
+    (List.for_all2
+       (fun (_, a) (_, b) -> Set_spec.equal_state a b)
+       checkpoints (Oplog.checkpoints log));
+  Alcotest.(check int) "query cache untouched: a replay takes no step" 0
+    (snd (Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial))
+
+(* [load] and [Generic.restore_log] on top of it refuse a triple whose
+   origin is not its timestamp's pid, leaving the log (and the
+   replica's clock) as it was. *)
+let load_origin_mismatch () =
+  let refusal =
+    Invalid_argument "Oplog.load: an entry's origin differs from its timestamp's pid"
+  in
+  let bad =
+    [ entry ~clock:8 ~pid:1; (Timestamp.make ~clock:9 ~pid:1, 2, Set_spec.Insert 9) ]
+  in
+  let log = Oplog.create () in
+  insert_all log [ entry ~clock:1 ~pid:0; entry ~clock:2 ~pid:3 ];
+  let before = Oplog.to_list log in
+  Alcotest.check_raises "Oplog.load" refusal (fun () -> Oplog.load log bad);
+  Alcotest.(check bool) "log untouched" true (Oplog.to_list log = before);
+  let module G = Generic.Make (Set_spec) in
+  let r = G.create (Throughput.dummy_ctx ~pid:0 ~n:4) in
+  G.restore_log r before;
+  let clock = G.clock_value r in
+  Alcotest.check_raises "Generic.restore_log" refusal (fun () -> G.restore_log r bad);
+  Alcotest.(check bool) "replica log untouched" true (G.local_log r = before);
+  Alcotest.(check int) "replica clock untouched" clock (G.clock_value r)
 
 let tests =
   [
@@ -524,8 +587,12 @@ let tests =
       late_insert_guard;
     dropped_reference;
     paged_differential;
-    Alcotest.test_case "a paged log holds about four words an entry" `Quick
+    Alcotest.test_case "a paged log holds about three words an entry" `Quick
       resident_words;
+    Alcotest.test_case "a frame whose origin is not its pid is refused on every read path"
+      `Quick origin_mismatch;
+    Alcotest.test_case "load and restore_log refuse an origin other than the pid" `Quick
+      load_origin_mismatch;
     qtest ~count:300 "inserting any permutation equals the timestamp sort"
       seed_gen
       (fun seed ->
@@ -546,8 +613,7 @@ let tests =
             entries;
         let merged =
           Oplog.fold_down_merged
-            (fun acc clock pid origin payload ->
-              (Timestamp.make ~clock ~pid, origin, payload) :: acc)
+            (fun acc clock pid payload -> (Timestamp.make ~clock ~pid, pid, payload) :: acc)
             [] logs
         in
         merged = by_timestamp (if Array.length logs = 0 then [] else entries));
@@ -605,7 +671,7 @@ let tests =
            second one starts at the deepest recorded checkpoint. *)
         for i = 1 to n do
           ignore
-            (Oplog.insert log ~clock:i ~pid:0 ~origin:0 (Set_spec.random_update rng)
+            (Oplog.insert log ~clock:i ~pid:0 (Set_spec.random_update rng)
               : int)
         done;
         let _, steps1 =
@@ -638,7 +704,7 @@ let tests =
         && (bound <= 0
            ||
            match
-             Oplog.insert log ~clock:bound ~pid:9 ~origin:9 (Set_spec.random_update rng)
+             Oplog.insert log ~clock:bound ~pid:9 (Set_spec.random_update rng)
            with
            | _ -> false
            | exception Invalid_argument _ -> true));
@@ -773,10 +839,8 @@ let tests =
         let n = Prng.int rng 60 in
         let entries =
           List.init n (fun _ ->
-              ( Timestamp.make ~clock:(1 + Prng.int rng 12)
-                  ~pid:(Prng.int rng 3),
-                Prng.int rng 3,
-                Set_spec.random_update rng ))
+              let pid = Prng.int rng 3 in
+              (Timestamp.make ~clock:(1 + Prng.int rng 12) ~pid, pid, Set_spec.random_update rng))
         in
         let chunks =
           let rec go acc cur = function
@@ -853,7 +917,7 @@ let tests =
         let log = Oplog.create ~query_cache:true () in
         for i = 1 to n do
           ignore
-            (Oplog.insert log ~clock:(i * 2) ~pid:0 ~origin:0 (Set_spec.random_update rng)
+            (Oplog.insert log ~clock:(i * 2) ~pid:0 (Set_spec.random_update rng)
               : int)
         done;
         let expect () = fold_states (Oplog.to_list log) in
@@ -866,15 +930,13 @@ let tests =
         (* Tail append leaves the cache valid; a late insert before it
            must invalidate. *)
         ignore
-          (Oplog.insert log ~clock:((n + 1) * 2) ~pid:0 ~origin:0
-             (Set_spec.random_update rng)
-            : int);
+          (Oplog.insert log ~clock:((n + 1) * 2) ~pid:0 (Set_spec.random_update rng) : int);
         let s3, steps3 =
           Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial
         in
         let e3 = expect () in
         ignore
-          (Oplog.insert log ~clock:3 ~pid:1 ~origin:1 (Set_spec.random_update rng) : int);
+          (Oplog.insert log ~clock:3 ~pid:1 (Set_spec.random_update rng) : int);
         let s4, steps4 =
           Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial
         in
@@ -883,16 +945,19 @@ let tests =
         && Set_spec.equal_state s1 s2
         && Set_spec.equal_state s3 e3
         && Set_spec.equal_state s4 (expect ()));
-    (* The fold hands over origin and payload only, so each entry's
-       origin here encodes its timestamp: the order is checked in full. *)
+    (* The fold hands over pid and payload only, so each entry's pid
+       here encodes its whole timestamp (the order of (clock, 4 x clock +
+       pid) is that of (clock, pid)): the order is checked in full. *)
     qtest ~count:300 "a fold from the top, prepending, is the log in order" seed_gen
       (fun seed ->
         let rng = Prng.create seed in
         let log = Oplog.create () in
         insert_all log
           (List.map
-             (fun ((ts : Timestamp.t), _, u) -> (ts, (ts.clock * 4) + ts.pid, u))
+             (fun ((ts : Timestamp.t), _, u) ->
+               let pid = (ts.clock * 4) + ts.pid in
+               (Timestamp.make ~clock:ts.clock ~pid, pid, u))
              (entry_batch rng));
-        Oplog.fold_down (fun origin payload acc -> (origin, payload) :: acc) log []
-        = List.map (fun (_, origin, payload) -> (origin, payload)) (Oplog.to_list log));
+        Oplog.fold_down (fun pid payload acc -> (pid, payload) :: acc) log []
+        = List.map (fun (_, pid, payload) -> (pid, payload)) (Oplog.to_list log));
   ]

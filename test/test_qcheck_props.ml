@@ -87,9 +87,8 @@ let dummy_ctx pid n : G_set.message Protocol.ctx =
 
 let random_log rng =
   List.init (Prng.int rng 6) (fun i ->
-      ( Timestamp.make ~clock:(i + 1 + Prng.int rng 3) ~pid:(Prng.int rng 3),
-        Prng.int rng 3,
-        Set_spec.random_update rng ))
+      let pid = Prng.int rng 3 in
+      (Timestamp.make ~clock:(i + 1 + Prng.int rng 3) ~pid, pid, Set_spec.random_update rng))
 
 (* A replica that has logged local and remote updates and ticked its
    clock with unlogged queries — the state a log-only restore
@@ -278,8 +277,8 @@ let permutation_tests =
           Prng.shuffle rng shuffled;
           let log = Oplog.create () in
           Array.iter
-            (fun ((ts : Timestamp.t), origin, u) ->
-              ignore (Oplog.insert log ~clock:ts.clock ~pid:ts.pid ~origin u : int))
+            (fun ((ts : Timestamp.t), _, u) ->
+              ignore (Oplog.insert log ~clock:ts.clock ~pid:ts.pid u : int))
             shuffled;
           let state, _ = Oplog.replay log ~apply:A.apply ~initial:A.initial in
           A.equal_state state expected

@@ -93,8 +93,11 @@ type config = {
       (** entries between replay checkpoints; [0] (or less) disables
           checkpointing — pure full replay over the array core *)
   query_cache : bool;
-      (** memoise the fold at the end of every replay, so a query after
-          a run of appends folds only the new suffix ({!Oplog.create}) *)
+      (** keep the last folds of every replay near the log's tail, so a
+          query after a run of appends folds only the new suffix, and
+          one after a late arrival near the tail folds only from where
+          it landed: the last fold, or the last 8 once an arrival has
+          landed just below them ({!Oplog.create}) *)
 }
 
 val default : config

@@ -47,10 +47,24 @@ let[@inline] compare_fields c1 p1 c2 p2 =
    O(dropped), and an append (nothing above it) costs one test. *)
 type 's checkpoints = Nil | Ckpt of int * 's * 's checkpoints
 
-(* The query cache cell: made by the first replay and overwritten by
-   every later one, so recording it allocates nothing. [k = 0] marks it
-   empty (the fold of no entries is [initial] anyway). *)
-type 's memo = { mutable k : int; mutable s : 's }
+(* The query cache: the folds at consecutive positions [lo .. hi] of
+   the latest replay, the fold of the first [p] entries in slot
+   [p land (width - 1)] of [ring]; [hi = -1] marks it empty. The ring
+   has one slot, or [wide] once a landing fell below [lo] but fewer
+   than [wide] entries below [hi]: a late arrival the wider ring would
+   have caught. [width] is the slot count the next replay makes [ring]
+   hold, allocating it then, once. *)
+type 's folds = {
+  mutable ring : 's array;
+  mutable width : int;
+  mutable lo : int;
+  mutable hi : int;
+}
+
+(* The widened ring's slots. A late arrival on sim-mixed lands 2.3
+   entries below the tail on average, and 8 slots cut its allocation
+   per operation as far as 16 or 32 do (DESIGN.md, the query cache). *)
+let wide = 8
 
 type ('u, 's) t = {
   mutable page0 : 'u columns;  (* entries [0 .. page_size - 1] *)
@@ -64,11 +78,13 @@ type ('u, 's) t = {
   mutable watermark : int;
   mutable profile : Obs.Profile.t option;
   query_cache : bool;
-  mutable qcache : 's memo option;
-      (* (k, fold of the first k entries) from the latest replay; like a
-         checkpoint but free-floating: re-recorded at the log tail on
-         every replay, so a query after a run of appends folds only the
-         suffix that arrived since the previous query. *)
+  mutable qcache : 's folds option;
+      (* The last folds of the latest replay, made by the first one;
+         like checkpoints but free-floating: re-recorded up to the log
+         tail on every replay, so a query after a run of appends folds
+         only the suffix that arrived since the previous query, and one
+         after a late arrival near the tail folds only from where it
+         landed. *)
 }
 
 let create ?(checkpoint_interval = 0) ?(query_cache = false) () =
@@ -221,11 +237,19 @@ let rec drop_checkpoints_above t pos =
   | _ -> ()
 
 (* An entry landing at [pos] changes the fold of every prefix longer
-   than [pos]: the checkpoints above it die, and so does the query
-   cache if it lies above it. At or below [pos] they stay valid. *)
+   than [pos]: the checkpoints above it die, and so do the cached folds
+   above it. At or below [pos] they stay valid, so the cache keeps
+   [lo .. pos]; a landing below [lo] empties it. *)
 let invalidate_above t pos =
   drop_checkpoints_above t pos;
-  match t.qcache with Some m when pos < m.k -> m.k <- 0 | _ -> ()
+  match t.qcache with
+  | Some c when pos < c.hi ->
+    if pos >= c.lo then c.hi <- pos
+    else begin
+      if c.hi - pos < wide then c.width <- wide;
+      c.hi <- -1
+    end
+  | _ -> ()
 
 let insert_at t pos clock pid payload =
   move t ~src:pos ~dst:(pos + 1) (t.len - pos);
@@ -514,6 +538,8 @@ let fold_down_merged f init logs =
 
 let to_list t = List.init t.len (get t)
 
+let empty_cache t = match t.qcache with Some c -> c.hi <- -1 | None -> ()
+
 let load t entries =
   List.iter
     (fun (ts, origin, _) ->
@@ -533,13 +559,35 @@ let load t entries =
     entries;
   t.len <- n;
   t.checkpoints <- Nil;
-  t.qcache <- None;
+  empty_cache t;
   t.watermark <- 0
+
+(* The query cache's ring for a replay from [base], whose fold is
+   [state]: allocated at the cache's width if it has not that many
+   slots yet (the cache is empty then), and [[||]] without a cache.
+   The cache comes out holding [lo .. len], [lo] as deep as the ring
+   reaches: the folds it held up to [base] still count if [base] is its
+   [hi], the replay's start, and the replay records the rest. A log
+   that is never replayed pays no cache: the first replay makes it. *)
+let rec cache_ring t base state =
+  match t.qcache with
+  | None when t.query_cache ->
+    t.qcache <- Some { ring = [||]; width = 1; lo = 0; hi = -1 };
+    cache_ring t base state
+  | None -> [||]
+  | Some c ->
+    if Array.length c.ring <> c.width then c.ring <- Array.make c.width state;
+    let lo = if c.hi = base then c.lo else base in
+    c.lo <- max lo (t.len - c.width + 1);
+    c.hi <- t.len;
+    c.ring
 
 (* Fold the entries from [base] on onto [state], the fold of the first
    [base]. States are recorded on the way so the next replay starts
-   close to the end of the log; the head checkpoint is the deepest, so
-   [i + 1 > base] never duplicates one. *)
+   close to the end of the log: a checkpoint every [interval] entries
+   (the head checkpoint is the deepest, so [i + 1 > base] never
+   duplicates one), and each of the last folds the query cache's ring
+   holds, one array store apiece. *)
 let replay_from t ~apply base state =
   (match t.profile with
   | None -> ()
@@ -550,9 +598,15 @@ let replay_from t ~apply base state =
       p.Obs.Profile.checkpoint_hits <- p.Obs.Profile.checkpoint_hits + 1
     else if t.interval > 0 then
       p.Obs.Profile.checkpoint_misses <- p.Obs.Profile.checkpoint_misses + 1);
+  let ring = cache_ring t base state in
+  let mask = Array.length ring - 1 in
+  (* The ring keeps the folds of the first [keep + 1 ..] entries. *)
+  let keep = t.len - Array.length ring in
+  if base > keep then ring.(base land mask) <- state;
   let state = ref state in
   for i = base to t.len - 1 do
     state := apply !state (payload_at t i);
+    if i >= keep then ring.((i + 1) land mask) <- !state;
     if t.interval > 0 && (i + 1) mod t.interval = 0 then begin
       t.checkpoints <- Ckpt (i + 1, !state, t.checkpoints);
       match t.profile with
@@ -561,25 +615,21 @@ let replay_from t ~apply base state =
         p.Obs.Profile.checkpoints_taken <- p.Obs.Profile.checkpoints_taken + 1
     end
   done;
-  if t.query_cache then begin
-    match t.qcache with
-    | Some m ->
-      m.k <- t.len;
-      m.s <- !state
-    | None -> t.qcache <- Some { k = t.len; s = !state }
-  end;
   (!state, t.len - base)
 
-(* Start from the deeper of the head checkpoint and the query cache.
-   The cache is re-recorded at the tail of every replay, so it is at
-   least as deep as any checkpoint unless an insert landed below it
-   since the last query. *)
+(* Start from the deeper of the head checkpoint and the query cache's
+   [hi]. The cache is re-recorded up to the tail on every replay, so it
+   is at least as deep as any checkpoint unless an entry landed below
+   [lo] since the last query. *)
 let replay t ~apply ~initial =
-  match (t.qcache, t.checkpoints) with
-  | Some m, Ckpt (k, _, _) when m.k >= k -> replay_from t ~apply m.k m.s
-  | Some m, Nil when m.k > 0 -> replay_from t ~apply m.k m.s
-  | _, Ckpt (k, s, _) -> replay_from t ~apply k s
-  | _, Nil -> replay_from t ~apply 0 initial
+  let deepest = match t.checkpoints with Ckpt (k, _, _) -> k | Nil -> 0 in
+  match t.qcache with
+  | Some c when c.hi >= deepest ->
+    replay_from t ~apply c.hi c.ring.(c.hi land (Array.length c.ring - 1))
+  | _ -> (
+    match t.checkpoints with
+    | Ckpt (k, s, _) -> replay_from t ~apply k s
+    | Nil -> replay_from t ~apply 0 initial)
 
 let rec count_checkpoints n = function
   | Nil -> n
@@ -617,7 +667,7 @@ let compact t ~upto_clock ~apply snapshot =
        cache goes with them for the same reason: its base index and
        its folded-in prefix both moved out from under it. *)
     t.checkpoints <- Nil;
-    t.qcache <- None;
+    empty_cache t;
     t.watermark <- upto_clock;
     (!state, stop)
   end

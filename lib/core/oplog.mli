@@ -38,7 +38,12 @@
        at position [pos] invalidates exactly the checkpoints strictly
        above [pos]. They are kept deepest first, so the invalidated
        ones are a run at the head: an insert pays O(dropped), and an
-       append, which drops nothing, pays one comparison.}
+       append, which drops nothing, pays one comparison. The optional
+       query cache keeps the last folds of the latest replay near the
+       tail, where late arrivals land: one, or the last 8 once an
+       arrival has landed just below them, so a query refolds only from
+       where a late entry landed. The interval checkpoints bound the
+       deeper landings and catch-up merges.}
     {- {b Stability watermark}: the GC hook. {!compact} folds the
        prefix at or below a clock bound into a caller-held snapshot
        state and remembers the bound; {!insert} refuses timestamps at
@@ -65,13 +70,18 @@ type ('u, 's) t
 val create : ?checkpoint_interval:int -> ?query_cache:bool -> unit -> ('u, 's) t
 (** An empty log. [checkpoint_interval] (default [0] = checkpoints off)
     is how many entries {!replay} folds between recorded states.
-    [query_cache] (default [false]) additionally memoises the full fold
-    at the end of every {!replay}, so a query issued after a run of
-    appends folds only the suffix that arrived since the previous
-    query; an insert landing below the cached prefix invalidates it,
-    exactly like a checkpoint. Only enable it when every {!replay} on
-    this log uses the same [apply]/[initial] (the checkpoint
-    assumption).
+    [query_cache] (default [false]) additionally keeps the folds at
+    consecutive positions [lo .. hi] of the latest {!replay}, [hi] its
+    tail, and starts each replay from the deeper of [hi] and the head
+    checkpoint: a query issued after a run of appends folds only the
+    suffix that arrived since the previous query. An entry landing at
+    [pos < hi] lowers [hi] to [pos] (the folds at or below it stay
+    valid), and one landing below [lo] empties the cache. The cache
+    holds one fold until an entry lands below [lo] but fewer than 8
+    entries below [hi]; the next replay then allocates an 8-slot ring,
+    once, and the log keeps the last 8 folds of every replay from then
+    on. Only enable it when every {!replay} on this log uses the same
+    [apply]/[initial] (the checkpoint assumption).
     @raise Invalid_argument if the interval is negative. *)
 
 val set_profile : ('u, 's) t -> Obs.Profile.t option -> unit
@@ -185,9 +195,13 @@ val replay :
     [checkpoint_interval] entries on the way. Returns the final state
     and the number of [apply] steps actually performed — the
     [replay_steps] observable of experiment C2. With checkpoints off
-    this is a plain full fold. Beyond its result pair, it allocates
-    only what [apply] does and one cell per checkpoint it records (the
-    query cache is overwritten in place). *)
+    this is a plain full fold. With the query cache it starts from the
+    cache's deepest fold when that is at least as deep as the head
+    checkpoint, and records the last folds on the way. Beyond its
+    result pair, it allocates only what [apply] does and one cell per
+    checkpoint it records: each fold the query cache keeps is one store
+    into its ring, whose slots are allocated once (at the first
+    replay, and again once the cache widens). *)
 
 val checkpoints_live : ('u, 's) t -> int
 (** Currently valid checkpoints (diagnostics). *)

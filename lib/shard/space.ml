@@ -435,7 +435,9 @@ struct
   (* What [K.eval] answers a [Sweep] on the keyed fold: every key's
      state, in key order, leaving out those equal to [A.initial]. The
      key ids are sorted in an int array and the answer is prepended from
-     the highest key down, so no map is built and none filtered. *)
+     the highest key down, so no map is built and none filtered. The
+     merge sort's scratch is half the array; [Array.sort]'s heap sort
+     raises an exception as it sifts, and allocates more. *)
   let sweep t =
     let keys = Array.make (Keys.length t.keys) 0 in
     let filled = ref 0 in
@@ -444,7 +446,7 @@ struct
         keys.(!filled) <- k;
         incr filled)
       t.keys;
-    Array.sort Int.compare keys;
+    Array.stable_sort Int.compare keys;
     let states = ref [] in
     for i = Array.length keys - 1 downto 0 do
       let k = keys.(i) in

@@ -220,6 +220,137 @@ let edge_inserts () =
   Alcotest.(check bool) "the resident tail entry was kept" true
     (Set_spec.equal_update (Oplog.payload log 4) (Set_spec.Insert 4))
 
+(* The query cache after one near miss. An arrival landing just below
+   the last replay's tail, under the one-slot cache, makes the next
+   replay start from the interval checkpoint and keep the last 8 folds
+   from then on. Then an arrival that lands with [d] entries at and
+   above it, itself included, costs a replay of exactly those [d] when
+   [d <= 8], wherever the checkpoint lies; at [d >= 9] it lands below
+   the ring and the replay falls back to the checkpoint. Each round
+   first appends 16 entries and replays, so the arrival lands among
+   fresh entries, and [d = 1] is an append. *)
+let near_tail_replay () =
+  let log = Oplog.create ~checkpoint_interval:32 ~query_cache:true () in
+  let top = ref 0 in
+  let append () =
+    top := !top + 100;
+    ignore (Oplog.insert log ~clock:!top ~pid:0 (Set_spec.Insert (!top mod 7)) : int)
+  in
+  let replay () = snd (Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial) in
+  let arrive d =
+    let pos = Oplog.length log + 1 - d in
+    let clock = if d = 1 then !top + 1 else Oplog.clock log pos - 1 in
+    Alcotest.(check int)
+      (Printf.sprintf "%d at and above the arrival" d)
+      pos
+      (Oplog.insert log ~clock ~pid:1 (Set_spec.Delete (clock mod 7)))
+  in
+  let deepest () = match Oplog.checkpoints log with (k, _) :: _ -> k | [] -> 0 in
+  for _ = 1 to 100 do
+    append ()
+  done;
+  Alcotest.(check int) "the first replay folds the log" 100 (replay ());
+  arrive 2;
+  Alcotest.(check int) "a near miss on the one-slot cache replays from the checkpoint"
+    (101 - 96) (replay ());
+  for d = 1 to 12 do
+    for _ = 1 to 16 do
+      append ()
+    done;
+    ignore (replay () : int);
+    arrive d;
+    let expected = if d <= 8 then d else Oplog.length log - deepest () in
+    Alcotest.(check int) (Printf.sprintf "replay steps, %d at and above" d) expected (replay ())
+  done;
+  Alcotest.(check bool) "the cached folds answer as the full fold" true
+    (Set_spec.equal_state
+       (fst (Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial))
+       (fold_states (Oplog.to_list log)))
+
+(* What the query cache holds resident: the words a log with the cache
+   holds beyond an identical log without it, on int payloads and
+   states. Appends, replays and landings 20 entries below the tail
+   leave it one fold (the option, its four-field record and a one-slot
+   ring, 9 words); one landing just below the tail widens it to the
+   8-slot ring. *)
+let cache_resident_guard () =
+  let cached : (int, int) Oplog.t = Oplog.create ~query_cache:true () in
+  let plain : (int, int) Oplog.t = Oplog.create () in
+  let insert clock =
+    List.iter (fun log -> ignore (Oplog.insert log ~clock ~pid:0 1 : int)) [ cached; plain ]
+  in
+  let replay () =
+    List.iter (fun log -> ignore (Oplog.replay log ~apply:( + ) ~initial:0)) [ cached; plain ]
+  in
+  let cache_words () =
+    Obj.reachable_words (Obj.repr cached) - Obj.reachable_words (Obj.repr plain)
+  in
+  for i = 1 to 300 do
+    insert (100 * i);
+    if i mod 10 = 0 then replay ();
+    if i mod 50 = 0 then insert ((100 * (i - 20)) + 1)
+  done;
+  replay ();
+  let words = cache_words () in
+  if words > 9 then Alcotest.failf "without a near miss the query cache holds %d words" words;
+  insert ((100 * 300) - 1);
+  replay ();
+  let widened = cache_words () in
+  if widened <= words then
+    Alcotest.failf "a near miss left the query cache at %d words (%d before)" widened words
+
+(* A replay from the widened ring on a counter log, whose [apply] is
+   integer addition and allocates nothing: each replay allocates its
+   (state, steps) pair, 3 words, and each checkpoint it records a
+   4-word cell, and nothing a step. The replays counted start from the
+   ring: after a round of appends, and after an arrival landing 2 to 8
+   entries from the tail. *)
+let ring_replay_guard () =
+  let log : (int, int) Oplog.t = Oplog.create ~checkpoint_interval:32 ~query_cache:true () in
+  let profile = Obs.Profile.create () in
+  Oplog.set_profile log (Some profile);
+  let top = ref 0 in
+  let append () =
+    top := !top + 100;
+    ignore (Oplog.insert log ~clock:!top ~pid:0 1 : int)
+  in
+  let arrive d =
+    let pos = Oplog.length log + 1 - d in
+    ignore (Oplog.insert log ~clock:(Oplog.clock log pos - 1) ~pid:1 1 : int)
+  in
+  let replays = ref 0 and steps = ref 0 and words = ref 0. in
+  let replay () =
+    let counted = ref 0 in
+    words :=
+      !words
+      +. Helpers.minor_words (fun () ->
+             counted := snd (Oplog.replay log ~apply:( + ) ~initial:0));
+    incr replays;
+    steps := !steps + !counted
+  in
+  for _ = 1 to 100 do
+    append ()
+  done;
+  ignore (Oplog.replay log ~apply:( + ) ~initial:0);
+  arrive 2;
+  ignore (Oplog.replay log ~apply:( + ) ~initial:0);
+  let taken = profile.Obs.Profile.checkpoints_taken in
+  for round = 0 to 69 do
+    for _ = 1 to 16 do
+      append ()
+    done;
+    replay ();
+    arrive (2 + (round mod 7));
+    replay ()
+  done;
+  Alcotest.(check int) "every counted replay started from the ring"
+    ((70 * 16) + (10 * (2 + 3 + 4 + 5 + 6 + 7 + 8)))
+    !steps;
+  let cells = profile.Obs.Profile.checkpoints_taken - taken in
+  if !words > float_of_int ((3 * !replays) + (4 * cells)) then
+    Alcotest.failf "%d replays of %d steps from the ring, recording %d checkpoints, allocated %.0f words"
+      !replays !steps cells !words
+
 (* Section VII.C's query cost on the three cores of the universal
    construction: the list core, the array core with checkpoints off,
    and the array core at its default interval of 32. *)
@@ -619,6 +750,13 @@ let tests =
         merged = by_timestamp (if Array.length logs = 0 then [] else entries));
     Alcotest.test_case "above-tail, tail-duplicate and just-below-tail inserts" `Quick
       edge_inserts;
+    Alcotest.test_case
+      "after a near miss, a late arrival among the last 8 folds replays from where it landed"
+      `Quick near_tail_replay;
+    Alcotest.test_case "a log without a near miss keeps a one-slot query cache" `Quick
+      cache_resident_guard;
+    Alcotest.test_case "a replay from the widened ring allocates nothing a step" `Quick
+      ring_replay_guard;
     qtest ~count:300 "insert returns the landing position" seed_gen (fun seed ->
         let rng = Prng.create seed in
         let entries = entry_batch rng in
@@ -629,37 +767,51 @@ let tests =
             Timestamp.equal (ts_of (Oplog.get log pos)) (ts_of e)
             && pos = Oplog.locate log (ts_of e) - 1)
           entries);
+    (* With the query cache on and off. Besides the shuffled batch, a
+       third of the steps add an arrival landing 1 to 12 entries below
+       the tail (just below the entry there, under a pid of its own), so
+       the cache's last folds are cut short, emptied and widened. *)
     qtest ~count:200
       "checkpointed replay equals full replay at every interval" seed_gen
       (fun seed ->
         let rng = Prng.create seed in
         let entries = entry_batch rng in
         List.for_all
-          (fun interval ->
-            let log = Oplog.create ~checkpoint_interval:interval () in
-            let inserted = ref [] in
+          (fun (interval, query_cache) ->
+            let log = Oplog.create ~checkpoint_interval:interval ~query_cache () in
+            let inserted = ref [] and near = ref 0 in
+            let add e =
+              ignore (insert log e : int);
+              inserted := e :: !inserted
+            in
+            let land_near () =
+              let len = Oplog.length log in
+              let d = min len (1 + Prng.int rng 12) in
+              if d > 0 && Oplog.clock log (len - d) > 1 then begin
+                incr near;
+                let clock = Oplog.clock log (len - d) - 1 and pid = 3 + !near in
+                add (Timestamp.make ~clock ~pid, pid, Set_spec.random_update rng)
+              end
+            in
+            let replay_matches () =
+              let state, _ =
+                Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial
+              in
+              Set_spec.equal_state state (fold_states (by_timestamp !inserted))
+            in
             List.for_all
               (fun e ->
-                ignore (insert log e : int);
-                inserted := e :: !inserted;
+                add e;
+                if Prng.int rng 3 = 0 then land_near ();
                 (* Replay mid-stream at random points, so checkpoints
-                   recorded by one replay get invalidated by the next
-                   late insert. *)
-                Prng.int rng 3 > 0
-                ||
-                let state, steps =
-                  Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial
-                in
-                steps >= 0
-                && Set_spec.equal_state state
-                     (fold_states (by_timestamp !inserted)))
+                   and cached folds recorded by one replay get
+                   invalidated by the next late insert. *)
+                Prng.int rng 3 > 0 || replay_matches ())
               entries
-            &&
-            let state, _ =
-              Oplog.replay log ~apply:Set_spec.apply ~initial:Set_spec.initial
-            in
-            Set_spec.equal_state state (fold_states (by_timestamp entries)))
-          [ 1; 2; 3; 4; 5; 7; 8; 16; 32; 0 ]);
+            && replay_matches ())
+          (List.concat_map
+             (fun interval -> [ (interval, false); (interval, true) ])
+             [ 1; 2; 3; 4; 5; 7; 8; 16; 32; 0 ]));
     qtest ~count:200 "warm checkpoints bound replay work to one interval"
       seed_gen
       (fun seed ->

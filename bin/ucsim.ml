@@ -11,17 +11,15 @@
      shrink       minimize a monitor-flagged journal to a smallest one
      soak         long-horizon run with streaming series and alert rules
      report       render a registry dump, or series sparklines (--series)
-     list         show available protocols and experiments *)
+     list         show available protocols and experiments
+
+   Each command parses its flags into a run spec, runs it through
+   {!Driver}, prints the report it gets back and writes its files. *)
 
 let experiment_ids =
   [ "F1"; "F2"; "P1"; "P4"; "T6"; "T6b"; "C1"; "C2"; "C3"; "C4"; "C4b"; "T7"; "S1"; "C5"; "C6"; "A1"; "A2"; "A3" ]
 
-(* ------------------------------------------------------------------ *)
-(* Protocol registry for `run`: each named protocol is paired with its
-   object type and a driver that simulates a conflict workload on it.  *)
-(* ------------------------------------------------------------------ *)
-
-(* What a run prints and writes besides its report; what it does is a
+(* What a run writes besides its report; what it does is a
    Run_spec.sequential. *)
 type sinks = {
   obs_on : bool;
@@ -29,20 +27,10 @@ type sinks = {
   registry_out : string option;
   span_dump : bool;
   journal_out : string option;
-  check : bool;
-  trace : bool;  (* print a space-time trace *)
 }
 
 let no_sinks =
-  {
-    obs_on = false;
-    trace_out = None;
-    registry_out = None;
-    span_dump = false;
-    journal_out = None;
-    check = false;
-    trace = false;
-  }
+  { obs_on = false; trace_out = None; registry_out = None; span_dump = false; journal_out = None }
 
 (* The telemetry bundle a run with these sinks needs: one is built as
    soon as any output that reads it was requested. *)
@@ -54,24 +42,32 @@ let observe ?on_alert sinks spec =
     ?journal:(Option.map (fun _ -> Obs.Journal.create ()) sinks.journal_out)
     spec
 
-(* The command's one-line error for the first invalid field. *)
-let or_exit ~cmd = function
-  | Ok _ -> ()
+(* The value, or the command's one-line error. A report printed before
+   the error stays ahead of it. *)
+let ok ~cmd = function
+  | Ok v -> v
   | Error msg ->
+    flush stdout;
     Printf.eprintf "%s: %s\n" cmd msg;
     exit 1
 
 (* A spec from flags, or the command's one-line error. *)
-let check_spec ~cmd spec = or_exit ~cmd (Run_spec.validate spec)
+let check_spec ~cmd spec = ignore (ok ~cmd (Run_spec.validate spec))
 
 (* Flags no run spec carries, checked in the same words. *)
-let check_flags ~cmd flags = or_exit ~cmd (Run_spec.check_flags flags)
+let check_flags ~cmd flags = ok ~cmd (Run_spec.check_flags flags)
 
 let write_json file json =
   let oc = open_out file in
   output_string oc (Obs.Json.to_string ~pretty:true json);
   output_char oc '\n';
   close_out oc
+
+let write_journal file j =
+  let oc = open_out file in
+  output_string oc (Obs.Journal.to_jsonl j);
+  close_out oc;
+  Printf.printf "journal written    %s (%d events)\n" file (Obs.Journal.length j)
 
 (* The run's configuration stamped on a Perfetto trace: header fields,
    plus the replica count. *)
@@ -118,12 +114,7 @@ let emit_obs sinks (spec : Run_spec.sequential) obs =
       Printf.printf "registry written   %s\n" file
     | None -> ());
     (match (o.journal, sinks.journal_out) with
-    | Some j, Some file ->
-      let oc = open_out file in
-      output_string oc (Obs.Journal.to_jsonl j);
-      close_out oc;
-      Printf.printf "journal written    %s (%d events)\n" file
-        (Obs.Journal.length j)
+    | Some j, Some file -> write_journal file j
     | _ -> ());
     if sinks.span_dump then Format.printf "%a" Obs.Trace_export.pp_span_dump o.spans;
     (match Obs.divergence_series o with
@@ -133,401 +124,6 @@ let emit_obs sinks (spec : Run_spec.sequential) obs =
         (String.concat " "
            (List.map (fun (t, d) -> Printf.sprintf "%.0f:%d" t d) series)));
     Format.printf "telemetry:@.%a" Obs.Registry.pp o.registry
-
-(* One line per requested criterion, naming the first violating event's
-   journal index and span id — the index `replay --until` accepts. *)
-let print_monitor_report ~criteria ~events violations =
-  List.iter
-    (fun c ->
-      match
-        List.find_opt (fun v -> v.Obs.Monitor.criterion = c) violations
-      with
-      | Some v ->
-        Format.printf "monitor %-10s %a@."
-          (Obs.Monitor.criterion_name c)
-          Obs.Monitor.pp_violation v
-      | None ->
-        Printf.printf "monitor %-10s clean (%d events)\n"
-          (Obs.Monitor.criterion_name c)
-          events)
-    criteria
-
-(* The array core's configuration: the default, with any
-   --checkpoint-interval override. *)
-let core_config (spec : Run_spec.sequential) =
-  match spec.checkpoint_interval with
-  | None -> Generic.default
-  | Some k -> { Generic.default with Generic.checkpoint_interval = k }
-
-let describe_log_core (spec : Run_spec.sequential) =
-  match spec.log_core with
-  | `List -> "list"
-  | `Array ->
-    Printf.sprintf "array (checkpoint interval %d)"
-      (core_config spec).Generic.checkpoint_interval
-
-let describe_metrics (m : Metrics.t) =
-  Printf.printf
-    "messages sent      %d\nbytes sent         %d\nupdates invoked    %d\nqueries invoked    %d\nops incomplete     %d\nreplay steps       %d\n"
-    m.Metrics.messages_sent m.Metrics.bytes_sent m.Metrics.updates_invoked
-    m.Metrics.queries_invoked m.Metrics.ops_incomplete m.Metrics.replay_steps
-
-(* Algorithm 1 on [A], on the op-log core the spec asks for: the seed's
-   list core or the configured array core. {!Persist.Catchup} gives
-   either one real churn catch-up (the bare cores carry the PROTOCOL
-   stub [snapshot]/[absorb]). *)
-let universal (type u q o s) (spec : Run_spec.sequential)
-    (module A : Registry.SPEC
-      with type update = u
-       and type query = q
-       and type output = o
-       and type state = s) :
-    (module Generic.S
-       with type update = u
-        and type query = q
-        and type output = o
-        and type state = s) =
-  match spec.log_core with
-  | `List -> (module Persist.Catchup (Generic_ref.Make (A)) (A.Codec))
-  | `Array ->
-    let module C = struct
-      let config = core_config spec
-    end in
-    (module Persist.Catchup (Generic.Configured (C) (A)) (A.Codec))
-
-(* The object side of a run: the spec the history is checked against,
-   the workload and final read generated from the run spec, and the
-   report lines the object adds to the common ones. *)
-module type OBJECT = sig
-  include Uqadt.S
-
-  val workload :
-    Run_spec.sequential -> (update, query) Protocol.invocation list array
-
-  val final_read : Run_spec.sequential -> query
-
-  val latency : bool
-  (* an "op latency" line (the register protocols) *)
-
-  val final_reads : bool
-  (* one "final read" line per replica (all but lwwmemory) *)
-end
-
-module type SET_PROTOCOL =
-  Protocol.PROTOCOL
-    with type update = Set_spec.update
-     and type query = Set_spec.query
-     and type output = Set_spec.output
-
-module Set_object = struct
-  include Set_spec
-  module Codec = Update_codec.For_set
-
-  (* The spec's explicit scripts when it carries them (a replayed
-     `shrink` journal), the generated conflict workload otherwise. *)
-  let workload (spec : Run_spec.sequential) =
-    match Run_spec.set_scripts spec with
-    | Some scripts -> scripts
-    | None ->
-      let rng = Prng.create spec.seed in
-      Workload.For_set.conflict ~rng ~n:spec.n ~ops_per_process:spec.ops
-        ~domain:16 ~skew:1.0 ~delete_ratio:0.3
-
-  let final_read _ = Read
-  let latency = false
-  let final_reads = true
-end
-
-module Counter_object = struct
-  include Counter_spec
-  module Codec = Update_codec.For_counter
-
-  let workload (spec : Run_spec.sequential) =
-    Workload.For_counter.deposits_and_withdrawals ~rng:(Prng.create spec.seed)
-      ~n:spec.n ~ops_per_process:spec.ops ~max_amount:100
-
-  let final_read _ = Value
-  let latency = false
-  let final_reads = true
-end
-
-module Register_object = struct
-  include Register_spec
-  module Codec = Update_codec.For_register
-  module G = Workload.Make (Register_spec)
-
-  let workload (spec : Run_spec.sequential) =
-    G.mixed ~rng:(Prng.create spec.seed) ~n:spec.n ~ops_per_process:spec.ops
-      ~query_ratio:0.4
-
-  let final_read _ = Read
-  let latency = true
-  let final_reads = true
-end
-
-module Memory_object = struct
-  include Memory_spec
-
-  let workload (spec : Run_spec.sequential) =
-    Workload.For_memory.random_writes ~rng:(Prng.create spec.seed) ~n:spec.n
-      ~ops_per_process:spec.ops ~registers:8 ~read_ratio:0.4
-
-  let final_read _ = Read 0
-  let latency = false
-  let final_reads = false
-end
-
-(* Any registered object: one query for every three updates, drawn from
-   the spec's own generators. *)
-module Spec_object (A : Registry.SPEC) = struct
-  include A
-
-  let workload (spec : Run_spec.sequential) =
-    let rng = Prng.create spec.seed in
-    Array.init spec.n (fun _ ->
-        List.init spec.ops (fun _ ->
-            if Prng.int rng 4 = 0 then Protocol.Invoke_query (A.random_query rng)
-            else Protocol.Invoke_update (A.random_update rng)))
-
-  let final_read (spec : Run_spec.sequential) =
-    A.random_query (Prng.create spec.seed)
-
-  let latency = false
-  let final_reads = true
-end
-
-module Sharded_set = Space.Make (Set_spec) (Update_codec.For_set)
-
-(* The sharded object space on the set: a Lamport clock per shard and
-   a log per key behind a consistent-hash ring, fed a Zipf-skewed
-   multi-key stream. *)
-module Sharded_object = struct
-  include Sharded_set.K
-
-  let workload (spec : Run_spec.sequential) =
-    let rng = Prng.create spec.seed in
-    let elem = Zipf.create ~n:16 ~s:1.0 in
-    Workload.For_space.zipf_scripts ~rng ~n:spec.n ~ops_per_process:spec.ops
-      ~keys:spec.keys ~skew:1.1 ~fanout:3 ~query_ratio:0.25
-      ~update:(fun g ->
-        let v = Zipf.sample elem g in
-        if Prng.float g 1.0 < 0.3 then Set_spec.Delete v else Set_spec.Insert v)
-      ~query:(fun _ -> Set_spec.Read)
-      ~read:(fun k q -> Read (k, q))
-
-  let final_read _ = Sweep
-  let latency = false
-  let final_reads = true
-end
-
-(* Simulate protocol [P] replicating object [O] as [spec] describes,
-   observed by [ob], reporting to [sinks]. [note] tops a --trace;
-   [lines] are printed after the protocol line. *)
-let drive (type u q o) ?note ?(lines = fun () -> [])
-    (module P : Protocol.PROTOCOL
-      with type update = u
-       and type query = q
-       and type output = o)
-    (module O : OBJECT
-      with type update = u
-       and type query = q
-       and type output = o) sinks (ob : Run_spec.observers)
-    (spec : Run_spec.sequential) =
-  let module R = Runner.Make (P) in
-  let workload = O.workload spec in
-  let config =
-    R.config_of_spec ~trace:sinks.trace ~final_read:(Some (O.final_read spec)) ob
-      spec
-  in
-  let r = R.run config ~workload in
-  (match r.R.trace with
-  | Some tr ->
-    (* Configuration notes sort to the top of the rendered chronology. *)
-    Option.iter (fun text -> Trace.record_note tr ~time:0.0 text) note;
-    print_string (Trace.render tr ~n:spec.n)
-  | None -> ());
-  Printf.printf "protocol           %s (object: %s)\n" P.protocol_name O.name;
-  List.iter print_endline (lines ());
-  describe_metrics r.R.metrics;
-  Printf.printf "converged          %b\n" r.R.converged;
-  if O.latency && Float.Array.length r.R.op_latencies > 0 then begin
-    let s = Stats.summarize (Float.Array.to_list r.R.op_latencies) in
-    Printf.printf "op latency         mean=%.2f p99=%.2f\n" s.Stats.mean s.Stats.p99
-  end;
-  if O.final_reads then
-    List.iter
-      (fun (pid, o) -> Format.printf "final read p%d      %a@." pid O.pp_output o)
-      r.R.final_outputs;
-  if sinks.check then begin
-    let module C = Criteria.Make (O) in
-    Printf.printf "history UC         %b\nhistory EC         %b\n"
-      (C.holds Criteria.UC r.R.history)
-      (C.holds Criteria.EC r.R.history)
-  end;
-  Option.iter
-    (fun m ->
-      print_monitor_report ~criteria:spec.monitors ~events:(R.Mon.events_seen m)
-        (R.Mon.violations m))
-    config.R.monitor;
-  emit_obs sinks spec ob.obs
-
-(* An object that carries its update codec, so Algorithm 1 can run on
-   it with churn catch-up. *)
-module type CODEC_OBJECT = sig
-  include OBJECT
-
-  module Codec : Update_codec.S with type update = update
-end
-
-let algorithm1 (type u q o s) ?note ?lines
-    (module O : CODEC_OBJECT
-      with type update = u
-       and type query = q
-       and type output = o
-       and type state = s) sinks ob spec =
-  drive ?note ?lines (module (val universal spec (module O))) (module O) sinks ob
-    spec
-
-(* Algorithm 1 on a registered object, naming its log core after the
-   protocol line. *)
-let run_universal_on (module A : Registry.SPEC) sinks ob spec =
-  let core = describe_log_core spec in
-  algorithm1 ~note:("log core: " ^ core)
-    ~lines:(fun () -> [ "log core           " ^ core ])
-    (module Spec_object (A))
-    sinks ob spec
-
-(* The sharded object space: --shards 1 degenerates to a single shard
-   holding every key; --rebalance arms the hot-shard split policy. The
-   shard map reports into the telemetry bundle, and a soak's sampler
-   watches the ring: cumulative and per-tick op rates for every shard,
-   so a hot-shard split shows up in the series. *)
-let run_sharded sinks (ob : Run_spec.observers) (spec : Run_spec.sequential) =
-  let policy =
-    Option.map
-      (fun interval ->
-        (* 1.5 keeps the trigger reachable at small shard counts: with
-           two shards the hottest can never exceed 2x the mean, so a
-           factor of 2 would never fire. *)
-        { Sharded_set.interval; hot_factor = 1.5; max_shards = 64 })
-      spec.rebalance
-  in
-  let map = Sharded_set.create_map ?policy ?obs:ob.obs ~shards:spec.shards () in
-  Sharded_set.configure map;
-  Option.iter
-    (fun s -> Obs.Series.add_probe s (Sharded_set.series_probe map))
-    ob.sampler;
-  drive
-    ~lines:(fun () ->
-      [
-        Printf.sprintf
-          "shards             %d initial, %d final (%d rebalances, %d \
-           entries re-homed)"
-          spec.shards
-          (Ring.shards (Sharded_set.ring map))
-          (Sharded_set.rebalances map)
-          (Sharded_set.moved_entries map);
-        Printf.sprintf "shard ops          %s"
-          (String.concat " "
-             (List.map
-                (fun (s, ops) -> Printf.sprintf "s%d:%d" s ops)
-                (Sharded_set.shard_ops map)));
-      ])
-    (module Sharded_set) (module Sharded_object) sinks ob spec
-
-(* One row per protocol name. `run`, `soak` and `replay` drive [run];
-   the set protocols also carry the module `nemesis`, `storm` and
-   `shrink` build their engines over. *)
-type entry = {
-  name : string;
-  doc : string;
-  fifo : bool;  (* needs FIFO channels (the stability GC) *)
-  run : sinks -> Run_spec.observers -> Run_spec.sequential -> unit;
-  set : (Run_spec.sequential -> (module SET_PROTOCOL)) option;
-}
-
-let set_entry ?(fifo = false) name doc set =
-  {
-    name;
-    doc;
-    fifo;
-    run = (fun sinks ob spec -> drive (set spec) (module Set_object) sinks ob spec);
-    set = Some set;
-  }
-
-let entry name doc run = { name; doc; fifo = false; run; set = None }
-
-let universal_set spec : (module SET_PROTOCOL) =
-  (module (val universal spec (module Set_object)))
-
-module Memo_set = Generic.Configured (struct let config = Generic.memo end) (Set_spec)
-
-let protocols : entry list =
-  List.map
-    (fun (name, spec) ->
-      entry ("universal-" ^ name)
-        ("Algorithm 1 on the " ^ name ^ " object")
-        (run_universal_on spec))
-    Registry.all_specs
-  @ [
-      {
-        (set_entry "universal" "Algorithm 1 on the set" universal_set) with
-        run =
-          (fun sinks ob spec ->
-            (* Both cores exchange byte-identical messages, so the same
-               seed replays the same schedule and only the query cost
-               differs. *)
-            let core = describe_log_core spec in
-            Printf.printf "log core           %s\n" core;
-            algorithm1 ~note:("log core: " ^ core) (module Set_object) sinks ob
-              spec);
-      };
-      set_entry "memo" "Algorithm 1 + snapshot cache, set" (fun _ ->
-          (module Memo_set));
-      set_entry ~fifo:true "gc" "Algorithm 1 + stability GC, set (needs --fifo)"
-        (fun _ -> (module Gc.Make (Set_spec)));
-      set_entry "undo" "undo-based construction, set" (fun _ ->
-          (module Undo.Make (Undoable.Set)));
-      set_entry "pipelined" "naive FIFO apply-on-receive, set" (fun _ ->
-          (module Pipelined.Make (Set_spec)));
-      set_entry "orset" "OR-set CRDT" (fun _ -> (module Orset_crdt));
-      set_entry "2pset" "two-phase set CRDT" (fun _ ->
-          (module Twopset_crdt.Protocol_impl));
-      set_entry "lwwset" "LWW-element-set CRDT" (fun _ -> (module Lwwset_crdt));
-      set_entry "pnset" "counting set CRDT" (fun _ -> (module Pnset_crdt));
-      entry "counter" "Algorithm 1 on the counter"
-        (algorithm1 (module Counter_object));
-      entry "fastcounter" "CRDT fast path counter" (fun sinks ob spec ->
-          drive (module Commutative.Make (Counter_spec)) (module Counter_object)
-            sinks ob spec);
-      entry "pncounter" "PN-counter CRDT" (fun sinks ob spec ->
-          drive (module Counters.Pncounter) (module Counter_object) sinks ob spec);
-      entry "register" "Algorithm 1 on the register"
-        (algorithm1 (module Register_object));
-      entry "lwwreg" "LWW-register CRDT" (fun sinks ob spec ->
-          drive (module Registers.Lwwreg) (module Register_object) sinks ob spec);
-      entry "abd" "ABD linearizable register (baseline)" (fun sinks ob spec ->
-          drive (module Abd) (module Register_object) sinks ob spec);
-      entry "lwwmemory" "Algorithm 2 shared memory" (fun sinks ob spec ->
-          drive (module Lww_memory) (module Memory_object) sinks ob spec);
-      entry "sharded"
-        "Algorithm 1 per shard behind a consistent-hash ring, set \
-         (--shards/--keys/--rebalance)"
-        run_sharded;
-    ]
-
-(* The entry [name] names, refused on non-FIFO channels when it needs
-   them. [cmd] prefixes the one-line error. *)
-let find_protocol ~cmd ~fifo name =
-  match List.find_opt (fun e -> e.name = name) protocols with
-  | None ->
-    Printf.eprintf "%s: unknown protocol %S\n" cmd name;
-    exit 1
-  | Some e when e.fifo && not fifo ->
-    Printf.eprintf "%s: %s needs FIFO channels (--fifo)\n" cmd name;
-    exit 1
-  | Some e -> e
-
 
 (* ------------------------------------------------------------------ *)
 (* Commands                                                            *)
@@ -589,19 +185,32 @@ let experiments_cmd =
   in
   Cmd.v (Cmd.info "experiments" ~doc) Term.(const run $ seed_arg $ markdown_arg $ ids)
 
-(* Flags `run` and `soak` share. *)
+(* The protocol positional: a name of the table's entries that [has]
+   holds for, [default] when omitted (required without one). *)
+let protocol_arg ?default ?(doc = "One of the names shown by `ucsim list`.")
+    has =
+  let names =
+    List.filter_map
+      (fun (e : Driver.entry) -> if has e then Some (e.name, e.name) else None)
+      Driver.protocols
+  in
+  let i = Arg.info [] ~docv:"PROTOCOL" ~doc in
+  match default with
+  | Some d -> Arg.(value & pos 0 (enum names) d & i)
+  | None -> Arg.(required & pos 0 (some (enum names)) None & i)
 
-let protocol_arg =
-  Arg.(
-    required
-    & pos 0 (some (enum (List.map (fun e -> (e.name, e.name)) protocols))) None
-    & info [] ~docv:"PROTOCOL" ~doc:"One of the names shown by `ucsim list`.")
+(* `nemesis` and `storm`: any set protocol of the table. *)
+let set_protocol_arg =
+  protocol_arg ~default:"universal" ~doc:"A set protocol shown by `ucsim list`."
+    (fun e -> Option.is_some e.set)
 
-let n_arg =
-  Arg.(value & opt int Run_spec.default.n & info [ "n" ] ~docv:"N" ~doc:"Processes.")
+(* Flags several commands share. *)
 
-let ops_arg default =
-  Arg.(value & opt int default & info [ "ops" ] ~docv:"OPS" ~doc:"Operations per process.")
+let n_arg ?(doc = "Processes.") default =
+  Arg.(value & opt int default & info [ "n" ] ~docv:"N" ~doc)
+
+let ops_arg ?(doc = "Operations per process.") default =
+  Arg.(value & opt int default & info [ "ops" ] ~docv:"OPS" ~doc)
 
 let delay_arg =
   Arg.(
@@ -692,8 +301,9 @@ let spec_term ~ops =
     }
   in
   Term.(
-    const spec $ protocol_arg $ seed_arg $ n_arg $ ops_arg ops $ shards_arg
-    $ keys_arg $ rebalance_arg $ delay_arg $ fifo_arg $ churn_arg)
+    const spec $ protocol_arg (fun _ -> true) $ seed_arg
+    $ n_arg Run_spec.default.n $ ops_arg ops $ shards_arg $ keys_arg
+    $ rebalance_arg $ delay_arg $ fifo_arg $ churn_arg)
 
 let journal_out_arg =
   Arg.(
@@ -701,10 +311,12 @@ let journal_out_arg =
     & opt (some string) None
     & info [ "journal-out" ] ~docv:"FILE"
         ~doc:
-          "Record every invocation, wire frame, delivery, fault, probe and \
-           alert into a self-describing JSONL event journal at $(docv), \
-           sealed with the run's history fingerprint (turns the telemetry \
-           layer on). Re-execute it with `ucsim replay`.")
+          "Record the run into a self-describing JSONL event journal at \
+           $(docv), sealed with the run's history fingerprint: every \
+           invocation, wire frame, delivery, fault, probe and alert of a \
+           simulated run (turns the telemetry layer on), a $(b,bench) \
+           run's merged per-domain flight-recorder stream, or the run \
+           $(b,shrink) minimized. Re-execute it with `ucsim replay`.")
 
 let registry_out_arg =
   Arg.(
@@ -712,8 +324,70 @@ let registry_out_arg =
     & opt (some string) None
     & info [ "registry-out" ] ~docv:"FILE"
         ~doc:
-          "Write the metric registry dump as JSON to $(docv) (turns the \
-           telemetry layer on). Render it later with `ucsim report`.")
+          "Write the metric registry dump (a storm's open-loop latency \
+           histogram included) as JSON to $(docv) (turns the telemetry \
+           layer on). Render it later with `ucsim report`.")
+
+let series_out_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "series-out" ] ~docv:"FILE"
+        ~doc:
+          "Stream every sample (full resolution) and alert firing as JSONL \
+           to $(docv): a soak's simulated-time series, or a flight-recorded \
+           $(b,bench) run's wall-clock per-domain series. Render it later \
+           with `ucsim report --series`.")
+
+let obs_arg =
+  Arg.(
+    value & flag
+    & info [ "obs" ]
+        ~doc:
+          "Enable the telemetry layer: per-replica (on $(b,bench), \
+           per-domain) metric registry, causal span tracing, replay-cost \
+           profiles. Off by default; runs without it are bit-identical to \
+           the uninstrumented simulator.")
+
+let monitors_arg =
+  Arg.(
+    value
+    & opt monitors_conv []
+    & info [ "monitor" ] ~docv:"CRITERIA"
+        ~doc:
+          "Comma-separated consistency criteria (uc, ec, pc) checked online \
+           as a simulated run progresses (implies --obs), or over a \
+           $(b,bench) run's merged flight-recorder stream; the first \
+           violating event is reported with its journal index. pc explores \
+           the cross-process interleaving automaton, exponential in \
+           concurrent updates: keep runs small.")
+
+let query_ratio_arg ~doc default =
+  Arg.(value & opt float default & info [ "query-ratio" ] ~docv:"R" ~doc)
+
+let sample_interval_arg ~doc default =
+  Arg.(value & opt float default & info [ "sample-interval" ] ~docv:"DT" ~doc)
+
+let log_core_arg =
+  Arg.(
+    value
+    & opt (enum [ ("list", `List); ("array", `Array) ]) Run_spec.default.log_core
+    & info [ "log-core" ] ~docv:"CORE"
+        ~doc:
+          "Op-log substrate for Algorithm 1 (universal, counter, register \
+           and every universal-<object>): the seed's cons-list core or the \
+           array-backed oplog with interval checkpoints (default). Both \
+           cores must report identical verdicts.")
+
+let checkpoint_interval_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "checkpoint-interval" ] ~docv:"K"
+        ~doc:
+          "Record an oplog state checkpoint every K entries inside the \
+           replicas (Algorithm 1 on the array core; 0 disables \
+           checkpointing). memo keeps its fixed configuration.")
 
 let run_cmd =
   let doc = "Simulate one protocol on a generated conflict workload." in
@@ -732,35 +406,6 @@ let run_cmd =
     Arg.(
       value & flag
       & info [ "trace" ] ~doc:"Print a space-time trace of the run.")
-  in
-  let log_core_arg =
-    Arg.(
-      value
-      & opt (enum [ ("list", `List); ("array", `Array) ]) Run_spec.default.log_core
-      & info [ "log-core" ] ~docv:"CORE"
-          ~doc:
-            "Op-log substrate for Algorithm 1 (universal, counter, register \
-             and every universal-<object>): the seed's cons-list core or \
-             the array-backed oplog with interval checkpoints (default).")
-  in
-  let checkpoint_interval_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "checkpoint-interval" ] ~docv:"K"
-          ~doc:
-            "Record an oplog state checkpoint every K entries (Algorithm 1 \
-             on the array core; 0 disables checkpointing). memo keeps its \
-             fixed configuration.")
-  in
-  let obs_arg =
-    Arg.(
-      value & flag
-      & info [ "obs" ]
-          ~doc:
-            "Enable the telemetry layer: per-replica metric registry, causal \
-             span tracing, replay-cost profiles. Off by default; runs without \
-             it are bit-identical to the uninstrumented simulator.")
   in
   let trace_out_arg =
     Arg.(
@@ -826,16 +471,6 @@ let run_cmd =
             "Buffer each process's broadcasts and flush them as one frame per \
              destination $(docv) time units after the window opens.")
   in
-  let monitors_arg =
-    Arg.(
-      value
-      & opt monitors_conv []
-      & info [ "monitor" ] ~docv:"CRITERIA"
-          ~doc:
-            "Comma-separated consistency criteria (uc, ec, pc) to check \
-             online as the run progresses; the first violating event is \
-             reported with its journal index and span id (implies --obs).")
-  in
   let run (spec : Run_spec.sequential) crash check trace log_core
       checkpoint_interval batch_window obs_on trace_out registry_out span_dump
       probe_interval partitions journal_out monitors =
@@ -852,11 +487,11 @@ let run_cmd =
       }
     in
     check_spec ~cmd:"run" (Sequential spec);
-    let e = find_protocol ~cmd:"run" ~fifo:spec.fifo spec.protocol in
-    let sinks =
-      { obs_on; trace_out; registry_out; span_dump; journal_out; check; trace }
-    in
-    e.run sinks (observe sinks spec) spec
+    let e = ok ~cmd:"run" (Driver.find ~fifo:spec.fifo spec.protocol) in
+    let sinks = { obs_on; trace_out; registry_out; span_dump; journal_out } in
+    let ob = observe sinks spec in
+    print_string (e.run ~trace ~check ob spec);
+    emit_obs sinks spec ob.obs
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
@@ -874,15 +509,8 @@ let modelcheck_cmd =
      on request."
   in
   let which =
-    let choices =
-      [
-        ("universal", `Universal);
-        ("pipelined", `Pipelined);
-        ("orset", `Orset);
-        ("counter", `Counter);
-      ]
-    in
-    Arg.(value & pos 0 (enum choices) `Universal & info [] ~docv:"PROTOCOL")
+    protocol_arg ~default:"universal" ~doc:"universal, pipelined, orset or counter."
+      (fun e -> Option.is_some e.explore)
   in
   let por_arg =
     Arg.(value & flag & info [ "por" ] ~doc:"Enable sleep-set partial-order reduction.")
@@ -918,170 +546,45 @@ let modelcheck_cmd =
       value & opt int 200_000
       & info [ "limit" ] ~docv:"L" ~doc:"Cap on complete executions.")
   in
-  let n_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "n" ] ~docv:"N" ~doc:"Processes (counter protocol only).")
-  in
-  let ops_arg =
-    Arg.(
-      value & opt int 2
-      & info [ "ops" ] ~docv:"OPS"
-          ~doc:"Increments per process (counter protocol only).")
-  in
-  let log_core_arg =
-    Arg.(
-      value
-      & opt (enum [ ("list", `List); ("array", `Array) ]) `Array
-      & info [ "log-core" ] ~docv:"CORE"
-          ~doc:
-            "Op-log substrate for the universal protocols: the seed's cons-list \
-             core or the array-backed oplog (default). Both cores must report \
-             identical verdicts — the flag exists for exactly that A/B check.")
-  in
-  let checkpoint_interval_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "checkpoint-interval" ] ~docv:"K"
-          ~doc:
-            "Oplog state-checkpoint cadence inside the replicas (array core \
-             only; distinct from --checkpoint, which snapshots whole replicas \
-             for explorer backtracking).")
-  in
-  let run which por dedup domains checkpoint max_crashes limit n ops log_core
+  let run protocol por dedup domains checkpoint max_crashes limit n ops log_core
       checkpoint_interval =
-    let race =
-      [|
-        [ Protocol.Invoke_update (Set_spec.Insert 1); Protocol.Invoke_update (Set_spec.Delete 2) ];
-        [ Protocol.Invoke_update (Set_spec.Insert 2); Protocol.Invoke_update (Set_spec.Delete 1) ];
-      |]
+    check_flags ~cmd:"modelcheck"
+      Run_spec.
+        [
+          ("limit", At_least (1, limit));
+          ("max_crashes", At_least (0, max_crashes));
+          ("domains", At_least (1, domains));
+          ("checkpoint", At_least (0, checkpoint));
+        ];
+    let spec =
+      { Run_spec.default with protocol; n; ops; log_core; checkpoint_interval }
     in
-    let print_report name executions exhaustive failures distinct firsts
-        (st : Explore.stats) =
-      Printf.printf "protocol       %s\nschedules      %d (exhaustive: %b)\n" name
-        executions exhaustive;
-      Printf.printf
-        "states         explored %d, pruned(por) %d, deduped %d\nreplay         %d protocol steps, %d checkpoint restores\n"
-        st.Explore.states_explored st.Explore.states_pruned_por
-        st.Explore.states_deduped st.Explore.protocol_steps
-        st.Explore.checkpoint_restores;
-      List.iter
-        (fun (c, k) ->
-          Printf.printf "%-4s fails    %d (distinct histories: %d)\n"
-            (Criteria.name c) k
-            (try List.assoc c distinct with Not_found -> 0))
-        failures;
-      List.iter
-        (fun (c, text) ->
-          Printf.printf "first %s violation:\n%s\n" (Criteria.name c) text)
-        firsts
-    in
-    let checkpoint_every = if checkpoint > 0 then checkpoint else 4 in
-    (* Algorithm 1 on [A], on the core --log-core and
-       --checkpoint-interval ask for. *)
-    let explore_universal (type u q o s)
-        (module A : Registry.SPEC
-          with type update = u
-           and type query = q
-           and type output = o
-           and type state = s) ~label ~scripts ~final_read =
-      let spec = { Run_spec.default with log_core; checkpoint_interval } in
-      check_spec ~cmd:"modelcheck" (Sequential spec);
-      let module G = (val universal spec (module A)) in
-      let module M = Explore.Make (G) in
-      let module S = Snapshot.For_replica (A) (A.Codec) (G) in
-      let snapshot = if checkpoint > 0 || dedup then Some S.snapshotter else None in
-      (* Timestamp-blind state keys are sound only for commutative specs. *)
-      let blind = dedup && A.commutative in
-      let state_key = if blind then Some S.commutative_key else None in
-      let message_key = if blind then Some S.commutative_message_key else None in
-      let r =
-        M.explore ~limit ~max_crashes ~por ~dedup ~checkpoint_every ?snapshot
-          ?state_key ?message_key ~deliveries_commute:S.deliveries_commute
-          ~domains ~scripts ~final_read ()
-      in
-      print_report
-        (Printf.sprintf "%s [log core: %s]" label (describe_log_core spec))
-        r.M.executions r.M.exhaustive r.M.failures r.M.distinct_failures
-        r.M.first_failures r.M.stats
-    in
-    let explore_set (module P : SET_PROTOCOL) label =
-      if dedup then begin
-        Printf.eprintf "modelcheck: --dedup needs a replica snapshot (universal/counter only)\n";
-        exit 1
-      end;
-      let module M = Explore.Make (P) in
-      let r =
-        M.explore ~limit ~max_crashes ~por ~domains ~scripts:race
-          ~final_read:Set_spec.Read ()
-      in
-      print_report label r.M.executions r.M.exhaustive r.M.failures
-        r.M.distinct_failures r.M.first_failures r.M.stats
-    in
-    match which with
-    | `Universal ->
-      explore_universal (module Set_object) ~label:"universal" ~scripts:race
-        ~final_read:Set_spec.Read
-    | `Pipelined -> explore_set (module Pipelined.Make (Set_spec)) "pipelined"
-    | `Orset -> explore_set (module Orset_crdt) "or-set"
-    | `Counter ->
-      let scripts =
-        Array.init n (fun pid ->
-            List.init ops (fun i ->
-                Protocol.Invoke_update (Counter_spec.Add ((pid * ops) + i + 1))))
-      in
-      explore_universal (module Counter_object)
-        ~label:(Printf.sprintf "universal counter (n=%d, ops=%d)" n ops)
-        ~scripts ~final_read:Counter_spec.Value
+    check_spec ~cmd:"modelcheck" (Sequential spec);
+    print_string
+      (ok ~cmd:"modelcheck"
+         (Driver.modelcheck
+            { Driver.por; dedup; domains; checkpoint; max_crashes; limit }
+            spec))
   in
   Cmd.v (Cmd.info "modelcheck" ~doc)
     Term.(
       const run $ which $ por_arg $ dedup_arg $ domains_arg $ checkpoint_arg
-      $ crashes_arg $ limit_arg $ n_arg $ ops_arg $ log_core_arg
+      $ crashes_arg $ limit_arg
+      $ n_arg ~doc:"Processes (counter protocol only)." 2
+      $ ops_arg ~doc:"Increments per process (counter protocol only)." 2
+      $ log_core_arg
       $ checkpoint_interval_arg)
-
-(* `nemesis` and `storm`: any set protocol of the table. *)
-let set_protocol_arg =
-  let choices =
-    List.filter_map
-      (fun e -> Option.map (fun set -> (e.name, (e, set))) e.set)
-      protocols
-  in
-  Arg.(
-    value
-    & pos 0 (enum choices) (List.assoc "universal" choices)
-    & info [] ~docv:"PROTOCOL" ~doc:"A set protocol shown by `ucsim list`.")
 
 let nemesis_cmd =
   let doc = "Run a randomized fault campaign (crashes + healing partitions)." in
   let runs_arg =
     Arg.(value & opt int 50 & info [ "runs" ] ~docv:"N" ~doc:"Campaign size.")
   in
-  let set_workload rng ~n ~ops =
-    Workload.For_set.conflict ~rng ~n ~ops_per_process:ops ~domain:8 ~skew:1.0
-      ~delete_ratio:0.35
-  in
-  let campaign_of (module P : SET_PROTOCOL) ~fifo ~runs ~seed =
-    let module N = Nemesis.Make (P) in
-    let campaign = { N.default_campaign with N.runs; fifo; base_seed = seed } in
-    let v = N.run campaign ~workload:set_workload ~final_read:Set_spec.Read in
-    Printf.printf
-      "protocol %s: %d runs, %d crashes (budget %d/run%s), %d partitions\nconvergence failures       %d\nstalled operations         %d\ncertificate disagreements  %d\nverdict                    %s\n"
-      P.protocol_name v.N.runs v.N.crashes_injected v.N.crash_cap
-      (if v.N.capped_runs > 0 then
-         Printf.sprintf ", clamped below the request in %d runs" v.N.capped_runs
-       else "")
-      v.N.partitions_injected v.N.convergence_failures v.N.stalled_operations
-      v.N.certificate_disagreements
-      (if N.clean v then "CLEAN" else "FAULTY");
-    if v.N.failing_seeds <> [] then
-      Printf.printf "failing seeds: %s\n"
-        (String.concat ", " (List.map string_of_int v.N.failing_seeds))
-  in
-  let run (e, set) seed runs =
-    (* A FIFO-only protocol gets its FIFO channels. *)
-    campaign_of (set Run_spec.default) ~fifo:e.fifo ~runs ~seed
+  let run protocol seed runs =
+    check_flags ~cmd:"nemesis" Run_spec.[ ("runs", At_least (1, runs)) ];
+    print_string
+      (ok ~cmd:"nemesis"
+         (Driver.nemesis ~runs { Run_spec.default with protocol; seed }))
   in
   Cmd.v (Cmd.info "nemesis" ~doc)
     Term.(const run $ set_protocol_arg $ seed_arg $ runs_arg)
@@ -1108,11 +611,7 @@ let load_journal ~cmd file =
 (* The run a journal's header describes, or the command's one-line
    error naming the offending field. *)
 let decode_header ~cmd file recorded =
-  match Run_spec.of_header (Obs.Journal.header recorded) with
-  | Ok spec -> spec
-  | Error msg ->
-    Printf.eprintf "%s: %s: %s\n" cmd file msg;
-    exit 1
+  ok ~cmd:(cmd ^ ": " ^ file) (Run_spec.of_header (Obs.Journal.header recorded))
 
 let storm_cmd =
   let doc =
@@ -1120,19 +619,8 @@ let storm_cmd =
      spike, cool-down) on top of the closed-loop clients, with per-operation \
      latency judged against an SLO target."
   in
-  let n_arg = Arg.(value & opt int 3 & info [ "n" ] ~docv:"N" ~doc:"Replicas.") in
   let clients_arg =
     Arg.(value & opt int 6 & info [ "clients" ] ~docv:"C" ~doc:"Closed-loop clients.")
-  in
-  let ops_arg =
-    Arg.(
-      value & opt int 20
-      & info [ "ops" ] ~docv:"OPS" ~doc:"Closed-loop operations per client.")
-  in
-  let delay_arg =
-    Arg.(
-      value & opt float 10.0
-      & info [ "delay" ] ~docv:"D" ~doc:"Mean replica-mesh message delay.")
   in
   let base_arg =
     Arg.(
@@ -1168,22 +656,7 @@ let storm_cmd =
             "Latency target: the SLO is met when the open-loop p99 is at or \
              under $(docv) simulated time units.")
   in
-  let query_ratio_arg =
-    Arg.(
-      value & opt float 0.25
-      & info [ "query-ratio" ] ~docv:"Q"
-          ~doc:"Fraction of open-loop arrivals that are reads.")
-  in
-  let registry_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "registry-out" ] ~docv:"FILE"
-          ~doc:
-            "Write the metric registry (including the open-loop latency \
-             histogram) as JSON to $(docv).")
-  in
-  let run (e, set) seed n clients ops delay base peak warm spike cool slo
+  let run protocol seed n clients ops mean_delay base peak warm spike cool slo
       query_ratio registry_out =
     check_flags ~cmd:"storm"
       Run_spec.
@@ -1191,65 +664,22 @@ let storm_cmd =
           ("n", At_least (1, n));
           ("clients", At_least (0, clients));
           ("ops", At_least (0, ops));
-          ("delay", Non_negative delay);
+          ("delay", Non_negative mean_delay);
           ("base", Non_negative base);
           ("peak", Non_negative peak);
           ("warm", Non_negative warm);
           ("spike", Non_negative spike);
           ("cool", Non_negative cool);
+          ("slo", Non_negative slo);
           ("query_ratio", Fraction query_ratio);
         ];
-    if e.fifo then begin
-      Printf.eprintf "storm: %s needs FIFO channels, which the client engine \
-                      does not provide\n" e.name;
-      exit 1
-    end;
-    let (module P : SET_PROTOCOL) = set Run_spec.default in
-    let module C = Clients.Make (P) in
-    let rng = Prng.create seed in
-    let workload =
-      Workload.For_set.conflict ~rng ~n:clients ~ops_per_process:ops
-        ~domain:16 ~skew:1.0 ~delete_ratio:0.3
-    in
     let obs = if registry_out <> None then Some (Obs.create ()) else None in
-    let plan = Workload.Flash_crowd.plan ~base ~peak ~warm ~spike ~cool in
-    let config =
-      {
-        (C.default_config ~n_replicas:n ~n_clients:clients ~seed) with
-        C.replica_delay = Network.Exponential { mean = delay };
-        final_read = Some Set_spec.Read;
-        open_loop =
-          Some
-            {
-              C.plan;
-              mix =
-                (let one =
-                   Workload.Flash_crowd.set_mix ~domain:16 ~skew:1.0
-                     ~delete_ratio:0.3 ~query_ratio
-                 in
-                 fun g -> [ one g ]);
-            };
-        obs;
-      }
-    in
-    let r = C.run config ~workload in
-    Printf.printf "protocol           %s (object: set)\n" P.protocol_name;
-    Printf.printf "replicas/clients   %d/%d\n" n clients;
-    Printf.printf "arrival plan       %s\n"
-      (String.concat " | "
-         (List.map
-            (fun (ph : Clients.phase) ->
-              Printf.sprintf "%g/t for %g" ph.Clients.rate ph.Clients.duration)
-            plan));
-    Printf.printf "closed loop        %d completed, %d retried, %d failovers\n"
-      r.C.ops_completed r.C.ops_abandoned r.C.failovers;
-    Printf.printf "open loop          %d completed, %d abandoned\n"
-      r.C.open_completed r.C.open_abandoned;
-    Printf.printf "converged          %b\n" r.C.converged;
-    (match r.C.open_latencies with
-    | [] -> print_endline "open-loop SLO      no arrivals"
-    | ls ->
-      Format.printf "open-loop SLO      %a@." Stats.pp_slo (Stats.slo ~target:slo ls));
+    print_string
+      (ok ~cmd:"storm"
+         (Driver.storm ?obs ~clients
+            ~plan:(Workload.Flash_crowd.plan ~base ~peak ~warm ~spike ~cool)
+            ~query_ratio ~slo
+            { Run_spec.default with protocol; seed; n; ops; mean_delay }));
     match (obs, registry_out) with
     | Some o, Some file ->
       Obs.finalize o ~live:[];
@@ -1259,9 +689,12 @@ let storm_cmd =
   in
   Cmd.v (Cmd.info "storm" ~doc)
     Term.(
-      const run $ set_protocol_arg $ seed_arg $ n_arg $ clients_arg $ ops_arg
+      const run $ set_protocol_arg $ seed_arg $ n_arg ~doc:"Replicas." 3
+      $ clients_arg
+      $ ops_arg ~doc:"Closed-loop operations per client." 20
       $ delay_arg $ base_arg $ peak_arg $ warm_arg $ spike_arg $ cool_arg $ slo_arg
-      $ query_ratio_arg $ registry_out_arg)
+      $ query_ratio_arg ~doc:"Fraction of open-loop arrivals that are reads." 0.25
+      $ registry_out_arg)
 
 let shrink_cmd =
   let doc =
@@ -1277,13 +710,6 @@ let shrink_cmd =
       & opt (some file) None
       & info [ "journal-in" ] ~docv:"FILE" ~doc:"Journal of the flagged run.")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal-out" ] ~docv:"FILE"
-          ~doc:"Write the minimized violating journal to $(docv).")
-  in
   let max_runs_arg =
     Arg.(
       value & opt int 400
@@ -1291,83 +717,18 @@ let shrink_cmd =
           ~doc:"Re-execution budget for the greedy descent.")
   in
   let run file out max_runs =
+    check_flags ~cmd:"shrink" Run_spec.[ ("max_runs", At_least (0, max_runs)) ];
     let recorded = load_journal ~cmd:"shrink" file in
-    let fail fmt =
-      Printf.ksprintf
-        (fun msg ->
-          Printf.eprintf "shrink: %s\n" msg;
-          exit 1)
-        fmt
+    let report, minimized =
+      Driver.shrink ~max_runs ~file recorded
+        (decode_header ~cmd:"shrink" file recorded)
     in
-    let spec =
-      match decode_header ~cmd:"shrink" file recorded with
-      | Sequential spec -> spec
-      | Parallel _ -> fail "%s: a parallel run has no scenario engine" file
-    in
-    (* The set protocols: their `run` workload is the scripts a
-       minimized journal carries, so it replays through the stock
-       driver. *)
-    let (module P : SET_PROTOCOL) =
-      match List.find_opt (fun e -> e.name = spec.protocol) protocols with
-      | Some { set = Some set; _ } -> set spec
-      | _ ->
-        fail "protocol %S has no scenario engine (set protocols only)"
-          spec.protocol
-    in
-    let module S = Scenario.Make (P) in
-    let scenario =
-      {
-        S.spec;
-        scripts = Set_object.workload spec;
-        final_read = Some Set_spec.Read;
-      }
-    in
-    let criteria =
-      if spec.monitors = [] then [ Obs.Monitor.Uc; Obs.Monitor.Ec; Obs.Monitor.Pc ]
-      else spec.monitors
-    in
-    (* Shrink only the run the journal recorded: the header must
-       re-execute to the same events, as `replay` requires. *)
-    (match Obs.Journal.diff recorded (S.run ~criteria scenario).S.journal with
-    | Some (i, _, _) ->
-      fail "%s: re-executing the header diverges from the journal at event %d"
-        file i
-    | None -> ());
-    Format.printf "scenario           %a@." S.pp scenario;
-    match S.shrink ~max_runs ~criteria scenario with
-    | None ->
-      fail "run is clean — no %s violation to minimize"
-        (String.concat "/" (List.map Obs.Monitor.criterion_name criteria))
-    | Some { S.scenario = m; outcome; runs } ->
-      let v =
-        match outcome.S.violation with Some v -> v | None -> assert false
-      in
-      Format.printf "violation          %a@." Obs.Monitor.pp_violation v;
-      Printf.printf "minimized          %d -> %d events (%d re-executions)\n"
-        (Obs.Journal.length recorded)
-        outcome.S.events runs;
-      Format.printf "scenario (min)     %a@." S.pp m;
-      Option.iter
-        (fun out_file ->
-          let scripts =
-            Array.to_list (Array.map (List.map Run_spec.print_op) m.S.scripts)
-          in
-          Obs.Journal.set_header outcome.S.journal
-            (Run_spec.to_header
-               (Sequential
-                  {
-                    m.S.spec with
-                    scripts = Some scripts;
-                    monitors = [ v.Obs.Monitor.criterion ];
-                  }));
-          let oc = open_out out_file in
-          output_string oc (Obs.Journal.to_jsonl outcome.S.journal);
-          close_out oc;
-          Printf.printf "journal written    %s (%d events)\n" out_file
-            outcome.S.events)
-        out
+    print_string report;
+    let journal = ok ~cmd:"shrink" minimized in
+    Option.iter (fun out_file -> write_journal out_file journal) out
   in
-  Cmd.v (Cmd.info "shrink" ~doc) Term.(const run $ in_arg $ out_arg $ max_runs_arg)
+  Cmd.v (Cmd.info "shrink" ~doc)
+    Term.(const run $ in_arg $ journal_out_arg $ max_runs_arg)
 
 let classify_cmd =
   let doc =
@@ -1450,22 +811,11 @@ let soak_cmd =
              deadline).")
   in
   let sample_interval_arg =
-    Arg.(
-      value & opt float 50.0
-      & info [ "sample-interval" ] ~docv:"DT"
-          ~doc:
-            "Simulated time between samples. Samples piggyback on existing \
-             deliveries and completions — the sampler never schedules engine \
-             events, so the schedule is identical with or without it.")
-  in
-  let series_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "series-out" ] ~docv:"FILE"
-          ~doc:
-            "Stream every sample (full resolution) and alert firing as JSONL \
-             to $(docv); render it later with `ucsim report --series`.")
+    sample_interval_arg 50.0
+      ~doc:
+        "Simulated time between samples. Samples piggyback on existing \
+         deliveries and completions — the sampler never schedules engine \
+         events, so the schedule is identical with or without it."
   in
   let rule_conv =
     let parse s =
@@ -1493,7 +843,7 @@ let soak_cmd =
       rules journal_out registry_out =
     let spec = { spec with soak = Some { sample_interval; duration; rules } } in
     check_spec ~cmd:"soak" (Sequential spec);
-    let e = find_protocol ~cmd:"soak" ~fifo:spec.fifo spec.protocol in
+    let e = ok ~cmd:"soak" (Driver.find ~fifo:spec.fifo spec.protocol) in
     let writer =
       Option.map
         (fun file ->
@@ -1512,11 +862,13 @@ let soak_cmd =
         series_out
     in
     let sinks = { no_sinks with registry_out; journal_out } in
+    (* Alert lines go where they fire, into the report as it is rendered. *)
+    let into = Buffer.create 1024 in
     let ob =
       observe sinks spec ~on_alert:(fun fr ->
           let rule = Obs.Alert.rule_to_string fr.Obs.Alert.rule in
-          Printf.printf "ALERT              %s at t=%g on %s (value %g)\n" rule
-            fr.Obs.Alert.time fr.Obs.Alert.series fr.Obs.Alert.value;
+          Printf.bprintf into "ALERT              %s at t=%g on %s (value %g)\n"
+            rule fr.Obs.Alert.time fr.Obs.Alert.series fr.Obs.Alert.value;
           Option.iter
             (fun (_, _, w) ->
               Obs.Series.write_alert w ~time:fr.Obs.Alert.time ~rule
@@ -1528,7 +880,8 @@ let soak_cmd =
     Option.iter
       (fun (_, _, w) -> Obs.Series.set_sink sampler (Obs.Series.write_point w))
       writer;
-    e.run sinks ob spec;
+    print_string (e.run ~into ob spec);
+    emit_obs sinks spec ob.obs;
     Printf.printf "samples            %d ticks, %d series\n"
       (Obs.Series.ticks sampler)
       (List.length (Obs.Series.list (Obs.Series.store sampler)));
@@ -1633,102 +986,6 @@ let print_replayed_through recorded k =
     Obs.Journal.pp_event
     (Obs.Journal.event recorded k)
 
-(* The workload a parallel spec describes, with the measure that runs
-   it: the sharded set's multi-key Zipf batches, the contended set+zipf
-   scripts, or uniform scripts over any registered object. `bench` runs
-   it, and `replay` regenerates it from the header (the scripts are pure
-   functions of the seed). For the space it configures the shard map,
-   reporting into [obs]; [lines] is what `bench` prints after the
-   verdict, the space's layout. *)
-module type PARALLEL_WORKLOAD = sig
-  module P : Protocol.PROTOCOL
-  module M : Throughput.MEASURE with module P := P
-
-  val scripts : (P.update, P.query) Protocol.invocation list array
-  val final_read : P.query
-  val lines : M.verdict -> string list
-end
-
-let parallel_workload ~obs (ps : Run_spec.parallel) : (module PARALLEL_WORKLOAD) =
-  match ps.space with
-  | Some sp ->
-    (* A static ring: with no policy, the replicas never mutate the
-       shared map during the parallel run. *)
-    Throughput.Sharded.S.configure
-      (Throughput.Sharded.S.create_map ?obs ~shards:sp.shards ());
-    (module struct
-      module P = Throughput.Sharded.S
-      module M = Throughput.Sharded
-
-      let scripts =
-        M.zipf_scripts ~seed:ps.seed ~domains:ps.domains ~ops:ps.ops
-          ~keys:sp.keys ~skew:ps.zipf ~fanout:sp.fanout
-          ~query_ratio:ps.query_ratio
-
-      let final_read = P.K.Sweep
-
-      let lines (v : M.verdict) =
-        let lens = List.map snd (P.shard_log_lengths v.run.M.E.replicas.(0)) in
-        [
-          Printf.sprintf "shards             %d (static ring)" sp.shards;
-          Printf.sprintf "keys / skew / fan  %d / %.2f / %d" sp.keys ps.zipf
-            sp.fanout;
-          Printf.sprintf "keyed sub-updates  %d" v.issued;
-          Printf.sprintf "shard log spread   min %d / max %d"
-            (match lens with [] -> 0 | x :: r -> List.fold_left min x r)
-            (List.fold_left max 0 lens);
-        ]
-    end)
-  | None when ps.spec = "set" && ps.zipf > 0.0 ->
-    (module struct
-      module M = Throughput.Bench (Set_spec)
-      module P = M.G
-
-      let scripts =
-        Throughput.set_zipf_scripts ~seed:ps.seed ~domains:ps.domains
-          ~ops:ps.ops ~skew:ps.zipf ~delete_ratio:0.3
-
-      let final_read = Set_spec.Read
-      let lines _ = []
-    end)
-  | None ->
-    (* a validated spec names a registered object *)
-    let (module O : Uqadt.S) = Option.get (Registry.find ps.spec) in
-    (module struct
-      module M = Throughput.Bench (O)
-      module P = M.G
-
-      let scripts =
-        M.uniform_scripts ~seed:ps.seed ~domains:ps.domains ~ops:ps.ops
-          ~query_ratio:ps.query_ratio
-
-      let final_read = O.random_query (Prng.create ps.seed)
-      let lines _ = []
-    end)
-
-(* Replay a flight-recorder journal (from `bench --journal-out`): the
-   workload is regenerated from the header, and the recorded
-   per-replica delivery order is re-executed on the sequential core —
-   fingerprint equality is Proposition 4 checked end to end. Always a
-   full replay; --until then prints the named event. *)
-let replay_parallel_journal recorded (ps : Run_spec.parallel) until =
-  Printf.printf
-    "replaying          parallel %s (seed %d, %d domains, %d events recorded)\n"
-    ps.spec ps.seed ps.domains
-    (Obs.Journal.length recorded);
-  let (module W) = parallel_workload ~obs:None ps in
-  match W.M.replay_journal ~scripts:W.scripts ~final_read:W.final_read recorded with
-  | Error msg ->
-    Printf.printf "replay FAILED: %s\n" msg;
-    exit 1
-  | Ok fp -> (
-    match until with
-    | Some k -> print_replayed_through recorded k
-    | None ->
-      Printf.printf "replay OK          %d events, fingerprint %s\n"
-        (Obs.Journal.length recorded)
-        fp)
-
 let replay_cmd =
   let doc =
     "Re-execute a journaled run (from `run --journal-out` or `bench \
@@ -1754,14 +1011,34 @@ let replay_cmd =
   let run file until =
     let recorded = load_journal ~cmd:"replay" file in
     match decode_header ~cmd:"replay" file recorded with
-    | Parallel ps -> replay_parallel_journal recorded ps until
+    | Parallel ps -> (
+      (* Always a full replay; --until then prints the named event. *)
+      Printf.printf
+        "replaying          parallel %s (seed %d, %d domains, %d events recorded)\n"
+        ps.spec ps.seed ps.domains
+        (Obs.Journal.length recorded);
+      match Driver.replay_parallel recorded ps with
+      | Error msg ->
+        Printf.printf "replay FAILED: %s\n" msg;
+        exit 1
+      | Ok fp -> (
+        match until with
+        | Some k -> print_replayed_through recorded k
+        | None ->
+          Printf.printf "replay OK          %d events, fingerprint %s\n"
+            (Obs.Journal.length recorded)
+            fp))
     | Sequential spec ->
     let capture = Obs.Journal.create () in
-    let e = find_protocol ~cmd:("replay: " ^ file) ~fifo:spec.fifo spec.protocol in
+    let e =
+      ok ~cmd:("replay: " ^ file) (Driver.find ~fifo:spec.fifo spec.protocol)
+    in
     Printf.printf "replaying          %s (seed %d, %d events recorded)\n"
       spec.protocol spec.seed
       (Obs.Journal.length recorded);
-    e.run no_sinks (Run_spec.observe ~journal:capture spec) spec;
+    let ob = Run_spec.observe ~journal:capture spec in
+    print_string (e.run ob spec);
+    emit_obs no_sinks spec ob.obs;
     let first_diff = Obs.Journal.diff recorded capture in
     let within i = match until with None -> true | Some k -> i <= k in
     (match first_diff with
@@ -1828,122 +1105,6 @@ let diff_cmd =
   in
   Cmd.v (Cmd.info "diff" ~doc) Term.(const run $ file_a $ file_b)
 
-(* One bench execution of [ps] with optional flight recording and
-   telemetry, printed from the spec and the verdict; exit 1 unless the
-   differential passed.
-   The recorder is attached iff any of --journal-out / --series-out /
-   --monitor was given; the rebuilt journal's header is the spec, all
-   `ucsim replay` needs to regenerate the scripts. *)
-let bench_exec (ps : Run_spec.parallel) ~obs ~journal_out ~series_out ~monitors
-    ~sample_interval =
-  let (module W) = parallel_workload ~obs ps in
-  let module M = W.M in
-  let recording =
-    journal_out <> None || series_out <> None || monitors <> []
-  in
-  let recorder =
-    if recording then Some (Obs.Recorder.create ~domains:ps.domains ()) else None
-  in
-  let journal_header =
-    if recording then Some (Run_spec.to_header (Parallel ps)) else None
-  in
-  let v =
-    M.measure ~mailbox_capacity:ps.mailbox ~batch_every:ps.batch
-      ~flush_window:ps.flush_window ?obs ?recorder
-      ?monitor:(if monitors = [] then None else Some monitors)
-      ?journal_header ~domains:ps.domains ~final_read:W.final_read
-      ~scripts:W.scripts ()
-  in
-  let run = v.M.run in
-  let reports = run.M.E.reports in
-  let p50, p99 =
-    match v.M.latency with
-    | None -> (0.0, 0.0)
-    | Some s -> (s.Stats.p50 *. 1e6, s.Stats.p99 *. 1e6)
-  in
-  let ok = M.ok v in
-  Printf.printf "spec               %s\n" ps.spec;
-  Printf.printf "domains            %d (machine recommends %d)\n"
-    (Array.length reports)
-    (Domain.recommended_domain_count ());
-  Printf.printf "ops                %d total, %d per domain\n" run.M.E.ops_total
-    ps.ops;
-  Printf.printf "updates            %d\n" run.M.E.updates_total;
-  Printf.printf "wall               %.4f s\n" run.M.E.wall_seconds;
-  Printf.printf "throughput         %.0f ops/sec\n" run.M.E.throughput;
-  Printf.printf "latency p50 / p99  %.2f / %.2f us\n" p50 p99;
-  Printf.printf "mailbox depth max  %d (stalls %d)\n"
-    (Array.fold_left
-       (fun acc r -> max acc r.Parallel_engine.mailbox_max_depth)
-       0 reports)
-    (Array.fold_left
-       (fun acc r -> acc + r.Parallel_engine.mailbox_stalls)
-       0 reports);
-  (* The verdict: the converged state on one line, clipped; the four
-     clauses, then the measure's own legs; the PASS/FAIL line. *)
-  let state = v.M.oracle.Throughput.state_repr in
-  Printf.printf "converged state    %s\n"
-    (if String.length state <= 96 then state else String.sub state 0 93 ^ "...");
-  List.iter
-    (fun (k, v) -> Printf.printf "  %-22s %s\n" k v)
-    (List.map
-       (fun (k, b) -> (k, string_of_bool b))
-       (Throughput.clauses v.M.oracle)
-    @ ( "sequential runner",
-        match v.M.runner_matches with
-        | None -> "n/a (non-commutative)"
-        | Some b -> string_of_bool b )
-      ::
-      (match v.M.journal_replay with
-      | None -> []
-      | Some b -> [ ("journal replay", string_of_bool b) ]));
-  Printf.printf "differential       %s\n" (if ok then "PASS" else "FAIL");
-  (match v.M.recording with
-  | None -> ()
-  | Some rc ->
-    (match rc.M.replay with
-    | Ok fp ->
-      Printf.printf "flight recorder    %d events, fingerprint %s\n"
-        (Obs.Journal.length rc.M.journal)
-        fp
-    | Error msg -> Printf.printf "flight recorder    REPLAY FAILED: %s\n" msg);
-    (match journal_out with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      output_string oc (Obs.Journal.to_jsonl rc.M.journal);
-      close_out oc;
-      Printf.printf "journal written    %s (%d events)\n" file
-        (Obs.Journal.length rc.M.journal));
-    (match series_out with
-    | None -> ()
-    | Some file ->
-      let oc = open_out file in
-      let w =
-        Obs.Series.writer oc ~meta:(Option.value ~default:[] journal_header)
-      in
-      let store =
-        Throughput.series_of_events ~interval:sample_interval
-          ~sink:(Obs.Series.write_point w) rc.M.events
-      in
-      Obs.Series.close_writer w;
-      close_out oc;
-      Printf.printf "series written     %s (%d series)\n" file
-        (List.length (Obs.Series.list store)));
-    match rc.M.monitor with
-    | None -> ()
-    | Some mon ->
-      print_monitor_report ~criteria:monitors
-        ~events:(M.Mon.events_seen mon)
-        (M.Mon.violations mon));
-  List.iter print_endline (W.lines v);
-  Option.iter
-    (fun o ->
-      Obs.finalize o ~live:[];
-      Format.printf "telemetry:@.%a@." Obs.Registry.pp o.Obs.registry)
-    obs;
-  if not ok then exit 1
-
 let bench_cmd =
   let doc =
     "Run the multicore replica engine: one domain per replica executing the \
@@ -1968,11 +1129,6 @@ let bench_cmd =
       value & opt int 4
       & info [ "domains" ] ~docv:"N" ~doc:"Replica domains to spawn.")
   in
-  let ops_arg =
-    Arg.(
-      value & opt int 10_000
-      & info [ "ops" ] ~docv:"OPS" ~doc:"Closed-loop operations per domain.")
-  in
   let zipf_arg =
     Arg.(
       value & opt float 0.0
@@ -1981,12 +1137,6 @@ let bench_cmd =
             "Zipf skew for the contended set workload (set spec only; 0 = \
              uniform random updates, and no --query-ratio otherwise), or of \
              the keys with --shards.")
-  in
-  let query_ratio_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "query-ratio" ] ~docv:"R"
-          ~doc:"Fraction of invocations that are queries.")
   in
   let shards_arg =
     Arg.(
@@ -2037,45 +1187,6 @@ let bench_cmd =
              its buffer to reach the --batch threshold (0 = no window; \
              flushes happen only on the threshold and at script end).")
   in
-  let obs_arg =
-    Arg.(value & flag & info [ "obs" ] ~doc:"Print per-domain telemetry rows.")
-  in
-  let journal_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal-out" ] ~docv:"FILE"
-          ~doc:
-            "Flight-record the run and write the merged per-domain event \
-             stream as a replayable journal (re-execute with `ucsim \
-             replay`).")
-  in
-  let series_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "series-out" ] ~docv:"FILE"
-          ~doc:
-            "Flight-record the run and stream wall-clock per-domain time \
-             series (JSONL; render with `ucsim report --series`).")
-  in
-  let monitor_arg =
-    Arg.(
-      value & opt monitors_conv []
-      & info [ "monitor" ] ~docv:"CRITERIA"
-          ~doc:
-            "Comma-separated consistency criteria (uc, ec, pc) checked \
-             online over the merged flight-recorder stream; the first \
-             violating event is reported with its journal index. (pc \
-             explores the cross-process interleaving automaton — \
-             exponential in concurrent updates, so keep --ops small.)")
-  in
-  let sample_interval_arg =
-    Arg.(
-      value & opt float 0.01
-      & info [ "sample-interval" ] ~docv:"DT"
-          ~doc:"Wall-clock series sampling cadence in seconds.")
-  in
   let run spec domains ops zipf seed query_ratio shards keys fanout mailbox
       batch flush_window obs_flag journal_out series_out monitors
       sample_interval =
@@ -2094,7 +1205,7 @@ let bench_cmd =
           (fun (field, given) ->
             Option.iter
               (fun v ->
-                or_exit ~cmd:"bench"
+                ok ~cmd:"bench"
                   (Error
                      (Printf.sprintf "%s: only a sharded run (--shards) reads it, got %d"
                         field v)))
@@ -2121,21 +1232,64 @@ let bench_cmd =
       }
     in
     check_spec ~cmd:"bench" (Parallel ps);
+    check_flags ~cmd:"bench"
+      Run_spec.[ ("sample_interval", Positive sample_interval) ];
     let obs = if obs_flag then Some (Obs.create ()) else None in
-    bench_exec ps ~obs ~journal_out ~series_out ~monitors ~sample_interval
+    (* The recorder is attached iff any of --journal-out / --series-out /
+       --monitor was given; the rebuilt journal's header is the spec,
+       all `ucsim replay` needs to regenerate the scripts. *)
+    let r =
+      Driver.bench ?obs
+        ~record:(journal_out <> None || series_out <> None || monitors <> [])
+        ~monitors ps
+    in
+    print_string r.verdict;
+    Option.iter
+      (fun (journal, events) ->
+        Option.iter (fun file -> write_journal file journal) journal_out;
+        Option.iter
+          (fun file ->
+            let oc = open_out file in
+            let w =
+              Obs.Series.writer oc ~meta:(Run_spec.to_header (Parallel ps))
+            in
+            let store =
+              Throughput.series_of_events ~interval:sample_interval
+                ~sink:(Obs.Series.write_point w) events
+            in
+            Obs.Series.close_writer w;
+            close_out oc;
+            Printf.printf "series written     %s (%d series)\n" file
+              (List.length (Obs.Series.list store)))
+          series_out)
+      r.recording;
+    print_string r.layout;
+    Option.iter
+      (fun o ->
+        Obs.finalize o ~live:[];
+        Format.printf "telemetry:@.%a@." Obs.Registry.pp o.Obs.registry)
+      obs;
+    if not r.ok then exit 1
   in
   Cmd.v (Cmd.info "bench" ~doc)
     Term.(
-      const run $ spec_arg $ domains_arg $ ops_arg $ zipf_arg $ seed_arg
-      $ query_ratio_arg $ shards_arg $ keys_arg $ fanout_arg $ mailbox_arg
-      $ batch_arg $ flush_window_arg $ obs_arg $ journal_out_arg
-      $ series_out_arg $ monitor_arg $ sample_interval_arg)
+      const run $ spec_arg $ domains_arg
+      $ ops_arg ~doc:"Closed-loop operations per domain." 10_000
+      $ zipf_arg $ seed_arg
+      $ query_ratio_arg ~doc:"Fraction of invocations that are queries." 0.0
+      $ shards_arg $ keys_arg $ fanout_arg $ mailbox_arg $ batch_arg
+      $ flush_window_arg $ obs_arg $ journal_out_arg $ series_out_arg
+      $ monitors_arg
+      $ sample_interval_arg ~doc:"Wall-clock series sampling cadence in seconds."
+          0.01)
 
 let list_cmd =
   let doc = "List protocols and experiments." in
   let run () =
     Printf.printf "protocols:\n";
-    List.iter (fun e -> Printf.printf "  %-12s %s\n" e.name e.doc) protocols;
+    List.iter
+      (fun (e : Driver.entry) -> Printf.printf "  %-12s %s\n" e.name e.doc)
+      Driver.protocols;
     Printf.printf "experiments: %s\n" (String.concat " " experiment_ids);
     Printf.printf "objects:     %s\n" (String.concat " " Registry.names)
   in

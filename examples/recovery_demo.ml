@@ -9,7 +9,7 @@
    Run with: dune exec examples/recovery_demo.exe *)
 
 module Bank = Generic.Make (Bank_spec)
-module Store = Persist.Make (Bank_spec) (Update_codec.For_bank)
+module Store = Persist.Over (Bank) (Update_codec.For_bank)
 
 (* Three replicas wired synchronously; deliveries to a "down" replica are
    held in its mailbox. *)

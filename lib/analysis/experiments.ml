@@ -71,10 +71,6 @@ let fig2 () =
 
 module Uni_set = Generic.Make (Set_spec)
 module Uni_list = Generic_ref.Make (Set_spec)
-module Memo_set = Generic.Configured (struct let config = Generic.memo end) (Set_spec)
-module Gc_set = Gc.Make (Set_spec)
-module Undo_set = Undo.Make (Undoable.Set)
-module Pipe_set = Pipelined.Make (Set_spec)
 module Uni_reg = Generic.Make (Register_spec)
 module Smr_reg = Tob_smr.Make (Register_spec)
 module Uni_counter = Generic.Make (Counter_spec)
@@ -87,10 +83,7 @@ let final_states (type o) (pp : Format.formatter -> o -> unit) (outs : (int * o)
 
 (* Run one set protocol on a script with widely-crossed messages so the
    conflicting updates are genuinely concurrent. *)
-let run_set_protocol (module P : Protocol.PROTOCOL
-                       with type update = Set_spec.update
-                        and type query = Set_spec.query
-                        and type output = Set_spec.output) ~seed ~n ~fifo workload =
+let run_set_protocol (module P : Driver.SET_PROTOCOL) ~seed ~n ~fifo workload =
   let module R = Runner.Make (P) in
   let config =
     {
@@ -113,13 +106,8 @@ let prop1 ~seed =
     Table.create [ "protocol"; "final reads"; "converged"; "PC"; "EC"; "UC" ]
   in
   let program = Workload.For_set.fig2_program () in
-  let protocols :
-      (module Protocol.PROTOCOL
-         with type update = Set_spec.update
-          and type query = Set_spec.query
-          and type output = Set_spec.output)
-      list =
-    [ (module Pipe_set); (module Uni_set) ]
+  let protocols : (module Driver.SET_PROTOCOL) list =
+    [ (module Driver.Pipe_set); (module Uni_set) ]
   in
   List.iter
     (fun p ->
@@ -145,12 +133,6 @@ let prop4_modelcheck () =
     Table.create
       [ "protocol"; "object"; "schedules"; "exhaustive"; "UC fails"; "EC fails" ]
   in
-  let race =
-    [|
-      [ Protocol.Invoke_update (Set_spec.Insert 1); Protocol.Invoke_update (Set_spec.Delete 2) ];
-      [ Protocol.Invoke_update (Set_spec.Insert 2); Protocol.Invoke_update (Set_spec.Delete 1) ];
-    |]
-  in
   let row name obj ~executions ~exhaustive ~failures =
     Table.add_row table
       [
@@ -163,7 +145,7 @@ let prop4_modelcheck () =
       ]
   in
   (let module M = Explore.Make (Uni_set) in
-   let r = M.explore ~scripts:race ~final_read:Set_spec.Read () in
+   let r = M.explore ~scripts:Driver.race ~final_read:Set_spec.Read () in
    row "universal (Alg.1)" "set" ~executions:r.M.executions ~exhaustive:r.M.exhaustive
      ~failures:r.M.failures);
   (let module M = Explore.Make (Lww_memory) in
@@ -188,8 +170,8 @@ let prop4_modelcheck () =
    let r = M.explore ~scripts ~final_read:Counter_spec.Value () in
    row "crdt-fastpath" "counter" ~executions:r.M.executions ~exhaustive:r.M.exhaustive
      ~failures:r.M.failures);
-  (let module M = Explore.Make (Pipe_set) in
-   let r = M.explore ~scripts:race ~final_read:Set_spec.Read () in
+  (let module M = Explore.Make (Driver.Pipe_set) in
+   let r = M.explore ~scripts:Driver.race ~final_read:Set_spec.Read () in
    row "pipelined (counterexample)" "set" ~executions:r.M.executions ~exhaustive:r.M.exhaustive
      ~failures:r.M.failures);
   table
@@ -224,12 +206,7 @@ let set_comparison ~seed =
         |] );
     ]
   in
-  let protocols :
-      (module Protocol.PROTOCOL
-         with type update = Set_spec.update
-          and type query = Set_spec.query
-          and type output = Set_spec.output)
-      list =
+  let protocols : (module Driver.SET_PROTOCOL) list =
     [
       (module Uni_set);
       (module Orset_crdt);
@@ -272,20 +249,14 @@ let protocol_criteria ~seed =
      insert/delete conflict — the scenario on which the criteria
      actually separate. *)
   let program = Workload.For_set.insert_delete_race ~n:2 in
-  let protocols :
-      (bool
-      * (module Protocol.PROTOCOL
-           with type update = Set_spec.update
-            and type query = Set_spec.query
-            and type output = Set_spec.output))
-      list =
+  let protocols : (bool * (module Driver.SET_PROTOCOL)) list =
     [
       (false, (module Uni_set));
       (false, (module Orset_crdt));
       (false, (module Twopset_crdt.Protocol_impl));
       (false, (module Lwwset_crdt));
       (false, (module Pnset_crdt));
-      (true, (module Pipe_set));
+      (true, (module Driver.Pipe_set));
       (true, (module Smr_set));
     ]
   in
@@ -380,10 +351,7 @@ let message_complexity ~seed =
     Table.create ~aligns:[ Table.Left; Right; Right; Right; Right ]
       [ "protocol"; "n"; "updates"; "msgs/update"; "bytes/msg" ]
   in
-  let run_one (module P : Protocol.PROTOCOL
-                with type update = Set_spec.update
-                 and type query = Set_spec.query
-                 and type output = Set_spec.output) ~n ~ops =
+  let run_one (module P : Driver.SET_PROTOCOL) ~n ~ops =
     let rng = Prng.create (seed + n + ops) in
     let workload =
       Workload.For_set.conflict ~rng ~n ~ops_per_process:ops ~domain:16 ~skew:1.0
@@ -404,19 +372,11 @@ let message_complexity ~seed =
           (float_of_int m.Metrics.bytes_sent /. float_of_int (max 1 m.Metrics.messages_sent));
       ]
   in
-  let protocols :
-      (module Protocol.PROTOCOL
-         with type update = Set_spec.update
-          and type query = Set_spec.query
-          and type output = Set_spec.output)
-      list =
+  let protocols : (module Driver.SET_PROTOCOL) list =
     [ (module Uni_set); (module Orset_crdt); (module Twopset_crdt.Protocol_impl) ]
   in
   List.iter
-    (fun (module P : Protocol.PROTOCOL
-           with type update = Set_spec.update
-            and type query = Set_spec.query
-            and type output = Set_spec.output) ->
+    (fun (module P : Driver.SET_PROTOCOL) ->
       List.iter (fun n -> run_one (module P) ~n ~ops:64) [ 2; 4; 8; 16; 32 ];
       List.iter (fun ops -> run_one (module P) ~n:3 ~ops) [ 256; 1024 ];
       Table.add_sep table)
@@ -432,10 +392,7 @@ let query_cost ~seed =
     Table.create ~aligns:[ Table.Left; Right; Right; Right ]
       [ "protocol"; "log updates"; "queries"; "replay steps/query" ]
   in
-  let run_one (module P : Protocol.PROTOCOL
-                with type update = Set_spec.update
-                 and type query = Set_spec.query
-                 and type output = Set_spec.output) ~updates =
+  let run_one (module P : Driver.SET_PROTOCOL) ~updates =
     let rng = Prng.create (seed + updates) in
     let module G = Workload.Make (Set_spec) in
     let workload = G.query_heavy ~rng ~n:3 ~updates ~queries_per_process:50 in
@@ -452,13 +409,8 @@ let query_cost ~seed =
           (float_of_int m.Metrics.replay_steps /. float_of_int (max 1 m.Metrics.queries_invoked));
       ]
   in
-  let protocols :
-      (module Protocol.PROTOCOL
-         with type update = Set_spec.update
-          and type query = Set_spec.query
-          and type output = Set_spec.output)
-      list =
-    [ (module Uni_list); (module Uni_set); (module Memo_set); (module Undo_set) ]
+  let protocols : (module Driver.SET_PROTOCOL) list =
+    [ (module Uni_list); (module Uni_set); (module Driver.Memo_set); (module Driver.Undo_set) ]
   in
   List.iter
     (fun p ->
@@ -494,10 +446,7 @@ let log_gc ~seed =
     Table.create ~aligns:[ Table.Left; Left; Right; Right; Right ]
       [ "protocol"; "faults"; "updates"; "final log entries"; "metadata bytes" ]
   in
-  let run_one (module P : Protocol.PROTOCOL
-                with type update = Set_spec.update
-                 and type query = Set_spec.query
-                 and type output = Set_spec.output) ~crash =
+  let run_one (module P : Driver.SET_PROTOCOL) ~crash =
     let rng = Prng.create seed in
     let workload =
       Workload.For_set.conflict ~rng ~n:3 ~ops_per_process:200 ~domain:16 ~skew:1.0
@@ -524,9 +473,9 @@ let log_gc ~seed =
       ]
   in
   run_one (module Uni_set) ~crash:false;
-  run_one (module Gc_set) ~crash:false;
+  run_one (module Driver.Gc_set) ~crash:false;
   run_one (module Uni_set) ~crash:true;
-  run_one (module Gc_set) ~crash:true;
+  run_one (module Driver.Gc_set) ~crash:true;
   table
 
 (* ------------------------------------------------------------------ *)
@@ -687,10 +636,7 @@ let monitor_latency ~seed =
         "post-hoc PC/UC";
       ]
   in
-  let run_one (module P : Protocol.PROTOCOL
-                with type update = Set_spec.update
-                 and type query = Set_spec.query
-                 and type output = Set_spec.output) seed =
+  let run_one (module P : Driver.SET_PROTOCOL) seed =
     let module R = Runner.Make (P) in
     let journal = Obs.Journal.create () in
     let obs = Obs.create ~journal () in
@@ -740,7 +686,7 @@ let monitor_latency ~seed =
   in
   add_row "universal" (run_one (module Uni_set) seed);
   let rec violating k =
-    let result = run_one (module Pipe_set) (seed + k) in
+    let result = run_one (module Driver.Pipe_set) (seed + k) in
     let _, violation, _ = result in
     if violation <> None || k >= 7 then result else violating (k + 1)
   in
@@ -763,10 +709,7 @@ let undo_ablation ~seed =
       ("pareto heavy tail", Network.Pareto { scale = 2.0; shape = 1.1 });
     ]
   in
-  let run_one (module P : Protocol.PROTOCOL
-                with type update = Set_spec.update
-                 and type query = Set_spec.query
-                 and type output = Set_spec.output) (dname, delay) =
+  let run_one (module P : Driver.SET_PROTOCOL) (dname, delay) =
     let rng = Prng.create seed in
     let module G = Workload.Make (Set_spec) in
     let workload = G.mixed ~rng ~n:4 ~ops_per_process:150 ~query_ratio:0.3 in
@@ -786,8 +729,8 @@ let undo_ablation ~seed =
   List.iter
     (fun d ->
       run_one (module Uni_set) d;
-      run_one (module Memo_set) d;
-      run_one (module Undo_set) d;
+      run_one (module Driver.Memo_set) d;
+      run_one (module Driver.Undo_set) d;
       Table.add_sep table)
     delays;
   table

@@ -19,7 +19,7 @@
     {- {b Checkpointed replay}. Along the DFS path the engine snapshots
        protocol state every [checkpoint_every] events through a
        caller-supplied {!type:snapshotter} (for Algorithm 1 replicas,
-       {!Persist.Make.snapshot_replica} — the {!Codec} log frame plus
+       {!Persist.Over.snapshot_replica} — the {!Codec} log frame plus
        the exact Lamport clock). Backtracking restores the nearest
        checkpoint and replays only the events since it, so extending a
        schedule costs O(interval) protocol steps instead of O(depth²).

@@ -107,8 +107,6 @@ let create ?(checkpoint_interval = 0) ?(query_cache = false) () =
    profile or not: this compiler does not inline it away. *)
 let set_profile t p = t.profile <- p
 
-let checkpoint_interval t = t.interval
-
 let length t = t.len
 
 (* The page holding entry [i], at offset [i land page_mask]. *)

@@ -93,8 +93,6 @@ val set_profile : ('u, 's) t -> Obs.Profile.t option -> unit
     or without one, {!insert}, {!insert_batch} and {!replay} allocate
     no closure. *)
 
-val checkpoint_interval : ('u, 's) t -> int
-
 val length : ('u, 's) t -> int
 
 val get : ('u, 's) t -> int -> Timestamp.t * int * 'u

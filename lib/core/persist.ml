@@ -111,6 +111,3 @@ struct
     | merged -> merged
     | exception Codec.Decode_error _ -> false
 end
-
-module Make (A : Uqadt.S) (C : Update_codec.S with type update = A.update) =
-  Over (Generic.Make (A)) (C)

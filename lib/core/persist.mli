@@ -15,8 +15,7 @@
     format, so snapshots written before the oplog refactor still
     restore. {!Over} works over {e any} replica exposing the
     {!LOG_VIEW} log/clock API (the oplog-core {!Generic.Make} and the
-    seed list-core {!Generic_ref.Make} alike); {!Make} is the
-    {!Generic.Make} instantiation every existing call site uses.
+    seed list-core {!Generic_ref.Make} alike).
 
     Framing errors, version mismatches and checksum failures raise
     {!Codec.Decode_error}: a corrupted log must never silently
@@ -121,24 +120,4 @@ module Catchup
        and type query = G.query
        and type output = G.output
        and type message = G.message
-end
-
-module Make (A : Uqadt.S) (C : Update_codec.S with type update = A.update) : sig
-  val encode_log : (Timestamp.t * int * A.update) list -> string
-
-  val decode_log : string -> (Timestamp.t * int * A.update) list
-  (** @raise Codec.Decode_error on any malformation. *)
-
-  val snapshot : Generic.Make(A).t -> string
-  (** Serialise a live replica's log. *)
-
-  val restore : Generic.Make(A).t -> string -> unit
-  (** Load a snapshot into a (typically fresh) replica. *)
-
-  val snapshot_replica : Generic.Make(A).t -> string
-  (** See {!Over.snapshot_replica}. *)
-
-  val restore_replica : Generic.Make(A).t -> string -> unit
-  (** See {!Over.restore_replica}.
-      @raise Codec.Decode_error on any malformation. *)
 end

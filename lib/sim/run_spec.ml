@@ -207,7 +207,8 @@ let check = function
 let validate t =
   match check t with () -> Ok t | exception Invalid msg -> Error msg
 
-type flag = At_least of int * int | Non_negative of float | Fraction of float
+type flag =
+  | At_least of int * int | Non_negative of float | Positive of float | Fraction of float
 
 let check_flags flags =
   match
@@ -216,6 +217,7 @@ let check_flags flags =
         match flag with
         | At_least (lo, v) -> at_least lo field v
         | Non_negative x -> non_negative field x
+        | Positive x -> positive field x
         | Fraction x -> fraction field x)
       flags
   with

@@ -84,6 +84,7 @@ val validate : t -> (t, string) result
 type flag =
   | At_least of int * int  (** [At_least (lo, v)]: the integer [v] >= [lo] *)
   | Non_negative of float  (** a finite non-negative number *)
+  | Positive of float  (** a finite positive number *)
   | Fraction of float  (** a number in [0, 1] *)
 
 val check_flags : (string * flag) list -> (unit, string) result

@@ -505,7 +505,8 @@ let shard_pin_tests =
   in
   (* `ucsim run sharded -n 4 --ops 60 --shards 2 --keys 32 --rebalance 10
      --seed 5 --churn 20:join:3 --churn 80:leave:1 --churn 200:rejoin:1
-     --partition 180:199:0`, built as the command builds it: the policy
+     --partition 180:199:0`, on the driver's space, shard map (its
+     hot-shard policy and configure call) and workload: the policy
      splits hot shards while replica 3 joins late and replica 1 leaves
      and rejoins from a donor partitioned off just before, so migrations
      and whole-space catch-ups interleave. Returns the journal's digest
@@ -515,6 +516,7 @@ let shard_pin_tests =
      breaks update consistency the UC monitor's search does not end, and
      a pin must fail, not hang. *)
   let churn_rebalance_shas () =
+    let module Sp = Driver.Space_set in
     let module Held = struct
       include Sp
 
@@ -547,24 +549,11 @@ let shard_pin_tests =
     in
     let journal = Obs.Journal.create () in
     let ob = Run_spec.observe ~journal spec in
-    let policy = { Sp.interval = 10.0; hot_factor = 1.5; max_shards = 64 } in
-    let map = Sp.create_map ~policy ?obs:ob.Run_spec.obs ~shards:spec.shards () in
-    Sp.configure map;
-    let elem = Zipf.create ~n:16 ~s:1.0 in
-    let workload =
-      Workload.For_space.zipf_scripts ~rng:(Prng.create spec.seed) ~n:spec.n
-        ~ops_per_process:spec.ops ~keys:spec.keys ~skew:1.1 ~fanout:3
-        ~query_ratio:0.25
-        ~update:(fun g ->
-          let v = Zipf.sample elem g in
-          if Prng.float g 1.0 < 0.3 then Set_spec.Delete v
-          else Set_spec.Insert v)
-        ~query:(fun _ -> Set_spec.Read)
-        ~read:(fun k q -> Sp.K.Read (k, q))
-    in
+    let map = Driver.sharded_map ob spec in
     Hashtbl.reset Held.made;
     let r =
-      R.run (R.config_of_spec ~final_read:(Some Sp.K.Sweep) ob spec) ~workload
+      R.run (R.config_of_spec ~final_read:(Some Sp.K.Sweep) ob spec)
+        ~workload:(Driver.sharded_workload spec)
     in
     Alcotest.(check bool) "converged" true r.R.converged;
     Alcotest.(check bool) "the policy split a shard" true (Sp.rebalances map >= 1);

@@ -2,8 +2,8 @@
 
 open Helpers
 
-module P = Persist.Make (Set_spec) (Update_codec.For_set)
 module G = Generic.Make (Set_spec)
+module P = Persist.Over (G) (Update_codec.For_set)
 
 let dummy_ctx pid : _ Protocol.ctx =
   {

@@ -69,8 +69,8 @@ let hierarchy_tests =
 
 let varint_gen = QCheck2.Gen.(oneof [ int_range 0 127; int_range 0 1_000_000_000 ])
 
-module Set_persist = Persist.Make (Set_spec) (Update_codec.For_set)
 module G_set = Generic.Make (Set_spec)
+module Set_persist = Persist.Over (G_set) (Update_codec.For_set)
 
 let dummy_ctx pid n : G_set.message Protocol.ctx =
   {

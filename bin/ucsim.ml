@@ -88,8 +88,7 @@ let emit_obs sinks (spec : Run_spec.sequential) obs =
   | Some (o : Obs.t) ->
     (* Host-resource gauges, stamped once at dump time rather than
        during the run: their values depend on allocator state, so
-       keeping them out of the library layer keeps its goldens stable.
-       (Stdlib.Gc — uc_core's Gc module shadows the runtime's here.) *)
+       keeping them out of the library layer keeps its goldens stable. *)
     let q = Stdlib.Gc.quick_stat () in
     Obs.Registry.set
       (Obs.Registry.gauge o.registry "gc_live_words")
@@ -375,9 +374,9 @@ let log_core_arg =
     & info [ "log-core" ] ~docv:"CORE"
         ~doc:
           "Op-log substrate for Algorithm 1 (universal, counter, register \
-           and every universal-<object>): the seed's cons-list core or the \
-           array-backed oplog with interval checkpoints (default). Both \
-           cores must report identical verdicts.")
+           and every universal-<object>; other protocols refuse it): the \
+           seed's cons-list core or the array-backed oplog with interval \
+           checkpoints (default). Both must report identical verdicts.")
 
 let checkpoint_interval_arg =
   Arg.(
@@ -387,7 +386,8 @@ let checkpoint_interval_arg =
         ~doc:
           "Record an oplog state checkpoint every K entries inside the \
            replicas (Algorithm 1 on the array core; 0 disables \
-           checkpointing). memo keeps its fixed configuration.")
+           checkpointing). Read by the protocols --log-core names; any \
+           other protocol refuses it.")
 
 let run_cmd =
   let doc = "Simulate one protocol on a generated conflict workload." in
@@ -487,7 +487,7 @@ let run_cmd =
       }
     in
     check_spec ~cmd:"run" (Sequential spec);
-    let e = ok ~cmd:"run" (Driver.find ~fifo:spec.fifo spec.protocol) in
+    let e = ok ~cmd:"run" (Driver.find spec) in
     let sinks = { obs_on; trace_out; registry_out; span_dump; journal_out } in
     let ob = observe sinks spec in
     print_string (e.run ~trace ~check ob spec);
@@ -843,7 +843,7 @@ let soak_cmd =
       rules journal_out registry_out =
     let spec = { spec with soak = Some { sample_interval; duration; rules } } in
     check_spec ~cmd:"soak" (Sequential spec);
-    let e = ok ~cmd:"soak" (Driver.find ~fifo:spec.fifo spec.protocol) in
+    let e = ok ~cmd:"soak" (Driver.find spec) in
     let writer =
       Option.map
         (fun file ->
@@ -1030,9 +1030,7 @@ let replay_cmd =
             fp))
     | Sequential spec ->
     let capture = Obs.Journal.create () in
-    let e =
-      ok ~cmd:("replay: " ^ file) (Driver.find ~fifo:spec.fifo spec.protocol)
-    in
+    let e = ok ~cmd:("replay: " ^ file) (Driver.find spec) in
     Printf.printf "replaying          %s (seed %d, %d events recorded)\n"
       spec.protocol spec.seed
       (Obs.Journal.length recorded);

@@ -8,16 +8,17 @@ let pr b fmt = Format.kasprintf (Buffer.add_string b) fmt
 (* The array core's configuration: the default, with any
    --checkpoint-interval override. *)
 let core_config (spec : Run_spec.sequential) =
-  match spec.checkpoint_interval with
-  | None -> Generic.default
-  | Some k -> { Generic.default with Generic.checkpoint_interval = k }
+  match (spec.checkpoint_interval, Generic.default.replay) with
+  | Some interval, Checkpoints c ->
+    { Generic.default with replay = Checkpoints { c with interval } }
+  | _ -> Generic.default
 
 let describe_log_core (spec : Run_spec.sequential) =
-  match spec.log_core with
-  | `List -> "list"
-  | `Array ->
-    Printf.sprintf "array (checkpoint interval %d)"
-      (core_config spec).Generic.checkpoint_interval
+  match (spec.log_core, (core_config spec).replay) with
+  | `List, _ -> "list"
+  | `Array, Checkpoints { interval; _ } ->
+    Printf.sprintf "array (checkpoint interval %d)" interval
+  | `Array, Stable_prefix -> "array (stable prefix)"
 
 let describe_metrics b (m : Metrics.t) =
   pr b
@@ -401,10 +402,13 @@ let explore_counter x (spec : Run_spec.sequential) =
                Protocol.Invoke_update (Counter_spec.Add ((pid * spec.ops) + i + 1)))))
     ~final_read:Counter_spec.Value spec
 
+type reads = Common | Log_core | Shards
+
 type entry = {
   name : string;
   doc : string;
   fifo : bool;
+  reads : reads;
   run :
     ?trace:bool -> ?check:bool -> ?into:Buffer.t ->
     Run_spec.observers -> Run_spec.sequential -> string;
@@ -412,37 +416,39 @@ type entry = {
   explore : (explore -> Run_spec.sequential -> (string, string) result) option;
 }
 
-let set_entry ?(fifo = false) ?(explore = false) name doc set =
+let set_entry ?(fifo = false) ?(explore = false) ?(reads = Common) name doc set =
   {
     name;
     doc;
     fifo;
+    reads;
     run = (fun ?trace ?check ?into ob spec ->
       drive (set spec) (module Set_object) ?trace ?check ?into ob spec);
     set = Some set;
     explore = (if explore then Some (fun x spec -> explore_set x (set spec)) else None);
   }
 
-let entry ?explore name doc run = { name; doc; fifo = false; run; set = None; explore }
+let entry ?explore ?(reads = Common) name doc run =
+  { name; doc; fifo = false; reads; run; set = None; explore }
 
 let universal_set spec : (module SET_PROTOCOL) =
   (module (val universal spec (module Set_object)))
 
 module Memo_set = Generic.Configured (struct let config = Generic.memo end) (Set_spec)
-module Gc_set = Gc.Make (Set_spec)
+module Gc_set = Generic.Configured (struct let config = Generic.gc end) (Set_spec)
 module Undo_set = Undo.Make (Undoable.Set)
 module Pipe_set = Pipelined.Make (Set_spec)
 
 let protocols : entry list =
   List.map
     (fun (name, spec) ->
-      entry ("universal-" ^ name)
+      entry ~reads:Log_core ("universal-" ^ name)
         ("Algorithm 1 on the " ^ name ^ " object")
         (run_universal_on spec))
     Registry.all_specs
   @ [
       {
-        (set_entry "universal" "Algorithm 1 on the set" universal_set) with
+        (set_entry ~reads:Log_core "universal" "Algorithm 1 on the set" universal_set) with
         run =
           (fun ?trace ?check ?(into = Buffer.create 1024) ob spec ->
             (* Both cores exchange byte-identical messages, so the same
@@ -469,13 +475,13 @@ let protocols : entry list =
           (module Twopset_crdt.Protocol_impl));
       set_entry "lwwset" "LWW-element-set CRDT" (fun _ -> (module Lwwset_crdt));
       set_entry "pnset" "counting set CRDT" (fun _ -> (module Pnset_crdt));
-      entry ~explore:explore_counter "counter" "Algorithm 1 on the counter"
+      entry ~explore:explore_counter ~reads:Log_core "counter" "Algorithm 1 on the counter"
         (algorithm1 (module Counter_object));
       entry "fastcounter" "CRDT fast path counter"
         (drive (module Commutative.Make (Counter_spec)) (module Counter_object));
       entry "pncounter" "PN-counter CRDT"
         (drive (module Counters.Pncounter) (module Counter_object));
-      entry "register" "Algorithm 1 on the register"
+      entry ~reads:Log_core "register" "Algorithm 1 on the register"
         (algorithm1 (module Register_object));
       entry "lwwreg" "LWW-register CRDT"
         (drive (module Registers.Lwwreg) (module Register_object));
@@ -483,32 +489,57 @@ let protocols : entry list =
         (drive (module Abd) (module Register_object));
       entry "lwwmemory" "Algorithm 2 shared memory"
         (drive (module Lww_memory) (module Memory_object));
-      entry "sharded"
+      entry ~reads:Shards "sharded"
         "Algorithm 1 per shard behind a consistent-hash ring, set \
          (--shards/--keys/--rebalance)"
         run_sharded;
     ]
 
-let find ~fifo name =
-  match List.find_opt (fun e -> e.name = name) protocols with
-  | None -> Error (Printf.sprintf "unknown protocol %S" name)
-  | Some e when e.fifo && not fifo ->
-    Error (Printf.sprintf "%s needs FIFO channels (--fifo)" name)
-  | Some e -> Ok e
+(* The entry [spec] names, refusing a field the spec moves off its
+   default that the entry's runs never read: the log core is read only
+   by Algorithm 1 built from the spec, the shard fields only by the
+   sharded space. *)
+let lookup (spec : Run_spec.sequential) =
+  let d = Run_spec.default in
+  let fields =
+    [
+      ("log_core", spec.log_core <> d.log_core, Log_core);
+      ("checkpoint_interval", spec.checkpoint_interval <> d.checkpoint_interval, Log_core);
+      ("shards", spec.shards <> d.shards, Shards);
+      ("keys", spec.keys <> d.keys, Shards);
+      ("rebalance", spec.rebalance <> d.rebalance, Shards);
+    ]
+  in
+  match List.find_opt (fun e -> e.name = spec.protocol) protocols with
+  | None -> Error (Printf.sprintf "unknown protocol %S" spec.protocol)
+  | Some e -> (
+    match List.find_opt (fun (_, set, reads) -> set && reads <> e.reads) fields with
+    | Some (field, _, reads) ->
+      Error
+        (Printf.sprintf "%s: not read by %s, only by %s" field e.name
+           (if reads = Shards then "sharded"
+            else "universal, counter, register and universal-<object>"))
+    | None -> Ok e)
+
+let find (spec : Run_spec.sequential) =
+  match lookup spec with
+  | Ok e when e.fifo && not spec.fifo ->
+    Error (Printf.sprintf "%s needs FIFO channels (--fifo)" e.name)
+  | r -> r
 
 let modelcheck x (spec : Run_spec.sequential) =
-  match List.find_opt (fun e -> e.name = spec.protocol) protocols with
-  | Some { explore = Some explore; _ } -> explore x spec
-  | _ -> Error (Printf.sprintf "no model checker for %S" spec.protocol)
+  Result.bind (lookup spec) (function
+    | { explore = Some explore; _ } -> explore x spec
+    | _ -> Error (Printf.sprintf "no model checker for %S" spec.protocol))
 
 (* The set protocol [spec] names, and whether it needs FIFO channels. *)
 let set_protocol (spec : Run_spec.sequential) =
-  match List.find_opt (fun e -> e.name = spec.protocol) protocols with
-  | Some { set = Some set; fifo; _ } -> Ok (set spec, fifo)
-  | _ ->
-    Error
-      (Printf.sprintf "protocol %S has no scenario engine (set protocols only)"
-         spec.protocol)
+  Result.bind (lookup spec) (function
+    | { set = Some set; fifo; _ } -> Ok (set spec, fifo)
+    | _ ->
+      Error
+        (Printf.sprintf "protocol %S has no scenario engine (set protocols only)"
+           spec.protocol))
 
 let nemesis ~runs (spec : Run_spec.sequential) =
   Result.map

@@ -33,10 +33,16 @@ type explore = {
   limit : int;
 }
 
+(** The spec fields beyond the common ones that an entry's runs read:
+    [log_core] and [checkpoint_interval] (Algorithm 1 built from the
+    spec), or [shards], [keys] and [rebalance] (the sharded space). *)
+type reads = Common | Log_core | Shards
+
 type entry = {
   name : string;
   doc : string;
   fifo : bool;  (** needs FIFO channels (the stability GC) *)
+  reads : reads;
   run :
     ?trace:bool -> ?check:bool -> ?into:Buffer.t ->
     Run_spec.observers -> Run_spec.sequential -> string;
@@ -52,10 +58,12 @@ type entry = {
 val protocols : entry list
 (** Every protocol, in [ucsim list]'s order. *)
 
-val find : fifo:bool -> string -> (entry, string) result
-(** The entry of that name, or [Error "unknown protocol NAME"], or, when
-    it needs FIFO channels and [fifo] is false, [Error "NAME needs FIFO
-    channels (--fifo)"]. *)
+val find : Run_spec.sequential -> (entry, string) result
+(** The entry [spec] names, or [Error "unknown protocol NAME"], or
+    [Error "FIELD: reason"] for a field moved off {!Run_spec.default}
+    that the entry never reads (as {!modelcheck}, {!nemesis}, {!storm}
+    and {!shrink} do), or, when it needs FIFO channels and the spec's
+    are not, [Error "NAME needs FIFO channels (--fifo)"]. *)
 
 val sharded_map : Run_spec.observers -> Run_spec.sequential -> Space_set.map
 (** The [sharded] protocol's shard map, configured: [spec.shards] shards,

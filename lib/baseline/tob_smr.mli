@@ -20,7 +20,7 @@
       with Algorithm 1 where the same log is applied optimistically and
       re-ordered a posteriori.
 
-    Requires FIFO channels for the same reason as {!Gc}. *)
+    Requires FIFO channels for the same reason as {!Generic.gc}. *)
 
 module Make (A : Uqadt.S) : sig
   include

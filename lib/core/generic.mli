@@ -9,14 +9,11 @@
     Wait-free: both operations complete locally, whatever the network
     does. Proposition 4: all histories this produces are SUC.
 
-    Since the oplog refactor this replica is no longer naive: insertion
-    is a binary-search locate plus blit, and queries replay from
-    {!Oplog} interval checkpoints (Section VII.C's "effective
-    implementation"). How much state a replica caches is a {!config}
-    value fixed when the functor is applied ({!Configured}): {!Make}
-    takes {!default}, and {!memo} is the fixed-interval variant without
-    the query cache that the C2/A1 experiment narrative is written
-    against. The seed cons-list implementation survives as
+    Insertion is a binary-search locate plus blit. How a replica bounds
+    its replay is a {!config} value fixed when the functor is applied
+    ({!Configured}): Section VII.C's cached intermediate states
+    ({!default}, {!memo}) or its garbage collection of stable messages
+    ({!gc}). The seed cons-list implementation survives as
     {!Generic_ref} for differential testing and as the paper-faithful
     naive baseline. *)
 
@@ -85,31 +82,47 @@ module type S = sig
       the snapshotted one when restoring into a fresh replica. *)
 end
 
-(** The op-log configuration of one instance: Section VII.C's cached
-    intermediate states, as a value. *)
-type config = {
-  name : string;  (** the instance's [protocol_name] *)
-  checkpoint_interval : int;
-      (** entries between replay checkpoints; [0] (or less) disables
-          checkpointing — pure full replay over the array core *)
-  query_cache : bool;
-      (** keep the last folds of every replay near the log's tail, so a
-          query after a run of appends folds only the new suffix, and
-          one after a late arrival near the tail folds only from where
-          it landed: the last fold, or the last 8 once an arrival has
-          landed just below them ({!Oplog.create}) *)
-}
+(** How a replica bounds its replay: Section VII.C's two ways. *)
+type replay =
+  | Checkpoints of {
+      interval : int;  (** entries between checkpoints; [0] (or less): none *)
+      query_cache : bool;
+          (** keep the last folds of every replay near the log's tail, so
+              a query refolds only from where a late entry landed
+              ({!Oplog.create}) *)
+    }  (** cached intermediate states; the log keeps every update *)
+  | Stable_prefix
+      (** garbage collection of stable messages, on FIFO channels: once
+          every process has been heard from at clock [c] or above, the
+          prefix at or below [c] is final, so each update and receive
+          folds it into a base state ({!Oplog.compact}) from which a
+          query replays the rest. After 8 receives without a send a
+          replica broadcasts a clock-only heartbeat; a crash freezes
+          the bound (experiment C3). An update at or below the bound
+          raises [Invalid_argument] and leaves the log unchanged. The
+          replica keeps no certificate and no catch-up, takes an
+          envelope one message at a time, and its log views cover the
+          live suffix only; [message_update] raises on a heartbeat. *)
+
+(** A core's configuration: its [protocol_name], and how it replays. *)
+type config = { name : string; replay : replay }
 
 val default : config
-(** [{ name = "universal"; checkpoint_interval = 32; query_cache = true }]. *)
+(** [{ name = "universal"; replay = Checkpoints { interval = 32;
+    query_cache = true } }]. *)
 
 val memo : config
-(** [{ name = "universal-memo"; checkpoint_interval = 32; query_cache =
-    false }]: a query replays from the last checkpoint below the log's
-    end (O(interval) amortised instead of O(log length)), and a late
-    arrival at position [k] invalidates just the checkpoints above
-    [k]. Answers are those of {!default} (same total order); only
-    [replay_steps] differ — which is exactly experiment C2/A1. *)
+(** Interval 32 without the query cache, named ["universal-memo"]: a
+    query replays from the last checkpoint below the log's end, and a
+    late arrival at position [k] drops just the checkpoints above [k].
+    Its answers are {!default}'s; only [replay_steps] differ
+    (experiments C2 and A1). *)
+
+val gc : config
+(** [Stable_prefix], named ["universal-gc"] (experiment C3). *)
+
+val create_log : config -> ('u, 's) Oplog.t
+(** An empty log that replays as the configuration says. *)
 
 module type CONFIG = sig
   val config : config

@@ -441,13 +441,6 @@ let insert_batch t ~ts ~payload items =
     done;
     land_batch t b n ~ascending:!ascending
 
-let fold f init t =
-  let acc = ref init in
-  for i = 0 to t.len - 1 do
-    acc := f !acc (payload_at t i)
-  done;
-  !acc
-
 let fold_down f t init =
   let acc = ref init in
   for i = t.len - 1 downto 0 do

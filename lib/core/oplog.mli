@@ -2,11 +2,13 @@
 
     Algorithm 1's replica state is "the set of timestamped updates
     received so far, sorted by timestamp". The seed implementations
-    each kept a private copy of that machinery — {!Generic} a sorted
-    cons-list with O(n) scan insertion, its snapshot-cache variant an
-    array with linear insert-position search plus its own checkpoint
-    cache, {!Gc} another sorted list plus a stability bound, {!Undo} a
-    reversed list. This module is the single substrate they now share:
+    each kept a private copy of that machinery — Algorithm 1 a sorted
+    cons-list with O(n) scan insertion (now {!Generic_ref}), its
+    snapshot-cache variant an array with linear insert-position search
+    plus its own checkpoint cache, its stability-GC variant another
+    sorted list plus a stability bound, {!Undo} a reversed list. This
+    module is the single substrate they now share, the variants as
+    configurations of {!Generic}:
 
     {ul
     {- {b Storage}: [(timestamp, payload)] entries kept sorted by
@@ -44,10 +46,11 @@
        arrival has landed just below them, so a query refolds only from
        where a late entry landed. The interval checkpoints bound the
        deeper landings and catch-up merges.}
-    {- {b Stability watermark}: the GC hook. {!compact} folds the
-       prefix at or below a clock bound into a caller-held snapshot
-       state and remembers the bound; {!insert} refuses timestamps at
-       or below the watermark (they would mutate a discarded prefix).}
+    {- {b Stability watermark}: the hook of {!Generic.gc}. {!compact}
+       folds the prefix at or below a clock bound into a caller-held
+       snapshot state and remembers the bound; {!insert} refuses
+       timestamps at or below the watermark (they would mutate a
+       discarded prefix).}
     {- {b Codec}: the one wire path for persistence. {!encode_list} /
        {!encode} produce byte-for-byte the frame the seed {!Persist}
        wrote (magic "UCL", version, varint count, entries, additive
@@ -153,9 +156,6 @@ val insert_batch :
     @raise Invalid_argument if any timestamp's clock is at or below
     the stability {!watermark}; the log is then left unchanged (the
     batch is validated before the merge). *)
-
-val fold : ('a -> 'u -> 'a) -> 'a -> ('u, 's) t -> 'a
-(** [fold f init t] folds [f] over the payloads in timestamp order. *)
 
 val fold_down : (int -> 'u -> 'a -> 'a) -> ('u, 's) t -> 'a -> 'a
 (** [fold_down f t init] folds [f pid payload] over the entries latest

@@ -225,8 +225,7 @@ struct
     match Keys.find t.keys k with
     | log -> log
     | exception Not_found ->
-      let { Generic.checkpoint_interval; query_cache; _ } = Generic.default in
-      let log = Oplog.create ~checkpoint_interval ~query_cache () in
+      let log = Generic.create_log Generic.default in
       (match t.ctx.Protocol.obs with
       | Some r -> Oplog.set_profile log (Some r.Obs.profile)
       | None -> ());

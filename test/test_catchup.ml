@@ -24,7 +24,11 @@ module type CORE =
 
 let configured ~checkpoint_interval ~query_cache : (module CORE) =
   let module C = struct
-    let config = { Generic.name = "universal"; checkpoint_interval; query_cache }
+    let config =
+      {
+        Generic.name = "universal";
+        replay = Checkpoints { interval = checkpoint_interval; query_cache };
+      }
   end in
   (module Generic.Configured (C) (Set_spec))
 

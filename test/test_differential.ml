@@ -148,17 +148,18 @@ let run_mesh (type u q o m t)
 module G_set = Generic.Make (Set_spec)
 module Gref_set = Generic_ref.Make (Set_spec)
 module Memo_set = Generic.Configured (struct let config = Generic.memo end) (Set_spec)
-module Gc_set = Gc.Make (Set_spec)
+module Gc_set = Generic.Configured (struct let config = Generic.gc end) (Set_spec)
 module Undo_set = Undo.Make (Undoable.Set)
 module G_counter = Generic.Make (Counter_spec)
 module Gref_counter = Generic_ref.Make (Counter_spec)
 module Memo_counter = Generic.Configured (struct let config = Generic.memo end) (Counter_spec)
 module Fast_counter = Commutative.Make (Counter_spec)
 
-(* Gc only matches Generic exactly while no heartbeat fires: a replica
-   heartbeats after [heartbeat_every = 8] receives without sending, and
-   heartbeats perturb the Lamport clocks. n=3 with at most 3 updates per
-   process keeps every replica below 7 incoming messages. *)
+(* The gc configuration only matches the default exactly while no
+   heartbeat fires: a stability-mode replica heartbeats after 8
+   receives without sending, and heartbeats perturb the Lamport
+   clocks. n=3 with at most 3 updates per process keeps every replica
+   below 7 incoming messages. *)
 let set_mesh seed =
   let rng = Prng.create seed in
   let n = 2 + Prng.int rng 2 in

@@ -21,7 +21,7 @@ let replays (e : Driver.entry) () =
     | Error msg -> Alcotest.fail msg
   in
   let entry =
-    match Driver.find ~fifo:header.fifo header.protocol with
+    match Driver.find header with
     | Ok e -> e
     | Error msg -> Alcotest.fail msg
   in
@@ -35,6 +35,8 @@ let replays (e : Driver.entry) () =
     "fingerprint"
     (Obs.Journal.fingerprint recorded)
     (Obs.Journal.fingerprint replayed)
+
+let refusal spec = match Driver.find spec with Ok _ -> "" | Error msg -> msg
 
 let names select =
   List.filter_map
@@ -56,14 +58,51 @@ let tests =
           (names (fun e -> e.set <> None)));
     Alcotest.test_case "unknown and FIFO-only names are refused in the CLI's words"
       `Quick (fun () ->
-        let refusal fifo name =
-          match Driver.find ~fifo name with Ok _ -> "" | Error msg -> msg
+        let refusal fifo protocol =
+          refusal { Run_spec.default with protocol; fifo }
         in
         Alcotest.(check string) "unknown" "unknown protocol \"nope\""
           (refusal true "nope");
         Alcotest.(check string) "fifo" "gc needs FIFO channels (--fifo)"
           (refusal false "gc");
         Alcotest.(check string) "fifo given" "" (refusal true "gc"));
+    Alcotest.test_case "a field the protocol never reads is refused" `Quick (fun () ->
+        let d = Run_spec.default in
+        let algorithm1 = "universal, counter, register and universal-<object>" in
+        Alcotest.(check (list string))
+          "log core readers"
+          (List.map (fun (name, _) -> "universal-" ^ name) Registry.all_specs
+          @ [ "universal"; "counter"; "register" ])
+          (names (fun e -> e.reads = Log_core));
+        Alcotest.(check (list string))
+          "shard readers" [ "sharded" ] (names (fun e -> e.reads = Shards));
+        Alcotest.(check string) "log core on orset"
+          ("log_core: not read by orset, only by " ^ algorithm1)
+          (refusal { d with protocol = "orset"; log_core = `List });
+        Alcotest.(check string) "checkpoint interval on gc"
+          ("checkpoint_interval: not read by gc, only by " ^ algorithm1)
+          (refusal { d with protocol = "gc"; fifo = true; checkpoint_interval = Some 8 });
+        Alcotest.(check string) "shards on universal"
+          "shards: not read by universal, only by sharded"
+          (refusal { d with shards = 4 });
+        Alcotest.(check string) "rebalance on counter"
+          "rebalance: not read by counter, only by sharded"
+          (refusal { d with protocol = "counter"; rebalance = Some 5.0 });
+        Alcotest.(check string) "read where read" ""
+          (refusal { d with protocol = "universal-bank"; checkpoint_interval = Some 4 }
+          ^ refusal { d with protocol = "sharded"; shards = 4; keys = 16 });
+        Alcotest.(check bool) "modelcheck refuses it too" true
+          (Result.is_error
+             (Driver.modelcheck
+                {
+                  Driver.por = false;
+                  dedup = false;
+                  domains = 1;
+                  checkpoint = 4;
+                  max_crashes = 0;
+                  limit = 1;
+                }
+                { d with protocol = "orset"; log_core = `List })));
   ]
   @ List.map
       (fun (e : Driver.entry) ->

@@ -28,7 +28,9 @@ let tests =
       (module Generic.Configured (struct let config = Generic.memo end) (Set_spec))
       ~fifo:false;
     campaign_test "undo survives the nemesis" (module Undo.Make (Undoable.Set)) ~fifo:false;
-    campaign_test "gc survives the nemesis (fifo)" (module Gc.Make (Set_spec)) ~fifo:true;
+    campaign_test "gc survives the nemesis (fifo)"
+      (module Generic.Configured (struct let config = Generic.gc end) (Set_spec))
+      ~fifo:true;
     campaign_test "or-set survives the nemesis" (module Orset_crdt) ~fifo:false;
     campaign_test "lww-set survives the nemesis" (module Lwwset_crdt) ~fifo:false;
     Alcotest.test_case "the pipelined replica fails the same campaign" `Slow (fun () ->

@@ -351,19 +351,22 @@ let ring_replay_guard () =
     Alcotest.failf "%d replays of %d steps from the ring, recording %d checkpoints, allocated %.0f words"
       !replays !steps cells !words
 
-(* Section VII.C's query cost on the three cores of the universal
+(* Section VII.C's query cost on the cores of the universal
    construction: the list core, the array core with checkpoints off,
-   and the array core at its default interval of 32. *)
+   the array core at its default interval of 32, and the stability
+   mode, which replays its live suffix from the compacted base. *)
 module List_core = Generic_ref.Make (Set_spec)
 
 module Array_core =
   Generic.Configured
     (struct
-      let config = { Generic.default with checkpoint_interval = 0 }
+      let config =
+        { Generic.default with replay = Checkpoints { interval = 0; query_cache = true } }
     end)
     (Set_spec)
 
 module Ckpt_core = Generic.Make (Set_spec)
+module Gc_core = Generic.Configured (struct let config = Generic.gc end) (Set_spec)
 
 (* The replay steps of one warm query, and its answer, on a replica of
    [P] that holds [size] random set updates and has answered one query
@@ -408,14 +411,45 @@ let warm_replay () =
           let list_steps, list_out = warm_query (module List_core) ~profile ~size in
           let array_steps, array_out = warm_query (module Array_core) ~profile ~size in
           let ckpt_steps, ckpt_out = warm_query (module Ckpt_core) ~profile ~size in
+          let gc_steps, gc_out = warm_query (module Gc_core) ~profile ~size in
           Alcotest.(check int) (label "list core replays its whole log") size list_steps;
           Alcotest.(check int) (label "array core replays nothing") 0 array_steps;
           Alcotest.(check int) (label "array+ckpt core replays nothing") 0 ckpt_steps;
-          Alcotest.(check bool) (label "the three cores answer alike") true
+          (* No peer was heard from, so nothing is stable yet. *)
+          Alcotest.(check int) (label "gc core replays its live log") size gc_steps;
+          Alcotest.(check bool) (label "the cores answer alike") true
             (Set_spec.equal_output list_out array_out
-            && Set_spec.equal_output list_out ckpt_out))
+            && Set_spec.equal_output list_out ckpt_out
+            && Set_spec.equal_output list_out gc_out))
         [ false; true ])
     [ 64; 128; 256; 512; 1024 ]
+
+(* A run's replay steps, as the replicas' op-log profiles count them
+   and as the run reports them, on the three op-log configurations of
+   Algorithm 1: the stability mode replays through the profiled
+   [Oplog.replay] too. *)
+let profiled_replay () =
+  List.iter
+    (fun protocol ->
+      let spec =
+        { Run_spec.default with protocol; n = 3; ops = 50; seed = 3; fifo = true }
+      in
+      let ob = Run_spec.observe ~telemetry:true spec in
+      let e = Result.get_ok (Driver.find spec) in
+      ignore (e.run ob spec : string);
+      let registry = (Option.get ob.obs).Obs.registry in
+      let counter labels name =
+        Obs.Registry.counter_value (Obs.Registry.counter registry ~labels name)
+      in
+      let profiled =
+        List.fold_left
+          (fun acc pid -> acc + counter [ ("pid", string_of_int pid) ] "oplog_replay_steps")
+          0 [ 0; 1; 2 ]
+      in
+      let reported = counter [ ("scope", "run") ] "replay_steps" in
+      Alcotest.(check bool) (protocol ^ " replays") true (reported > 0);
+      Alcotest.(check int) (protocol ^ ": profiles sum to the run's steps") reported profiled)
+    [ "universal"; "memo"; "gc" ]
 
 (* The model the paged log is checked against: its entries in
    timestamp order, as a list. [model_insert model e] is the model with
@@ -708,8 +742,11 @@ let load_origin_mismatch () =
 
 let tests =
   [
-    Alcotest.test_case "a warm query replays the list core's log, none of the array cores'"
+    Alcotest.test_case
+      "a warm query replays the list core's and gc's logs, none of the cached cores'"
       `Quick warm_replay;
+    Alcotest.test_case "the op-log profiles count every replay step a run reports"
+      `Quick profiled_replay;
     Alcotest.test_case "appends cost the same with hundreds of checkpoints (profile off)"
       `Quick (append_guard ~profile:false);
     Alcotest.test_case "appends cost the same with hundreds of checkpoints (profile on)"

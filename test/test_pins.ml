@@ -30,6 +30,8 @@ type fact =
   | Batched  (** multi-message frames were sent *)
   | Caught_up  (** a joiner absorbed a peer's snapshot *)
   | Dropped  (** frames to or from a down process were dropped *)
+  | Compacted  (** a replica's log holds fewer entries than were issued *)
+  | Heartbeats  (** more messages were sent than updates were broadcast *)
 
 let fact_name = function
   | Incomplete -> "an operation never completed"
@@ -38,6 +40,8 @@ let fact_name = function
   | Batched -> "frames were batched"
   | Caught_up -> "a snapshot was absorbed"
   | Dropped -> "frames were dropped"
+  | Compacted -> "a log was compacted"
+  | Heartbeats -> "heartbeats were sent"
 
 (* --------------------------- Runner digests -------------------------- *)
 
@@ -87,6 +91,14 @@ module Digest (P : Protocol.PROTOCOL) = struct
     | Batched -> r.R.metrics.Metrics.batches_sent > 0
     | Caught_up -> r.R.metrics.Metrics.snapshots_absorbed > 0
     | Dropped -> r.R.metrics.Metrics.messages_dropped > 0
+    | Compacted ->
+      List.exists
+        (fun (_, len) -> len < r.R.metrics.Metrics.updates_invoked)
+        r.R.log_lengths
+    | Heartbeats ->
+      (* Every process is live: an update goes to each of the others. *)
+      r.R.metrics.Metrics.messages_sent
+      > (List.length r.R.log_lengths - 1) * r.R.metrics.Metrics.updates_invoked
 
   (* The digest and the replay steps of one run. *)
   let run ?(covers = []) config workload =
@@ -101,6 +113,8 @@ module Catchup =
   Digest (Persist.Catchup (Generic.Make (Set_spec)) (Update_codec.For_set))
 
 module Pipe = Digest (Pipelined.Make (Set_spec))
+module Gc_set = Generic.Configured (struct let config = Generic.gc end) (Set_spec)
+module Gc_d = Digest (Gc_set)
 module Abd_d = Digest (Abd)
 module Smr = Digest (Tob_smr.Make (Set_spec))
 module Sp = Space.Make (Set_spec) (Update_codec.For_set)
@@ -256,6 +270,49 @@ let pipelined_cases =
           (mixed_set_scripts ~seed:41 ~n:3 ~ops:15) );
   ]
 
+(* The stability-GC core needs FIFO channels. Compaction and the
+   heartbeats of idle processes fire on plain runs; a crash freezes the
+   stability bound; a batch window sends envelopes, which the core
+   takes one message at a time. *)
+let gc_cases =
+  let config ~seed =
+    {
+      (Gc_d.R.default_config ~n:3 ~seed) with
+      Gc_d.R.final_read = Some Set_spec.Read;
+      fifo = true;
+    }
+  in
+  [
+    ( "gc, uniform delays",
+      fun () ->
+        Gc_d.run ~covers:[ Compacted; Heartbeats ] (config ~seed:79)
+          (mixed_set_scripts ~seed:79 ~n:3 ~ops:30) );
+    ( "gc, exponential delays and think",
+      fun () ->
+        Gc_d.run ~covers:[ Compacted; Heartbeats ]
+          {
+            (config ~seed:83) with
+            Gc_d.R.delay = Network.Exponential { mean = 4.0 };
+            think = Network.Exponential { mean = 2.0 };
+          }
+          (mixed_set_scripts ~seed:83 ~n:3 ~ops:30) );
+    ( "gc, a crash freezes the bound",
+      fun () ->
+        Gc_d.run ~covers:[ Dropped ]
+          { (config ~seed:89) with Gc_d.R.crashes = [ (20.0, 2) ] }
+          (mixed_set_scripts ~seed:89 ~n:3 ~ops:30) );
+    ( "gc, batch window and envelope",
+      fun () ->
+        Gc_d.run ~covers:[ Batched; Compacted ]
+          {
+            (config ~seed:97) with
+            Gc_d.R.batch_window = Some 2.0;
+            envelope = 8;
+            think = Network.Constant 0.5;
+          }
+          (mixed_set_scripts ~seed:97 ~n:3 ~ops:30) );
+  ]
+
 let sharded_run ?policy ~seed ~keys () =
   let map = Sp.create_map ?policy ~shards:4 () in
   Sp.configure map;
@@ -335,7 +392,8 @@ let quorum_cases =
   ]
 
 let runner_cases =
-  universal_cases @ churn_cases @ pipelined_cases @ sharded_cases @ quorum_cases
+  universal_cases @ churn_cases @ pipelined_cases @ gc_cases @ sharded_cases
+  @ quorum_cases
 
 (* ---------------------------- PRNG digests --------------------------- *)
 
@@ -441,6 +499,14 @@ let runner_pins =
       ("18de2ffd1afd498b4b1722776013a272c80204a530329c3361c2ae7710314fa5", 0) );
     ( "pipelined, batch window, envelope and a crash",
       ("876456928eb9780e94e586e2c104d32659ad15694583a51de8321641ef11d286", 0) );
+    ( "gc, uniform delays",
+      ("69a658dfc68b4496e40dd6c21ef95bf0e9a9e6e744cbd87637e8153a84cf6b61", 128) );
+    ( "gc, exponential delays and think",
+      ("c4d777c99419e4225877785a00adc192bc432aebcc5f3276aa89a8b5122a03e9", 175) );
+    ( "gc, a crash freezes the bound",
+      ("7362871529fda65756a421bda246ae4dc1e30984ff6c6343ce37847eddc08091", 387) );
+    ( "gc, batch window and envelope",
+      ("6efdb086c46c04878b3d44af54d2433d66784ece470808ec5d68321138ed1b76", 348) );
     ( "sharded, 64 keys",
       ("56955b0da2b421da1894ae4698f621680c68e2b8529b50873a258aa909dadfe6", 234) );
     ( "sharded, 256 keys, rebalance",

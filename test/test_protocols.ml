@@ -6,7 +6,7 @@ open Helpers
 
 module Uni = Generic.Make (Set_spec)
 module Memo_set = Generic.Configured (struct let config = Generic.memo end) (Set_spec)
-module Gc_set = Gc.Make (Set_spec)
+module Gc_set = Generic.Configured (struct let config = Generic.gc end) (Set_spec)
 module Undo_set = Undo.Make (Undoable.Set)
 module Undo_counter = Undo.Make (Undoable.Counter)
 
@@ -152,7 +152,10 @@ let memo_gc_internals =
         counted := 0;
         Memo_set.query r Set_spec.Read ~on_result:ignore;
         Memo_set.query r Set_spec.Read ~on_result:ignore;
-        Alcotest.(check bool) "bounded" true (!counted <= 2 * Generic.memo.checkpoint_interval));
+        let interval =
+          match Generic.memo.replay with Checkpoints c -> c.interval | Stable_prefix -> 0
+        in
+        Alcotest.(check bool) "bounded" true (!counted <= 2 * interval));
     Alcotest.test_case "gc compacts a quiescent log to near-empty" `Quick (fun () ->
         let module R = Runner.Make (Gc_set) in
         let workload =
@@ -184,6 +187,31 @@ let memo_gc_internals =
         in
         let generic = run (module Uni) and gc = run (module Gc_set) in
         Alcotest.(check bool) "gc strictly smaller" true (gc * 4 < generic));
+    Alcotest.test_case "gc refuses an update below its watermark, log unchanged" `Quick
+      (fun () ->
+        (* p1's two updates reach p0 out of order, as no FIFO channel
+           would deliver them: the second lets p0 fold its own update at
+           clock 1, so the first arrives at the watermark. *)
+        let sent = ref [] in
+        let ctx pid =
+          { (Throughput.dummy_ctx ~pid ~n:2) with
+            Protocol.broadcast = (fun m -> sent := m :: !sent) }
+        in
+        let p0 = Gc_set.create (ctx 0) and p1 = Gc_set.create (ctx 1) in
+        Gc_set.update p1 (Set_spec.Insert 1) ~on_done:ignore;
+        Gc_set.update p1 (Set_spec.Insert 2) ~on_done:ignore;
+        let second, first =
+          match !sent with [ b; a ] -> (b, a) | _ -> Alcotest.fail "two broadcasts"
+        in
+        Gc_set.update p0 (Set_spec.Delete 1) ~on_done:ignore;
+        Gc_set.receive p0 ~src:1 second;
+        let log = Gc_set.local_log p0 in
+        Alcotest.(check int) "p0 folded its own update" 1 (List.length log);
+        Alcotest.(check bool) "raises Invalid_argument" true
+          (match Gc_set.receive p0 ~src:1 first with
+          | () -> false
+          | exception Invalid_argument _ -> true);
+        Alcotest.(check bool) "log unchanged" true (Gc_set.local_log p0 = log));
     Alcotest.test_case "undo repairs only on reordering" `Quick (fun () ->
         (* In-order arrivals need no repairs at all. *)
         let dummy : _ Protocol.ctx =

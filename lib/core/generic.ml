@@ -43,8 +43,10 @@ end
 module Configured (C : CONFIG) (A : Uqadt.S) = struct
   include A
 
+  (* The triple (cl, i, u) of line 6, flat: one block of 4 words, the
+     timestamp built only to print it. *)
   type message =
-    | Update of { ts : Timestamp.t; update : A.update }
+    | Update of { clock : int; pid : int; update : A.update }
     | Heartbeat of { clock : int }  (* the stability mode's only *)
 
   (* [base], [heard] and [silent] serve the stability mode: the fold of
@@ -93,23 +95,25 @@ module Configured (C : CONFIG) (A : Uqadt.S) = struct
     let cl = Lamport.tick t.clock and pid = t.ctx.Protocol.pid in
     (* Line 6: broadcast to all; the local copy is applied synchronously. *)
     ignore (Oplog.insert t.log ~clock:cl ~pid u : int);
-    t.ctx.Protocol.broadcast (Update { ts = Timestamp.make ~clock:cl ~pid; update = u });
+    t.ctx.Protocol.broadcast (Update { clock = cl; pid; update = u });
     if stable then hear t pid cl ~silent:0;
     on_done ()
 
   let receive t ~src = function
-    | Update { ts; update = u } ->
+    | Update { clock; pid; update = u } ->
       (* Line 9: clock_i <- max(clock_i, cl). *)
-      Lamport.merge t.clock ts.Timestamp.clock;
-      ignore (Oplog.insert t.log ~clock:ts.Timestamp.clock ~pid:ts.Timestamp.pid u : int);
-      if stable then hear t src ts.Timestamp.clock ~silent:(t.silent + 1)
+      Lamport.merge t.clock clock;
+      ignore (Oplog.insert t.log ~clock ~pid u : int);
+      if stable then hear t src clock ~silent:(t.silent + 1)
     | Heartbeat { clock } ->
       Lamport.merge t.clock clock;
       hear t src clock ~silent:t.silent
 
   let no_update () = invalid_arg "Generic: a heartbeat carries no update"
 
-  let message_ts = function Update m -> m.ts | Heartbeat _ -> no_update ()
+  let message_clock = function Update m -> m.clock | Heartbeat _ -> no_update ()
+
+  let message_pid = function Update m -> m.pid | Heartbeat _ -> no_update ()
 
   let message_update = function Update m -> m.update | Heartbeat _ -> no_update ()
 
@@ -123,11 +127,12 @@ module Configured (C : CONFIG) (A : Uqadt.S) = struct
     | [ m ] -> receive t ~src m
     | msgs when stable -> List.iter (receive t ~src) msgs
     | msgs ->
-      let cl =
-        List.fold_left (fun acc m -> max acc (message_ts m).Timestamp.clock) 0 msgs
-      in
+      let cl = List.fold_left (fun acc m -> max acc (message_clock m)) 0 msgs in
       Lamport.merge t.clock cl;
-      ignore (Oplog.insert_batch t.log ~ts:message_ts ~payload:message_update msgs : int)
+      ignore
+        (Oplog.insert_batch t.log ~clock:message_clock ~pid:message_pid
+           ~payload:message_update msgs
+          : int)
 
   let query t q ~on_result =
     (* Line 13: queries also advance the clock. *)
@@ -139,11 +144,12 @@ module Configured (C : CONFIG) (A : Uqadt.S) = struct
     on_result (A.eval state q)
 
   let message_wire_size = function
-    | Update { ts; update = u } -> Timestamp.wire_size ts + A.update_wire_size u
+    | Update { clock; pid; update = u } -> Wire.pair_size clock pid + A.update_wire_size u
     | Heartbeat { clock } -> Wire.varint_size clock
 
   let describe_message = function
-    | Update { ts; update = u } -> Format.asprintf "%a%a" A.pp_update u Timestamp.pp ts
+    | Update { clock; pid; update = u } ->
+      Format.asprintf "%a%a" A.pp_update u Timestamp.pp (Timestamp.make ~clock ~pid)
     | Heartbeat { clock } -> Printf.sprintf "hb(%d)" clock
 
   let log_length t = Oplog.length t.log

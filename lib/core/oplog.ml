@@ -400,14 +400,13 @@ let land_batch t b n ~ascending =
 
 (* A top-level loop: a [List.iteri] closure would be allocated per
    batch. *)
-let rec gather b ~ts ~payload i = function
+let rec gather b ~clock ~pid ~payload i = function
   | [] -> ()
   | m :: rest ->
-    let stamp = ts m in
-    b.clock.(i) <- stamp.Timestamp.clock;
-    b.pid.(i) <- stamp.Timestamp.pid;
+    b.clock.(i) <- clock m;
+    b.pid.(i) <- pid m;
     b.payload.(i) <- payload m;
-    gather b ~ts ~payload (i + 1) rest
+    gather b ~clock ~pid ~payload (i + 1) rest
 
 (* Batch insertion: the batch is gathered into column scratch, then
    landed with one capacity check and one back-to-front merge pass over
@@ -421,18 +420,17 @@ let rec gather b ~ts ~payload i = function
    cache are invalidated exactly as the sequence of single inserts
    would have invalidated them (every checkpoint above the lowest fresh
    landing position dies). *)
-let insert_batch t ~ts ~payload items =
+let insert_batch t ~clock ~pid ~payload items =
   match items with
   | [] -> 0
   | [ m ] ->
-    let len0 = t.len and stamp = ts m in
-    ignore
-      (insert t ~clock:stamp.Timestamp.clock ~pid:stamp.Timestamp.pid (payload m) : int);
+    let len0 = t.len in
+    ignore (insert t ~clock:(clock m) ~pid:(pid m) (payload m) : int);
     t.len - len0
   | m :: _ ->
     let n = List.length items in
     let b = columns n (payload m) in
-    gather b ~ts ~payload 0 items;
+    gather b ~clock ~pid ~payload 0 items;
     let ascending = ref true in
     for i = 0 to n - 1 do
       if b.clock.(i) <= t.watermark then stale ();

@@ -140,19 +140,26 @@ val insert : ('u, 's) t -> clock:int -> pid:int -> 'u -> int
     stability {!watermark}. *)
 
 val insert_batch :
-  ('u, 's) t -> ts:('m -> Timestamp.t) -> payload:('m -> 'u) -> 'm list -> int
-(** [insert_batch t ~ts ~payload items] inserts a whole envelope,
-    reading each item's entry through the two accessors, and returns
-    how many entries were fresh. Semantically identical to
-    folding {!insert} over the list in order — duplicate timestamps
-    (within the batch or against the log) are skipped, checkpoints
-    above the lowest fresh landing position are invalidated — but the
-    items are gathered into column scratch (three arrays, no record per
-    item) and cost one stable sort plus a single back-to-front merge
-    pass over the pages (every resident entry moves at most once),
-    instead of k binary searches each paying a suffix move. A batch that already ascends strictly by
-    timestamp (a sender's envelope, a snapshot frame) skips the sort;
-    any other order, duplicates included, takes it.
+  ('u, 's) t ->
+  clock:('m -> int) ->
+  pid:('m -> int) ->
+  payload:('m -> 'u) ->
+  'm list ->
+  int
+(** [insert_batch t ~clock ~pid ~payload items] inserts a whole
+    envelope, reading each item's timestamp [(clock, pid)] and payload
+    through the three accessors (so an item need hold no
+    {!Timestamp.t}), and returns how many entries were fresh.
+    Semantically identical to folding {!insert} over the list in order
+    — duplicate timestamps (within the batch or against the log) are
+    skipped, checkpoints above the lowest fresh landing position are
+    invalidated — but the items are gathered into column scratch (three
+    arrays, no record per item) and cost one stable sort plus a single
+    back-to-front merge pass over the pages (every resident entry moves
+    at most once), instead of k binary searches each paying a suffix
+    move. A batch that already ascends strictly by timestamp (a
+    sender's envelope, a snapshot frame) skips the sort; any other
+    order, duplicates included, takes it.
     @raise Invalid_argument if any timestamp's clock is at or below
     the stability {!watermark}; the log is then left unchanged (the
     batch is validated before the merge). *)

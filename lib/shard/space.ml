@@ -431,12 +431,38 @@ struct
     t.ctx.Protocol.count_replay steps;
     state
 
+  (* An in-place heap sort of the key ids, allocating nothing and
+     raising nothing: [Array.stable_sort]'s merge scratch is half the
+     array and each merge allocates its loop's closure, and
+     [Array.sort]'s heap sort raises an exception as it sifts. *)
+  let rec sift_down (keys : int array) i len =
+    let l = (2 * i) + 1 in
+    if l < len then begin
+      let c = if l + 1 < len && keys.(l + 1) > keys.(l) then l + 1 else l in
+      if keys.(c) > keys.(i) then begin
+        let k = keys.(i) in
+        keys.(i) <- keys.(c);
+        keys.(c) <- k;
+        sift_down keys c len
+      end
+    end
+
+  let sort_keys keys =
+    let len = Array.length keys in
+    for i = (len / 2) - 1 downto 0 do
+      sift_down keys i len
+    done;
+    for last = len - 1 downto 1 do
+      let k = keys.(0) in
+      keys.(0) <- keys.(last);
+      keys.(last) <- k;
+      sift_down keys 0 last
+    done
+
   (* What [K.eval] answers a [Sweep] on the keyed fold: every key's
      state, in key order, leaving out those equal to [A.initial]. The
      key ids are sorted in an int array and the answer is prepended from
-     the highest key down, so no map is built and none filtered. The
-     merge sort's scratch is half the array; [Array.sort]'s heap sort
-     raises an exception as it sifts, and allocates more. *)
+     the highest key down, so no map is built and none filtered. *)
   let sweep t =
     let keys = Array.make (Keys.length t.keys) 0 in
     let filled = ref 0 in
@@ -445,7 +471,7 @@ struct
         keys.(!filled) <- k;
         incr filled)
       t.keys;
-    Array.stable_sort Int.compare keys;
+    sort_keys keys;
     let states = ref [] in
     for i = Array.length keys - 1 downto 0 do
       let k = keys.(i) in

@@ -84,6 +84,15 @@ module Make (P : Protocol.PROTOCOL) = struct
      recorder is attached); immutable, so sharing it across the
      mailbox is safe. *)
 
+  (* What a free mailbox slot holds. *)
+  let no_frame = { src = -1; msgs = []; lam = 0 }
+
+  (* A frame's bytes: a top-level loop, since a [List.fold_left]
+     closure over [P] would be allocated per frame. *)
+  let rec wire_bytes acc = function
+    | [] -> acc
+    | m :: rest -> wire_bytes (acc + P.message_wire_size m) rest
+
   type config = {
     domains : int;
     mailbox_capacity : int;
@@ -153,7 +162,9 @@ module Make (P : Protocol.PROTOCOL) = struct
       invalid_arg "Parallel_engine.run: batch_every must be positive";
     if config.flush_window < 0 then
       invalid_arg "Parallel_engine.run: flush_window must be non-negative";
-    let mailboxes = Array.init n (fun _ -> Mpsc.create config.mailbox_capacity) in
+    let mailboxes =
+      Array.init n (fun _ -> Mpsc.create config.mailbox_capacity no_frame)
+    in
     (* In-flight frame count: bumped before a frame is pushed, dropped
        after its messages have been processed. Zero (together with all
        clients done) therefore means: no frame is queued anywhere and
@@ -269,7 +280,7 @@ module Make (P : Protocol.PROTOCOL) = struct
       in
       let deliver ~dst msgs =
         let count = List.length msgs in
-        let bytes = List.fold_left (fun acc m -> acc + P.message_wire_size m) 0 msgs in
+        let bytes = wire_bytes 0 msgs in
         l.l_frames <- l.l_frames + 1;
         l.l_messages <- l.l_messages + count;
         l.l_bytes <- l.l_bytes + bytes;
@@ -313,6 +324,14 @@ module Make (P : Protocol.PROTOCOL) = struct
         buffer_counts.(dst) <- buffer_counts.(dst) + 1;
         incr buffered_total
       in
+      (* A loop built once per domain: [List.iter (enqueue dst)] would
+         allocate its partial application per destination. *)
+      let rec enqueue_all dst = function
+        | [] -> ()
+        | msg :: rest ->
+          enqueue dst msg;
+          enqueue_all dst rest
+      in
       let flush_dst dst =
         match buffers.(dst) with
         | [] -> ()
@@ -322,8 +341,9 @@ module Make (P : Protocol.PROTOCOL) = struct
           buffer_counts.(dst) <- 0;
           (* [deliver] bumps [outstanding] before the push, and only
              then do we retire the buffered census — so no observer can
-             see the frame in neither count. *)
-          deliver ~dst (List.rev msgs);
+             see the frame in neither count. A one-message buffer is
+             its own frame's list; only a longer one needs reversing. *)
+          deliver ~dst (if c = 1 then msgs else List.rev msgs);
           buffered_total := !buffered_total - c;
           if !buffered_total = 0 then Atomic.decr buffered
       in
@@ -368,7 +388,7 @@ module Make (P : Protocol.PROTOCOL) = struct
               if msgs <> [] then
                 for dst = 0 to n - 1 do
                   if dst <> pid then begin
-                    List.iter (enqueue dst) msgs;
+                    enqueue_all dst msgs;
                     if buffer_counts.(dst) >= config.batch_every then
                       flush_dst dst
                   end

@@ -7,10 +7,16 @@
    sequences are the only happens-before edges a transfer needs (the
    OCaml memory model makes an [Atomic.set] after the plain payload
    write a release, and the consumer's [Atomic.get] before the payload
-   read an acquire). Neither side ever waits on the other. *)
+   read an acquire). Neither side ever waits on the other.
+
+   A slot holds its value unboxed: a free slot holds the placeholder
+   given at [create], which [pop_run] writes back as it consumes, so a
+   push allocates nothing and the ring keeps no consumed value
+   reachable. *)
 
 type 'a t = {
-  buf : 'a option array;
+  buf : 'a array;
+  empty : 'a;
   seq : int Atomic.t array;
   cap : int;
   tail : int Atomic.t;  (* next producer ticket *)
@@ -20,10 +26,11 @@ type 'a t = {
 
 exception Closed
 
-let create cap =
+let create cap empty =
   if cap <= 0 then invalid_arg "Mpsc.create: capacity must be positive";
   {
-    buf = Array.make cap None;
+    buf = Array.make cap empty;
+    empty;
     seq = Array.init cap Atomic.make;
     cap;
     tail = Atomic.make 0;
@@ -42,7 +49,7 @@ let rec try_push t v =
   let s = Atomic.get t.seq.(slot) in
   if s = ticket then
     if Atomic.compare_and_set t.tail ticket (ticket + 1) then begin
-      t.buf.(slot) <- Some v;
+      t.buf.(slot) <- v;
       Atomic.set t.seq.(slot) (ticket + 1);
       true
     end
@@ -62,11 +69,11 @@ let pop_run t f =
     let slot = ticket mod t.cap in
     if Atomic.get t.seq.(slot) = ticket + 1 then begin
       let v = t.buf.(slot) in
-      t.buf.(slot) <- None;
+      t.buf.(slot) <- t.empty;
       Atomic.set t.seq.(slot) (ticket + t.cap);
       t.head <- ticket + 1;
       incr n;
-      match v with Some v -> f v | None -> assert false
+      f v
     end
     else running := false
   done;

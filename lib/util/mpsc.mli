@@ -16,8 +16,13 @@ type 'a t
 exception Closed
 (** Raised by {!try_push} on a closed queue. *)
 
-val create : int -> 'a t
-(** A queue holding at most the given (positive) number of elements.
+val create : int -> 'a -> 'a t
+(** [create cap empty] is a queue holding at most [cap] (positive)
+    elements. A slot holds its element itself, so a push and a pop
+    allocate nothing (save for [float] elements, which the slot array
+    stores flat and boxes as they are popped). A free slot holds the
+    placeholder [empty], which is never handed to a consumer; the
+    engine passes a frame with no messages.
     @raise Invalid_argument on a non-positive capacity. *)
 
 val length : 'a t -> int
@@ -32,7 +37,9 @@ val pop_run : 'a t -> ('a -> unit) -> int
 (** Drain the run of elements that are ready right now, calling [f] on
     each in FIFO order, and return how many were consumed ([0] when
     empty). Each slot is released as it is consumed, so producers
-    refill the ring behind the drain. Single consumer only. *)
+    refill the ring behind the drain, and gets the placeholder back
+    before [f] runs, so the ring keeps no consumed element reachable.
+    Single consumer only. *)
 
 val close : 'a t -> unit
 (** Mark the queue closed: further pushes raise {!Closed}, and what is

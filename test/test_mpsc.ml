@@ -1,7 +1,8 @@
 (* The bounded MPSC mailbox under the engine's exact usage patterns:
    single-threaded ring semantics, the all-to-all exchange and
    multi-producer stress against the batch drain, close (also of a ring
-   a producer is stalled on), and the backoff that paces the retries. *)
+   a producer is stalled on), the backoff that paces the retries, and
+   what a transfer allocates and leaves reachable. *)
 
 (* One [pop_run]: how many it consumed, and what, in order. *)
 let drain q =
@@ -10,7 +11,7 @@ let drain q =
   (n, List.rev !got)
 
 let seq_fifo () =
-  let q = Mpsc.create 8 in
+  let q = Mpsc.create 8 0 in
   for i = 1 to 5 do
     Alcotest.(check bool) "accepted" true (Mpsc.try_push q i)
   done;
@@ -20,7 +21,7 @@ let seq_fifo () =
   Alcotest.(check int) "drained" 0 (Mpsc.length q)
 
 let capacity_bound () =
-  let q = Mpsc.create 4 in
+  let q = Mpsc.create 4 0 in
   for i = 1 to 4 do
     Alcotest.(check bool) "fills" true (Mpsc.try_push q i)
   done;
@@ -33,7 +34,7 @@ let capacity_bound () =
   Alcotest.(check int) "depth" 4 (Mpsc.length q)
 
 let wraparound () =
-  let q = Mpsc.create 3 in
+  let q = Mpsc.create 3 0 in
   for round = 0 to 99 do
     Alcotest.(check bool) "push" true (Mpsc.try_push q round);
     Alcotest.(check (pair int (list int))) "pop" (1, [ round ]) (drain q)
@@ -41,7 +42,7 @@ let wraparound () =
   Alcotest.(check int) "drained" 0 (Mpsc.length q)
 
 let close_semantics () =
-  let q = Mpsc.create 4 in
+  let q = Mpsc.create 4 0 in
   ignore (Mpsc.try_push q 1 : bool);
   Mpsc.close q;
   Alcotest.check_raises "push raises" Mpsc.Closed (fun () ->
@@ -59,7 +60,7 @@ let close_semantics () =
    order. *)
 let multi_producer_stress () =
   let domains = 3 and per = 2_000 in
-  let boxes = Array.init domains (fun _ -> Mpsc.create 4) in
+  let boxes = Array.init domains (fun _ -> Mpsc.create 4 (-1, -1)) in
   let exchange me () =
     let seen = Array.make domains 0 in
     let in_order = ref true and received = ref 0 in
@@ -108,7 +109,7 @@ let multi_producer_stress () =
    the ring is closed (that is how a failed domain releases the peers
    stalled on its mailbox), and what was queued stays drainable. *)
 let close_releases_blocked_producers () =
-  let q = Mpsc.create 2 in
+  let q = Mpsc.create 2 0 in
   ignore (Mpsc.try_push q 0 : bool);
   ignore (Mpsc.try_push q 1 : bool);
   let stalled = Atomic.make false in
@@ -138,7 +139,7 @@ let close_releases_blocked_producers () =
    its length, calls nothing on an empty ring, and carries on where it
    stopped once the ring refills, across the wrap too. *)
 let pop_run_basics () =
-  let q = Mpsc.create 8 in
+  let q = Mpsc.create 8 0 in
   for i = 1 to 6 do
     Alcotest.(check bool) "accepted" true (Mpsc.try_push q i)
   done;
@@ -160,7 +161,7 @@ let pop_run_basics () =
    drain. *)
 let pop_run_multi_producer () =
   let producers = 4 and per = 2_500 in
-  let q = Mpsc.create 32 in
+  let q = Mpsc.create 32 (-1, -1) in
   let doms =
     List.init producers (fun p ->
         Domain.spawn (fun () ->
@@ -212,10 +213,45 @@ let backoff_policy () =
   done;
   Alcotest.(check (list (float 0.0))) "reset restores the spin burst" [ 1e-6 ] !parked
 
+(* A slot holds its value itself, not a [Some] box, and [pop_run]'s
+   loop keeps its counters out of the heap: moving a value that already
+   exists through the ring allocates nothing. *)
+let consume (_ : string) = ()
+
+let transfer_allocates_nothing () =
+  let q = Mpsc.create 4 "" and v = "frame" in
+  let (), words =
+    Helpers.allocated_words (fun () ->
+        for _ = 1 to 100 do
+          ignore (Mpsc.try_push q v : bool);
+          ignore (Mpsc.pop_run q consume : int)
+        done)
+  in
+  Alcotest.(check (float 0.0)) "words for 100 transfers" 0.0 words
+
+(* Pushes a fresh value a weak pointer follows, keeping no other
+   reference to it. *)
+let[@inline never] push_watched q watch =
+  let v = Bytes.make 8 'x' in
+  Weak.set watch 0 (Some v);
+  ignore (Mpsc.try_push q v : bool)
+
+(* Once consumed, a value is the consumer's alone: [pop_run] writes the
+   placeholder back into its slot, so the ring does not keep a
+   delivered frame alive until a producer laps it. *)
+let popped_value_collectable () =
+  let q = Mpsc.create 4 Bytes.empty and watch = Weak.create 1 in
+  push_watched q watch;
+  Alcotest.(check int) "consumed" 1 (Mpsc.pop_run q ignore);
+  Stdlib.Gc.full_major ();
+  Alcotest.(check bool) "collected" false (Weak.check watch 0);
+  (* The ring itself stays reachable across the collection. *)
+  Alcotest.(check int) "empty" 0 (Mpsc.length q)
+
 let rejects_bad_capacity () =
   Alcotest.check_raises "zero"
     (Invalid_argument "Mpsc.create: capacity must be positive") (fun () ->
-      ignore (Mpsc.create 0 : int Mpsc.t))
+      ignore (Mpsc.create 0 0 : int Mpsc.t))
 
 let tests =
   [
@@ -230,5 +266,9 @@ let tests =
     Alcotest.test_case "pop_run multi-producer stress" `Quick
       pop_run_multi_producer;
     Alcotest.test_case "backoff spin-then-park policy" `Quick backoff_policy;
+    Alcotest.test_case "a push and pop_run allocate nothing" `Quick
+      transfer_allocates_nothing;
+    Alcotest.test_case "a popped value can be collected" `Quick
+      popped_value_collectable;
     Alcotest.test_case "rejects non-positive capacity" `Quick rejects_bad_capacity;
   ]

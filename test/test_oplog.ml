@@ -40,7 +40,11 @@ let insert log ((ts : Timestamp.t), _, payload) =
   Oplog.insert log ~clock:ts.clock ~pid:ts.pid payload
 
 let insert_batch log entries =
-  Oplog.insert_batch log ~ts:ts_of ~payload:(fun (_, _, payload) -> payload) entries
+  Oplog.insert_batch log
+    ~clock:(fun ((ts : Timestamp.t), _, _) -> ts.clock)
+    ~pid:(fun ((ts : Timestamp.t), _, _) -> ts.pid)
+    ~payload:(fun (_, _, payload) -> payload)
+    entries
 
 let insert_all log entries = List.iter (fun e -> ignore (insert log e : int)) entries
 

@@ -994,21 +994,22 @@ let sweep_words () =
   words /. 64.0
 
 (* A sweep copies the key ids into an int array (1 word a key) and
-   sorts it with [Array.stable_sort], whose merge scratch is half the
-   array and whose every merge allocates its loop's closure (3.2 words
-   a key over 64 keys; [Array.sort]'s heap sort, which raises an
-   exception as it sifts, took 4.0); per key it allocates the replay's
-   (state, steps) pair (3) and the answer's binding and cons (6): 13.5
-   words a key here. [Set_spec.equal_state] allocates nothing comparing
-   a state with the initial one; as [Int_set.equal], which enumerates
-   its left set whatever the right one, it cost 11 words a key more.
-   Built by adding every key to a keyed map, then filtered and listed,
-   a sweep cost 56.9. *)
+   heap-sorts it in place, allocating nothing more; per key it
+   allocates the replay's (state, steps) pair (3) and the answer's
+   binding and cons (6): 10.4 words a key here. [Array.stable_sort],
+   whose merge scratch is half the array and whose every merge
+   allocates its loop's closure, cost 3.2 words a key more over 64
+   keys, and [Array.sort]'s heap sort, which raises an exception as it
+   sifts, 4.0. [Set_spec.equal_state] allocates nothing comparing a
+   state with the initial one; as [Int_set.equal], which enumerates its
+   left set whatever the right one, it cost 11 words a key more. Built
+   by adding every key to a keyed map, then filtered and listed, a
+   sweep cost 56.9. *)
 let sweep_guard =
-  Alcotest.test_case "a second sweep allocates at most 14 words a key" `Quick
+  Alcotest.test_case "a second sweep allocates at most 11 words a key" `Quick
     (fun () ->
       let words = sweep_words () in
-      if words > 14.0 then
+      if words > 11.0 then
         Alcotest.failf "a second sweep over 64 keys: %.1f minor words a key" words)
 
 let tests =
